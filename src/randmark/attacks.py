@@ -10,6 +10,9 @@ set, or any message.
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,6 +214,64 @@ def make_independent(
     return backbone
 
 
+def _train_independent(job) -> MlpNetwork:
+    """Worker job of train_independents. Module-level and private, so that a
+    worker process unpickles it by name even while a profiler has replaced
+    the public functions with wrappers."""
+    dims, seed, data_seed, epochs, n_images = job
+    return make_independent(
+        dims, seed=seed, pretrain_data_seed=data_seed, epochs=epochs, n_images=n_images
+    )
+
+
+def _running_threads() -> int:
+    """OS threads of this process, BLAS threads included (Linux only)."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def _worker_count(jobs: int) -> int:
+    """Worker processes for train_independents: one per CPU in the affinity
+    mask, at most one per job, if this process runs no thread besides its
+    main one; otherwise 1, which trains in-process.
+
+    numpy's OpenBLAS starts its threads when it loads, unless it is pinned to
+    one thread before that (RANDMARK_THREADS=1 or OPENBLAS_NUM_THREADS=1 set
+    before Python starts). So a single-threaded process has a BLAS pinned to
+    one thread, as each forked worker then has, and a fork copies no running
+    thread. With two workers on an unpinned BLAS, a default pipeline on 2
+    CPUs took 2-3x longer than serially.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = _running_threads()
+    except (AttributeError, OSError):  # no affinity mask or /proc: stay serial
+        return 1
+    return min(jobs, cpus) if threads == 1 else 1
+
+
+def train_independents(dims, seeds, data_seeds, epochs: int, n_images: int) -> list[MlpNetwork]:
+    """One make_independent model per (seed, data seed) pair, in seed order.
+
+    The models train side by side in forked worker processes, one per CPU
+    in the affinity mask when BLAS is pinned to one thread (see
+    _worker_count). Each model is trained whole by make_independent in one
+    process from its own seeds, so the result is bit-identical to training
+    the models one after another. With one worker no pool is made.
+    """
+    jobs = [
+        (list(dims), seed, data_seed, epochs, n_images)
+        for seed, data_seed in zip(seeds, data_seeds, strict=True)
+    ]
+    workers = _worker_count(len(jobs))
+    if workers <= 1:
+        return [_train_independent(job) for job in jobs]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_train_independent, jobs))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def relative_embedding_error(
     model: MlpNetwork, reference: MlpNetwork, inputs: np.ndarray
 ) -> float:
@@ -269,10 +330,13 @@ def sample_model_population(
     seed: int,
     specs: list[AttackSpec] | None = None,
     heldout_inputs: np.ndarray | None = None,
+    pretrain_epochs: int = 40,
+    pretrain_images: int = 400,
 ) -> PopulationResult:
     """M functional copies (kind="omega") or M independent models
     (kind="xi"), with per-model seeds derived from the master seed plus the
-    model index.
+    model index. Independent models pretrain for pretrain_epochs over
+    pretrain_images synthetic images (make_independent's defaults).
 
     Omega copies failing the functionality check (relative embedding error
     beyond FUNCTIONALITY_LIMIT on held-out inputs) are excluded with a
@@ -284,19 +348,26 @@ def sample_model_population(
     if m_models < 1:
         raise ValueError("need at least one model")
     result = PopulationResult(models=[])
+    if kind == "xi":
+        backbone_dims = [bundle.s] + [l.out_dim for l in bundle.frozen_f.layers]
+        seeds = [seed + index for index in range(m_models)]
+        result.models = train_independents(
+            backbone_dims,
+            seeds,
+            [model_seed + 10_000 for model_seed in seeds],
+            pretrain_epochs,
+            pretrain_images,
+        )
+        result.rows = [
+            {"index": index, "kind": "independent", "seed": model_seed}
+            for index, model_seed in enumerate(seeds)
+        ]
+        return result
     if heldout_inputs is None:
         heldout_inputs = gen_synthetic_images(128, bundle.s, seed + 999)
     mix_rng = np.random.default_rng(seed)
-    backbone_dims = [bundle.s] + [l.out_dim for l in bundle.frozen_f.layers]
     for index in range(m_models):
         model_seed = seed + index
-        if kind == "xi":
-            model = make_independent(
-                backbone_dims, seed=model_seed, pretrain_data_seed=model_seed + 10_000
-            )
-            result.models.append(model)
-            result.rows.append({"index": index, "kind": "independent", "seed": model_seed})
-            continue
         if specs is not None:
             base_spec = specs[index % len(specs)]
             spec = AttackSpec(

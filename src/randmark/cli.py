@@ -3,28 +3,20 @@
 Exit codes: 0 success, 1 usage error, 2 verification refused (suspect
 architecture incompatible), 3 bound not applicable.
 
-RANDMARK_THREADS caps numerical parallelism; it must take effect before
-numpy loads, so the heavy imports happen inside main().
+RANDMARK_THREADS caps numerical parallelism; the randmark package applies
+it when it is imported, before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFUSED = 2
 EXIT_BOUND_NA = 3
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("RANDMARK_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,7 +254,14 @@ def _cmd_population(args) -> int:
 
     config = _load_config(args)
     bundle = ModelBundle.load(args.bundle)
-    result = sample_model_population(bundle, args.kind, args.m_models, config.seed)
+    result = sample_model_population(
+        bundle,
+        args.kind,
+        args.m_models,
+        config.seed,
+        pretrain_epochs=config.pretrain_epochs,
+        pretrain_images=config.pretrain_images,
+    )
     out = Path(args.out or f"population_{args.kind}")
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -421,7 +420,6 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {

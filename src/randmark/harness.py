@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attacks import AttackSpec, apply_attack, make_independent, sample_model_population
+from .attacks import (
+    AttackSpec,
+    apply_attack,
+    make_independent,
+    sample_model_population,
+    train_independents,
+)
 from .bounds import build_bound_report, collision_estimate
 from .nnengine import MlpNetwork, forward_batch, save_checkpoint
 from .stats import VerificationReport, covariance_delta, sweep_rows, write_detection_sweep
@@ -317,14 +323,14 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
         for name, spec in config.attacks:
             net = apply_attack(bundle, spec)
             suspects.append((name, spec.kind, net))
-        for i in range(config.independents):
-            net = make_independent(
-                config.backbone_dims,
-                seed=seed + 100 + i,
-                pretrain_data_seed=seed + 200 + i,
-                epochs=config.pretrain_epochs,
-                n_images=config.pretrain_images,
-            )
+        independents = train_independents(
+            config.backbone_dims,
+            [seed + 100 + i for i in range(config.independents)],
+            [seed + 200 + i for i in range(config.independents)],
+            config.pretrain_epochs,
+            config.pretrain_images,
+        )
+        for i, net in enumerate(independents):
             suspects.append((f"independent{i}", "independent", net))
         suspect_dir = out / "suspects"
         suspect_dir.mkdir(exist_ok=True)
@@ -435,7 +441,14 @@ def _bounds_stage(
     seed: int,
 ) -> None:
     omega = sample_model_population(bundle, "omega", config.m_models, seed + 1000)
-    xi = sample_model_population(bundle, "xi", config.m_models, seed + 2000)
+    xi = sample_model_population(
+        bundle,
+        "xi",
+        config.m_models,
+        seed + 2000,
+        pretrain_epochs=config.pretrain_epochs,
+        pretrain_images=config.pretrain_images,
+    )
     pop_dir = out / "population"
     pop_dir.mkdir(exist_ok=True)
     for label, pop in (("omega", omega), ("xi", xi)):

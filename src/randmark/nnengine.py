@@ -309,7 +309,7 @@ def optimizer_step(net: MlpNetwork, grads: Gradients, state: OptimizerState) -> 
     Rejects the step (raises, nothing mutated) if any gradient entry is
     non-finite.
     """
-    if len(grads.weights) != len(net.layers):
+    if not len(grads.weights) == len(grads.biases) == len(net.layers):
         raise ValueError("gradient does not match network depth")
     for layer, gw, gb in zip(net.layers, grads.weights, grads.biases):
         if gw.shape != layer.weight.shape or gb.shape != layer.bias.shape:

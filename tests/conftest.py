@@ -1,6 +1,7 @@
 """Shared fixtures: a fast mini training run for unit tests and one
 desk-scale run shared by the acceptance suite and directional tests."""
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -14,6 +15,14 @@ from randmark.nnengine import MlpNetwork, forward_batch
 from randmark.synth import gen_synthetic_images
 
 MINI = dict(s=64, k=16, n=8, n_triggers=16)
+
+
+def see_cpus(monkeypatch, count):
+    """Show the process `count` CPUs and no thread besides its main one (a
+    BLAS pinned to one thread), under which population training uses one
+    worker per CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(atk, "_running_threads", lambda: 1)
 
 
 @dataclass

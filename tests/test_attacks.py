@@ -3,6 +3,10 @@ models, and population sampling with its functionality filter."""
 
 import builtins
 import logging
+import os
+import signal
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.synth import gen_synthetic_images
 
-from conftest import MINI
+from conftest import MINI, see_cpus
 
 DIMS = [MINI["s"], 48, MINI["k"]]
 
@@ -180,3 +184,80 @@ class TestPopulation:
     def test_invalid_kind_rejected(self, mini_run):
         with pytest.raises(ValueError):
             atk.sample_model_population(mini_run.bundle, "sigma", 1, seed=76)
+
+
+class TestTrainIndependents:
+    SEEDS = [90, 91, 92]
+    DATA_SEEDS = [95, 96, 97]
+
+    def test_worker_count_does_not_change_models(self, monkeypatch):
+        serial = [
+            atk.make_independent(DIMS, seed=s, pretrain_data_seed=d, epochs=3, n_images=40)
+            .parameters_digest()
+            for s, d in zip(self.SEEDS, self.DATA_SEEDS)
+        ]
+        real = atk.make_independent
+        in_parent = []
+
+        def counted(*args, **kwargs):
+            in_parent.append(1)  # workers append to their own copy
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(atk, "make_independent", counted)
+        for cpus, trained_in_parent in ((1, 3), (2, 0)):
+            see_cpus(monkeypatch, cpus)
+            in_parent.clear()
+            models = atk.train_independents(DIMS, self.SEEDS, self.DATA_SEEDS, 3, 40)
+            assert [m.parameters_digest() for m in models] == serial
+            assert len(in_parent) == trained_in_parent
+
+    def test_threaded_process_trains_in_process(self, monkeypatch):
+        # BLAS threads in every worker would oversubscribe the cores, and a
+        # fork would copy a process whose BLAS threads are running
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made for a process running BLAS threads")
+
+        see_cpus(monkeypatch, 2)
+        monkeypatch.setattr(atk, "_running_threads", lambda: 3)
+        monkeypatch.setattr(atk, "ProcessPoolExecutor", no_pool)
+        models = atk.train_independents(DIMS, self.SEEDS[:2], self.DATA_SEEDS[:2], 1, 20)
+        assert len(models) == 2
+
+    def test_pool_leaves_no_thread_behind(self, monkeypatch):
+        # the pipeline trains two populations; the second finds the parent
+        # single-threaded again only if the first pool's threads are gone
+        # (counted as Python threads: OpenBLAS may stop its own at a fork)
+        before = threading.active_count()
+        monkeypatch.setattr(atk, "_worker_count", lambda jobs: 2)
+        atk.train_independents(DIMS, self.SEEDS[:2], self.DATA_SEEDS[:2], 1, 20)
+        assert threading.active_count() == before
+
+    def test_worker_value_error_reaches_parent(self, monkeypatch):
+        real = atk.gen_synthetic_images
+
+        def poisoned(count, s, seed):
+            images = real(count, s, seed)
+            return images * np.nan if seed == self.DATA_SEEDS[1] else images
+
+        monkeypatch.setattr(atk, "gen_synthetic_images", poisoned)
+        see_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            atk.train_independents(DIMS, self.SEEDS, self.DATA_SEEDS, 2, 20)
+
+    def test_dead_worker_breaks_pool_without_hanging(self, monkeypatch):
+        def die(*args, **kwargs):
+            os._exit(7)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("train_independents hung after a worker died")
+
+        monkeypatch.setattr(atk, "make_independent", die)
+        see_cpus(monkeypatch, 2)
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                atk.train_independents(DIMS, self.SEEDS, self.DATA_SEEDS, 2, 20)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from randmark import attacks as atk
 from randmark import cli
 from randmark import nnengine as ne
 from randmark.attacks import AttackSpec
@@ -18,6 +19,8 @@ from randmark.harness import (
 )
 from randmark.synth import gen_synthetic_images
 from randmark.watermark import load_trigger_set
+
+from conftest import see_cpus
 
 
 def micro_config(**overrides) -> ExperimentConfig:
@@ -244,6 +247,47 @@ class TestPipeline:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
+class TestPopulationTraining:
+    def test_worker_count_does_not_change_outputs(self, monkeypatch, tmp_path):
+        config = micro_config(seed=36, independents=2, m_models=3)
+        files = []
+        for cpus in (1, 2):
+            see_cpus(monkeypatch, cpus)
+            manifest = run_pipeline(config, tmp_path / f"cpus{cpus}")
+            assert manifest.failures == {}
+            files.append(manifest.files)
+        assert files[0] == files[1]
+
+    def test_xi_population_follows_pretrain_config(self, tmp_path):
+        config = micro_config(seed=37, attacks=[], pretrain_epochs=2)
+        run_pipeline(config, tmp_path / "run")
+        for index in range(config.m_models):
+            model_seed = config.seed + 2000 + index
+            expected = atk.make_independent(
+                config.backbone_dims,
+                seed=model_seed,
+                pretrain_data_seed=model_seed + 10_000,
+                epochs=2,
+                n_images=config.pretrain_images,
+            )
+            saved = ne.load_checkpoint(tmp_path / "run" / "population" / f"xi{index:03d}.rmk")
+            assert saved.parameters_digest() == expected.parameters_digest()
+
+    def test_worker_failure_is_an_attacks_stage_failure(self, monkeypatch, tmp_path):
+        config = micro_config(seed=38, independents=2, bounds_stage=False)
+        real = atk.gen_synthetic_images
+
+        def poisoned(count, s, seed):
+            images = real(count, s, seed)
+            return images * np.nan if seed == config.seed + 201 else images
+
+        monkeypatch.setattr(atk, "gen_synthetic_images", poisoned)
+        see_cpus(monkeypatch, 2)
+        manifest = run_pipeline(config, tmp_path / "run")
+        assert "non-finite" in manifest.failures["attacks"]
+        assert not (tmp_path / "run" / "verification").exists()
+
+
 class TestVerifySuspect:
     def test_report_shape(self, mini_run):
         report, batches = verify_suspect(
@@ -401,6 +445,25 @@ class TestCli:
         assert code in (cli.EXIT_OK, cli.EXIT_BOUND_NA)
         payload = json.loads((tmp_path / "bounds_est" / "bound_report.json").read_text())
         assert payload["p_hat"] == 1.0
+
+    def test_population_follows_pretrain_config(self, micro_run, tmp_path):
+        _, out, _ = micro_run
+        cfg = _write_micro_cfg(tmp_path / "micro.cfg")
+        cfg.write_text(cfg.read_text() + "\n[embed]\npretrain_epochs = 2\npretrain_images = 30\n")
+        code = cli.main([
+            "population",
+            "--config", str(cfg),
+            "--bundle", str(out / "bundle"),
+            "--kind", "xi",
+            "--M", "1",
+            "--out", str(tmp_path / "xi"),
+        ])
+        assert code == cli.EXIT_OK
+        expected = atk.make_independent(
+            [16, 12, 6], seed=31, pretrain_data_seed=10_031, epochs=2, n_images=30
+        )
+        saved = ne.load_checkpoint(tmp_path / "xi" / "xi000.rmk")
+        assert saved.parameters_digest() == expected.parameters_digest()
 
     def test_oracle_emits_json(self, capsys):
         code = cli.main([

@@ -192,6 +192,18 @@ class TestOptimizer:
         assert net.parameters_digest() == before
         assert state.step == 0
 
+    def test_bias_list_of_wrong_length_rejected(self):
+        net = ne.init_network([3, 2, 2], ["tanh", "identity"], 15)
+        before = net.parameters_digest()
+        state = ne.OptimizerState.fresh(net)
+        grads = ne.Gradients(
+            [np.ones_like(l.weight) for l in net.layers], [np.ones_like(net.layers[0].bias)]
+        )
+        with pytest.raises(ValueError, match="depth"):
+            ne.optimizer_step(net, grads, state)
+        assert net.parameters_digest() == before
+        assert state.step == 0
+
 
 class TestPruning:
     def test_fraction_zero_is_identity(self):
