@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .stats import fpr_binomial
 
@@ -47,11 +47,11 @@ def one_sided_binomial_bound(
     if side == "lower":
         if matches == 0:
             return 0.0
-        return float(_beta_dist.ppf(level, matches, trials - matches + 1))
+        return float(betaincinv(matches, trials - matches + 1, level))
     if side == "upper":
         if matches == trials:
             return 1.0
-        return float(_beta_dist.ppf(1.0 - level, matches + 1, trials - matches))
+        return float(betaincinv(matches + 1, trials - matches, 1.0 - level))
     raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
 
 

@@ -218,25 +218,21 @@ def _cmd_verify(args) -> int:
 
     from .harness import verify_suspect
     from .nnengine import load_checkpoint
-    from .watermark import ModelBundle, VerificationRefused, load_trigger_set
+    from .watermark import ModelBundle, load_trigger_set
 
     config = _load_config(args)
     bundle = ModelBundle.load(args.bundle)
     triggers = load_trigger_set(args.triggers)
     suspect = load_checkpoint(args.suspect)
-    try:
-        report, _ = verify_suspect(
-            suspect,
-            bundle,
-            triggers,
-            args.tau,
-            args.k_draws,
-            config.seed,
-            Path(args.suspect).stem,
-        )
-    except VerificationRefused as exc:
-        print(f"verification refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+    report, _ = verify_suspect(
+        suspect,
+        bundle,
+        triggers,
+        args.tau,
+        args.k_draws,
+        config.seed,
+        Path(args.suspect).stem,
+    )
     text = report.to_json()
     if args.out:
         Path(args.out).write_text(text)
@@ -420,6 +416,8 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    from .watermark import VerificationRefused
+
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
@@ -435,6 +433,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except VerificationRefused as exc:  # a suspect or population model of the wrong shape
+        print(f"randmark {args.command}: verification refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
     except (ValueError, OSError) as exc:
         print(f"randmark {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,6 +12,7 @@ and decoder around any suspect backbone and counts bit errors.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -36,6 +37,8 @@ TRIGGER_VERSION = 1
 
 # Gradient of a vector norm at the origin is taken as 0 (subgradient choice).
 _NORM_FLOOR = 1e-300
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class VerificationRefused(RuntimeError):
@@ -116,7 +119,7 @@ class TriggerSet:
                 raise ValueError("all messages must have length n")
             if t.image.shape != (self.s,):
                 raise ValueError("all images must have length s")
-        self.master_seed = int(self.master_seed) & 0xFFFFFFFFFFFFFFFF
+        self.master_seed = int(self.master_seed) & _MASK64
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -129,10 +132,6 @@ class TriggerSet:
 
     def sigmas(self) -> np.ndarray:
         return np.array([t.sigma for t in self.samples])
-
-    def trigger_seed(self, index: int) -> int:
-        """Per-trigger extraction stream seed: master_seed XOR trigger index."""
-        return (self.master_seed ^ index) & 0xFFFFFFFFFFFFFFFF
 
 
 def save_trigger_set(triggers: TriggerSet, path) -> None:
@@ -335,10 +334,6 @@ class ExtractionBatch:
     @property
     def n(self) -> int:
         return int(self.soft_bits.shape[1])
-
-    @property
-    def hard_messages(self) -> list[BitMessage]:
-        return [BitMessage(row) for row in self.hard_bits]
 
 
 def sample_noise(sample: TriggerSample, k_draws: int, stream_seed: int) -> np.ndarray:
@@ -585,6 +580,135 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
     return bundle, log
 
 
+def trigger_stream_seed(seed: int, index: int) -> int:
+    """Noise stream seed of trigger `index` in an extraction run: the run
+    seed XOR the trigger index, modulo 2**64."""
+    return (seed ^ index) & _MASK64
+
+
+def _build_stego(
+    encoder_e: MlpNetwork, samples: list[TriggerSample], k_draws: int, seed: int,
+    delta_scale: float,
+) -> np.ndarray:
+    """Stego inputs for every trigger and draw, (N * K, s), trigger-major.
+
+    Each trigger gets its own encoder pass: a one-row product (K = 1) runs a
+    different BLAS kernel than a many-row one, so this keeps every block
+    bit-identical to a single-trigger extraction.
+    """
+    stego = np.empty((len(samples) * k_draws, samples[0].image.shape[0]))
+    for index, sample in enumerate(samples):
+        noisy = sample_noise(sample, k_draws, trigger_stream_seed(seed, index))
+        stego[index * k_draws : (index + 1) * k_draws] = noisy + delta_scale * (
+            encoder_perturbation(encoder_e, noisy, sample.message)
+        )
+    return stego
+
+
+# The one shared stego batch: (content key, read-only (N * K, s) array).
+_stego_memo: tuple[bytes, np.ndarray] | None = None
+
+
+def _stego_key(
+    encoder_e: MlpNetwork, samples: list[TriggerSample], k_draws: int, seed: int,
+    delta_scale: float,
+) -> bytes:
+    # By content, never by id(): optimizer_step updates weights in place.
+    h = hashlib.sha256(encoder_e.parameters_digest().encode())
+    h.update(repr((len(samples), k_draws, seed & _MASK64, float(delta_scale))).encode())
+    for sample in samples:
+        h.update(struct.pack("<QQd", sample.image.size, len(sample.message), sample.sigma))
+        h.update(np.ascontiguousarray(sample.image).tobytes())
+        h.update(sample.message.bits.tobytes())
+    return h.digest()
+
+
+def stego_batch(
+    encoder_e: MlpNetwork, samples: list[TriggerSample], k_draws: int, seed: int,
+    delta_scale: float,
+) -> np.ndarray:
+    """The suspect-independent stego inputs of an extraction run, read-only.
+
+    The last batch built stays in memory (N * K * s * 8 bytes) and is
+    returned again while encoder parameters, trigger contents, K, seed and
+    delta_scale are unchanged, so every suspect verified against one bundle
+    and trigger set shares it.
+    """
+    global _stego_memo
+    key = _stego_key(encoder_e, samples, k_draws, seed, delta_scale)
+    if _stego_memo is None or _stego_memo[0] != key:
+        _stego_memo = None  # free the old batch before building the new one
+        stego = _build_stego(encoder_e, samples, k_draws, seed, delta_scale)
+        stego.flags.writeable = False
+        _stego_memo = (key, stego)
+    return _stego_memo[1]
+
+
+def decode_triggers(
+    suspect: MlpNetwork,
+    encoder_e: MlpNetwork,
+    decoder_d: MlpNetwork,
+    samples: list[TriggerSample],
+    k_draws: int,
+    seed: int,
+    delta_scale: float = 0.5,
+    shared: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode K messages per trigger from a suspect backbone in one pass.
+
+    The verifier's encoder and decoder wrap the suspect in place of the
+    watermarked backbone. Returns soft bits (N, K, n), hard bits (N, K, n)
+    and Hamming distances to each trigger's message (N, K). The stego inputs
+    come from stego_batch, or are built afresh when shared is False. Refuses
+    suspects whose input/output dimensions do not fit the verifier before
+    any stego work.
+    """
+    s = samples[0].image.shape[0]
+    n = len(samples[0].message)
+    if suspect.input_dim != s or suspect.output_dim != decoder_d.input_dim:
+        raise VerificationRefused(
+            f"suspect maps {suspect.input_dim} -> {suspect.output_dim}, verifier "
+            f"needs {s} -> {decoder_d.input_dim}"
+        )
+    if encoder_e.input_dim != s + n or encoder_e.output_dim != s:
+        raise ValueError("encoder does not match trigger dimensions")
+    build = stego_batch if shared else _build_stego
+    stego = build(encoder_e, samples, k_draws, seed, delta_scale)
+    emb = forward_batch(suspect, stego)[0]
+    soft = forward_batch(decoder_d, emb)[0].reshape(len(samples), k_draws, n)
+    hard = (soft >= 0.5).astype(np.int8)
+    messages = np.stack([sample.message.bits for sample in samples])
+    distances = (hard != messages[:, None, :]).sum(axis=2)
+    return soft, hard, distances
+
+
+def extract_batches(
+    suspect: MlpNetwork,
+    encoder_e: MlpNetwork,
+    decoder_d: MlpNetwork,
+    samples: list[TriggerSample],
+    k_draws: int,
+    seed: int,
+    delta_scale: float = 0.5,
+    shared: bool = True,
+) -> list[ExtractionBatch]:
+    """decode_triggers as one ExtractionBatch per trigger, each a view of the
+    (N, K, ...) result."""
+    soft, hard, distances = decode_triggers(
+        suspect, encoder_e, decoder_d, samples, k_draws, seed, delta_scale, shared
+    )
+    return [
+        ExtractionBatch(
+            soft_bits=soft[index],
+            hard_bits=hard[index],
+            distances=distances[index],
+            noise_seed=trigger_stream_seed(seed, index),
+            message=BitMessage(sample.message.bits.copy()),
+        )
+        for index, sample in enumerate(samples)
+    ]
+
+
 def extract_messages(
     suspect: MlpNetwork,
     encoder_e: MlpNetwork,
@@ -594,31 +718,10 @@ def extract_messages(
     stream_seed: int,
     delta_scale: float = 0.5,
 ) -> ExtractionBatch:
-    """Decode K messages from a suspect backbone for one trigger.
-
-    The verifier's encoder and decoder wrap the suspect in place of the
-    watermarked backbone; noise draws come from stream_seed. Refuses
-    suspects whose input/output dimensions do not fit the verifier.
-    """
-    s = sample.image.shape[0]
-    n = len(sample.message)
-    if suspect.input_dim != s or suspect.output_dim != decoder_d.input_dim:
-        raise VerificationRefused(
-            f"suspect maps {suspect.input_dim} -> {suspect.output_dim}, verifier "
-            f"needs {s} -> {decoder_d.input_dim}"
-        )
-    if encoder_e.input_dim != s + n or encoder_e.output_dim != s:
-        raise ValueError("encoder does not match trigger dimensions")
-    noisy = sample_noise(sample, k_draws, stream_seed)
-    stego = noisy + delta_scale * encoder_perturbation(encoder_e, noisy, sample.message)
-    emb, _ = forward_batch(suspect, stego)
-    soft, _ = forward_batch(decoder_d, emb)
-    hard = (soft >= 0.5).astype(np.int8)
-    distances = (hard != sample.message.bits[None, :]).sum(axis=1)
-    return ExtractionBatch(
-        soft_bits=soft,
-        hard_bits=hard,
-        distances=distances,
-        noise_seed=stream_seed,
-        message=BitMessage(sample.message.bits.copy()),
-    )
+    """Decode K messages from a suspect backbone for one trigger, with noise
+    draws from stream_seed (modulo 2**64). Builds its own stego inputs and
+    leaves the shared batch alone."""
+    return extract_batches(
+        suspect, encoder_e, decoder_d, [sample], k_draws, stream_seed, delta_scale,
+        shared=False,
+    )[0]

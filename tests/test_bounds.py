@@ -2,10 +2,15 @@
 tails, and the Chernoff/Hoeffding closed forms."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randmark
 from randmark import bounds
 from randmark.oracles import brute_force_poisson_binomial, coverage_simulation
 
@@ -45,6 +50,28 @@ class TestOneSidedBound:
     def test_quick_coverage(self):
         result = coverage_simulation(0.8, 200, 0.05, 20_000, seed=1, side="lower")
         assert result.value <= 0.05 + 3 * result.standard_error
+
+    def test_equals_beta_quantile(self):
+        from scipy.stats import beta
+
+        for trials in (64, 2048, 69_632, 108_800):
+            for matches in (1, 2, trials // 3, trials // 2, trials - 1):
+                for level in (1e-4, 0.01, 0.5):
+                    lower = beta.ppf(level, matches, trials - matches + 1)
+                    upper = beta.ppf(1.0 - level, matches + 1, trials - matches)
+                    assert bounds.one_sided_binomial_bound(matches, trials, level, "lower") == lower
+                    assert bounds.one_sided_binomial_bound(matches, trials, level, "upper") == upper
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second of start-up for every CLI call
+    src = str(Path(randmark.__file__).resolve().parents[1])
+    code = "import sys, randmark; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestPerImageDetectionProb:

@@ -10,10 +10,12 @@ import pytest
 from randmark import attacks as atk
 from randmark import cli
 from randmark import nnengine as ne
+from randmark import watermark as wm
 from randmark.attacks import AttackSpec
 from randmark.harness import (
     ExperimentConfig,
     build_trigger_set,
+    population_distances,
     run_pipeline,
     verify_suspect,
 )
@@ -312,6 +314,63 @@ class TestVerifySuspect:
         assert len(seeds) == len(batches)
 
 
+def _three_suspects(bundle):
+    """A watermarked, a pruned and an independent backbone."""
+    pruned = atk.apply_attack(bundle, AttackSpec(kind="prune", fraction=0.3))
+    independent = ne.init_network([bundle.s, 48, bundle.k], ["tanh", "identity"], 48)
+    return [bundle.watermarked_f, pruned, independent]
+
+
+def _no_stego_work(*args, **kwargs):
+    raise AssertionError("stego batch built for a request that should be rejected")
+
+
+class TestSharedExtraction:
+    def test_batches_equal_single_trigger_extraction(self, mini_run):
+        bundle = mini_run.bundle
+        for suspect in _three_suspects(bundle):
+            _, batches = verify_suspect(
+                suspect, bundle, mini_run.triggers, tau=1, k_draws=8, seed=49, suspect_id="s"
+            )
+            for index, (trigger, batch) in enumerate(zip(mini_run.triggers.samples, batches)):
+                single = wm.extract_messages(
+                    suspect, bundle.encoder_e, bundle.decoder_d, trigger, 8,
+                    wm.trigger_stream_seed(49, index), delta_scale=bundle.hyper.delta_scale,
+                )
+                assert np.array_equal(batch.soft_bits, single.soft_bits)
+                assert np.array_equal(batch.hard_bits, single.hard_bits)
+                assert np.array_equal(batch.distances, single.distances)
+                assert batch.noise_seed == single.noise_seed
+                assert batch.message == single.message == trigger.message
+
+    def test_population_rows_equal_verify_distances(self, mini_run):
+        bundle = mini_run.bundle
+        models = _three_suspects(bundle)
+        dists = population_distances(models, bundle, mini_run.triggers, 8, 50)
+        for model, row in zip(models, dists):
+            _, batches = verify_suspect(
+                model, bundle, mini_run.triggers, tau=1, k_draws=8, seed=50, suspect_id="s"
+            )
+            assert np.array_equal(row, np.stack([b.distances for b in batches]))
+
+    def test_wrong_dimensions_refused_before_stego_work(self, mini_run, monkeypatch):
+        bundle = mini_run.bundle
+        monkeypatch.setattr(wm, "stego_batch", _no_stego_work)
+        for dims in ([bundle.s + 1, 8, bundle.k], [bundle.s, 8, bundle.k + 2]):
+            wrong = ne.init_network(dims, ["tanh", "identity"], 51)
+            with pytest.raises(wm.VerificationRefused):
+                verify_suspect(wrong, bundle, mini_run.triggers, 1, 8, 51, "wrong")
+            with pytest.raises(wm.VerificationRefused):
+                population_distances([wrong], bundle, mini_run.triggers, 8, 51)
+
+    @pytest.mark.parametrize("tau, k_draws", [(-1, 8), (9, 8), (99, 8), (1, 0), (1, -3)])
+    def test_out_of_range_tau_and_k_rejected_before_work(self, mini_run, monkeypatch, tau, k_draws):
+        monkeypatch.setattr(wm, "stego_batch", _no_stego_work)
+        bundle = mini_run.bundle  # n = 8
+        with pytest.raises(ValueError):
+            verify_suspect(bundle.watermarked_f, bundle, mini_run.triggers, tau, k_draws, 52, "s")
+
+
 def _write_micro_cfg(path, trigger_count=8, r_bar=6, r_under=3):
     path.write_text(f"""
 [dims]
@@ -367,6 +426,20 @@ class TestCli:
         assert code == cli.EXIT_REFUSED
         assert "refused" in capsys.readouterr().err
 
+    def test_verify_rejects_tau_above_n(self, micro_run, capsys):
+        _, out, _ = micro_run  # n = 8
+        code = cli.main([
+            "verify",
+            "--suspect", str(out / "suspects" / "watermarked.rmk"),
+            "--bundle", str(out / "bundle"),
+            "--triggers", str(out / "triggers.rmts"),
+            "--tau", "99",
+            "--K", "4",
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "tau must lie in [0, 8]" in err and "Traceback" not in err
+
     def test_verify_succeeds_on_matching_suspect(self, micro_run, tmp_path, capsys):
         _, out, _ = micro_run
         code = cli.main([
@@ -420,6 +493,25 @@ class TestCli:
         assert code in (cli.EXIT_OK, cli.EXIT_BOUND_NA)
         payload = json.loads((tmp_path / "bounds_out" / "bound_report.json").read_text())
         assert len(payload["l"]) == 8
+
+    def test_bounds_refuses_wrong_shape_population_model(self, micro_run, tmp_path, capsys):
+        _, out, _ = micro_run
+        omega_dir, xi_dir = tmp_path / "omega", tmp_path / "xi"
+        omega_dir.mkdir()
+        xi_dir.mkdir()
+        ne.save_checkpoint(ne.init_network([17, 6, 6], ["tanh", "identity"], 53), omega_dir / "w.rmk")
+        (xi_dir / "indep.rmk").write_bytes((out / "suspects" / "independent0.rmk").read_bytes())
+        code = cli.main([
+            "bounds",
+            "--config", str(_write_micro_cfg(tmp_path / "micro.cfg")),
+            "--bundle", str(out / "bundle"),
+            "--triggers", str(out / "triggers.rmts"),
+            "--population-omega", str(omega_dir),
+            "--population-xi", str(xi_dir),
+            "--out", str(tmp_path / "bounds_out"),
+        ])
+        assert code == cli.EXIT_REFUSED
+        assert "verification refused" in capsys.readouterr().err
 
     def test_bounds_from_estimates_file(self, micro_run, tmp_path):
         _, out, _ = micro_run

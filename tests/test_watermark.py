@@ -378,6 +378,61 @@ class TestExtractMessages:
             )
 
 
+class TestStegoBatch:
+    def _args(self, mini_run, **overrides):
+        args = dict(
+            encoder_e=mini_run.bundle.encoder_e.copy(),
+            samples=list(mini_run.triggers.samples),
+            k_draws=8,
+            seed=120,
+            delta_scale=mini_run.bundle.hyper.delta_scale,
+        )
+        args.update(overrides)
+        return args
+
+    def test_reused_while_inputs_unchanged(self, mini_run):
+        args = self._args(mini_run)
+        first = wm.stego_batch(**args)
+        assert first.shape == (len(args["samples"]) * 8, mini_run.triggers.s)
+        assert not first.flags.writeable
+        assert wm.stego_batch(**args) is first
+        # equal content in new objects is the same batch
+        assert wm.stego_batch(**{**args, "encoder_e": args["encoder_e"].copy()}) is first
+
+    def test_fresh_after_in_place_encoder_edit(self, mini_run):
+        args = self._args(mini_run)
+        before = wm.stego_batch(**args)
+        for layer in args["encoder_e"].layers:
+            layer.weight *= 1.5  # same object, new weights
+        after = wm.stego_batch(**args)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, wm._build_stego(**args))
+
+    def test_fresh_after_in_place_trigger_edit(self, mini_run):
+        samples = [wm.TriggerSample(t.image.copy(), t.message, t.sigma)
+                   for t in mini_run.triggers.samples]
+        args = self._args(mini_run, samples=samples)
+        before = wm.stego_batch(**args)
+        samples[3].image *= 0.5
+        after = wm.stego_batch(**args)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, wm._build_stego(**args))
+
+    @pytest.mark.parametrize("change", [
+        lambda args: {"seed": 121},
+        lambda args: {"k_draws": 4},
+        lambda args: {"delta_scale": 0.25},
+        lambda args: {"samples": args["samples"][:8]},
+    ])
+    def test_fresh_after_run_parameter_change(self, mini_run, change):
+        args = self._args(mini_run)
+        before = wm.stego_batch(**args)
+        changed = {**args, **change(args)}
+        after = wm.stego_batch(**changed)
+        assert after is not before
+        assert np.array_equal(after, wm._build_stego(**changed))
+
+
 class TestPersistence:
     def test_trigger_set_roundtrip(self, tmp_path, mini_run):
         path = tmp_path / "triggers.rmts"
