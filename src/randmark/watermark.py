@@ -593,8 +593,8 @@ def _build_stego(
     """Stego inputs for every trigger and draw, (N * K, s), trigger-major.
 
     Each trigger gets its own encoder pass: a one-row product (K = 1) runs a
-    different BLAS kernel than a many-row one, so this keeps every block
-    bit-identical to a single-trigger extraction.
+    different BLAS kernel than a many-row one, so this keeps a trigger's
+    block the same bytes whatever batch it is built in.
     """
     stego = np.empty((len(samples) * k_draws, samples[0].image.shape[0]))
     for index, sample in enumerate(samples):
@@ -652,16 +652,14 @@ def decode_triggers(
     k_draws: int,
     seed: int,
     delta_scale: float = 0.5,
-    shared: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode K messages per trigger from a suspect backbone in one pass.
 
     The verifier's encoder and decoder wrap the suspect in place of the
     watermarked backbone. Returns soft bits (N, K, n), hard bits (N, K, n)
     and Hamming distances to each trigger's message (N, K). The stego inputs
-    come from stego_batch, or are built afresh when shared is False. Refuses
-    suspects whose input/output dimensions do not fit the verifier before
-    any stego work.
+    come from stego_batch. Refuses suspects whose input/output dimensions do
+    not fit the verifier before any stego work.
     """
     s = samples[0].image.shape[0]
     n = len(samples[0].message)
@@ -672,8 +670,7 @@ def decode_triggers(
         )
     if encoder_e.input_dim != s + n or encoder_e.output_dim != s:
         raise ValueError("encoder does not match trigger dimensions")
-    build = stego_batch if shared else _build_stego
-    stego = build(encoder_e, samples, k_draws, seed, delta_scale)
+    stego = stego_batch(encoder_e, samples, k_draws, seed, delta_scale)
     emb = forward_batch(suspect, stego)[0]
     soft = forward_batch(decoder_d, emb)[0].reshape(len(samples), k_draws, n)
     hard = (soft >= 0.5).astype(np.int8)
@@ -690,12 +687,11 @@ def extract_batches(
     k_draws: int,
     seed: int,
     delta_scale: float = 0.5,
-    shared: bool = True,
 ) -> list[ExtractionBatch]:
     """decode_triggers as one ExtractionBatch per trigger, each a view of the
     (N, K, ...) result."""
     soft, hard, distances = decode_triggers(
-        suspect, encoder_e, decoder_d, samples, k_draws, seed, delta_scale, shared
+        suspect, encoder_e, decoder_d, samples, k_draws, seed, delta_scale
     )
     return [
         ExtractionBatch(
@@ -719,9 +715,7 @@ def extract_messages(
     delta_scale: float = 0.5,
 ) -> ExtractionBatch:
     """Decode K messages from a suspect backbone for one trigger, with noise
-    draws from stream_seed (modulo 2**64). Builds its own stego inputs and
-    leaves the shared batch alone."""
+    draws from stream_seed (modulo 2**64)."""
     return extract_batches(
-        suspect, encoder_e, decoder_d, [sample], k_draws, stream_seed, delta_scale,
-        shared=False,
+        suspect, encoder_e, decoder_d, [sample], k_draws, stream_seed, delta_scale
     )[0]
