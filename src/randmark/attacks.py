@@ -12,8 +12,10 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -117,7 +119,7 @@ def finetune_attack(
                 raise RuntimeError("fine-tuning diverged: non-finite logits")
             g_logits = (probs - onehot[idx]) / idx.size
             g_head = backward(head, tr_head, g_logits)
-            g_net = backward(net, tr_net, g_head.wrt_input)
+            g_net = backward(net, tr_net, g_head.wrt_input, wrt_input=False)
             optimizer_step(head, g_head, st_head)
             optimizer_step(net, g_net, st_net)
     emb, _ = forward_batch(net, task.inputs)
@@ -170,7 +172,7 @@ def distill_attack(
             diff = out - targets[idx]
             if not np.isfinite(diff).all():
                 raise RuntimeError("distillation diverged: non-finite outputs")
-            grads = backward(student, trace, 2.0 * diff / idx.size)
+            grads = backward(student, trace, 2.0 * diff / idx.size, wrt_input=False)
             optimizer_step(student, grads, state)
     out, _ = forward_batch(student, inputs)
     final_loss = float(((out - targets) ** 2).mean())
@@ -208,14 +210,14 @@ def make_independent(
             recon, tr_h = forward_batch(head, emb)
             g_out = 2.0 * (recon - batch) / idx.size
             g_head = backward(head, tr_h, g_out)
-            g_backbone = backward(backbone, tr_b, g_head.wrt_input)
+            g_backbone = backward(backbone, tr_b, g_head.wrt_input, wrt_input=False)
             optimizer_step(head, g_head, st_head)
             optimizer_step(backbone, g_backbone, st_backbone)
     return backbone
 
 
 def _train_independent(job) -> MlpNetwork:
-    """Worker job of train_independents. Module-level and private, so that a
+    """Worker job of IndependentPool. Module-level and private, so that a
     worker process unpickles it by name even while a profiler has replaced
     the public functions with wrappers."""
     dims, seed, data_seed, epochs, n_images = job
@@ -230,7 +232,7 @@ def _running_threads() -> int:
 
 
 def _worker_count(jobs: int) -> int:
-    """Worker processes for train_independents: one per CPU in the affinity
+    """Worker processes for an IndependentPool: one per CPU in the affinity
     mask, at most one per job, if this process runs no thread besides its
     main one; otherwise 1, which trains in-process.
 
@@ -249,27 +251,71 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, cpus) if threads == 1 else 1
 
 
-def train_independents(dims, seeds, data_seeds, epochs: int, n_images: int) -> list[MlpNetwork]:
-    """One make_independent model per (seed, data seed) pair, in seed order.
+class IndependentPool:
+    """Trains make_independent models in forked worker processes while the
+    caller goes on with other work, or in-process when there is one worker.
 
-    The models train side by side in forked worker processes, one per CPU
-    in the affinity mask when BLAS is pinned to one thread (see
-    _worker_count). Each model is trained whole by make_independent in one
-    process from its own seeds, so the result is bit-identical to training
-    the models one after another. With one worker no pool is made.
+    Sized for `jobs` models by _worker_count: one worker per CPU in the
+    affinity mask when BLAS is pinned to one thread. The workers are forked
+    at the first submit, so open the pool while the process is still small
+    and single-threaded. Jobs start in submission order. Each model is
+    trained whole by make_independent in one process from its own seeds, so
+    it is bit-identical to one trained serially.
+
+    Use it as a context manager: on exit, jobs not yet started are cancelled
+    and the workers and the pool's threads are joined (a running job is
+    waited for).
     """
-    jobs = [
-        (list(dims), seed, data_seed, epochs, n_images)
-        for seed, data_seed in zip(seeds, data_seeds, strict=True)
+
+    def __init__(self, jobs: int):
+        workers = _worker_count(jobs)
+        self._executor = None
+        if workers > 1:
+            context = multiprocessing.get_context("fork")
+            self._executor = ProcessPoolExecutor(workers, mp_context=context)
+
+    def submit(
+        self, dims, seeds, data_seeds, epochs: int, n_images: int
+    ) -> list[Callable[[], MlpNetwork]]:
+        """One result getter per (seed, data seed) pair, in seed order. A
+        getter blocks until its model is trained and raises the job's
+        exception; with one worker it trains the model when called."""
+        jobs = [
+            (list(dims), seed, data_seed, epochs, n_images)
+            for seed, data_seed in zip(seeds, data_seeds, strict=True)
+        ]
+        if self._executor is None:
+            return [partial(_train_independent, job) for job in jobs]
+        return [self._executor.submit(_train_independent, job).result for job in jobs]
+
+    def __enter__(self) -> "IndependentPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+
+
+def train_independents(dims, seeds, data_seeds, epochs: int, n_images: int) -> list[MlpNetwork]:
+    """One make_independent model per (seed, data seed) pair, in seed order,
+    trained side by side in an IndependentPool of their own."""
+    with IndependentPool(len(seeds)) as pool:
+        return [get() for get in pool.submit(dims, seeds, data_seeds, epochs, n_images)]
+
+
+def xi_seeds(seed: int, m_models: int) -> tuple[list[int], list[int]]:
+    """Model and pretraining-data seeds of an independent (xi) population:
+    seed + index and seed + index + 10000."""
+    seeds = [seed + index for index in range(m_models)]
+    return seeds, [model_seed + 10_000 for model_seed in seeds]
+
+
+def xi_rows(seeds: list[int]) -> list[dict]:
+    """Population-manifest rows of an independent (xi) population."""
+    return [
+        {"index": index, "kind": "independent", "seed": model_seed}
+        for index, model_seed in enumerate(seeds)
     ]
-    workers = _worker_count(len(jobs))
-    if workers <= 1:
-        return [_train_independent(job) for job in jobs]
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        return list(pool.map(_train_independent, jobs))
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def relative_embedding_error(
@@ -349,19 +395,11 @@ def sample_model_population(
         raise ValueError("need at least one model")
     result = PopulationResult(models=[])
     if kind == "xi":
-        backbone_dims = [bundle.s] + [l.out_dim for l in bundle.frozen_f.layers]
-        seeds = [seed + index for index in range(m_models)]
+        seeds, data_seeds = xi_seeds(seed, m_models)
         result.models = train_independents(
-            backbone_dims,
-            seeds,
-            [model_seed + 10_000 for model_seed in seeds],
-            pretrain_epochs,
-            pretrain_images,
+            bundle.backbone_dims, seeds, data_seeds, pretrain_epochs, pretrain_images
         )
-        result.rows = [
-            {"index": index, "kind": "independent", "seed": model_seed}
-            for index, model_seed in enumerate(seeds)
-        ]
+        result.rows = xi_rows(seeds)
         return result
     if heldout_inputs is None:
         heldout_inputs = gen_synthetic_images(128, bundle.s, seed + 999)

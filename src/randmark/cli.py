@@ -241,11 +241,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_population(args) -> int:
-    import json as _json
     from pathlib import Path
 
     from .attacks import sample_model_population
-    from .nnengine import save_checkpoint
+    from .harness import PopulationWriter
     from .watermark import ModelBundle
 
     config = _load_config(args)
@@ -259,15 +258,8 @@ def _cmd_population(args) -> int:
         pretrain_images=config.pretrain_images,
     )
     out = Path(args.out or f"population_{args.kind}")
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for idx, (model, row) in enumerate(zip(result.models, result.rows)):
-        name = f"{args.kind}{idx:03d}.rmk"
-        save_checkpoint(model, out / name)
-        rows.append({**row, "file": name})
-    (out / f"{args.kind}_manifest.json").write_text(
-        _json.dumps({"models": rows, "excluded": result.excluded}, indent=2, sort_keys=True)
-    )
+    for _ in PopulationWriter(out, args.kind, result.models, result.rows, result.excluded):
+        pass
     print(f"wrote {len(result.models)} {args.kind} models to {out}")
     return EXIT_OK
 
@@ -316,7 +308,8 @@ def _report_from_estimates(config, path):
 def _cmd_bounds(args) -> int:
     from pathlib import Path
 
-    from .harness import _bounds_stage, compute_bound_report
+    from .attacks import IndependentPool
+    from .harness import _bounds_stage, _submit_xi, compute_bound_report
     from .watermark import ModelBundle, load_trigger_set
 
     config = _load_config(args)
@@ -341,7 +334,9 @@ def _cmd_bounds(args) -> int:
         )
         (out / "bound_report.json").write_text(report.to_json())
     else:
-        _bounds_stage(config, bundle, triggers, out, config.seed)
+        with IndependentPool(config.m_models) as pool:
+            xi = _submit_xi(pool, bundle.backbone_dims, config, config.seed)
+            _bounds_stage(config, bundle, triggers, out, config.seed, xi)
     payload = json.loads((out / "bound_report.json").read_text())
     print((out / "bound_report.json").read_text())
     if payload["h_minus"] is None or payload["h_plus"] is None:

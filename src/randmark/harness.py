@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import time
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -20,10 +21,12 @@ import numpy as np
 from . import __version__
 from .attacks import (
     AttackSpec,
+    IndependentPool,
     apply_attack,
     make_independent,
     sample_model_population,
-    train_independents,
+    xi_rows,
+    xi_seeds,
 )
 from .bounds import build_bound_report, collision_estimate
 from .nnengine import MlpNetwork, save_checkpoint
@@ -210,7 +213,7 @@ def verify_suspect(
 
 
 def population_distances(
-    models: list[MlpNetwork],
+    models: Collection[MlpNetwork],
     bundle: ModelBundle,
     triggers: TriggerSet,
     k_draws: int,
@@ -218,7 +221,8 @@ def population_distances(
 ) -> np.ndarray:
     """(n_models, N, K) per-draw Hamming distances over the shared stego batch,
     so the per-model Bernoulli trials stay paired with each other and with
-    verify_suspect at the same seed."""
+    verify_suspect at the same seed. Each model is decoded as iteration over
+    models yields it."""
     out = np.empty((len(models), len(triggers), k_draws), dtype=np.int64)
     for mi, model in enumerate(models):
         # Rebinding only after the call keeps the last model's arrays alive
@@ -230,6 +234,37 @@ def population_distances(
         )
         out[mi] = decoded[2]
     return out
+
+
+@dataclass
+class PopulationWriter:
+    """One population's models, each saved to directory/<label>NNN.rmk as
+    iteration reaches it; after the last, <label>_manifest.json records the
+    manifest rows (each with its file name) and the excluded count. Its
+    length is the number of rows, known before any model arrives."""
+
+    directory: Path
+    label: str
+    models: Iterable[MlpNetwork]
+    rows: list[dict]
+    excluded: int
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[MlpNetwork]:
+        self.directory.mkdir(parents=True, exist_ok=True)
+        files = []
+        for model in self.models:
+            files.append(f"{self.label}{len(files):03d}.rmk")
+            save_checkpoint(model, self.directory / files[-1])
+            yield model
+        if len(files) != len(self.rows):
+            raise ValueError(f"{self.label}: {len(files)} models for {len(self.rows)} rows")
+        rows = [{**row, "file": name} for row, name in zip(self.rows, files)]
+        (self.directory / f"{self.label}_manifest.json").write_text(
+            json.dumps({"models": rows, "excluded": self.excluded}, indent=2, sort_keys=True)
+        )
 
 
 @dataclass
@@ -254,9 +289,37 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
     """Full workflow into a run directory: trigger data, embedding, attack
     suspects, verification reports and sweep CSV, covariance CSV, bound
     report, manifest. A stage failure is recorded and later stages that
-    depend on it are skipped."""
+    depend on it are skipped.
+
+    Every independent model the run needs, the suspects' and then the xi
+    population's, is submitted to one IndependentPool before anything else,
+    so that its workers train them while this process runs the stages.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    seed = config.seed
+    dims = config.backbone_dims
+    jobs = config.independents + (config.m_models if config.bounds_stage else 0)
+    with IndependentPool(jobs) as pool:
+        independents = pool.submit(
+            dims,
+            [seed + 100 + i for i in range(config.independents)],
+            [seed + 200 + i for i in range(config.independents)],
+            config.pretrain_epochs,
+            config.pretrain_images,
+        )
+        xi = _submit_xi(pool, dims, config, seed) if config.bounds_stage else None
+        return _run_stages(config, out, independents, xi)
+
+
+def _run_stages(
+    config: ExperimentConfig,
+    out: Path,
+    independents: list[Callable[[], MlpNetwork]],
+    xi: tuple[list[Callable[[], MlpNetwork]], list[dict]] | None,
+) -> RunManifest:
+    """The stages of run_pipeline, with the independent models (result
+    getters) and the xi population (getters and manifest rows) submitted."""
     stage_seconds: dict[str, float] = {}
     failures: dict[str, str] = {}
     seed = config.seed
@@ -303,15 +366,8 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
         for name, spec in config.attacks:
             net = apply_attack(bundle, spec)
             suspects.append((name, spec.kind, net))
-        independents = train_independents(
-            config.backbone_dims,
-            [seed + 100 + i for i in range(config.independents)],
-            [seed + 200 + i for i in range(config.independents)],
-            config.pretrain_epochs,
-            config.pretrain_images,
-        )
-        for i, net in enumerate(independents):
-            suspects.append((f"independent{i}", "independent", net))
+        for i, get in enumerate(independents):
+            suspects.append((f"independent{i}", "independent", get()))
         suspect_dir = out / "suspects"
         suspect_dir.mkdir(exist_ok=True)
         for name, _, net in suspects:
@@ -361,10 +417,10 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
         except Exception as exc:
             failures["covariance"] = str(exc)
 
-    if config.bounds_stage:
+    if xi is not None:
         t0 = time.perf_counter()
         try:
-            _bounds_stage(config, bundle, triggers, out, seed)
+            _bounds_stage(config, bundle, triggers, out, seed, xi)
             stage_seconds["bounds"] = time.perf_counter() - t0
         except Exception as exc:
             failures["bounds"] = str(exc)
@@ -376,24 +432,25 @@ def compute_bound_report(
     config: ExperimentConfig,
     bundle: ModelBundle,
     triggers: TriggerSet,
-    omega_models: list[MlpNetwork],
-    xi_models: list[MlpNetwork],
+    omega_models: Collection[MlpNetwork],
+    xi_models: Collection[MlpNetwork],
     verify_seed: int,
 ):
     """Bit-collision estimates pooled across each population, Poisson-
     binomial deviation bounds, and the concentration bounds seeded by the
-    first model of each population's observed detection rate."""
+    first model of each population's observed detection rate. The omega
+    models are decoded first, each as iteration yields it."""
     n_trig, n_bits, k_draws = len(triggers), config.n, config.k_verify
     level = config.alpha / n_trig
     estimates = []
     rates = {}
     for label, models in (("omega", omega_models), ("xi", xi_models)):
-        if not models:
-            raise ValueError(f"{label} population is empty")
         dists = population_distances(models, bundle, triggers, k_draws, verify_seed)
+        if len(dists) == 0:
+            raise ValueError(f"{label} population is empty")
         matches = (n_bits * k_draws) - dists.sum(axis=2)  # (n_models, N)
         pooled = matches.sum(axis=0)  # per trigger over models
-        trials = len(models) * n_bits * k_draws
+        trials = len(dists) * n_bits * k_draws
         estimates.extend(
             collision_estimate(ti, int(pooled[ti]), trials, level, label)
             for ti in range(n_trig)
@@ -413,34 +470,37 @@ def compute_bound_report(
     )
 
 
+def _submit_xi(
+    pool: IndependentPool, dims, config: ExperimentConfig, seed: int
+) -> tuple[list[Callable[[], MlpNetwork]], list[dict]]:
+    """Submit the bounds stage's xi population (master seed seed + 2000) to
+    the pool: its result getters and manifest rows."""
+    seeds, data_seeds = xi_seeds(seed + 2000, config.m_models)
+    getters = pool.submit(dims, seeds, data_seeds, config.pretrain_epochs, config.pretrain_images)
+    return getters, xi_rows(seeds)
+
+
 def _bounds_stage(
     config: ExperimentConfig,
     bundle: ModelBundle,
     triggers: TriggerSet,
     out: Path,
     seed: int,
+    xi: tuple[list[Callable[[], MlpNetwork]], list[dict]],
 ) -> None:
+    """Sample the omega population, then decode and save it and each xi
+    model as its result arrives, in seed order, into population/ and the
+    bound report."""
     omega = sample_model_population(bundle, "omega", config.m_models, seed + 1000)
-    xi = sample_model_population(
-        bundle,
-        "xi",
-        config.m_models,
-        seed + 2000,
-        pretrain_epochs=config.pretrain_epochs,
-        pretrain_images=config.pretrain_images,
-    )
+    xi_getters, rows = xi
     pop_dir = out / "population"
-    pop_dir.mkdir(exist_ok=True)
-    for label, pop in (("omega", omega), ("xi", xi)):
-        rows = []
-        for idx, (model, row) in enumerate(zip(pop.models, pop.rows)):
-            save_checkpoint(model, pop_dir / f"{label}{idx:03d}.rmk")
-            rows.append({**row, "file": f"{label}{idx:03d}.rmk"})
-        (pop_dir / f"{label}_manifest.json").write_text(
-            json.dumps({"models": rows, "excluded": pop.excluded}, indent=2, sort_keys=True)
-        )
     report = compute_bound_report(
-        config, bundle, triggers, omega.models, xi.models, verify_seed=seed + 6
+        config,
+        bundle,
+        triggers,
+        PopulationWriter(pop_dir, "omega", omega.models, omega.rows, omega.excluded),
+        PopulationWriter(pop_dir, "xi", (get() for get in xi_getters), rows, 0),
+        verify_seed=seed + 6,
     )
     (out / "bound_report.json").write_text(report.to_json())
 

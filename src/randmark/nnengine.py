@@ -234,11 +234,20 @@ class Gradients:
         return max(vals)
 
 
-def backward(net: MlpNetwork, trace: ForwardTrace, output_gradient: np.ndarray) -> Gradients:
+def backward(
+    net: MlpNetwork,
+    trace: ForwardTrace,
+    output_gradient: np.ndarray,
+    wrt_input: bool = True,
+) -> Gradients:
     """Backpropagate d(loss)/d(output) through the traced forward pass.
 
     output_gradient is (out_dim,) or (B, out_dim) matching the trace; the
-    returned gradients are summed over the batch.
+    returned gradients are summed over the batch. With wrt_input=False the
+    first layer's input gradient, a full (B, in) x (in, out) product, is not
+    computed: the result's wrt_input is then an empty (B, 0) array, which
+    keeps the batch size readable but fails any use as a gradient. Weight
+    and bias gradients are the same bytes either way.
     """
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.ndim == 1:
@@ -259,7 +268,10 @@ def backward(net: MlpNetwork, trace: ForwardTrace, output_gradient: np.ndarray) 
         dz = g * _activation_grad(layer.activation, trace.pre[i], trace.activations[i + 1])
         grads_w[i] = trace.activations[i].T @ dz
         grads_b[i] = dz.sum(axis=0)
-        g = dz @ layer.weight.T
+        if i > 0 or wrt_input:
+            g = dz @ layer.weight.T
+        else:
+            g = np.empty((g.shape[0], 0))
     return Gradients(grads_w, grads_b, wrt_input=g)
 
 

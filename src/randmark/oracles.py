@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import bdtr
 
 from .bounds import one_sided_binomial_bound
 
@@ -25,7 +26,7 @@ EXACT_INTEGER_CAP = 64
 @dataclass
 class OracleResult:
     value: float
-    method: str  # exact-enumeration | exact-integer | monte-carlo | log-domain
+    method: str  # exact-enumeration | exact-integer | monte-carlo | incomplete-beta
     trials: int | None = None
     standard_error: float | None = None
 
@@ -36,19 +37,24 @@ class OracleResult:
 
 def exact_binomial_tail(n: int, tau: int, r: float) -> OracleResult:
     """P(at most tau mismatches out of n bits) with per-bit match
-    probability r, by exact rational convolution over the bit count.
+    probability r.
 
-    For n <= 64 the computation is exact integer arithmetic over the
-    rational representation of r; beyond that it falls back to a log-domain
-    sum and flags the method accordingly.
+    For n <= 64 the computation is an exact rational convolution over the
+    bit count, in integer arithmetic over the rational representation of r.
+    Beyond that it is scipy's binomial CDF, bdtr(tau, n, 1 - r), which goes
+    through the regularized incomplete beta function, and the method says so.
     """
     if not 0 <= tau <= n:
         raise ValueError("tau must lie in [0, n]")
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must lie in [0, 1]")
     if n > EXACT_INTEGER_CAP:
-        value = _log_domain_tail(n, tau, r)
-        return OracleResult(value=value, method="log-domain")
+        return OracleResult(value=float(bdtr(tau, n, 1.0 - r)), method="incomplete-beta")
+    return OracleResult(value=_integer_tail(n, tau, r), method="exact-integer")
+
+
+def _integer_tail(n: int, tau: int, r: float) -> float:
+    """P(at most tau mismatches) by exact rational convolution."""
     frac = Fraction(r)
     num, den = frac.numerator, frac.denominator
     mismatch_num = den - num  # numerator of (1 - r) over the same denominator
@@ -61,24 +67,7 @@ def exact_binomial_tail(n: int, tau: int, r: float) -> OracleResult:
             nxt[j + 1] += mass * mismatch_num
         dist = nxt
     total = sum(dist[: tau + 1])
-    return OracleResult(value=float(Fraction(total, den**n)), method="exact-integer")
-
-
-def _log_domain_tail(n: int, tau: int, r: float) -> float:
-    if r == 0.0:
-        return 1.0 if tau >= n else 0.0
-    if r == 1.0:
-        return 1.0
-    logs = [
-        math.lgamma(n + 1)
-        - math.lgamma(j + 1)
-        - math.lgamma(n - j + 1)
-        + j * math.log1p(-r)
-        + (n - j) * math.log(r)
-        for j in range(tau + 1)
-    ]
-    peak = max(logs)
-    return float(min(1.0, math.exp(peak) * sum(math.exp(v - peak) for v in logs)))
+    return float(Fraction(total, den**n))
 
 
 def brute_force_poisson_binomial(probs, threshold: int, tail: str) -> OracleResult:

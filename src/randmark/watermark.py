@@ -227,6 +227,11 @@ class ModelBundle:
     def n(self) -> int:
         return self.decoder_d.output_dim
 
+    @property
+    def backbone_dims(self) -> list[int]:
+        """Dimension chain [s, hidden..., k] of the reference backbone."""
+        return [self.s] + [layer.out_dim for layer in self.frozen_f.layers]
+
     @classmethod
     def create(
         cls,
@@ -277,20 +282,36 @@ class ModelBundle:
 
     @classmethod
     def load(cls, directory) -> "ModelBundle":
+        """Read a bundle written by save. A manifest.txt that lacks a key
+        (weight_decay defaults to 0) or holds a value that is not a finite
+        number of the key's type raises ValueError naming the file and key."""
         directory = Path(directory)
+        manifest = directory / "manifest.txt"
         kv = {}
-        for line in (directory / "manifest.txt").read_text().splitlines():
+        for line in manifest.read_text().splitlines():
             line = line.strip()
             if line and "=" in line:
                 key, value = line.split("=", 1)
                 kv[key.strip()] = value.strip()
+
+        def number(key: str, cast):
+            if key not in kv:
+                raise ValueError(f"{manifest}: missing key {key!r}")
+            try:
+                value = cast(kv[key])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{manifest}: {key}={kv[key]!r} is not a finite {cast.__name__}")
+            return value
+
         hyper = HyperParams(
-            lam=float(kv["lambda"]),
-            k_train=int(kv["k_train"]),
-            epochs=int(kv["epochs"]),
-            learning_rate=float(kv["learning_rate"]),
-            delta_scale=float(kv["delta_scale"]),
-            weight_decay=float(kv.get("weight_decay", "0.0")),
+            lam=number("lambda", float),
+            k_train=number("k_train", int),
+            epochs=number("epochs", int),
+            learning_rate=number("learning_rate", float),
+            delta_scale=number("delta_scale", float),
+            weight_decay=number("weight_decay", float) if "weight_decay" in kv else 0.0,
         )
         return cls(
             frozen_f=load_checkpoint(directory / "frozen_f.rmk"),
@@ -455,11 +476,11 @@ def _loss_and_grads(
     g_soft = (2.0 * lam / k_draws) * diff_soft
     g_dec = backward(decoder_d, tr_d, g_soft)
     g_f_msg = backward(watermarked_f, tr_fm, g_dec.wrt_input)
-    g_enc = backward(encoder_e, tr_e, delta_scale * g_f_msg.wrt_input)
+    g_enc = backward(encoder_e, tr_e, delta_scale * g_f_msg.wrt_input, wrt_input=False)
 
     safe = np.maximum(norms, _NORM_FLOOR)
     g_fid_out = np.where(norms[:, None] > 0.0, diff_fid / safe[:, None], 0.0)
-    g_f_fid = backward(watermarked_f, tr_fc, g_fid_out)
+    g_f_fid = backward(watermarked_f, tr_fc, g_fid_out, wrt_input=False)
     g_f_msg.add_(g_f_fid)
 
     return fidelity_sum, message_sum, bit_accuracy, (g_f_msg, g_enc, g_dec)

@@ -224,9 +224,9 @@ class TestTrainIndependents:
         assert len(models) == 2
 
     def test_pool_leaves_no_thread_behind(self, monkeypatch):
-        # the pipeline trains two populations; the second finds the parent
-        # single-threaded again only if the first pool's threads are gone
-        # (counted as Python threads: OpenBLAS may stop its own at a fork)
+        # a second pipeline run in the same process finds it single-threaded
+        # again, and so gets a pool, only if the first run's pool threads are
+        # gone (counted as Python threads: OpenBLAS may stop its own at a fork)
         before = threading.active_count()
         monkeypatch.setattr(atk, "_worker_count", lambda jobs: 2)
         atk.train_independents(DIMS, self.SEEDS[:2], self.DATA_SEEDS[:2], 1, 20)

@@ -3,12 +3,16 @@ and determinism, manifest completeness, and CLI exit codes."""
 
 import hashlib
 import json
+import multiprocessing
+import shutil
+import threading
 
 import numpy as np
 import pytest
 
 from randmark import attacks as atk
 from randmark import cli
+from randmark import harness
 from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.attacks import AttackSpec
@@ -290,6 +294,87 @@ class TestPopulationTraining:
         assert not (tmp_path / "run" / "verification").exists()
 
 
+    def test_one_pool_trains_every_independent(self, monkeypatch, tmp_path):
+        # the suspects' and the xi population's models go to one pool opened
+        # before the first stage; only the source backbone trains in-process
+        pools, in_parent = [], []
+        real_pool, real_train = atk.ProcessPoolExecutor, atk.make_independent
+
+        def counted_pool(*args, **kwargs):
+            pools.append(1)
+            return real_pool(*args, **kwargs)
+
+        def counted_train(*args, **kwargs):
+            in_parent.append(1)  # workers append to their own copy
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(atk, "ProcessPoolExecutor", counted_pool)
+        monkeypatch.setattr(atk, "make_independent", counted_train)
+        monkeypatch.setattr(harness, "make_independent", counted_train)
+        see_cpus(monkeypatch, 2)
+        manifest = run_pipeline(micro_config(seed=39, independents=2, m_models=3), tmp_path / "run")
+        assert manifest.failures == {}
+        assert len(pools) == 1
+        assert len(in_parent) == 1
+
+    def test_no_bounds_stage_submits_no_xi_jobs(self, monkeypatch, tmp_path):
+        submitted = []
+        real_submit = atk.IndependentPool.submit
+
+        def recorded(pool, dims, seeds, *args):
+            submitted.append(list(seeds))
+            return real_submit(pool, dims, seeds, *args)
+
+        monkeypatch.setattr(atk.IndependentPool, "submit", recorded)
+        config = micro_config(seed=40, independents=2, bounds_stage=False)
+        assert run_pipeline(config, tmp_path / "run").failures == {}
+        assert submitted == [[config.seed + 100, config.seed + 101]]
+
+    def test_xi_worker_failure_is_a_bounds_stage_failure(self, monkeypatch, tmp_path):
+        config = micro_config(seed=41, m_models=3)
+        real = atk.gen_synthetic_images
+
+        def poisoned(count, s, seed):
+            images = real(count, s, seed)
+            return images * np.nan if seed == config.seed + 2001 + 10_000 else images
+
+        monkeypatch.setattr(atk, "gen_synthetic_images", poisoned)
+        see_cpus(monkeypatch, 2)
+        manifest = run_pipeline(config, tmp_path / "run")
+        assert set(manifest.failures) == {"bounds"}
+        assert "non-finite" in manifest.failures["bounds"]
+        for name in (
+            "suspects/independent0.rmk",
+            "verification/watermarked.json",
+            "sweep.csv",
+            "covariance.csv",
+            "population/omega_manifest.json",
+            "population/xi000.rmk",
+        ):
+            assert name in manifest.files, name
+        assert "bound_report.json" not in manifest.files
+
+    @pytest.mark.parametrize("failing", ["embed", "attacks", "bounds"])
+    def test_failed_run_leaves_no_worker_or_thread(self, monkeypatch, tmp_path, failing):
+        learning_rate = 1e200 if failing == "embed" else 2e-3
+        config = micro_config(seed=42, independents=2, m_models=3, learning_rate=learning_rate)
+        bad_seed = {"attacks": config.seed + 201, "bounds": config.seed + 2001 + 10_000}
+        real = atk.gen_synthetic_images
+
+        def poisoned(count, s, seed):
+            images = real(count, s, seed)
+            return images * np.nan if seed == bad_seed.get(failing) else images
+
+        monkeypatch.setattr(atk, "gen_synthetic_images", poisoned)
+        see_cpus(monkeypatch, 2)
+        threads = threading.active_count()
+        with np.errstate(over="ignore", invalid="ignore"):
+            manifest = run_pipeline(config, tmp_path / "run")
+        assert set(manifest.failures) == {failing}
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+
 class TestVerifySuspect:
     def test_report_shape(self, mini_run):
         report, batches = verify_suspect(
@@ -446,6 +531,34 @@ class TestCli:
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "tau must lie in [0, 8]" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, line, message", [
+        ("k_train", None, "missing key 'k_train'"),
+        ("epochs", "epochs=ten", "epochs='ten' is not a finite int"),
+        ("lambda", "lambda=nan", "lambda='nan' is not a finite float"),
+    ])
+    def test_verify_rejects_malformed_bundle_manifest(
+        self, micro_run, tmp_path, capsys, key, line, message
+    ):
+        _, out, _ = micro_run
+        bundle = tmp_path / "bundle"
+        shutil.copytree(out / "bundle", bundle)
+        text = (bundle / "manifest.txt").read_text()
+        lines = [kept for kept in text.splitlines() if not kept.startswith(f"{key}=")]
+        if line:
+            lines.append(line)
+        (bundle / "manifest.txt").write_text("\n".join(lines) + "\n")
+        code = cli.main([
+            "verify",
+            "--suspect", str(out / "suspects" / "watermarked.rmk"),
+            "--bundle", str(bundle),
+            "--triggers", str(out / "triggers.rmts"),
+            "--tau", "2",
+            "--K", "4",
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and "manifest.txt" in err and "Traceback" not in err
 
     def test_verify_succeeds_on_matching_suspect(self, micro_run, tmp_path, capsys):
         _, out, _ = micro_run

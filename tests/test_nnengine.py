@@ -93,6 +93,19 @@ class TestBackward:
             err = ne.gradient_check(net, lambda n: loss(n, x), lambda n: grad(n, x))
             assert err < 1e-5, f"trial {trial}: {err}"
 
+    def test_skipped_input_gradient_keeps_parameter_gradients(self):
+        rng = np.random.default_rng(9)
+        for dims, acts in (([5, 4, 3], ["tanh", "identity"]), ([6, 2], ["sigmoid"])):
+            net = ne.init_network(dims, acts, rng)
+            _, trace = ne.forward_batch(net, rng.standard_normal((7, dims[0])))
+            g_out = rng.standard_normal((7, dims[-1]))
+            full = ne.backward(net, trace, g_out)
+            skipped = ne.backward(net, trace, g_out, wrt_input=False)
+            for a, b in zip(full.weights + full.biases, skipped.weights + skipped.biases):
+                assert a.tobytes() == b.tobytes()
+            assert full.wrt_input.shape == (7, dims[0])
+            assert skipped.wrt_input.shape == (7, 0)
+
     def test_trace_mismatch_rejected(self):
         net_a = ne.init_network([4, 3], ["tanh"], 7)
         net_b = ne.init_network([4, 4, 3], ["tanh", "identity"], 8)

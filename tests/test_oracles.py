@@ -28,12 +28,15 @@ class TestExactBinomialTail:
         assert oracles.exact_binomial_tail(12, 0, 0.0).value == 0.0
         assert oracles.exact_binomial_tail(12, 12, 0.0).value == 1.0
 
-    def test_log_domain_fallback_flagged(self):
-        result = oracles.exact_binomial_tail(65, 10, 0.8)
-        assert result.method == "log-domain"
-        from scipy.stats import binom
-
-        assert result.value == pytest.approx(float(binom.cdf(10, 65, 0.2)), rel=1e-10)
+    def test_beyond_cap_matches_exact_convolution(self):
+        # the incomplete-beta route shares no code with stats' log-domain sum
+        for n in (65, 96, 128):
+            for r in (0.0, 0.05, 0.3, 0.5, 0.8, 0.95, 1.0):
+                for tau in sorted({0, 1, n // 4, n // 2, 3 * n // 4, n - 1, n}):
+                    result = oracles.exact_binomial_tail(n, tau, r)
+                    assert result.method == "incomplete-beta"
+                    exact = oracles._integer_tail(n, tau, r)
+                    assert result.value == pytest.approx(exact, rel=1e-10, abs=0.0)
 
     def test_agrees_with_closed_form_route(self):
         from randmark.stats import fpr_binomial
