@@ -18,7 +18,6 @@ from .nnengine import (  # noqa: F401
     MlpNetwork,
     OptimizerState,
     backward,
-    forward,
     forward_batch,
     gradient_check,
     init_network,

@@ -225,14 +225,10 @@ def population_distances(
     models yields it."""
     out = np.empty((len(models), len(triggers), k_draws), dtype=np.int64)
     for mi, model in enumerate(models):
-        # Rebinding only after the call keeps the last model's arrays alive
-        # through the next decode, so the heap is not trimmed and refaulted
-        # between models: 16x fewer page faults, ~10% faster at desk scale.
-        decoded = decode_triggers(
+        out[mi] = decode_triggers(
             model, bundle.encoder_e, bundle.decoder_d, triggers.samples, k_draws, seed,
             bundle.hyper.delta_scale,
-        )
-        out[mi] = decoded[2]
+        )[2]
     return out
 
 

@@ -29,37 +29,6 @@ class CheckpointError(ValueError):
     """Checkpoint file is malformed, truncated, or fails its checksum."""
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=np.float64)))
-
-
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return z
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "sigmoid":
-        return sigmoid(z)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activation_grad(name: str, pre: np.ndarray, activated: np.ndarray) -> np.ndarray:
-    """Derivative of the activation, elementwise, using whichever of the
-    pre-activation or activated value makes it cheapest."""
-    if name == "identity":
-        return np.ones_like(pre)
-    if name == "relu":
-        return (pre > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - activated * activated
-    if name == "sigmoid":
-        return activated * (1.0 - activated)
-    raise ValueError(f"unknown activation {name!r}")
-
-
 @dataclass
 class Layer:
     """One dense layer: y = activation(x @ weight + bias)."""
@@ -165,11 +134,11 @@ class ForwardTrace:
     """Per-layer values kept from a forward pass for the matching backward.
 
     activations[i] is the input to layer i; activations[-1] is the network
-    output. pre[i] is layer i's pre-activation. All arrays are (B, dim).
+    output. All arrays are (B, dim). Every activation's derivative is taken
+    from the activated value, so no pre-activation is kept.
     """
 
     activations: list[np.ndarray]
-    pre: list[np.ndarray]
 
     @property
     def output(self) -> np.ndarray:
@@ -181,29 +150,32 @@ class ForwardTrace:
 
 
 def forward_batch(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Run a (B, input_dim) batch through the network."""
+    """Run a (B, input_dim) batch through the network.
+
+    Each layer's bias and activation are written into its matmul's output,
+    so a layer allocates one (B, out_dim) array; the input is not modified.
+    """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(
             f"expected batch of shape (B, {net.input_dim}), got {x.shape}"
         )
     activations = [x]
-    pres = []
     for layer in net.layers:
-        z = x @ layer.weight + layer.bias
-        x = _activate(layer.activation, z)
-        pres.append(z)
+        x = x @ layer.weight
+        x += layer.bias
+        if layer.activation == "relu":
+            np.maximum(x, 0.0, out=x)
+        elif layer.activation == "tanh":
+            np.tanh(x, out=x)
+        elif layer.activation == "sigmoid":
+            # 0.5 * (1 + tanh(0.5 * z)): the stable logistic, op for op
+            x *= 0.5
+            np.tanh(x, out=x)
+            x += 1.0
+            x *= 0.5
         activations.append(x)
-    return x, ForwardTrace(activations, pres)
-
-
-def forward(net: MlpNetwork, input_vector: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Run a single input vector through the network."""
-    v = np.asarray(input_vector, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != net.input_dim:
-        raise ValueError(f"expected input of length {net.input_dim}, got shape {v.shape}")
-    out, trace = forward_batch(net, v[None, :])
-    return out[0], trace
+    return x, ForwardTrace(activations)
 
 
 @dataclass
@@ -252,20 +224,34 @@ def backward(
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
-    if len(trace.pre) != len(net.layers):
+    if len(trace.activations) != len(net.layers) + 1:
         raise ValueError("trace does not match network depth")
-    if g.shape != trace.pre[-1].shape:
+    if g.shape != trace.output.shape:
         raise ValueError(
-            f"output gradient shape {g.shape} does not match trace {trace.pre[-1].shape}"
+            f"output gradient shape {g.shape} does not match trace {trace.output.shape}"
         )
-    for layer, act_in, pre in zip(net.layers, trace.activations, trace.pre):
-        if pre.shape[1] != layer.out_dim or act_in.shape[1] != layer.in_dim:
+    for layer, act_in, act_out in zip(net.layers, trace.activations, trace.activations[1:]):
+        if act_out.shape[1] != layer.out_dim or act_in.shape[1] != layer.in_dim:
             raise ValueError("trace does not match network shapes")
     grads_w: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
     grads_b: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        dz = g * _activation_grad(layer.activation, trace.pre[i], trace.activations[i + 1])
+        a = trace.activations[i + 1]
+        # dz = g * activation'(z), the derivative taken from a and built in
+        # one fresh buffer; g, possibly the caller's array, is never written
+        if layer.activation == "identity":
+            dz = g
+        elif layer.activation == "relu":
+            dz = g * (a > 0.0)
+        elif layer.activation == "tanh":
+            dz = a * a
+            np.subtract(1.0, dz, out=dz)
+            dz *= g
+        else:  # sigmoid
+            dz = 1.0 - a
+            dz *= a
+            dz *= g
         grads_w[i] = trace.activations[i].T @ dz
         grads_b[i] = dz.sum(axis=0)
         if i > 0 or wrt_input:

@@ -152,22 +152,6 @@ def covariance_delta(batch_f: ExtractionBatch, batch_g: ExtractionBatch) -> floa
 
 
 @dataclass
-class DecisionConfig:
-    n: int
-    tau: int
-    k_draws: int
-    epsilon_fpr: float
-
-    def __post_init__(self):
-        if not 0 <= self.tau <= self.n:
-            raise ValueError("tau must lie in [0, n]")
-        if not 0.0 < self.epsilon_fpr < 1.0:
-            raise ValueError("epsilon_fpr must lie in (0, 1)")
-        if self.k_draws < 1:
-            raise ValueError("k_draws must be positive")
-
-
-@dataclass
 class VerificationReport:
     """Per-trigger decision statistics for one suspect model."""
 

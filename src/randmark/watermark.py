@@ -60,7 +60,7 @@ class BitMessage:
         self.bits = np.asarray(self.bits, dtype=np.int8)
         if self.bits.ndim != 1 or self.bits.size < 1:
             raise ValueError("message must be a non-empty 1-D bit vector")
-        if not np.isin(self.bits, (0, 1)).all():
+        if not ((self.bits == 0) | (self.bits == 1)).all():
             raise ValueError("message entries must be 0 or 1")
 
     def __len__(self) -> int:
@@ -153,6 +153,8 @@ def load_trigger_set(path) -> TriggerSet:
         data = fh.read()
     if data[:4] != TRIGGER_MAGIC:
         raise ValueError("bad trigger-set magic bytes")
+    if len(data) < 26:
+        raise ValueError(f"truncated trigger-set header: {len(data)} of 26 bytes")
     (version,) = struct.unpack_from("<H", data, 4)
     if version != TRIGGER_VERSION:
         raise ValueError(f"unsupported trigger-set version {version}")
@@ -160,6 +162,11 @@ def load_trigger_set(path) -> TriggerSet:
     (master_seed,) = struct.unpack_from("<Q", data, 18)
     offset = 26
     msg_bytes = (n + 7) // 8
+    expected = offset + count * (8 * s + 8 + msg_bytes)
+    if len(data) < expected:
+        raise ValueError(
+            f"truncated trigger-set file: {len(data)} bytes, header needs {expected}"
+        )
     samples = []
     for _ in range(count):
         image = np.frombuffer(data, dtype="<f8", count=s, offset=offset).copy()

@@ -560,6 +560,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err and "manifest.txt" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["header", "sigma"])
+    def test_verify_rejects_truncated_trigger_file(self, micro_run, tmp_path, capsys, where):
+        _, out, _ = micro_run
+        data = (out / "triggers.rmts").read_bytes()
+        s = int.from_bytes(data[10:14], "little")
+        cut = 10 if where == "header" else 26 + 8 * s + 4  # inside the first sigma
+        triggers = tmp_path / "cut.rmts"
+        triggers.write_bytes(data[:cut])
+        code = cli.main([
+            "verify",
+            "--suspect", str(out / "suspects" / "watermarked.rmk"),
+            "--bundle", str(out / "bundle"),
+            "--triggers", str(triggers),
+            "--tau", "2",
+            "--K", "4",
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "truncated trigger-set" in err and "Traceback" not in err
+
     def test_verify_succeeds_on_matching_suspect(self, micro_run, tmp_path, capsys):
         _, out, _ = micro_run
         code = cli.main([

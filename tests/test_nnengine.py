@@ -24,39 +24,41 @@ def _loss_quadratic(targets):
 class TestForward:
     def test_identity_layer_passthrough(self):
         net = ne.MlpNetwork([ne.Layer(np.eye(4), np.zeros(4), "identity")])
-        v = np.array([0.3, -1.2, 5.0, 0.0])
-        out, _ = ne.forward(net, v)
+        v = np.array([[0.3, -1.2, 5.0, 0.0]])
+        out, _ = ne.forward_batch(net, v)
         assert np.array_equal(out, v)
 
     def test_hand_computed_affine(self):
         net = ne.MlpNetwork(
             [ne.Layer(np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, -1.0]), "identity")]
         )
-        out, _ = ne.forward(net, np.array([1.0, 1.0]))
-        assert np.allclose(out, [3.0, 2.0])
+        out, _ = ne.forward_batch(net, np.array([[1.0, 1.0]]))
+        assert np.allclose(out, [[3.0, 2.0]])
 
     def test_relu_clamps_negatives(self):
         net = ne.MlpNetwork([ne.Layer(np.eye(3), np.zeros(3), "relu")])
-        out, _ = ne.forward(net, np.array([-5.0, 0.0, 5.0]))
-        assert np.array_equal(out, [0.0, 0.0, 5.0])
+        out, _ = ne.forward_batch(net, np.array([[-5.0, 0.0, 5.0]]))
+        assert np.array_equal(out, [[0.0, 0.0, 5.0]])
 
     def test_dimension_mismatch_rejected(self):
         net = ne.init_network([4, 2], ["identity"], 0)
         with pytest.raises(ValueError):
-            ne.forward(net, np.ones(3))
+            ne.forward_batch(net, np.ones((1, 3)))
+        with pytest.raises(ValueError):
+            ne.forward_batch(net, np.ones(4))  # a bare vector is not a batch
 
     def test_deterministic_bit_identical(self):
         net = ne.init_network([6, 5, 3], ["tanh", "sigmoid"], 1)
-        x = np.random.default_rng(2).random(6)
-        a, _ = ne.forward(net, x)
-        b, _ = ne.forward(net, x)
+        x = np.random.default_rng(2).random((1, 6))
+        a, _ = ne.forward_batch(net, x)
+        b, _ = ne.forward_batch(net, x)
         assert np.array_equal(a, b)
 
 
 class TestBackward:
     def test_zero_output_gradient_gives_zero_grads(self):
         net = ne.init_network([4, 3, 2], ["tanh", "identity"], 3)
-        _, trace = ne.forward(net, np.ones(4))
+        _, trace = ne.forward_batch(net, np.ones((1, 4)))
         grads = ne.backward(net, trace, np.zeros(2))
         assert all(np.all(g == 0.0) for g in grads.weights)
         assert all(np.all(g == 0.0) for g in grads.biases)
@@ -109,9 +111,131 @@ class TestBackward:
     def test_trace_mismatch_rejected(self):
         net_a = ne.init_network([4, 3], ["tanh"], 7)
         net_b = ne.init_network([4, 4, 3], ["tanh", "identity"], 8)
-        _, trace = ne.forward(net_a, np.ones(4))
+        _, trace = ne.forward_batch(net_a, np.ones((1, 4)))
         with pytest.raises(ValueError):
             ne.backward(net_b, trace, np.ones(3))
+
+
+def _ref_activate(name, z):
+    if name == "identity":
+        return z
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    if name == "tanh":
+        return np.tanh(z)
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def _ref_activation_grad(name, pre, activated):
+    if name == "identity":
+        return np.ones_like(pre)
+    if name == "relu":
+        return (pre > 0.0).astype(np.float64)
+    if name == "tanh":
+        return 1.0 - activated * activated
+    return activated * (1.0 - activated)
+
+
+def _ref_forward(net, x):
+    """Reference forward pass, one fresh array per operation, keeping the
+    pre-activations: (activations, pre-activations)."""
+    activations, pres = [x], []
+    for layer in net.layers:
+        z = x @ layer.weight + layer.bias
+        x = _ref_activate(layer.activation, z)
+        pres.append(z)
+        activations.append(x)
+    return activations, pres
+
+
+def _ref_backward(net, activations, pres, g):
+    """Reference backward pass: (weight grads, bias grads, input grad)."""
+    grads_w, grads_b = [None] * len(net.layers), [None] * len(net.layers)
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        dz = g * _ref_activation_grad(layer.activation, pres[i], activations[i + 1])
+        grads_w[i] = activations[i].T @ dz
+        grads_b[i] = dz.sum(axis=0)
+        g = dz @ layer.weight.T
+    return grads_w, grads_b, g
+
+
+# Row values that reach a layer's activation unchanged through an identity
+# weight matrix and zero bias: signed zeros, magnitudes near the float64
+# limit, ordinary values.
+_SPECIAL_ROW = np.array([-0.0, 0.0, 1e300, -1e300, 0.5, -2.0])
+
+
+def _engine_cases(act, rows):
+    """(net, inputs) pairs for one activation and batch size: a random
+    three-layer net, and a one-layer identity-weight net whose inputs are
+    the special row, a NaN row and random rows."""
+    rng = np.random.default_rng(100 + rows)
+    net = ne.init_network([5, 4, 3, 2], [act] * 3, rng)
+    yield net, 3.0 * rng.standard_normal((rows, 5))
+    special = np.vstack([_SPECIAL_ROW, np.full(6, np.nan), 4.0 * rng.standard_normal((5, 6))])
+    yield ne.MlpNetwork([ne.Layer(np.eye(6), np.zeros(6), act)]), special[:rows]
+
+
+class TestInPlaceKernels:
+    """forward_batch and backward write bias, activation and activation
+    derivative in place; every result must equal the one-array-per-operation
+    reference byte for byte."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    @pytest.mark.parametrize("act", ne.ACTIVATIONS)
+    def test_forward_and_backward_match_reference_bytes(self, act, rows):
+        for net, x in _engine_cases(act, rows):
+            ref_acts, ref_pres = _ref_forward(net, x)
+            out, trace = ne.forward_batch(net, x)
+            assert out.tobytes() == ref_acts[-1].tobytes()
+            assert len(trace.activations) == len(ref_acts)
+            for a, ref in zip(trace.activations, ref_acts):
+                assert a.tobytes() == ref.tobytes()
+            g = np.random.default_rng(rows).standard_normal(out.shape)
+            ref_w, ref_b, ref_in = _ref_backward(net, ref_acts, ref_pres, g)
+            grads = ne.backward(net, trace, g)
+            for got, ref in zip(grads.weights + grads.biases, ref_w + ref_b):
+                assert got.tobytes() == ref.tobytes()
+            assert grads.wrt_input.tobytes() == ref_in.tobytes()
+
+    @pytest.mark.parametrize("act", ne.ACTIVATIONS)
+    def test_backward_from_activation_at_special_pre_activations(self, act):
+        # pre-activations no matmul produces (-0.0) next to infinities, NaN
+        # and near-limit magnitudes, fed to backward through a hand-built trace
+        pre = np.array([[-0.0, 0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 0.7]])
+        net = ne.MlpNetwork([ne.Layer(np.eye(8), np.zeros(8), act)])
+        x = np.linspace(-1.0, 1.0, 8)[None, :]
+        a = _ref_activate(act, pre.copy())
+        g = np.array([[1.5, -1.5, 2.0, -2.0, 0.25, -0.25, 3.0, -0.0]])
+        ref_w, ref_b, ref_in = _ref_backward(net, [x, a], [pre], g)
+        grads = ne.backward(net, ne.ForwardTrace([x, a]), g)
+        assert grads.weights[0].tobytes() == ref_w[0].tobytes()
+        assert grads.biases[0].tobytes() == ref_b[0].tobytes()
+        assert grads.wrt_input.tobytes() == ref_in.tobytes()
+
+    @pytest.mark.parametrize("act", ne.ACTIVATIONS)
+    def test_inputs_and_output_gradient_left_unmodified(self, act):
+        rng = np.random.default_rng(11)
+        for net in (
+            ne.init_network([4, 3, 3], [act, act], rng),
+            ne.MlpNetwork([ne.Layer(np.eye(3), np.zeros(3), act)]),
+        ):
+            x = rng.standard_normal((7, net.input_dim))
+            x_before = x.copy()
+            _, trace = ne.forward_batch(net, x)
+            assert x.tobytes() == x_before.tobytes()
+            for wrt_input in (True, False):
+                g = rng.standard_normal((7, net.output_dim))
+                g_before = g.copy()
+                ne.backward(net, trace, g, wrt_input=wrt_input)
+                assert g.tobytes() == g_before.tobytes()
+            one = rng.standard_normal(net.input_dim)
+            _, trace = ne.forward_batch(net, one[None, :])
+            g = rng.standard_normal(net.output_dim)
+            g_before = g.copy()
+            ne.backward(net, trace, g)
+            assert g.tobytes() == g_before.tobytes()
 
 
 class TestGradientCheck:

@@ -267,20 +267,6 @@ class TestCovarianceDelta:
         assert dep > max(np.abs(indep_means))
 
 
-class TestDecisionConfig:
-    def test_valid_configuration(self):
-        config = stats.DecisionConfig(n=32, tau=5, k_draws=64, epsilon_fpr=1e-4)
-        assert config.tau == 5
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            stats.DecisionConfig(n=32, tau=33, k_draws=64, epsilon_fpr=1e-4)
-        with pytest.raises(ValueError):
-            stats.DecisionConfig(n=32, tau=5, k_draws=64, epsilon_fpr=1.5)
-        with pytest.raises(ValueError):
-            stats.DecisionConfig(n=32, tau=5, k_draws=0, epsilon_fpr=1e-4)
-
-
 class TestVerificationReport:
     def test_json_roundtrip(self, mini_run):
         bundle = mini_run.bundle

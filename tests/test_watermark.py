@@ -454,6 +454,24 @@ class TestPersistence:
         assert int.from_bytes(data[4:6], "little") == 1
         assert int.from_bytes(data[6:10], "little") == len(mini_run.triggers)
 
+    def test_truncation_at_every_offset_rejected(self, tmp_path):
+        rng = np.random.default_rng(3)
+        samples = [
+            wm.TriggerSample(rng.random(3), wm.BitMessage.random(5, rng), 0.1 * (i + 1))
+            for i in range(2)
+        ]
+        path = tmp_path / "small.rmts"
+        wm.save_trigger_set(wm.TriggerSet(samples, n=5, s=3, master_seed=9), path)
+        data = path.read_bytes()
+        assert len(data) == 26 + 2 * (8 * 3 + 8 + 1)
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError):
+                wm.load_trigger_set(path)
+        path.write_bytes(data + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            wm.load_trigger_set(path)
+
     def test_bundle_roundtrip(self, tmp_path, mini_run):
         directory = tmp_path / "bundle"
         mini_run.bundle.save(directory)
