@@ -46,7 +46,6 @@ from .watermark import (  # noqa: F401
 from .stats import (  # noqa: F401
     VerificationReport,
     covariance_delta,
-    cross_model_variance,
     decide,
     detection_rate,
     fpr_binomial,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ import numpy as np
 from .nnengine import (
     MlpNetwork,
     OptimizerState,
+    _worker_count,
     backward,
     forward_batch,
     init_network,
@@ -224,31 +224,6 @@ def _train_independent(job) -> MlpNetwork:
     return make_independent(
         dims, seed=seed, pretrain_data_seed=data_seed, epochs=epochs, n_images=n_images
     )
-
-
-def _running_threads() -> int:
-    """OS threads of this process, BLAS threads included (Linux only)."""
-    return len(os.listdir("/proc/self/task"))
-
-
-def _worker_count(jobs: int) -> int:
-    """Worker processes for an IndependentPool: one per CPU in the affinity
-    mask, at most one per job, if this process runs no thread besides its
-    main one; otherwise 1, which trains in-process.
-
-    numpy's OpenBLAS starts its threads when it loads, unless it is pinned to
-    one thread before that (RANDMARK_THREADS=1 or OPENBLAS_NUM_THREADS=1 set
-    before Python starts). So a single-threaded process has a BLAS pinned to
-    one thread, as each forked worker then has, and a fork copies no running
-    thread. With two workers on an unpinned BLAS, a default pipeline on 2
-    CPUs took 2-3x longer than serially.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        threads = _running_threads()
-    except (AttributeError, OSError):  # no affinity mask or /proc: stay serial
-        return 1
-    return min(jobs, cpus) if threads == 1 else 1
 
 
 class IndependentPool:

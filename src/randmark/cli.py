@@ -276,20 +276,41 @@ def _load_population_dir(path):
 
 
 def _report_from_estimates(config, path):
+    """Bound report from an estimates JSON file: p_hat, q_hat, and per
+    population (omega, xi) a non-empty list of {trigger_id, matches, trials}
+    rows. A file that is not JSON, lacks a key, holds an empty population or
+    a value of the wrong type raises ValueError naming the file."""
     from pathlib import Path
 
     from .bounds import build_bound_report, collision_estimate
 
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON file: {exc}") from None
+
+    def value(mapping, key, cast, where=""):
+        if not isinstance(mapping, dict) or key not in mapping:
+            raise ValueError(f"{path}: missing key {key!r}{where}")
+        try:
+            return cast(mapping[key])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{path}: {key!r}{where} is not a {cast.__name__}: {mapping[key]!r}"
+            ) from None
+
     estimates = []
     for population in ("omega", "xi"):
-        rows = payload[population]
+        rows = value(payload, population, list)
+        if not rows:
+            raise ValueError(f"{path}: population {population!r} is empty")
         level = config.alpha / len(rows)
-        for row in rows:
+        for index, row in enumerate(rows):
+            where = f" in {population} row {index}"
             estimates.append(
                 collision_estimate(
-                    int(row["trigger_id"]), int(row["matches"]), int(row["trials"]),
-                    level, population,
+                    value(row, "trigger_id", int, where), value(row, "matches", int, where),
+                    value(row, "trials", int, where), level, population,
                 )
             )
     return build_bound_report(
@@ -300,8 +321,8 @@ def _report_from_estimates(config, path):
         r_under=config.r_under,
         alpha=config.alpha,
         delta=config.delta,
-        p_hat=float(payload["p_hat"]),
-        q_hat=float(payload["q_hat"]),
+        p_hat=value(payload, "p_hat", float),
+        q_hat=value(payload, "q_hat", float),
     )
 
 

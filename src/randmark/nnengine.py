@@ -4,14 +4,20 @@ Networks are plain values: each layer owns an (in_dim, out_dim) float64
 weight matrix (row-major), a bias vector of length out_dim, and one of
 four scalar activations. Forward/backward are pure functions of their
 inputs; optimizer state lives outside the network so networks stay
-copyable and hashable by content.
+copyable and hashable by content. The module also holds the rule for how
+many CPUs the package's parallel work may use (_worker_count) and the
+helper threads that run a batch as row blocks (_run_blocks).
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import math
+import os
 import struct
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -471,3 +477,69 @@ def load_checkpoint(path) -> MlpNetwork:
     with open(path, "rb") as fh:
         data = fh.read()
     return network_from_checkpoint_bytes(data)
+
+
+# OS thread ids of helper threads _run_blocks has joined. The kernel may still
+# list such a thread for a few milliseconds while it exits (one scheduler tick,
+# ~4 ms, after most verify_suspect calls on a 2-vCPU machine).
+_joined_helpers: set[str] = set()
+
+
+def _running_threads() -> int:
+    """OS threads of this process, BLAS threads included and exiting helpers
+    of _run_blocks not (Linux only)."""
+    tids = set(os.listdir("/proc/self/task"))
+    _joined_helpers.intersection_update(tids)
+    return len(tids - _joined_helpers)
+
+
+def _worker_count(jobs: int) -> int:
+    """Workers for `jobs` independent pieces of work: one per CPU in the
+    affinity mask, at most one per job, if this process runs no thread
+    besides its main one; otherwise 1, which runs the work in this thread.
+
+    numpy's OpenBLAS starts its threads when it loads, unless it is pinned to
+    one thread before that (RANDMARK_THREADS=1 or OPENBLAS_NUM_THREADS=1 set
+    before Python starts). So a single-threaded process has a BLAS pinned to
+    one thread, and a fork copies no running thread. With two workers on an
+    unpinned BLAS, a default pipeline on 2 CPUs took 2-3x longer than
+    serially. A running IndependentPool's own threads likewise keep any other
+    work serial while its workers train.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = _running_threads()
+    except (AttributeError, OSError):  # no affinity mask or /proc: stay serial
+        return 1
+    return min(jobs, cpus) if threads == 1 else 1
+
+
+def _run_blocks(task: Callable[[int, int], None], blocks: list[tuple[int, int]]) -> None:
+    """task(lo, hi) for every block: the first in this thread, each other in
+    a short-lived helper thread run in a copy of this thread's context (so
+    np.errstate carries over). numpy releases the GIL in matmul and ufunc
+    loops. Every helper is joined before this returns or raises; a helper's
+    exception is raised here."""
+    errors: list[BaseException] = []
+
+    def helper(lo: int, hi: int) -> None:
+        try:
+            task(lo, hi)
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
+            errors.append(exc)
+
+    threads = []
+    try:
+        for lo, hi in blocks[1:]:
+            thread = threading.Thread(
+                target=contextvars.copy_context().run, args=(helper, lo, hi)
+            )
+            thread.start()
+            threads.append(thread)
+        task(*blocks[0])
+    finally:
+        for thread in threads:
+            thread.join()
+            _joined_helpers.add(str(thread.native_id))
+    if errors:
+        raise errors[0]

@@ -52,16 +52,6 @@ def _require_paired(a: ExtractionBatch, b: ExtractionBatch, what: str) -> None:
         raise ValueError(f"{what} requires batches of equal K and n")
 
 
-def cross_model_variance(batch_f: ExtractionBatch, batch_h: ExtractionBatch) -> float | None:
-    """Unbiased variance of the per-draw Hamming distance between the two
-    models' extracted messages, under paired noise draws."""
-    _require_paired(batch_f, batch_h, "cross_model_variance")
-    if batch_f.k_draws < 2:
-        return None
-    cross = (batch_f.hard_bits != batch_h.hard_bits).sum(axis=1).astype(np.float64)
-    return float(cross.var(ddof=1))
-
-
 def decide(rho: float, tau: int) -> bool:
     """Watermarked iff rho <= tau (inclusive)."""
     return rho <= tau

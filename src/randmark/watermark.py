@@ -12,7 +12,6 @@ and decoder around any suspect backbone and counts bit errors.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -24,6 +23,8 @@ from .nnengine import (
     Gradients,
     MlpNetwork,
     OptimizerState,
+    _run_blocks,
+    _worker_count,
     backward,
     forward_batch,
     init_network,
@@ -633,22 +634,9 @@ def _build_stego(
     return stego
 
 
-# The one shared stego batch: (content key, read-only (N * K, s) array).
-_stego_memo: tuple[bytes, np.ndarray] | None = None
-
-
-def _stego_key(
-    encoder_e: MlpNetwork, samples: list[TriggerSample], k_draws: int, seed: int,
-    delta_scale: float,
-) -> bytes:
-    # By content, never by id(): optimizer_step updates weights in place.
-    h = hashlib.sha256(encoder_e.parameters_digest().encode())
-    h.update(repr((len(samples), k_draws, seed & _MASK64, float(delta_scale))).encode())
-    for sample in samples:
-        h.update(struct.pack("<QQd", sample.image.size, len(sample.message), sample.sigma))
-        h.update(np.ascontiguousarray(sample.image).tobytes())
-        h.update(sample.message.bits.tobytes())
-    return h.digest()
+# The one shared stego batch: (run parameters, copies of its input arrays,
+# read-only (N * K, s) array).
+_stego_memo: tuple[tuple, list[np.ndarray], np.ndarray] | None = None
 
 
 def stego_batch(
@@ -657,19 +645,41 @@ def stego_batch(
 ) -> np.ndarray:
     """The suspect-independent stego inputs of an extraction run, read-only.
 
-    The last batch built stays in memory (N * K * s * 8 bytes) and is
-    returned again while encoder parameters, trigger contents, K, seed and
-    delta_scale are unchanged, so every suspect verified against one bundle
-    and trigger set shares it.
+    The last batch built stays in memory (N * K * s * 8 bytes, plus copies
+    of the encoder and the triggers) and is returned again while encoder
+    parameters, trigger contents, K, seed and delta_scale compare equal to
+    those it was built from, so every suspect verified against one bundle
+    and trigger set shares it. The comparison is by content, never by id():
+    optimizer_step updates weights in place.
     """
     global _stego_memo
-    key = _stego_key(encoder_e, samples, k_draws, seed, delta_scale)
-    if _stego_memo is None or _stego_memo[0] != key:
+    run = (k_draws, seed & _MASK64, float(delta_scale),
+           tuple(layer.activation for layer in encoder_e.layers))
+    inputs = [array for layer in encoder_e.layers for array in (layer.weight, layer.bias)]
+    inputs += [
+        np.stack([sample.image for sample in samples]),
+        np.stack([sample.message.bits for sample in samples]),
+        np.array([sample.sigma for sample in samples]),
+    ]
+    if (
+        _stego_memo is None
+        or _stego_memo[0] != run
+        or not all(map(np.array_equal, inputs, _stego_memo[1]))
+    ):
         _stego_memo = None  # free the old batch before building the new one
         stego = _build_stego(encoder_e, samples, k_draws, seed, delta_scale)
         stego.flags.writeable = False
-        _stego_memo = (key, stego)
-    return _stego_memo[1]
+        _stego_memo = (run, [array.copy() for array in inputs], stego)
+    return _stego_memo[2]
+
+
+def _trigger_blocks(n_trig: int, k_draws: int) -> list[tuple[int, int]]:
+    """Contiguous trigger ranges [lo, hi), one per worker of _worker_count,
+    each of at least 2 stego rows: a one-row product runs a different BLAS
+    kernel than a many-row one, so a block's bytes would depend on the
+    split."""
+    workers = max(_worker_count(n_trig if k_draws > 1 else n_trig // 2), 1)
+    return [(n_trig * i // workers, n_trig * (i + 1) // workers) for i in range(workers)]
 
 
 def decode_triggers(
@@ -688,6 +698,12 @@ def decode_triggers(
     and Hamming distances to each trigger's message (N, K). The stego inputs
     come from stego_batch. Refuses suspects whose input/output dimensions do
     not fit the verifier before any stego work.
+
+    The triggers are split into contiguous row blocks of the stego batch,
+    one per worker of nnengine._worker_count (one per CPU while BLAS is
+    pinned to one thread and nothing else runs a thread; else one block).
+    Each block runs the whole chain into its slice of the outputs, and the
+    bytes do not depend on the split.
     """
     s = samples[0].image.shape[0]
     n = len(samples[0].message)
@@ -699,11 +715,19 @@ def decode_triggers(
     if encoder_e.input_dim != s + n or encoder_e.output_dim != s:
         raise ValueError("encoder does not match trigger dimensions")
     stego = stego_batch(encoder_e, samples, k_draws, seed, delta_scale)
-    emb = forward_batch(suspect, stego)[0]
-    soft = forward_batch(decoder_d, emb)[0].reshape(len(samples), k_draws, n)
-    hard = (soft >= 0.5).astype(np.int8)
+    n_trig = len(samples)
     messages = np.stack([sample.message.bits for sample in samples])
-    distances = (hard != messages[:, None, :]).sum(axis=2)
+    soft = np.empty((n_trig, k_draws, n))
+    hard = np.empty((n_trig, k_draws, n), dtype=np.int8)
+    distances = np.empty((n_trig, k_draws), dtype=np.int64)
+
+    def decode_block(lo: int, hi: int) -> None:
+        emb = forward_batch(suspect, stego[lo * k_draws : hi * k_draws])[0]
+        soft[lo:hi] = forward_batch(decoder_d, emb)[0].reshape(hi - lo, k_draws, n)
+        hard[lo:hi] = soft[lo:hi] >= 0.5
+        distances[lo:hi] = (hard[lo:hi] != messages[lo:hi, None, :]).sum(axis=2)
+
+    _run_blocks(decode_block, _trigger_blocks(n_trig, k_draws))
     return soft, hard, distances
 
 

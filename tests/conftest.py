@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from randmark import attacks as atk
+from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.harness import ExperimentConfig, build_trigger_set, verify_suspect
 from randmark.nnengine import MlpNetwork, forward_batch
@@ -19,10 +20,10 @@ MINI = dict(s=64, k=16, n=8, n_triggers=16)
 
 def see_cpus(monkeypatch, count):
     """Show the process `count` CPUs and no thread besides its main one (a
-    BLAS pinned to one thread), under which population training uses one
-    worker per CPU."""
+    BLAS pinned to one thread), under which population training and
+    decode_triggers use one worker per CPU."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(atk, "_running_threads", lambda: 1)
+    monkeypatch.setattr(ne, "_running_threads", lambda: 1)
 
 
 @dataclass
@@ -54,6 +55,7 @@ class DeskRun:
     triggers: wm.TriggerSet
     bundle: wm.ModelBundle
     log: wm.TrainingLog
+    suspects: dict = field(default_factory=dict)
     reports: dict = field(default_factory=dict)
     batches: dict = field(default_factory=dict)
     finetune_accuracy: float = 0.0
@@ -92,7 +94,8 @@ def desk_run() -> DeskRun:
     bundle, log = wm.embed_watermark(bundle, triggers)
     run = DeskRun(config=config, triggers=triggers, bundle=bundle, log=log)
 
-    suspects = {"watermarked": bundle.watermarked_f}
+    suspects = run.suspects
+    suspects["watermarked"] = bundle.watermarked_f
     suspects["prune20"] = atk.prune_attack(bundle.watermarked_f, 0.2)
     suspects["prune40"] = atk.prune_attack(bundle.watermarked_f, 0.4)
     task = atk.make_blob_task(config.s, n_classes=4, seed=config.seed)

@@ -678,6 +678,30 @@ class TestCli:
         payload = json.loads((tmp_path / "bounds_est" / "bound_report.json").read_text())
         assert payload["p_hat"] == 1.0
 
+    @pytest.mark.parametrize("payload, message", [
+        ({}, "missing key 'omega'"),
+        ({"p_hat": 1.0, "q_hat": 0.0, "omega": [], "xi": []}, "population 'omega' is empty"),
+        (
+            {"p_hat": 1.0, "q_hat": 0.0, "omega": [{"trigger_id": 0, "trials": 64}], "xi": []},
+            "missing key 'matches' in omega row 0",
+        ),
+    ], ids=["empty-object", "empty-population", "row-without-matches"])
+    def test_malformed_estimates_file_exits_1(self, micro_run, tmp_path, capsys, payload, message):
+        _, out, _ = micro_run
+        path = tmp_path / "estimates.json"
+        path.write_text(json.dumps(payload))
+        code = cli.main([
+            "bounds",
+            "--config", str(_write_micro_cfg(tmp_path / "micro.cfg")),
+            "--bundle", str(out / "bundle"),
+            "--triggers", str(out / "triggers.rmts"),
+            "--estimates", str(path),
+            "--out", str(tmp_path / "bounds_est"),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+
     def test_population_follows_pretrain_config(self, micro_run, tmp_path):
         _, out, _ = micro_run
         cfg = _write_micro_cfg(tmp_path / "micro.cfg")

@@ -70,40 +70,6 @@ class TestMeanVar:
         assert abs(stats.var_distance(batch) - two_pass) < 1e-12
 
 
-class TestCrossModelVariance:
-    def test_self_pair_is_zero(self):
-        rng = np.random.default_rng(3)
-        batch = make_batch(rng.integers(0, 2, (6, 5)), rng.integers(0, 2, 5), noise_seed=9)
-        assert stats.cross_model_variance(batch, batch) == 0.0
-
-    def test_hand_cross_distances(self):
-        # cross distances (0, 2, 4) -> unbiased variance 4
-        base = np.zeros((3, 4), dtype=int)
-        other = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]])
-        a = make_batch(base, [0, 0, 0, 0], noise_seed=5)
-        b = make_batch(other, [0, 0, 0, 0], noise_seed=5)
-        assert stats.cross_model_variance(a, b) == 4.0
-
-    def test_unpaired_seeds_fatal(self):
-        a = make_batch(np.zeros((3, 2), dtype=int), [0, 0], noise_seed=1)
-        b = make_batch(np.zeros((3, 2), dtype=int), [0, 0], noise_seed=2)
-        with pytest.raises(ValueError, match="paired"):
-            stats.cross_model_variance(a, b)
-
-    def test_directional_small_for_pruned_large_for_independent(self, desk_run):
-        bundle = desk_run.bundle
-        wm_batches = desk_run.batches["watermarked"]
-        pruned_batches = desk_run.batches["prune20"]
-        indep_batches = desk_run.batches["independent0"]
-        v_dep = np.mean([
-            stats.cross_model_variance(a, b) for a, b in zip(wm_batches, pruned_batches)
-        ])
-        v_indep = np.mean([
-            stats.cross_model_variance(a, b) for a, b in zip(wm_batches, indep_batches)
-        ])
-        assert v_dep < v_indep
-
-
 class TestDecision:
     def test_zero_rho_zero_tau(self):
         assert stats.decide(0.0, 0) is True
@@ -244,6 +210,12 @@ class TestCovarianceDelta:
             y = b.distances.astype(float)
             direct = ((x - x.mean()) * (y - y.mean())).sum() / (k - 1)
             assert abs(stats.covariance_delta(a, b) - direct) < 1e-12
+
+    def test_unpaired_seeds_fatal(self):
+        a = make_batch(np.zeros((3, 2), dtype=int), [0, 0], noise_seed=1)
+        b = make_batch(np.zeros((3, 2), dtype=int), [0, 0], noise_seed=2)
+        with pytest.raises(ValueError, match="paired"):
+            stats.covariance_delta(a, b)
 
     def test_message_mismatch_fatal(self):
         a = make_batch(np.zeros((3, 2), dtype=int), [0, 0], noise_seed=1)

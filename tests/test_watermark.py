@@ -2,6 +2,11 @@
 training behavior, extraction determinism, and the file formats."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.stats import mean_distance, var_distance
 
-from conftest import MINI
+from conftest import MINI, see_cpus
 
 
 def _sample(s=8, n=4, sigma=0.1, seed=0):
@@ -431,6 +436,149 @@ class TestStegoBatch:
         after = wm.stego_batch(**changed)
         assert after is not before
         assert np.array_equal(after, wm._build_stego(**changed))
+
+
+class TestSplitDecode:
+    """decode_triggers on one row block per CPU gives the bytes of one block."""
+
+    @staticmethod
+    def _decode(suspect, bundle, samples, k_draws, seed=140):
+        return wm.decode_triggers(
+            suspect, bundle.encoder_e, bundle.decoder_d, samples, k_draws, seed,
+            bundle.hyper.delta_scale,
+        )
+
+    @pytest.mark.parametrize("k_draws", [1, 2, 64])
+    def test_bytes_do_not_depend_on_worker_count(self, mini_run, monkeypatch, k_draws):
+        samples = mini_run.triggers.samples[:15]  # odd N: blocks of unequal size
+        fresh = ne.init_network([MINI["s"], 48, MINI["k"]], ["tanh", "identity"], 141)
+        results = {}
+        for workers in (1, 2, 3):
+            see_cpus(monkeypatch, workers)
+            assert len(wm._trigger_blocks(len(samples), k_draws)) == workers
+            results[workers] = [
+                self._decode(net, mini_run.bundle, samples, k_draws)
+                for net in (mini_run.bundle.watermarked_f, fresh)
+            ]
+        for workers in (2, 3):
+            for split, whole in zip(results[workers], results[1]):
+                for a, b in zip(split, whole):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_more_workers_than_cores_under_fast_switching(self, mini_run, monkeypatch):
+        samples = mini_run.triggers.samples
+        bundle = mini_run.bundle
+        see_cpus(monkeypatch, 1)
+        whole = self._decode(bundle.watermarked_f, bundle, samples, 16)
+        see_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                split = self._decode(bundle.watermarked_f, bundle, samples, 16)
+                for a, b in zip(split, whole):
+                    assert a.tobytes() == b.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_desk_config_bytes_do_not_depend_on_worker_count(self, desk_run, monkeypatch):
+        config, bundle = desk_run.config, desk_run.bundle
+        samples = desk_run.triggers.samples
+        for name in ("watermarked", "prune40", "independent0"):
+            suspect_results = []
+            for workers in (1, 2):
+                see_cpus(monkeypatch, workers)
+                suspect_results.append(self._decode(
+                    desk_run.suspects[name], bundle, samples, config.k_verify,
+                    config.seed + 6,
+                ))
+            for a, b in zip(*suspect_results):
+                assert a.tobytes() == b.tobytes()
+            kept = desk_run.batches[name]
+            assert np.array_equal(suspect_results[1][2], [batch.distances for batch in kept])
+
+    @pytest.mark.parametrize("n_trig", [2, 3])
+    def test_single_draw_never_makes_one_row_block(self, mini_run, monkeypatch, n_trig):
+        see_cpus(monkeypatch, 3)
+        rows = []
+
+        def spy(net, inputs):
+            if net is not mini_run.bundle.encoder_e:  # the stego batch's own passes
+                rows.append(inputs.shape[0])
+            return ne.forward_batch(net, inputs)
+
+        monkeypatch.setattr(wm, "forward_batch", spy)
+        self._decode(mini_run.bundle.watermarked_f, mini_run.bundle,
+                     mini_run.triggers.samples[:n_trig], 1)
+        assert wm._trigger_blocks(n_trig, 1) == [(0, n_trig)]
+        assert rows == [n_trig, n_trig]
+
+    def test_helper_exception_reaches_caller(self, mini_run, monkeypatch):
+        see_cpus(monkeypatch, 2)
+
+        class HelperFailed(Exception):
+            pass
+
+        def failing_in_helper(net, inputs):
+            if threading.current_thread() is not threading.main_thread():
+                raise HelperFailed("block failed")
+            return ne.forward_batch(net, inputs)
+
+        monkeypatch.setattr(wm, "forward_batch", failing_in_helper)
+        threads = threading.active_count()
+        with pytest.raises(HelperFailed):
+            self._decode(mini_run.bundle.watermarked_f, mini_run.bundle,
+                         mini_run.triggers.samples, 4)
+        assert threading.active_count() == threads
+
+    def test_helpers_keep_callers_errstate(self, mini_run, monkeypatch):
+        # without the caller's errstate a helper would warn, and the
+        # error::RuntimeWarning filter turns a warning into an exception
+        see_cpus(monkeypatch, 2)
+        overflowing = ne.init_network([MINI["s"], 48, MINI["k"]], ["tanh", "identity"], 142)
+        overflowing.layers[0].weight[:] = 1e308
+        samples = mini_run.triggers.samples
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            self._decode(overflowing, mini_run.bundle, samples, 4)
+        with np.errstate(all="ignore"):
+            soft, _, _ = self._decode(overflowing, mini_run.bundle, samples, 4)
+        assert soft.shape == (len(samples), 4, MINI["n"])
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+    def test_no_thread_outlives_a_verify(self):
+        # a single-threaded process splits the decode, and an IndependentPool
+        # opened after it still finds the process single-threaded
+        code = """
+import multiprocessing, threading
+from randmark import attacks as atk, nnengine as ne, watermark as wm
+from randmark.harness import build_trigger_set, verify_suspect
+from randmark.synth import gen_synthetic_images
+
+triggers = build_trigger_set(gen_synthetic_images(8, 16, 1), 4, 0.1, 2)
+source = ne.init_network([16, 12, 6], ["tanh", "identity"], 3)
+bundle = wm.ModelBundle.create(source, 4, encoder_hidden=(8,), decoder_hidden=(8,), seed=4)
+threads = set()
+def spy(net, inputs):
+    threads.add(threading.get_ident())
+    return ne.forward_batch(net, inputs)
+wm.forward_batch = spy
+verify_suspect(source, bundle, triggers, 1, 4, 5, "source")
+assert len(threads) == 2, threads
+assert ne._running_threads() == 1, ne._running_threads()
+with atk.IndependentPool(2) as pool:
+    getters = pool.submit([16, 12, 6], [6, 7], [8, 9], 1, 10)
+    assert len(multiprocessing.active_children()) == 2
+    assert len([get() for get in getters]) == 2
+print("ok")
+"""
+        src = str(Path(wm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "RANDMARK_THREADS": "1",
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
 
 
 class TestPersistence:
