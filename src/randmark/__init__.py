@@ -28,7 +28,6 @@ from .nnengine import (  # noqa: F401
 )
 from .watermark import (  # noqa: F401
     BitMessage,
-    ExtractionBatch,
     HyperParams,
     ModelBundle,
     TriggerSample,

@@ -29,7 +29,7 @@ from .nnengine import (
     optimizer_step,
 )
 from .synth import gen_synthetic_images
-from .watermark import ModelBundle
+from .watermark import ModelBundle, TrainingDiverged
 
 logger = logging.getLogger(__name__)
 
@@ -116,7 +116,7 @@ def finetune_attack(
             logits, tr_head = forward_batch(head, emb)
             probs = _softmax(logits)
             if not np.isfinite(probs).all():
-                raise RuntimeError("fine-tuning diverged: non-finite logits")
+                raise TrainingDiverged("fine-tuning diverged: non-finite logits")
             g_logits = (probs - onehot[idx]) / idx.size
             g_head = backward(head, tr_head, g_logits)
             g_net = backward(net, tr_net, g_head.wrt_input, wrt_input=False)
@@ -171,7 +171,7 @@ def distill_attack(
             out, trace = forward_batch(student, inputs[idx])
             diff = out - targets[idx]
             if not np.isfinite(diff).all():
-                raise RuntimeError("distillation diverged: non-finite outputs")
+                raise TrainingDiverged("distillation diverged: non-finite outputs")
             grads = backward(student, trace, 2.0 * diff / idx.size, wrt_input=False)
             optimizer_step(student, grads, state)
     out, _ = forward_batch(student, inputs)

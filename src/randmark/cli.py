@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage error, 2 verification refused (suspect
-architecture incompatible), 3 bound not applicable.
+Exit codes: 0 success, 1 usage error (also a bad input file or a diverged
+training run), 2 verification refused (suspect architecture incompatible),
+3 bound not applicable.
 
 RANDMARK_THREADS caps numerical parallelism; the randmark package applies
 it when it is imported, before numpy loads.
@@ -131,27 +132,19 @@ def _load_config(args):
 def _cmd_gen_data(args) -> int:
     from pathlib import Path
 
-    from .harness import build_trigger_set
-    from .synth import gen_synthetic_images
-    from .watermark import save_trigger_set
+    from .harness import data_stage
 
-    config = _load_config(args)
     out = Path(args.out or "triggers.rmts")
-    images = gen_synthetic_images(config.trigger_count, config.s, config.seed + 1)
-    triggers = build_trigger_set(images, config.n, config.sigma_scale, config.seed + 2)
-    save_trigger_set(triggers, out)
+    triggers = data_stage(_load_config(args), out)
     print(f"wrote {len(triggers)} triggers to {out}")
     return EXIT_OK
 
 
 def _cmd_embed(args) -> int:
-    import json as _json
     from pathlib import Path
 
-    from .attacks import make_independent
-    from .harness import build_trigger_set
-    from .synth import gen_synthetic_images
-    from .watermark import ModelBundle, embed_watermark, load_trigger_set, save_trigger_set
+    from .harness import data_stage, embed_stage
+    from .watermark import load_trigger_set
 
     config = _load_config(args)
     out = Path(args.out or "bundle_run")
@@ -159,29 +152,8 @@ def _cmd_embed(args) -> int:
     if args.triggers:
         triggers = load_trigger_set(args.triggers)
     else:
-        images = gen_synthetic_images(config.trigger_count, config.s, config.seed + 1)
-        triggers = build_trigger_set(images, config.n, config.sigma_scale, config.seed + 2)
-        save_trigger_set(triggers, out / "triggers.rmts")
-    source = make_independent(
-        config.backbone_dims,
-        seed=config.seed + 3,
-        pretrain_data_seed=config.seed + 4,
-        epochs=config.pretrain_epochs,
-        n_images=config.pretrain_images,
-    )
-    bundle = ModelBundle.create(
-        source,
-        config.n,
-        encoder_hidden=config.encoder_hidden,
-        decoder_hidden=config.decoder_hidden,
-        hyper=config.hyper(),
-        seed=config.seed + 5,
-    )
-    bundle, log = embed_watermark(bundle, triggers)
-    bundle.save(out / "bundle")
-    (out / "embed_log.json").write_text(
-        _json.dumps({"epochs": log.epochs, "aborted": log.aborted}, indent=2, sort_keys=True)
-    )
+        triggers = data_stage(config, out / "triggers.rmts")
+    _, log = embed_stage(config, triggers, out)
     final = log.final()
     print(
         f"embedded: bit_accuracy={final['bit_accuracy']:.4f} "
@@ -432,7 +404,7 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    from .watermark import VerificationRefused
+    from .watermark import TrainingDiverged, VerificationRefused
 
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -452,7 +424,7 @@ def main(argv=None) -> int:
     except VerificationRefused as exc:  # a suspect or population model of the wrong shape
         print(f"randmark {args.command}: verification refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"randmark {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -34,14 +34,13 @@ from .stats import VerificationReport, covariance_delta, sweep_rows, write_detec
 from .synth import gen_synthetic_images
 from .watermark import (
     BitMessage,
-    ExtractionBatch,
     HyperParams,
     ModelBundle,
     TriggerSample,
+    TrainingLog,
     TriggerSet,
     decode_triggers,
     embed_watermark,
-    extract_batches,
     save_trigger_set,
 )
 
@@ -194,22 +193,20 @@ def verify_suspect(
     k_draws: int,
     seed: int,
     suspect_id: str,
-    reference_batches: list[ExtractionBatch] | None = None,
-) -> tuple[VerificationReport, list[ExtractionBatch]]:
+) -> tuple[VerificationReport, np.ndarray]:
     """Decode every trigger over the shared stego batch of (bundle, triggers,
-    k_draws, seed) in one pass and assemble the decision report."""
+    k_draws, seed) in one pass and assemble the decision report. Returns the
+    report and the (N, K) per-draw Hamming distances."""
     if not 0 <= tau <= triggers.n:
         raise ValueError(f"tau must lie in [0, {triggers.n}], got {tau}")
     if k_draws < 1:
         raise ValueError(f"K must be at least 1, got {k_draws}")
-    batches = extract_batches(
+    distances = decode_triggers(
         suspect, bundle.encoder_e, bundle.decoder_d, triggers.samples, k_draws, seed,
         bundle.hyper.delta_scale,
-    )
-    report = VerificationReport.from_batches(
-        suspect_id, batches, tau, seed, reference_batches=reference_batches
-    )
-    return report, batches
+    )[2]
+    report = VerificationReport.from_batches(suspect_id, distances, triggers.n, tau, seed)
+    return report, distances
 
 
 def population_distances(
@@ -308,6 +305,44 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
         return _run_stages(config, out, independents, xi)
 
 
+def data_stage(config: ExperimentConfig, path: Path) -> TriggerSet:
+    """The trigger set of config (images from seed + 1, messages and noise
+    scales from seed + 2), saved to path."""
+    images = gen_synthetic_images(config.trigger_count, config.s, config.seed + 1)
+    triggers = build_trigger_set(images, config.n, config.sigma_scale, config.seed + 2)
+    save_trigger_set(triggers, path)
+    return triggers
+
+
+def embed_stage(
+    config: ExperimentConfig, triggers: TriggerSet, out: Path
+) -> tuple[ModelBundle, TrainingLog]:
+    """Pretrain the source backbone (seeds + 3 and + 4), embed the watermark
+    into a fresh bundle around it (seed + 5) and save out/bundle and
+    out/embed_log.json. Raises TrainingDiverged if embedding diverges."""
+    source_f = make_independent(
+        config.backbone_dims,
+        seed=config.seed + 3,
+        pretrain_data_seed=config.seed + 4,
+        epochs=config.pretrain_epochs,
+        n_images=config.pretrain_images,
+    )
+    bundle = ModelBundle.create(
+        source_f,
+        config.n,
+        encoder_hidden=config.encoder_hidden,
+        decoder_hidden=config.decoder_hidden,
+        hyper=config.hyper(),
+        seed=config.seed + 5,
+    )
+    bundle, log = embed_watermark(bundle, triggers)
+    bundle.save(out / "bundle")
+    (out / "embed_log.json").write_text(
+        json.dumps({"epochs": log.epochs, "aborted": log.aborted}, indent=2, sort_keys=True)
+    )
+    return bundle, log
+
+
 def _run_stages(
     config: ExperimentConfig,
     out: Path,
@@ -321,37 +356,15 @@ def _run_stages(
     seed = config.seed
 
     t0 = time.perf_counter()
-    images = gen_synthetic_images(config.trigger_count, config.s, seed + 1)
-    triggers = build_trigger_set(images, config.n, config.sigma_scale, seed + 2)
-    save_trigger_set(triggers, out / "triggers.rmts")
+    triggers = data_stage(config, out / "triggers.rmts")
     stage_seconds["data"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    source_f = make_independent(
-        config.backbone_dims,
-        seed=seed + 3,
-        pretrain_data_seed=seed + 4,
-        epochs=config.pretrain_epochs,
-        n_images=config.pretrain_images,
-    )
-    bundle = ModelBundle.create(
-        source_f,
-        config.n,
-        encoder_hidden=config.encoder_hidden,
-        decoder_hidden=config.decoder_hidden,
-        hyper=config.hyper(),
-        seed=seed + 5,
-    )
     try:
-        bundle, log = embed_watermark(bundle, triggers)
+        bundle, _ = embed_stage(config, triggers, out)
     except Exception as exc:  # divergence aborts the run but is recorded
         failures["embed"] = str(exc)
-        manifest = _finalize_manifest(out, config, stage_seconds, failures)
-        return manifest
-    bundle.save(out / "bundle")
-    (out / "embed_log.json").write_text(
-        json.dumps({"epochs": log.epochs, "aborted": log.aborted}, indent=2, sort_keys=True)
-    )
+        return _finalize_manifest(out, config, stage_seconds, failures)
     stage_seconds["embed"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -374,17 +387,16 @@ def _run_stages(
         return _finalize_manifest(out, config, stage_seconds, failures)
 
     t0 = time.perf_counter()
-    batch_map: dict[str, list[ExtractionBatch]] = {}
+    verify_seed = seed + 6
+    distance_map: dict[str, np.ndarray] = {}
     try:
-        verify_seed = seed + 6
         verify_dir = out / "verification"
         verify_dir.mkdir(exist_ok=True)
         all_rows = []
         for name, kind, net in suspects:
-            report, batches = verify_suspect(
+            report, distance_map[name] = verify_suspect(
                 net, bundle, triggers, config.tau, config.k_verify, verify_seed, name
             )
-            batch_map[name] = batches
             (verify_dir / f"{name}.json").write_text(report.to_json())
             all_rows.extend(sweep_rows(name, kind, report.rho, config.n))
         write_detection_sweep(out / "sweep.csv", all_rows)
@@ -395,20 +407,19 @@ def _run_stages(
     if "verify" not in failures:
         t0 = time.perf_counter()
         try:
-            reference = batch_map["watermarked"]
+            reference = distance_map["watermarked"]
             with open(out / "covariance.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["pair_id", "kind", "trigger_id", "delta"])
                 for name, kind, _ in suspects[1:]:
                     pair_kind = "independent" if kind == "independent" else "dependent"
-                    for ti, (ref_b, sus_b) in enumerate(zip(reference, batch_map[name])):
-                        delta = covariance_delta(ref_b, sus_b)
-                        writer.writerow([
-                            f"watermarked|{name}",
-                            pair_kind,
-                            ti,
-                            repr(delta) if delta is not None else "",
-                        ])
+                    deltas = covariance_delta(
+                        reference, distance_map[name], verify_seed, verify_seed
+                    )
+                    writer.writerows(
+                        [f"watermarked|{name}", pair_kind, ti, "" if delta is None else repr(delta)]
+                        for ti, delta in enumerate(deltas)
+                    )
             stage_seconds["covariance"] = time.perf_counter() - t0
         except Exception as exc:
             failures["covariance"] = str(exc)

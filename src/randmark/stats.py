@@ -1,4 +1,4 @@
-"""Sample statistics over extraction batches and the calibrated decision rule.
+"""Sample statistics over decoded distances and the calibrated decision rule.
 
 A suspect is declared watermarked for a trigger when the mean Hamming
 distance rho between extracted and assigned messages is at most tau; the
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .watermark import BitMessage, ExtractionBatch
+from .watermark import BitMessage
 
 # Above this message length the exact rational tail switches to log-domain
 # summation.
@@ -30,26 +30,20 @@ def hamming_distance(m: BitMessage, m_prime: BitMessage) -> int:
     return int((m.bits != m_prime.bits).sum())
 
 
-def mean_distance(batch: ExtractionBatch) -> float:
-    """rho for one trigger: mean Hamming distance over the K draws."""
-    if batch.k_draws < 1:
-        raise ValueError("empty extraction batch")
-    return float(batch.distances.mean())
+def mean_distance(distances: np.ndarray) -> list[float]:
+    """rho per trigger: the mean Hamming distance over each row's K draws of
+    an (N, K) distance array."""
+    if distances.ndim != 2 or distances.shape[1] < 1:
+        raise ValueError(f"need an (N, K) distance array with K >= 1, got {distances.shape}")
+    return distances.mean(axis=1).tolist()
 
 
-def var_distance(batch: ExtractionBatch) -> float | None:
-    """Unbiased sample variance of the per-draw distances; None when K < 2
-    (the statistic is undefined for a single draw)."""
-    if batch.k_draws < 2:
-        return None
-    return float(batch.distances.var(ddof=1))
-
-
-def _require_paired(a: ExtractionBatch, b: ExtractionBatch, what: str) -> None:
-    if a.noise_seed != b.noise_seed:
-        raise ValueError(f"{what} requires paired noise draws (same stream seed)")
-    if a.k_draws != b.k_draws or a.n != b.n:
-        raise ValueError(f"{what} requires batches of equal K and n")
+def var_distance(distances: np.ndarray) -> list[float | None]:
+    """Unbiased sample variance of each row's K per-draw distances; None for
+    every trigger when K < 2 (the statistic is undefined for one draw)."""
+    if distances.shape[1] < 2:
+        return [None] * distances.shape[0]
+    return distances.var(axis=1, ddof=1).tolist()
 
 
 def decide(rho: float, tau: int) -> bool:
@@ -126,19 +120,25 @@ def select_threshold(r: float, n: int, epsilon_fpr: float) -> int | None:
     return chosen
 
 
-def covariance_delta(batch_f: ExtractionBatch, batch_g: ExtractionBatch) -> float | None:
-    """Sample covariance of the two models' per-draw distance sequences,
+def covariance_delta(
+    distances_f: np.ndarray, distances_g: np.ndarray, seed_f: int, seed_g: int
+) -> list[float | None]:
+    """Per trigger, the sample covariance of two models' per-draw distance
+    sequences (two (N, K) arrays decoded with run seeds seed_f and seed_g),
     via the polarization identity (V(X) + V(Y) - V(X-Y)) / 2 with unbiased
-    variances. Requires paired noise draws and the same trigger message;
-    None when K < 2."""
-    _require_paired(batch_f, batch_g, "covariance_delta")
-    if batch_f.message != batch_g.message:
-        raise ValueError("covariance_delta requires the same trigger message")
-    if batch_f.k_draws < 2:
-        return None
-    x = batch_f.distances.astype(np.float64)
-    y = batch_g.distances.astype(np.float64)
-    return float((x.var(ddof=1) + y.var(ddof=1) - (x - y).var(ddof=1)) / 2.0)
+    variances. Requires paired noise draws over the same N triggers; None
+    for every trigger when K < 2."""
+    if seed_f != seed_g:
+        raise ValueError("covariance_delta requires paired noise draws (same stream seed)")
+    if distances_f.shape != distances_g.shape:
+        raise ValueError("covariance_delta requires distances over the same triggers and K")
+    if distances_f.shape[1] < 2:
+        return [None] * distances_f.shape[0]
+    x = distances_f.astype(np.float64)
+    y = distances_g.astype(np.float64)
+    return (
+        (x.var(axis=1, ddof=1) + y.var(axis=1, ddof=1) - (x - y).var(axis=1, ddof=1)) / 2.0
+    ).tolist()
 
 
 @dataclass
@@ -152,15 +152,12 @@ class VerificationReport:
     seed: int
     rho: list[float]
     variance: list[float | None]
-    delta: list[float | None] | None = None
 
     def __post_init__(self):
         if len(self.rho) == 0:
             raise ValueError("report needs at least one trigger")
         if len(self.variance) != len(self.rho):
             raise ValueError("variance list must match rho list")
-        if self.delta is not None and len(self.delta) != len(self.rho):
-            raise ValueError("delta list must match rho list")
 
     @property
     def decisions(self) -> list[bool]:
@@ -172,33 +169,18 @@ class VerificationReport:
 
     @classmethod
     def from_batches(
-        cls,
-        suspect_id: str,
-        batches: list[ExtractionBatch],
-        tau: int,
-        seed: int,
-        reference_batches: list[ExtractionBatch] | None = None,
+        cls, suspect_id: str, distances: np.ndarray, n: int, tau: int, seed: int
     ) -> "VerificationReport":
-        """Assemble a report from per-trigger extraction batches, with
-        covariance deltas against an optional paired reference."""
-        rho = [mean_distance(b) for b in batches]
-        variance = [var_distance(b) for b in batches]
-        delta = None
-        if reference_batches is not None:
-            if len(reference_batches) != len(batches):
-                raise ValueError("reference batches must cover the same triggers")
-            delta = [
-                covariance_delta(b, ref) for b, ref in zip(batches, reference_batches)
-            ]
+        """Assemble a report from decode_triggers' (N, K) distances for
+        messages of n bits."""
         return cls(
             suspect_id=suspect_id,
-            n=batches[0].n,
+            n=n,
             tau=tau,
-            k_draws=batches[0].k_draws,
+            k_draws=distances.shape[1],
             seed=seed,
-            rho=rho,
-            variance=variance,
-            delta=delta,
+            rho=mean_distance(distances),
+            variance=var_distance(distances),
         )
 
     def to_json(self) -> str:
@@ -213,8 +195,6 @@ class VerificationReport:
             "variance": self.variance,
             "decision_per_trigger": self.decisions,
         }
-        if self.delta is not None:
-            payload["delta"] = self.delta
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
@@ -228,7 +208,6 @@ class VerificationReport:
             seed=payload["seed"],
             rho=payload["rho"],
             variance=payload["variance"],
-            delta=payload.get("delta"),
         )
 
 

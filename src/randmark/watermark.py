@@ -47,8 +47,8 @@ class VerificationRefused(RuntimeError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss went non-finite; the bundle was rolled back to the last good
-    parameters before this was raised."""
+    """A training loss or output went non-finite. embed_watermark rolls the
+    bundle back to the last good parameters before raising it."""
 
 
 @dataclass(eq=False)
@@ -98,11 +98,12 @@ class TriggerSample:
         self.image = np.asarray(self.image, dtype=np.float64)
         if self.image.ndim != 1:
             raise ValueError("trigger image must be a flat vector")
-        if self.image.size and (self.image.min() < 0.0 or self.image.max() > 1.0):
-            raise ValueError("trigger pixel intensities must lie in [0, 1]")
+        # a NaN fails both comparisons, so it is rejected with the range
+        if not ((self.image >= 0.0) & (self.image <= 1.0)).all():
+            raise ValueError("trigger pixel intensities must be finite and lie in [0, 1]")
         self.sigma = float(self.sigma)
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
 
 @dataclass
@@ -328,41 +329,6 @@ class ModelBundle:
             decoder_d=load_checkpoint(directory / "decoder_d.rmk"),
             hyper=hyper,
         )
-
-
-@dataclass
-class ExtractionBatch:
-    """Decoded messages for one trigger under K fresh noise draws."""
-
-    soft_bits: np.ndarray  # (K, n) in (0, 1)
-    hard_bits: np.ndarray  # (K, n) in {0, 1}
-    distances: np.ndarray  # (K,) Hamming distances to the trigger message
-    noise_seed: int
-    message: BitMessage
-
-    def __post_init__(self):
-        self.soft_bits = np.asarray(self.soft_bits, dtype=np.float64)
-        self.hard_bits = np.asarray(self.hard_bits, dtype=np.int8)
-        self.distances = np.asarray(self.distances, dtype=np.int64)
-        n = len(self.message)
-        k = self.soft_bits.shape[0]
-        if self.soft_bits.shape != (k, n) or self.hard_bits.shape != (k, n):
-            raise ValueError("soft/hard bit arrays must be (K, n)")
-        if self.distances.shape != (k,):
-            raise ValueError("distances must be length K")
-        expected = (self.hard_bits != self.message.bits[None, :]).sum(axis=1)
-        if not np.array_equal(self.distances, expected):
-            raise ValueError("distances do not match hard bits vs message")
-        if ((self.distances < 0) | (self.distances > n)).any():
-            raise ValueError("distances out of range")
-
-    @property
-    def k_draws(self) -> int:
-        return int(self.soft_bits.shape[0])
-
-    @property
-    def n(self) -> int:
-        return int(self.soft_bits.shape[1])
 
 
 def sample_noise(sample: TriggerSample, k_draws: int, stream_seed: int) -> np.ndarray:
@@ -703,7 +669,8 @@ def decode_triggers(
     one per worker of nnengine._worker_count (one per CPU while BLAS is
     pinned to one thread and nothing else runs a thread; else one block).
     Each block runs the whole chain into its slice of the outputs, and the
-    bytes do not depend on the split.
+    bytes do not depend on the split. The distances are checked against the
+    hard bits and the range [0, n] once all blocks are done.
     """
     s = samples[0].image.shape[0]
     n = len(samples[0].message)
@@ -728,33 +695,11 @@ def decode_triggers(
         distances[lo:hi] = (hard[lo:hi] != messages[lo:hi, None, :]).sum(axis=2)
 
     _run_blocks(decode_block, _trigger_blocks(n_trig, k_draws))
+    if not np.array_equal(distances, (hard != messages[:, None, :]).sum(axis=2)):
+        raise ValueError("distances do not match hard bits vs message")
+    if ((distances < 0) | (distances > n)).any():
+        raise ValueError("distances out of range")
     return soft, hard, distances
-
-
-def extract_batches(
-    suspect: MlpNetwork,
-    encoder_e: MlpNetwork,
-    decoder_d: MlpNetwork,
-    samples: list[TriggerSample],
-    k_draws: int,
-    seed: int,
-    delta_scale: float = 0.5,
-) -> list[ExtractionBatch]:
-    """decode_triggers as one ExtractionBatch per trigger, each a view of the
-    (N, K, ...) result."""
-    soft, hard, distances = decode_triggers(
-        suspect, encoder_e, decoder_d, samples, k_draws, seed, delta_scale
-    )
-    return [
-        ExtractionBatch(
-            soft_bits=soft[index],
-            hard_bits=hard[index],
-            distances=distances[index],
-            noise_seed=trigger_stream_seed(seed, index),
-            message=BitMessage(sample.message.bits.copy()),
-        )
-        for index, sample in enumerate(samples)
-    ]
 
 
 def extract_messages(
@@ -765,9 +710,11 @@ def extract_messages(
     k_draws: int,
     stream_seed: int,
     delta_scale: float = 0.5,
-) -> ExtractionBatch:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode K messages from a suspect backbone for one trigger, with noise
-    draws from stream_seed (modulo 2**64)."""
-    return extract_batches(
+    draws from stream_seed (modulo 2**64): decode_triggers' row for it, as
+    soft bits (K, n), hard bits (K, n) and distances (K,)."""
+    soft, hard, distances = decode_triggers(
         suspect, encoder_e, decoder_d, [sample], k_draws, stream_seed, delta_scale
-    )[0]
+    )
+    return soft[0], hard[0], distances[0]

@@ -57,7 +57,7 @@ class DeskRun:
     log: wm.TrainingLog
     suspects: dict = field(default_factory=dict)
     reports: dict = field(default_factory=dict)
-    batches: dict = field(default_factory=dict)
+    distances: dict = field(default_factory=dict)
     finetune_accuracy: float = 0.0
     fidelity_ratio: float = 0.0
     build_seconds: float = 0.0
@@ -115,11 +115,9 @@ def desk_run() -> DeskRun:
 
     verify_seed = config.seed + 6
     for name, net in suspects.items():
-        report, batches = verify_suspect(
+        run.reports[name], run.distances[name] = verify_suspect(
             net, bundle, triggers, config.tau, config.k_verify, verify_seed, name
         )
-        run.reports[name] = report
-        run.batches[name] = batches
 
     held = gen_synthetic_images(500, config.s, 777_777)
     out_ref, _ = forward_batch(bundle.frozen_f, held)
@@ -129,19 +127,3 @@ def desk_run() -> DeskRun:
     run.fidelity_ratio = num / den
     run.build_seconds = time.perf_counter() - t_start
     return run
-
-
-def make_batch(hard_bits, message_bits, noise_seed=0) -> wm.ExtractionBatch:
-    """Synthetic extraction batch from explicit hard bits; soft bits mirror
-    the hard ones at 0.1/0.9."""
-    hard = np.asarray(hard_bits, dtype=np.int8)
-    message = wm.BitMessage(np.asarray(message_bits, dtype=np.int8))
-    soft = np.where(hard == 1, 0.9, 0.1)
-    distances = (hard != message.bits[None, :]).sum(axis=1)
-    return wm.ExtractionBatch(
-        soft_bits=soft,
-        hard_bits=hard,
-        distances=distances,
-        noise_seed=noise_seed,
-        message=message,
-    )

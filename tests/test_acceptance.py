@@ -231,16 +231,15 @@ def test_09_fidelity(desk_run):
 
 
 def test_10_covariance_diagnostic(desk_run):
-    wm_batches = desk_run.batches["watermarked"]
-    dep = float(np.mean([
-        stats.covariance_delta(a, b)
-        for a, b in zip(wm_batches, desk_run.batches["prune20"])
-    ]))
+    seed = desk_run.config.seed + 6
+    reference = desk_run.distances["watermarked"]
+    dep = float(np.mean(
+        stats.covariance_delta(reference, desk_run.distances["prune20"], seed, seed)
+    ))
     indep = np.array([
-        np.mean([
-            stats.covariance_delta(a, b)
-            for a, b in zip(wm_batches, desk_run.batches[f"independent{i}"])
-        ])
+        np.mean(
+            stats.covariance_delta(reference, desk_run.distances[f"independent{i}"], seed, seed)
+        )
         for i in range(10)
     ])
     p95 = float(np.percentile(indep, 95))

@@ -110,12 +110,12 @@ class TestMakeIndependent:
                 DIMS, seed=300 + m, pretrain_data_seed=400 + m, epochs=20, n_images=100
             )
             for i, t in enumerate(mini_run.triggers.samples):
-                batch = wm.extract_messages(
+                _, _, distances = wm.extract_messages(
                     g, bundle.encoder_e, bundle.decoder_d, t, 16, 500 + i,
                     delta_scale=bundle.hyper.delta_scale,
                 )
-                total_bits += batch.distances.size * n
-                matching += int((batch.distances.size * n) - batch.distances.sum())
+                total_bits += distances.size * n
+                matching += int((distances.size * n) - distances.sum())
         rate = matching / total_bits
         # fluctuation is dominated by the fixed random-message realization
         realization_se = 0.5 / np.sqrt(len(mini_run.triggers) * n)

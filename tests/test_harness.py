@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import shutil
+import struct
 import threading
 
 import numpy as np
@@ -377,7 +378,7 @@ class TestPopulationTraining:
 
 class TestVerifySuspect:
     def test_report_shape(self, mini_run):
-        report, batches = verify_suspect(
+        report, distances = verify_suspect(
             mini_run.bundle.watermarked_f,
             mini_run.bundle,
             mini_run.triggers,
@@ -387,16 +388,16 @@ class TestVerifySuspect:
             suspect_id="self",
         )
         assert len(report.rho) == len(mini_run.triggers)
-        assert len(batches) == len(mini_run.triggers)
+        assert distances.shape == (len(mini_run.triggers), 8)
+        assert (report.n, report.k_draws) == (mini_run.triggers.n, 8)
         assert report.detection_rate == 1.0
 
     def test_per_trigger_streams_differ(self, mini_run):
-        _, batches = verify_suspect(
-            mini_run.bundle.watermarked_f, mini_run.bundle, mini_run.triggers,
-            tau=1, k_draws=8, seed=45, suspect_id="self",
-        )
-        seeds = {b.noise_seed for b in batches}
-        assert len(seeds) == len(batches)
+        # trigger i's row is decoded with stream seed seed XOR i (checked
+        # against extract_messages in TestSharedExtraction)
+        n_trig = len(mini_run.triggers)
+        seeds = {wm.trigger_stream_seed(45, index) for index in range(n_trig)}
+        assert len(seeds) == n_trig
 
 
 def _three_suspects(bundle):
@@ -417,20 +418,26 @@ class TestSharedExtraction:
     def test_batches_equal_single_trigger_extraction(self, mini_run, k_draws):
         bundle = mini_run.bundle
         for suspect in _three_suspects(bundle):
-            _, batches = verify_suspect(
+            soft, hard, distances = wm.decode_triggers(
+                suspect, bundle.encoder_e, bundle.decoder_d, mini_run.triggers.samples,
+                k_draws, 49, bundle.hyper.delta_scale,
+            )
+            _, verified = verify_suspect(
                 suspect, bundle, mini_run.triggers, tau=1, k_draws=k_draws, seed=49,
                 suspect_id="s",
             )
-            for index, (trigger, batch) in enumerate(zip(mini_run.triggers.samples, batches)):
+            assert np.array_equal(verified, distances)
+            for index, trigger in enumerate(mini_run.triggers.samples):
                 single = wm.extract_messages(
                     suspect, bundle.encoder_e, bundle.decoder_d, trigger, k_draws,
                     wm.trigger_stream_seed(49, index), delta_scale=bundle.hyper.delta_scale,
                 )
-                assert np.array_equal(batch.soft_bits, single.soft_bits)
-                assert np.array_equal(batch.hard_bits, single.hard_bits)
-                assert np.array_equal(batch.distances, single.distances)
-                assert batch.noise_seed == single.noise_seed
-                assert batch.message == single.message == trigger.message
+                assert np.array_equal(soft[index], single[0])
+                assert np.array_equal(hard[index], single[1])
+                assert np.array_equal(distances[index], single[2])
+                assert np.array_equal(
+                    distances[index], (hard[index] != trigger.message.bits).sum(axis=1)
+                )
 
     @pytest.mark.parametrize("k_draws", [1, 8])
     def test_population_rows_equal_verify_distances(self, mini_run, k_draws):
@@ -439,11 +446,11 @@ class TestSharedExtraction:
         dists = population_distances(models, bundle, mini_run.triggers, k_draws, 50)
         assert dists.shape == (len(models), len(mini_run.triggers), k_draws)
         for model, row in zip(models, dists):
-            _, batches = verify_suspect(
+            _, distances = verify_suspect(
                 model, bundle, mini_run.triggers, tau=1, k_draws=k_draws, seed=50,
                 suspect_id="s",
             )
-            assert np.array_equal(row, np.stack([b.distances for b in batches]))
+            assert np.array_equal(row, distances)
 
     def test_wrong_dimensions_refused_before_stego_work(self, mini_run, monkeypatch):
         bundle = mini_run.bundle
@@ -461,6 +468,30 @@ class TestSharedExtraction:
         bundle = mini_run.bundle  # n = 8
         with pytest.raises(ValueError):
             verify_suspect(bundle.watermarked_f, bundle, mini_run.triggers, tau, k_draws, 52, "s")
+
+
+# The data and embed settings of micro_config() as a config file.
+MICRO_STAGES_CFG = """
+[dims]
+s = 16
+k = 6
+n = 8
+backbone_hidden = 12
+encoder_hidden = 16
+decoder_hidden = 12
+
+[triggers]
+trigger_count = 8
+
+[embed]
+k_train = 4
+epochs = 80
+pretrain_epochs = 5
+pretrain_images = 40
+
+[run]
+seed = 31
+"""
 
 
 def _write_micro_cfg(path, trigger_count=8, r_bar=6, r_under=3):
@@ -579,6 +610,65 @@ class TestCli:
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "truncated trigger-set" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["pixel", "sigma"])
+    def test_verify_rejects_non_finite_trigger_file(self, micro_run, tmp_path, capsys, field):
+        _, out, _ = micro_run
+        data = bytearray((out / "triggers.rmts").read_bytes())
+        s = int.from_bytes(data[10:14], "little")
+        # the first trigger's first pixel, or its sigma
+        offset = 26 if field == "pixel" else 26 + 8 * s
+        data[offset : offset + 8] = struct.pack("<d", float("nan" if field == "pixel" else "inf"))
+        triggers = tmp_path / "bad.rmts"
+        triggers.write_bytes(bytes(data))
+        code = cli.main([
+            "verify",
+            "--suspect", str(out / "suspects" / "watermarked.rmk"),
+            "--bundle", str(out / "bundle"),
+            "--triggers", str(triggers),
+            "--tau", "2",
+            "--K", "4",
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_gen_data_and_embed_match_pipeline(self, micro_run, tmp_path, capsys):
+        _, out, _ = micro_run
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_STAGES_CFG)
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "t.rmts")]) == 0
+        assert (tmp_path / "t.rmts").read_bytes() == (out / "triggers.rmts").read_bytes()
+        assert cli.main(["embed", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        names = ["triggers.rmts", "embed_log.json"] + [
+            str(path.relative_to(out)) for path in sorted((out / "bundle").iterdir())
+        ]
+        assert len(names) == 7
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() == (out / name).read_bytes(), name
+        assert "embedded: bit_accuracy=" in capsys.readouterr().out
+
+    def test_embed_divergence_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_STAGES_CFG.replace("[embed]", "[embed]\nlearning_rate = 1e200"))
+        with np.errstate(all="ignore"):
+            code = cli.main(["embed", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "non-finite loss" in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "bundle").exists()
+
+    def test_attack_divergence_exits_1(self, micro_run, tmp_path, capsys):
+        _, out, _ = micro_run
+        with np.errstate(all="ignore"):
+            code = cli.main([
+                "attack", "--bundle", str(out / "bundle"), "--kind", "finetune",
+                "--lr", "1e200", "--out", str(tmp_path / "ft.rmk"),
+            ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "fine-tuning diverged" in err and "Traceback" not in err
+        assert not (tmp_path / "ft.rmk").exists()
 
     def test_verify_succeeds_on_matching_suspect(self, micro_run, tmp_path, capsys):
         _, out, _ = micro_run

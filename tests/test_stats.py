@@ -9,10 +9,33 @@ import pytest
 
 from randmark import stats
 from randmark import watermark as wm
-from randmark.attacks import prune_attack
 from randmark.harness import verify_suspect
 
-from conftest import make_batch
+
+def _distances(hard_bits, message_bits) -> np.ndarray:
+    """(1, K) distance array of one trigger from explicit (K, n) hard bits."""
+    hard = np.asarray(hard_bits, dtype=np.int8)
+    return (hard != np.asarray(message_bits, dtype=np.int8)[None, :]).sum(axis=1)[None, :]
+
+
+# The per-trigger formulas the array statistics replaced, kept as reference.
+def _loop_rho(distances):
+    return [float(d.mean()) for d in distances]
+
+
+def _loop_var(distances):
+    return [float(d.var(ddof=1)) if d.size >= 2 else None for d in distances]
+
+
+def _loop_cov(distances_f, distances_g):
+    out = []
+    for d_f, d_g in zip(distances_f, distances_g):
+        if d_f.size < 2:
+            out.append(None)
+            continue
+        x, y = d_f.astype(np.float64), d_g.astype(np.float64)
+        out.append(float((x.var(ddof=1) + y.var(ddof=1) - (x - y).var(ddof=1)) / 2.0))
+    return out
 
 
 class TestHamming:
@@ -37,16 +60,16 @@ class TestHamming:
 
 class TestMeanVar:
     def test_all_zero_distances(self):
-        batch = make_batch(np.zeros((4, 3), dtype=int), [0, 0, 0])
-        assert stats.mean_distance(batch) == 0.0
-        assert stats.var_distance(batch) == 0.0
+        distances = _distances(np.zeros((4, 3), dtype=int), [0, 0, 0])
+        assert stats.mean_distance(distances) == [0.0]
+        assert stats.var_distance(distances) == [0.0]
 
     def test_two_draw_example(self):
         # distances (2, 4): mean 3, unbiased variance 2
         hard = np.array([[1, 1, 0, 0, 0], [1, 1, 1, 1, 0]])
-        batch = make_batch(hard, [0, 0, 0, 0, 0])
-        assert stats.mean_distance(batch) == 3.0
-        assert stats.var_distance(batch) == 2.0
+        distances = _distances(hard, [0, 0, 0, 0, 0])
+        assert stats.mean_distance(distances) == [3.0]
+        assert stats.var_distance(distances) == [2.0]
 
     def test_matches_recomputation_from_hard_bits(self):
         rng = np.random.default_rng(1)
@@ -54,20 +77,68 @@ class TestMeanVar:
             k, n = int(rng.integers(2, 9)), int(rng.integers(1, 12))
             hard = rng.integers(0, 2, (k, n))
             message = rng.integers(0, 2, n)
-            batch = make_batch(hard, message)
+            distances = _distances(hard, message)
             recomputed = (hard != message[None, :]).sum(axis=1)
-            assert stats.mean_distance(batch) == pytest.approx(recomputed.mean())
+            assert stats.mean_distance(distances) == [pytest.approx(recomputed.mean())]
             expected_var = recomputed.var(ddof=1)
-            assert stats.var_distance(batch) == pytest.approx(expected_var, abs=1e-12)
+            assert stats.var_distance(distances) == [pytest.approx(expected_var, abs=1e-12)]
 
     def test_two_pass_formula_agreement(self):
         rng = np.random.default_rng(2)
         hard = rng.integers(0, 2, (50, 8))
-        batch = make_batch(hard, rng.integers(0, 2, 8))
-        d = batch.distances.astype(float)
+        distances = _distances(hard, rng.integers(0, 2, 8))
+        d = distances[0].astype(float)
         mean = d.sum() / d.size
         two_pass = ((d - mean) ** 2).sum() / (d.size - 1)
-        assert abs(stats.var_distance(batch) - two_pass) < 1e-12
+        assert abs(stats.var_distance(distances)[0] - two_pass) < 1e-12
+
+    def test_single_draw_has_no_variance(self):
+        distances = np.array([[3], [0], [5]])
+        assert stats.mean_distance(distances) == [3.0, 0.0, 5.0]
+        assert stats.var_distance(distances) == [None, None, None]
+
+    def test_no_draws_rejected(self):
+        with pytest.raises(ValueError, match="K >= 1"):
+            stats.mean_distance(np.zeros((3, 0), dtype=np.int64))
+
+
+class TestArrayStatisticsMatchLoops:
+    """rho, variance and covariance over (N, K) arrays are the bytes the
+    per-trigger formulas give, row by row."""
+
+    N_BITS = 32
+
+    def _rows(self, rng, k_draws):
+        rows = rng.integers(0, self.N_BITS + 1, (40, k_draws))
+        rows[0] = 0
+        rows[1] = self.N_BITS
+        rows[2] = rng.integers(0, 2, k_draws)  # near the bottom of the range
+        return rows
+
+    @pytest.mark.parametrize("k_draws", [1, 2, 3, 64, 65, 200])
+    def test_rho_and_variance(self, k_draws):
+        rng = np.random.default_rng(k_draws)
+        distances = self._rows(rng, k_draws)
+        assert repr(stats.mean_distance(distances)) == repr(_loop_rho(distances))
+        assert repr(stats.var_distance(distances)) == repr(_loop_var(distances))
+
+    @pytest.mark.parametrize("k_draws", [1, 2, 3, 64, 65, 200])
+    def test_covariance(self, k_draws):
+        rng = np.random.default_rng(100 + k_draws)
+        x, y = self._rows(rng, k_draws), self._rows(rng, k_draws)
+        y[3] = self.N_BITS - x[3]  # anticorrelated row
+        y[4] = x[4]  # identical row
+        for a, b in ((x, y), (y, x), (x, x)):
+            assert repr(stats.covariance_delta(a, b, 7, 7)) == repr(_loop_cov(a, b))
+
+    def test_report_equals_loop_formulas(self, mini_run):
+        for k_draws in (1, 2, 64, 65):
+            report, distances = verify_suspect(
+                mini_run.bundle.watermarked_f, mini_run.bundle, mini_run.triggers,
+                1, k_draws, 79, "self",
+            )
+            assert repr(report.rho) == repr(_loop_rho(distances))
+            assert repr(report.variance) == repr(_loop_var(distances))
 
 
 class TestDecision:
@@ -185,56 +256,56 @@ class TestMonteCarloCalibration:
 class TestCovarianceDelta:
     def test_self_pair_equals_variance(self):
         rng = np.random.default_rng(8)
-        batch = make_batch(rng.integers(0, 2, (10, 6)), rng.integers(0, 2, 6), noise_seed=3)
-        assert stats.covariance_delta(batch, batch) == pytest.approx(
-            stats.var_distance(batch), abs=1e-12
-        )
+        distances = _distances(rng.integers(0, 2, (10, 6)), rng.integers(0, 2, 6))
+        assert stats.covariance_delta(distances, distances, 3, 3) == [
+            pytest.approx(stats.var_distance(distances)[0], abs=1e-12)
+        ]
 
     def test_hand_anticorrelated_example(self):
         # X = (1,2,3), Y = (3,2,1) -> covariance -1
         message = [0, 0, 0]
         x_hard = np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
         y_hard = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
-        a = make_batch(x_hard, message, noise_seed=4)
-        b = make_batch(y_hard, message, noise_seed=4)
-        assert stats.covariance_delta(a, b) == pytest.approx(-1.0, abs=1e-12)
+        a = _distances(x_hard, message)
+        b = _distances(y_hard, message)
+        assert stats.covariance_delta(a, b, 4, 4) == [pytest.approx(-1.0, abs=1e-12)]
 
     def test_polarization_equals_direct_covariance(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
             k, n = int(rng.integers(2, 12)), int(rng.integers(2, 10))
             message = rng.integers(0, 2, n)
-            a = make_batch(rng.integers(0, 2, (k, n)), message, noise_seed=11)
-            b = make_batch(rng.integers(0, 2, (k, n)), message, noise_seed=11)
-            x = a.distances.astype(float)
-            y = b.distances.astype(float)
+            a = _distances(rng.integers(0, 2, (k, n)), message)
+            b = _distances(rng.integers(0, 2, (k, n)), message)
+            x = a[0].astype(float)
+            y = b[0].astype(float)
             direct = ((x - x.mean()) * (y - y.mean())).sum() / (k - 1)
-            assert abs(stats.covariance_delta(a, b) - direct) < 1e-12
+            assert abs(stats.covariance_delta(a, b, 11, 11)[0] - direct) < 1e-12
+
+    def test_single_draw_gives_none(self):
+        a = np.array([[1], [2]])
+        assert stats.covariance_delta(a, a, 5, 5) == [None, None]
 
     def test_unpaired_seeds_fatal(self):
-        a = make_batch(np.zeros((3, 2), dtype=int), [0, 0], noise_seed=1)
-        b = make_batch(np.zeros((3, 2), dtype=int), [0, 0], noise_seed=2)
+        a = np.zeros((1, 3), dtype=np.int64)
         with pytest.raises(ValueError, match="paired"):
-            stats.covariance_delta(a, b)
+            stats.covariance_delta(a, a, 1, 2)
 
     def test_message_mismatch_fatal(self):
-        a = make_batch(np.zeros((3, 2), dtype=int), [0, 0], noise_seed=1)
-        b = make_batch(np.zeros((3, 2), dtype=int), [0, 1], noise_seed=1)
-        with pytest.raises(ValueError, match="message"):
-            stats.covariance_delta(a, b)
+        # the arrays must cover the same triggers (and draws)
+        a = np.zeros((3, 4), dtype=np.int64)
+        for b in (np.zeros((2, 4), dtype=np.int64), np.zeros((3, 5), dtype=np.int64)):
+            with pytest.raises(ValueError, match="same triggers"):
+                stats.covariance_delta(a, b, 1, 1)
 
     def test_directional_dependent_positive_independents_near_zero(self, desk_run):
-        wm_batches = desk_run.batches["watermarked"]
-        dep = np.mean([
-            stats.covariance_delta(a, b)
-            for a, b in zip(wm_batches, desk_run.batches["prune20"])
-        ])
-        indep_means = []
-        for name in desk_run.independent_ids:
-            indep_means.append(np.mean([
-                stats.covariance_delta(a, b)
-                for a, b in zip(wm_batches, desk_run.batches[name])
-            ]))
+        seed = desk_run.config.seed + 6
+        reference = desk_run.distances["watermarked"]
+        dep = np.mean(stats.covariance_delta(reference, desk_run.distances["prune20"], seed, seed))
+        indep_means = [
+            np.mean(stats.covariance_delta(reference, desk_run.distances[name], seed, seed))
+            for name in desk_run.independent_ids
+        ]
         assert dep > 0.0
         assert dep > max(np.abs(indep_means))
 
@@ -256,20 +327,6 @@ class TestVerificationReport:
             rho=[0.0, 1.0, 3.0, 2.0], variance=[0.0, 0.1, 0.2, 0.3],
         )
         assert report.detection_rate == pytest.approx(3 / 4)
-
-    def test_covariance_included_with_reference(self, mini_run):
-        bundle = mini_run.bundle
-        pruned = prune_attack(bundle.watermarked_f, 0.2)
-        _, ref_batches = verify_suspect(
-            bundle.watermarked_f, bundle, mini_run.triggers, 1, 8, 78, "self"
-        )
-        report, _ = verify_suspect(
-            pruned, bundle, mini_run.triggers, 1, 8, 78, "pruned",
-            reference_batches=ref_batches,
-        )
-        assert report.delta is not None and len(report.delta) == len(mini_run.triggers)
-        payload = report.to_json()
-        assert '"delta"' in payload
 
 
 class TestSweep:

@@ -3,6 +3,7 @@ training behavior, extraction determinism, and the file formats."""
 
 import math
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -60,6 +61,18 @@ class TestSampleNoise:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
             _sample(sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            _sample(sigma=sigma)
+
+    @pytest.mark.parametrize("pixel", [math.nan, math.inf, -math.inf, -0.1, 1.1])
+    def test_pixels_must_be_finite_in_unit_range(self, pixel):
+        image = np.full(4, 0.5)
+        image[2] = pixel
+        with pytest.raises(ValueError, match="pixel"):
+            wm.TriggerSample(image, wm.BitMessage([1, 0]), 0.1)
 
 
 class TestEncoder:
@@ -119,7 +132,7 @@ class TestDecoder:
     def test_trained_bundle_decodes_own_triggers(self, mini_run):
         bundle = mini_run.bundle
         for index, trigger in enumerate(mini_run.triggers.samples):
-            batch = wm.extract_messages(
+            _, _, distances = wm.extract_messages(
                 bundle.watermarked_f,
                 bundle.encoder_e,
                 bundle.decoder_d,
@@ -128,7 +141,7 @@ class TestDecoder:
                 900 + index,
                 delta_scale=bundle.hyper.delta_scale,
             )
-            assert (batch.distances == 0).mean() >= 0.95
+            assert (distances == 0).mean() >= 0.95
 
 
 class TestComputeLoss:
@@ -286,14 +299,14 @@ class TestEmbedWatermark:
 class TestExtractMessages:
     def test_watermarked_model_mean_distance_small(self, mini_run):
         bundle = mini_run.bundle
-        batches = [
+        distances = np.stack([
             wm.extract_messages(
                 bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d,
                 t, 64, 40 + i, delta_scale=bundle.hyper.delta_scale,
-            )
+            )[2]
             for i, t in enumerate(mini_run.triggers.samples)
-        ]
-        assert np.mean([mean_distance(b) for b in batches]) <= 1.0
+        ])
+        assert np.mean(mean_distance(distances)) <= 1.0
 
     def test_independent_model_near_chance(self, mini_run):
         bundle = mini_run.bundle
@@ -302,17 +315,17 @@ class TestExtractMessages:
         g = make_independent(
             [MINI["s"], 48, MINI["k"]], seed=77, pretrain_data_seed=78, epochs=30, n_images=120
         )
-        batches = [
+        distances = np.stack([
             wm.extract_messages(
                 g, bundle.encoder_e, bundle.decoder_d, t, 64, 40 + i,
                 delta_scale=bundle.hyper.delta_scale,
-            )
+            )[2]
             for i, t in enumerate(mini_run.triggers.samples)
-        ]
+        ])
         n = mini_run.triggers.n
-        pooled_mismatch = float(np.mean([b.distances.mean() / n for b in batches]))
+        pooled_mismatch = float(distances.mean(axis=1).mean() / n)
         # dominated by the random-message realization: SE ~ 0.5 / sqrt(N * n)
-        realization_se = 0.5 / math.sqrt(len(batches) * n)
+        realization_se = 0.5 / math.sqrt(len(distances) * n)
         assert abs((1.0 - pooled_mismatch) - 0.5) < 4 * realization_se + 0.02
 
     def test_separation_between_watermarked_and_random(self, mini_run):
@@ -323,24 +336,27 @@ class TestExtractMessages:
         for i, t in enumerate(mini_run.triggers.samples):
             kwargs = dict(k_draws=32, stream_seed=50 + i, delta_scale=bundle.hyper.delta_scale)
             rho_wm.append(
-                mean_distance(wm.extract_messages(
-                    bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d, t, **kwargs))
+                wm.extract_messages(
+                    bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d, t, **kwargs
+                )[2].mean()
             )
             rho_fresh.append(
-                mean_distance(wm.extract_messages(
-                    fresh, bundle.encoder_e, bundle.decoder_d, t, **kwargs))
+                wm.extract_messages(
+                    fresh, bundle.encoder_e, bundle.decoder_d, t, **kwargs
+                )[2].mean()
             )
         assert np.mean(rho_wm) < n / 4
         assert np.mean(rho_fresh) > n / 4
 
     def test_single_draw_has_no_variance(self, mini_run):
         bundle = mini_run.bundle
-        batch = wm.extract_messages(
+        soft, hard, distances = wm.extract_messages(
             bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d,
             mini_run.triggers.samples[0], 1, 60, delta_scale=bundle.hyper.delta_scale,
         )
-        assert batch.distances.shape == (1,)
-        assert var_distance(batch) is None
+        assert soft.shape == hard.shape == (1, MINI["n"])
+        assert distances.shape == (1,)
+        assert var_distance(distances[None, :]) == [None]
 
     def test_deterministic_extraction(self, mini_run):
         bundle = mini_run.bundle
@@ -353,19 +369,20 @@ class TestExtractMessages:
             bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d, t, 16, 71,
             delta_scale=bundle.hyper.delta_scale,
         )
-        assert np.array_equal(a.soft_bits, b.soft_bits)
-        assert np.array_equal(a.distances, b.distances)
+        for array_a, array_b in zip(a, b):
+            assert np.array_equal(array_a, array_b)
 
     def test_distances_bounded_by_message_length(self, mini_run):
         bundle = mini_run.bundle
         rng = np.random.default_rng(73)
         fresh = ne.init_network([MINI["s"], 24, MINI["k"]], ["relu", "identity"], rng)
         for i, t in enumerate(mini_run.triggers.samples[:6]):
-            batch = wm.extract_messages(
+            _, hard, distances = wm.extract_messages(
                 fresh, bundle.encoder_e, bundle.decoder_d, t, 17, 80 + i,
                 delta_scale=bundle.hyper.delta_scale,
             )
-            assert np.all(batch.distances >= 0) and np.all(batch.distances <= t.message.bits.size)
+            assert np.all(distances >= 0) and np.all(distances <= t.message.bits.size)
+            assert np.array_equal(distances, (hard != t.message.bits).sum(axis=1))
 
     def test_architecture_mismatch_refused(self, mini_run):
         bundle = mini_run.bundle
@@ -494,8 +511,7 @@ class TestSplitDecode:
                 ))
             for a, b in zip(*suspect_results):
                 assert a.tobytes() == b.tobytes()
-            kept = desk_run.batches[name]
-            assert np.array_equal(suspect_results[1][2], [batch.distances for batch in kept])
+            assert np.array_equal(suspect_results[1][2], desk_run.distances[name])
 
     @pytest.mark.parametrize("n_trig", [2, 3])
     def test_single_draw_never_makes_one_row_block(self, mini_run, monkeypatch, n_trig):
@@ -618,6 +634,21 @@ class TestPersistence:
                 wm.load_trigger_set(path)
         path.write_bytes(data + b"\0")
         with pytest.raises(ValueError, match="trailing bytes"):
+            wm.load_trigger_set(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("pixel", math.nan), ("pixel", math.inf), ("sigma", math.inf), ("sigma", math.nan),
+    ])
+    def test_non_finite_values_rejected_on_load(self, tmp_path, field, value):
+        rng = np.random.default_rng(4)
+        samples = [wm.TriggerSample(rng.random(3), wm.BitMessage.random(5, rng), 0.1)]
+        path = tmp_path / "bad.rmts"
+        wm.save_trigger_set(wm.TriggerSet(samples, n=5, s=3, master_seed=9), path)
+        data = bytearray(path.read_bytes())
+        offset = 26 + 8 if field == "pixel" else 26 + 8 * 3  # second pixel, or sigma
+        data[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=field):
             wm.load_trigger_set(path)
 
     def test_bundle_roundtrip(self, tmp_path, mini_run):
