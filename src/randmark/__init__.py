@@ -60,7 +60,6 @@ from .bounds import (  # noqa: F401
     hoeffding_epsilon,
     lemma_bounds,
     one_sided_binomial_bound,
-    per_image_detection_prob,
     poisson_binomial_cdf,
 )
 from .harness import ExperimentConfig, build_trigger_set, run_pipeline, verify_suspect  # noqa: F401

@@ -27,8 +27,6 @@ from scipy.special import betaincinv
 
 from .stats import fpr_binomial
 
-POPULATIONS = ("omega", "xi")
-
 
 def one_sided_binomial_bound(
     matches: int, trials: int, level: float, side: str
@@ -55,57 +53,25 @@ def one_sided_binomial_bound(
     raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
-@dataclass
-class BitCollisionEstimate:
-    """Pooled bit-collision counts for one trigger against one model
-    population, with both one-sided limits at the stated level."""
-
-    trigger_id: int
-    trials: int
-    matches: int
-    lower_l: float
-    upper_u: float
-    level: float
-    population: str
-
-    def __post_init__(self):
-        if not 0 <= self.matches <= self.trials:
-            raise ValueError("matches must lie in [0, trials]")
-        if not 0.0 <= self.lower_l <= 1.0 or not 0.0 <= self.upper_u <= 1.0:
-            raise ValueError("bounds must lie in [0, 1]")
-        if self.population not in POPULATIONS:
-            raise ValueError(f"population must be one of {POPULATIONS}")
-
-
-def collision_estimate(
-    trigger_id: int, matches: int, trials: int, level: float, population: str
-) -> BitCollisionEstimate:
-    """Build the per-trigger estimate: both Clopper-Pearson limits at the
-    per-trigger level (alpha / N under the union-bound budget)."""
-    return BitCollisionEstimate(
-        trigger_id=trigger_id,
-        trials=trials,
-        matches=matches,
-        lower_l=one_sided_binomial_bound(matches, trials, level, "lower"),
-        upper_u=one_sided_binomial_bound(matches, trials, level, "upper"),
-        level=level,
-        population=population,
-    )
-
-
-def per_image_detection_prob(r_bound: float, n: int, tau: int, direction: str) -> float:
-    """Probability a single trigger passes the decision rule when every bit
-    matches independently with probability r_bound.
-
-    Monotone non-decreasing in r_bound, so feeding a lower confidence limit
-    yields a valid lower bound on the per-trigger detection probability and
-    an upper limit yields an upper bound; `direction` labels that intent.
-    """
-    if direction not in ("lower", "upper"):
-        raise ValueError("direction must be 'lower' or 'upper'")
-    if not 0.0 <= r_bound <= 1.0:
-        raise ValueError("r_bound must lie in [0, 1]")
-    return fpr_binomial(r_bound, n, tau)
+def collision_estimate(matches, trials, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both one-sided Clopper-Pearson limits for every trigger of one
+    population: (N,) lower and upper limits from (N,) match counts out of
+    their trial counts, at the per-trigger level (alpha / N under the
+    union-bound budget). Equal, element by element, to
+    one_sided_binomial_bound."""
+    matches = np.asarray(matches, dtype=np.int64)
+    trials = np.broadcast_to(np.asarray(trials, dtype=np.int64), matches.shape)
+    if not ((matches >= 0) & (matches <= trials)).all():
+        raise ValueError("matches must lie in [0, trials]")
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie strictly in (0, 1)")
+    lower = np.zeros(matches.shape)
+    some = matches > 0
+    lower[some] = betaincinv(matches[some], trials[some] - matches[some] + 1, level)
+    upper = np.ones(matches.shape)
+    short = matches < trials
+    upper[short] = betaincinv(matches[short] + 1, trials[short] - matches[short], 1.0 - level)
+    return lower, upper
 
 
 def poisson_binomial_cdf(probs, threshold: int, tail: str) -> float:
@@ -118,7 +84,7 @@ def poisson_binomial_cdf(probs, threshold: int, tail: str) -> float:
     """
     p = np.asarray(list(probs), dtype=np.float64)
     n = p.size
-    if ((p < 0.0) | (p > 1.0)).any():
+    if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("probabilities must lie in [0, 1]")
     if not 0 <= threshold <= n:
         raise ValueError("threshold must lie in [0, N]")
@@ -135,49 +101,28 @@ def poisson_binomial_cdf(probs, threshold: int, tail: str) -> float:
 
 
 def detection_rate_bounds(
-    estimates: list[BitCollisionEstimate],
-    n: int,
-    tau: int,
-    r_bar: int,
-    r_under: int,
-    bridge: bool = True,
+    lower, upper, n: int, tau: int, r_bar: int, r_under: int
 ) -> tuple[float, float]:
     """(p_omega, p_xi): upper bounds on missing a functional copy and on
     flagging an independent model.
 
-    p_omega = P(S < r_bar) for the Poisson-binomial S built from each
-    trigger's lower per-image detection probability (from l(x) of the omega
-    estimates); p_xi = P(S > r_under) from the upper probabilities (u(x) of
-    the xi estimates). With bridge=True the per-bit limits pass through the
-    binomial per-image tail; bridge=False plugs the per-bit limits in
-    directly as per-image probabilities (the cruder variant, kept for
-    comparison).
-
-    Every estimate must carry the same level; the union bound then prices
-    the whole statement at alpha = level * N_triggers.
+    `lower` holds each trigger's lower per-bit limit l(x) from the omega
+    population and `upper` its upper limit u(x) from the xi population, as
+    (N,) arrays in one trigger order. Each passes through the binomial
+    per-image tail fpr_binomial (the bridge), which is non-decreasing in the
+    per-bit rate, so a lower limit gives a lower per-trigger detection
+    probability and an upper limit an upper one. p_omega = P(S < r_bar) for
+    the Poisson-binomial S of the lower probabilities; p_xi = P(S > r_under)
+    for that of the upper ones.
     """
-    omega = sorted(
-        (e for e in estimates if e.population == "omega"), key=lambda e: e.trigger_id
-    )
-    xi = sorted(
-        (e for e in estimates if e.population == "xi"), key=lambda e: e.trigger_id
-    )
-    if not omega or not xi:
-        raise ValueError("need estimates for both populations")
-    if [e.trigger_id for e in omega] != [e.trigger_id for e in xi]:
-        raise ValueError("omega and xi estimates must cover the same triggers")
-    levels = {e.level for e in estimates}
-    if len(levels) != 1:
-        raise ValueError("all estimates must share one per-trigger level")
-    n_triggers = len(omega)
-    if not 0 < r_under < r_bar <= n_triggers:
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    if lower.ndim != 1 or lower.size == 0 or lower.shape != upper.shape:
+        raise ValueError("need omega and xi limits for the same, non-empty set of triggers")
+    if not 0 < r_under < r_bar <= lower.size:
         raise ValueError("need 0 < r_under < r_bar <= number of triggers")
-    if bridge:
-        lower_probs = [per_image_detection_prob(e.lower_l, n, tau, "lower") for e in omega]
-        upper_probs = [per_image_detection_prob(e.upper_u, n, tau, "upper") for e in xi]
-    else:
-        lower_probs = [e.lower_l for e in omega]
-        upper_probs = [e.upper_u for e in xi]
+    lower_probs = [fpr_binomial(r, n, tau) for r in lower.tolist()]
+    upper_probs = [fpr_binomial(r, n, tau) for r in upper.tolist()]
     p_omega = poisson_binomial_cdf(lower_probs, r_bar, "below")
     p_xi = poisson_binomial_cdf(upper_probs, r_under, "above")
     return p_omega, p_xi
@@ -234,14 +179,6 @@ class LemmaBounds:
     epsilon: float
     minus_reason: str | None = None
     plus_reason: str | None = None
-
-    @property
-    def minus_applicable(self) -> bool:
-        return self.h_minus is not None
-
-    @property
-    def plus_applicable(self) -> bool:
-        return self.h_plus is not None
 
 
 def lemma_bounds(
@@ -352,7 +289,9 @@ class BoundReport:
 
 
 def build_bound_report(
-    estimates: list[BitCollisionEstimate],
+    omega: tuple,
+    xi: tuple,
+    level: float,
     n: int,
     tau: int,
     r_bar: int,
@@ -361,30 +300,27 @@ def build_bound_report(
     delta: float,
     p_hat: float,
     q_hat: float,
-    bridge: bool = True,
 ) -> BoundReport:
     """Assemble the full report: interval estimates, Poisson-binomial
     deviation bounds, and the Chernoff-Hoeffding bounds from the observed
-    rates p_hat (one functional copy) and q_hat (one independent model)."""
-    omega = sorted(
-        (e for e in estimates if e.population == "omega"), key=lambda e: e.trigger_id
-    )
-    xi = sorted(
-        (e for e in estimates if e.population == "xi"), key=lambda e: e.trigger_id
-    )
-    n_triggers = len(omega)
-    p_omega, p_xi = detection_rate_bounds(estimates, n, tau, r_bar, r_under, bridge=bridge)
-    lemma = lemma_bounds(p_hat, q_hat, delta, r_bar, r_under, n_triggers)
+    rates p_hat (one functional copy) and q_hat (one independent model).
+
+    `omega` and `xi` are each population's (matches, trials) per trigger,
+    as (N,) arrays in one trigger order; every limit is taken at `level`."""
+    lower_l, _ = collision_estimate(*omega, level)
+    _, upper_u = collision_estimate(*xi, level)
+    p_omega, p_xi = detection_rate_bounds(lower_l, upper_u, n, tau, r_bar, r_under)
+    lemma = lemma_bounds(p_hat, q_hat, delta, r_bar, r_under, lower_l.size)
     return BoundReport(
         alpha=alpha,
         delta=delta,
-        n_triggers=n_triggers,
+        n_triggers=lower_l.size,
         n=n,
         tau=tau,
         r_bar=r_bar,
         r_under=r_under,
-        lower_l=[e.lower_l for e in omega],
-        upper_u=[e.upper_u for e in xi],
+        lower_l=lower_l.tolist(),
+        upper_u=upper_u.tolist(),
         p_omega=p_omega,
         p_xi=p_xi,
         lemma=lemma,

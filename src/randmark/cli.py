@@ -202,7 +202,7 @@ def _cmd_verify(args) -> int:
         triggers,
         args.tau,
         args.k_draws,
-        config.seed,
+        config.seed + 6,  # the verification seed of run_pipeline and `bounds`
         Path(args.suspect).stem,
     )
     text = report.to_json()
@@ -250,11 +250,15 @@ def _load_population_dir(path):
 def _report_from_estimates(config, path):
     """Bound report from an estimates JSON file: p_hat, q_hat, and per
     population (omega, xi) a non-empty list of {trigger_id, matches, trials}
-    rows. A file that is not JSON, lacks a key, holds an empty population or
-    a value of the wrong type raises ValueError naming the file."""
+    rows, taken in trigger_id order. A file that is not JSON, lacks a key,
+    holds an empty population or a value of the wrong type, repeats a
+    trigger_id, or gives omega and xi different trigger ids raises
+    ValueError naming the file."""
     from pathlib import Path
 
-    from .bounds import build_bound_report, collision_estimate
+    import numpy as np
+
+    from .bounds import build_bound_report
 
     try:
         payload = json.loads(Path(path).read_text())
@@ -271,22 +275,30 @@ def _report_from_estimates(config, path):
                 f"{path}: {key!r}{where} is not a {cast.__name__}: {mapping[key]!r}"
             ) from None
 
-    estimates = []
+    counts, ids = {}, {}
     for population in ("omega", "xi"):
         rows = value(payload, population, list)
         if not rows:
             raise ValueError(f"{path}: population {population!r} is empty")
-        level = config.alpha / len(rows)
-        for index, row in enumerate(rows):
-            where = f" in {population} row {index}"
-            estimates.append(
-                collision_estimate(
-                    value(row, "trigger_id", int, where), value(row, "matches", int, where),
-                    value(row, "trials", int, where), level, population,
-                )
-            )
+        table = sorted(
+            tuple(value(row, key, int, f" in {population} row {index}")
+                  for key in ("trigger_id", "matches", "trials"))
+            for index, row in enumerate(rows)
+        )
+        ids[population] = [trigger_id for trigger_id, _, _ in table]
+        if len(set(ids[population])) < len(table):
+            raise ValueError(f"{path}: population {population!r} repeats a trigger_id")
+        try:
+            table = np.array(table, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{path}: a count in {population!r} exceeds 64 bits") from None
+        counts[population] = (table[:, 1], table[:, 2])
+    if ids["omega"] != ids["xi"]:
+        raise ValueError(f"{path}: omega and xi cover different trigger ids")
     return build_bound_report(
-        estimates,
+        counts["omega"],
+        counts["xi"],
+        level=config.alpha / len(ids["omega"]),
         n=config.n,
         tau=config.tau,
         r_bar=config.r_bar,

@@ -28,7 +28,7 @@ from .attacks import (
     xi_rows,
     xi_seeds,
 )
-from .bounds import build_bound_report, collision_estimate
+from .bounds import build_bound_report
 from .nnengine import MlpNetwork, save_checkpoint
 from .stats import VerificationReport, covariance_delta, sweep_rows, write_detection_sweep
 from .synth import gen_synthetic_images
@@ -102,6 +102,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0 <= self.tau <= self.n:
             raise ValueError("tau must lie in [0, n]")
+        if not 0 < self.r_under < self.r_bar <= self.trigger_count:
+            raise ValueError("need 0 < r_under < r_bar <= trigger_count")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie strictly in (0, 1)")
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError("delta must lie in (0, 1]")
+        if self.independents < 0:
+            raise ValueError("independents must not be negative")
 
     @property
     def backbone_dims(self) -> list[int]:
@@ -127,13 +135,22 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         """Flat key=value sections; [attack.NAME] sections define the attack
-        list (kind, epochs, lr, fraction)."""
+        list (kind, epochs, lr, fraction). An unknown section or key, a value
+        that does not parse, or a setting out of range raises ValueError
+        naming the file."""
         parser = configparser.ConfigParser()
         with open(path) as fh:
             parser.read_file(fh)
         config = cls()
         scalar_fields = {
-            "dims": [("s", int), ("k", int), ("n", int)],
+            "dims": [
+                ("s", int),
+                ("k", int),
+                ("n", int),
+                ("backbone_hidden", _widths),
+                ("encoder_hidden", _widths),
+                ("decoder_hidden", _widths),
+            ],
             "triggers": [("trigger_count", int), ("sigma_scale", float)],
             "embed": [
                 ("lam", float),
@@ -151,38 +168,55 @@ class ExperimentConfig:
                 ("r_bar", int),
                 ("r_under", int),
                 ("m_models", int),
-                ("bounds_stage", lambda v: v.lower() in ("1", "true", "yes")),
+                ("bounds_stage", _boolean),
             ],
             "run": [("seed", int), ("independents", int)],
         }
-        for section, entries in scalar_fields.items():
-            if not parser.has_section(section):
-                continue
-            for key, cast in entries:
+        attack_fields = [("kind", str), ("epochs", int), ("lr", float), ("fraction", float)]
+
+        def read(section, fields):
+            unknown = sorted(set(parser.options(section)) - {key for key, _ in fields})
+            if unknown:
+                raise ValueError(f"{path}: unknown key {unknown[0]!r} in [{section}]")
+            values = {}
+            for key, cast in fields:
                 if parser.has_option(section, key):
-                    setattr(config, key, cast(parser.get(section, key)))
-        for section in ("dims",):
-            if parser.has_section(section):
-                for key in ("backbone_hidden", "encoder_hidden", "decoder_hidden"):
-                    if parser.has_option(section, key):
-                        widths = tuple(
-                            int(v) for v in parser.get(section, key).split(",") if v.strip()
-                        )
-                        setattr(config, key, widths)
-        attack_sections = [s for s in parser.sections() if s.startswith("attack.")]
-        if attack_sections:
-            config.attacks = []
-            for section in attack_sections:
-                name = section.split(".", 1)[1]
-                spec = AttackSpec(
-                    kind=parser.get(section, "kind"),
-                    epochs=parser.getint(section, "epochs", fallback=0),
-                    lr=parser.getfloat(section, "lr", fallback=1e-3),
-                    fraction=parser.getfloat(section, "fraction", fallback=0.0),
-                )
-                config.attacks.append((name, spec))
-        config.__post_init__()
+                    try:
+                        values[key] = cast(parser.get(section, key))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+            return values
+
+        attacks = []
+        for section in parser.sections():
+            if section.startswith("attack."):
+                spec = read(section, attack_fields)
+                if "kind" not in spec:
+                    raise ValueError(f"{path}: [{section}] needs a kind")
+                attacks.append((section.split(".", 1)[1], spec))
+            elif section in scalar_fields:
+                for key, value in read(section, scalar_fields[section]).items():
+                    setattr(config, key, value)
+            else:
+                raise ValueError(f"{path}: unknown section [{section}]")
+        try:
+            if attacks:
+                config.attacks = [(name, AttackSpec(**spec)) for name, spec in attacks]
+            config.__post_init__()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return config
+
+
+def _widths(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
 def verify_suspect(
@@ -447,25 +481,21 @@ def compute_bound_report(
     binomial deviation bounds, and the concentration bounds seeded by the
     first model of each population's observed detection rate. The omega
     models are decoded first, each as iteration yields it."""
-    n_trig, n_bits, k_draws = len(triggers), config.n, config.k_verify
-    level = config.alpha / n_trig
-    estimates = []
+    n_bits, k_draws = config.n, config.k_verify
+    counts = {}
     rates = {}
     for label, models in (("omega", omega_models), ("xi", xi_models)):
         dists = population_distances(models, bundle, triggers, k_draws, verify_seed)
         if len(dists) == 0:
             raise ValueError(f"{label} population is empty")
         matches = (n_bits * k_draws) - dists.sum(axis=2)  # (n_models, N)
-        pooled = matches.sum(axis=0)  # per trigger over models
-        trials = len(dists) * n_bits * k_draws
-        estimates.extend(
-            collision_estimate(ti, int(pooled[ti]), trials, level, label)
-            for ti in range(n_trig)
-        )
+        counts[label] = (matches.sum(axis=0), len(dists) * n_bits * k_draws)  # pooled
         rho = dists.mean(axis=2)  # (n_models, N)
         rates[label] = float((rho[0] <= config.tau).mean())
     return build_bound_report(
-        estimates,
+        counts["omega"],
+        counts["xi"],
+        level=config.alpha / len(triggers),
         n=n_bits,
         tau=config.tau,
         r_bar=config.r_bar,

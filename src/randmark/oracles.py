@@ -80,7 +80,7 @@ def brute_force_poisson_binomial(probs, threshold: int, tail: str) -> OracleResu
     n = p.size
     if n > ENUMERATION_CAP:
         raise ValueError(f"enumeration refused for N = {n} > {ENUMERATION_CAP}")
-    if ((p < 0.0) | (p > 1.0)).any():
+    if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("probabilities must lie in [0, 1]")
     if tail not in ("below", "above"):
         raise ValueError("tail must be 'below' or 'above'")
@@ -101,6 +101,8 @@ def monte_carlo_bernoulli_sum(probs, threshold: int, trials: int, seed: int) -> 
     if trials < 10_000:
         raise ValueError("need at least 10^4 trials")
     p = np.asarray(list(probs), dtype=np.float64)
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise ValueError("probabilities must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     hits = 0
     chunk = 100_000

@@ -1,6 +1,7 @@
 """Guarantee-machinery tests: exact one-sided intervals, Poisson-binomial
 tails, and the Chernoff/Hoeffding closed forms."""
 
+import json
 import math
 import os
 import subprocess
@@ -11,8 +12,12 @@ import numpy as np
 import pytest
 
 import randmark
-from randmark import bounds
+from randmark import bounds, cli
+from randmark.harness import ExperimentConfig
 from randmark.oracles import brute_force_poisson_binomial, coverage_simulation
+from randmark.stats import fpr_binomial
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestOneSidedBound:
@@ -74,20 +79,53 @@ def test_import_leaves_scipy_stats_unloaded():
     assert result.stdout.strip() == "False"
 
 
+class TestCollisionEstimate:
+    def test_equals_scalar_bound_elementwise(self):
+        # every trial count the desk runs produce, edge and random counts
+        rng = np.random.default_rng(4)
+        for trials in (64, 2048, 69_632, 108_800):
+            matches = np.concatenate([
+                [0, 1, 2, trials // 2, trials - 1, trials],
+                rng.integers(0, trials + 1, size=40),
+            ])
+            for level in (1e-4, 0.01 / 100, 0.5):
+                lower, upper = bounds.collision_estimate(matches, trials, level)
+                for m, lo, hi in zip(matches.tolist(), lower.tolist(), upper.tolist()):
+                    assert lo == bounds.one_sided_binomial_bound(m, trials, level, "lower")
+                    assert hi == bounds.one_sided_binomial_bound(m, trials, level, "upper")
+
+    def test_per_trigger_trial_counts(self):
+        lower, upper = bounds.collision_estimate([0, 5, 64], [10, 2048, 64], 0.01)
+        assert lower[0] == 0.0 and upper[2] == 1.0
+        assert lower[1] == bounds.one_sided_binomial_bound(5, 2048, 0.01, "lower")
+        assert upper[0] == bounds.one_sided_binomial_bound(0, 10, 0.01, "upper")
+
+    @pytest.mark.parametrize("matches, trials, level", [
+        ([3, 11], 10, 0.01), ([-1, 2], 10, 0.01), ([3, 4], 10, 0.0), ([3, 4], 10, 1.0),
+    ], ids=["above-trials", "negative", "level-zero", "level-one"])
+    def test_out_of_range_rejected(self, matches, trials, level):
+        with pytest.raises(ValueError):
+            bounds.collision_estimate(matches, trials, level)
+
+
 class TestPerImageDetectionProb:
+    """The bridge: fpr_binomial(r, n, tau) as a trigger's detection
+    probability when every bit matches independently with probability r."""
+
     def test_certain_bits_detect(self):
-        assert bounds.per_image_detection_prob(1.0, 32, 0, "lower") == 1.0
+        assert fpr_binomial(1.0, 32, 0) == 1.0
 
     def test_hopeless_bits_never_detect(self):
-        assert bounds.per_image_detection_prob(0.0, 32, 5, "upper") == 0.0
+        assert fpr_binomial(0.0, 32, 5) == 0.0
 
     def test_same_kernel_as_fpr(self):
-        got = bounds.per_image_detection_prob(0.5, 32, 5, "lower")
-        assert got == pytest.approx(242825 / 2**32, rel=1e-12)
+        assert fpr_binomial(0.5, 32, 5) == pytest.approx(242825 / 2**32, rel=1e-12)
 
     def test_monotone_in_r_bound(self):
+        # a lower per-bit limit gives a lower detection probability and an
+        # upper limit an upper one only because this holds
         grid = np.linspace(0.0, 1.0, 21)
-        values = [bounds.per_image_detection_prob(r, 16, 3, "lower") for r in grid]
+        values = [fpr_binomial(r, 16, 3) for r in grid]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
@@ -115,6 +153,11 @@ class TestPoissonBinomial:
             exact = brute_force_poisson_binomial(probs, d, tail).value
             assert abs(bounds.poisson_binomial_cdf(probs, d, tail) - exact) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.1])
+    def test_probability_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="probabilities"):
+            bounds.poisson_binomial_cdf([bad, 0.5], 1, "below")
+
     def test_tails_are_strict(self):
         # S = 2 surely: the strict tails exclude the threshold itself
         assert bounds.poisson_binomial_cdf([1.0, 1.0], 2, "below") == 0.0
@@ -123,60 +166,43 @@ class TestPoissonBinomial:
 
 
 class TestDetectionRateBounds:
-    @staticmethod
-    def _estimates(lower, upper, level=1e-4):
-        out = []
-        for i, (l, u) in enumerate(zip(lower, upper)):
-            out.append(bounds.BitCollisionEstimate(
-                trigger_id=i, trials=100, matches=50, lower_l=l, upper_u=u,
-                level=level, population="omega",
-            ))
-            out.append(bounds.BitCollisionEstimate(
-                trigger_id=i, trials=100, matches=50, lower_l=l, upper_u=u,
-                level=level, population="xi",
-            ))
-        return out
-
     def test_perfect_copies_never_fall_below(self):
-        estimates = self._estimates([1.0] * 10, [0.0] * 10)
-        p_omega, p_xi = bounds.detection_rate_bounds(estimates, 32, 5, 8, 3)
+        p_omega, p_xi = bounds.detection_rate_bounds([1.0] * 10, [0.0] * 10, 32, 5, 8, 3)
         assert p_omega == 0.0
 
     def test_hopeless_impostors_never_exceed(self):
-        estimates = self._estimates([1.0] * 10, [0.0] * 10)
-        _, p_xi = bounds.detection_rate_bounds(estimates, 32, 5, 8, 3)
+        _, p_xi = bounds.detection_rate_bounds([1.0] * 10, [0.0] * 10, 32, 5, 8, 3)
         assert p_xi == 0.0
 
-    def test_mixed_levels_rejected(self):
-        estimates = self._estimates([0.9] * 4, [0.6] * 4)
-        estimates[0].level = 0.5
-        with pytest.raises(ValueError, match="level"):
-            bounds.detection_rate_bounds(estimates, 32, 5, 3, 1)
-
-    def test_literal_variant_skips_bridge(self):
-        estimates = self._estimates([0.9] * 10, [0.1] * 10)
-        p_omega_direct, _ = bounds.detection_rate_bounds(
-            estimates, 32, 5, 8, 3, bridge=False
+    def test_limits_pass_through_the_bridge(self):
+        lower = np.linspace(0.80, 0.95, 10)
+        upper = np.linspace(0.40, 0.60, 10)
+        p_omega, p_xi = bounds.detection_rate_bounds(lower, upper, 32, 5, 8, 3)
+        assert p_omega == bounds.poisson_binomial_cdf(
+            [fpr_binomial(float(r), 32, 5) for r in lower], 8, "below"
         )
-        expected = bounds.poisson_binomial_cdf([0.9] * 10, 8, "below")
-        assert p_omega_direct == pytest.approx(expected, rel=1e-12)
+        assert p_xi == bounds.poisson_binomial_cdf(
+            [fpr_binomial(float(r), 32, 5) for r in upper], 3, "above"
+        )
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([0.9] * 10, [0.1] * 9), ([], []), ([[0.9] * 10], [[0.1] * 10]), ([0.9] * 10, [1.5] * 10),
+    ], ids=["different-triggers", "empty", "not-1d", "out-of-range"])
+    def test_malformed_limits_rejected(self, lower, upper):
+        with pytest.raises(ValueError):
+            bounds.detection_rate_bounds(lower, upper, 32, 5, 8, 3)
+
+    def test_thresholds_checked_against_trigger_count(self):
+        with pytest.raises(ValueError, match="r_bar"):
+            bounds.detection_rate_bounds([0.9] * 10, [0.1] * 10, 32, 5, 11, 3)
 
     def test_reference_order_fixture(self):
         # constant per-bit profiles at message length 32, tau 5, N = 1000,
         # thresholds 750/600: the resulting deviation bounds land at the
         # documented orders (~1e-6 and ~1e-4)
-        n_triggers = 1000
-        estimates = []
-        for i in range(n_triggers):
-            estimates.append(bounds.BitCollisionEstimate(
-                trigger_id=i, trials=1, matches=1, lower_l=0.8777, upper_u=0.8313,
-                level=5e-6 / n_triggers, population="omega",
-            ))
-            estimates.append(bounds.BitCollisionEstimate(
-                trigger_id=i, trials=1, matches=0, lower_l=0.8777, upper_u=0.8313,
-                level=5e-6 / n_triggers, population="xi",
-            ))
-        p_omega, p_xi = bounds.detection_rate_bounds(estimates, 32, 5, 750, 600)
+        p_omega, p_xi = bounds.detection_rate_bounds(
+            np.full(1000, 0.8777), np.full(1000, 0.8313), 32, 5, 750, 600
+        )
         assert 1e-8 < p_omega < 1e-4
         assert 1e-6 < p_xi < 1e-2
 
@@ -281,20 +307,31 @@ class TestLemmaBounds:
 
 class TestBoundReport:
     def test_json_schema(self):
-        estimates = []
-        for i in range(10):
-            estimates.append(bounds.collision_estimate(i, 95, 100, 0.001, "omega"))
-            estimates.append(bounds.collision_estimate(i, 40, 100, 0.001, "xi"))
         report = bounds.build_bound_report(
-            estimates, n=8, tau=2, r_bar=8, r_under=3, alpha=0.01, delta=0.05,
-            p_hat=0.95, q_hat=0.2,
+            (np.full(10, 95), np.full(10, 100)), (np.full(10, 40), 100), level=0.001,
+            n=8, tau=2, r_bar=8, r_under=3, alpha=0.01, delta=0.05, p_hat=0.95, q_hat=0.2,
         )
-        import json
-
         payload = json.loads(report.to_json())
         for key in ("alpha", "delta", "N", "n", "tau", "R_bar", "R_under", "l", "u",
                     "p_omega", "p_xi", "h_minus", "h_plus", "epsilon"):
             assert key in payload
         assert len(payload["l"]) == 10 and len(payload["u"]) == 10
+        assert payload["l"][0] == bounds.one_sided_binomial_bound(95, 100, 0.001, "lower")
+        assert payload["u"][0] == bounds.one_sided_binomial_bound(40, 100, 0.001, "upper")
         assert 0.0 <= payload["p_omega"] <= 1.0
         assert 0.0 <= payload["p_xi"] <= 1.0
+
+    def test_populations_over_different_triggers_rejected(self):
+        with pytest.raises(ValueError, match="same"):
+            bounds.build_bound_report(
+                (np.full(10, 95), 100), (np.full(9, 40), 100), level=0.001,
+                n=8, tau=2, r_bar=8, r_under=3, alpha=0.01, delta=0.05, p_hat=0.95, q_hat=0.2,
+            )
+
+    def test_estimates_file_report_matches_golden_bytes(self):
+        # rows out of trigger_id order, trial counts from 64 to 108,800, and
+        # 0-of and all-of-trials counts in both populations; the expected
+        # bytes are the report the per-trigger-object implementation wrote
+        config = ExperimentConfig(trigger_count=12, r_bar=9, r_under=4)
+        report = cli._report_from_estimates(config, DATA / "estimates_unordered.json")
+        assert report.to_json() == (DATA / "bound_report_unordered.json").read_text()

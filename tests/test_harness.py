@@ -127,6 +127,8 @@ tau = 3
 [bounds]
 alpha = 0.02
 m_models = 4
+r_bar = 6
+r_under = 3
 
 [run]
 seed = 99
@@ -159,6 +161,56 @@ lr = 0.002
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(tau=33)
+
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(r_bar=101), "r_bar"),
+        (dict(r_under=75), "r_under"),
+        (dict(r_under=0), "r_under"),
+        (dict(alpha=0.0), "alpha"),
+        (dict(alpha=1.0), "alpha"),
+        (dict(delta=0.0), "delta"),
+        (dict(delta=1.5), "delta"),
+        (dict(independents=-1), "independents"),
+    ], ids=["r_bar-above-N", "r_under-at-r_bar", "r_under-zero", "alpha-zero", "alpha-one",
+            "delta-zero", "delta-above-one", "independents-negative"])
+    def test_bound_settings_checked_at_construction(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**overrides)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[bounds]\nm_model = 10\n", "unknown key 'm_model' in [bounds]"),
+        ("[bound]\nm_models = 10\n", "unknown section [bound]"),
+        ("[attack.p]\nkind = prune\nfracton = 0.3\n", "unknown key 'fracton' in [attack.p]"),
+        ("[bounds]\nbounds_stage = maybe\n", "[bounds] bounds_stage: not a boolean"),
+        ("[run]\nseed = twelve\n", "[run] seed"),
+        ("[bounds]\nr_bar = 101\n", "r_bar"),
+        ("[attack.p]\nfraction = 0.3\n", "[attack.p] needs a kind"),
+    ], ids=["unknown-key", "unknown-section", "unknown-attack-key", "bounds-stage-not-boolean",
+            "unparsable-value", "out-of-range", "attack-without-kind"])
+    def test_bad_config_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_file(path)
+        assert str(path) in str(info.value) and message in str(info.value)
+
+    @pytest.mark.parametrize("text, expected", [("on", True), ("No", False), ("1", True)])
+    def test_bounds_stage_boolean(self, tmp_path, text, expected):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"[bounds]\nbounds_stage = {text}\n")
+        assert ExperimentConfig.from_file(path).bounds_stage is expected
+
+    def test_pipeline_with_bad_config_exits_1_before_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline started")
+
+        monkeypatch.setattr(harness, "run_pipeline", no_work)
+        path = tmp_path / "exp.cfg"
+        path.write_text("[bounds]\nr_bar = 101\n")
+        code = cli.main(["pipeline", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err and "r_bar" in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +541,10 @@ epochs = 80
 pretrain_epochs = 5
 pretrain_images = 40
 
+[bounds]
+r_bar = 6
+r_under = 3
+
 [run]
 seed = 31
 """
@@ -685,6 +741,23 @@ class TestCli:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["suspect_id"] == "watermarked"
 
+    def test_verify_reproduces_pipeline_report(self, micro_run, tmp_path, capsys):
+        # `verify --seed S` decodes with the pipeline's verification seed S + 6
+        config, out, _ = micro_run
+        code = cli.main([
+            "verify",
+            "--seed", str(config.seed),
+            "--suspect", str(out / "suspects" / "prune20.rmk"),
+            "--bundle", str(out / "bundle"),
+            "--triggers", str(out / "triggers.rmts"),
+            "--tau", str(config.tau),
+            "--K", str(config.k_verify),
+            "--out", str(tmp_path / "prune20.json"),
+        ])
+        assert code == cli.EXIT_OK
+        expected = (out / "verification" / "prune20.json").read_bytes()
+        assert (tmp_path / "prune20.json").read_bytes() == expected
+
     def test_bounds_inapplicable_exits_three(self, micro_run, tmp_path):
         config, out, _ = micro_run
         # r_bar = N makes the lower-side precondition impossible
@@ -775,7 +848,32 @@ class TestCli:
             {"p_hat": 1.0, "q_hat": 0.0, "omega": [{"trigger_id": 0, "trials": 64}], "xi": []},
             "missing key 'matches' in omega row 0",
         ),
-    ], ids=["empty-object", "empty-population", "row-without-matches"])
+        (
+            {
+                "p_hat": 1.0, "q_hat": 0.0,
+                "omega": [{"trigger_id": 0, "matches": 60, "trials": 64}] * 8,
+                "xi": [{"trigger_id": 0, "matches": 33, "trials": 64}] * 8,
+            },
+            "population 'omega' repeats a trigger_id",
+        ),
+        (
+            {
+                "p_hat": 1.0, "q_hat": 0.0,
+                "omega": [{"trigger_id": i, "matches": 60, "trials": 64} for i in range(8)],
+                "xi": [{"trigger_id": i + 1, "matches": 33, "trials": 64} for i in range(8)],
+            },
+            "omega and xi cover different trigger ids",
+        ),
+        (
+            {
+                "p_hat": 1.0, "q_hat": 0.0,
+                "omega": [{"trigger_id": 0, "matches": 2**64, "trials": 2**64}],
+                "xi": [{"trigger_id": 0, "matches": 1, "trials": 64}],
+            },
+            "a count in 'omega' exceeds 64 bits",
+        ),
+    ], ids=["empty-object", "empty-population", "row-without-matches", "repeated-trigger-id",
+            "different-trigger-ids", "count-beyond-64-bits"])
     def test_malformed_estimates_file_exits_1(self, micro_run, tmp_path, capsys, payload, message):
         _, out, _ = micro_run
         path = tmp_path / "estimates.json"
@@ -819,6 +917,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["method"] == "exact-integer"
         assert payload["value"] == pytest.approx(242825 / 2**32, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["poisson-binomial", "mc-bernoulli"])
+    @pytest.mark.parametrize("probs", ["nan,0.5", "1.5,0.5", "-0.1,0.5"])
+    def test_oracle_rejects_bad_probabilities(self, capsys, kind, probs):
+        code = cli.main(["oracle", kind, f"--probs={probs}", "--d", "1"])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "probabilities must lie in [0, 1]" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_report_summarizes_run(self, micro_run, capsys):
         _, out, _ = micro_run

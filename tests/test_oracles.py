@@ -76,6 +76,14 @@ class TestBruteForce:
                 assert abs(poisson_binomial_cdf(probs, d, tail) - exact) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.1])
+def test_probability_out_of_range_rejected(bad):
+    with pytest.raises(ValueError, match="probabilities"):
+        oracles.brute_force_poisson_binomial([bad, 0.5], 1, "below")
+    with pytest.raises(ValueError, match="probabilities"):
+        oracles.monte_carlo_bernoulli_sum([bad, 0.5], 1, 10_000, seed=0)
+
+
 class TestMonteCarlo:
     def test_certain_successes_never_below(self):
         result = oracles.monte_carlo_bernoulli_sum([1.0] * 5, 3, 10_000, seed=2)
