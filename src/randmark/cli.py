@@ -66,8 +66,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="estimate detection-rate deviation bounds")
     common(p)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--triggers", required=True)
+    p.add_argument("--bundle", help="bundle directory (not needed with --estimates)")
+    p.add_argument("--triggers", help="trigger-set file (not needed with --estimates)")
     p.add_argument(
         "--population-omega", help="directory of functional-copy checkpoints (*.rmk)"
     )
@@ -315,38 +315,48 @@ def _cmd_bounds(args) -> int:
 
     from .attacks import IndependentPool
     from .harness import _bounds_stage, _submit_xi, compute_bound_report
-    from .watermark import ModelBundle, load_trigger_set
 
     config = _load_config(args)
-    bundle = ModelBundle.load(args.bundle)
-    triggers = load_trigger_set(args.triggers)
     out = Path(args.out or "bounds_run")
-    out.mkdir(parents=True, exist_ok=True)
     if args.estimates:
         report = _report_from_estimates(config, args.estimates)
-        (out / "bound_report.json").write_text(report.to_json())
     elif args.population_omega or args.population_xi:
         if not (args.population_omega and args.population_xi):
             print("need both --population-omega and --population-xi", file=sys.stderr)
             return EXIT_USAGE
         report = compute_bound_report(
             config,
-            bundle,
-            triggers,
+            *_bundle_and_triggers(args),
             _load_population_dir(args.population_omega),
             _load_population_dir(args.population_xi),
             verify_seed=config.seed + 6,
         )
-        (out / "bound_report.json").write_text(report.to_json())
     else:
+        bundle, triggers = _bundle_and_triggers(args)
+        out.mkdir(parents=True, exist_ok=True)
         with IndependentPool(config.m_models) as pool:
             xi = _submit_xi(pool, bundle.backbone_dims, config, config.seed)
             _bounds_stage(config, bundle, triggers, out, config.seed, xi)
+        report = None
+    if report is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "bound_report.json").write_text(report.to_json())
     payload = json.loads((out / "bound_report.json").read_text())
     print((out / "bound_report.json").read_text())
     if payload["h_minus"] is None or payload["h_plus"] is None:
         return EXIT_BOUND_NA
     return EXIT_OK
+
+
+def _bundle_and_triggers(args):
+    """The bundle and trigger set that the population and training branches
+    of `bounds` verify with; ValueError naming a missing flag."""
+    from .watermark import ModelBundle, load_trigger_set
+
+    for flag, value in (("--bundle", args.bundle), ("--triggers", args.triggers)):
+        if value is None:
+            raise ValueError(f"{flag} is required unless --estimates is given")
+    return ModelBundle.load(args.bundle), load_trigger_set(args.triggers)
 
 
 def _parse_probs(text: str):

@@ -18,7 +18,7 @@ import os
 import struct
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -270,7 +270,12 @@ def backward(
 @dataclass
 class OptimizerState:
     """AdamW state: first/second moment accumulators, step counter, and
-    hyperparameters. Weight decay is decoupled and applied to weights only."""
+    hyperparameters. Weight decay is decoupled and applied to weights only.
+
+    scratch holds two flat buffers as long as the largest parameter array;
+    optimizer_step works through reshaped views of them, so a step allocates
+    no parameter-sized array.
+    """
 
     lr: float
     beta1: float
@@ -282,6 +287,7 @@ class OptimizerState:
     v_w: list[np.ndarray]
     m_b: list[np.ndarray]
     v_b: list[np.ndarray]
+    scratch: np.ndarray = field(repr=False)
 
     @classmethod
     def fresh(
@@ -293,6 +299,7 @@ class OptimizerState:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> "OptimizerState":
+        largest = max(max(l.weight.size, l.bias.size) for l in net.layers)
         return cls(
             lr=lr,
             beta1=beta1,
@@ -304,40 +311,63 @@ class OptimizerState:
             v_w=[np.zeros_like(l.weight) for l in net.layers],
             m_b=[np.zeros_like(l.bias) for l in net.layers],
             v_b=[np.zeros_like(l.bias) for l in net.layers],
+            scratch=np.empty((2, largest)),
         )
 
 
 def optimizer_step(net: MlpNetwork, grads: Gradients, state: OptimizerState) -> None:
     """One AdamW update, in place on the network and state.
 
-    Rejects the step (raises, nothing mutated) if any gradient entry is
-    non-finite.
+    Rejects the step (raises, nothing mutated) if a gradient or moment does
+    not match the network or any gradient entry is non-finite.
     """
     if not len(grads.weights) == len(grads.biases) == len(net.layers):
         raise ValueError("gradient does not match network depth")
-    for layer, gw, gb in zip(net.layers, grads.weights, grads.biases):
+    moments = (state.m_w, state.v_w, state.m_b, state.v_b)
+    if any(len(moment) != len(net.layers) for moment in moments):
+        raise ValueError("optimizer state does not match network depth")
+    for i, (layer, gw, gb) in enumerate(zip(net.layers, grads.weights, grads.biases)):
         if gw.shape != layer.weight.shape or gb.shape != layer.bias.shape:
             raise ValueError("gradient shapes do not match network")
+        if not (
+            state.m_w[i].shape == state.v_w[i].shape == layer.weight.shape
+            and state.m_b[i].shape == state.v_b[i].shape == layer.bias.shape
+            and max(layer.weight.size, layer.bias.size) <= state.scratch.shape[1]
+        ):
+            raise ValueError("optimizer state does not match network")
     if not grads.is_finite():
         raise ValueError("non-finite gradient entries; step rejected")
 
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.step
-    bc2 = 1.0 - b2**state.step
+    bc1 = 1.0 - state.beta1**state.step
+    bc2 = 1.0 - state.beta2**state.step
     for i, layer in enumerate(net.layers):
         if state.weight_decay:
             layer.weight *= 1.0 - state.lr * state.weight_decay
-        state.m_w[i] = b1 * state.m_w[i] + (1.0 - b1) * grads.weights[i]
-        state.v_w[i] = b2 * state.v_w[i] + (1.0 - b2) * grads.weights[i] ** 2
-        layer.weight -= state.lr * (state.m_w[i] / bc1) / (
-            np.sqrt(state.v_w[i] / bc2) + state.eps
-        )
-        state.m_b[i] = b1 * state.m_b[i] + (1.0 - b1) * grads.biases[i]
-        state.v_b[i] = b2 * state.v_b[i] + (1.0 - b2) * grads.biases[i] ** 2
-        layer.bias -= state.lr * (state.m_b[i] / bc1) / (
-            np.sqrt(state.v_b[i] / bc2) + state.eps
-        )
+        _adamw_update(layer.weight, grads.weights[i], state.m_w[i], state.v_w[i], state, bc1, bc2)
+        _adamw_update(layer.bias, grads.biases[i], state.m_b[i], state.v_b[i], state, bc1, bc2)
+
+
+def _adamw_update(param, grad, m, v, state: OptimizerState, bc1: float, bc2: float) -> None:
+    """m = m*b1 + g*(1-b1); v = v*b2 + (1-b2)*(g*g);
+    param -= lr*(m/bc1) / (sqrt(v/bc2) + eps), each in place and rounded op
+    for op as the expressions read."""
+    num = state.scratch[0, : param.size].reshape(param.shape)
+    den = state.scratch[1, : param.size].reshape(param.shape)
+    m *= state.beta1
+    np.multiply(grad, 1.0 - state.beta1, out=num)
+    m += num
+    v *= state.beta2
+    np.multiply(grad, grad, out=num)
+    num *= 1.0 - state.beta2
+    v += num
+    np.divide(m, bc1, out=num)
+    num *= state.lr
+    np.divide(v, bc2, out=den)
+    np.sqrt(den, out=den)
+    den += state.eps
+    num /= den
+    param -= num
 
 
 def l1_unstructured_prune(net: MlpNetwork, fraction: float) -> MlpNetwork:

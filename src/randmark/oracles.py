@@ -186,6 +186,8 @@ def lemma_validity_simulation(
 
     p = np.asarray(list(probs), dtype=np.float64)
     n = p.size
+    if n == 0 or not ((p >= 0.0) & (p <= 1.0)).all():
+        raise ValueError("probabilities must lie in [0, 1]")
     mean_p = float(p.mean())
     if not r_bar < n * mean_p:
         raise ValueError("need r_bar < N * mean(p) for the bound to apply")

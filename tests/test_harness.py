@@ -3,10 +3,12 @@ and determinism, manifest completeness, and CLI exit codes."""
 
 import hashlib
 import json
+import math
 import multiprocessing
 import shutil
 import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +81,46 @@ class TestSyntheticImages:
     def test_non_square_dimension_rejected(self):
         with pytest.raises(ValueError, match="square"):
             gen_synthetic_images(3, 15, 4)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_non_positive_count_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be positive"):
+            gen_synthetic_images(count, 16, 4)
+
+    @pytest.mark.parametrize("count, s, seed", [(1, 4, 0), (7, 9, 3), (400, 256, 2024)])
+    def test_bytes_match_per_image_loop(self, count, s, seed):
+        expected = _per_image_synthetic_images(count, s, seed)
+        images = gen_synthetic_images(count, s, seed)
+        assert images.shape == expected.shape and images.dtype == expected.dtype
+        assert images.tobytes() == expected.tobytes()
+
+
+def _per_image_synthetic_images(count, s, seed):
+    """Reference for gen_synthetic_images: one image at a time, each
+    sinusoid's parameters drawn by four scalar rng.uniform calls."""
+    side = math.isqrt(s)
+    rng = np.random.default_rng(seed)
+    u, v = np.meshgrid(
+        np.linspace(0.0, 1.0, side, endpoint=False),
+        np.linspace(0.0, 1.0, side, endpoint=False),
+        indexing="ij",
+    )
+    images = np.empty((count, s))
+    for i in range(count):
+        canvas = np.zeros((side, side))
+        for _ in range(4):
+            freq = rng.uniform(0.5, 4.0)
+            theta = rng.uniform(0.0, math.pi)
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            amp = rng.uniform(0.3, 1.0)
+            canvas += amp * np.sin(
+                2.0 * math.pi * freq * (math.cos(theta) * u + math.sin(theta) * v)
+                + phase
+            )
+        canvas += 0.15 * rng.standard_normal((side, side))
+        lo, hi = canvas.min(), canvas.max()
+        images[i] = ((canvas - lo) / (hi - lo)).ravel()
+    return images
 
 
 class TestBuildTriggerSet:
@@ -927,6 +969,53 @@ class TestCli:
         assert captured.out == ""
         assert "probabilities must lie in [0, 1]" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("probs", ["nan,0.9,0.9", "inf,0.9,0.9", "1.5,0.9,0.9", "-0.1,0.9", ","])
+    def test_lemma_sim_rejects_bad_probabilities(self, capsys, probs):
+        # checked before r_bar < N * mean(p), which a NaN mean would fail first
+        code = cli.main(
+            ["oracle", "lemma-sim", f"--probs={probs}", "--delta", "0.1", "--r-bar", "1"]
+        )
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "probabilities must lie in [0, 1]" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_bounds_from_estimates_needs_no_bundle(self, tmp_path, capsys):
+        data = Path(__file__).resolve().parent / "data"
+        cfg = tmp_path / "estimates.cfg"  # the golden report's ExperimentConfig
+        cfg.write_text("[triggers]\ntrigger_count = 12\n\n[bounds]\nr_bar = 9\nr_under = 4\n")
+        code = cli.main([
+            "bounds",
+            "--config", str(cfg),
+            "--estimates", str(data / "estimates_unordered.json"),
+            "--bundle", "/nonexistent",
+            "--out", str(tmp_path / "bounds_est"),
+        ])
+        # the golden report has no h bounds, hence "bound not applicable"
+        assert code == cli.EXIT_BOUND_NA
+        golden = (data / "bound_report_unordered.json").read_text()
+        assert (tmp_path / "bounds_est" / "bound_report.json").read_text() == golden
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["--bundle", "--triggers"])
+    @pytest.mark.parametrize("branch", ["population", "training"])
+    def test_bounds_without_bundle_or_triggers_exits_1(
+        self, micro_run, tmp_path, capsys, missing, branch
+    ):
+        _, out, _ = micro_run
+        given = {"--bundle": str(out / "bundle"), "--triggers": str(out / "triggers.rmts")}
+        del given[missing]
+        argv = ["bounds", "--config", str(_write_micro_cfg(tmp_path / "micro.cfg"))]
+        argv += [item for pair in given.items() for item in pair]
+        if branch == "population":
+            argv += ["--population-omega", str(tmp_path), "--population-xi", str(tmp_path)]
+        argv += ["--out", str(tmp_path / "bounds_run")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{missing} is required" in err and "Traceback" not in err
+        assert not (tmp_path / "bounds_run").exists()
 
     def test_report_summarizes_run(self, micro_run, capsys):
         _, out, _ = micro_run

@@ -1,6 +1,8 @@
 """Engine tests: forward/backward against finite differences, AdamW
 behavior, global magnitude pruning, and checkpoint format guarantees."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -324,10 +326,12 @@ class TestOptimizer:
         grads = ne.Gradients(
             [np.full_like(net.layers[0].weight, np.nan)], [np.zeros(2)]
         )
+        moments = _moment_bytes(state)
         with pytest.raises(ValueError, match="non-finite"):
             ne.optimizer_step(net, grads, state)
         assert net.parameters_digest() == before
         assert state.step == 0
+        assert _moment_bytes(state) == moments
 
     def test_bias_list_of_wrong_length_rejected(self):
         net = ne.init_network([3, 2, 2], ["tanh", "identity"], 15)
@@ -336,10 +340,101 @@ class TestOptimizer:
         grads = ne.Gradients(
             [np.ones_like(l.weight) for l in net.layers], [np.ones_like(net.layers[0].bias)]
         )
+        moments = _moment_bytes(state)
         with pytest.raises(ValueError, match="depth"):
             ne.optimizer_step(net, grads, state)
         assert net.parameters_digest() == before
         assert state.step == 0
+        assert _moment_bytes(state) == moments
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_matches_rebinding_adamw_byte_for_byte(self, weight_decay):
+        rng = np.random.default_rng(16)
+        net = ne.init_network([5, 4, 3], ["tanh", "identity"], 16)
+        ref_net = net.copy()
+        state = ne.OptimizerState.fresh(net, lr=0.01, weight_decay=weight_decay)
+        ref = ne.OptimizerState.fresh(ref_net, lr=0.01, weight_decay=weight_decay)
+        x = rng.standard_normal((8, 5))
+        targets = rng.standard_normal((8, 3))
+        _, grad = _loss_quadratic(targets)
+        for _ in range(60):
+            # one gradient for both: the two networks are byte-equal here
+            grads = grad(net, x)
+            ne.optimizer_step(net, grads, state)
+            _rebinding_adamw_step(ref_net, grads, ref)
+            assert net.parameters_digest() == ref_net.parameters_digest()
+            assert _moment_bytes(state) == _moment_bytes(ref)
+            assert state.step == ref.step
+        # the moments did move, and none of them aliases a scratch buffer
+        assert np.abs(state.m_w[0]).max() > 0.0
+        for moment in state.m_w + state.v_w + state.m_b + state.v_b:
+            assert not np.shares_memory(moment, state.scratch)
+
+    def test_mismatched_state_rejected(self):
+        net = ne.init_network([3, 2, 2], ["tanh", "identity"], 17)
+        state = ne.OptimizerState.fresh(ne.init_network([3, 4, 2], ["tanh", "identity"], 17))
+        before = net.parameters_digest()
+        moments = _moment_bytes(state)
+        grads = ne.Gradients(
+            [np.ones_like(l.weight) for l in net.layers],
+            [np.ones_like(l.bias) for l in net.layers],
+        )
+        with pytest.raises(ValueError, match="optimizer state"):
+            ne.optimizer_step(net, grads, state)
+        assert net.parameters_digest() == before
+        assert state.step == 0
+        assert _moment_bytes(state) == moments
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        # the moments and parameters are updated through the state's scratch
+        # buffers: ten steps must not allocate one 256 x 192 weight's worth
+        rng = np.random.default_rng(18)
+        net = ne.init_network([256, 192, 64], ["tanh", "identity"], 18)
+        state = ne.OptimizerState.fresh(net, lr=1e-3, weight_decay=0.01)
+        grads = ne.Gradients(
+            [rng.standard_normal(l.weight.shape) for l in net.layers],
+            [rng.standard_normal(l.bias.shape) for l in net.layers],
+        )
+        ne.optimizer_step(net, grads, state)  # warm up any lazy module state
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                ne.optimizer_step(net, grads, state)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert state.step == 11
+        assert peak < net.layers[0].weight.nbytes, peak
+
+
+def _moment_bytes(state):
+    return [m.tobytes() for m in state.m_w + state.v_w + state.m_b + state.v_b]
+
+
+def _rebinding_adamw_step(net, grads, state):
+    """Reference AdamW: each moment is rebound to a freshly computed array
+    and each update is built in temporaries, as the expressions read."""
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**state.step
+    bc2 = 1.0 - b2**state.step
+    for i, layer in enumerate(net.layers):
+        if state.weight_decay:
+            layer.weight *= 1.0 - state.lr * state.weight_decay
+        state.m_w[i] = b1 * state.m_w[i] + (1.0 - b1) * grads.weights[i]
+        state.v_w[i] = b2 * state.v_w[i] + (1.0 - b2) * grads.weights[i] ** 2
+        layer.weight -= state.lr * (state.m_w[i] / bc1) / (
+            np.sqrt(state.v_w[i] / bc2) + state.eps
+        )
+        state.m_b[i] = b1 * state.m_b[i] + (1.0 - b1) * grads.biases[i]
+        state.v_b[i] = b2 * state.v_b[i] + (1.0 - b2) * grads.biases[i] ** 2
+        layer.bias -= state.lr * (state.m_b[i] / bc1) / (
+            np.sqrt(state.v_b[i] / bc2) + state.eps
+        )
 
 
 class TestPruning:
