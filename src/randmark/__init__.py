@@ -19,7 +19,6 @@ from .nnengine import (  # noqa: F401
     OptimizerState,
     backward,
     forward_batch,
-    gradient_check,
     init_network,
     l1_unstructured_prune,
     load_checkpoint,
@@ -33,10 +32,7 @@ from .watermark import (  # noqa: F401
     TriggerSample,
     TriggerSet,
     VerificationRefused,
-    compute_loss,
-    decode_message,
     embed_watermark,
-    encode_trigger,
     extract_messages,
     load_trigger_set,
     sample_noise,
@@ -48,7 +44,6 @@ from .stats import (  # noqa: F401
     decide,
     detection_rate,
     fpr_binomial,
-    hamming_distance,
     mean_distance,
     select_threshold,
     var_distance,

@@ -128,11 +128,6 @@ def finetune_attack(
     return net, accuracy
 
 
-def prune_attack(backbone: MlpNetwork, fraction: float) -> MlpNetwork:
-    """Global smallest-magnitude weight pruning, biases exempt."""
-    return l1_unstructured_prune(backbone, fraction)
-
-
 def distill_attack(
     teacher: MlpNetwork,
     student_hidden: tuple[int, ...],
@@ -142,24 +137,15 @@ def distill_attack(
     n_inputs: int = 5000,
     batch_size: int = 256,
     seed: int = 0,
-    student_init: MlpNetwork | None = None,
 ) -> tuple[MlpNetwork, float]:
-    """Train a student to match the teacher's embeddings on synthetic
-    unlabeled inputs. Returns (student, final mean squared matching loss).
-
-    By default the student is a fresh random network with the given hidden
-    widths; student_init warm-starts from an existing network instead.
-    """
+    """Train a fresh random student with the given hidden widths to match the
+    teacher's embeddings on synthetic unlabeled inputs. Returns (student,
+    final mean squared matching loss)."""
     s, k = teacher.input_dim, teacher.output_dim
-    if student_init is not None:
-        student = student_init.copy()
-    else:
-        dims = [s, *student_hidden, k]
-        student = init_network(
-            dims, ["tanh"] * (len(dims) - 2) + ["identity"], np.random.default_rng(seed)
-        )
-    if student.output_dim != k or student.input_dim != s:
-        raise ValueError("student must map the teacher's input to its output space")
+    dims = [s, *student_hidden, k]
+    student = init_network(
+        dims, ["tanh"] * (len(dims) - 2) + ["identity"], np.random.default_rng(seed)
+    )
     inputs = gen_synthetic_images(n_inputs, s, data_seed)
     targets, _ = forward_batch(teacher, inputs)
     state = OptimizerState.fresh(student, lr=lr)
@@ -271,13 +257,6 @@ class IndependentPool:
             self._executor.shutdown(cancel_futures=True)
 
 
-def train_independents(dims, seeds, data_seeds, epochs: int, n_images: int) -> list[MlpNetwork]:
-    """One make_independent model per (seed, data seed) pair, in seed order,
-    trained side by side in an IndependentPool of their own."""
-    with IndependentPool(len(seeds)) as pool:
-        return [get() for get in pool.submit(dims, seeds, data_seeds, epochs, n_images)]
-
-
 def xi_seeds(seed: int, m_models: int) -> tuple[list[int], list[int]]:
     """Model and pretraining-data seeds of an independent (xi) population:
     seed + index and seed + index + 10000."""
@@ -308,7 +287,7 @@ def apply_attack(bundle: ModelBundle, spec: AttackSpec) -> MlpNetwork:
     """Run one functional-copy attack against the watermarked backbone."""
     base = bundle.watermarked_f
     if spec.kind == "prune":
-        return prune_attack(base, spec.fraction)
+        return l1_unstructured_prune(base, spec.fraction)
     if spec.kind == "finetune":
         task = make_blob_task(base.input_dim, n_classes=spec.n_classes, seed=spec.seed)
         net, _ = finetune_attack(base, task, spec.epochs, spec.lr, seed=spec.seed)
@@ -333,11 +312,10 @@ class PopulationResult:
 
 
 def _random_omega_spec(rng: np.random.Generator, seed: int) -> AttackSpec:
-    """Default functional-copy mixture: fine-tuning and pruning, the
-    perturbations a copy survives with its watermark intact at this scale.
-    Distillation (fresh student on synthetic data) strips the watermark and
-    mostly fails the functionality gate, so it joins a population only via
-    explicit specs."""
+    """The omega populations' functional-copy mixture: fine-tuning and
+    pruning, the perturbations a copy survives with its watermark intact at
+    this scale. Distillation (fresh student on synthetic data) strips the
+    watermark and mostly fails the functionality gate, so it is left out."""
     kind = rng.choice(["finetune", "prune"])
     if kind == "prune":
         return AttackSpec(kind="prune", fraction=float(rng.uniform(0.05, 0.45)), seed=seed)
@@ -349,8 +327,6 @@ def sample_model_population(
     kind: str,
     m_models: int,
     seed: int,
-    specs: list[AttackSpec] | None = None,
-    heldout_inputs: np.ndarray | None = None,
     pretrain_epochs: int = 40,
     pretrain_images: int = 400,
 ) -> PopulationResult:
@@ -359,10 +335,11 @@ def sample_model_population(
     model index. Independent models pretrain for pretrain_epochs over
     pretrain_images synthetic images (make_independent's defaults).
 
-    Omega copies failing the functionality check (relative embedding error
-    beyond FUNCTIONALITY_LIMIT on held-out inputs) are excluded with a
-    warning. Explicit specs override the randomized attack mixture and are
-    cycled over the M slots.
+    Omega copies come from the randomized attack mixture of
+    _random_omega_spec. Those failing the functionality check (relative
+    embedding error beyond FUNCTIONALITY_LIMIT on 128 held-out synthetic
+    images) are excluded with a warning. Independent models train side by
+    side in an IndependentPool of their own.
     """
     if kind not in ("omega", "xi"):
         raise ValueError("kind must be 'omega' or 'xi'")
@@ -371,29 +348,18 @@ def sample_model_population(
     result = PopulationResult(models=[])
     if kind == "xi":
         seeds, data_seeds = xi_seeds(seed, m_models)
-        result.models = train_independents(
-            bundle.backbone_dims, seeds, data_seeds, pretrain_epochs, pretrain_images
-        )
+        with IndependentPool(m_models) as pool:
+            getters = pool.submit(
+                bundle.backbone_dims, seeds, data_seeds, pretrain_epochs, pretrain_images
+            )
+            result.models = [get() for get in getters]
         result.rows = xi_rows(seeds)
         return result
-    if heldout_inputs is None:
-        heldout_inputs = gen_synthetic_images(128, bundle.s, seed + 999)
+    heldout_inputs = gen_synthetic_images(128, bundle.s, seed + 999)
     mix_rng = np.random.default_rng(seed)
     for index in range(m_models):
         model_seed = seed + index
-        if specs is not None:
-            base_spec = specs[index % len(specs)]
-            spec = AttackSpec(
-                kind=base_spec.kind,
-                epochs=base_spec.epochs,
-                lr=base_spec.lr,
-                fraction=base_spec.fraction,
-                student_hidden=base_spec.student_hidden,
-                n_classes=base_spec.n_classes,
-                seed=model_seed,
-            )
-        else:
-            spec = _random_omega_spec(mix_rng, model_seed)
+        spec = _random_omega_spec(mix_rng, model_seed)
         model = apply_attack(bundle, spec)
         error = relative_embedding_error(model, bundle.watermarked_f, heldout_inputs)
         if error >= FUNCTIONALITY_LIMIT:

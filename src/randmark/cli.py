@@ -32,7 +32,7 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", help="experiment config file (key=value sections)")
-        p.add_argument("--seed", type=int, help="override the master seed")
+        p.add_argument("--seed", type=int, help="the run seed (overrides the config's)")
         p.add_argument("--out", help="output directory or file")
 
     p = sub.add_parser("gen-data", help="generate a synthetic trigger set")
@@ -68,12 +68,12 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--bundle", help="bundle directory (not needed with --estimates)")
     p.add_argument("--triggers", help="trigger-set file (not needed with --estimates)")
-    p.add_argument(
-        "--population-omega", help="directory of functional-copy checkpoints (*.rmk)"
-    )
-    p.add_argument(
-        "--population-xi", help="directory of independent-model checkpoints (*.rmk)"
-    )
+    for kind, models in (("omega", "functional-copy"), ("xi", "independent-model")):
+        p.add_argument(
+            f"--population-{kind}",
+            help=f"directory of {models} checkpoints: those {kind}_manifest.json "
+            "lists if it is there, else every *.rmk",
+        )
     p.add_argument(
         "--estimates",
         help="JSON file with precomputed per-trigger bit-collision counts "
@@ -202,7 +202,7 @@ def _cmd_verify(args) -> int:
         triggers,
         args.tau,
         args.k_draws,
-        config.seed + 6,  # the verification seed of run_pipeline and `bounds`
+        config.seeds.verify,
         Path(args.suspect).stem,
     )
     text = report.to_json()
@@ -215,36 +215,14 @@ def _cmd_verify(args) -> int:
 def _cmd_population(args) -> int:
     from pathlib import Path
 
-    from .attacks import sample_model_population
-    from .harness import PopulationWriter
+    from .harness import population_stage
     from .watermark import ModelBundle
 
     config = _load_config(args)
-    bundle = ModelBundle.load(args.bundle)
-    result = sample_model_population(
-        bundle,
-        args.kind,
-        args.m_models,
-        config.seed,
-        pretrain_epochs=config.pretrain_epochs,
-        pretrain_images=config.pretrain_images,
-    )
     out = Path(args.out or f"population_{args.kind}")
-    for _ in PopulationWriter(out, args.kind, result.models, result.rows, result.excluded):
-        pass
-    print(f"wrote {len(result.models)} {args.kind} models to {out}")
+    saved = population_stage(config, ModelBundle.load(args.bundle), args.kind, args.m_models, out)
+    print(f"wrote {saved} {args.kind} models to {out}")
     return EXIT_OK
-
-
-def _load_population_dir(path):
-    from pathlib import Path
-
-    from .nnengine import load_checkpoint
-
-    files = sorted(Path(path).glob("*.rmk"))
-    if not files:
-        raise ValueError(f"no checkpoints in {path}")
-    return [load_checkpoint(f) for f in files]
 
 
 def _report_from_estimates(config, path):
@@ -314,7 +292,7 @@ def _cmd_bounds(args) -> int:
     from pathlib import Path
 
     from .attacks import IndependentPool
-    from .harness import _bounds_stage, _submit_xi, compute_bound_report
+    from .harness import bounds_stage, compute_bound_report, load_population, submit_xi
 
     config = _load_config(args)
     out = Path(args.out or "bounds_run")
@@ -327,25 +305,21 @@ def _cmd_bounds(args) -> int:
         report = compute_bound_report(
             config,
             *_bundle_and_triggers(args),
-            _load_population_dir(args.population_omega),
-            _load_population_dir(args.population_xi),
-            verify_seed=config.seed + 6,
+            load_population(args.population_omega, "omega"),
+            load_population(args.population_xi, "xi"),
+            verify_seed=config.seeds.verify,
         )
     else:
         bundle, triggers = _bundle_and_triggers(args)
-        out.mkdir(parents=True, exist_ok=True)
         with IndependentPool(config.m_models) as pool:
-            xi = _submit_xi(pool, bundle.backbone_dims, config, config.seed)
-            _bounds_stage(config, bundle, triggers, out, config.seed, xi)
-        report = None
-    if report is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "bound_report.json").write_text(report.to_json())
-    payload = json.loads((out / "bound_report.json").read_text())
-    print((out / "bound_report.json").read_text())
-    if payload["h_minus"] is None or payload["h_plus"] is None:
-        return EXIT_BOUND_NA
-    return EXIT_OK
+            xi = submit_xi(pool, bundle.backbone_dims, config)
+            report = bounds_stage(config, bundle, triggers, out / "population", xi)
+    out.mkdir(parents=True, exist_ok=True)
+    text = report.to_json()
+    (out / "bound_report.json").write_text(text)
+    print(text)
+    lemma = report.lemma
+    return EXIT_BOUND_NA if lemma.h_minus is None or lemma.h_plus is None else EXIT_OK
 
 
 def _bundle_and_triggers(args):

@@ -15,6 +15,7 @@ import time
 from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .attacks import (
     xi_rows,
     xi_seeds,
 )
-from .bounds import build_bound_report
-from .nnengine import MlpNetwork, save_checkpoint
+from .bounds import BoundReport, build_bound_report
+from .nnengine import MlpNetwork, load_checkpoint, save_checkpoint
 from .stats import VerificationReport, covariance_delta, sweep_rows, write_detection_sweep
 from .synth import gen_synthetic_images
 from .watermark import (
@@ -58,6 +59,23 @@ def build_trigger_set(images: np.ndarray, n: int, sigma_scale: float, seed: int)
         message = BitMessage.random(n, rng)
         samples.append(TriggerSample(image, message, sigma_scale * float(image.std())))
     return TriggerSet(samples, n=n, s=images.shape[1], master_seed=seed)
+
+
+class RunSeeds(NamedTuple):
+    """The seeds of a run, each its master seed plus a fixed offset that
+    ExperimentConfig.seeds alone applies, so that the pipeline stages and
+    the CLI commands that redo one of them use the same seeds."""
+
+    images: int  # trigger images
+    messages: int  # trigger messages and noise scales
+    source: int  # source backbone
+    source_data: int  # its pretraining images
+    bundle: int  # encoder and decoder initialization
+    verify: int  # noise draws of verification and of the bound populations
+    independents: int  # independent suspect i gets this + i
+    independent_data: int  # and its pretraining images this + i
+    omega: int  # master seed of the omega population
+    xi: int  # master seed of the xi population
 
 
 @dataclass
@@ -114,6 +132,15 @@ class ExperimentConfig:
     @property
     def backbone_dims(self) -> list[int]:
         return [self.s, *self.backbone_hidden, self.k]
+
+    @property
+    def seeds(self) -> RunSeeds:
+        seed = self.seed
+        return RunSeeds(
+            images=seed + 1, messages=seed + 2, source=seed + 3, source_data=seed + 4,
+            bundle=seed + 5, verify=seed + 6, independents=seed + 100,
+            independent_data=seed + 200, omega=seed + 1000, xi=seed + 2000,
+        )
 
     def hyper(self) -> HyperParams:
         return HyperParams(
@@ -294,6 +321,32 @@ class PopulationWriter:
         )
 
 
+def load_population(directory, label: str) -> list[MlpNetwork]:
+    """The models of one population directory: if it holds
+    <label>_manifest.json, as PopulationWriter writes it, exactly the files
+    its rows name, in row order, else every *.rmk file in name order. A
+    manifest that does not parse as one, or names anything but a checkpoint
+    file in the directory, raises ValueError, and so does a directory
+    without models."""
+    directory = Path(directory)
+    manifest = directory / f"{label}_manifest.json"
+    if manifest.is_file():
+        try:
+            names = [row["file"] for row in json.loads(manifest.read_text())["models"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{manifest}: not a population manifest ({exc!r})") from None
+        for name in names:
+            if not (isinstance(name, str) and Path(name).name == name
+                    and (directory / name).is_file()):
+                raise ValueError(f"{manifest}: {name!r} is not a checkpoint file in {directory}")
+        files = [directory / name for name in names]
+    else:
+        files = sorted(directory.glob("*.rmk"))
+    if not files:
+        raise ValueError(f"no checkpoints in {directory}")
+    return [load_checkpoint(path) for path in files]
+
+
 @dataclass
 class RunManifest:
     version: str
@@ -324,26 +377,27 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = config.seed
+    seeds = config.seeds
     dims = config.backbone_dims
     jobs = config.independents + (config.m_models if config.bounds_stage else 0)
     with IndependentPool(jobs) as pool:
         independents = pool.submit(
             dims,
-            [seed + 100 + i for i in range(config.independents)],
-            [seed + 200 + i for i in range(config.independents)],
+            [seeds.independents + i for i in range(config.independents)],
+            [seeds.independent_data + i for i in range(config.independents)],
             config.pretrain_epochs,
             config.pretrain_images,
         )
-        xi = _submit_xi(pool, dims, config, seed) if config.bounds_stage else None
+        xi = submit_xi(pool, dims, config) if config.bounds_stage else None
         return _run_stages(config, out, independents, xi)
 
 
 def data_stage(config: ExperimentConfig, path: Path) -> TriggerSet:
-    """The trigger set of config (images from seed + 1, messages and noise
-    scales from seed + 2), saved to path."""
-    images = gen_synthetic_images(config.trigger_count, config.s, config.seed + 1)
-    triggers = build_trigger_set(images, config.n, config.sigma_scale, config.seed + 2)
+    """The trigger set of config (images, messages and noise scales from
+    their RunSeeds), saved to path."""
+    seeds = config.seeds
+    images = gen_synthetic_images(config.trigger_count, config.s, seeds.images)
+    triggers = build_trigger_set(images, config.n, config.sigma_scale, seeds.messages)
     save_trigger_set(triggers, path)
     return triggers
 
@@ -351,13 +405,14 @@ def data_stage(config: ExperimentConfig, path: Path) -> TriggerSet:
 def embed_stage(
     config: ExperimentConfig, triggers: TriggerSet, out: Path
 ) -> tuple[ModelBundle, TrainingLog]:
-    """Pretrain the source backbone (seeds + 3 and + 4), embed the watermark
-    into a fresh bundle around it (seed + 5) and save out/bundle and
+    """Pretrain the source backbone, embed the watermark into a fresh bundle
+    around it (each from its RunSeeds) and save out/bundle and
     out/embed_log.json. Raises TrainingDiverged if embedding diverges."""
+    seeds = config.seeds
     source_f = make_independent(
         config.backbone_dims,
-        seed=config.seed + 3,
-        pretrain_data_seed=config.seed + 4,
+        seed=seeds.source,
+        pretrain_data_seed=seeds.source_data,
         epochs=config.pretrain_epochs,
         n_images=config.pretrain_images,
     )
@@ -367,7 +422,7 @@ def embed_stage(
         encoder_hidden=config.encoder_hidden,
         decoder_hidden=config.decoder_hidden,
         hyper=config.hyper(),
-        seed=config.seed + 5,
+        seed=seeds.bundle,
     )
     bundle, log = embed_watermark(bundle, triggers)
     bundle.save(out / "bundle")
@@ -387,7 +442,6 @@ def _run_stages(
     getters) and the xi population (getters and manifest rows) submitted."""
     stage_seconds: dict[str, float] = {}
     failures: dict[str, str] = {}
-    seed = config.seed
 
     t0 = time.perf_counter()
     triggers = data_stage(config, out / "triggers.rmts")
@@ -421,7 +475,7 @@ def _run_stages(
         return _finalize_manifest(out, config, stage_seconds, failures)
 
     t0 = time.perf_counter()
-    verify_seed = seed + 6
+    verify_seed = config.seeds.verify
     distance_map: dict[str, np.ndarray] = {}
     try:
         verify_dir = out / "verification"
@@ -461,7 +515,8 @@ def _run_stages(
     if xi is not None:
         t0 = time.perf_counter()
         try:
-            _bounds_stage(config, bundle, triggers, out, seed, xi)
+            report = bounds_stage(config, bundle, triggers, out / "population", xi)
+            (out / "bound_report.json").write_text(report.to_json())
             stage_seconds["bounds"] = time.perf_counter() - t0
         except Exception as exc:
             failures["bounds"] = str(exc)
@@ -507,39 +562,53 @@ def compute_bound_report(
     )
 
 
-def _submit_xi(
-    pool: IndependentPool, dims, config: ExperimentConfig, seed: int
+def submit_xi(
+    pool: IndependentPool, dims, config: ExperimentConfig
 ) -> tuple[list[Callable[[], MlpNetwork]], list[dict]]:
-    """Submit the bounds stage's xi population (master seed seed + 2000) to
-    the pool: its result getters and manifest rows."""
-    seeds, data_seeds = xi_seeds(seed + 2000, config.m_models)
+    """Submit a run's xi population (master seed from RunSeeds) of backbones
+    with dimension chain dims to the pool: its result getters and manifest
+    rows."""
+    seeds, data_seeds = xi_seeds(config.seeds.xi, config.m_models)
     getters = pool.submit(dims, seeds, data_seeds, config.pretrain_epochs, config.pretrain_images)
     return getters, xi_rows(seeds)
 
 
-def _bounds_stage(
+def bounds_stage(
     config: ExperimentConfig,
     bundle: ModelBundle,
     triggers: TriggerSet,
-    out: Path,
-    seed: int,
+    population_dir: Path,
     xi: tuple[list[Callable[[], MlpNetwork]], list[dict]],
-) -> None:
+) -> BoundReport:
     """Sample the omega population, then decode and save it and each xi
-    model as its result arrives, in seed order, into population/ and the
-    bound report."""
-    omega = sample_model_population(bundle, "omega", config.m_models, seed + 1000)
+    model (submit_xi's getters and rows) as its result arrives, in seed
+    order, into population_dir; return the bound report."""
+    omega = sample_model_population(bundle, "omega", config.m_models, config.seeds.omega)
     xi_getters, rows = xi
-    pop_dir = out / "population"
-    report = compute_bound_report(
+    return compute_bound_report(
         config,
         bundle,
         triggers,
-        PopulationWriter(pop_dir, "omega", omega.models, omega.rows, omega.excluded),
-        PopulationWriter(pop_dir, "xi", (get() for get in xi_getters), rows, 0),
-        verify_seed=seed + 6,
+        PopulationWriter(population_dir, "omega", omega.models, omega.rows, omega.excluded),
+        PopulationWriter(population_dir, "xi", (get() for get in xi_getters), rows, 0),
+        verify_seed=config.seeds.verify,
     )
-    (out / "bound_report.json").write_text(report.to_json())
+
+
+def population_stage(
+    config: ExperimentConfig, bundle: ModelBundle, kind: str, m_models: int, out: Path
+) -> int:
+    """Sample m_models models of a run's omega or xi population (master seed
+    from RunSeeds) and save them into out as a bounds stage does. Returns
+    the number of models saved."""
+    seed = config.seeds.omega if kind == "omega" else config.seeds.xi
+    result = sample_model_population(
+        bundle, kind, m_models, seed,
+        pretrain_epochs=config.pretrain_epochs, pretrain_images=config.pretrain_images,
+    )
+    for _ in PopulationWriter(out, kind, result.models, result.rows, result.excluded):
+        pass
+    return len(result.models)
 
 
 def _finalize_manifest(

@@ -100,11 +100,6 @@ class MlpNetwork:
         """Number of weight entries, biases excluded."""
         return sum(layer.weight.size for layer in self.layers)
 
-    def sparsity(self) -> float:
-        """Fraction of exactly-zero weight entries, biases excluded."""
-        zeros = sum(int(np.count_nonzero(layer.weight == 0.0)) for layer in self.layers)
-        return zeros / self.weight_count()
-
     def parameters_digest(self) -> str:
         """SHA-256 over all parameter bytes; identical digests mean
         bit-identical parameters."""
@@ -149,10 +144,6 @@ class ForwardTrace:
     @property
     def output(self) -> np.ndarray:
         return self.activations[-1]
-
-    @property
-    def batch_size(self) -> int:
-        return self.activations[0].shape[0]
 
 
 def forward_batch(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
@@ -205,11 +196,6 @@ class Gradients:
         return all(np.isfinite(g).all() for g in self.weights) and all(
             np.isfinite(g).all() for g in self.biases
         )
-
-    def max_abs(self) -> float:
-        vals = [np.abs(g).max(initial=0.0) for g in self.weights]
-        vals += [np.abs(g).max(initial=0.0) for g in self.biases]
-        return max(vals)
 
 
 def backward(
@@ -396,49 +382,6 @@ def l1_unstructured_prune(net: MlpNetwork, fraction: float) -> MlpNetwork:
         layer.weight *= mask[offset : offset + size].reshape(layer.weight.shape)
         offset += size
     return pruned
-
-
-def gradient_check(
-    net: MlpNetwork,
-    loss_fn,
-    grad_fn,
-    fd_step: float = 1e-6,
-    floor: float = 1e-12,
-) -> float:
-    """Max relative disagreement between analytic and central-difference
-    gradients over every weight and bias entry.
-
-    loss_fn(net) -> float evaluates the loss at the network's current
-    parameters; grad_fn(net) -> Gradients returns its analytic gradient.
-    Relative error per entry is |a - fd| / max(|a|, |fd|, floor).
-    """
-    base = float(loss_fn(net))
-    if not math.isfinite(base):
-        raise ValueError("loss is non-finite at the evaluation point")
-    analytic = grad_fn(net)
-    worst = 0.0
-
-    def _check_array(param: np.ndarray, grad: np.ndarray) -> None:
-        nonlocal worst
-        flat = param.ravel()
-        gflat = grad.ravel()
-        for idx in range(flat.shape[0]):
-            saved = flat[idx]
-            flat[idx] = saved + fd_step
-            up = float(loss_fn(net))
-            flat[idx] = saved - fd_step
-            down = float(loss_fn(net))
-            flat[idx] = saved
-            fd = (up - down) / (2.0 * fd_step)
-            a = gflat[idx]
-            err = abs(a - fd) / max(abs(a), abs(fd), floor)
-            if err > worst:
-                worst = err
-
-    for layer, gw, gb in zip(net.layers, analytic.weights, analytic.biases):
-        _check_array(layer.weight, gw)
-        _check_array(layer.bias, gb)
-    return worst
 
 
 def _checksum(data: bytes) -> int:

@@ -16,18 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .watermark import BitMessage
-
 # Above this message length the exact rational tail switches to log-domain
 # summation.
 _EXACT_N_CAP = 64
-
-
-def hamming_distance(m: BitMessage, m_prime: BitMessage) -> int:
-    """Number of differing bit positions."""
-    if len(m) != len(m_prime):
-        raise ValueError(f"length mismatch: {len(m)} vs {len(m_prime)}")
-    return int((m.bits != m_prime.bits).sum())
 
 
 def mean_distance(distances: np.ndarray) -> list[float]:
@@ -196,19 +187,6 @@ class VerificationReport:
             "decision_per_trigger": self.decisions,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        payload = json.loads(text)
-        return cls(
-            suspect_id=payload["suspect_id"],
-            n=payload["n"],
-            tau=payload["tau"],
-            k_draws=payload["K"],
-            seed=payload["seed"],
-            rho=payload["rho"],
-            variance=payload["variance"],
-        )
 
 
 def sweep_rows(suspect_id: str, kind: str, rhos, n: int) -> list[tuple[str, str, int, float]]:

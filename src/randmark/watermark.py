@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .nnengine import (
-    Gradients,
     MlpNetwork,
     OptimizerState,
     _run_blocks,
@@ -342,54 +341,13 @@ def sample_noise(sample: TriggerSample, k_draws: int, stream_seed: int) -> np.nd
 
 
 def encoder_perturbation(
-    encoder: MlpNetwork, noisy_images: np.ndarray, message: BitMessage | np.ndarray
+    encoder: MlpNetwork, noisy_images: np.ndarray, message: BitMessage
 ) -> np.ndarray:
-    """Raw bounded output of the encoder network for image/message pairs.
-
-    Accepts a single image vector or a (B, s) batch; the message is
-    broadcast when a single one is given.
-    """
-    single = np.asarray(noisy_images).ndim == 1
-    x = np.atleast_2d(np.asarray(noisy_images, dtype=np.float64))
-    bits = message.bits if isinstance(message, BitMessage) else np.asarray(message)
-    bits = np.atleast_2d(np.asarray(bits, dtype=np.float64))
-    if bits.shape[0] == 1 and x.shape[0] > 1:
-        bits = np.repeat(bits, x.shape[0], axis=0)
-    out, _ = forward_batch(encoder, np.concatenate([x, bits], axis=1))
-    return out[0] if single else out
-
-
-def encode_trigger(
-    encoder: MlpNetwork,
-    perturbed_image: np.ndarray,
-    message: BitMessage | np.ndarray,
-    delta_scale: float = 0.5,
-) -> np.ndarray:
-    """Stego input for the backbone: the noisy image plus the encoder's
-    bounded perturbation scaled by delta_scale."""
-    raw = encoder_perturbation(encoder, perturbed_image, message)
-    return np.asarray(perturbed_image, dtype=np.float64) + delta_scale * raw
-
-
-def decode_message(decoder: MlpNetwork, embedding: np.ndarray) -> tuple[np.ndarray, BitMessage]:
-    """Soft sigmoid outputs and the thresholded hard message.
-
-    A soft bit of exactly 0.5 rounds up to 1.
-    """
-    emb = np.asarray(embedding, dtype=np.float64)
-    if emb.ndim != 1 or emb.shape[0] != decoder.input_dim:
-        raise ValueError(f"embedding must have length {decoder.input_dim}")
-    soft, _ = forward_batch(decoder, emb[None, :])
-    soft = soft[0]
-    hard = BitMessage((soft >= 0.5).astype(np.int8))
-    return soft, hard
-
-
-@dataclass
-class LossParts:
-    total: float
-    fidelity: float
-    message: float
+    """Raw bounded output of the encoder network for a (B, s) batch of noisy
+    images that all carry one message."""
+    bits = np.broadcast_to(message.bits.astype(np.float64), (noisy_images.shape[0], len(message)))
+    out, _ = forward_batch(encoder, np.concatenate([noisy_images, bits], axis=1))
+    return out
 
 
 @dataclass
@@ -416,15 +374,13 @@ def _loss_and_grads(
     noise: np.ndarray,  # (N, K, s)
     lam: float,
     delta_scale: float,
-    want_grads: bool = True,
 ):
-    """Summed-over-triggers loss and, optionally, its analytic gradients.
+    """Summed-over-triggers loss and its analytic gradients.
 
     Returns (fidelity_sum, message_sum, bit_accuracy, grads) where grads is
-    (g_watermarked, g_encoder, g_decoder) or None.
+    (g_watermarked, g_encoder, g_decoder).
     """
     n_trig, k_draws, s = noise.shape
-    n_bits = messages.shape[1]
     noisy = (images[:, None, :] + noise).reshape(n_trig * k_draws, s)
     bits_rep = np.repeat(messages, k_draws, axis=0)
 
@@ -444,9 +400,6 @@ def _loss_and_grads(
     norms = np.sqrt((diff_fid**2).sum(axis=1))
     fidelity_sum = float(norms.sum())
 
-    if not want_grads:
-        return fidelity_sum, message_sum, bit_accuracy, None
-
     g_soft = (2.0 * lam / k_draws) * diff_soft
     g_dec = backward(decoder_d, tr_d, g_soft)
     g_f_msg = backward(watermarked_f, tr_fm, g_dec.wrt_input)
@@ -458,50 +411,6 @@ def _loss_and_grads(
     g_f_msg.add_(g_f_fid)
 
     return fidelity_sum, message_sum, bit_accuracy, (g_f_msg, g_enc, g_dec)
-
-
-def compute_loss(
-    bundle: ModelBundle, sample: TriggerSample, k_draws: int, stream_seed: int
-) -> LossParts:
-    """Single-trigger loss: fidelity norm plus lambda/K-weighted squared
-    distance between soft decoder outputs and the message."""
-    noisy = sample_noise(sample, k_draws, stream_seed)
-    noise = (noisy - sample.image[None, :])[None, :, :]
-    fid, msg, _, _ = _loss_and_grads(
-        bundle.frozen_f,
-        bundle.watermarked_f,
-        bundle.encoder_e,
-        bundle.decoder_d,
-        sample.image[None, :],
-        sample.message.bits.astype(np.float64)[None, :],
-        noise,
-        bundle.hyper.lam,
-        bundle.hyper.delta_scale,
-        want_grads=False,
-    )
-    return LossParts(total=fid + msg, fidelity=fid, message=msg)
-
-
-def compute_loss_gradients(
-    bundle: ModelBundle, sample: TriggerSample, k_draws: int, stream_seed: int
-) -> dict[str, Gradients]:
-    """Analytic gradients of the single-trigger total loss for each
-    trainable network (keys: watermarked_f, encoder_e, decoder_d)."""
-    noisy = sample_noise(sample, k_draws, stream_seed)
-    noise = (noisy - sample.image[None, :])[None, :, :]
-    _, _, _, grads = _loss_and_grads(
-        bundle.frozen_f,
-        bundle.watermarked_f,
-        bundle.encoder_e,
-        bundle.decoder_d,
-        sample.image[None, :],
-        sample.message.bits.astype(np.float64)[None, :],
-        noise,
-        bundle.hyper.lam,
-        bundle.hyper.delta_scale,
-    )
-    g_f, g_e, g_d = grads
-    return {"watermarked_f": g_f, "encoder_e": g_e, "decoder_d": g_d}
 
 
 def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBundle, TrainingLog]:
@@ -660,9 +569,9 @@ def decode_triggers(
     """Decode K messages per trigger from a suspect backbone in one pass.
 
     The verifier's encoder and decoder wrap the suspect in place of the
-    watermarked backbone. Returns soft bits (N, K, n), hard bits (N, K, n)
-    and Hamming distances to each trigger's message (N, K). The stego inputs
-    come from stego_batch. Refuses suspects whose input/output dimensions do
+    watermarked backbone. Returns soft bits (N, K, n), hard bits (N, K, n),
+    where a soft bit of exactly 0.5 reads as 1, and Hamming distances to each
+    trigger's message (N, K). The stego inputs come from stego_batch. Refuses suspects whose input/output dimensions do
     not fit the verifier before any stego work.
 
     The triggers are split into contiguous row blocks of the stego batch,

@@ -1,6 +1,9 @@
-"""Shared fixtures: a fast mini training run for unit tests and one
-desk-scale run shared by the acceptance suite and directional tests."""
+"""Shared fixtures and test tools: a fast mini training run for unit tests,
+one desk-scale run shared by the acceptance suite and directional tests, a
+finite-difference gradient checker, weight sparsity, and one-trigger views
+of the embedding loss and of decoding."""
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -16,6 +19,81 @@ from randmark.nnengine import MlpNetwork, forward_batch
 from randmark.synth import gen_synthetic_images
 
 MINI = dict(s=64, k=16, n=8, n_triggers=16)
+
+
+def gradient_check(
+    net: MlpNetwork,
+    loss_fn,
+    grad_fn,
+    fd_step: float = 1e-6,
+    floor: float = 1e-12,
+) -> float:
+    """Max relative disagreement between analytic and central-difference
+    gradients over every weight and bias entry.
+
+    loss_fn(net) -> float evaluates the loss at the network's current
+    parameters; grad_fn(net) -> Gradients returns its analytic gradient.
+    Relative error per entry is |a - fd| / max(|a|, |fd|, floor).
+    """
+    base = float(loss_fn(net))
+    if not math.isfinite(base):
+        raise ValueError("loss is non-finite at the evaluation point")
+    analytic = grad_fn(net)
+    worst = 0.0
+
+    def _check_array(param: np.ndarray, grad: np.ndarray) -> None:
+        nonlocal worst
+        flat = param.ravel()
+        gflat = grad.ravel()
+        for idx in range(flat.shape[0]):
+            saved = flat[idx]
+            flat[idx] = saved + fd_step
+            up = float(loss_fn(net))
+            flat[idx] = saved - fd_step
+            down = float(loss_fn(net))
+            flat[idx] = saved
+            fd = (up - down) / (2.0 * fd_step)
+            a = gflat[idx]
+            err = abs(a - fd) / max(abs(a), abs(fd), floor)
+            if err > worst:
+                worst = err
+
+    for layer, gw, gb in zip(net.layers, analytic.weights, analytic.biases):
+        _check_array(layer.weight, gw)
+        _check_array(layer.bias, gb)
+    return worst
+
+
+def sparsity(net: MlpNetwork) -> float:
+    """Fraction of exactly-zero weight entries, biases excluded."""
+    zeros = sum(np.count_nonzero(layer.weight == 0.0) for layer in net.layers)
+    return zeros / net.weight_count()
+
+
+def trigger_loss(bundle: wm.ModelBundle, sample: wm.TriggerSample, k_draws: int, stream_seed: int):
+    """The embedding loss of one trigger under sample_noise's K draws from
+    stream_seed, through embed_watermark's kernel: (fidelity, message, grads)
+    with grads keyed watermarked_f, encoder_e, decoder_d."""
+    noise = (wm.sample_noise(sample, k_draws, stream_seed) - sample.image)[None]
+    fidelity, message, _, grads = wm._loss_and_grads(
+        bundle.frozen_f, bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d,
+        sample.image[None, :], sample.message.bits.astype(np.float64)[None, :], noise,
+        bundle.hyper.lam, bundle.hyper.delta_scale,
+    )
+    return fidelity, message, dict(zip(("watermarked_f", "encoder_e", "decoder_d"), grads))
+
+
+def decode_one_trigger(decoder: MlpNetwork, message_bits, k_draws: int):
+    """decode_triggers' soft bits (K, n), hard bits (K, n) and distances (K,)
+    for one trigger carrying message_bits, through decoder; a decoder with
+    zero weights reads the same bits from every embedding."""
+    s, k, n = 4, decoder.input_dim, decoder.output_dim
+    sample = wm.TriggerSample(np.full(s, 0.5), wm.BitMessage(message_bits), 0.1)
+    soft, hard, distances = wm.decode_triggers(
+        ne.init_network([s, k], ["identity"], 0), ne.init_network([s + n, s], ["tanh"], 1),
+        decoder, [sample], k_draws, 3,
+    )
+    return soft[0], hard[0], distances[0]
 
 
 def see_cpus(monkeypatch, count):
@@ -96,8 +174,8 @@ def desk_run() -> DeskRun:
 
     suspects = run.suspects
     suspects["watermarked"] = bundle.watermarked_f
-    suspects["prune20"] = atk.prune_attack(bundle.watermarked_f, 0.2)
-    suspects["prune40"] = atk.prune_attack(bundle.watermarked_f, 0.4)
+    suspects["prune20"] = ne.l1_unstructured_prune(bundle.watermarked_f, 0.2)
+    suspects["prune40"] = ne.l1_unstructured_prune(bundle.watermarked_f, 0.4)
     task = atk.make_blob_task(config.s, n_classes=4, seed=config.seed)
     finetuned, accuracy = atk.finetune_attack(
         bundle.watermarked_f, task, epochs=3, lr=1e-3, seed=config.seed

@@ -13,6 +13,7 @@ from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.harness import run_pipeline
 
+from conftest import gradient_check, trigger_loss
 from test_harness import micro_config
 
 
@@ -167,7 +168,7 @@ def test_07_gradient_correctness():
             out, trace = ne.forward_batch(n, x)
             return ne.backward(n, trace, 2.0 * (out - targets))
 
-        worst = max(worst, ne.gradient_check(net, loss_fn, grad_fn))
+        worst = max(worst, gradient_check(net, loss_fn, grad_fn))
 
     for trial in range(6):  # full composite embedding loss over all three nets
         s, k, n_bits = 6, 4, 3
@@ -183,7 +184,7 @@ def test_07_gradient_correctness():
             rng.random(s), wm.BitMessage(rng.integers(0, 2, n_bits)), 0.08
         )
         seed = 70 + trial
-        grads = wm.compute_loss_gradients(bundle, sample, 3, seed)
+        grads = trigger_loss(bundle, sample, 3, seed)[2]
         for name, net in (
             ("watermarked_f", bundle.watermarked_f),
             ("encoder_e", bundle.encoder_e),
@@ -192,9 +193,9 @@ def test_07_gradient_correctness():
             # floor keeps the relative metric meaningful on near-zero
             # entries (loss scale is O(10); a wrong gradient still reports
             # errors orders of magnitude above the tolerance)
-            err = ne.gradient_check(
+            err = gradient_check(
                 net,
-                lambda _: wm.compute_loss(bundle, sample, 3, seed).total,
+                lambda _: sum(trigger_loss(bundle, sample, 3, seed)[:2]),
                 lambda _: grads[name],
                 floor=1e-4,
             )

@@ -16,7 +16,7 @@ from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.synth import gen_synthetic_images
 
-from conftest import MINI, see_cpus
+from conftest import MINI, see_cpus, sparsity
 
 DIMS = [MINI["s"], 48, MINI["k"]]
 
@@ -54,35 +54,27 @@ class TestFinetune:
         assert a.parameters_digest() == b.parameters_digest()
 
 
-class TestPrune:
-    def test_exact_sparsity_levels(self, backbone):
-        assert atk.prune_attack(backbone, 0.2).sparsity() == 0.2
-        assert atk.prune_attack(backbone, 0.4).sparsity() == 0.4
+def _prune(bundle, fraction):
+    return atk.apply_attack(bundle, atk.AttackSpec(kind="prune", fraction=fraction))
 
-    def test_zero_fraction_is_identity(self, backbone):
-        assert atk.prune_attack(backbone, 0.0).parameters_digest() == backbone.parameters_digest()
+
+class TestPrune:
+    def test_exact_sparsity_levels(self, mini_run):
+        assert sparsity(_prune(mini_run.bundle, 0.2)) == 0.2
+        assert sparsity(_prune(mini_run.bundle, 0.4)) == 0.4
+
+    def test_zero_fraction_is_identity(self, mini_run):
+        pruned = _prune(mini_run.bundle, 0.0)
+        assert pruned.parameters_digest() == mini_run.bundle.watermarked_f.parameters_digest()
 
 
 class TestDistill:
-    def test_copy_of_teacher_is_a_noop(self, backbone):
-        student, loss = atk.distill_attack(
-            backbone, (), data_seed=5, epochs=3, n_inputs=200,
-            student_init=backbone.copy(),
-        )
-        assert loss == 0.0
-        assert student.parameters_digest() == backbone.parameters_digest()
-
     def test_half_width_student_matches_embeddings(self, backbone):
         student, _ = atk.distill_attack(
             backbone, (24,), data_seed=6, epochs=50, n_inputs=5000, seed=7
         )
         held = gen_synthetic_images(256, MINI["s"], 8)
         assert atk.relative_embedding_error(student, backbone, held) < 0.15
-
-    def test_mismatched_student_refused(self, backbone):
-        wrong = ne.init_network([MINI["s"], 8, MINI["k"] + 1], ["tanh", "identity"], 9)
-        with pytest.raises(ValueError, match="student"):
-            atk.distill_attack(backbone, (), data_seed=10, epochs=1, student_init=wrong)
 
 
 class TestMakeIndependent:
@@ -134,10 +126,17 @@ class TestMakeIndependent:
         assert opened == []
 
 
+def _fixed_omega_spec(monkeypatch, **spec):
+    """Make every omega model of a population come from one attack spec."""
+    monkeypatch.setattr(
+        atk, "_random_omega_spec", lambda rng, seed: atk.AttackSpec(**spec, seed=seed)
+    )
+
+
 class TestPopulation:
-    def test_degenerate_omega_spec_is_exact_copy(self, mini_run):
-        spec = atk.AttackSpec(kind="prune", fraction=0.0)
-        result = atk.sample_model_population(mini_run.bundle, "omega", 1, seed=70, specs=[spec])
+    def test_degenerate_omega_spec_is_exact_copy(self, mini_run, monkeypatch):
+        _fixed_omega_spec(monkeypatch, kind="prune", fraction=0.0)
+        result = atk.sample_model_population(mini_run.bundle, "omega", 1, seed=70)
         assert len(result.models) == 1
         assert (
             result.models[0].parameters_digest()
@@ -163,13 +162,11 @@ class TestPopulation:
         assert kinds <= {"finetune", "prune"}
         assert len(kinds) == 2
 
-    def test_functionality_filter_excludes_wrecked_models(self, mini_run, caplog):
+    def test_functionality_filter_excludes_wrecked_models(self, mini_run, monkeypatch, caplog):
         # a huge learning rate destroys the embedding function
-        spec = atk.AttackSpec(kind="finetune", epochs=3, lr=10.0)
+        _fixed_omega_spec(monkeypatch, kind="finetune", epochs=3, lr=10.0)
         with caplog.at_level(logging.WARNING):
-            result = atk.sample_model_population(
-                mini_run.bundle, "omega", 2, seed=73, specs=[spec]
-            )
+            result = atk.sample_model_population(mini_run.bundle, "omega", 2, seed=73)
         assert result.excluded == 2
         assert len(result.models) == 0
         assert any("excluded" in rec.message for rec in caplog.records)
@@ -184,6 +181,12 @@ class TestPopulation:
     def test_invalid_kind_rejected(self, mini_run):
         with pytest.raises(ValueError):
             atk.sample_model_population(mini_run.bundle, "sigma", 1, seed=76)
+
+
+def _train_in_pool(dims, seeds, data_seeds, epochs, n_images):
+    """Models trained side by side in an IndependentPool of their own."""
+    with atk.IndependentPool(len(seeds)) as pool:
+        return [get() for get in pool.submit(dims, seeds, data_seeds, epochs, n_images)]
 
 
 class TestTrainIndependents:
@@ -207,7 +210,7 @@ class TestTrainIndependents:
         for cpus, trained_in_parent in ((1, 3), (2, 0)):
             see_cpus(monkeypatch, cpus)
             in_parent.clear()
-            models = atk.train_independents(DIMS, self.SEEDS, self.DATA_SEEDS, 3, 40)
+            models = _train_in_pool(DIMS, self.SEEDS, self.DATA_SEEDS, 3, 40)
             assert [m.parameters_digest() for m in models] == serial
             assert len(in_parent) == trained_in_parent
 
@@ -220,7 +223,7 @@ class TestTrainIndependents:
         see_cpus(monkeypatch, 2)
         monkeypatch.setattr(ne, "_running_threads", lambda: 3)
         monkeypatch.setattr(atk, "ProcessPoolExecutor", no_pool)
-        models = atk.train_independents(DIMS, self.SEEDS[:2], self.DATA_SEEDS[:2], 1, 20)
+        models = _train_in_pool(DIMS, self.SEEDS[:2], self.DATA_SEEDS[:2], 1, 20)
         assert len(models) == 2
 
     def test_pool_leaves_no_thread_behind(self, monkeypatch):
@@ -229,7 +232,7 @@ class TestTrainIndependents:
         # gone (counted as Python threads: OpenBLAS may stop its own at a fork)
         before = threading.active_count()
         monkeypatch.setattr(atk, "_worker_count", lambda jobs: 2)
-        atk.train_independents(DIMS, self.SEEDS[:2], self.DATA_SEEDS[:2], 1, 20)
+        _train_in_pool(DIMS, self.SEEDS[:2], self.DATA_SEEDS[:2], 1, 20)
         assert threading.active_count() == before
 
     def test_worker_value_error_reaches_parent(self, monkeypatch):
@@ -242,14 +245,14 @@ class TestTrainIndependents:
         monkeypatch.setattr(atk, "gen_synthetic_images", poisoned)
         see_cpus(monkeypatch, 2)
         with pytest.raises(ValueError, match="non-finite"):
-            atk.train_independents(DIMS, self.SEEDS, self.DATA_SEEDS, 2, 20)
+            _train_in_pool(DIMS, self.SEEDS, self.DATA_SEEDS, 2, 20)
 
     def test_dead_worker_breaks_pool_without_hanging(self, monkeypatch):
         def die(*args, **kwargs):
             os._exit(7)
 
         def timed_out(signum, frame):
-            raise TimeoutError("train_independents hung after a worker died")
+            raise TimeoutError("the pool hung after a worker died")
 
         monkeypatch.setattr(atk, "make_independent", die)
         see_cpus(monkeypatch, 2)
@@ -257,7 +260,7 @@ class TestTrainIndependents:
         signal.alarm(60)
         try:
             with pytest.raises(BrokenProcessPool):
-                atk.train_independents(DIMS, self.SEEDS, self.DATA_SEEDS, 2, 20)
+                _train_in_pool(DIMS, self.SEEDS, self.DATA_SEEDS, 2, 20)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)

@@ -592,6 +592,15 @@ seed = 31
 """
 
 
+# micro_config() as a config file, for the commands that redo its
+# verification and bound stages.
+MICRO_VERIFY_CFG = MICRO_STAGES_CFG + """
+[verify]
+k_verify = 8
+tau = 2
+"""
+
+
 def _write_micro_cfg(path, trigger_count=8, r_bar=6, r_under=3):
     path.write_text(f"""
 [dims]
@@ -945,11 +954,76 @@ class TestCli:
             "--out", str(tmp_path / "xi"),
         ])
         assert code == cli.EXIT_OK
+        # run seed 31's xi population has master seed 31 + 2000
         expected = atk.make_independent(
-            [16, 12, 6], seed=31, pretrain_data_seed=10_031, epochs=2, n_images=30
+            [16, 12, 6], seed=2031, pretrain_data_seed=12_031, epochs=2, n_images=30
         )
         saved = ne.load_checkpoint(tmp_path / "xi" / "xi000.rmk")
         assert saved.parameters_digest() == expected.parameters_digest()
+
+    def test_population_reproduces_run_population(self, micro_run, tmp_path):
+        # `population --seed S` samples with run S's omega and xi master seeds
+        config, out, _ = micro_run
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_STAGES_CFG)
+        for kind in ("omega", "xi"):
+            code = cli.main([
+                "population", "--config", str(cfg), "--seed", str(config.seed),
+                "--bundle", str(out / "bundle"), "--kind", kind,
+                "--M", str(config.m_models), "--out", str(tmp_path / kind),
+            ])
+            assert code == cli.EXIT_OK
+            names = sorted(path.name for path in (out / "population").glob(f"{kind}*"))
+            assert len(names) >= 2  # the manifest and at least one model
+            assert sorted(path.name for path in (tmp_path / kind).iterdir()) == names
+            for name in names:
+                written = (tmp_path / kind / name).read_bytes()
+                assert written == (out / "population" / name).read_bytes(), name
+
+    def test_bounds_on_run_population_reproduces_report(self, micro_run, tmp_path):
+        # each population loads the files its manifest lists, not every *.rmk
+        _, out, _ = micro_run
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_VERIFY_CFG)
+        code = cli.main([
+            "bounds", "--config", str(cfg),
+            "--bundle", str(out / "bundle"), "--triggers", str(out / "triggers.rmts"),
+            "--population-omega", str(out / "population"),
+            "--population-xi", str(out / "population"),
+            "--out", str(tmp_path / "bounds_out"),
+        ])
+        assert code in (cli.EXIT_OK, cli.EXIT_BOUND_NA)
+        written = (tmp_path / "bounds_out" / "bound_report.json").read_bytes()
+        assert written == (out / "bound_report.json").read_bytes()
+
+    @pytest.mark.parametrize("manifest, message", [
+        ("{", "not a population manifest"),
+        ('{"models": [{"index": 0}], "excluded": 0}', "not a population manifest"),
+        ('{"models": {"file": "omega000.rmk"}}', "not a population manifest"),
+        ('{"models": [{"file": "omega009.rmk"}]}', "'omega009.rmk' is not a checkpoint file"),
+        ('{"models": [{"file": "../outside.rmk"}]}', "'../outside.rmk' is not a checkpoint file"),
+        ('{"models": [{"file": 3}]}', "3 is not a checkpoint file"),
+        ('{"models": [], "excluded": 2}', "no checkpoints in"),
+    ], ids=["not-json", "row-without-file", "models-not-a-list", "missing-file",
+            "file-outside-directory", "file-not-a-name", "no-models"])
+    def test_bounds_rejects_bad_population_manifest(
+        self, micro_run, tmp_path, capsys, manifest, message
+    ):
+        _, out, _ = micro_run
+        population = tmp_path / "population"
+        shutil.copytree(out / "population", population)
+        shutil.copy(out / "suspects" / "watermarked.rmk", tmp_path / "outside.rmk")
+        (population / "omega_manifest.json").write_text(manifest)
+        code = cli.main([
+            "bounds", "--config", str(_write_micro_cfg(tmp_path / "micro.cfg")),
+            "--bundle", str(out / "bundle"), "--triggers", str(out / "triggers.rmts"),
+            "--population-omega", str(population), "--population-xi", str(population),
+            "--out", str(tmp_path / "bounds_out"),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "bounds_out").exists()
 
     def test_oracle_emits_json(self, capsys):
         code = cli.main([

@@ -8,6 +8,8 @@ import pytest
 
 from randmark import nnengine as ne
 
+from conftest import gradient_check, sparsity
+
 
 def _loss_quadratic(targets):
     """Squared-error loss against fixed targets, with its gradient."""
@@ -71,7 +73,7 @@ class TestBackward:
         x = rng.random((1, 3))
         targets = rng.random((1, 2))
         loss, grad = _loss_quadratic(targets)
-        err = ne.gradient_check(net, lambda n: loss(n, x), lambda n: grad(n, x))
+        err = gradient_check(net, lambda n: loss(n, x), lambda n: grad(n, x))
         assert err < 1e-6
 
     def test_three_layer_tanh_matches_fd(self):
@@ -80,7 +82,7 @@ class TestBackward:
         x = rng.random((3, 4))
         targets = rng.random((3, 2))
         loss, grad = _loss_quadratic(targets)
-        err = ne.gradient_check(net, lambda n: loss(n, x), lambda n: grad(n, x))
+        err = gradient_check(net, lambda n: loss(n, x), lambda n: grad(n, x))
         assert err < 1e-5
 
     def test_random_small_nets_match_fd(self):
@@ -94,7 +96,7 @@ class TestBackward:
             x = rng.standard_normal((2, dims[0]))
             targets = rng.standard_normal((2, dims[-1]))
             loss, grad = _loss_quadratic(targets)
-            err = ne.gradient_check(net, lambda n: loss(n, x), lambda n: grad(n, x))
+            err = gradient_check(net, lambda n: loss(n, x), lambda n: grad(n, x))
             assert err < 1e-5, f"trial {trial}: {err}"
 
     def test_skipped_input_gradient_keeps_parameter_gradients(self):
@@ -255,7 +257,7 @@ class TestGradientCheck:
             _, trace = ne.forward_batch(n, x)
             return ne.backward(n, trace, weights[None, :])
 
-        assert ne.gradient_check(net, loss, grad) < 1e-9
+        assert gradient_check(net, loss, grad) < 1e-9
 
     def test_corrupted_gradient_detected(self):
         rng = np.random.default_rng(10)
@@ -269,12 +271,12 @@ class TestGradientCheck:
             g.weights[0][0, 0] *= 2.0  # one entry doubled
             return g
 
-        assert ne.gradient_check(net, lambda n: loss(n, x), corrupted) > 0.1
+        assert gradient_check(net, lambda n: loss(n, x), corrupted) > 0.1
 
     def test_non_finite_loss_fatal(self):
         net = ne.init_network([2, 2], ["identity"], 11)
         with pytest.raises(ValueError):
-            ne.gradient_check(net, lambda n: float("nan"), lambda n: None)
+            gradient_check(net, lambda n: float("nan"), lambda n: None)
 
 
 class TestOptimizer:
@@ -452,7 +454,7 @@ class TestPruning:
     def test_desk_backbone_exact_sparsity(self):
         net = ne.init_network([256, 192, 64], ["tanh", "identity"], 16)
         for fraction in (0.2, 0.4):
-            assert ne.l1_unstructured_prune(net, fraction).sparsity() == fraction
+            assert sparsity(ne.l1_unstructured_prune(net, fraction)) == fraction
 
     def test_biases_exempt(self):
         net = ne.init_network([4, 3], ["identity"], 17)
@@ -469,7 +471,7 @@ class TestPruning:
     def test_sparsity_monotone_in_fraction(self):
         net = ne.init_network([6, 5, 4], ["tanh", "identity"], 19)
         fractions = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0]
-        sparsities = [ne.l1_unstructured_prune(net, q).sparsity() for q in fractions]
+        sparsities = [sparsity(ne.l1_unstructured_prune(net, q)) for q in fractions]
         assert all(a <= b for a, b in zip(sparsities, sparsities[1:]))
 
     def test_fraction_out_of_range_rejected(self):

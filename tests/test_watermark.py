@@ -16,7 +16,7 @@ from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.stats import mean_distance, var_distance
 
-from conftest import MINI, see_cpus
+from conftest import MINI, decode_one_trigger, gradient_check, see_cpus, trigger_loss
 
 
 def _sample(s=8, n=4, sigma=0.1, seed=0):
@@ -82,34 +82,40 @@ class TestEncoder:
         enc.layers[-1].weight[:] = 0.0
         enc.layers[-1].bias[:] = 0.0
         rng = np.random.default_rng(5)
-        out = wm.encoder_perturbation(enc, rng.random((4, s)), rng.integers(0, 2, (4, n)))
-        assert np.array_equal(out, np.zeros((4, s)))
+        messages = [wm.BitMessage(rng.integers(0, 2, n)) for _ in range(2)]
+        for message in messages:
+            out = wm.encoder_perturbation(enc, rng.random((4, s)), message)
+            assert np.array_equal(out, np.zeros((4, s)))
         # non-zero bias broadcasts as a constant in both image and message
         enc.layers[-1].bias[:] = np.array([0.5, -0.25, 0.0, 1.0, -1.0, 0.75])
-        out = wm.encoder_perturbation(enc, rng.random((4, s)), rng.integers(0, 2, (4, n)))
-        assert np.allclose(out, np.tanh(enc.layers[-1].bias)[None, :])
-        assert np.ptp(out, axis=0).max() == 0.0
+        for message in messages:
+            out = wm.encoder_perturbation(enc, rng.random((4, s)), message)
+            assert np.allclose(out, np.tanh(enc.layers[-1].bias)[None, :])
+            assert np.ptp(out, axis=0).max() == 0.0
 
     def test_message_bit_flip_changes_stego(self, mini_run):
         bundle = mini_run.bundle
         trigger = mini_run.triggers.samples[0]
-        noisy = wm.sample_noise(trigger, 1, 6)[0]
-        stego_a = wm.encode_trigger(
-            bundle.encoder_e, noisy, trigger.message, bundle.hyper.delta_scale
-        )
         flipped = trigger.message.bits.copy()
         flipped[0] ^= 1
-        stego_b = wm.encode_trigger(
-            bundle.encoder_e, noisy, wm.BitMessage(flipped), bundle.hyper.delta_scale
-        )
-        assert np.linalg.norm(stego_a - stego_b) > 0.0
+        stegos = [
+            wm.stego_batch(
+                bundle.encoder_e, [wm.TriggerSample(trigger.image, message, trigger.sigma)],
+                1, 6, bundle.hyper.delta_scale,
+            )
+            for message in (trigger.message, wm.BitMessage(flipped), trigger.message)
+        ]
+        assert np.linalg.norm(stegos[0] - stegos[1]) > 0.0
+        assert np.array_equal(stegos[0], stegos[2])  # rebuilt, the same bytes
 
     def test_output_shape_contract(self):
         s, n = 256, 32
         enc = ne.init_network([s + n, 64, s], ["tanh", "tanh"], 7)
         rng = np.random.default_rng(8)
-        stego = wm.encode_trigger(enc, rng.random(s), wm.BitMessage(rng.integers(0, 2, n)))
-        assert stego.shape == (s,)
+        out = wm.encoder_perturbation(
+            enc, rng.random((1, s)), wm.BitMessage(rng.integers(0, 2, n))
+        )
+        assert out.shape == (1, s)
 
 
 class TestDecoder:
@@ -119,15 +125,15 @@ class TestDecoder:
         dec = ne.MlpNetwork(
             [ne.Layer(np.zeros((2, 3)), np.array([logit(0.9), logit(0.1), 0.0]), "sigmoid")]
         )
-        soft, hard = wm.decode_message(dec, np.zeros(2))
+        soft, hard, _ = decode_one_trigger(dec, [0, 0, 0], 2)
         assert np.allclose(soft, [0.9, 0.1, 0.5])
-        assert hard == wm.BitMessage([1, 0, 1])
+        assert np.array_equal(hard, [[1, 0, 1]] * 2)
 
     def test_zero_decoder_gives_all_ones(self):
         dec = ne.MlpNetwork([ne.Layer(np.zeros((4, 3)), np.zeros(3), "sigmoid")])
-        soft, hard = wm.decode_message(dec, np.ones(4))
+        soft, hard, _ = decode_one_trigger(dec, [0, 0, 0], 2)
         assert np.all(soft == 0.5)
-        assert hard == wm.BitMessage([1, 1, 1])
+        assert np.array_equal(hard, np.ones((2, 3)))
 
     def test_trained_bundle_decodes_own_triggers(self, mini_run):
         bundle = mini_run.bundle
@@ -160,8 +166,8 @@ class TestComputeLoss:
             hyper=wm.HyperParams(lam=1.0, k_train=4, epochs=0),
         )
         sample = wm.TriggerSample(np.random.default_rng(11).random(s), message, 0.05)
-        parts = wm.compute_loss(bundle, sample, 4, 12)
-        assert parts.total == 0.0 and parts.fidelity == 0.0 and parts.message == 0.0
+        fidelity, message_term, _ = trigger_loss(bundle, sample, 4, 12)
+        assert fidelity == 0.0 and message_term == 0.0
 
     def test_message_term_linear_in_lambda(self):
         rng = np.random.default_rng(13)
@@ -176,13 +182,12 @@ class TestComputeLoss:
             )
             for layer in bundle.watermarked_f.layers:
                 layer.weight += 0.05
-            return wm.compute_loss(bundle, sample, 4, 15)
+            return trigger_loss(bundle, sample, 4, 15)[:2]
 
         single = parts_for(1.0)
         double = parts_for(2.0)
-        assert double.message == pytest.approx(2.0 * single.message, rel=1e-12)
-        assert double.fidelity == pytest.approx(single.fidelity, rel=1e-12)
-        assert double.total == pytest.approx(double.fidelity + double.message, rel=1e-12)
+        assert double[1] == pytest.approx(2.0 * single[1], rel=1e-12)
+        assert double[0] == pytest.approx(single[0], rel=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(16)
@@ -195,16 +200,16 @@ class TestComputeLoss:
         for layer in bundle.watermarked_f.layers:
             layer.weight += 0.05 * rng.standard_normal(layer.weight.shape)
         sample = wm.TriggerSample(rng.random(s), wm.BitMessage(rng.integers(0, 2, n)), 0.08)
-        grads = wm.compute_loss_gradients(bundle, sample, 4, 18)
+        grads = trigger_loss(bundle, sample, 4, 18)[2]
         worst = 0.0
         for name, net in (
             ("watermarked_f", bundle.watermarked_f),
             ("encoder_e", bundle.encoder_e),
             ("decoder_d", bundle.decoder_d),
         ):
-            err = ne.gradient_check(
+            err = gradient_check(
                 net,
-                lambda _: wm.compute_loss(bundle, sample, 4, 18).total,
+                lambda _: sum(trigger_loss(bundle, sample, 4, 18)[:2]),
                 lambda _: grads[name],
             )
             worst = max(worst, err)
@@ -271,14 +276,13 @@ class TestEmbedWatermark:
         noise *= triggers.sigmas()[:, None, None]
         args = (bundle.frozen_f, bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
         fid_b, msg_b, _, _ = wm._loss_and_grads(
-            *args, images, messages, noise, bundle.hyper.lam,
-            bundle.hyper.delta_scale, want_grads=False,
+            *args, images, messages, noise, bundle.hyper.lam, bundle.hyper.delta_scale
         )
         accumulated = 0.0
         for i in range(len(triggers)):
             fid_i, msg_i, _, _ = wm._loss_and_grads(
                 *args, images[i : i + 1], messages[i : i + 1], noise[i : i + 1],
-                bundle.hyper.lam, bundle.hyper.delta_scale, want_grads=False,
+                bundle.hyper.lam, bundle.hyper.delta_scale,
             )
             accumulated += fid_i + msg_i
         assert abs(accumulated - (fid_b + msg_b)) < 1e-9
