@@ -26,10 +26,8 @@ from .nnengine import (  # noqa: F401
     save_checkpoint,
 )
 from .watermark import (  # noqa: F401
-    BitMessage,
     HyperParams,
     ModelBundle,
-    TriggerSample,
     TriggerSet,
     VerificationRefused,
     embed_watermark,

@@ -10,6 +10,7 @@ set, or any message.
 from __future__ import annotations
 
 import logging
+import math
 import multiprocessing
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -57,6 +58,8 @@ class AttackSpec:
             raise ValueError("prune fraction must lie in [0, 1]")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
 
 
 @dataclass

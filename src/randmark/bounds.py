@@ -213,7 +213,7 @@ def lemma_bounds(
     elif p_eff >= 1.0:
         minus_reason = "p_hat - eps reached 1; tail is zero and the form degenerates"
     else:
-        h_minus = math.exp(_gamma_log(p_eff, r_bar, n_count))
+        h_minus = chernoff_gamma(p_eff, r_bar, n_count)
 
     h_plus = None
     plus_reason = None
@@ -227,6 +227,8 @@ def lemma_bounds(
     else:
         # Upper tail via the complement: P(S > r_under) for mean q equals the
         # lower tail of the flipped sum, and the closed form is symmetric.
+        # chernoff_gamma rejects this mirrored q < d/N form, and evaluating
+        # it as chernoff_gamma(1 - q, N - d, N) would change the last bits.
         h_plus = math.exp(_gamma_log(q_eff, r_under, n_count))
 
     return LemmaBounds(

@@ -34,10 +34,8 @@ from .nnengine import MlpNetwork, load_checkpoint, save_checkpoint
 from .stats import VerificationReport, covariance_delta, sweep_rows, write_detection_sweep
 from .synth import gen_synthetic_images
 from .watermark import (
-    BitMessage,
     HyperParams,
     ModelBundle,
-    TriggerSample,
     TrainingLog,
     TriggerSet,
     decode_triggers,
@@ -54,11 +52,10 @@ def build_trigger_set(images: np.ndarray, n: int, sigma_scale: float, seed: int)
     if sigma_scale <= 0.0:
         raise ValueError("sigma_scale must be positive (noise scale must stay > 0)")
     rng = np.random.default_rng(seed)
-    samples = []
-    for image in images:
-        message = BitMessage.random(n, rng)
-        samples.append(TriggerSample(image, message, sigma_scale * float(image.std())))
-    return TriggerSet(samples, n=n, s=images.shape[1], master_seed=seed)
+    messages = np.empty((len(images), n), dtype=np.int8)
+    for row in messages:  # one (N, n) draw would give other bits when n % 4 != 0
+        row[:] = rng.integers(0, 2, size=n, dtype=np.int8)
+    return TriggerSet(images, messages, sigma_scale * images.std(axis=1), master_seed=seed)
 
 
 class RunSeeds(NamedTuple):
@@ -128,6 +125,11 @@ class ExperimentConfig:
             raise ValueError("delta must lie in (0, 1]")
         if self.independents < 0:
             raise ValueError("independents must not be negative")
+        if self.pretrain_images < 1:
+            raise ValueError("pretrain_images must be positive")
+        if self.pretrain_epochs < 0:
+            raise ValueError("pretrain_epochs must not be negative")
+        self.hyper()  # range-checks the embedding settings
 
     @property
     def backbone_dims(self) -> list[int]:
@@ -263,7 +265,7 @@ def verify_suspect(
     if k_draws < 1:
         raise ValueError(f"K must be at least 1, got {k_draws}")
     distances = decode_triggers(
-        suspect, bundle.encoder_e, bundle.decoder_d, triggers.samples, k_draws, seed,
+        suspect, bundle.encoder_e, bundle.decoder_d, triggers, k_draws, seed,
         bundle.hyper.delta_scale,
     )[2]
     report = VerificationReport.from_batches(suspect_id, distances, triggers.n, tau, seed)
@@ -284,7 +286,7 @@ def population_distances(
     out = np.empty((len(models), len(triggers), k_draws), dtype=np.int64)
     for mi, model in enumerate(models):
         out[mi] = decode_triggers(
-            model, bundle.encoder_e, bundle.decoder_d, triggers.samples, k_draws, seed,
+            model, bundle.encoder_e, bundle.decoder_d, triggers, k_draws, seed,
             bundle.hyper.delta_scale,
         )[2]
     return out
@@ -535,8 +537,14 @@ def compute_bound_report(
     """Bit-collision estimates pooled across each population, Poisson-
     binomial deviation bounds, and the concentration bounds seeded by the
     first model of each population's observed detection rate. The omega
-    models are decoded first, each as iteration yields it."""
-    n_bits, k_draws = config.n, config.k_verify
+    models are decoded first, each as iteration yields it. The message
+    length comes from the trigger set; a config whose n differs raises
+    ValueError."""
+    if config.n != triggers.n:
+        raise ValueError(
+            f"config n = {config.n} does not match the trigger set's {triggers.n}-bit messages"
+        )
+    n_bits, k_draws = triggers.n, config.k_verify
     counts = {}
     rates = {}
     for label, models in (("omega", omega_models), ("xi", xi_models)):

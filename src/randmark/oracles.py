@@ -182,7 +182,7 @@ def lemma_validity_simulation(
     when its precondition holds, and scores a violation when the true tail
     exceeds it.
     """
-    from .bounds import hoeffding_epsilon, poisson_binomial_cdf, _gamma_log
+    from .bounds import chernoff_gamma, hoeffding_epsilon, poisson_binomial_cdf
 
     p = np.asarray(list(probs), dtype=np.float64)
     n = p.size
@@ -206,7 +206,7 @@ def lemma_validity_simulation(
         if p_eff <= ratio or p_eff >= 1.0:
             inapplicable += weight
             continue
-        h = math.exp(_gamma_log(p_eff, r_bar, n))
+        h = chernoff_gamma(p_eff, r_bar, n)
         if true_tail > h:
             violations += weight
     rate = violations / reps

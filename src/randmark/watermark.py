@@ -1,9 +1,13 @@
 """Embed binary messages into trigger representations and extract them back.
 
-The owner holds a trigger set (secret images, one random message each), a
-frozen reference backbone f, and three trainable networks: the watermarked
-backbone, an encoder that hides the message in a noisy trigger image, and a
-decoder that reads it from the backbone's embedding. Training minimizes a
+The owner holds a trigger set, kept as three stacked arrays (TriggerSet):
+N secret images (N, s), a random n-bit message for each (N, n) and a noise
+scale for each (N,). Every layer reads rows of those arrays: the embedding
+loss, the shared stego batch, decoding, and the RMTS file, which stores one
+record per trigger. The owner also holds a frozen reference backbone f and
+three trainable networks: the watermarked backbone, an encoder that hides
+the message in a noisy trigger image, and a decoder that reads it from the
+backbone's embedding. Training minimizes a
 fidelity term (keep the watermarked backbone close to the reference on the
 clean triggers) plus a message term (decoded soft bits close to the assigned
 message under fresh Gaussian input noise). Verification replays the encoder
@@ -12,6 +16,7 @@ and decoder around any suspect backbone and counts bit errors.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass, field
@@ -51,102 +56,83 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(eq=False)
-class BitMessage:
-    """A binary message: a vector of {0,1} entries."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.int8)
-        if self.bits.ndim != 1 or self.bits.size < 1:
-            raise ValueError("message must be a non-empty 1-D bit vector")
-        if not ((self.bits == 0) | (self.bits == 1)).all():
-            raise ValueError("message entries must be 0 or 1")
-
-    def __len__(self) -> int:
-        return int(self.bits.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitMessage):
-            return NotImplemented
-        return np.array_equal(self.bits, other.bits)
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "BitMessage":
-        return cls(rng.integers(0, 2, size=n, dtype=np.int8))
-
-    def packed(self) -> bytes:
-        """Bits packed LSB-first into ceil(n/8) bytes."""
-        return np.packbits(self.bits.astype(np.uint8), bitorder="little").tobytes()
-
-    @classmethod
-    def from_packed(cls, data: bytes, n: int) -> "BitMessage":
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-        return cls(bits[:n].astype(np.int8))
-
-
-@dataclass
-class TriggerSample:
-    """One secret image with its assigned message and per-image noise scale."""
-
-    image: np.ndarray
-    message: BitMessage
-    sigma: float
-
-    def __post_init__(self):
-        self.image = np.asarray(self.image, dtype=np.float64)
-        if self.image.ndim != 1:
-            raise ValueError("trigger image must be a flat vector")
-        # a NaN fails both comparisons, so it is rejected with the range
-        if not ((self.image >= 0.0) & (self.image <= 1.0)).all():
-            raise ValueError("trigger pixel intensities must be finite and lie in [0, 1]")
-        self.sigma = float(self.sigma)
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
-
-
-@dataclass
 class TriggerSet:
-    samples: list[TriggerSample]
-    n: int
-    s: int
+    """The owner's secret trigger set as stacked rows: N flat images (N, s)
+    with pixels in [0, 1], a message of n bits for each (N, n), and a
+    Gaussian noise scale for each (N,). Equal sets hold equal arrays and
+    master seeds."""
+
+    images: np.ndarray
+    messages: np.ndarray
+    sigmas: np.ndarray
     master_seed: int
 
     def __post_init__(self):
-        if not self.samples:
-            raise ValueError("trigger set must contain at least one sample")
-        for t in self.samples:
-            if len(t.message) != self.n:
-                raise ValueError("all messages must have length n")
-            if t.image.shape != (self.s,):
-                raise ValueError("all images must have length s")
+        messages = np.asarray(self.messages)
+        self.images = np.asarray(self.images, dtype=np.float64)
+        self.sigmas = np.asarray(self.sigmas, dtype=np.float64)
+        if self.images.ndim != 2 or messages.ndim != 2 or self.sigmas.ndim != 1:
+            raise ValueError("trigger set needs images (N, s), messages (N, n) and sigmas (N,)")
+        if not len(self.images) == len(messages) == len(self.sigmas):
+            raise ValueError("images, messages and sigmas must have one row per trigger")
+        if 0 in (len(self.images), self.images.shape[1], messages.shape[1]):
+            raise ValueError("trigger set needs at least one trigger, pixel and message bit")
+        # a NaN fails both comparisons, so it is rejected with the range
+        if not ((self.images >= 0.0) & (self.images <= 1.0)).all():
+            raise ValueError("trigger pixel intensities must be finite and lie in [0, 1]")
+        if not ((messages == 0) | (messages == 1)).all():
+            raise ValueError("message entries must be 0 or 1")
+        self.messages = messages.astype(np.int8)
+        if not ((self.sigmas > 0.0) & (self.sigmas < math.inf)).all():
+            raise ValueError("sigma must be positive and finite")
         self.master_seed = int(self.master_seed) & _MASK64
 
+    @property
+    def n(self) -> int:
+        return self.messages.shape[1]
+
+    @property
+    def s(self) -> int:
+        return self.images.shape[1]
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.images)
 
-    def images(self) -> np.ndarray:
-        return np.stack([t.image for t in self.samples])
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TriggerSet):
+            return NotImplemented
+        return self.master_seed == other.master_seed and all(map(
+            np.array_equal,
+            (self.images, self.messages, self.sigmas),
+            (other.images, other.messages, other.sigmas),
+        ))
 
-    def messages(self) -> np.ndarray:
-        return np.stack([t.message.bits for t in self.samples]).astype(np.float64)
+    def __getitem__(self, rows: slice) -> "TriggerSet":
+        """The triggers of a row slice, as a set of their own."""
+        return TriggerSet(
+            self.images[rows], self.messages[rows], self.sigmas[rows], self.master_seed
+        )
 
-    def sigmas(self) -> np.ndarray:
-        return np.array([t.sigma for t in self.samples])
+
+def _trigger_record(s: int, n: int) -> np.dtype:
+    """One trigger of an RMTS v1 file: its pixels and sigma as little-endian
+    float64, then its bits packed LSB-first into ceil(n/8) bytes."""
+    return np.dtype([
+        ("image", "<f8", (s,)), ("sigma", "<f8"), ("message", "u1", ((n + 7) // 8,)),
+    ])
 
 
 def save_trigger_set(triggers: TriggerSet, path) -> None:
-    buf = bytearray()
-    buf += TRIGGER_MAGIC
-    buf += struct.pack("<H", TRIGGER_VERSION)
-    buf += struct.pack("<III", len(triggers), triggers.s, triggers.n)
-    buf += struct.pack("<Q", triggers.master_seed)
-    for t in triggers.samples:
-        buf += np.ascontiguousarray(t.image, dtype="<f8").tobytes()
-        buf += struct.pack("<d", t.sigma)
-        buf += t.message.packed()
+    records = np.empty(len(triggers), _trigger_record(triggers.s, triggers.n))
+    records["image"] = triggers.images
+    records["sigma"] = triggers.sigmas
+    records["message"] = np.packbits(triggers.messages.astype(np.uint8), axis=1, bitorder="little")
+    header = struct.pack(
+        "<4sHIIIQ", TRIGGER_MAGIC, TRIGGER_VERSION, len(triggers), triggers.s, triggers.n,
+        triggers.master_seed,
+    )
     with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+        fh.write(header + records.tobytes())
 
 
 def load_trigger_set(path) -> TriggerSet:
@@ -156,30 +142,20 @@ def load_trigger_set(path) -> TriggerSet:
         raise ValueError("bad trigger-set magic bytes")
     if len(data) < 26:
         raise ValueError(f"truncated trigger-set header: {len(data)} of 26 bytes")
-    (version,) = struct.unpack_from("<H", data, 4)
+    version, count, s, n, master_seed = struct.unpack_from("<HIIIQ", data, 4)
     if version != TRIGGER_VERSION:
         raise ValueError(f"unsupported trigger-set version {version}")
-    count, s, n = struct.unpack_from("<III", data, 6)
-    (master_seed,) = struct.unpack_from("<Q", data, 18)
-    offset = 26
-    msg_bytes = (n + 7) // 8
-    expected = offset + count * (8 * s + 8 + msg_bytes)
+    record = _trigger_record(s, n)
+    expected = 26 + count * record.itemsize
     if len(data) < expected:
         raise ValueError(
             f"truncated trigger-set file: {len(data)} bytes, header needs {expected}"
         )
-    samples = []
-    for _ in range(count):
-        image = np.frombuffer(data, dtype="<f8", count=s, offset=offset).copy()
-        offset += 8 * s
-        (sigma,) = struct.unpack_from("<d", data, offset)
-        offset += 8
-        message = BitMessage.from_packed(data[offset : offset + msg_bytes], n)
-        offset += msg_bytes
-        samples.append(TriggerSample(image, message, sigma))
-    if offset != len(data):
+    if len(data) != expected:
         raise ValueError("trailing bytes in trigger-set file")
-    return TriggerSet(samples, n=n, s=s, master_seed=master_seed)
+    records = np.frombuffer(data, dtype=record, count=count, offset=26)
+    messages = np.unpackbits(records["message"], axis=1, count=n, bitorder="little")
+    return TriggerSet(records["image"].copy(), messages, records["sigma"].copy(), master_seed)
 
 
 @dataclass
@@ -200,6 +176,8 @@ class HyperParams:
             raise ValueError("k_train >= 1 and epochs >= 0 required")
         if self.delta_scale <= 0.0:
             raise ValueError("delta_scale must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass
@@ -291,8 +269,9 @@ class ModelBundle:
     @classmethod
     def load(cls, directory) -> "ModelBundle":
         """Read a bundle written by save. A manifest.txt that lacks a key
-        (weight_decay defaults to 0) or holds a value that is not a finite
-        number of the key's type raises ValueError naming the file and key."""
+        (weight_decay defaults to 0), holds a value that is not a finite
+        number of the key's type, or one out of HyperParams' range raises
+        ValueError naming the file and key."""
         directory = Path(directory)
         manifest = directory / "manifest.txt"
         kv = {}
@@ -304,23 +283,26 @@ class ModelBundle:
 
         def number(key: str, cast):
             if key not in kv:
-                raise ValueError(f"{manifest}: missing key {key!r}")
+                raise ValueError(f"missing key {key!r}")
             try:
                 value = cast(kv[key])
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise ValueError(f"{manifest}: {key}={kv[key]!r} is not a finite {cast.__name__}")
+                raise ValueError(f"{key}={kv[key]!r} is not a finite {cast.__name__}")
             return value
 
-        hyper = HyperParams(
-            lam=number("lambda", float),
-            k_train=number("k_train", int),
-            epochs=number("epochs", int),
-            learning_rate=number("learning_rate", float),
-            delta_scale=number("delta_scale", float),
-            weight_decay=number("weight_decay", float) if "weight_decay" in kv else 0.0,
-        )
+        try:
+            hyper = HyperParams(
+                lam=number("lambda", float),
+                k_train=number("k_train", int),
+                epochs=number("epochs", int),
+                learning_rate=number("learning_rate", float),
+                delta_scale=number("delta_scale", float),
+                weight_decay=number("weight_decay", float) if "weight_decay" in kv else 0.0,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{manifest}: {exc}") from None
         return cls(
             frozen_f=load_checkpoint(directory / "frozen_f.rmk"),
             watermarked_f=load_checkpoint(directory / "watermarked_f.rmk"),
@@ -330,22 +312,22 @@ class ModelBundle:
         )
 
 
-def sample_noise(sample: TriggerSample, k_draws: int, stream_seed: int) -> np.ndarray:
-    """K perturbed copies of the trigger image: x + eps with eps iid Gaussian
-    of per-coordinate std sample.sigma. Deterministic for a fixed seed."""
+def sample_noise(image: np.ndarray, sigma: float, k_draws: int, stream_seed: int) -> np.ndarray:
+    """K perturbed copies of one trigger image (s,): x + eps with eps iid
+    Gaussian of per-coordinate std sigma. Deterministic for a fixed seed."""
     if k_draws < 1:
         raise ValueError("need at least one draw")
     rng = np.random.default_rng(stream_seed)
-    eps = rng.standard_normal((k_draws, sample.image.shape[0]))
-    return sample.image[None, :] + sample.sigma * eps
+    eps = rng.standard_normal((k_draws, image.shape[0]))
+    return image[None, :] + sigma * eps
 
 
 def encoder_perturbation(
-    encoder: MlpNetwork, noisy_images: np.ndarray, message: BitMessage
+    encoder: MlpNetwork, noisy_images: np.ndarray, message: np.ndarray
 ) -> np.ndarray:
     """Raw bounded output of the encoder network for a (B, s) batch of noisy
-    images that all carry one message."""
-    bits = np.broadcast_to(message.bits.astype(np.float64), (noisy_images.shape[0], len(message)))
+    images that all carry one message of n bits."""
+    bits = np.broadcast_to(message.astype(np.float64), (noisy_images.shape[0], message.shape[0]))
     out, _ = forward_batch(encoder, np.concatenate([noisy_images, bits], axis=1))
     return out
 
@@ -424,9 +406,7 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
     if triggers.s != bundle.s or triggers.n != bundle.n:
         raise ValueError("trigger set dimensions do not match bundle")
     hyper = bundle.hyper
-    images = triggers.images()
-    messages = triggers.messages()
-    sigmas = triggers.sigmas()
+    messages = triggers.messages.astype(np.float64)
     n_trig = len(triggers)
 
     rng = np.random.default_rng(triggers.master_seed)
@@ -441,13 +421,13 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
     snapshot = None
     for epoch in range(hyper.epochs):
         noise = rng.standard_normal((n_trig, hyper.k_train, triggers.s))
-        noise *= sigmas[:, None, None]
+        noise *= triggers.sigmas[:, None, None]
         fid, msg, acc, grads = _loss_and_grads(
             bundle.frozen_f,
             bundle.watermarked_f,
             bundle.encoder_e,
             bundle.decoder_d,
-            images,
+            triggers.images,
             messages,
             noise,
             hyper.lam,
@@ -491,8 +471,7 @@ def trigger_stream_seed(seed: int, index: int) -> int:
 
 
 def _build_stego(
-    encoder_e: MlpNetwork, samples: list[TriggerSample], k_draws: int, seed: int,
-    delta_scale: float,
+    encoder_e: MlpNetwork, triggers: TriggerSet, k_draws: int, seed: int, delta_scale: float,
 ) -> np.ndarray:
     """Stego inputs for every trigger and draw, (N * K, s), trigger-major.
 
@@ -500,29 +479,30 @@ def _build_stego(
     different BLAS kernel than a many-row one, so this keeps a trigger's
     block the same bytes whatever batch it is built in.
     """
-    stego = np.empty((len(samples) * k_draws, samples[0].image.shape[0]))
-    for index, sample in enumerate(samples):
-        noisy = sample_noise(sample, k_draws, trigger_stream_seed(seed, index))
+    stego = np.empty((len(triggers) * k_draws, triggers.s))
+    for index, (image, message, sigma) in enumerate(
+        zip(triggers.images, triggers.messages, triggers.sigmas)
+    ):
+        noisy = sample_noise(image, sigma, k_draws, trigger_stream_seed(seed, index))
         stego[index * k_draws : (index + 1) * k_draws] = noisy + delta_scale * (
-            encoder_perturbation(encoder_e, noisy, sample.message)
+            encoder_perturbation(encoder_e, noisy, message)
         )
     return stego
 
 
-# The one shared stego batch: (run parameters, copies of its input arrays,
-# read-only (N * K, s) array).
-_stego_memo: tuple[tuple, list[np.ndarray], np.ndarray] | None = None
+# The one shared stego batch: (run parameters, copies of the encoder's
+# arrays, a copy of the trigger set, read-only (N * K, s) array).
+_stego_memo: tuple[tuple, list[np.ndarray], TriggerSet, np.ndarray] | None = None
 
 
 def stego_batch(
-    encoder_e: MlpNetwork, samples: list[TriggerSample], k_draws: int, seed: int,
-    delta_scale: float,
+    encoder_e: MlpNetwork, triggers: TriggerSet, k_draws: int, seed: int, delta_scale: float,
 ) -> np.ndarray:
     """The suspect-independent stego inputs of an extraction run, read-only.
 
     The last batch built stays in memory (N * K * s * 8 bytes, plus copies
     of the encoder and the triggers) and is returned again while encoder
-    parameters, trigger contents, K, seed and delta_scale compare equal to
+    parameters, the trigger set, K, seed and delta_scale compare equal to
     those it was built from, so every suspect verified against one bundle
     and trigger set shares it. The comparison is by content, never by id():
     optimizer_step updates weights in place.
@@ -530,22 +510,18 @@ def stego_batch(
     global _stego_memo
     run = (k_draws, seed & _MASK64, float(delta_scale),
            tuple(layer.activation for layer in encoder_e.layers))
-    inputs = [array for layer in encoder_e.layers for array in (layer.weight, layer.bias)]
-    inputs += [
-        np.stack([sample.image for sample in samples]),
-        np.stack([sample.message.bits for sample in samples]),
-        np.array([sample.sigma for sample in samples]),
-    ]
+    weights = [array for layer in encoder_e.layers for array in (layer.weight, layer.bias)]
     if (
         _stego_memo is None
         or _stego_memo[0] != run
-        or not all(map(np.array_equal, inputs, _stego_memo[1]))
+        or not all(map(np.array_equal, weights, _stego_memo[1]))
+        or _stego_memo[2] != triggers
     ):
         _stego_memo = None  # free the old batch before building the new one
-        stego = _build_stego(encoder_e, samples, k_draws, seed, delta_scale)
+        stego = _build_stego(encoder_e, triggers, k_draws, seed, delta_scale)
         stego.flags.writeable = False
-        _stego_memo = (run, [array.copy() for array in inputs], stego)
-    return _stego_memo[2]
+        _stego_memo = (run, [array.copy() for array in weights], copy.deepcopy(triggers), stego)
+    return _stego_memo[3]
 
 
 def _trigger_blocks(n_trig: int, k_draws: int) -> list[tuple[int, int]]:
@@ -561,7 +537,7 @@ def decode_triggers(
     suspect: MlpNetwork,
     encoder_e: MlpNetwork,
     decoder_d: MlpNetwork,
-    samples: list[TriggerSample],
+    triggers: TriggerSet,
     k_draws: int,
     seed: int,
     delta_scale: float = 0.5,
@@ -571,8 +547,9 @@ def decode_triggers(
     The verifier's encoder and decoder wrap the suspect in place of the
     watermarked backbone. Returns soft bits (N, K, n), hard bits (N, K, n),
     where a soft bit of exactly 0.5 reads as 1, and Hamming distances to each
-    trigger's message (N, K). The stego inputs come from stego_batch. Refuses suspects whose input/output dimensions do
-    not fit the verifier before any stego work.
+    trigger's message (N, K). The stego inputs come from stego_batch.
+    Refuses suspects whose input/output dimensions do not fit the verifier
+    before any stego work.
 
     The triggers are split into contiguous row blocks of the stego batch,
     one per worker of nnengine._worker_count (one per CPU while BLAS is
@@ -581,8 +558,7 @@ def decode_triggers(
     bytes do not depend on the split. The distances are checked against the
     hard bits and the range [0, n] once all blocks are done.
     """
-    s = samples[0].image.shape[0]
-    n = len(samples[0].message)
+    s, n, n_trig = triggers.s, triggers.n, len(triggers)
     if suspect.input_dim != s or suspect.output_dim != decoder_d.input_dim:
         raise VerificationRefused(
             f"suspect maps {suspect.input_dim} -> {suspect.output_dim}, verifier "
@@ -590,9 +566,8 @@ def decode_triggers(
         )
     if encoder_e.input_dim != s + n or encoder_e.output_dim != s:
         raise ValueError("encoder does not match trigger dimensions")
-    stego = stego_batch(encoder_e, samples, k_draws, seed, delta_scale)
-    n_trig = len(samples)
-    messages = np.stack([sample.message.bits for sample in samples])
+    stego = stego_batch(encoder_e, triggers, k_draws, seed, delta_scale)
+    messages = triggers.messages
     soft = np.empty((n_trig, k_draws, n))
     hard = np.empty((n_trig, k_draws, n), dtype=np.int8)
     distances = np.empty((n_trig, k_draws), dtype=np.int64)
@@ -615,15 +590,18 @@ def extract_messages(
     suspect: MlpNetwork,
     encoder_e: MlpNetwork,
     decoder_d: MlpNetwork,
-    sample: TriggerSample,
+    triggers: TriggerSet,
+    index: int,
     k_draws: int,
     stream_seed: int,
     delta_scale: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode K messages from a suspect backbone for one trigger, with noise
-    draws from stream_seed (modulo 2**64): decode_triggers' row for it, as
-    soft bits (K, n), hard bits (K, n) and distances (K,)."""
+    """Decode K messages from a suspect backbone for trigger `index` of the
+    set, with noise draws from stream_seed (modulo 2**64): decode_triggers'
+    row for it, as soft bits (K, n), hard bits (K, n) and distances (K,)."""
+    index = range(len(triggers))[index]
     soft, hard, distances = decode_triggers(
-        suspect, encoder_e, decoder_d, [sample], k_draws, stream_seed, delta_scale
+        suspect, encoder_e, decoder_d, triggers[index : index + 1], k_draws, stream_seed,
+        delta_scale,
     )
     return soft[0], hard[0], distances[0]

@@ -70,14 +70,21 @@ def sparsity(net: MlpNetwork) -> float:
     return zeros / net.weight_count()
 
 
-def trigger_loss(bundle: wm.ModelBundle, sample: wm.TriggerSample, k_draws: int, stream_seed: int):
-    """The embedding loss of one trigger under sample_noise's K draws from
-    stream_seed, through embed_watermark's kernel: (fidelity, message, grads)
-    with grads keyed watermarked_f, encoder_e, decoder_d."""
-    noise = (wm.sample_noise(sample, k_draws, stream_seed) - sample.image)[None]
+def one_trigger(s: int, n: int, sigma: float, seed: int) -> wm.TriggerSet:
+    """A one-trigger set: a uniform random image and message from seed."""
+    rng = np.random.default_rng(seed)
+    return wm.TriggerSet(rng.random((1, s)), rng.integers(0, 2, (1, n)), [sigma], seed)
+
+
+def trigger_loss(bundle: wm.ModelBundle, triggers: wm.TriggerSet, k_draws: int, stream_seed: int):
+    """The embedding loss of a one-trigger set under sample_noise's K draws
+    from stream_seed, through embed_watermark's kernel: (fidelity, message,
+    grads) with grads keyed watermarked_f, encoder_e, decoder_d."""
+    image = triggers.images[0]
+    noise = (wm.sample_noise(image, triggers.sigmas[0], k_draws, stream_seed) - image)[None]
     fidelity, message, _, grads = wm._loss_and_grads(
         bundle.frozen_f, bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d,
-        sample.image[None, :], sample.message.bits.astype(np.float64)[None, :], noise,
+        triggers.images, triggers.messages.astype(np.float64), noise,
         bundle.hyper.lam, bundle.hyper.delta_scale,
     )
     return fidelity, message, dict(zip(("watermarked_f", "encoder_e", "decoder_d"), grads))
@@ -88,10 +95,10 @@ def decode_one_trigger(decoder: MlpNetwork, message_bits, k_draws: int):
     for one trigger carrying message_bits, through decoder; a decoder with
     zero weights reads the same bits from every embedding."""
     s, k, n = 4, decoder.input_dim, decoder.output_dim
-    sample = wm.TriggerSample(np.full(s, 0.5), wm.BitMessage(message_bits), 0.1)
+    triggers = wm.TriggerSet(np.full((1, s), 0.5), [message_bits], [0.1], 0)
     soft, hard, distances = wm.decode_triggers(
         ne.init_network([s, k], ["identity"], 0), ne.init_network([s + n, s], ["tanh"], 1),
-        decoder, [sample], k_draws, 3,
+        decoder, triggers, k_draws, 3,
     )
     return soft[0], hard[0], distances[0]
 

@@ -180,11 +180,9 @@ def test_07_gradient_correctness():
         )
         for layer in bundle.watermarked_f.layers:
             layer.weight += 0.05 * rng.standard_normal(layer.weight.shape)
-        sample = wm.TriggerSample(
-            rng.random(s), wm.BitMessage(rng.integers(0, 2, n_bits)), 0.08
-        )
+        triggers = wm.TriggerSet(rng.random((1, s)), rng.integers(0, 2, (1, n_bits)), [0.08], 0)
         seed = 70 + trial
-        grads = trigger_loss(bundle, sample, 3, seed)[2]
+        grads = trigger_loss(bundle, triggers, 3, seed)[2]
         for name, net in (
             ("watermarked_f", bundle.watermarked_f),
             ("encoder_e", bundle.encoder_e),
@@ -195,7 +193,7 @@ def test_07_gradient_correctness():
             # errors orders of magnitude above the tolerance)
             err = gradient_check(
                 net,
-                lambda _: sum(trigger_loss(bundle, sample, 3, seed)[:2]),
+                lambda _: sum(trigger_loss(bundle, triggers, 3, seed)[:2]),
                 lambda _: grads[name],
                 floor=1e-4,
             )

@@ -54,6 +54,14 @@ class TestFinetune:
         assert a.parameters_digest() == b.parameters_digest()
 
 
+class TestAttackSpec:
+    @pytest.mark.parametrize("lr", [-5.0, 0.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("kind", ["finetune", "distill"])
+    def test_learning_rate_must_be_positive_and_finite(self, kind, lr):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            atk.AttackSpec(kind=kind, epochs=3, lr=lr)
+
+
 def _prune(bundle, fraction):
     return atk.apply_attack(bundle, atk.AttackSpec(kind="prune", fraction=fraction))
 
@@ -101,9 +109,9 @@ class TestMakeIndependent:
             g = atk.make_independent(
                 DIMS, seed=300 + m, pretrain_data_seed=400 + m, epochs=20, n_images=100
             )
-            for i, t in enumerate(mini_run.triggers.samples):
+            for i in range(len(mini_run.triggers)):
                 _, _, distances = wm.extract_messages(
-                    g, bundle.encoder_e, bundle.decoder_d, t, 16, 500 + i,
+                    g, bundle.encoder_e, bundle.decoder_d, mini_run.triggers, i, 16, 500 + i,
                     delta_scale=bundle.hyper.delta_scale,
                 )
                 total_bits += distances.size * n

@@ -127,7 +127,7 @@ class TestBuildTriggerSet:
     def test_messages_balanced(self):
         images = gen_synthetic_images(100, 256, 5)
         triggers = build_trigger_set(images, 32, 0.1, 6)
-        pooled = triggers.messages().mean()
+        pooled = triggers.messages.mean()
         assert 0.45 <= pooled <= 0.55
 
     def test_zero_sigma_scale_rejected(self):
@@ -139,8 +139,8 @@ class TestBuildTriggerSet:
         images = gen_synthetic_images(4, 16, 9)
         a = build_trigger_set(images, 8, 0.1, 10)
         b = build_trigger_set(images, 8, 0.1, 10)
-        for x, y in zip(a.samples, b.samples):
-            assert x.message == y.message and x.sigma == y.sigma
+        assert np.array_equal(a.messages, b.messages)
+        assert np.array_equal(a.sigmas, b.sigmas)
 
 
 class TestConfigFile:
@@ -200,6 +200,17 @@ lr = 0.002
         assert config.attacks[0][1].fraction == 0.4
         assert config.attacks[1][1].lr == 0.002
 
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(pretrain_images=0), "pretrain_images"),
+        (dict(pretrain_epochs=-1), "pretrain_epochs"),
+        (dict(learning_rate=-1.0), "learning_rate"),
+        (dict(learning_rate=float("nan")), "learning_rate"),
+    ], ids=["pretrain_images-zero", "pretrain_epochs-negative", "learning_rate-negative",
+            "learning_rate-nan"])
+    def test_training_settings_checked_at_construction(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**overrides)
+
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(tau=33)
@@ -227,8 +238,12 @@ lr = 0.002
         ("[run]\nseed = twelve\n", "[run] seed"),
         ("[bounds]\nr_bar = 101\n", "r_bar"),
         ("[attack.p]\nfraction = 0.3\n", "[attack.p] needs a kind"),
+        ("[embed]\nlearning_rate = -1\n", "learning_rate must be positive and finite"),
+        ("[embed]\npretrain_images = 0\n", "pretrain_images must be positive"),
+        ("[attack.f]\nkind = finetune\nlr = -5\n", "lr must be positive and finite"),
     ], ids=["unknown-key", "unknown-section", "unknown-attack-key", "bounds-stage-not-boolean",
-            "unparsable-value", "out-of-range", "attack-without-kind"])
+            "unparsable-value", "out-of-range", "attack-without-kind", "embed-lr-negative",
+            "pretrain-images-zero", "attack-lr-negative"])
     def test_bad_config_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "exp.cfg"
         path.write_text(text)
@@ -513,7 +528,7 @@ class TestSharedExtraction:
         bundle = mini_run.bundle
         for suspect in _three_suspects(bundle):
             soft, hard, distances = wm.decode_triggers(
-                suspect, bundle.encoder_e, bundle.decoder_d, mini_run.triggers.samples,
+                suspect, bundle.encoder_e, bundle.decoder_d, mini_run.triggers,
                 k_draws, 49, bundle.hyper.delta_scale,
             )
             _, verified = verify_suspect(
@@ -521,16 +536,16 @@ class TestSharedExtraction:
                 suspect_id="s",
             )
             assert np.array_equal(verified, distances)
-            for index, trigger in enumerate(mini_run.triggers.samples):
+            for index, message in enumerate(mini_run.triggers.messages):
                 single = wm.extract_messages(
-                    suspect, bundle.encoder_e, bundle.decoder_d, trigger, k_draws,
+                    suspect, bundle.encoder_e, bundle.decoder_d, mini_run.triggers, index, k_draws,
                     wm.trigger_stream_seed(49, index), delta_scale=bundle.hyper.delta_scale,
                 )
                 assert np.array_equal(soft[index], single[0])
                 assert np.array_equal(hard[index], single[1])
                 assert np.array_equal(distances[index], single[2])
                 assert np.array_equal(
-                    distances[index], (hard[index] != trigger.message.bits).sum(axis=1)
+                    distances[index], (hard[index] != message).sum(axis=1)
                 )
 
     @pytest.mark.parametrize("k_draws", [1, 8])
@@ -674,6 +689,7 @@ class TestCli:
         ("k_train", None, "missing key 'k_train'"),
         ("epochs", "epochs=ten", "epochs='ten' is not a finite int"),
         ("lambda", "lambda=nan", "lambda='nan' is not a finite float"),
+        ("learning_rate", "learning_rate=-1", "learning_rate must be positive and finite"),
     ])
     def test_verify_rejects_malformed_bundle_manifest(
         self, micro_run, tmp_path, capsys, key, line, message
@@ -776,6 +792,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "fine-tuning diverged" in err and "Traceback" not in err
         assert not (tmp_path / "ft.rmk").exists()
+
+    @pytest.mark.parametrize("kind, lr", [("finetune", "-5"), ("distill", "-1")])
+    def test_attack_rejects_non_positive_lr(self, micro_run, tmp_path, capsys, kind, lr):
+        _, out, _ = micro_run
+        code = cli.main([
+            "attack", "--bundle", str(out / "bundle"), "--kind", kind,
+            f"--lr={lr}", "--out", str(tmp_path / "attacked.rmk"),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "lr must be positive and finite" in err and "Traceback" not in err
+        assert not (tmp_path / "attacked.rmk").exists()
 
     def test_verify_succeeds_on_matching_suspect(self, micro_run, tmp_path, capsys):
         _, out, _ = micro_run
@@ -995,6 +1023,22 @@ class TestCli:
         assert code in (cli.EXIT_OK, cli.EXIT_BOUND_NA)
         written = (tmp_path / "bounds_out" / "bound_report.json").read_bytes()
         assert written == (out / "bound_report.json").read_bytes()
+
+    def test_bounds_rejects_config_n_other_than_triggers(self, micro_run, tmp_path, capsys):
+        _, out, _ = micro_run  # n = 8
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_VERIFY_CFG.replace("\nn = 8\n", "\nn = 32\n"))
+        code = cli.main([
+            "bounds", "--config", str(cfg),
+            "--bundle", str(out / "bundle"), "--triggers", str(out / "triggers.rmts"),
+            "--population-omega", str(out / "population"),
+            "--population-xi", str(out / "population"),
+            "--out", str(tmp_path / "bounds_out"),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config n = 32" in err and "8-bit messages" in err and "Traceback" not in err
+        assert not (tmp_path / "bounds_out").exists()
 
     @pytest.mark.parametrize("manifest, message", [
         ("{", "not a population manifest"),

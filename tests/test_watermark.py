@@ -1,6 +1,7 @@
 """Embedding/extraction tests: noise model, encoder/decoder contracts,
 training behavior, extraction determinism, and the file formats."""
 
+import copy
 import math
 import os
 import struct
@@ -16,63 +17,67 @@ from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.stats import mean_distance, var_distance
 
-from conftest import MINI, decode_one_trigger, gradient_check, see_cpus, trigger_loss
+from conftest import (
+    MINI, decode_one_trigger, gradient_check, one_trigger, see_cpus, trigger_loss,
+)
 
 
-def _sample(s=8, n=4, sigma=0.1, seed=0):
-    rng = np.random.default_rng(seed)
-    return wm.TriggerSample(rng.random(s), wm.BitMessage(rng.integers(0, 2, n)), sigma)
-
-
-class TestBitMessage:
+class TestMessageBits:
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            wm.BitMessage(np.array([0, 2, 1]))
+        with pytest.raises(ValueError, match="0 or 1"):
+            wm.TriggerSet(np.zeros((1, 3)), [[0, 2, 1]], [0.1], 0)
 
-    def test_pack_roundtrip_lsb_first(self):
-        m = wm.BitMessage(np.array([1, 0, 0, 1, 1, 0, 1, 0, 1]))
-        packed = m.packed()
-        assert packed[0] == 0b01011001  # bit i sits at position i mod 8
-        assert wm.BitMessage.from_packed(packed, 9) == m
+    def test_pack_roundtrip_lsb_first(self, tmp_path):
+        triggers = wm.TriggerSet(np.zeros((1, 1)), [[1, 0, 0, 1, 1, 0, 1, 0, 1]], [0.1], 0)
+        path = tmp_path / "one.rmts"
+        wm.save_trigger_set(triggers, path)
+        packed = path.read_bytes()[26 + 8 + 8 :]  # after the header, pixel and sigma
+        assert packed == bytes([0b01011001, 0b1])  # bit i sits at position i mod 8
+        assert wm.load_trigger_set(path) == triggers
 
     def test_equality_by_value(self):
-        assert wm.BitMessage(np.array([1, 0])) == wm.BitMessage(np.array([1, 0]))
-        assert wm.BitMessage(np.array([1, 0])) != wm.BitMessage(np.array([0, 0]))
+        def triggers(bits, master_seed=0):
+            return wm.TriggerSet(np.full((1, 2), 0.5), [bits], [0.1], master_seed)
+
+        assert triggers([1, 0]) == triggers(np.array([1, 0]))
+        assert triggers([1, 0]) != triggers([0, 0])
+        assert triggers([1, 0]) != triggers([1, 0], master_seed=1)
 
 
 class TestSampleNoise:
     def test_vanishing_sigma_returns_trigger(self):
-        sample = _sample(sigma=1e-12)
-        draws = wm.sample_noise(sample, 5, 1)
-        assert np.abs(draws - sample.image[None, :]).max() < 1e-10
+        triggers = one_trigger(8, 4, 1e-12, 0)
+        draws = wm.sample_noise(triggers.images[0], triggers.sigmas[0], 5, 1)
+        assert np.abs(draws - triggers.images).max() < 1e-10
 
     def test_law_of_large_numbers(self):
-        sample = wm.TriggerSample(np.array([0.2, 0.4, 0.6, 0.8]), wm.BitMessage([1, 0]), 0.1)
-        draws = wm.sample_noise(sample, 10_000, 2)
+        image = np.array([0.2, 0.4, 0.6, 0.8])
+        draws = wm.sample_noise(image, 0.1, 10_000, 2)
         mean_tol = 4 * 0.1 / math.sqrt(10_000)
-        assert np.abs(draws.mean(axis=0) - sample.image).max() < mean_tol
+        assert np.abs(draws.mean(axis=0) - image).max() < mean_tol
         stds = draws.std(axis=0, ddof=1)
         assert np.all(np.abs(stds - 0.1) < 0.005)
 
     def test_deterministic_for_fixed_seed(self):
-        sample = _sample()
-        assert np.array_equal(wm.sample_noise(sample, 7, 3), wm.sample_noise(sample, 7, 3))
+        triggers = one_trigger(8, 4, 0.1, 0)
+        args = (triggers.images[0], triggers.sigmas[0], 7, 3)
+        assert np.array_equal(wm.sample_noise(*args), wm.sample_noise(*args))
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
-            _sample(sigma=0.0)
+            one_trigger(8, 4, 0.0, 0)
 
     @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
     def test_sigma_must_be_finite(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
-            _sample(sigma=sigma)
+            one_trigger(8, 4, sigma, 0)
 
     @pytest.mark.parametrize("pixel", [math.nan, math.inf, -math.inf, -0.1, 1.1])
     def test_pixels_must_be_finite_in_unit_range(self, pixel):
-        image = np.full(4, 0.5)
-        image[2] = pixel
+        images = np.full((1, 4), 0.5)
+        images[0, 2] = pixel
         with pytest.raises(ValueError, match="pixel"):
-            wm.TriggerSample(image, wm.BitMessage([1, 0]), 0.1)
+            wm.TriggerSet(images, [[1, 0]], [0.1], 0)
 
 
 class TestEncoder:
@@ -82,7 +87,7 @@ class TestEncoder:
         enc.layers[-1].weight[:] = 0.0
         enc.layers[-1].bias[:] = 0.0
         rng = np.random.default_rng(5)
-        messages = [wm.BitMessage(rng.integers(0, 2, n)) for _ in range(2)]
+        messages = [rng.integers(0, 2, n) for _ in range(2)]
         for message in messages:
             out = wm.encoder_perturbation(enc, rng.random((4, s)), message)
             assert np.array_equal(out, np.zeros((4, s)))
@@ -95,15 +100,15 @@ class TestEncoder:
 
     def test_message_bit_flip_changes_stego(self, mini_run):
         bundle = mini_run.bundle
-        trigger = mini_run.triggers.samples[0]
-        flipped = trigger.message.bits.copy()
-        flipped[0] ^= 1
+        trigger = mini_run.triggers[:1]
+        flipped = trigger.messages.copy()
+        flipped[0, 0] ^= 1
         stegos = [
             wm.stego_batch(
-                bundle.encoder_e, [wm.TriggerSample(trigger.image, message, trigger.sigma)],
+                bundle.encoder_e, wm.TriggerSet(trigger.images, messages, trigger.sigmas, 0),
                 1, 6, bundle.hyper.delta_scale,
             )
-            for message in (trigger.message, wm.BitMessage(flipped), trigger.message)
+            for messages in (trigger.messages, flipped, trigger.messages)
         ]
         assert np.linalg.norm(stegos[0] - stegos[1]) > 0.0
         assert np.array_equal(stegos[0], stegos[2])  # rebuilt, the same bytes
@@ -112,9 +117,7 @@ class TestEncoder:
         s, n = 256, 32
         enc = ne.init_network([s + n, 64, s], ["tanh", "tanh"], 7)
         rng = np.random.default_rng(8)
-        out = wm.encoder_perturbation(
-            enc, rng.random((1, s)), wm.BitMessage(rng.integers(0, 2, n))
-        )
+        out = wm.encoder_perturbation(enc, rng.random((1, s)), rng.integers(0, 2, n))
         assert out.shape == (1, s)
 
 
@@ -137,12 +140,13 @@ class TestDecoder:
 
     def test_trained_bundle_decodes_own_triggers(self, mini_run):
         bundle = mini_run.bundle
-        for index, trigger in enumerate(mini_run.triggers.samples):
+        for index in range(len(mini_run.triggers)):
             _, _, distances = wm.extract_messages(
                 bundle.watermarked_f,
                 bundle.encoder_e,
                 bundle.decoder_d,
-                trigger,
+                mini_run.triggers,
+                index,
                 64,
                 900 + index,
                 delta_scale=bundle.hyper.delta_scale,
@@ -154,9 +158,9 @@ class TestComputeLoss:
     def test_global_minimum_is_exactly_zero(self):
         s, k, n = 5, 4, 3
         f = ne.init_network([s, k], ["identity"], 9)
-        message = wm.BitMessage([1, 0, 1])
+        message = np.array([1, 0, 1])
         # saturated sigmoid outputs hit the bits exactly in float64
-        bias = np.where(message.bits == 1, 40.0, -40.0).astype(float)
+        bias = np.where(message == 1, 40.0, -40.0).astype(float)
         decoder = ne.MlpNetwork([ne.Layer(np.zeros((k, n)), bias, "sigmoid")])
         bundle = wm.ModelBundle(
             frozen_f=f.copy(),
@@ -165,15 +169,15 @@ class TestComputeLoss:
             decoder_d=decoder,
             hyper=wm.HyperParams(lam=1.0, k_train=4, epochs=0),
         )
-        sample = wm.TriggerSample(np.random.default_rng(11).random(s), message, 0.05)
-        fidelity, message_term, _ = trigger_loss(bundle, sample, 4, 12)
+        triggers = wm.TriggerSet(np.random.default_rng(11).random((1, s)), [message], [0.05], 0)
+        fidelity, message_term, _ = trigger_loss(bundle, triggers, 4, 12)
         assert fidelity == 0.0 and message_term == 0.0
 
     def test_message_term_linear_in_lambda(self):
         rng = np.random.default_rng(13)
         s, k, n = 6, 4, 3
         f = ne.init_network([s, 5, k], ["tanh", "identity"], rng)
-        sample = wm.TriggerSample(rng.random(s), wm.BitMessage(rng.integers(0, 2, n)), 0.1)
+        triggers = wm.TriggerSet(rng.random((1, s)), rng.integers(0, 2, (1, n)), [0.1], 0)
 
         def parts_for(lam):
             bundle = wm.ModelBundle.create(
@@ -182,7 +186,7 @@ class TestComputeLoss:
             )
             for layer in bundle.watermarked_f.layers:
                 layer.weight += 0.05
-            return trigger_loss(bundle, sample, 4, 15)[:2]
+            return trigger_loss(bundle, triggers, 4, 15)[:2]
 
         single = parts_for(1.0)
         double = parts_for(2.0)
@@ -199,8 +203,8 @@ class TestComputeLoss:
         )
         for layer in bundle.watermarked_f.layers:
             layer.weight += 0.05 * rng.standard_normal(layer.weight.shape)
-        sample = wm.TriggerSample(rng.random(s), wm.BitMessage(rng.integers(0, 2, n)), 0.08)
-        grads = trigger_loss(bundle, sample, 4, 18)[2]
+        triggers = wm.TriggerSet(rng.random((1, s)), rng.integers(0, 2, (1, n)), [0.08], 0)
+        grads = trigger_loss(bundle, triggers, 4, 18)[2]
         worst = 0.0
         for name, net in (
             ("watermarked_f", bundle.watermarked_f),
@@ -209,7 +213,7 @@ class TestComputeLoss:
         ):
             err = gradient_check(
                 net,
-                lambda _: sum(trigger_loss(bundle, sample, 4, 18)[:2]),
+                lambda _: sum(trigger_loss(bundle, triggers, 4, 18)[:2]),
                 lambda _: grads[name],
             )
             worst = max(worst, err)
@@ -237,7 +241,7 @@ class TestEmbedWatermark:
         final = desk_run.log.final()
         assert final["bit_accuracy"] >= 0.98
         # fidelity term small next to the embedding scale on the triggers
-        out_ref, _ = ne.forward_batch(desk_run.bundle.frozen_f, desk_run.triggers.images())
+        out_ref, _ = ne.forward_batch(desk_run.bundle.frozen_f, desk_run.triggers.images)
         scale = float(np.sqrt((out_ref**2).sum(axis=1)).mean())
         assert final["fidelity"] <= 0.1 * scale
 
@@ -262,18 +266,18 @@ class TestEmbedWatermark:
         with np.errstate(over="ignore"), pytest.raises(wm.TrainingDiverged):
             wm.embed_watermark(bundle, triggers)
         # rolled-back parameters must be finite end to end
-        out, _ = ne.forward_batch(bundle.watermarked_f, triggers.images())
+        out, _ = ne.forward_batch(bundle.watermarked_f, triggers.images)
         assert np.isfinite(out).all()
 
     def test_loss_independent_of_accumulation_order(self, mini_run):
         # one full-batch evaluation vs per-trigger accumulation
         bundle = mini_run.bundle
         triggers = mini_run.triggers
-        images = triggers.images()
-        messages = triggers.messages()
+        images = triggers.images
+        messages = triggers.messages.astype(np.float64)
         rng = np.random.default_rng(99)
         noise = rng.standard_normal((len(triggers), 4, triggers.s))
-        noise *= triggers.sigmas()[:, None, None]
+        noise *= triggers.sigmas[:, None, None]
         args = (bundle.frozen_f, bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
         fid_b, msg_b, _, _ = wm._loss_and_grads(
             *args, images, messages, noise, bundle.hyper.lam, bundle.hyper.delta_scale
@@ -306,9 +310,9 @@ class TestExtractMessages:
         distances = np.stack([
             wm.extract_messages(
                 bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d,
-                t, 64, 40 + i, delta_scale=bundle.hyper.delta_scale,
+                mini_run.triggers, i, 64, 40 + i, delta_scale=bundle.hyper.delta_scale,
             )[2]
-            for i, t in enumerate(mini_run.triggers.samples)
+            for i in range(len(mini_run.triggers))
         ])
         assert np.mean(mean_distance(distances)) <= 1.0
 
@@ -321,10 +325,10 @@ class TestExtractMessages:
         )
         distances = np.stack([
             wm.extract_messages(
-                g, bundle.encoder_e, bundle.decoder_d, t, 64, 40 + i,
+                g, bundle.encoder_e, bundle.decoder_d, mini_run.triggers, i, 64, 40 + i,
                 delta_scale=bundle.hyper.delta_scale,
             )[2]
-            for i, t in enumerate(mini_run.triggers.samples)
+            for i in range(len(mini_run.triggers))
         ])
         n = mini_run.triggers.n
         pooled_mismatch = float(distances.mean(axis=1).mean() / n)
@@ -337,17 +341,18 @@ class TestExtractMessages:
         n = mini_run.triggers.n
         fresh = ne.init_network([MINI["s"], 48, MINI["k"]], ["tanh", "identity"], 999)
         rho_wm, rho_fresh = [], []
-        for i, t in enumerate(mini_run.triggers.samples):
-            kwargs = dict(k_draws=32, stream_seed=50 + i, delta_scale=bundle.hyper.delta_scale)
+        for i in range(len(mini_run.triggers)):
+            kwargs = dict(
+                triggers=mini_run.triggers, index=i, k_draws=32, stream_seed=50 + i,
+                delta_scale=bundle.hyper.delta_scale,
+            )
             rho_wm.append(
                 wm.extract_messages(
-                    bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d, t, **kwargs
+                    bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d, **kwargs
                 )[2].mean()
             )
             rho_fresh.append(
-                wm.extract_messages(
-                    fresh, bundle.encoder_e, bundle.decoder_d, t, **kwargs
-                )[2].mean()
+                wm.extract_messages(fresh, bundle.encoder_e, bundle.decoder_d, **kwargs)[2].mean()
             )
         assert np.mean(rho_wm) < n / 4
         assert np.mean(rho_fresh) > n / 4
@@ -356,7 +361,7 @@ class TestExtractMessages:
         bundle = mini_run.bundle
         soft, hard, distances = wm.extract_messages(
             bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d,
-            mini_run.triggers.samples[0], 1, 60, delta_scale=bundle.hyper.delta_scale,
+            mini_run.triggers, 0, 1, 60, delta_scale=bundle.hyper.delta_scale,
         )
         assert soft.shape == hard.shape == (1, MINI["n"])
         assert distances.shape == (1,)
@@ -364,13 +369,13 @@ class TestExtractMessages:
 
     def test_deterministic_extraction(self, mini_run):
         bundle = mini_run.bundle
-        t = mini_run.triggers.samples[2]
+        t = mini_run.triggers
         a = wm.extract_messages(
-            bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d, t, 16, 71,
+            bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d, t, 2, 16, 71,
             delta_scale=bundle.hyper.delta_scale,
         )
         b = wm.extract_messages(
-            bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d, t, 16, 71,
+            bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d, t, 2, 16, 71,
             delta_scale=bundle.hyper.delta_scale,
         )
         for array_a, array_b in zip(a, b):
@@ -380,27 +385,26 @@ class TestExtractMessages:
         bundle = mini_run.bundle
         rng = np.random.default_rng(73)
         fresh = ne.init_network([MINI["s"], 24, MINI["k"]], ["relu", "identity"], rng)
-        for i, t in enumerate(mini_run.triggers.samples[:6]):
+        triggers = mini_run.triggers
+        for i in range(6):
             _, hard, distances = wm.extract_messages(
-                fresh, bundle.encoder_e, bundle.decoder_d, t, 17, 80 + i,
+                fresh, bundle.encoder_e, bundle.decoder_d, triggers, i, 17, 80 + i,
                 delta_scale=bundle.hyper.delta_scale,
             )
-            assert np.all(distances >= 0) and np.all(distances <= t.message.bits.size)
-            assert np.array_equal(distances, (hard != t.message.bits).sum(axis=1))
+            assert np.all(distances >= 0) and np.all(distances <= triggers.n)
+            assert np.array_equal(distances, (hard != triggers.messages[i]).sum(axis=1))
 
     def test_architecture_mismatch_refused(self, mini_run):
         bundle = mini_run.bundle
         bad = ne.init_network([MINI["s"] + 1, 8, MINI["k"]], ["tanh", "identity"], 30)
         with pytest.raises(wm.VerificationRefused):
             wm.extract_messages(
-                bad, bundle.encoder_e, bundle.decoder_d,
-                mini_run.triggers.samples[0], 4, 90,
+                bad, bundle.encoder_e, bundle.decoder_d, mini_run.triggers, 0, 4, 90,
             )
         bad_out = ne.init_network([MINI["s"], 8, MINI["k"] + 2], ["tanh", "identity"], 31)
         with pytest.raises(wm.VerificationRefused):
             wm.extract_messages(
-                bad_out, bundle.encoder_e, bundle.decoder_d,
-                mini_run.triggers.samples[0], 4, 91,
+                bad_out, bundle.encoder_e, bundle.decoder_d, mini_run.triggers, 0, 4, 91,
             )
 
 
@@ -408,7 +412,7 @@ class TestStegoBatch:
     def _args(self, mini_run, **overrides):
         args = dict(
             encoder_e=mini_run.bundle.encoder_e.copy(),
-            samples=list(mini_run.triggers.samples),
+            triggers=mini_run.triggers,
             k_draws=8,
             seed=120,
             delta_scale=mini_run.bundle.hyper.delta_scale,
@@ -419,7 +423,7 @@ class TestStegoBatch:
     def test_reused_while_inputs_unchanged(self, mini_run):
         args = self._args(mini_run)
         first = wm.stego_batch(**args)
-        assert first.shape == (len(args["samples"]) * 8, mini_run.triggers.s)
+        assert first.shape == (len(args["triggers"]) * 8, mini_run.triggers.s)
         assert not first.flags.writeable
         assert wm.stego_batch(**args) is first
         # equal content in new objects is the same batch
@@ -435,11 +439,10 @@ class TestStegoBatch:
         assert np.array_equal(after, wm._build_stego(**args))
 
     def test_fresh_after_in_place_trigger_edit(self, mini_run):
-        samples = [wm.TriggerSample(t.image.copy(), t.message, t.sigma)
-                   for t in mini_run.triggers.samples]
-        args = self._args(mini_run, samples=samples)
+        triggers = copy.deepcopy(mini_run.triggers)
+        args = self._args(mini_run, triggers=triggers)
         before = wm.stego_batch(**args)
-        samples[3].image *= 0.5
+        triggers.images[3] *= 0.5
         after = wm.stego_batch(**args)
         assert not np.array_equal(after, before)
         assert np.array_equal(after, wm._build_stego(**args))
@@ -448,7 +451,7 @@ class TestStegoBatch:
         lambda args: {"seed": 121},
         lambda args: {"k_draws": 4},
         lambda args: {"delta_scale": 0.25},
-        lambda args: {"samples": args["samples"][:8]},
+        lambda args: {"triggers": args["triggers"][:8]},
     ])
     def test_fresh_after_run_parameter_change(self, mini_run, change):
         args = self._args(mini_run)
@@ -463,22 +466,22 @@ class TestSplitDecode:
     """decode_triggers on one row block per CPU gives the bytes of one block."""
 
     @staticmethod
-    def _decode(suspect, bundle, samples, k_draws, seed=140):
+    def _decode(suspect, bundle, triggers, k_draws, seed=140):
         return wm.decode_triggers(
-            suspect, bundle.encoder_e, bundle.decoder_d, samples, k_draws, seed,
+            suspect, bundle.encoder_e, bundle.decoder_d, triggers, k_draws, seed,
             bundle.hyper.delta_scale,
         )
 
     @pytest.mark.parametrize("k_draws", [1, 2, 64])
     def test_bytes_do_not_depend_on_worker_count(self, mini_run, monkeypatch, k_draws):
-        samples = mini_run.triggers.samples[:15]  # odd N: blocks of unequal size
+        triggers = mini_run.triggers[:15]  # odd N: blocks of unequal size
         fresh = ne.init_network([MINI["s"], 48, MINI["k"]], ["tanh", "identity"], 141)
         results = {}
         for workers in (1, 2, 3):
             see_cpus(monkeypatch, workers)
-            assert len(wm._trigger_blocks(len(samples), k_draws)) == workers
+            assert len(wm._trigger_blocks(len(triggers), k_draws)) == workers
             results[workers] = [
-                self._decode(net, mini_run.bundle, samples, k_draws)
+                self._decode(net, mini_run.bundle, triggers, k_draws)
                 for net in (mini_run.bundle.watermarked_f, fresh)
             ]
         for workers in (2, 3):
@@ -487,16 +490,16 @@ class TestSplitDecode:
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_more_workers_than_cores_under_fast_switching(self, mini_run, monkeypatch):
-        samples = mini_run.triggers.samples
+        triggers = mini_run.triggers
         bundle = mini_run.bundle
         see_cpus(monkeypatch, 1)
-        whole = self._decode(bundle.watermarked_f, bundle, samples, 16)
+        whole = self._decode(bundle.watermarked_f, bundle, triggers, 16)
         see_cpus(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                split = self._decode(bundle.watermarked_f, bundle, samples, 16)
+                split = self._decode(bundle.watermarked_f, bundle, triggers, 16)
                 for a, b in zip(split, whole):
                     assert a.tobytes() == b.tobytes()
         finally:
@@ -504,13 +507,12 @@ class TestSplitDecode:
 
     def test_desk_config_bytes_do_not_depend_on_worker_count(self, desk_run, monkeypatch):
         config, bundle = desk_run.config, desk_run.bundle
-        samples = desk_run.triggers.samples
         for name in ("watermarked", "prune40", "independent0"):
             suspect_results = []
             for workers in (1, 2):
                 see_cpus(monkeypatch, workers)
                 suspect_results.append(self._decode(
-                    desk_run.suspects[name], bundle, samples, config.k_verify,
+                    desk_run.suspects[name], bundle, desk_run.triggers, config.k_verify,
                     config.seed + 6,
                 ))
             for a, b in zip(*suspect_results):
@@ -529,7 +531,7 @@ class TestSplitDecode:
 
         monkeypatch.setattr(wm, "forward_batch", spy)
         self._decode(mini_run.bundle.watermarked_f, mini_run.bundle,
-                     mini_run.triggers.samples[:n_trig], 1)
+                     mini_run.triggers[:n_trig], 1)
         assert wm._trigger_blocks(n_trig, 1) == [(0, n_trig)]
         assert rows == [n_trig, n_trig]
 
@@ -548,7 +550,7 @@ class TestSplitDecode:
         threads = threading.active_count()
         with pytest.raises(HelperFailed):
             self._decode(mini_run.bundle.watermarked_f, mini_run.bundle,
-                         mini_run.triggers.samples, 4)
+                         mini_run.triggers, 4)
         assert threading.active_count() == threads
 
     def test_helpers_keep_callers_errstate(self, mini_run, monkeypatch):
@@ -557,12 +559,12 @@ class TestSplitDecode:
         see_cpus(monkeypatch, 2)
         overflowing = ne.init_network([MINI["s"], 48, MINI["k"]], ["tanh", "identity"], 142)
         overflowing.layers[0].weight[:] = 1e308
-        samples = mini_run.triggers.samples
+        triggers = mini_run.triggers
         with pytest.raises(RuntimeWarning, match="overflow"):
-            self._decode(overflowing, mini_run.bundle, samples, 4)
+            self._decode(overflowing, mini_run.bundle, triggers, 4)
         with np.errstate(all="ignore"):
-            soft, _, _ = self._decode(overflowing, mini_run.bundle, samples, 4)
-        assert soft.shape == (len(samples), 4, MINI["n"])
+            soft, _, _ = self._decode(overflowing, mini_run.bundle, triggers, 4)
+        assert soft.shape == (len(triggers), 4, MINI["n"])
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
     def test_no_thread_outlives_a_verify(self):
@@ -609,10 +611,10 @@ class TestPersistence:
         assert loaded.n == mini_run.triggers.n
         assert loaded.s == mini_run.triggers.s
         assert loaded.master_seed == mini_run.triggers.master_seed
-        for a, b in zip(loaded.samples, mini_run.triggers.samples):
-            assert np.array_equal(a.image, b.image)
-            assert a.message == b.message
-            assert a.sigma == b.sigma
+        assert np.array_equal(loaded.images, mini_run.triggers.images)
+        assert np.array_equal(loaded.messages, mini_run.triggers.messages)
+        assert np.array_equal(loaded.sigmas, mini_run.triggers.sigmas)
+        assert loaded == mini_run.triggers
 
     def test_trigger_file_header(self, tmp_path, mini_run):
         path = tmp_path / "triggers.rmts"
@@ -624,12 +626,9 @@ class TestPersistence:
 
     def test_truncation_at_every_offset_rejected(self, tmp_path):
         rng = np.random.default_rng(3)
-        samples = [
-            wm.TriggerSample(rng.random(3), wm.BitMessage.random(5, rng), 0.1 * (i + 1))
-            for i in range(2)
-        ]
+        triggers = wm.TriggerSet(rng.random((2, 3)), rng.integers(0, 2, (2, 5)), [0.1, 0.2], 9)
         path = tmp_path / "small.rmts"
-        wm.save_trigger_set(wm.TriggerSet(samples, n=5, s=3, master_seed=9), path)
+        wm.save_trigger_set(triggers, path)
         data = path.read_bytes()
         assert len(data) == 26 + 2 * (8 * 3 + 8 + 1)
         for cut in range(len(data)):
@@ -645,9 +644,9 @@ class TestPersistence:
     ])
     def test_non_finite_values_rejected_on_load(self, tmp_path, field, value):
         rng = np.random.default_rng(4)
-        samples = [wm.TriggerSample(rng.random(3), wm.BitMessage.random(5, rng), 0.1)]
+        triggers = wm.TriggerSet(rng.random((1, 3)), rng.integers(0, 2, (1, 5)), [0.1], 9)
         path = tmp_path / "bad.rmts"
-        wm.save_trigger_set(wm.TriggerSet(samples, n=5, s=3, master_seed=9), path)
+        wm.save_trigger_set(triggers, path)
         data = bytearray(path.read_bytes())
         offset = 26 + 8 if field == "pixel" else 26 + 8 * 3  # second pixel, or sigma
         data[offset : offset + 8] = struct.pack("<d", value)
