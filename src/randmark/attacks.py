@@ -102,33 +102,28 @@ def finetune_attack(
     batch_size: int = 64,
 ) -> tuple[MlpNetwork, float]:
     """Fine-tune every backbone layer through a fresh linear head with
-    cross-entropy; the head is discarded. Returns (backbone, accuracy)."""
-    net = backbone.copy()
-    k = net.output_dim
+    cross-entropy; the head is discarded. The backbone and head train as
+    one network under one optimizer state. Returns (backbone, accuracy)."""
     rng = np.random.default_rng(seed)
-    head = init_network([k, task.n_classes], ["identity"], rng)
-    st_net = OptimizerState.fresh(net, lr=lr)
-    st_head = OptimizerState.fresh(head, lr=lr)
+    head = init_network([backbone.output_dim, task.n_classes], ["identity"], rng)
+    net = MlpNetwork(backbone.layers + head.layers)
+    state = OptimizerState.fresh(net, lr=lr)
     n_samples = task.inputs.shape[0]
     onehot = np.eye(task.n_classes)[task.labels]
     for _ in range(epochs):
         order = rng.permutation(n_samples)
         for start in range(0, n_samples, batch_size):
             idx = order[start : start + batch_size]
-            emb, tr_net = forward_batch(net, task.inputs[idx])
-            logits, tr_head = forward_batch(head, emb)
+            logits, trace = forward_batch(net, task.inputs[idx])
             probs = _softmax(logits)
             if not np.isfinite(probs).all():
                 raise TrainingDiverged("fine-tuning diverged: non-finite logits")
-            g_logits = (probs - onehot[idx]) / idx.size
-            g_head = backward(head, tr_head, g_logits)
-            g_net = backward(net, tr_net, g_head.wrt_input, wrt_input=False)
-            optimizer_step(head, g_head, st_head)
-            optimizer_step(net, g_net, st_net)
-    emb, _ = forward_batch(net, task.inputs)
-    logits, _ = forward_batch(head, emb)
+            probs -= onehot[idx]
+            probs /= idx.size
+            optimizer_step(net, backward(net, trace, probs, wrt_input=False), state)
+    logits, _ = forward_batch(net, task.inputs)
     accuracy = float((logits.argmax(axis=1) == task.labels).mean())
-    return net, accuracy
+    return MlpNetwork(net.layers[:-1]), accuracy
 
 
 def distill_attack(
@@ -161,8 +156,9 @@ def distill_attack(
             diff = out - targets[idx]
             if not np.isfinite(diff).all():
                 raise TrainingDiverged("distillation diverged: non-finite outputs")
-            grads = backward(student, trace, 2.0 * diff / idx.size, wrt_input=False)
-            optimizer_step(student, grads, state)
+            diff *= 2.0
+            diff /= idx.size
+            optimizer_step(student, backward(student, trace, diff, wrt_input=False), state)
     out, _ = forward_batch(student, inputs)
     final_loss = float(((out - targets) ** 2).mean())
     return student, final_loss
@@ -180,29 +176,36 @@ def make_independent(
 ) -> MlpNetwork:
     """Backbone trained from scratch to reconstruct masked pixels through
     its embedding bottleneck; a linear reconstruction head is used during
-    training and discarded. The routine sees only its own synthetic data."""
+    training and discarded. The routine sees only its own synthetic data.
+
+    The backbone and head train as one network under one optimizer state.
+    A step masks its batch into a preallocated buffer by multiplying with
+    the keep mask (pixels lie in [0, 1], so a masked pixel is +0.0) and
+    builds the output gradient in another; the last batch of an epoch uses
+    their leading rows.
+    """
     dims = list(dims)
-    s, k = dims[0], dims[-1]
+    s = dims[0]
     rng = np.random.default_rng(seed)
-    backbone = init_network(dims, ["tanh"] * (len(dims) - 2) + ["identity"], rng)
-    head = init_network([k, s], ["identity"], rng)
+    net = init_network(dims + [s], ["tanh"] * (len(dims) - 2) + ["identity"] * 2, rng)
     images = gen_synthetic_images(n_images, s, pretrain_data_seed)
-    st_backbone = OptimizerState.fresh(backbone, lr=lr)
-    st_head = OptimizerState.fresh(head, lr=lr)
+    state = OptimizerState.fresh(net, lr=lr)
+    masked = np.empty((min(batch_size, n_images), s))
+    g_out = np.empty_like(masked)
     for _ in range(epochs):
         order = rng.permutation(n_images)
         for start in range(0, n_images, batch_size):
             idx = order[start : start + batch_size]
             batch = images[idx]
-            mask = rng.random(batch.shape) < mask_fraction
-            emb, tr_b = forward_batch(backbone, np.where(mask, 0.0, batch))
-            recon, tr_h = forward_batch(head, emb)
-            g_out = 2.0 * (recon - batch) / idx.size
-            g_head = backward(head, tr_h, g_out)
-            g_backbone = backward(backbone, tr_b, g_head.wrt_input, wrt_input=False)
-            optimizer_step(head, g_head, st_head)
-            optimizer_step(backbone, g_backbone, st_backbone)
-    return backbone
+            inputs = np.multiply(
+                batch, rng.random(batch.shape) >= mask_fraction, out=masked[: idx.size]
+            )
+            recon, trace = forward_batch(net, inputs)
+            g = np.subtract(recon, batch, out=g_out[: idx.size])
+            g *= 2.0
+            g /= idx.size
+            optimizer_step(net, backward(net, trace, g, wrt_input=False), state)
+    return MlpNetwork(net.layers[:-1])
 
 
 def _train_independent(job) -> MlpNetwork:

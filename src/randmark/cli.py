@@ -373,28 +373,55 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK if not manifest.failures else EXIT_USAGE
 
 
+_NUMBER = (int, float)
+
+
+def _json_object(path, fields: dict) -> dict:
+    """The JSON object in path, after checking that it has each key of
+    fields with a value of that key's type(s). A file that is not such an
+    object raises ValueError naming it."""
+    try:
+        payload = json.loads(path.read_text())
+        if not isinstance(payload, dict):
+            raise ValueError(f"not a JSON object but {type(payload).__name__}")
+        for key, kind in fields.items():
+            if key not in payload:
+                raise ValueError(f"missing key {key!r}")
+            if not isinstance(payload[key], kind):
+                raise ValueError(f"{key!r} has the wrong type {type(payload[key]).__name__}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return payload
+
+
 def _cmd_report(args) -> int:
     from pathlib import Path
 
     run = Path(args.run)
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = _json_object(run / "manifest.json", {"version": str, "failures": dict})
     print(f"run {run} (version {manifest['version']})")
     verify_dir = run / "verification"
     if verify_dir.is_dir():
         for path in sorted(verify_dir.glob("*.json")):
-            payload = json.loads(path.read_text())
+            payload = _json_object(
+                path, {"suspect_id": str, "detection_rate": _NUMBER, "tau": int, "K": int}
+            )
             print(
                 f"  {payload['suspect_id']:>16}: detection_rate={payload['detection_rate']:.3f} "
                 f"tau={payload['tau']} K={payload['K']}"
             )
     bound_file = run / "bound_report.json"
     if bound_file.is_file():
-        payload = json.loads(bound_file.read_text())
+        optional = (*_NUMBER, type(None))
+        payload = _json_object(
+            bound_file,
+            {"p_omega": _NUMBER, "p_xi": _NUMBER, "h_minus": optional, "h_plus": optional},
+        )
         print(
             f"  bounds: p_omega={payload['p_omega']:.3g} p_xi={payload['p_xi']:.3g} "
             f"h_minus={payload['h_minus']} h_plus={payload['h_plus']}"
         )
-    for stage, reason in manifest.get("failures", {}).items():
+    for stage, reason in manifest["failures"].items():
         print(f"  FAILED stage {stage}: {reason}")
     return EXIT_OK
 

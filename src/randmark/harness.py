@@ -115,6 +115,9 @@ class ExperimentConfig:
         for name in ("s", "k", "n", "trigger_count", "k_train", "k_verify", "m_models"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("backbone_hidden", "encoder_hidden", "decoder_hidden"):
+            if any(width < 1 for width in getattr(self, name)):
+                raise ValueError(f"{name} widths must be at least 1, got {getattr(self, name)}")
         if not 0 <= self.tau <= self.n:
             raise ValueError("tau must lie in [0, n]")
         if not 0 < self.r_under < self.r_bar <= self.trigger_count:

@@ -1,12 +1,17 @@
 """Minimal dense neural-network engine on 64-bit numpy arrays.
 
-Networks are plain values: each layer owns an (in_dim, out_dim) float64
+Networks are plain values: each layer has an (in_dim, out_dim) float64
 weight matrix (row-major), a bias vector of length out_dim, and one of
-four scalar activations. Forward/backward are pure functions of their
-inputs; optimizer state lives outside the network so networks stay
-copyable and hashable by content. The module also holds the rule for how
-many CPUs the package's parallel work may use (_worker_count) and the
-helper threads that run a batch as row blocks (_run_blocks).
+four scalar activations. A network keeps all of them in one contiguous
+parameter vector in checkpoint payload order (W0, b0, W1, b1, ...), and
+each layer's weight and bias are views into it. Gradients and the AdamW
+moments share that layout, so an optimizer step, a gradient sum, a finite
+check or a copy is one numpy pass over one vector. Forward/backward are
+pure functions of their inputs; optimizer state lives outside the network
+so networks stay copyable and hashable by content. The module also holds
+the rule for how many CPUs the package's parallel work may use
+(_worker_count) and the helper threads that run a batch as row blocks
+(_run_blocks).
 """
 
 from __future__ import annotations
@@ -66,24 +71,48 @@ class Layer:
     def out_dim(self) -> int:
         return self.weight.shape[1]
 
-    def copy(self) -> "Layer":
-        return Layer(self.weight.copy(), self.bias.copy(), self.activation)
 
-
-@dataclass
+@dataclass(eq=False)
 class MlpNetwork:
-    """A chain of dense layers with matching inner dimensions."""
+    """A chain of dense layers with matching inner dimensions.
+
+    All parameters live in one contiguous float64 vector, params, in the
+    checkpoint payload order: W0 row-major, b0, W1, b1, ... Each layer's
+    weight and bias are views into it, so a single numpy pass over params
+    updates, copies or checks the whole network. Construction copies the
+    given layers' values into a fresh vector; copy(), pickling and deepcopy
+    build the views anew over their own vector. Update parameters in place:
+    rebinding a layer's array or the layer list detaches it from params.
+    """
 
     layers: list[Layer]
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.layers:
+        arrays = [a.ravel() for layer in self.layers for a in (layer.weight, layer.bias)]
+        self._bind(np.concatenate(arrays) if arrays else np.empty(0), self.spec)
+
+    def _bind(self, params: np.ndarray, spec) -> None:
+        """Adopt params (not copied) and build one view layer per
+        (in_dim, out_dim, activation) entry of spec over it."""
+        if not spec:
             raise ValueError("network needs at least one layer")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ValueError(
-                    f"layer dimensions do not chain: {prev.out_dim} -> {nxt.in_dim}"
-                )
+        for (_, out_dim, _), (in_dim, _, _) in zip(spec, spec[1:]):
+            if out_dim != in_dim:
+                raise ValueError(f"layer dimensions do not chain: {out_dim} -> {in_dim}")
+        self.params = params
+        self.layers = [
+            Layer(weight, bias, activation)
+            for (weight, bias), (_, _, activation) in zip(_layer_views(params, spec), spec)
+        ]
+
+    @property
+    def spec(self) -> list[tuple[int, int, str]]:
+        """(in_dim, out_dim, activation) of each layer."""
+        return [(layer.in_dim, layer.out_dim, layer.activation) for layer in self.layers]
+
+    def __reduce__(self):
+        return _network, (self.params, self.spec)
 
     @property
     def input_dim(self) -> int:
@@ -94,7 +123,7 @@ class MlpNetwork:
         return self.layers[-1].out_dim
 
     def copy(self) -> "MlpNetwork":
-        return MlpNetwork([layer.copy() for layer in self.layers])
+        return _network(self.params.copy(), self.spec)
 
     def weight_count(self) -> int:
         """Number of weight entries, biases excluded."""
@@ -106,9 +135,17 @@ class MlpNetwork:
         h = hashlib.sha256()
         for layer in self.layers:
             h.update(layer.activation.encode())
-            h.update(np.ascontiguousarray(layer.weight).tobytes())
-            h.update(np.ascontiguousarray(layer.bias).tobytes())
+            h.update(layer.weight.tobytes())
+            h.update(layer.bias.tobytes())
         return h.hexdigest()
+
+
+def _network(params: np.ndarray, spec) -> MlpNetwork:
+    """The network of spec over params, which it adopts without a copy.
+    Module-level, so that pickle finds it by name."""
+    net = object.__new__(MlpNetwork)
+    net._bind(params, spec)
+    return net
 
 
 def init_network(dims, activations, seed_or_rng) -> MlpNetwork:
@@ -178,24 +215,53 @@ def forward_batch(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, Forw
 @dataclass
 class Gradients:
     """Per-layer weight/bias gradients plus the gradient w.r.t. the input
-    batch (needed when networks are chained)."""
+    batch (needed when networks are chained).
+
+    The weight and bias gradients are views into one vector, flat, laid out
+    as MlpNetwork.params. Given separate arrays, the constructor copies them
+    into a fresh vector; backward passes its vector with its views.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     wrt_input: np.ndarray | None = None
+    flat: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if len(self.weights) != len(self.biases):
+            raise ValueError("weight and bias gradients differ in depth")
+        if self.flat is None:
+            arrays = [np.asarray(a, dtype=np.float64) for pair in zip(self.weights, self.biases)
+                      for a in pair]
+            self.flat = np.concatenate([a.ravel() for a in arrays] or [np.empty(0)])
+            views, offset = [], 0
+            for a in arrays:
+                views.append(self.flat[offset : offset + a.size].reshape(a.shape))
+                offset += a.size
+            self.weights, self.biases = views[0::2], views[1::2]
 
     def add_(self, other: "Gradients") -> "Gradients":
-        """In-place accumulation of another gradient of the same shape."""
-        for gw, ow in zip(self.weights, other.weights):
-            gw += ow
-        for gb, ob in zip(self.biases, other.biases):
-            gb += ob
+        """In-place accumulation of another gradient of the same shapes, in
+        one pass; a gradient of another depth or shape raises ValueError."""
+        if [g.shape for g in self.weights + self.biases] != [
+            g.shape for g in other.weights + other.biases
+        ]:
+            raise ValueError("gradients differ in depth or shape")
+        self.flat += other.flat
         return self
 
     def is_finite(self) -> bool:
-        return all(np.isfinite(g).all() for g in self.weights) and all(
-            np.isfinite(g).all() for g in self.biases
-        )
+        return bool(np.isfinite(self.flat).all())
+
+
+def _layer_views(vector: np.ndarray, spec):
+    """(weight, bias) views into vector for each (in_dim, out_dim, ...)
+    entry of spec, in the payload order of MlpNetwork.params."""
+    offset = 0
+    for in_dim, out_dim, *_ in spec:
+        end = offset + in_dim * out_dim
+        yield vector[offset:end].reshape(in_dim, out_dim), vector[end : end + out_dim]
+        offset = end + out_dim
 
 
 def backward(
@@ -207,8 +273,9 @@ def backward(
     """Backpropagate d(loss)/d(output) through the traced forward pass.
 
     output_gradient is (out_dim,) or (B, out_dim) matching the trace; the
-    returned gradients are summed over the batch. With wrt_input=False the
-    first layer's input gradient, a full (B, in) x (in, out) product, is not
+    returned gradients are summed over the batch and written straight into
+    one vector laid out as net.params. With wrt_input=False the first
+    layer's input gradient, a full (B, in) x (in, out) product, is not
     computed: the result's wrt_input is then an empty (B, 0) array, which
     keeps the batch size readable but fails any use as a gradient. Weight
     and bias gradients are the same bytes either way.
@@ -225,8 +292,8 @@ def backward(
     for layer, act_in, act_out in zip(net.layers, trace.activations, trace.activations[1:]):
         if act_out.shape[1] != layer.out_dim or act_in.shape[1] != layer.in_dim:
             raise ValueError("trace does not match network shapes")
-    grads_w: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
-    grads_b: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
+    flat = np.empty_like(net.params)
+    views = list(_layer_views(flat, net.spec))
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         a = trace.activations[i + 1]
@@ -244,23 +311,23 @@ def backward(
             dz = 1.0 - a
             dz *= a
             dz *= g
-        grads_w[i] = trace.activations[i].T @ dz
-        grads_b[i] = dz.sum(axis=0)
+        np.matmul(trace.activations[i].T, dz, out=views[i][0])
+        dz.sum(axis=0, out=views[i][1])
         if i > 0 or wrt_input:
             g = dz @ layer.weight.T
         else:
             g = np.empty((g.shape[0], 0))
-    return Gradients(grads_w, grads_b, wrt_input=g)
+    return Gradients([w for w, _ in views], [b for _, b in views], wrt_input=g, flat=flat)
 
 
 @dataclass
 class OptimizerState:
-    """AdamW state: first/second moment accumulators, step counter, and
-    hyperparameters. Weight decay is decoupled and applied to weights only.
+    """AdamW state: first and second moment accumulators m and v, laid out
+    as the network's params vector, the step counter, and hyperparameters.
+    Weight decay is decoupled and applied to weights only.
 
-    scratch holds two flat buffers as long as the largest parameter array;
-    optimizer_step works through reshaped views of them, so a step allocates
-    no parameter-sized array.
+    scratch holds two params-sized buffers that optimizer_step works in, so
+    a step allocates no parameter-sized array.
     """
 
     lr: float
@@ -269,10 +336,8 @@ class OptimizerState:
     eps: float
     weight_decay: float
     step: int
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     scratch: np.ndarray = field(repr=False)
 
     @classmethod
@@ -285,7 +350,6 @@ class OptimizerState:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> "OptimizerState":
-        largest = max(max(l.weight.size, l.bias.size) for l in net.layers)
         return cls(
             lr=lr,
             beta1=beta1,
@@ -293,11 +357,9 @@ class OptimizerState:
             eps=eps,
             weight_decay=weight_decay,
             step=0,
-            m_w=[np.zeros_like(l.weight) for l in net.layers],
-            v_w=[np.zeros_like(l.weight) for l in net.layers],
-            m_b=[np.zeros_like(l.bias) for l in net.layers],
-            v_b=[np.zeros_like(l.bias) for l in net.layers],
-            scratch=np.empty((2, largest)),
+            m=np.zeros_like(net.params),
+            v=np.zeros_like(net.params),
+            scratch=np.empty((2, net.params.size)),
         )
 
 
@@ -305,41 +367,32 @@ def optimizer_step(net: MlpNetwork, grads: Gradients, state: OptimizerState) -> 
     """One AdamW update, in place on the network and state.
 
     Rejects the step (raises, nothing mutated) if a gradient or moment does
-    not match the network or any gradient entry is non-finite.
+    not match the network or any gradient entry is non-finite. Otherwise
+    m = m*b1 + g*(1-b1); v = v*b2 + (1-b2)*(g*g);
+    params -= lr*(m/bc1) / (sqrt(v/bc2) + eps), each in place over the whole
+    params vector and rounded op for op as the expressions read.
     """
     if not len(grads.weights) == len(grads.biases) == len(net.layers):
         raise ValueError("gradient does not match network depth")
-    moments = (state.m_w, state.v_w, state.m_b, state.v_b)
-    if any(len(moment) != len(net.layers) for moment in moments):
-        raise ValueError("optimizer state does not match network depth")
-    for i, (layer, gw, gb) in enumerate(zip(net.layers, grads.weights, grads.biases)):
+    for layer, gw, gb in zip(net.layers, grads.weights, grads.biases):
         if gw.shape != layer.weight.shape or gb.shape != layer.bias.shape:
             raise ValueError("gradient shapes do not match network")
-        if not (
-            state.m_w[i].shape == state.v_w[i].shape == layer.weight.shape
-            and state.m_b[i].shape == state.v_b[i].shape == layer.bias.shape
-            and max(layer.weight.size, layer.bias.size) <= state.scratch.shape[1]
-        ):
-            raise ValueError("optimizer state does not match network")
+    if not (
+        state.m.shape == state.v.shape == net.params.shape
+        and state.scratch.shape == (2, net.params.size)
+    ):
+        raise ValueError("optimizer state does not match network")
     if not grads.is_finite():
         raise ValueError("non-finite gradient entries; step rejected")
 
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
-    for i, layer in enumerate(net.layers):
-        if state.weight_decay:
+    if state.weight_decay:
+        for layer in net.layers:
             layer.weight *= 1.0 - state.lr * state.weight_decay
-        _adamw_update(layer.weight, grads.weights[i], state.m_w[i], state.v_w[i], state, bc1, bc2)
-        _adamw_update(layer.bias, grads.biases[i], state.m_b[i], state.v_b[i], state, bc1, bc2)
-
-
-def _adamw_update(param, grad, m, v, state: OptimizerState, bc1: float, bc2: float) -> None:
-    """m = m*b1 + g*(1-b1); v = v*b2 + (1-b2)*(g*g);
-    param -= lr*(m/bc1) / (sqrt(v/bc2) + eps), each in place and rounded op
-    for op as the expressions read."""
-    num = state.scratch[0, : param.size].reshape(param.shape)
-    den = state.scratch[1, : param.size].reshape(param.shape)
+    grad, m, v = grads.flat, state.m, state.v
+    num, den = state.scratch
     m *= state.beta1
     np.multiply(grad, 1.0 - state.beta1, out=num)
     m += num
@@ -353,7 +406,7 @@ def _adamw_update(param, grad, m, v, state: OptimizerState, bc1: float, bc2: flo
     np.sqrt(den, out=den)
     den += state.eps
     num /= den
-    param -= num
+    net.params -= num
 
 
 def l1_unstructured_prune(net: MlpNetwork, fraction: float) -> MlpNetwork:
@@ -422,7 +475,7 @@ def network_from_checkpoint_bytes(data: bytes) -> MlpNetwork:
         raise CheckpointError(f"unsupported version {version}")
     (n_layers,) = struct.unpack_from("<I", data, 6)
     offset = 10
-    layers = []
+    spec, payloads = [], []
     for _ in range(n_layers):
         if offset + 9 > len(data) - 8:
             raise CheckpointError("truncated layer header")
@@ -430,20 +483,16 @@ def network_from_checkpoint_bytes(data: bytes) -> MlpNetwork:
         offset += 9
         if code not in _CODE_ACTIVATION:
             raise CheckpointError(f"unknown activation code {code}")
-        w_bytes = rows * cols * 8
-        b_bytes = cols * 8
-        if offset + w_bytes + b_bytes > len(data) - 8:
+        count = rows * cols + cols
+        if offset + 8 * count > len(data) - 8:
             raise CheckpointError("truncated layer payload")
-        weight = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=offset)
-        offset += w_bytes
-        bias = np.frombuffer(data, dtype="<f8", count=cols, offset=offset)
-        offset += b_bytes
-        layers.append(
-            Layer(weight.reshape(rows, cols).copy(), bias.copy(), _CODE_ACTIVATION[code])
-        )
+        spec.append((rows, cols, _CODE_ACTIVATION[code]))
+        payloads.append(np.frombuffer(data, dtype="<f8", count=count, offset=offset))
+        offset += 8 * count
     if offset != len(data) - 8:
         raise CheckpointError("trailing bytes in checkpoint")
-    return MlpNetwork(layers)
+    params = np.concatenate(payloads, dtype=np.float64) if payloads else np.empty(0)
+    return _network(params, spec)
 
 
 def load_checkpoint(path) -> MlpNetwork:

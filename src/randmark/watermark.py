@@ -410,15 +410,16 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
     n_trig = len(triggers)
 
     rng = np.random.default_rng(triggers.master_seed)
-    states = {
-        "f": OptimizerState.fresh(
+    trained = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
+    states = (
+        OptimizerState.fresh(
             bundle.watermarked_f, lr=hyper.learning_rate, weight_decay=hyper.weight_decay
         ),
-        "e": OptimizerState.fresh(bundle.encoder_e, lr=hyper.learning_rate),
-        "d": OptimizerState.fresh(bundle.decoder_d, lr=hyper.learning_rate),
-    }
+        OptimizerState.fresh(bundle.encoder_e, lr=hyper.learning_rate),
+        OptimizerState.fresh(bundle.decoder_d, lr=hyper.learning_rate),
+    )
     log = TrainingLog()
-    snapshot = None
+    snapshot = [net.params.copy() for net in trained]
     for epoch in range(hyper.epochs):
         noise = rng.standard_normal((n_trig, hyper.k_train, triggers.s))
         noise *= triggers.sigmas[:, None, None]
@@ -434,24 +435,17 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
             hyper.delta_scale,
         )
         total = fid + msg
-        g_f, g_e, g_d = grads
-        if not (math.isfinite(total) and g_f.is_finite() and g_e.is_finite() and g_d.is_finite()):
-            if snapshot is not None:
-                bundle.watermarked_f.layers = snapshot[0].layers
-                bundle.encoder_e.layers = snapshot[1].layers
-                bundle.decoder_d.layers = snapshot[2].layers
+        if not (math.isfinite(total) and all(g.is_finite() for g in grads)):
+            for net, saved in zip(trained, snapshot):
+                np.copyto(net.params, saved)
             log.aborted = True
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}; restored last good parameters"
             )
-        snapshot = (
-            bundle.watermarked_f.copy(),
-            bundle.encoder_e.copy(),
-            bundle.decoder_d.copy(),
-        )
-        optimizer_step(bundle.watermarked_f, g_f, states["f"])
-        optimizer_step(bundle.encoder_e, g_e, states["e"])
-        optimizer_step(bundle.decoder_d, g_d, states["d"])
+        for net, saved in zip(trained, snapshot):
+            np.copyto(saved, net.params)
+        for net, g, state in zip(trained, grads, states):
+            optimizer_step(net, g, state)
         log.epochs.append(
             {
                 "epoch": epoch,
@@ -490,9 +484,10 @@ def _build_stego(
     return stego
 
 
-# The one shared stego batch: (run parameters, copies of the encoder's
-# arrays, a copy of the trigger set, read-only (N * K, s) array).
-_stego_memo: tuple[tuple, list[np.ndarray], TriggerSet, np.ndarray] | None = None
+# The one shared stego batch: (run parameters and encoder layout, a copy of
+# the encoder's parameter vector, a copy of the trigger set, read-only
+# (N * K, s) array).
+_stego_memo: tuple[tuple, np.ndarray, TriggerSet, np.ndarray] | None = None
 
 
 def stego_batch(
@@ -508,19 +503,17 @@ def stego_batch(
     optimizer_step updates weights in place.
     """
     global _stego_memo
-    run = (k_draws, seed & _MASK64, float(delta_scale),
-           tuple(layer.activation for layer in encoder_e.layers))
-    weights = [array for layer in encoder_e.layers for array in (layer.weight, layer.bias)]
+    run = (k_draws, seed & _MASK64, float(delta_scale), tuple(encoder_e.spec))
     if (
         _stego_memo is None
         or _stego_memo[0] != run
-        or not all(map(np.array_equal, weights, _stego_memo[1]))
+        or not np.array_equal(encoder_e.params, _stego_memo[1])
         or _stego_memo[2] != triggers
     ):
         _stego_memo = None  # free the old batch before building the new one
         stego = _build_stego(encoder_e, triggers, k_draws, seed, delta_scale)
         stego.flags.writeable = False
-        _stego_memo = (run, [array.copy() for array in weights], copy.deepcopy(triggers), stego)
+        _stego_memo = (run, encoder_e.params.copy(), copy.deepcopy(triggers), stego)
     return _stego_memo[3]
 
 

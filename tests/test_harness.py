@@ -211,6 +211,22 @@ lr = 0.002
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**overrides)
 
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(backbone_hidden=(0,)), "backbone_hidden"),
+        (dict(backbone_hidden=(-4,)), "backbone_hidden"),
+        (dict(encoder_hidden=(16, 0)), "encoder_hidden"),
+        (dict(decoder_hidden=(0,)), "decoder_hidden"),
+    ], ids=["backbone-zero", "backbone-negative", "encoder-second-zero", "decoder-zero"])
+    def test_hidden_widths_checked_at_construction(self, overrides, field):
+        with pytest.raises(ValueError, match=f"{field} widths must be at least 1"):
+            ExperimentConfig(**overrides)
+
+    def test_empty_encoder_hidden_is_legal(self, tmp_path):
+        assert ExperimentConfig(encoder_hidden=()).encoder_hidden == ()
+        path = tmp_path / "exp.cfg"
+        path.write_text("[dims]\nencoder_hidden =\n")
+        assert ExperimentConfig.from_file(path).encoder_hidden == ()
+
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(tau=33)
@@ -241,9 +257,13 @@ lr = 0.002
         ("[embed]\nlearning_rate = -1\n", "learning_rate must be positive and finite"),
         ("[embed]\npretrain_images = 0\n", "pretrain_images must be positive"),
         ("[attack.f]\nkind = finetune\nlr = -5\n", "lr must be positive and finite"),
+        ("[dims]\nbackbone_hidden = 0\n", "backbone_hidden widths must be at least 1"),
+        ("[dims]\nbackbone_hidden = -4\n", "backbone_hidden widths must be at least 1"),
+        ("[dims]\ndecoder_hidden = 12,0\n", "decoder_hidden widths must be at least 1"),
     ], ids=["unknown-key", "unknown-section", "unknown-attack-key", "bounds-stage-not-boolean",
             "unparsable-value", "out-of-range", "attack-without-kind", "embed-lr-negative",
-            "pretrain-images-zero", "attack-lr-negative"])
+            "pretrain-images-zero", "attack-lr-negative", "backbone-width-zero",
+            "backbone-width-negative", "decoder-width-zero"])
     def test_bad_config_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "exp.cfg"
         path.write_text(text)
@@ -1141,3 +1161,32 @@ class TestCli:
         assert code == cli.EXIT_OK
         text = capsys.readouterr().out
         assert "watermarked" in text and "bounds" in text
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("manifest.json", "{}", "missing key 'version'"),
+        ("manifest.json", "[1]", "not a JSON object but list"),
+        ("manifest.json", "{", "Expecting property name"),
+        ("manifest.json", '{"version": 1, "failures": {}}', "'version' has the wrong type int"),
+        ("manifest.json", '{"version": "0", "failures": []}', "'failures' has the wrong type"),
+        ("verification/watermarked.json", '{"suspect_id": "w"}', "missing key 'detection_rate'"),
+        ("verification/watermarked.json",
+         '{"suspect_id": "w", "detection_rate": "high", "tau": 2, "K": 4}',
+         "'detection_rate' has the wrong type str"),
+        ("verification/watermarked.json", "null", "not a JSON object but NoneType"),
+        ("bound_report.json", '{"p_omega": 0.5}', "missing key 'p_xi'"),
+        ("bound_report.json", '{"p_omega": null, "p_xi": 0.5, "h_minus": null, "h_plus": 1}',
+         "'p_omega' has the wrong type NoneType"),
+    ], ids=["manifest-empty", "manifest-list", "manifest-unparsable", "manifest-version-int",
+            "manifest-failures-list", "verification-missing-key", "verification-rate-str",
+            "verification-null", "bounds-missing-key", "bounds-p-null"])
+    def test_report_rejects_malformed_run_file(self, micro_run, tmp_path, capsys, name, text,
+                                               message):
+        _, out, _ = micro_run
+        run = tmp_path / "run"
+        (run / "verification").mkdir(parents=True)
+        for kept in ("manifest.json", "bound_report.json", "verification/watermarked.json"):
+            (run / kept).write_text((out / kept).read_text())
+        (run / name).write_text(text)
+        assert cli.main(["report", "--run", str(run)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{run / name}: {message}" in err and "Traceback" not in err

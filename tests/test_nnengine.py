@@ -1,14 +1,17 @@
 """Engine tests: forward/backward against finite differences, AdamW
 behavior, global magnitude pruning, and checkpoint format guarantees."""
 
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from randmark import attacks as atk
 from randmark import nnengine as ne
 
-from conftest import gradient_check, sparsity
+from conftest import gradient_check, see_cpus, sparsity
 
 
 def _loss_quadratic(targets):
@@ -339,11 +342,11 @@ class TestOptimizer:
         net = ne.init_network([3, 2, 2], ["tanh", "identity"], 15)
         before = net.parameters_digest()
         state = ne.OptimizerState.fresh(net)
-        grads = ne.Gradients(
-            [np.ones_like(l.weight) for l in net.layers], [np.ones_like(net.layers[0].bias)]
-        )
         moments = _moment_bytes(state)
         with pytest.raises(ValueError, match="depth"):
+            grads = ne.Gradients(
+                [np.ones_like(l.weight) for l in net.layers], [np.ones_like(net.layers[0].bias)]
+            )
             ne.optimizer_step(net, grads, state)
         assert net.parameters_digest() == before
         assert state.step == 0
@@ -355,7 +358,7 @@ class TestOptimizer:
         net = ne.init_network([5, 4, 3], ["tanh", "identity"], 16)
         ref_net = net.copy()
         state = ne.OptimizerState.fresh(net, lr=0.01, weight_decay=weight_decay)
-        ref = ne.OptimizerState.fresh(ref_net, lr=0.01, weight_decay=weight_decay)
+        ref = _RebindingAdamW(ref_net, lr=0.01, weight_decay=weight_decay)
         x = rng.standard_normal((8, 5))
         targets = rng.standard_normal((8, 3))
         _, grad = _loss_quadratic(targets)
@@ -363,13 +366,13 @@ class TestOptimizer:
             # one gradient for both: the two networks are byte-equal here
             grads = grad(net, x)
             ne.optimizer_step(net, grads, state)
-            _rebinding_adamw_step(ref_net, grads, ref)
+            ref.step_(ref_net, grads)
             assert net.parameters_digest() == ref_net.parameters_digest()
-            assert _moment_bytes(state) == _moment_bytes(ref)
+            assert _moment_bytes(state) == ref.moment_bytes()
             assert state.step == ref.step
-        # the moments did move, and none of them aliases a scratch buffer
-        assert np.abs(state.m_w[0]).max() > 0.0
-        for moment in state.m_w + state.v_w + state.m_b + state.v_b:
+        # the moments did move, and neither of them aliases a scratch buffer
+        assert np.abs(state.m).max() > 0.0
+        for moment in (state.m, state.v):
             assert not np.shares_memory(moment, state.scratch)
 
     def test_mismatched_state_rejected(self):
@@ -413,30 +416,118 @@ class TestOptimizer:
         assert peak < net.layers[0].weight.nbytes, peak
 
 
+def _assert_views(net):
+    """Every layer array is a view into net.params, in payload order."""
+    offset = 0
+    for layer in net.layers:
+        for array in (layer.weight, layer.bias):
+            assert np.shares_memory(array, net.params)
+            assert array.tobytes() == net.params[offset : offset + array.size].tobytes()
+            offset += array.size
+    assert offset == net.params.size
+
+
+class TestParameterVector:
+    def test_construction_copies_the_given_layers(self):
+        layers = ne.init_network([4, 3, 2], ["tanh", "identity"], 30).layers
+        net = ne.MlpNetwork(layers)
+        _assert_views(net)
+        for given, layer in zip(layers, net.layers):
+            assert not np.shares_memory(given.weight, net.params)
+            assert not np.shares_memory(given.bias, net.params)
+            assert given.weight.tobytes() == layer.weight.tobytes()
+
+    def test_copies_and_pickles_rebuild_the_views(self):
+        net = ne.init_network([5, 4, 3], ["tanh", "sigmoid"], 31)
+        for other in (
+            net.copy(),
+            pickle.loads(pickle.dumps(net)),
+            copy.deepcopy(net),
+            ne.network_from_checkpoint_bytes(ne.checkpoint_bytes(net)),
+        ):
+            _assert_views(other)
+            assert not np.shares_memory(other.params, net.params)
+            assert other.parameters_digest() == net.parameters_digest()
+
+    def test_models_from_a_two_worker_pool_keep_their_views(self, monkeypatch):
+        see_cpus(monkeypatch, 2)
+        with atk.IndependentPool(2) as pool:
+            models = [get() for get in pool.submit([16, 8, 4], [1, 2], [3, 4], 1, 10)]
+        for model in models:
+            _assert_views(model)
+
+    def test_optimizer_step_shows_through_the_layers(self):
+        net = ne.init_network([4, 3, 2], ["tanh", "identity"], 32)
+        before = [layer.weight.copy() for layer in net.layers]
+        _, trace = ne.forward_batch(net, np.ones((3, 4)))
+        grads = ne.backward(net, trace, np.ones((3, 2)))
+        assert all(np.shares_memory(g, grads.flat) for g in grads.weights + grads.biases)
+        ne.optimizer_step(net, grads, ne.OptimizerState.fresh(net, lr=0.1))
+        _assert_views(net)
+        for layer, old in zip(net.layers, before):
+            assert not np.array_equal(layer.weight, old)
+
+
+class TestGradientsAdd:
+    def _grads(self, dims, value):
+        net = ne.init_network(dims, ["tanh"] * (len(dims) - 1), 0)
+        return ne.Gradients(
+            [np.full_like(l.weight, value) for l in net.layers],
+            [np.full_like(l.bias, value) for l in net.layers],
+        )
+
+    def test_same_shapes_add_in_place(self):
+        total = self._grads([3, 2, 2], 1.0)
+        total.add_(self._grads([3, 2, 2], 0.5))
+        assert all((g == 1.5).all() for g in total.weights + total.biases)
+
+    @pytest.mark.parametrize("other_dims", [[3, 2], [3, 2, 2, 2], [3, 4, 2], [4, 2, 2]])
+    def test_other_depth_or_shape_rejected(self, other_dims):
+        total = self._grads([3, 2, 2], 1.0)
+        with pytest.raises(ValueError, match="depth or shape"):
+            total.add_(self._grads(other_dims, 0.5))
+        assert (total.flat == 1.0).all()
+
+
 def _moment_bytes(state):
-    return [m.tobytes() for m in state.m_w + state.v_w + state.m_b + state.v_b]
+    return [state.m.tobytes(), state.v.tobytes()]
 
 
-def _rebinding_adamw_step(net, grads, state):
-    """Reference AdamW: each moment is rebound to a freshly computed array
-    and each update is built in temporaries, as the expressions read."""
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.step
-    bc2 = 1.0 - b2**state.step
-    for i, layer in enumerate(net.layers):
-        if state.weight_decay:
-            layer.weight *= 1.0 - state.lr * state.weight_decay
-        state.m_w[i] = b1 * state.m_w[i] + (1.0 - b1) * grads.weights[i]
-        state.v_w[i] = b2 * state.v_w[i] + (1.0 - b2) * grads.weights[i] ** 2
-        layer.weight -= state.lr * (state.m_w[i] / bc1) / (
-            np.sqrt(state.v_w[i] / bc2) + state.eps
-        )
-        state.m_b[i] = b1 * state.m_b[i] + (1.0 - b1) * grads.biases[i]
-        state.v_b[i] = b2 * state.v_b[i] + (1.0 - b2) * grads.biases[i] ** 2
-        layer.bias -= state.lr * (state.m_b[i] / bc1) / (
-            np.sqrt(state.v_b[i] / bc2) + state.eps
-        )
+class _RebindingAdamW:
+    """Reference AdamW with per-layer moments: each moment is rebound to a
+    freshly computed array and each update is built in temporaries, as the
+    expressions read."""
+
+    def __init__(self, net, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.weight_decay = lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step = 0
+        self.m = [[np.zeros_like(l.weight), np.zeros_like(l.bias)] for l in net.layers]
+        self.v = [[np.zeros_like(l.weight), np.zeros_like(l.bias)] for l in net.layers]
+
+    def step_(self, net, grads):
+        self.step += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self.step
+        bc2 = 1.0 - b2**self.step
+        for i, layer in enumerate(net.layers):
+            if self.weight_decay:
+                layer.weight *= 1.0 - self.lr * self.weight_decay
+            for j, (param, grad) in enumerate(
+                ((layer.weight, grads.weights[i]), (layer.bias, grads.biases[i]))
+            ):
+                self.m[i][j] = b1 * self.m[i][j] + (1.0 - b1) * grad
+                self.v[i][j] = b2 * self.v[i][j] + (1.0 - b2) * grad**2
+                param -= self.lr * (self.m[i][j] / bc1) / (
+                    np.sqrt(self.v[i][j] / bc2) + self.eps
+                )
+
+    def moment_bytes(self):
+        """The moments laid out as the network's params vector."""
+        return [
+            np.concatenate([a.ravel() for pair in moments for a in pair]).tobytes()
+            for moments in (self.m, self.v)
+        ]
 
 
 class TestPruning:

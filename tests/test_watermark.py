@@ -263,8 +263,17 @@ class TestEmbedWatermark:
             mini_run.source_f, triggers.n, encoder_hidden=(48,), decoder_hidden=(24,),
             hyper=hyper, seed=22,
         )
-        with np.errstate(over="ignore"), pytest.raises(wm.TrainingDiverged):
+        trained = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
+        before = [net.parameters_digest() for net in trained]
+        with np.errstate(over="ignore"), pytest.raises(wm.TrainingDiverged, match="epoch 1"):
             wm.embed_watermark(bundle, triggers)
+        # the first step diverged, so the rollback restores the starting
+        # bytes into the live parameter vectors, which the layers still view
+        assert [net.parameters_digest() for net in trained] == before
+        for net in trained:
+            assert all(
+                np.shares_memory(a, net.params) for l in net.layers for a in (l.weight, l.bias)
+            )
         # rolled-back parameters must be finite end to end
         out, _ = ne.forward_batch(bundle.watermarked_f, triggers.images)
         assert np.isfinite(out).all()
