@@ -214,39 +214,20 @@ def forward_batch(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, Forw
 
 @dataclass
 class Gradients:
-    """Per-layer weight/bias gradients plus the gradient w.r.t. the input
-    batch (needed when networks are chained).
+    """The loss gradient w.r.t. every network parameter, in one vector laid
+    out as MlpNetwork.params, plus the gradient w.r.t. the input batch
+    (needed when networks are chained)."""
 
-    The weight and bias gradients are views into one vector, flat, laid out
-    as MlpNetwork.params. Given separate arrays, the constructor copies them
-    into a fresh vector; backward passes its vector with its views.
-    """
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
     wrt_input: np.ndarray | None = None
-    flat: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weight and bias gradients differ in depth")
-        if self.flat is None:
-            arrays = [np.asarray(a, dtype=np.float64) for pair in zip(self.weights, self.biases)
-                      for a in pair]
-            self.flat = np.concatenate([a.ravel() for a in arrays] or [np.empty(0)])
-            views, offset = [], 0
-            for a in arrays:
-                views.append(self.flat[offset : offset + a.size].reshape(a.shape))
-                offset += a.size
-            self.weights, self.biases = views[0::2], views[1::2]
 
     def add_(self, other: "Gradients") -> "Gradients":
-        """In-place accumulation of another gradient of the same shapes, in
-        one pass; a gradient of another depth or shape raises ValueError."""
-        if [g.shape for g in self.weights + self.biases] != [
-            g.shape for g in other.weights + other.biases
-        ]:
-            raise ValueError("gradients differ in depth or shape")
+        """In-place accumulation of another gradient of the same network
+        layout, in one pass; a gradient of another size raises ValueError."""
+        if other.flat.shape != self.flat.shape:
+            raise ValueError(
+                f"gradient sizes differ: {other.flat.shape} vs {self.flat.shape}"
+            )
         self.flat += other.flat
         return self
 
@@ -317,7 +298,7 @@ def backward(
             g = dz @ layer.weight.T
         else:
             g = np.empty((g.shape[0], 0))
-    return Gradients([w for w, _ in views], [b for _, b in views], wrt_input=g, flat=flat)
+    return Gradients(flat, wrt_input=g)
 
 
 @dataclass
@@ -372,11 +353,11 @@ def optimizer_step(net: MlpNetwork, grads: Gradients, state: OptimizerState) -> 
     params -= lr*(m/bc1) / (sqrt(v/bc2) + eps), each in place over the whole
     params vector and rounded op for op as the expressions read.
     """
-    if not len(grads.weights) == len(grads.biases) == len(net.layers):
-        raise ValueError("gradient does not match network depth")
-    for layer, gw, gb in zip(net.layers, grads.weights, grads.biases):
-        if gw.shape != layer.weight.shape or gb.shape != layer.bias.shape:
-            raise ValueError("gradient shapes do not match network")
+    if grads.flat.shape != net.params.shape:
+        raise ValueError(
+            f"gradient of shape {grads.flat.shape} does not match network "
+            f"parameters {net.params.shape}"
+        )
     if not (
         state.m.shape == state.v.shape == net.params.shape
         and state.scratch.shape == (2, net.params.size)

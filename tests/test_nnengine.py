@@ -28,6 +28,24 @@ def _loss_quadratic(targets):
     return loss, grad
 
 
+def _payload(weights, biases):
+    """Per-layer weight and bias arrays as one vector in the payload order
+    of MlpNetwork.params: W0 row-major, b0, W1, b1, ..."""
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+
+
+def _per_layer(net, vector):
+    """[weight, bias] views into a params-shaped vector, one pair per layer
+    of net."""
+    pairs, offset = [], 0
+    for layer in net.layers:
+        w_end = offset + layer.weight.size
+        end = w_end + layer.bias.size
+        pairs.append([vector[offset:w_end].reshape(layer.weight.shape), vector[w_end:end]])
+        offset = end
+    return pairs
+
+
 class TestForward:
     def test_identity_layer_passthrough(self):
         net = ne.MlpNetwork([ne.Layer(np.eye(4), np.zeros(4), "identity")])
@@ -67,8 +85,8 @@ class TestBackward:
         net = ne.init_network([4, 3, 2], ["tanh", "identity"], 3)
         _, trace = ne.forward_batch(net, np.ones((1, 4)))
         grads = ne.backward(net, trace, np.zeros(2))
-        assert all(np.all(g == 0.0) for g in grads.weights)
-        assert all(np.all(g == 0.0) for g in grads.biases)
+        assert grads.flat.shape == net.params.shape
+        assert np.all(grads.flat == 0.0)
 
     def test_linear_net_squared_error_matches_fd(self):
         rng = np.random.default_rng(4)
@@ -110,8 +128,7 @@ class TestBackward:
             g_out = rng.standard_normal((7, dims[-1]))
             full = ne.backward(net, trace, g_out)
             skipped = ne.backward(net, trace, g_out, wrt_input=False)
-            for a, b in zip(full.weights + full.biases, skipped.weights + skipped.biases):
-                assert a.tobytes() == b.tobytes()
+            assert full.flat.tobytes() == skipped.flat.tobytes()
             assert full.wrt_input.shape == (7, dims[0])
             assert skipped.wrt_input.shape == (7, 0)
 
@@ -202,8 +219,7 @@ class TestInPlaceKernels:
             g = np.random.default_rng(rows).standard_normal(out.shape)
             ref_w, ref_b, ref_in = _ref_backward(net, ref_acts, ref_pres, g)
             grads = ne.backward(net, trace, g)
-            for got, ref in zip(grads.weights + grads.biases, ref_w + ref_b):
-                assert got.tobytes() == ref.tobytes()
+            assert grads.flat.tobytes() == _payload(ref_w, ref_b).tobytes()
             assert grads.wrt_input.tobytes() == ref_in.tobytes()
 
     @pytest.mark.parametrize("act", ne.ACTIVATIONS)
@@ -217,8 +233,7 @@ class TestInPlaceKernels:
         g = np.array([[1.5, -1.5, 2.0, -2.0, 0.25, -0.25, 3.0, -0.0]])
         ref_w, ref_b, ref_in = _ref_backward(net, [x, a], [pre], g)
         grads = ne.backward(net, ne.ForwardTrace([x, a]), g)
-        assert grads.weights[0].tobytes() == ref_w[0].tobytes()
-        assert grads.biases[0].tobytes() == ref_b[0].tobytes()
+        assert grads.flat.tobytes() == _payload(ref_w, ref_b).tobytes()
         assert grads.wrt_input.tobytes() == ref_in.tobytes()
 
     @pytest.mark.parametrize("act", ne.ACTIVATIONS)
@@ -271,7 +286,7 @@ class TestGradientCheck:
 
         def corrupted(n):
             g = grad(n, x)
-            g.weights[0][0, 0] *= 2.0  # one entry doubled
+            g.flat[0] *= 2.0  # one entry, W0[0, 0], doubled
             return g
 
         assert gradient_check(net, lambda n: loss(n, x), corrupted) > 0.1
@@ -287,10 +302,7 @@ class TestOptimizer:
         net = ne.init_network([3, 2], ["identity"], 12)
         before = net.parameters_digest()
         state = ne.OptimizerState.fresh(net, lr=0.1, weight_decay=0.0)
-        grads = ne.Gradients(
-            [np.zeros_like(l.weight) for l in net.layers],
-            [np.zeros_like(l.bias) for l in net.layers],
-        )
+        grads = ne.Gradients(np.zeros_like(net.params))
         ne.optimizer_step(net, grads, state)
         assert net.parameters_digest() == before
         assert state.step == 1
@@ -299,7 +311,7 @@ class TestOptimizer:
         # Bias-corrected moments make the very first update lr * sign(g).
         net = ne.MlpNetwork([ne.Layer(np.array([[1.0]]), np.zeros(1), "identity")])
         state = ne.OptimizerState.fresh(net, lr=0.05)
-        grads = ne.Gradients([np.array([[0.3]])], [np.zeros(1)])
+        grads = ne.Gradients(np.array([0.3, 0.0]))  # W0 = [[0.3]], b0 = [0]
         ne.optimizer_step(net, grads, state)
         drop = 1.0 - net.layers[0].weight[0, 0]
         assert abs(drop - 0.05) < 1e-6 * 0.05
@@ -315,7 +327,7 @@ class TestOptimizer:
         for _ in range(500):
             diff = net.layers[0].weight - target
             losses.append(float((diff**2).sum()))
-            grads = ne.Gradients([2.0 * diff], [np.zeros(8)])
+            grads = ne.Gradients(_payload([2.0 * diff], [np.zeros(8)]))
             ne.optimizer_step(net, grads, state)
         diff = net.layers[0].weight - target
         losses.append(float((diff**2).sum()))
@@ -328,9 +340,7 @@ class TestOptimizer:
         net = ne.init_network([2, 2], ["identity"], 14)
         before = net.parameters_digest()
         state = ne.OptimizerState.fresh(net)
-        grads = ne.Gradients(
-            [np.full_like(net.layers[0].weight, np.nan)], [np.zeros(2)]
-        )
+        grads = ne.Gradients(_payload([np.full((2, 2), np.nan)], [np.zeros(2)]))
         moments = _moment_bytes(state)
         with pytest.raises(ValueError, match="non-finite"):
             ne.optimizer_step(net, grads, state)
@@ -343,14 +353,16 @@ class TestOptimizer:
         before = net.parameters_digest()
         state = ne.OptimizerState.fresh(net)
         moments = _moment_bytes(state)
-        with pytest.raises(ValueError, match="depth"):
-            grads = ne.Gradients(
-                [np.ones_like(l.weight) for l in net.layers], [np.ones_like(net.layers[0].bias)]
-            )
-            ne.optimizer_step(net, grads, state)
-        assert net.parameters_digest() == before
-        assert state.step == 0
-        assert _moment_bytes(state) == moments
+        # every weight with the first bias only, and the first layer alone
+        for grads in (
+            ne.Gradients(_payload([l.weight for l in net.layers], [net.layers[0].bias])),
+            ne.Gradients(_payload([net.layers[0].weight], [net.layers[0].bias])),
+        ):
+            with pytest.raises(ValueError, match="does not match network parameters"):
+                ne.optimizer_step(net, grads, state)
+            assert net.parameters_digest() == before
+            assert state.step == 0
+            assert _moment_bytes(state) == moments
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_matches_rebinding_adamw_byte_for_byte(self, weight_decay):
@@ -380,10 +392,7 @@ class TestOptimizer:
         state = ne.OptimizerState.fresh(ne.init_network([3, 4, 2], ["tanh", "identity"], 17))
         before = net.parameters_digest()
         moments = _moment_bytes(state)
-        grads = ne.Gradients(
-            [np.ones_like(l.weight) for l in net.layers],
-            [np.ones_like(l.bias) for l in net.layers],
-        )
+        grads = ne.Gradients(np.ones_like(net.params))
         with pytest.raises(ValueError, match="optimizer state"):
             ne.optimizer_step(net, grads, state)
         assert net.parameters_digest() == before
@@ -396,10 +405,7 @@ class TestOptimizer:
         rng = np.random.default_rng(18)
         net = ne.init_network([256, 192, 64], ["tanh", "identity"], 18)
         state = ne.OptimizerState.fresh(net, lr=1e-3, weight_decay=0.01)
-        grads = ne.Gradients(
-            [rng.standard_normal(l.weight.shape) for l in net.layers],
-            [rng.standard_normal(l.bias.shape) for l in net.layers],
-        )
+        grads = ne.Gradients(rng.standard_normal(net.params.shape))
         ne.optimizer_step(net, grads, state)  # warm up any lazy module state
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -461,7 +467,6 @@ class TestParameterVector:
         before = [layer.weight.copy() for layer in net.layers]
         _, trace = ne.forward_batch(net, np.ones((3, 4)))
         grads = ne.backward(net, trace, np.ones((3, 2)))
-        assert all(np.shares_memory(g, grads.flat) for g in grads.weights + grads.biases)
         ne.optimizer_step(net, grads, ne.OptimizerState.fresh(net, lr=0.1))
         _assert_views(net)
         for layer, old in zip(net.layers, before):
@@ -471,20 +476,19 @@ class TestParameterVector:
 class TestGradientsAdd:
     def _grads(self, dims, value):
         net = ne.init_network(dims, ["tanh"] * (len(dims) - 1), 0)
-        return ne.Gradients(
-            [np.full_like(l.weight, value) for l in net.layers],
-            [np.full_like(l.bias, value) for l in net.layers],
-        )
+        return ne.Gradients(np.full_like(net.params, value))
 
     def test_same_shapes_add_in_place(self):
         total = self._grads([3, 2, 2], 1.0)
+        flat = total.flat
         total.add_(self._grads([3, 2, 2], 0.5))
-        assert all((g == 1.5).all() for g in total.weights + total.biases)
+        assert total.flat is flat
+        assert (total.flat == 1.5).all()
 
     @pytest.mark.parametrize("other_dims", [[3, 2], [3, 2, 2, 2], [3, 4, 2], [4, 2, 2]])
     def test_other_depth_or_shape_rejected(self, other_dims):
         total = self._grads([3, 2, 2], 1.0)
-        with pytest.raises(ValueError, match="depth or shape"):
+        with pytest.raises(ValueError, match="gradient sizes differ"):
             total.add_(self._grads(other_dims, 0.5))
         assert (total.flat == 1.0).all()
 
@@ -510,12 +514,10 @@ class _RebindingAdamW:
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.step
         bc2 = 1.0 - b2**self.step
-        for i, layer in enumerate(net.layers):
+        for i, (layer, layer_grads) in enumerate(zip(net.layers, _per_layer(net, grads.flat))):
             if self.weight_decay:
                 layer.weight *= 1.0 - self.lr * self.weight_decay
-            for j, (param, grad) in enumerate(
-                ((layer.weight, grads.weights[i]), (layer.bias, grads.biases[i]))
-            ):
+            for j, (param, grad) in enumerate(zip((layer.weight, layer.bias), layer_grads)):
                 self.m[i][j] = b1 * self.m[i][j] + (1.0 - b1) * grad
                 self.v[i][j] = b2 * self.v[i][j] + (1.0 - b2) * grad**2
                 param -= self.lr * (self.m[i][j] / bc1) / (
