@@ -34,7 +34,7 @@ from .watermark import ModelBundle, TrainingDiverged
 
 logger = logging.getLogger(__name__)
 
-ATTACK_KINDS = ("finetune", "prune", "distill", "independent")
+ATTACK_KINDS = ("finetune", "prune", "distill")
 
 # Omega models drifting beyond this relative embedding error are not
 # functional copies any more and are dropped from populations.
@@ -47,8 +47,6 @@ class AttackSpec:
     epochs: int = 0
     lr: float = 1e-3
     fraction: float = 0.0
-    student_hidden: tuple[int, ...] | None = None
-    n_classes: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -295,19 +293,14 @@ def apply_attack(bundle: ModelBundle, spec: AttackSpec) -> MlpNetwork:
     if spec.kind == "prune":
         return l1_unstructured_prune(base, spec.fraction)
     if spec.kind == "finetune":
-        task = make_blob_task(base.input_dim, n_classes=spec.n_classes, seed=spec.seed)
+        task = make_blob_task(base.input_dim, seed=spec.seed)
         net, _ = finetune_attack(base, task, spec.epochs, spec.lr, seed=spec.seed)
         return net
-    if spec.kind == "distill":
-        hidden = spec.student_hidden
-        if hidden is None:
-            hidden = tuple(layer.out_dim for layer in base.layers[:-1])
-        student, _ = distill_attack(
-            base, hidden, data_seed=spec.seed + 17, epochs=spec.epochs, lr=spec.lr,
-            seed=spec.seed,
-        )
-        return student
-    raise ValueError(f"not a functional-copy attack: {spec.kind}")
+    student, _ = distill_attack(  # a student as wide as the backbone
+        base, tuple(layer.out_dim for layer in base.layers[:-1]), data_seed=spec.seed + 17,
+        epochs=spec.epochs, lr=spec.lr, seed=spec.seed,
+    )
+    return student
 
 
 @dataclass

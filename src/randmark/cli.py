@@ -13,6 +13,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from pathlib import Path
+
+from . import oracles
+from .attacks import ATTACK_KINDS, AttackSpec, IndependentPool, apply_attack
+from .harness import (
+    ExperimentConfig,
+    bound_report_from_estimates,
+    bounds_stage,
+    compute_bound_report,
+    data_stage,
+    embed_stage,
+    load_population,
+    population_stage,
+    run_pipeline,
+    submit_xi,
+    verify_suspect,
+)
+from .nnengine import load_checkpoint, save_checkpoint
+from .watermark import ModelBundle, TrainingDiverged, VerificationRefused, load_trigger_set
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,7 +65,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("attack", help="derive a functional copy of the watermarked backbone")
     common(p)
     p.add_argument("--bundle", required=True)
-    p.add_argument("--kind", required=True, choices=["prune", "finetune", "distill"])
+    p.add_argument("--kind", required=True, choices=ATTACK_KINDS)
     p.add_argument("--fraction", type=float, default=0.2)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--lr", type=float, default=1e-3)
@@ -119,21 +139,13 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(args):
-    from .harness import ExperimentConfig
-
-    config = (
-        ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    )
+    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         config.seed = args.seed
     return config
 
 
 def _cmd_gen_data(args) -> int:
-    from pathlib import Path
-
-    from .harness import data_stage
-
     out = Path(args.out or "triggers.rmts")
     triggers = data_stage(_load_config(args), out)
     print(f"wrote {len(triggers)} triggers to {out}")
@@ -141,11 +153,6 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    from pathlib import Path
-
-    from .harness import data_stage, embed_stage
-    from .watermark import load_trigger_set
-
     config = _load_config(args)
     out = Path(args.out or "bundle_run")
     out.mkdir(parents=True, exist_ok=True)
@@ -163,20 +170,10 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    from pathlib import Path
-
-    from .attacks import AttackSpec, apply_attack
-    from .nnengine import save_checkpoint
-    from .watermark import ModelBundle
-
     config = _load_config(args)
     bundle = ModelBundle.load(args.bundle)
     spec = AttackSpec(
-        kind=args.kind,
-        epochs=args.epochs,
-        lr=args.lr,
-        fraction=args.fraction,
-        seed=config.seed,
+        kind=args.kind, epochs=args.epochs, lr=args.lr, fraction=args.fraction, seed=config.seed
     )
     net = apply_attack(bundle, spec)
     out = Path(args.out or f"{args.kind}.rmk")
@@ -186,23 +183,12 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from pathlib import Path
-
-    from .harness import verify_suspect
-    from .nnengine import load_checkpoint
-    from .watermark import ModelBundle, load_trigger_set
-
     config = _load_config(args)
     bundle = ModelBundle.load(args.bundle)
     triggers = load_trigger_set(args.triggers)
     suspect = load_checkpoint(args.suspect)
     report, _ = verify_suspect(
-        suspect,
-        bundle,
-        triggers,
-        args.tau,
-        args.k_draws,
-        config.seeds.verify,
+        suspect, bundle, triggers, args.tau, args.k_draws, config.seeds.verify,
         Path(args.suspect).stem,
     )
     text = report.to_json()
@@ -213,11 +199,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_population(args) -> int:
-    from pathlib import Path
-
-    from .harness import population_stage
-    from .watermark import ModelBundle
-
     config = _load_config(args)
     out = Path(args.out or f"population_{args.kind}")
     saved = population_stage(config, ModelBundle.load(args.bundle), args.kind, args.m_models, out)
@@ -225,79 +206,11 @@ def _cmd_population(args) -> int:
     return EXIT_OK
 
 
-def _report_from_estimates(config, path):
-    """Bound report from an estimates JSON file: p_hat, q_hat, and per
-    population (omega, xi) a non-empty list of {trigger_id, matches, trials}
-    rows, taken in trigger_id order. A file that is not JSON, lacks a key,
-    holds an empty population or a value of the wrong type, repeats a
-    trigger_id, or gives omega and xi different trigger ids raises
-    ValueError naming the file."""
-    from pathlib import Path
-
-    import numpy as np
-
-    from .bounds import build_bound_report
-
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not a JSON file: {exc}") from None
-
-    def value(mapping, key, cast, where=""):
-        if not isinstance(mapping, dict) or key not in mapping:
-            raise ValueError(f"{path}: missing key {key!r}{where}")
-        try:
-            return cast(mapping[key])
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{path}: {key!r}{where} is not a {cast.__name__}: {mapping[key]!r}"
-            ) from None
-
-    counts, ids = {}, {}
-    for population in ("omega", "xi"):
-        rows = value(payload, population, list)
-        if not rows:
-            raise ValueError(f"{path}: population {population!r} is empty")
-        table = sorted(
-            tuple(value(row, key, int, f" in {population} row {index}")
-                  for key in ("trigger_id", "matches", "trials"))
-            for index, row in enumerate(rows)
-        )
-        ids[population] = [trigger_id for trigger_id, _, _ in table]
-        if len(set(ids[population])) < len(table):
-            raise ValueError(f"{path}: population {population!r} repeats a trigger_id")
-        try:
-            table = np.array(table, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(f"{path}: a count in {population!r} exceeds 64 bits") from None
-        counts[population] = (table[:, 1], table[:, 2])
-    if ids["omega"] != ids["xi"]:
-        raise ValueError(f"{path}: omega and xi cover different trigger ids")
-    return build_bound_report(
-        counts["omega"],
-        counts["xi"],
-        level=config.alpha / len(ids["omega"]),
-        n=config.n,
-        tau=config.tau,
-        r_bar=config.r_bar,
-        r_under=config.r_under,
-        alpha=config.alpha,
-        delta=config.delta,
-        p_hat=value(payload, "p_hat", float),
-        q_hat=value(payload, "q_hat", float),
-    )
-
-
 def _cmd_bounds(args) -> int:
-    from pathlib import Path
-
-    from .attacks import IndependentPool
-    from .harness import bounds_stage, compute_bound_report, load_population, submit_xi
-
     config = _load_config(args)
     out = Path(args.out or "bounds_run")
     if args.estimates:
-        report = _report_from_estimates(config, args.estimates)
+        report = bound_report_from_estimates(config, args.estimates)
     elif args.population_omega or args.population_xi:
         if not (args.population_omega and args.population_xi):
             print("need both --population-omega and --population-xi", file=sys.stderr)
@@ -325,8 +238,6 @@ def _cmd_bounds(args) -> int:
 def _bundle_and_triggers(args):
     """The bundle and trigger set that the population and training branches
     of `bounds` verify with; ValueError naming a missing flag."""
-    from .watermark import ModelBundle, load_trigger_set
-
     for flag, value in (("--bundle", args.bundle), ("--triggers", args.triggers)):
         if value is None:
             raise ValueError(f"{flag} is required unless --estimates is given")
@@ -338,10 +249,6 @@ def _parse_probs(text: str):
 
 
 def _cmd_oracle(args) -> int:
-    from dataclasses import asdict
-
-    from . import oracles
-
     if args.oracle_kind == "binomial-tail":
         result = oracles.exact_binomial_tail(args.n, args.tau, args.r)
     elif args.oracle_kind == "poisson-binomial":
@@ -365,8 +272,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    from .harness import run_pipeline
-
     config = _load_config(args)
     manifest = run_pipeline(config, args.out or "run")
     print(json.dumps({"files": len(manifest.files), "failures": manifest.failures}, sort_keys=True))
@@ -395,8 +300,6 @@ def _json_object(path, fields: dict) -> dict:
 
 
 def _cmd_report(args) -> int:
-    from pathlib import Path
-
     run = Path(args.run)
     manifest = _json_object(run / "manifest.json", {"version": str, "failures": dict})
     print(f"run {run} (version {manifest['version']})")
@@ -427,8 +330,6 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    from .watermark import TrainingDiverged, VerificationRefused
-
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {

@@ -11,6 +11,8 @@ import configparser
 import csv
 import hashlib
 import json
+import math
+import re
 import time
 from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, field, asdict
@@ -96,7 +98,6 @@ class ExperimentConfig:
     pretrain_epochs: int = 40
     pretrain_images: int = 400
     tau: int = 5
-    epsilon_fpr: float = 1e-4
     alpha: float = 0.01
     delta: float = 0.01
     r_bar: int = 75
@@ -115,6 +116,10 @@ class ExperimentConfig:
         for name in ("s", "k", "n", "trigger_count", "k_train", "k_verify", "m_models"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if math.isqrt(self.s) ** 2 != self.s:
+            raise ValueError(f"s must be a perfect square (square images), got {self.s}")
+        if not 0.0 < self.sigma_scale < math.inf:
+            raise ValueError("sigma_scale must be positive and finite")
         for name in ("backbone_hidden", "encoder_hidden", "decoder_hidden"):
             if any(width < 1 for width in getattr(self, name)):
                 raise ValueError(f"{name} widths must be at least 1, got {getattr(self, name)}")
@@ -132,6 +137,14 @@ class ExperimentConfig:
             raise ValueError("pretrain_images must be positive")
         if self.pretrain_epochs < 0:
             raise ValueError("pretrain_epochs must not be negative")
+        # each attack names a suspect file of its own beside the pipeline's
+        taken = {"watermarked", *(f"independent{i}" for i in range(self.independents))}
+        for name, _ in self.attacks:
+            if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
+                raise ValueError(f"attack name {name!r} is not a file stem: letters, digits, _, -")
+            if name in taken:
+                raise ValueError(f"attack name {name!r} is another suspect's name")
+            taken.add(name)
         self.hyper()  # range-checks the embedding settings
 
     @property
@@ -158,76 +171,47 @@ class ExperimentConfig:
 
     def snapshot(self) -> dict:
         payload = asdict(self)
-        payload["attacks"] = [
-            {"name": name, **{k: v for k, v in asdict(spec).items()}}
-            for name, spec in self.attacks
-        ]
+        payload["attacks"] = [{"name": name, **asdict(spec)} for name, spec in self.attacks]
         return payload
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        """Flat key=value sections; [attack.NAME] sections define the attack
-        list (kind, epochs, lr, fraction). An unknown section or key, a value
-        that does not parse, or a setting out of range raises ValueError
-        naming the file."""
+        """Flat key=value sections (_SECTIONS), each key parsed as its
+        field's default type; [attack.NAME] sections define the attack list
+        (kind, epochs, lr, fraction). A file that does not parse, an unknown
+        section or key, a value that does not parse, or a setting out of
+        range raises ValueError naming the file."""
         parser = configparser.ConfigParser()
-        with open(path) as fh:
-            parser.read_file(fh)
+        try:
+            with open(path) as fh:
+                parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if parser.defaults():  # its keys would reach every section, or no field
+            raise ValueError(f"{path}: unknown section [DEFAULT]")
         config = cls()
-        scalar_fields = {
-            "dims": [
-                ("s", int),
-                ("k", int),
-                ("n", int),
-                ("backbone_hidden", _widths),
-                ("encoder_hidden", _widths),
-                ("decoder_hidden", _widths),
-            ],
-            "triggers": [("trigger_count", int), ("sigma_scale", float)],
-            "embed": [
-                ("lam", float),
-                ("k_train", int),
-                ("epochs", int),
-                ("learning_rate", float),
-                ("delta_scale", float),
-                ("pretrain_epochs", int),
-                ("pretrain_images", int),
-            ],
-            "verify": [("k_verify", int), ("tau", int), ("epsilon_fpr", float)],
-            "bounds": [
-                ("alpha", float),
-                ("delta", float),
-                ("r_bar", int),
-                ("r_under", int),
-                ("m_models", int),
-                ("bounds_stage", _boolean),
-            ],
-            "run": [("seed", int), ("independents", int)],
-        }
-        attack_fields = [("kind", str), ("epochs", int), ("lr", float), ("fraction", float)]
 
-        def read(section, fields):
-            unknown = sorted(set(parser.options(section)) - {key for key, _ in fields})
+        def read(section, keys, defaults):
+            unknown = sorted(set(parser.options(section)) - set(keys))
             if unknown:
                 raise ValueError(f"{path}: unknown key {unknown[0]!r} in [{section}]")
             values = {}
-            for key, cast in fields:
-                if parser.has_option(section, key):
-                    try:
-                        values[key] = cast(parser.get(section, key))
-                    except ValueError as exc:
-                        raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+            for key in parser.options(section):
+                try:
+                    values[key] = _PARSERS[type(getattr(defaults, key))](parser.get(section, key))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
             return values
 
         attacks = []
         for section in parser.sections():
             if section.startswith("attack."):
-                spec = read(section, attack_fields)
+                spec = read(section, ("kind", "epochs", "lr", "fraction"), AttackSpec("prune"))
                 if "kind" not in spec:
                     raise ValueError(f"{path}: [{section}] needs a kind")
                 attacks.append((section.split(".", 1)[1], spec))
-            elif section in scalar_fields:
-                for key, value in read(section, scalar_fields[section]).items():
+            elif section in _SECTIONS:
+                for key, value in read(section, _SECTIONS[section], config).items():
                     setattr(config, key, value)
             else:
                 raise ValueError(f"{path}: unknown section [{section}]")
@@ -240,6 +224,20 @@ class ExperimentConfig:
         return config
 
 
+# The config file's sections and the ExperimentConfig fields each one sets.
+_SECTIONS = {
+    "dims": ("s", "k", "n", "backbone_hidden", "encoder_hidden", "decoder_hidden"),
+    "triggers": ("trigger_count", "sigma_scale"),
+    "embed": (
+        "lam", "k_train", "epochs", "learning_rate", "delta_scale", "pretrain_epochs",
+        "pretrain_images",
+    ),
+    "verify": ("k_verify", "tau"),
+    "bounds": ("alpha", "delta", "r_bar", "r_under", "m_models", "bounds_stage"),
+    "run": ("seed", "independents"),
+}
+
+
 def _widths(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
@@ -249,6 +247,10 @@ def _boolean(text: str) -> bool:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
         raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# A config value's parser, by the type of its field's default.
+_PARSERS = {bool: _boolean, int: int, float: float, str: str, tuple: _widths}
 
 
 def verify_suspect(
@@ -352,6 +354,54 @@ def load_population(directory, label: str) -> list[MlpNetwork]:
     return [load_checkpoint(path) for path in files]
 
 
+def bound_report_from_estimates(config: ExperimentConfig, path) -> BoundReport:
+    """Bound report from an estimates JSON file: p_hat, q_hat, and per
+    population (omega, xi) a non-empty list of {trigger_id, matches, trials}
+    rows, taken in trigger_id order. A file that is not JSON, lacks a key,
+    holds an empty population or a value of the wrong type, repeats a
+    trigger_id, or gives omega and xi different trigger ids raises
+    ValueError naming the file."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON file: {exc}") from None
+
+    def value(mapping, key, cast, where=""):
+        if not isinstance(mapping, dict) or key not in mapping:
+            raise ValueError(f"{path}: missing key {key!r}{where}")
+        try:
+            return cast(mapping[key])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{path}: {key!r}{where} is not a {cast.__name__}: {mapping[key]!r}"
+            ) from None
+
+    counts, ids = {}, {}
+    for population in ("omega", "xi"):
+        rows = value(payload, population, list)
+        if not rows:
+            raise ValueError(f"{path}: population {population!r} is empty")
+        table = sorted(
+            tuple(value(row, key, int, f" in {population} row {index}")
+                  for key in ("trigger_id", "matches", "trials"))
+            for index, row in enumerate(rows)
+        )
+        ids[population] = [trigger_id for trigger_id, _, _ in table]
+        if len(set(ids[population])) < len(table):
+            raise ValueError(f"{path}: population {population!r} repeats a trigger_id")
+        try:
+            table = np.array(table, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{path}: a count in {population!r} exceeds 64 bits") from None
+        counts[population] = (table[:, 1], table[:, 2])
+    if ids["omega"] != ids["xi"]:
+        raise ValueError(f"{path}: omega and xi cover different trigger ids")
+    return _bound_report(
+        config, counts["omega"], counts["xi"],
+        value(payload, "p_hat", float), value(payload, "q_hat", float),
+    )
+
+
 @dataclass
 class RunManifest:
     version: str
@@ -384,6 +434,24 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     seeds = config.seeds
     dims = config.backbone_dims
+    stage_seconds: dict[str, float] = {}
+    failures: dict[str, str] = {}
+
+    def stage(name: str, run: Callable[[], object], *needs):
+        """Run one stage, timed: its result, or None if it raised (the
+        exception recorded in failures) or was skipped because one of
+        needs, the results of earlier stages, is None."""
+        if any(need is None for need in needs):
+            return None
+        t0 = time.perf_counter()
+        try:
+            result = run()
+        except Exception as exc:
+            failures[name] = str(exc)
+            return None
+        stage_seconds[name] = time.perf_counter() - t0
+        return result
+
     jobs = config.independents + (config.m_models if config.bounds_stage else 0)
     with IndependentPool(jobs) as pool:
         independents = pool.submit(
@@ -394,7 +462,28 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
             config.pretrain_images,
         )
         xi = submit_xi(pool, dims, config) if config.bounds_stage else None
-        return _run_stages(config, out, independents, xi)
+        triggers = stage("data", lambda: data_stage(config, out / "triggers.rmts"))
+        bundle = stage("embed", lambda: embed_stage(config, triggers, out)[0], triggers)
+        suspects = stage(
+            "attacks", lambda: attacks_stage(config, bundle, independents, out / "suspects"), bundle
+        )
+        distances = stage(
+            "verify", lambda: verify_stage(config, bundle, triggers, suspects, out), suspects
+        )
+        stage(
+            "covariance",
+            lambda: covariance_stage(config, suspects, distances, out / "covariance.csv"),
+            distances,
+        )
+        stage(
+            "bounds",
+            lambda: (out / "bound_report.json").write_text(
+                bounds_stage(config, bundle, triggers, out / "population", xi).to_json()
+            ),
+            suspects,  # a failed attacks stage ends the run, as a failed embed does
+            xi,
+        )
+    return _finalize_manifest(out, config, stage_seconds, failures)
 
 
 def data_stage(config: ExperimentConfig, path: Path) -> TriggerSet:
@@ -437,96 +526,65 @@ def embed_stage(
     return bundle, log
 
 
-def _run_stages(
+def attacks_stage(
     config: ExperimentConfig,
-    out: Path,
+    bundle: ModelBundle,
     independents: list[Callable[[], MlpNetwork]],
-    xi: tuple[list[Callable[[], MlpNetwork]], list[dict]] | None,
-) -> RunManifest:
-    """The stages of run_pipeline, with the independent models (result
-    getters) and the xi population (getters and manifest rows) submitted."""
-    stage_seconds: dict[str, float] = {}
-    failures: dict[str, str] = {}
+    suspect_dir: Path,
+) -> list[tuple[str, str, MlpNetwork]]:
+    """A run's suspects as (name, kind, network), each saved to
+    suspect_dir/<name>.rmk: the watermarked backbone, each configured attack
+    on it, and the models of the independents' result getters."""
+    suspects = [("watermarked", "watermarked", bundle.watermarked_f)]
+    suspects += [(name, spec.kind, apply_attack(bundle, spec)) for name, spec in config.attacks]
+    suspects += [(f"independent{i}", "independent", get()) for i, get in enumerate(independents)]
+    suspect_dir.mkdir(exist_ok=True)
+    for name, _, net in suspects:
+        save_checkpoint(net, suspect_dir / f"{name}.rmk")
+    return suspects
 
-    t0 = time.perf_counter()
-    triggers = data_stage(config, out / "triggers.rmts")
-    stage_seconds["data"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    try:
-        bundle, _ = embed_stage(config, triggers, out)
-    except Exception as exc:  # divergence aborts the run but is recorded
-        failures["embed"] = str(exc)
-        return _finalize_manifest(out, config, stage_seconds, failures)
-    stage_seconds["embed"] = time.perf_counter() - t0
+def verify_stage(
+    config: ExperimentConfig,
+    bundle: ModelBundle,
+    triggers: TriggerSet,
+    suspects: list[tuple[str, str, MlpNetwork]],
+    out: Path,
+) -> dict[str, np.ndarray]:
+    """Verify each suspect, writing out/verification/<name>.json and the
+    detection sweep out/sweep.csv; the (N, K) distances by suspect name."""
+    verify_dir = out / "verification"
+    verify_dir.mkdir(exist_ok=True)
+    distances, rows = {}, []
+    for name, kind, net in suspects:
+        report, distances[name] = verify_suspect(
+            net, bundle, triggers, config.tau, config.k_verify, config.seeds.verify, name
+        )
+        (verify_dir / f"{name}.json").write_text(report.to_json())
+        rows.extend(sweep_rows(name, kind, report.rho, config.n))
+    write_detection_sweep(out / "sweep.csv", rows)
+    return distances
 
-    t0 = time.perf_counter()
-    suspects: list[tuple[str, str, MlpNetwork]] = [
-        ("watermarked", "watermarked", bundle.watermarked_f)
-    ]
-    try:
-        for name, spec in config.attacks:
-            net = apply_attack(bundle, spec)
-            suspects.append((name, spec.kind, net))
-        for i, get in enumerate(independents):
-            suspects.append((f"independent{i}", "independent", get()))
-        suspect_dir = out / "suspects"
-        suspect_dir.mkdir(exist_ok=True)
-        for name, _, net in suspects:
-            save_checkpoint(net, suspect_dir / f"{name}.rmk")
-        stage_seconds["attacks"] = time.perf_counter() - t0
-    except Exception as exc:
-        failures["attacks"] = str(exc)
-        return _finalize_manifest(out, config, stage_seconds, failures)
 
-    t0 = time.perf_counter()
-    verify_seed = config.seeds.verify
-    distance_map: dict[str, np.ndarray] = {}
-    try:
-        verify_dir = out / "verification"
-        verify_dir.mkdir(exist_ok=True)
-        all_rows = []
-        for name, kind, net in suspects:
-            report, distance_map[name] = verify_suspect(
-                net, bundle, triggers, config.tau, config.k_verify, verify_seed, name
+def covariance_stage(
+    config: ExperimentConfig,
+    suspects: list[tuple[str, str, MlpNetwork]],
+    distances: dict[str, np.ndarray],
+    path: Path,
+) -> None:
+    """Write the per-trigger covariance deltas of the watermarked backbone
+    paired with each other suspect to the CSV file path."""
+    seed = config.seeds.verify
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pair_id", "kind", "trigger_id", "delta"])
+        for name, kind, _ in suspects[1:]:
+            pair_kind = "independent" if kind == "independent" else "dependent"
+            deltas = covariance_delta(distances["watermarked"], distances[name], seed, seed)
+            writer.writerows(
+                [f"watermarked|{name}", pair_kind, ti, "" if delta is None else repr(delta)]
+                for ti, delta in enumerate(deltas)
             )
-            (verify_dir / f"{name}.json").write_text(report.to_json())
-            all_rows.extend(sweep_rows(name, kind, report.rho, config.n))
-        write_detection_sweep(out / "sweep.csv", all_rows)
-        stage_seconds["verify"] = time.perf_counter() - t0
-    except Exception as exc:
-        failures["verify"] = str(exc)
-
-    if "verify" not in failures:
-        t0 = time.perf_counter()
-        try:
-            reference = distance_map["watermarked"]
-            with open(out / "covariance.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["pair_id", "kind", "trigger_id", "delta"])
-                for name, kind, _ in suspects[1:]:
-                    pair_kind = "independent" if kind == "independent" else "dependent"
-                    deltas = covariance_delta(
-                        reference, distance_map[name], verify_seed, verify_seed
-                    )
-                    writer.writerows(
-                        [f"watermarked|{name}", pair_kind, ti, "" if delta is None else repr(delta)]
-                        for ti, delta in enumerate(deltas)
-                    )
-            stage_seconds["covariance"] = time.perf_counter() - t0
-        except Exception as exc:
-            failures["covariance"] = str(exc)
-
-    if xi is not None:
-        t0 = time.perf_counter()
-        try:
-            report = bounds_stage(config, bundle, triggers, out / "population", xi)
-            (out / "bound_report.json").write_text(report.to_json())
-            stage_seconds["bounds"] = time.perf_counter() - t0
-        except Exception as exc:
-            failures["bounds"] = str(exc)
-
-    return _finalize_manifest(out, config, stage_seconds, failures)
 
 
 def compute_bound_report(
@@ -558,18 +616,17 @@ def compute_bound_report(
         counts[label] = (matches.sum(axis=0), len(dists) * n_bits * k_draws)  # pooled
         rho = dists.mean(axis=2)  # (n_models, N)
         rates[label] = float((rho[0] <= config.tau).mean())
+    return _bound_report(config, counts["omega"], counts["xi"], rates["omega"], rates["xi"])
+
+
+def _bound_report(config: ExperimentConfig, omega, xi, p_hat: float, q_hat: float) -> BoundReport:
+    """build_bound_report of the (N,) per-trigger (matches, trials) counts
+    of each population at config's settings, alpha split over the N
+    triggers."""
     return build_bound_report(
-        counts["omega"],
-        counts["xi"],
-        level=config.alpha / len(triggers),
-        n=n_bits,
-        tau=config.tau,
-        r_bar=config.r_bar,
-        r_under=config.r_under,
-        alpha=config.alpha,
-        delta=config.delta,
-        p_hat=rates["omega"],
-        q_hat=rates["xi"],
+        omega, xi, level=config.alpha / len(omega[0]), n=config.n, tau=config.tau,
+        r_bar=config.r_bar, r_under=config.r_under, alpha=config.alpha, delta=config.delta,
+        p_hat=p_hat, q_hat=q_hat,
     )
 
 

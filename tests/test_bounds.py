@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import randmark
-from randmark import bounds, cli
+from randmark import bounds, harness
 from randmark.harness import ExperimentConfig
 from randmark.oracles import brute_force_poisson_binomial, coverage_simulation
 from randmark.stats import fpr_binomial
@@ -333,5 +333,5 @@ class TestBoundReport:
         # 0-of and all-of-trials counts in both populations; the expected
         # bytes are the report the per-trigger-object implementation wrote
         config = ExperimentConfig(trigger_count=12, r_bar=9, r_under=4)
-        report = cli._report_from_estimates(config, DATA / "estimates_unordered.json")
+        report = harness.bound_report_from_estimates(config, DATA / "estimates_unordered.json")
         assert report.to_json() == (DATA / "bound_report_unordered.json").read_text()

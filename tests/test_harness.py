@@ -1,6 +1,7 @@
 """Harness tests: synthetic data, config parsing, the pipeline's outputs
 and determinism, manifest completeness, and CLI exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -249,6 +250,7 @@ lr = 0.002
     @pytest.mark.parametrize("text, message", [
         ("[bounds]\nm_model = 10\n", "unknown key 'm_model' in [bounds]"),
         ("[bound]\nm_models = 10\n", "unknown section [bound]"),
+        ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
         ("[attack.p]\nkind = prune\nfracton = 0.3\n", "unknown key 'fracton' in [attack.p]"),
         ("[bounds]\nbounds_stage = maybe\n", "[bounds] bounds_stage: not a boolean"),
         ("[run]\nseed = twelve\n", "[run] seed"),
@@ -260,16 +262,65 @@ lr = 0.002
         ("[dims]\nbackbone_hidden = 0\n", "backbone_hidden widths must be at least 1"),
         ("[dims]\nbackbone_hidden = -4\n", "backbone_hidden widths must be at least 1"),
         ("[dims]\ndecoder_hidden = 12,0\n", "decoder_hidden widths must be at least 1"),
-    ], ids=["unknown-key", "unknown-section", "unknown-attack-key", "bounds-stage-not-boolean",
-            "unparsable-value", "out-of-range", "attack-without-kind", "embed-lr-negative",
-            "pretrain-images-zero", "attack-lr-negative", "backbone-width-zero",
-            "backbone-width-negative", "decoder-width-zero"])
+        ("[dims]\ns = 250\n", "s must be a perfect square"),
+        ("[triggers]\nsigma_scale = -1\n", "sigma_scale must be positive and finite"),
+        ("[triggers]\nsigma_scale = nan\n", "sigma_scale must be positive and finite"),
+        ("[attack.watermarked]\nkind = prune\n", "'watermarked' is another suspect's name"),
+        ("[attack.independent4]\nkind = prune\n", "'independent4' is another suspect's name"),
+        ("[attack.../../escaped]\nkind = prune\n", "'../../escaped' is not a file stem"),
+        ("[attack.i]\nkind = independent\n", "kind must be one of ('finetune', 'prune', 'distill')"),
+        ("seed = 3\n", "no section headers"),
+        ("[run]\nseed = 1\n[run]\nseed = 2\n", "section 'run' already exists"),
+    ], ids=["unknown-key", "unknown-section", "default-section", "unknown-attack-key",
+            "bounds-stage-not-boolean", "unparsable-value", "out-of-range", "attack-without-kind",
+            "embed-lr-negative", "pretrain-images-zero", "attack-lr-negative",
+            "backbone-width-zero", "backbone-width-negative", "decoder-width-zero",
+            "s-not-square", "sigma-scale-negative", "sigma-scale-nan",
+            "attack-named-watermarked", "attack-named-independent", "attack-name-escapes",
+            "attack-kind-independent", "no-section-header", "repeated-section"])
     def test_bad_config_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "exp.cfg"
         path.write_text(text)
         with pytest.raises(ValueError) as info:
             ExperimentConfig.from_file(path)
         assert str(path) in str(info.value) and message in str(info.value)
+
+    def test_repeated_attack_name_rejected(self):
+        spec = AttackSpec(kind="prune", fraction=0.2)
+        with pytest.raises(ValueError, match="'p' is another suspect's name"):
+            ExperimentConfig(attacks=[("p", spec), ("p", spec)])
+        # independent<i> is taken only for the i the run has
+        assert ExperimentConfig(independents=0, attacks=[("independent0", spec)])
+
+    def test_every_field_in_exactly_one_section(self):
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "attacks"]
+        keys = [key for section in harness._SECTIONS.values() for key in section]
+        assert sorted(keys) == sorted(fields)
+
+    def test_file_setting_every_field_reads_back_equal(self, tmp_path):
+        config = ExperimentConfig(
+            s=64, k=7, n=9, backbone_hidden=(11, 13), encoder_hidden=(), decoder_hidden=(5,),
+            trigger_count=20, sigma_scale=0.3, lam=1.5, k_train=3, k_verify=10, epochs=4,
+            learning_rate=3e-3, delta_scale=0.25, pretrain_epochs=0, pretrain_images=30,
+            tau=4, alpha=0.05, delta=0.5, r_bar=12, r_under=6, m_models=3, independents=2,
+            seed=17, bounds_stage=False,
+            attacks=[("ft-2", AttackSpec(kind="finetune", epochs=2, lr=5e-4)),
+                     ("d_1", AttackSpec(kind="distill", epochs=1, lr=0.01, fraction=0.5))],
+        )
+        assert config != ExperimentConfig()
+
+        def text(value):
+            return ",".join(map(str, value)) if isinstance(value, tuple) else repr(value)
+
+        lines = []
+        for section, keys in harness._SECTIONS.items():
+            lines += [f"[{section}]"] + [f"{key} = {text(getattr(config, key))}" for key in keys]
+        for name, spec in config.attacks:
+            lines += [f"[attack.{name}]", f"kind = {spec.kind}"]
+            lines += [f"{key} = {getattr(spec, key)!r}" for key in ("epochs", "lr", "fraction")]
+        path = tmp_path / "exp.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert ExperimentConfig.from_file(path) == config
 
     @pytest.mark.parametrize("text, expected", [("on", True), ("No", False), ("1", True)])
     def test_bounds_stage_boolean(self, tmp_path, text, expected):
@@ -281,7 +332,7 @@ lr = 0.002
         def no_work(*args, **kwargs):
             raise AssertionError("the pipeline started")
 
-        monkeypatch.setattr(harness, "run_pipeline", no_work)
+        monkeypatch.setattr(cli, "run_pipeline", no_work)
         path = tmp_path / "exp.cfg"
         path.write_text("[bounds]\nr_bar = 101\n")
         code = cli.main(["pipeline", "--config", str(path), "--out", str(tmp_path / "run")])
@@ -362,6 +413,16 @@ class TestPipeline:
         assert "attacks" in manifest.failures
         assert not (tmp_path / "run" / "verification").exists()
         assert (tmp_path / "run" / "manifest.json").is_file()
+
+    def test_data_stage_failure_recorded_and_later_stages_skipped(self, tmp_path):
+        (tmp_path / "run" / "triggers.rmts").mkdir(parents=True)
+        manifest = run_pipeline(micro_config(seed=35), tmp_path / "run")
+        assert set(manifest.failures) == {"data"}
+        assert set(manifest.stage_seconds) == set()
+        assert manifest.files == {}
+        assert json.loads((tmp_path / "run" / "manifest.json").read_text())["failures"] == {
+            "data": manifest.failures["data"]
+        }
 
     def test_reruns_are_byte_identical(self, tmp_path):
         config_a = micro_config(bounds_stage=False, seed=33)
