@@ -14,6 +14,11 @@ Three layers of machinery:
    Bernoulli sum through its mean parameter alone, and a Hoeffding margin
    epsilon converts one observed detection count into a high-confidence
    plug-in for that mean.
+
+The Clopper-Pearson limits are beta quantiles from scipy.special, which is
+imported when the first limit is computed, not with this module: it takes
+more than half of `import randmark`, and most randmark commands compute no
+bound.
 """
 
 from __future__ import annotations
@@ -23,9 +28,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .stats import fpr_binomial
+
+
+def _betaincinv(a, b, y):
+    """scipy.special.betaincinv, the inverse regularized incomplete beta
+    function, elementwise."""
+    # imported at the first bound: loading scipy.special at `import randmark`
+    # more than doubles the start-up time of every randmark command
+    from scipy.special import betaincinv
+
+    return betaincinv(a, b, y)
 
 
 def one_sided_binomial_bound(
@@ -45,11 +59,11 @@ def one_sided_binomial_bound(
     if side == "lower":
         if matches == 0:
             return 0.0
-        return float(betaincinv(matches, trials - matches + 1, level))
+        return float(_betaincinv(matches, trials - matches + 1, level))
     if side == "upper":
         if matches == trials:
             return 1.0
-        return float(betaincinv(matches + 1, trials - matches, 1.0 - level))
+        return float(_betaincinv(matches + 1, trials - matches, 1.0 - level))
     raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
@@ -67,10 +81,10 @@ def collision_estimate(matches, trials, level: float) -> tuple[np.ndarray, np.nd
         raise ValueError("level must lie strictly in (0, 1)")
     lower = np.zeros(matches.shape)
     some = matches > 0
-    lower[some] = betaincinv(matches[some], trials[some] - matches[some] + 1, level)
+    lower[some] = _betaincinv(matches[some], trials[some] - matches[some] + 1, level)
     upper = np.ones(matches.shape)
     short = matches < trials
-    upper[short] = betaincinv(matches[short] + 1, trials[short] - matches[short], 1.0 - level)
+    upper[short] = _betaincinv(matches[short] + 1, trials[short] - matches[short], 1.0 - level)
     return lower, upper
 
 

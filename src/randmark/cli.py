@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import oracles
 from .attacks import ATTACK_KINDS, AttackSpec, IndependentPool, apply_attack
 from .harness import (
+    PIPELINE_STAGES,
     ExperimentConfig,
     bound_report_from_estimates,
     bounds_stage,
@@ -141,7 +142,7 @@ def _build_parser() -> _Parser:
 def _load_config(args):
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)  # replace reruns the range checks
     return config
 
 
@@ -281,19 +282,26 @@ def _cmd_pipeline(args) -> int:
 _NUMBER = (int, float)
 
 
-def _json_object(path, fields: dict) -> dict:
+def _json_object(path, fields: dict, number_maps: tuple[str, ...] = ()) -> dict:
     """The JSON object in path, after checking that it has each key of
-    fields with a value of that key's type(s). A file that is not such an
+    fields with a value of that key's type(s), and that the value of each
+    key in number_maps is an object of numbers. A file that is not such an
     object raises ValueError naming it."""
     try:
         payload = json.loads(path.read_text())
         if not isinstance(payload, dict):
             raise ValueError(f"not a JSON object but {type(payload).__name__}")
-        for key, kind in fields.items():
+        for key, kind in {**fields, **dict.fromkeys(number_maps, dict)}.items():
             if key not in payload:
                 raise ValueError(f"missing key {key!r}")
             if not isinstance(payload[key], kind):
                 raise ValueError(f"{key!r} has the wrong type {type(payload[key]).__name__}")
+        for key in number_maps:
+            for name, value in payload[key].items():
+                if not isinstance(value, _NUMBER):
+                    raise ValueError(
+                        f"{key!r}[{name!r}] has the wrong type {type(value).__name__}"
+                    )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return payload
@@ -301,8 +309,14 @@ def _json_object(path, fields: dict) -> dict:
 
 def _cmd_report(args) -> int:
     run = Path(args.run)
-    manifest = _json_object(run / "manifest.json", {"version": str, "failures": dict})
+    manifest = _json_object(
+        run / "manifest.json", {"version": str, "failures": dict}, number_maps=("stage_seconds",)
+    )
     print(f"run {run} (version {manifest['version']})")
+    seconds = manifest["stage_seconds"]
+    timed = [f"{name}={seconds[name]:.3f}" for name in PIPELINE_STAGES if name in seconds]
+    if timed:
+        print("  stage seconds: " + " ".join(timed))
     verify_dir = run / "verification"
     if verify_dir.is_dir():
         for path in sorted(verify_dir.glob("*.json")):

@@ -131,6 +131,8 @@ class ExperimentConfig:
             raise ValueError("alpha must lie strictly in (0, 1)")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         if self.independents < 0:
             raise ValueError("independents must not be negative")
         if self.pretrain_images < 1:
@@ -400,6 +402,10 @@ def bound_report_from_estimates(config: ExperimentConfig, path) -> BoundReport:
         config, counts["omega"], counts["xi"],
         value(payload, "p_hat", float), value(payload, "q_hat", float),
     )
+
+
+# run_pipeline's stages in the order they run
+PIPELINE_STAGES = ("data", "embed", "attacks", "verify", "covariance", "bounds")
 
 
 @dataclass

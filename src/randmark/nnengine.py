@@ -406,10 +406,12 @@ def l1_unstructured_prune(net: MlpNetwork, fraction: float) -> MlpNetwork:
     magnitudes = np.concatenate(
         [np.abs(layer.weight).ravel() for layer in pruned.layers]
     )
-    order = np.argsort(magnitudes, kind="stable")
-    kill = order[:n_zero]
-    mask = np.ones(magnitudes.shape[0], dtype=bool)
-    mask[kill] = False
+    # the n_zero smallest as a stable argsort ranks them: every magnitude
+    # below the n_zero-th smallest, then the first of those equal to it
+    threshold = np.partition(magnitudes, n_zero - 1)[n_zero - 1]
+    mask = magnitudes > threshold
+    ties = np.flatnonzero(magnitudes == threshold)
+    mask[ties[n_zero - np.count_nonzero(magnitudes < threshold):]] = True
     offset = 0
     for layer in pruned.layers:
         size = layer.weight.size

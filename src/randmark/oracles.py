@@ -5,6 +5,10 @@ exact rational convolution instead of closed-form coefficient sums, full
 subset enumeration instead of dynamic programming, and seeded Monte Carlo
 with reported standard errors. Test assertions against Monte Carlo results
 use the nominal value plus at least three standard errors.
+
+Beyond the exact-integer cap, exact_binomial_tail uses scipy.special's
+binomial CDF, imported at that call rather than with this module, so that
+`import randmark` does not pay for scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import bdtr
 
 from .bounds import one_sided_binomial_bound
 
@@ -49,6 +52,9 @@ def exact_binomial_tail(n: int, tau: int, r: float) -> OracleResult:
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must lie in [0, 1]")
     if n > EXACT_INTEGER_CAP:
+        # imported here, not with the module: scipy.special more than doubles randmark's start-up
+        from scipy.special import bdtr
+
         return OracleResult(value=float(bdtr(tau, n, 1.0 - r)), method="incomplete-beta")
     return OracleResult(value=_integer_tail(n, tau, r), method="exact-integer")
 

@@ -347,7 +347,7 @@ class TrainingLog:
 
 
 def _loss_and_grads(
-    frozen_f: MlpNetwork,
+    out_ref: np.ndarray,  # (N, k) frozen reference embeddings of images
     watermarked_f: MlpNetwork,
     encoder_e: MlpNetwork,
     decoder_d: MlpNetwork,
@@ -377,7 +377,6 @@ def _loss_and_grads(
     bit_accuracy = float((hard == (bits_rep >= 0.5)).mean())
 
     out_w, tr_fc = forward_batch(watermarked_f, images)
-    out_ref, _ = forward_batch(frozen_f, images)
     diff_fid = out_w - out_ref
     norms = np.sqrt((diff_fid**2).sum(axis=1))
     fidelity_sum = float(norms.sum())
@@ -420,11 +419,12 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
     )
     log = TrainingLog()
     snapshot = [net.params.copy() for net in trained]
+    out_ref, _ = forward_batch(bundle.frozen_f, triggers.images)  # frozen: the same every epoch
     for epoch in range(hyper.epochs):
         noise = rng.standard_normal((n_trig, hyper.k_train, triggers.s))
         noise *= triggers.sigmas[:, None, None]
         fid, msg, acc, grads = _loss_and_grads(
-            bundle.frozen_f,
+            out_ref,
             bundle.watermarked_f,
             bundle.encoder_e,
             bundle.decoder_d,

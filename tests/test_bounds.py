@@ -68,15 +68,34 @@ class TestOneSidedBound:
                     assert bounds.one_sided_binomial_bound(matches, trials, level, "upper") == upper
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second of start-up for every CLI call
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of code run in a new interpreter on this checkout."""
     src = str(Path(randmark.__file__).resolve().parents[1])
-    code = "import sys, randmark; print('scipy.stats' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.special takes more than half of a cold `import randmark`, and
+    # scipy.stats about a second more: neither may load with the package
+    for module in ("randmark", "randmark.cli"):
+        code = f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy')])"
+        assert _fresh_interpreter(code) == "[]", module
+
+
+@pytest.mark.parametrize("call", [
+    "randmark.bounds.collision_estimate([1, 3], 4, 0.01)",
+    "randmark.oracles.exact_binomial_tail(100, 10, 0.9)",
+], ids=["collision-estimate", "binomial-tail-beyond-cap"])
+def test_first_bound_loads_scipy_special(call):
+    code = (
+        "import sys, randmark.oracles; before = 'scipy.special' in sys.modules; "
+        f"{call}; print(before, 'scipy.special' in sys.modules)"
+    )
+    assert _fresh_interpreter(code) == "False True"
 
 
 class TestCollisionEstimate:

@@ -271,13 +271,14 @@ lr = 0.002
         ("[attack.i]\nkind = independent\n", "kind must be one of ('finetune', 'prune', 'distill')"),
         ("seed = 3\n", "no section headers"),
         ("[run]\nseed = 1\n[run]\nseed = 2\n", "section 'run' already exists"),
+        ("[run]\nseed = -5\n", "seed must not be negative"),
     ], ids=["unknown-key", "unknown-section", "default-section", "unknown-attack-key",
             "bounds-stage-not-boolean", "unparsable-value", "out-of-range", "attack-without-kind",
             "embed-lr-negative", "pretrain-images-zero", "attack-lr-negative",
             "backbone-width-zero", "backbone-width-negative", "decoder-width-zero",
             "s-not-square", "sigma-scale-negative", "sigma-scale-nan",
             "attack-named-watermarked", "attack-named-independent", "attack-name-escapes",
-            "attack-kind-independent", "no-section-header", "repeated-section"])
+            "attack-kind-independent", "no-section-header", "repeated-section", "seed-negative"])
     def test_bad_config_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "exp.cfg"
         path.write_text(text)
@@ -1216,6 +1217,17 @@ class TestCli:
         assert f"{missing} is required" in err and "Traceback" not in err
         assert not (tmp_path / "bounds_run").exists()
 
+    def test_negative_seed_exits_1_before_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline started")
+
+        monkeypatch.setattr(cli, "run_pipeline", no_work)
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--seed", "-5", "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "seed must not be negative" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_report_summarizes_run(self, micro_run, capsys):
         _, out, _ = micro_run
         code = cli.main(["report", "--run", str(out)])
@@ -1223,12 +1235,36 @@ class TestCli:
         text = capsys.readouterr().out
         assert "watermarked" in text and "bounds" in text
 
+    def test_report_prints_stage_seconds_in_pipeline_order(self, micro_run, tmp_path, capsys):
+        _, out, _ = micro_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["stage_seconds"]) == sorted(harness.PIPELINE_STAGES)
+        manifest["stage_seconds"] = {  # sorted by name, as run_pipeline writes them
+            "attacks": 0.25, "bounds": 3.5, "covariance": 0.0004, "data": 0.0123, "embed": 2.0,
+            "verify": 1.0,
+        }
+        (run / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
+        assert cli.main(["report", "--run", str(run)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == (
+            f"run {run} (version {manifest['version']})\n"
+            "  stage seconds: data=0.012 embed=2.000 attacks=0.250 verify=1.000"
+            " covariance=0.000 bounds=3.500\n"
+            "      independent0: detection_rate=0.375 tau=2 K=8\n"
+            "           prune20: detection_rate=0.750 tau=2 K=8\n"
+            "       watermarked: detection_rate=0.750 tau=2 K=8\n"
+            "  bounds: p_omega=0.867 p_xi=0.734 h_minus=None h_plus=None\n"
+        )
+
     @pytest.mark.parametrize("name, text, message", [
         ("manifest.json", "{}", "missing key 'version'"),
         ("manifest.json", "[1]", "not a JSON object but list"),
         ("manifest.json", "{", "Expecting property name"),
         ("manifest.json", '{"version": 1, "failures": {}}', "'version' has the wrong type int"),
         ("manifest.json", '{"version": "0", "failures": []}', "'failures' has the wrong type"),
+        ("manifest.json", '{"version": "0", "failures": {}, "stage_seconds": {"embed": "slow"}}',
+         "'stage_seconds'['embed'] has the wrong type str"),
         ("verification/watermarked.json", '{"suspect_id": "w"}', "missing key 'detection_rate'"),
         ("verification/watermarked.json",
          '{"suspect_id": "w", "detection_rate": "high", "tau": 2, "K": 4}',
@@ -1238,8 +1274,8 @@ class TestCli:
         ("bound_report.json", '{"p_omega": null, "p_xi": 0.5, "h_minus": null, "h_plus": 1}',
          "'p_omega' has the wrong type NoneType"),
     ], ids=["manifest-empty", "manifest-list", "manifest-unparsable", "manifest-version-int",
-            "manifest-failures-list", "verification-missing-key", "verification-rate-str",
-            "verification-null", "bounds-missing-key", "bounds-p-null"])
+            "manifest-failures-list", "manifest-stage-seconds-str", "verification-missing-key",
+            "verification-rate-str", "verification-null", "bounds-missing-key", "bounds-p-null"])
     def test_report_rejects_malformed_run_file(self, micro_run, tmp_path, capsys, name, text,
                                                message):
         _, out, _ = micro_run

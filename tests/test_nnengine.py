@@ -567,6 +567,34 @@ class TestPruning:
         sparsities = [sparsity(ne.l1_unstructured_prune(net, q)) for q in fractions]
         assert all(a <= b for a, b in zip(sparsities, sparsities[1:]))
 
+    @staticmethod
+    def _argsort_prune(net, fraction):
+        """Reference: kill the first floor(fraction * weight count) weights
+        of a stable argsort of the magnitudes; each layer's pruned weights."""
+        magnitudes = np.concatenate([np.abs(layer.weight).ravel() for layer in net.layers])
+        mask = np.ones(magnitudes.size, dtype=bool)
+        mask[np.argsort(magnitudes, kind="stable")[: int(fraction * magnitudes.size)]] = False
+        weights, offset = [], 0
+        for layer in net.layers:
+            size = layer.weight.size
+            weights.append(layer.weight * mask[offset : offset + size].reshape(layer.weight.shape))
+            offset += size
+        return weights
+
+    @pytest.mark.parametrize("decimals", [1, 2, None], ids=["rounded-1", "rounded-2", "zeros"])
+    def test_matches_stable_argsort_byte_for_byte(self, decimals):
+        net = ne.init_network([256, 192, 64], ["tanh", "identity"], 22)
+        for layer in net.layers:
+            if decimals is None:  # every other weight exactly zero, some of them -0.0
+                layer.weight[:, ::2] *= 0.0
+            else:  # heavy ties at every rounded magnitude, -0.0 among them
+                layer.weight[...] = np.round(layer.weight, decimals)
+        count = net.weight_count()
+        for fraction in (0.0, 1.5 / count, 0.2, 0.45, 1.0):
+            pruned = ne.l1_unstructured_prune(net, fraction)
+            for got, want in zip(pruned.layers, self._argsort_prune(net, fraction)):
+                assert got.weight.tobytes() == want.tobytes(), fraction
+
     def test_fraction_out_of_range_rejected(self):
         net = ne.init_network([3, 2], ["identity"], 20)
         with pytest.raises(ValueError):

@@ -287,14 +287,16 @@ class TestEmbedWatermark:
         rng = np.random.default_rng(99)
         noise = rng.standard_normal((len(triggers), 4, triggers.s))
         noise *= triggers.sigmas[:, None, None]
-        args = (bundle.frozen_f, bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
+        out_ref, _ = ne.forward_batch(bundle.frozen_f, images)
+        nets = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
         fid_b, msg_b, _, _ = wm._loss_and_grads(
-            *args, images, messages, noise, bundle.hyper.lam, bundle.hyper.delta_scale
+            out_ref, *nets, images, messages, noise, bundle.hyper.lam, bundle.hyper.delta_scale
         )
         accumulated = 0.0
         for i in range(len(triggers)):
             fid_i, msg_i, _, _ = wm._loss_and_grads(
-                *args, images[i : i + 1], messages[i : i + 1], noise[i : i + 1],
+                out_ref[i : i + 1], *nets,
+                images[i : i + 1], messages[i : i + 1], noise[i : i + 1],
                 bundle.hyper.lam, bundle.hyper.delta_scale,
             )
             accumulated += fid_i + msg_i
