@@ -49,10 +49,10 @@ from .stats import (  # noqa: F401
 from .bounds import (  # noqa: F401
     BoundReport,
     chernoff_gamma,
+    collision_estimate,
     detection_rate_bounds,
     hoeffding_epsilon,
     lemma_bounds,
-    one_sided_binomial_bound,
     poisson_binomial_cdf,
 )
 from .harness import ExperimentConfig, build_trigger_set, run_pipeline, verify_suspect  # noqa: F401

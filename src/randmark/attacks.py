@@ -12,9 +12,9 @@ from __future__ import annotations
 import logging
 import math
 import multiprocessing
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -261,21 +261,6 @@ class IndependentPool:
             self._executor.shutdown(cancel_futures=True)
 
 
-def xi_seeds(seed: int, m_models: int) -> tuple[list[int], list[int]]:
-    """Model and pretraining-data seeds of an independent (xi) population:
-    seed + index and seed + index + 10000."""
-    seeds = [seed + index for index in range(m_models)]
-    return seeds, [model_seed + 10_000 for model_seed in seeds]
-
-
-def xi_rows(seeds: list[int]) -> list[dict]:
-    """Population-manifest rows of an independent (xi) population."""
-    return [
-        {"index": index, "kind": "independent", "seed": model_seed}
-        for index, model_seed in enumerate(seeds)
-    ]
-
-
 def relative_embedding_error(
     model: MlpNetwork, reference: MlpNetwork, inputs: np.ndarray
 ) -> float:
@@ -305,9 +290,23 @@ def apply_attack(bundle: ModelBundle, spec: AttackSpec) -> MlpNetwork:
 
 @dataclass
 class PopulationResult:
-    models: list[MlpNetwork]
-    rows: list[dict] = field(default_factory=list)  # manifest: index, kind, seed, params
+    models: Iterable[MlpNetwork]
+    rows: list[dict]  # manifest, one per model in model order: index, kind, seed, params
     excluded: int = 0
+
+
+def xi_population(
+    pool: IndependentPool, dims, seed: int, m_models: int, epochs: int, n_images: int
+) -> PopulationResult:
+    """The independent (xi) population of a master seed, submitted to the
+    pool: model i trains from seed + i on pretraining data seed
+    seed + i + 10000, for epochs over n_images images. Its models come in
+    seed order as iteration asks for them; iterate them while the pool is
+    open."""
+    seeds = range(seed, seed + m_models)
+    getters = pool.submit(dims, seeds, [s + 10_000 for s in seeds], epochs, n_images)
+    rows = [{"index": i, "kind": "independent", "seed": s} for i, s in enumerate(seeds)]
+    return PopulationResult((get() for get in getters), rows)
 
 
 def _random_omega_spec(rng: np.random.Generator, seed: int) -> AttackSpec:
@@ -337,23 +336,22 @@ def sample_model_population(
     Omega copies come from the randomized attack mixture of
     _random_omega_spec. Those failing the functionality check (relative
     embedding error beyond FUNCTIONALITY_LIMIT on 128 held-out synthetic
-    images) are excluded with a warning. Independent models train side by
-    side in an IndependentPool of their own.
+    images) are excluded with a warning. Independent models are the
+    xi_population of the master seed, trained side by side in an
+    IndependentPool of their own.
     """
     if kind not in ("omega", "xi"):
         raise ValueError("kind must be 'omega' or 'xi'")
     if m_models < 1:
         raise ValueError("need at least one model")
-    result = PopulationResult(models=[])
     if kind == "xi":
-        seeds, data_seeds = xi_seeds(seed, m_models)
         with IndependentPool(m_models) as pool:
-            getters = pool.submit(
-                bundle.backbone_dims, seeds, data_seeds, pretrain_epochs, pretrain_images
+            result = xi_population(
+                pool, bundle.backbone_dims, seed, m_models, pretrain_epochs, pretrain_images
             )
-            result.models = [get() for get in getters]
-        result.rows = xi_rows(seeds)
+            result.models = list(result.models)
         return result
+    result = PopulationResult(models=[], rows=[])
     heldout_inputs = gen_synthetic_images(128, bundle.s, seed + 999)
     mix_rng = np.random.default_rng(seed)
     for index in range(m_models):

@@ -32,59 +32,32 @@ import numpy as np
 from .stats import fpr_binomial
 
 
-def _betaincinv(a, b, y):
-    """scipy.special.betaincinv, the inverse regularized incomplete beta
-    function, elementwise."""
-    # imported at the first bound: loading scipy.special at `import randmark`
-    # more than doubles the start-up time of every randmark command
-    from scipy.special import betaincinv
-
-    return betaincinv(a, b, y)
-
-
-def one_sided_binomial_bound(
-    matches: int, trials: int, level: float, side: str
-) -> float:
-    """Exact one-sided Clopper-Pearson confidence limit for a binomial
-    proportion.
-
-    side="lower": largest p_l with P(Bin(trials, p_l) >= matches) <= level,
-    so P(true p < p_l) <= level. side="upper" is the mirror image. Both
-    come from the beta-quantile inversion of the binomial tail.
-    """
-    if not 0 <= matches <= trials:
-        raise ValueError("matches must lie in [0, trials]")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly in (0, 1)")
-    if side == "lower":
-        if matches == 0:
-            return 0.0
-        return float(_betaincinv(matches, trials - matches + 1, level))
-    if side == "upper":
-        if matches == trials:
-            return 1.0
-        return float(_betaincinv(matches + 1, trials - matches, 1.0 - level))
-    raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-
-
 def collision_estimate(matches, trials, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Both one-sided Clopper-Pearson limits for every trigger of one
-    population: (N,) lower and upper limits from (N,) match counts out of
-    their trial counts, at the per-trigger level (alpha / N under the
-    union-bound budget). Equal, element by element, to
-    one_sided_binomial_bound."""
+    """Exact one-sided Clopper-Pearson limits, both sides, for every trigger
+    of one population: (N,) lower and upper limits from (N,) match counts
+    out of their trial counts, at the per-trigger level (alpha / N under the
+    union-bound budget).
+
+    The lower limit is the largest p_l with P(Bin(trials, p_l) >= matches)
+    <= level, so P(true p < p_l) <= level; the upper limit is the mirror
+    image. Both come from the beta-quantile inversion of the binomial tail.
+    Each limit depends only on its own count and trial count."""
     matches = np.asarray(matches, dtype=np.int64)
     trials = np.broadcast_to(np.asarray(trials, dtype=np.int64), matches.shape)
     if not ((matches >= 0) & (matches <= trials)).all():
         raise ValueError("matches must lie in [0, trials]")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly in (0, 1)")
+    # imported at the first bound: loading scipy.special at `import randmark`
+    # more than doubles the start-up time of every randmark command
+    from scipy.special import betaincinv
+
     lower = np.zeros(matches.shape)
     some = matches > 0
-    lower[some] = _betaincinv(matches[some], trials[some] - matches[some] + 1, level)
+    lower[some] = betaincinv(matches[some], trials[some] - matches[some] + 1, level)
     upper = np.ones(matches.shape)
     short = matches < trials
-    upper[short] = _betaincinv(matches[short] + 1, trials[short] - matches[short], 1.0 - level)
+    upper[short] = betaincinv(matches[short] + 1, trials[short] - matches[short], 1.0 - level)
     return lower, upper
 
 

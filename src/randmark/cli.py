@@ -19,6 +19,7 @@ from pathlib import Path
 from . import oracles
 from .attacks import ATTACK_KINDS, AttackSpec, IndependentPool, apply_attack
 from .harness import (
+    JSON_NUMBER,
     PIPELINE_STAGES,
     ExperimentConfig,
     bound_report_from_estimates,
@@ -26,6 +27,7 @@ from .harness import (
     compute_bound_report,
     data_stage,
     embed_stage,
+    json_field,
     load_population,
     population_stage,
     run_pipeline,
@@ -279,29 +281,20 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK if not manifest.failures else EXIT_USAGE
 
 
-_NUMBER = (int, float)
-
-
 def _json_object(path, fields: dict, number_maps: tuple[str, ...] = ()) -> dict:
     """The JSON object in path, after checking that it has each key of
     fields with a value of that key's type(s), and that the value of each
-    key in number_maps is an object of numbers. A file that is not such an
-    object raises ValueError naming it."""
+    key in number_maps is an object of numbers (harness.json_field). A file
+    that is not such an object raises ValueError naming it."""
     try:
         payload = json.loads(path.read_text())
         if not isinstance(payload, dict):
             raise ValueError(f"not a JSON object but {type(payload).__name__}")
         for key, kind in {**fields, **dict.fromkeys(number_maps, dict)}.items():
-            if key not in payload:
-                raise ValueError(f"missing key {key!r}")
-            if not isinstance(payload[key], kind):
-                raise ValueError(f"{key!r} has the wrong type {type(payload[key]).__name__}")
+            json_field(payload, key, kind)
         for key in number_maps:
-            for name, value in payload[key].items():
-                if not isinstance(value, _NUMBER):
-                    raise ValueError(
-                        f"{key!r}[{name!r}] has the wrong type {type(value).__name__}"
-                    )
+            for name in payload[key]:
+                json_field(payload[key], name, JSON_NUMBER, f"{key!r}[{name!r}]")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return payload
@@ -321,7 +314,7 @@ def _cmd_report(args) -> int:
     if verify_dir.is_dir():
         for path in sorted(verify_dir.glob("*.json")):
             payload = _json_object(
-                path, {"suspect_id": str, "detection_rate": _NUMBER, "tau": int, "K": int}
+                path, {"suspect_id": str, "detection_rate": JSON_NUMBER, "tau": int, "K": int}
             )
             print(
                 f"  {payload['suspect_id']:>16}: detection_rate={payload['detection_rate']:.3f} "
@@ -329,10 +322,10 @@ def _cmd_report(args) -> int:
             )
     bound_file = run / "bound_report.json"
     if bound_file.is_file():
-        optional = (*_NUMBER, type(None))
+        optional = (*JSON_NUMBER, type(None))
         payload = _json_object(
             bound_file,
-            {"p_omega": _NUMBER, "p_xi": _NUMBER, "h_minus": optional, "h_plus": optional},
+            {"p_omega": JSON_NUMBER, "p_xi": JSON_NUMBER, "h_minus": optional, "h_plus": optional},
         )
         print(
             f"  bounds: p_omega={payload['p_omega']:.3g} p_xi={payload['p_xi']:.3g} "

@@ -14,7 +14,7 @@ import json
 import math
 import re
 import time
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import NamedTuple
@@ -25,11 +25,11 @@ from . import __version__
 from .attacks import (
     AttackSpec,
     IndependentPool,
+    PopulationResult,
     apply_attack,
     make_independent,
     sample_model_population,
-    xi_rows,
-    xi_seeds,
+    xi_population,
 )
 from .bounds import BoundReport, build_bound_report
 from .nnengine import MlpNetwork, load_checkpoint, save_checkpoint
@@ -308,26 +308,24 @@ class PopulationWriter:
 
     directory: Path
     label: str
-    models: Iterable[MlpNetwork]
-    rows: list[dict]
-    excluded: int
+    population: PopulationResult
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.population.rows)
 
     def __iter__(self) -> Iterator[MlpNetwork]:
         self.directory.mkdir(parents=True, exist_ok=True)
-        files = []
-        for model in self.models:
+        rows, files = self.population.rows, []
+        for model in self.population.models:
             files.append(f"{self.label}{len(files):03d}.rmk")
             save_checkpoint(model, self.directory / files[-1])
             yield model
-        if len(files) != len(self.rows):
-            raise ValueError(f"{self.label}: {len(files)} models for {len(self.rows)} rows")
-        rows = [{**row, "file": name} for row, name in zip(self.rows, files)]
-        (self.directory / f"{self.label}_manifest.json").write_text(
-            json.dumps({"models": rows, "excluded": self.excluded}, indent=2, sort_keys=True)
-        )
+        if len(files) != len(rows):
+            raise ValueError(f"{self.label}: {len(files)} models for {len(rows)} rows")
+        rows = [{**row, "file": name} for row, name in zip(rows, files)]
+        (self.directory / f"{self.label}_manifest.json").write_text(json.dumps(
+            {"models": rows, "excluded": self.population.excluded}, indent=2, sort_keys=True
+        ))
 
 
 def load_population(directory, label: str) -> list[MlpNetwork]:
@@ -356,52 +354,59 @@ def load_population(directory, label: str) -> list[MlpNetwork]:
     return [load_checkpoint(path) for path in files]
 
 
+JSON_NUMBER = (int, float)  # the Python types a JSON number loads as
+
+
+def json_field(mapping, key: str, kind, name: str | None = None):
+    """mapping[key], if mapping is a loaded JSON object holding key with a
+    value of type kind (a type or tuple of types), else ValueError naming
+    the key as name (default repr(key)). JSON true and false load as bool,
+    an int subclass, and are of no kind: no field of a file is a boolean."""
+    name = name or repr(key)
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ValueError(f"missing key {name}")
+    value = mapping[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} has the wrong type {type(value).__name__}")
+    return value
+
+
 def bound_report_from_estimates(config: ExperimentConfig, path) -> BoundReport:
-    """Bound report from an estimates JSON file: p_hat, q_hat, and per
-    population (omega, xi) a non-empty list of {trigger_id, matches, trials}
-    rows, taken in trigger_id order. A file that is not JSON, lacks a key,
-    holds an empty population or a value of the wrong type, repeats a
-    trigger_id, or gives omega and xi different trigger ids raises
-    ValueError naming the file."""
+    """Bound report from an estimates JSON file: p_hat, q_hat (numbers), and
+    per population (omega, xi) a non-empty list of {trigger_id, matches,
+    trials} rows of JSON integers, taken in trigger_id order. A file that is
+    not JSON, lacks a key, holds an empty population or a value of the
+    wrong type, repeats a trigger_id, or gives omega and xi different
+    trigger ids raises ValueError naming the file."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a JSON file: {exc}") from None
-
-    def value(mapping, key, cast, where=""):
-        if not isinstance(mapping, dict) or key not in mapping:
-            raise ValueError(f"{path}: missing key {key!r}{where}")
-        try:
-            return cast(mapping[key])
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{path}: {key!r}{where} is not a {cast.__name__}: {mapping[key]!r}"
-            ) from None
-
-    counts, ids = {}, {}
-    for population in ("omega", "xi"):
-        rows = value(payload, population, list)
-        if not rows:
-            raise ValueError(f"{path}: population {population!r} is empty")
-        table = sorted(
-            tuple(value(row, key, int, f" in {population} row {index}")
-                  for key in ("trigger_id", "matches", "trials"))
-            for index, row in enumerate(rows)
-        )
-        ids[population] = [trigger_id for trigger_id, _, _ in table]
-        if len(set(ids[population])) < len(table):
-            raise ValueError(f"{path}: population {population!r} repeats a trigger_id")
-        try:
-            table = np.array(table, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(f"{path}: a count in {population!r} exceeds 64 bits") from None
-        counts[population] = (table[:, 1], table[:, 2])
-    if ids["omega"] != ids["xi"]:
-        raise ValueError(f"{path}: omega and xi cover different trigger ids")
-    return _bound_report(
-        config, counts["omega"], counts["xi"],
-        value(payload, "p_hat", float), value(payload, "q_hat", float),
-    )
+    try:
+        counts, ids = {}, {}
+        for population in ("omega", "xi"):
+            rows = json_field(payload, population, list)
+            if not rows:
+                raise ValueError(f"population {population!r} is empty")
+            table = sorted(
+                tuple(json_field(row, key, int, f"{key!r} in {population} row {index}")
+                      for key in ("trigger_id", "matches", "trials"))
+                for index, row in enumerate(rows)
+            )
+            ids[population] = [trigger_id for trigger_id, _, _ in table]
+            if len(set(ids[population])) < len(table):
+                raise ValueError(f"population {population!r} repeats a trigger_id")
+            try:
+                table = np.array(table, dtype=np.int64)
+            except OverflowError:
+                raise ValueError(f"a count in {population!r} exceeds 64 bits") from None
+            counts[population] = (table[:, 1], table[:, 2])
+        if ids["omega"] != ids["xi"]:
+            raise ValueError("omega and xi cover different trigger ids")
+        rates = [float(json_field(payload, key, JSON_NUMBER)) for key in ("p_hat", "q_hat")]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return _bound_report(config, counts["omega"], counts["xi"], *rates)
 
 
 # run_pipeline's stages in the order they run
@@ -636,15 +641,13 @@ def _bound_report(config: ExperimentConfig, omega, xi, p_hat: float, q_hat: floa
     )
 
 
-def submit_xi(
-    pool: IndependentPool, dims, config: ExperimentConfig
-) -> tuple[list[Callable[[], MlpNetwork]], list[dict]]:
+def submit_xi(pool: IndependentPool, dims, config: ExperimentConfig) -> PopulationResult:
     """Submit a run's xi population (master seed from RunSeeds) of backbones
-    with dimension chain dims to the pool: its result getters and manifest
-    rows."""
-    seeds, data_seeds = xi_seeds(config.seeds.xi, config.m_models)
-    getters = pool.submit(dims, seeds, data_seeds, config.pretrain_epochs, config.pretrain_images)
-    return getters, xi_rows(seeds)
+    with dimension chain dims to the pool."""
+    return xi_population(
+        pool, dims, config.seeds.xi, config.m_models, config.pretrain_epochs,
+        config.pretrain_images,
+    )
 
 
 def bounds_stage(
@@ -652,19 +655,18 @@ def bounds_stage(
     bundle: ModelBundle,
     triggers: TriggerSet,
     population_dir: Path,
-    xi: tuple[list[Callable[[], MlpNetwork]], list[dict]],
+    xi: PopulationResult,
 ) -> BoundReport:
     """Sample the omega population, then decode and save it and each xi
-    model (submit_xi's getters and rows) as its result arrives, in seed
-    order, into population_dir; return the bound report."""
+    model (of submit_xi) as its result arrives, in seed order, into
+    population_dir; return the bound report."""
     omega = sample_model_population(bundle, "omega", config.m_models, config.seeds.omega)
-    xi_getters, rows = xi
     return compute_bound_report(
         config,
         bundle,
         triggers,
-        PopulationWriter(population_dir, "omega", omega.models, omega.rows, omega.excluded),
-        PopulationWriter(population_dir, "xi", (get() for get in xi_getters), rows, 0),
+        PopulationWriter(population_dir, "omega", omega),
+        PopulationWriter(population_dir, "xi", xi),
         verify_seed=config.seeds.verify,
     )
 
@@ -680,9 +682,9 @@ def population_stage(
         bundle, kind, m_models, seed,
         pretrain_epochs=config.pretrain_epochs, pretrain_images=config.pretrain_images,
     )
-    for _ in PopulationWriter(out, kind, result.models, result.rows, result.excluded):
+    for _ in PopulationWriter(out, kind, result):
         pass
-    return len(result.models)
+    return len(result.rows)
 
 
 def _finalize_manifest(

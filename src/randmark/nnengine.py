@@ -34,6 +34,11 @@ _CODE_ACTIVATION = {code: name for name, code in _ACTIVATION_CODE.items()}
 
 CHECKPOINT_MAGIC = b"RMK1"
 CHECKPOINT_VERSION = 1
+# RMK1 layout: header, then per layer a layer header and its float64 payload
+# (weight row-major, then bias), then the checksum of all bytes before it.
+_HEADER = struct.Struct("<4sHI")  # magic, version, layer count
+_LAYER_HEADER = struct.Struct("<IIB")  # in_dim (rows), out_dim (cols), activation code
+_CHECKSUM = struct.Struct("<Q")  # byte sum modulo 2**64
 
 
 class CheckpointError(ValueError):
@@ -426,17 +431,12 @@ def _checksum(data: bytes) -> int:
 
 def checkpoint_bytes(net: MlpNetwork) -> bytes:
     """Serialize a network to the binary checkpoint format."""
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<H", CHECKPOINT_VERSION)
-    buf += struct.pack("<I", len(net.layers))
+    buf = bytearray(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(net.layers)))
     for layer in net.layers:
-        buf += struct.pack(
-            "<IIB", layer.in_dim, layer.out_dim, _ACTIVATION_CODE[layer.activation]
-        )
+        buf += _LAYER_HEADER.pack(layer.in_dim, layer.out_dim, _ACTIVATION_CODE[layer.activation])
         buf += np.ascontiguousarray(layer.weight, dtype="<f8").tobytes()
         buf += np.ascontiguousarray(layer.bias, dtype="<f8").tobytes()
-    buf += struct.pack("<Q", _checksum(bytes(buf)))
+    buf += _CHECKSUM.pack(_checksum(bytes(buf)))
     return bytes(buf)
 
 
@@ -446,33 +446,32 @@ def save_checkpoint(net: MlpNetwork, path) -> None:
 
 
 def network_from_checkpoint_bytes(data: bytes) -> MlpNetwork:
-    if len(data) < 18:
+    end = len(data) - _CHECKSUM.size  # where the layers end and the checksum starts
+    if end < _HEADER.size:
         raise CheckpointError("checkpoint too short")
-    if data[:4] != CHECKPOINT_MAGIC:
+    magic, version, n_layers = _HEADER.unpack_from(data)
+    if magic != CHECKPOINT_MAGIC:
         raise CheckpointError("bad magic bytes")
-    stored = struct.unpack("<Q", data[-8:])[0]
-    if _checksum(data[:-8]) != stored:
+    if _checksum(data[:end]) != _CHECKSUM.unpack_from(data, end)[0]:
         raise CheckpointError("checksum mismatch")
-    (version,) = struct.unpack_from("<H", data, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported version {version}")
-    (n_layers,) = struct.unpack_from("<I", data, 6)
-    offset = 10
+    offset = _HEADER.size
     spec, payloads = [], []
     for _ in range(n_layers):
-        if offset + 9 > len(data) - 8:
+        if offset + _LAYER_HEADER.size > end:
             raise CheckpointError("truncated layer header")
-        rows, cols, code = struct.unpack_from("<IIB", data, offset)
-        offset += 9
+        rows, cols, code = _LAYER_HEADER.unpack_from(data, offset)
+        offset += _LAYER_HEADER.size
         if code not in _CODE_ACTIVATION:
             raise CheckpointError(f"unknown activation code {code}")
         count = rows * cols + cols
-        if offset + 8 * count > len(data) - 8:
+        if offset + 8 * count > end:
             raise CheckpointError("truncated layer payload")
         spec.append((rows, cols, _CODE_ACTIVATION[code]))
         payloads.append(np.frombuffer(data, dtype="<f8", count=count, offset=offset))
         offset += 8 * count
-    if offset != len(data) - 8:
+    if offset != end:
         raise CheckpointError("trailing bytes in checkpoint")
     params = np.concatenate(payloads, dtype=np.float64) if payloads else np.empty(0)
     return _network(params, spec)

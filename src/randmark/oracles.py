@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import one_sided_binomial_bound
+from .bounds import chernoff_gamma, collision_estimate, hoeffding_epsilon, poisson_binomial_cdf
 
 # Caps keeping the exact routes affordable.
 ENUMERATION_CAP = 20
@@ -137,26 +137,22 @@ def coverage_simulation(
     the true proportion.
 
     Each replication draws one binomial count at true_p, forms the bound at
-    the given level, and scores a miss when the bound lands on the wrong
-    side of true_p. The exact construction guarantees a miss rate at most
-    the level.
+    the given level with collision_estimate, the bound report's own
+    Clopper-Pearson limits, and scores a miss when the bound lands on the
+    wrong side of true_p. The exact construction guarantees a miss rate at
+    most the level.
     """
     if reps < 1_000:
         raise ValueError("need at least 10^3 replications")
+    if side not in ("lower", "upper"):
+        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     rng = np.random.default_rng(seed)
     counts = rng.binomial(trials_per_rep, true_p, size=reps)
     # The bound depends only on the observed count; compute once per count.
-    unique = np.unique(counts)
-    misses = 0
-    for value in unique:
-        bound = one_sided_binomial_bound(int(value), trials_per_rep, level, side)
-        if side == "lower":
-            miss = bound > true_p
-        else:
-            miss = bound < true_p
-        if miss:
-            misses += int((counts == value).sum())
-    rate = misses / reps
+    unique, weights = np.unique(counts, return_counts=True)
+    lower, upper = collision_estimate(unique, trials_per_rep, level)
+    missed = lower > true_p if side == "lower" else upper < true_p
+    rate = int(weights[missed].sum()) / reps
     se = math.sqrt(max(rate * (1.0 - rate), 1e-300) / reps)
     return OracleResult(value=rate, method="monte-carlo", trials=reps, standard_error=se)
 
@@ -188,8 +184,6 @@ def lemma_validity_simulation(
     when its precondition holds, and scores a violation when the true tail
     exceeds it.
     """
-    from .bounds import chernoff_gamma, hoeffding_epsilon, poisson_binomial_cdf
-
     p = np.asarray(list(probs), dtype=np.float64)
     n = p.size
     if n == 0 or not ((p >= 0.0) & (p <= 1.0)).all():

@@ -39,6 +39,8 @@ from .nnengine import (
 
 TRIGGER_MAGIC = b"RMTS"
 TRIGGER_VERSION = 1
+# RMTS v1 header: magic, version, trigger count, s, n, master seed
+_TRIGGER_HEADER = struct.Struct("<4sHIIIQ")
 
 # Gradient of a vector norm at the origin is taken as 0 (subgradient choice).
 _NORM_FLOOR = 1e-300
@@ -127,8 +129,8 @@ def save_trigger_set(triggers: TriggerSet, path) -> None:
     records["image"] = triggers.images
     records["sigma"] = triggers.sigmas
     records["message"] = np.packbits(triggers.messages.astype(np.uint8), axis=1, bitorder="little")
-    header = struct.pack(
-        "<4sHIIIQ", TRIGGER_MAGIC, TRIGGER_VERSION, len(triggers), triggers.s, triggers.n,
+    header = _TRIGGER_HEADER.pack(
+        TRIGGER_MAGIC, TRIGGER_VERSION, len(triggers), triggers.s, triggers.n,
         triggers.master_seed,
     )
     with open(path, "wb") as fh:
@@ -138,22 +140,24 @@ def save_trigger_set(triggers: TriggerSet, path) -> None:
 def load_trigger_set(path) -> TriggerSet:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != TRIGGER_MAGIC:
+    if not data.startswith(TRIGGER_MAGIC):
         raise ValueError("bad trigger-set magic bytes")
-    if len(data) < 26:
-        raise ValueError(f"truncated trigger-set header: {len(data)} of 26 bytes")
-    version, count, s, n, master_seed = struct.unpack_from("<HIIIQ", data, 4)
+    if len(data) < _TRIGGER_HEADER.size:
+        raise ValueError(
+            f"truncated trigger-set header: {len(data)} of {_TRIGGER_HEADER.size} bytes"
+        )
+    _, version, count, s, n, master_seed = _TRIGGER_HEADER.unpack_from(data)
     if version != TRIGGER_VERSION:
         raise ValueError(f"unsupported trigger-set version {version}")
     record = _trigger_record(s, n)
-    expected = 26 + count * record.itemsize
+    expected = _TRIGGER_HEADER.size + count * record.itemsize
     if len(data) < expected:
         raise ValueError(
             f"truncated trigger-set file: {len(data)} bytes, header needs {expected}"
         )
     if len(data) != expected:
         raise ValueError("trailing bytes in trigger-set file")
-    records = np.frombuffer(data, dtype=record, count=count, offset=26)
+    records = np.frombuffer(data, dtype=record, count=count, offset=_TRIGGER_HEADER.size)
     messages = np.unpackbits(records["message"], axis=1, count=n, bitorder="little")
     return TriggerSet(records["image"].copy(), messages, records["sigma"].copy(), master_seed)
 
@@ -170,14 +174,28 @@ class HyperParams:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("lambda must be non-negative")
+        # a NaN fails every comparison, so it is rejected with the range
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lambda must be non-negative and finite")
         if self.k_train < 1 or self.epochs < 0:
             raise ValueError("k_train >= 1 and epochs >= 0 required")
-        if self.delta_scale <= 0.0:
-            raise ValueError("delta_scale must be positive")
+        if not 0.0 < self.delta_scale < math.inf:
+            raise ValueError("delta_scale must be positive and finite")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be non-negative and finite")
+
+
+# A bundle directory: one <name>.rmk checkpoint per network, and manifest.txt
+# with one key=value line per HyperParams field (manifest key, field), then s,
+# k and n.
+_BUNDLE_NETWORKS = ("frozen_f", "watermarked_f", "encoder_e", "decoder_d")
+_BUNDLE_HYPER_KEYS = (
+    ("lambda", "lam"), ("k_train", "k_train"), ("epochs", "epochs"),
+    ("learning_rate", "learning_rate"), ("delta_scale", "delta_scale"),
+    ("weight_decay", "weight_decay"),
+)
 
 
 @dataclass
@@ -249,21 +267,10 @@ class ModelBundle:
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(self.frozen_f, directory / "frozen_f.rmk")
-        save_checkpoint(self.watermarked_f, directory / "watermarked_f.rmk")
-        save_checkpoint(self.encoder_e, directory / "encoder_e.rmk")
-        save_checkpoint(self.decoder_d, directory / "decoder_d.rmk")
-        lines = [
-            f"lambda={self.hyper.lam!r}",
-            f"k_train={self.hyper.k_train}",
-            f"epochs={self.hyper.epochs}",
-            f"learning_rate={self.hyper.learning_rate!r}",
-            f"delta_scale={self.hyper.delta_scale!r}",
-            f"weight_decay={self.hyper.weight_decay!r}",
-            f"s={self.s}",
-            f"k={self.k}",
-            f"n={self.n}",
-        ]
+        for name in _BUNDLE_NETWORKS:
+            save_checkpoint(getattr(self, name), directory / f"{name}.rmk")
+        lines = [f"{key}={getattr(self.hyper, name)}" for key, name in _BUNDLE_HYPER_KEYS]
+        lines += [f"s={self.s}", f"k={self.k}", f"n={self.n}"]
         (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
     @classmethod
@@ -292,22 +299,17 @@ class ModelBundle:
                 raise ValueError(f"{key}={kv[key]!r} is not a finite {cast.__name__}")
             return value
 
+        defaults = HyperParams()
         try:
-            hyper = HyperParams(
-                lam=number("lambda", float),
-                k_train=number("k_train", int),
-                epochs=number("epochs", int),
-                learning_rate=number("learning_rate", float),
-                delta_scale=number("delta_scale", float),
-                weight_decay=number("weight_decay", float) if "weight_decay" in kv else 0.0,
-            )
+            hyper = HyperParams(**{
+                name: number(key, type(getattr(defaults, name)))
+                for key, name in _BUNDLE_HYPER_KEYS
+                if key in kv or name != "weight_decay"  # bundles saved before it lack it
+            })
         except ValueError as exc:
             raise ValueError(f"{manifest}: {exc}") from None
         return cls(
-            frozen_f=load_checkpoint(directory / "frozen_f.rmk"),
-            watermarked_f=load_checkpoint(directory / "watermarked_f.rmk"),
-            encoder_e=load_checkpoint(directory / "encoder_e.rmk"),
-            decoder_d=load_checkpoint(directory / "decoder_d.rmk"),
+            **{name: load_checkpoint(directory / f"{name}.rmk") for name in _BUNDLE_NETWORKS},
             hyper=hyper,
         )
 

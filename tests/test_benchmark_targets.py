@@ -19,17 +19,52 @@ def _targets():
     return tracer.TARGETS
 
 
+def _target_function(module_name, attribute):
+    """The function a tracer target wraps: a module function, or the
+    function of a classmethod named Class.method."""
+    module = importlib.import_module(f"randmark.{module_name}")
+    if "." in attribute:
+        cls_name, method = attribute.split(".")
+        cls = getattr(module, cls_name)
+        assert isinstance(cls.__dict__.get(method), classmethod), attribute
+        return cls.__dict__[method].__func__
+    assert callable(getattr(module, attribute, None)), f"{module_name}.{attribute}"
+    return getattr(module, attribute)
+
+
 def test_every_tracer_target_resolves():
     targets = _targets()
     assert targets
     for module_name, attribute, _, _ in targets:
-        module = importlib.import_module(f"randmark.{module_name}")
-        if "." in attribute:
-            cls_name, method = attribute.split(".")
-            cls = getattr(module, cls_name)
-            assert isinstance(cls.__dict__.get(method), classmethod), attribute
-        else:
-            assert callable(getattr(module, attribute, None)), f"{module_name}.{attribute}"
+        _target_function(module_name, attribute)
+
+
+def test_every_tracer_hook_argument_resolves():
+    # a hook reads an argument with _arg(args, kwargs, position, name): the
+    # target must take that name at that position, or the hook reads another
+    # argument or fails, and the span's quantities are lost
+    reads = {}
+    for hook in ast.parse((BENCHMARKS / "tracer.py").read_text()).body:
+        if not isinstance(hook, ast.FunctionDef):
+            continue
+        for call in ast.walk(hook):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                position, name = (ast.literal_eval(arg) for arg in call.args[2:])
+                reads.setdefault(hook.name, []).append((position, name))
+    checked = set()
+    for module_name, attribute, _, hook in _targets():
+        if hook is None:
+            continue
+        target = _target_function(module_name, attribute)
+        parameters = list(inspect.signature(target).parameters.values())
+        for position, name in reads.get(hook.__name__, []):
+            where = f"{hook.__name__} reads {module_name}.{attribute} argument {position}"
+            assert position < len(parameters), where
+            assert parameters[position].name == name, f"{where}: {parameters[position].name}"
+            assert parameters[position].kind == inspect.Parameter.POSITIONAL_OR_KEYWORD, where
+        checked.add(hook.__name__)
+    assert set(reads) <= checked  # every hook that reads an argument is checked
+    assert len(reads) >= 5
 
 
 def _library_reference(node, imported):

@@ -20,19 +20,25 @@ from randmark.stats import fpr_binomial
 DATA = Path(__file__).parent / "data"
 
 
+def _limit(matches: int, trials: int, level: float, side: str) -> float:
+    """One Clopper-Pearson limit of collision_estimate, for one count."""
+    lower, upper = bounds.collision_estimate([matches], trials, level)
+    return float({"lower": lower, "upper": upper}[side][0])
+
+
 class TestOneSidedBound:
     def test_zero_matches_lower_is_zero(self):
-        assert bounds.one_sided_binomial_bound(0, 50, 0.05, "lower") == 0.0
+        assert _limit(0, 50, 0.05, "lower") == 0.0
 
     def test_all_matches_upper_is_one(self):
-        assert bounds.one_sided_binomial_bound(50, 50, 0.05, "upper") == 1.0
+        assert _limit(50, 50, 0.05, "upper") == 1.0
 
     def test_all_success_lower_closed_form(self):
         # with every trial a success the lower limit is level^(1/M)
         for m_trials, level in ((100, 0.001), (20, 0.05), (7, 0.5)):
-            got = bounds.one_sided_binomial_bound(m_trials, m_trials, level, "lower")
+            got = _limit(m_trials, m_trials, level, "lower")
             assert got == pytest.approx(level ** (1 / m_trials), rel=1e-9)
-        assert bounds.one_sided_binomial_bound(100, 100, 0.001, "lower") == pytest.approx(
+        assert _limit(100, 100, 0.001, "lower") == pytest.approx(
             0.93325, abs=5e-6
         )
 
@@ -42,15 +48,15 @@ class TestOneSidedBound:
             trials = int(rng.integers(5, 300))
             matches = int(rng.integers(0, trials + 1))
             level = float(rng.uniform(0.001, 0.2))
-            lo = bounds.one_sided_binomial_bound(matches, trials, level, "lower")
-            hi = bounds.one_sided_binomial_bound(matches, trials, level, "upper")
+            lo = _limit(matches, trials, level, "lower")
+            hi = _limit(matches, trials, level, "upper")
             assert 0.0 <= lo <= hi <= 1.0
 
     def test_degenerate_level_fatal(self):
         with pytest.raises(ValueError):
-            bounds.one_sided_binomial_bound(3, 10, 0.0, "lower")
+            _limit(3, 10, 0.0, "lower")
         with pytest.raises(ValueError):
-            bounds.one_sided_binomial_bound(3, 10, 1.0, "upper")
+            _limit(3, 10, 1.0, "upper")
 
     def test_quick_coverage(self):
         result = coverage_simulation(0.8, 200, 0.05, 20_000, seed=1, side="lower")
@@ -64,8 +70,8 @@ class TestOneSidedBound:
                 for level in (1e-4, 0.01, 0.5):
                     lower = beta.ppf(level, matches, trials - matches + 1)
                     upper = beta.ppf(1.0 - level, matches + 1, trials - matches)
-                    assert bounds.one_sided_binomial_bound(matches, trials, level, "lower") == lower
-                    assert bounds.one_sided_binomial_bound(matches, trials, level, "upper") == upper
+                    assert _limit(matches, trials, level, "lower") == lower
+                    assert _limit(matches, trials, level, "upper") == upper
 
 
 def _fresh_interpreter(code: str) -> str:
@@ -108,16 +114,17 @@ class TestCollisionEstimate:
                 rng.integers(0, trials + 1, size=40),
             ])
             for level in (1e-4, 0.01 / 100, 0.5):
+                # one batch call equals the same counts called one at a time
                 lower, upper = bounds.collision_estimate(matches, trials, level)
                 for m, lo, hi in zip(matches.tolist(), lower.tolist(), upper.tolist()):
-                    assert lo == bounds.one_sided_binomial_bound(m, trials, level, "lower")
-                    assert hi == bounds.one_sided_binomial_bound(m, trials, level, "upper")
+                    one_lower, one_upper = bounds.collision_estimate([m], trials, level)
+                    assert (lo, hi) == (one_lower[0], one_upper[0])
 
     def test_per_trigger_trial_counts(self):
         lower, upper = bounds.collision_estimate([0, 5, 64], [10, 2048, 64], 0.01)
         assert lower[0] == 0.0 and upper[2] == 1.0
-        assert lower[1] == bounds.one_sided_binomial_bound(5, 2048, 0.01, "lower")
-        assert upper[0] == bounds.one_sided_binomial_bound(0, 10, 0.01, "upper")
+        assert lower[1] == _limit(5, 2048, 0.01, "lower")
+        assert upper[0] == _limit(0, 10, 0.01, "upper")
 
     @pytest.mark.parametrize("matches, trials, level", [
         ([3, 11], 10, 0.01), ([-1, 2], 10, 0.01), ([3, 4], 10, 0.0), ([3, 4], 10, 1.0),
@@ -335,8 +342,8 @@ class TestBoundReport:
                     "p_omega", "p_xi", "h_minus", "h_plus", "epsilon"):
             assert key in payload
         assert len(payload["l"]) == 10 and len(payload["u"]) == 10
-        assert payload["l"][0] == bounds.one_sided_binomial_bound(95, 100, 0.001, "lower")
-        assert payload["u"][0] == bounds.one_sided_binomial_bound(40, 100, 0.001, "upper")
+        assert payload["l"][0] == _limit(95, 100, 0.001, "lower")
+        assert payload["u"][0] == _limit(40, 100, 0.001, "upper")
         assert 0.0 <= payload["p_omega"] <= 1.0
         assert 0.0 <= payload["p_xi"] <= 1.0
 

@@ -201,16 +201,23 @@ lr = 0.002
         assert config.attacks[0][1].fraction == 0.4
         assert config.attacks[1][1].lr == 0.002
 
-    @pytest.mark.parametrize("overrides, field", [
-        (dict(pretrain_images=0), "pretrain_images"),
-        (dict(pretrain_epochs=-1), "pretrain_epochs"),
-        (dict(learning_rate=-1.0), "learning_rate"),
-        (dict(learning_rate=float("nan")), "learning_rate"),
+    @pytest.mark.parametrize("settings, overrides, field", [
+        (ExperimentConfig, dict(pretrain_images=0), "pretrain_images"),
+        (ExperimentConfig, dict(pretrain_epochs=-1), "pretrain_epochs"),
+        (ExperimentConfig, dict(learning_rate=-1.0), "learning_rate"),
+        (ExperimentConfig, dict(learning_rate=float("nan")), "learning_rate"),
+        (ExperimentConfig, dict(lam=float("nan")), "lambda"),
+        (ExperimentConfig, dict(lam=float("inf")), "lambda"),
+        (ExperimentConfig, dict(delta_scale=float("inf")), "delta_scale"),
+        (ExperimentConfig, dict(delta_scale=float("nan")), "delta_scale"),
+        (wm.HyperParams, dict(weight_decay=-1.0), "weight_decay"),
+        (wm.HyperParams, dict(weight_decay=float("nan")), "weight_decay"),
     ], ids=["pretrain_images-zero", "pretrain_epochs-negative", "learning_rate-negative",
-            "learning_rate-nan"])
-    def test_training_settings_checked_at_construction(self, overrides, field):
+            "learning_rate-nan", "lam-nan", "lam-inf", "delta_scale-inf", "delta_scale-nan",
+            "weight_decay-negative", "weight_decay-nan"])
+    def test_training_settings_checked_at_construction(self, settings, overrides, field):
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(**overrides)
+            settings(**overrides)
 
     @pytest.mark.parametrize("overrides, field", [
         (dict(backbone_hidden=(0,)), "backbone_hidden"),
@@ -726,6 +733,15 @@ seed = 31
     return path
 
 
+def _estimates(p_hat=1.0, matches=60, trials=64) -> dict:
+    """An estimates payload over 8 triggers whose first omega row holds the
+    given matches and trials."""
+    omega = [{"trigger_id": i, "matches": 60, "trials": 64} for i in range(8)]
+    omega[0] = {"trigger_id": 0, "matches": matches, "trials": trials}
+    xi = [{"trigger_id": i, "matches": 33, "trials": 64} for i in range(8)]
+    return {"p_hat": p_hat, "q_hat": 0.0, "omega": omega, "xi": xi}
+
+
 class TestCli:
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as info:
@@ -1033,8 +1049,13 @@ class TestCli:
             },
             "a count in 'omega' exceeds 64 bits",
         ),
+        (_estimates(p_hat=True), "'p_hat' has the wrong type bool"),
+        (_estimates(p_hat="0.9"), "'p_hat' has the wrong type str"),
+        (_estimates(matches=101146.7), "'matches' in omega row 0 has the wrong type float"),
+        (_estimates(trials="108800"), "'trials' in omega row 0 has the wrong type str"),
     ], ids=["empty-object", "empty-population", "row-without-matches", "repeated-trigger-id",
-            "different-trigger-ids", "count-beyond-64-bits"])
+            "different-trigger-ids", "count-beyond-64-bits", "p-hat-bool", "p-hat-str",
+            "matches-float", "trials-str"])
     def test_malformed_estimates_file_exits_1(self, micro_run, tmp_path, capsys, payload, message):
         _, out, _ = micro_run
         path = tmp_path / "estimates.json"
@@ -1273,9 +1294,14 @@ class TestCli:
         ("bound_report.json", '{"p_omega": 0.5}', "missing key 'p_xi'"),
         ("bound_report.json", '{"p_omega": null, "p_xi": 0.5, "h_minus": null, "h_plus": 1}',
          "'p_omega' has the wrong type NoneType"),
+        ("manifest.json", '{"version": "0", "failures": {}, "stage_seconds": {"embed": true}}',
+         "'stage_seconds'['embed'] has the wrong type bool"),
+        ("bound_report.json", '{"p_omega": true, "p_xi": 0.5, "h_minus": null, "h_plus": 1}',
+         "'p_omega' has the wrong type bool"),
     ], ids=["manifest-empty", "manifest-list", "manifest-unparsable", "manifest-version-int",
             "manifest-failures-list", "manifest-stage-seconds-str", "verification-missing-key",
-            "verification-rate-str", "verification-null", "bounds-missing-key", "bounds-p-null"])
+            "verification-rate-str", "verification-null", "bounds-missing-key", "bounds-p-null",
+            "manifest-stage-seconds-bool", "bounds-p-bool"])
     def test_report_rejects_malformed_run_file(self, micro_run, tmp_path, capsys, name, text,
                                                message):
         _, out, _ = micro_run

@@ -3,6 +3,7 @@ behavior, global magnitude pruning, and checkpoint format guarantees."""
 
 import copy
 import pickle
+import struct
 import tracemalloc
 
 import numpy as np
@@ -639,3 +640,31 @@ class TestCheckpoint:
         data = ne.checkpoint_bytes(net)
         with pytest.raises(ne.CheckpointError):
             ne.network_from_checkpoint_bytes(data[: len(data) // 2])
+
+    def test_truncation_at_every_offset_rejected(self):
+        data = ne.checkpoint_bytes(ne.init_network([7, 6, 5], ["relu", "sigmoid"], 26))
+        for cut in range(len(data)):
+            with pytest.raises(ne.CheckpointError):
+                ne.network_from_checkpoint_bytes(data[:cut])
+
+    @staticmethod
+    def _resealed(body: bytes) -> bytes:
+        """body with a valid checksum appended, so parsing gets past it."""
+        return body + struct.pack("<Q", sum(body))
+
+    # [3, 3] identity network: 10-byte header, 9-byte layer header at 10,
+    # 12 float64 parameters from 19, 8-byte checksum
+    @pytest.mark.parametrize("edit, message", [
+        (lambda body: body[:4] + struct.pack("<H", 2) + body[6:], "unsupported version 2"),
+        (lambda body: body[:18] + bytes([9]) + body[19:], "unknown activation code 9"),
+        (lambda body: body[:6] + struct.pack("<I", 2) + body[10:], "truncated layer header"),
+        (lambda body: body[:10] + struct.pack("<I", 4) + body[14:], "truncated layer payload"),
+        (lambda body: body + b"\0", "trailing bytes in checkpoint"),
+        (lambda body: body[:9], "checkpoint too short"),
+    ], ids=["version", "activation-code", "layer-header", "layer-payload", "trailing-bytes",
+            "too-short"])
+    def test_structural_check_messages(self, edit, message):
+        body = ne.checkpoint_bytes(ne.init_network([3, 3], ["identity"], 27))[:-8]
+        assert len(body) == 10 + 9 + 8 * 12
+        with pytest.raises(ne.CheckpointError, match=message):
+            ne.network_from_checkpoint_bytes(self._resealed(edit(body)))

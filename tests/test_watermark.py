@@ -2,6 +2,7 @@
 training behavior, extraction determinism, and the file formats."""
 
 import copy
+import dataclasses
 import math
 import os
 import struct
@@ -674,3 +675,17 @@ class TestPersistence:
                 mini_run.bundle, name
             ).parameters_digest()
         assert loaded.hyper == mini_run.bundle.hyper
+
+    def test_bundle_manifest_keys_cover_every_hyper_param(self):
+        # each HyperParams field has exactly one manifest key, so save and load keep it
+        names = [name for _, name in wm._BUNDLE_HYPER_KEYS]
+        assert sorted(names) == sorted(field.name for field in dataclasses.fields(wm.HyperParams))
+        assert len({key for key, _ in wm._BUNDLE_HYPER_KEYS}) == len(names)
+
+    def test_bundle_roundtrip_keeps_weight_decay(self, tmp_path, mini_run):
+        bundle = dataclasses.replace(
+            mini_run.bundle, hyper=dataclasses.replace(mini_run.bundle.hyper, weight_decay=0.01)
+        )
+        bundle.save(tmp_path / "bundle")
+        assert "weight_decay=0.01\n" in (tmp_path / "bundle" / "manifest.txt").read_text()
+        assert wm.ModelBundle.load(tmp_path / "bundle").hyper == bundle.hyper
