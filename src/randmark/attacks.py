@@ -291,7 +291,7 @@ def apply_attack(bundle: ModelBundle, spec: AttackSpec) -> MlpNetwork:
 @dataclass
 class PopulationResult:
     models: Iterable[MlpNetwork]
-    rows: list[dict]  # manifest, one per model in model order: index, kind, seed, params
+    rows: list[dict]  # manifest, one per model in model order: index, kind, seeds, settings
     excluded: int = 0
 
 
@@ -304,8 +304,13 @@ def xi_population(
     seed order as iteration asks for them; iterate them while the pool is
     open."""
     seeds = range(seed, seed + m_models)
-    getters = pool.submit(dims, seeds, [s + 10_000 for s in seeds], epochs, n_images)
-    rows = [{"index": i, "kind": "independent", "seed": s} for i, s in enumerate(seeds)]
+    data_seeds = [s + 10_000 for s in seeds]
+    getters = pool.submit(dims, seeds, data_seeds, epochs, n_images)
+    rows = [
+        {"index": i, "kind": "independent", "seed": s, "data_seed": d,
+         "pretrain_epochs": epochs, "pretrain_images": n_images}
+        for i, (s, d) in enumerate(zip(seeds, data_seeds))
+    ]
     return PopulationResult((get() for get in getters), rows)
 
 

@@ -9,20 +9,17 @@ moments share that layout, so an optimizer step, a gradient sum, a finite
 check or a copy is one numpy pass over one vector. Forward/backward are
 pure functions of their inputs; optimizer state lives outside the network
 so networks stay copyable and hashable by content. The module also holds
-the rule for how many CPUs the package's parallel work may use
-(_worker_count) and the helper threads that run a batch as row blocks
-(_run_blocks).
+the rule for how many worker processes may train independent models side
+by side (_worker_count); everything in this module runs in the caller's
+thread.
 """
 
 from __future__ import annotations
 
-import contextvars
 import hashlib
 import math
 import os
 import struct
-import threading
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -474,7 +471,10 @@ def network_from_checkpoint_bytes(data: bytes) -> MlpNetwork:
     if offset != end:
         raise CheckpointError("trailing bytes in checkpoint")
     params = np.concatenate(payloads, dtype=np.float64) if payloads else np.empty(0)
-    return _network(params, spec)
+    try:  # no layers, layers that do not chain, a non-finite parameter
+        return _network(params, spec)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None
 
 
 def load_checkpoint(path) -> MlpNetwork:
@@ -483,32 +483,23 @@ def load_checkpoint(path) -> MlpNetwork:
     return network_from_checkpoint_bytes(data)
 
 
-# OS thread ids of helper threads _run_blocks has joined. The kernel may still
-# list such a thread for a few milliseconds while it exits (one scheduler tick,
-# ~4 ms, after most verify_suspect calls on a 2-vCPU machine).
-_joined_helpers: set[str] = set()
-
-
 def _running_threads() -> int:
-    """OS threads of this process, BLAS threads included and exiting helpers
-    of _run_blocks not (Linux only)."""
-    tids = set(os.listdir("/proc/self/task"))
-    _joined_helpers.intersection_update(tids)
-    return len(tids - _joined_helpers)
+    """OS threads of this process, BLAS threads included (Linux only)."""
+    return len(os.listdir("/proc/self/task"))
 
 
 def _worker_count(jobs: int) -> int:
-    """Workers for `jobs` independent pieces of work: one per CPU in the
-    affinity mask, at most one per job, if this process runs no thread
-    besides its main one; otherwise 1, which runs the work in this thread.
+    """Worker processes for an IndependentPool of `jobs` models: one per CPU
+    in the affinity mask, at most one per job, if this process runs no thread
+    besides its main one; otherwise 1, which trains in this process.
 
     numpy's OpenBLAS starts its threads when it loads, unless it is pinned to
     one thread before that (RANDMARK_THREADS=1 or OPENBLAS_NUM_THREADS=1 set
     before Python starts). So a single-threaded process has a BLAS pinned to
     one thread, and a fork copies no running thread. With two workers on an
     unpinned BLAS, a default pipeline on 2 CPUs took 2-3x longer than
-    serially. A running IndependentPool's own threads likewise keep any other
-    work serial while its workers train.
+    serially. A running IndependentPool's own threads likewise keep a second
+    pool serial while its workers train.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -516,34 +507,3 @@ def _worker_count(jobs: int) -> int:
     except (AttributeError, OSError):  # no affinity mask or /proc: stay serial
         return 1
     return min(jobs, cpus) if threads == 1 else 1
-
-
-def _run_blocks(task: Callable[[int, int], None], blocks: list[tuple[int, int]]) -> None:
-    """task(lo, hi) for every block: the first in this thread, each other in
-    a short-lived helper thread run in a copy of this thread's context (so
-    np.errstate carries over). numpy releases the GIL in matmul and ufunc
-    loops. Every helper is joined before this returns or raises; a helper's
-    exception is raised here."""
-    errors: list[BaseException] = []
-
-    def helper(lo: int, hi: int) -> None:
-        try:
-            task(lo, hi)
-        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
-            errors.append(exc)
-
-    threads = []
-    try:
-        for lo, hi in blocks[1:]:
-            thread = threading.Thread(
-                target=contextvars.copy_context().run, args=(helper, lo, hi)
-            )
-            thread.start()
-            threads.append(thread)
-        task(*blocks[0])
-    finally:
-        for thread in threads:
-            thread.join()
-            _joined_helpers.add(str(thread.native_id))
-    if errors:
-        raise errors[0]

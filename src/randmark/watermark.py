@@ -27,8 +27,6 @@ import numpy as np
 from .nnengine import (
     MlpNetwork,
     OptimizerState,
-    _run_blocks,
-    _worker_count,
     backward,
     forward_batch,
     init_network,
@@ -340,7 +338,6 @@ class TrainingLog:
     per trigger, bit_accuracy is over all draws and bits."""
 
     epochs: list[dict] = field(default_factory=list)
-    aborted: bool = False
 
     def final(self) -> dict:
         if not self.epochs:
@@ -440,7 +437,6 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
         if not (math.isfinite(total) and all(g.is_finite() for g in grads)):
             for net, saved in zip(trained, snapshot):
                 np.copyto(net.params, saved)
-            log.aborted = True
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}; restored last good parameters"
             )
@@ -519,15 +515,6 @@ def stego_batch(
     return _stego_memo[3]
 
 
-def _trigger_blocks(n_trig: int, k_draws: int) -> list[tuple[int, int]]:
-    """Contiguous trigger ranges [lo, hi), one per worker of _worker_count,
-    each of at least 2 stego rows: a one-row product runs a different BLAS
-    kernel than a many-row one, so a block's bytes would depend on the
-    split."""
-    workers = max(_worker_count(n_trig if k_draws > 1 else n_trig // 2), 1)
-    return [(n_trig * i // workers, n_trig * (i + 1) // workers) for i in range(workers)]
-
-
 def decode_triggers(
     suspect: MlpNetwork,
     encoder_e: MlpNetwork,
@@ -542,16 +529,11 @@ def decode_triggers(
     The verifier's encoder and decoder wrap the suspect in place of the
     watermarked backbone. Returns soft bits (N, K, n), hard bits (N, K, n),
     where a soft bit of exactly 0.5 reads as 1, and Hamming distances to each
-    trigger's message (N, K). The stego inputs come from stego_batch.
-    Refuses suspects whose input/output dimensions do not fit the verifier
-    before any stego work.
+    trigger's message (N, K). Refuses suspects whose input/output dimensions
+    do not fit the verifier before any stego work.
 
-    The triggers are split into contiguous row blocks of the stego batch,
-    one per worker of nnengine._worker_count (one per CPU while BLAS is
-    pinned to one thread and nothing else runs a thread; else one block).
-    Each block runs the whole chain into its slice of the outputs, and the
-    bytes do not depend on the split. The distances are checked against the
-    hard bits and the range [0, n] once all blocks are done.
+    One straight chain in the caller's thread over the whole stego batch of
+    stego_batch: suspect forward, decoder forward, hard bits, distances.
     """
     s, n, n_trig = triggers.s, triggers.n, len(triggers)
     if suspect.input_dim != s or suspect.output_dim != decoder_d.input_dim:
@@ -562,22 +544,10 @@ def decode_triggers(
     if encoder_e.input_dim != s + n or encoder_e.output_dim != s:
         raise ValueError("encoder does not match trigger dimensions")
     stego = stego_batch(encoder_e, triggers, k_draws, seed, delta_scale)
-    messages = triggers.messages
-    soft = np.empty((n_trig, k_draws, n))
-    hard = np.empty((n_trig, k_draws, n), dtype=np.int8)
-    distances = np.empty((n_trig, k_draws), dtype=np.int64)
-
-    def decode_block(lo: int, hi: int) -> None:
-        emb = forward_batch(suspect, stego[lo * k_draws : hi * k_draws])[0]
-        soft[lo:hi] = forward_batch(decoder_d, emb)[0].reshape(hi - lo, k_draws, n)
-        hard[lo:hi] = soft[lo:hi] >= 0.5
-        distances[lo:hi] = (hard[lo:hi] != messages[lo:hi, None, :]).sum(axis=2)
-
-    _run_blocks(decode_block, _trigger_blocks(n_trig, k_draws))
-    if not np.array_equal(distances, (hard != messages[:, None, :]).sum(axis=2)):
-        raise ValueError("distances do not match hard bits vs message")
-    if ((distances < 0) | (distances > n)).any():
-        raise ValueError("distances out of range")
+    emb = forward_batch(suspect, stego)[0]
+    soft = forward_batch(decoder_d, emb)[0].reshape(n_trig, k_draws, n)
+    hard = (soft >= 0.5).astype(np.int8)
+    distances = (hard != triggers.messages[:, None, :]).sum(axis=2, dtype=np.int64)
     return soft, hard, distances
 
 

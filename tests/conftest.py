@@ -14,7 +14,9 @@ import pytest
 from randmark import attacks as atk
 from randmark import nnengine as ne
 from randmark import watermark as wm
-from randmark.harness import ExperimentConfig, build_trigger_set, verify_suspect
+from randmark.harness import (
+    COVARIANCE_DRAWS, ExperimentConfig, build_trigger_set, population_distances, verify_suspect,
+)
 from randmark.nnengine import MlpNetwork, forward_batch
 from randmark.synth import gen_synthetic_images
 
@@ -101,8 +103,8 @@ def decode_one_trigger(decoder: MlpNetwork, message_bits, k_draws: int):
 
 def see_cpus(monkeypatch, count):
     """Show the process `count` CPUs and no thread besides its main one (a
-    BLAS pinned to one thread), under which population training and
-    decode_triggers use one worker per CPU."""
+    BLAS pinned to one thread), under which population training uses one
+    worker per CPU."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
     monkeypatch.setattr(ne, "_running_threads", lambda: 1)
 
@@ -139,6 +141,7 @@ class DeskRun:
     suspects: dict = field(default_factory=dict)
     reports: dict = field(default_factory=dict)
     distances: dict = field(default_factory=dict)
+    covariance_distances: dict = field(default_factory=dict)  # as the covariance stage decodes
     finetune_accuracy: float = 0.0
     fidelity_ratio: float = 0.0
     build_seconds: float = 0.0
@@ -152,7 +155,8 @@ class DeskRun:
 def desk_run() -> DeskRun:
     """Full separation experiment at the default desk configuration:
     embed, attack (two prune levels, one fine-tune), ten independent
-    models, verify everything with one shared noise stream."""
+    models, verify everything with one shared noise stream, and decode
+    everything again as the covariance stage does."""
     t_start = time.perf_counter()
     config = ExperimentConfig()
     images = gen_synthetic_images(config.trigger_count, config.s, config.seed + 1)
@@ -199,6 +203,9 @@ def desk_run() -> DeskRun:
         run.reports[name], run.distances[name] = verify_suspect(
             net, bundle, triggers, config.tau, config.k_verify, verify_seed, name
         )
+    run.covariance_distances = dict(zip(suspects, population_distances(
+        list(suspects.values()), bundle, triggers, COVARIANCE_DRAWS, verify_seed
+    )))
 
     held = gen_synthetic_images(500, config.s, 777_777)
     out_ref, _ = forward_batch(bundle.frozen_f, held)

@@ -231,13 +231,14 @@ def test_09_fidelity(desk_run):
 
 def test_10_covariance_diagnostic(desk_run):
     seed = desk_run.config.seed + 6
-    reference = desk_run.distances["watermarked"]
+    distances = desk_run.covariance_distances  # the covariance stage's draws
+    reference = distances["watermarked"]
     dep = float(np.mean(
-        stats.covariance_delta(reference, desk_run.distances["prune20"], seed, seed)
+        stats.covariance_delta(reference, distances["prune20"], seed, seed)
     ))
     indep = np.array([
         np.mean(
-            stats.covariance_delta(reference, desk_run.distances[f"independent{i}"], seed, seed)
+            stats.covariance_delta(reference, distances[f"independent{i}"], seed, seed)
         )
         for i in range(10)
     ])

@@ -422,6 +422,23 @@ class TestPipeline:
         assert not (tmp_path / "run" / "verification").exists()
         assert (tmp_path / "run" / "manifest.json").is_file()
 
+    def test_embed_log_holds_the_epochs_alone(self, micro_run):
+        config, out, _ = micro_run
+        log = json.loads((out / "embed_log.json").read_text())
+        assert set(log) == {"epochs"} and len(log["epochs"]) == config.epochs
+
+    def test_embed_divergence_recorded_in_manifest_failures(self, tmp_path):
+        # a diverged embed writes no embed_log.json; the manifest says why
+        config = micro_config(seed=43, bounds_stage=False, learning_rate=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            manifest = run_pipeline(config, tmp_path / "run")
+        assert set(manifest.failures) == {"embed"}
+        assert "non-finite loss at epoch" in manifest.failures["embed"]
+        assert set(manifest.stage_seconds) == {"data"}
+        assert not (tmp_path / "run" / "embed_log.json").exists()
+        written = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert written["failures"] == manifest.failures
+
     def test_data_stage_failure_recorded_and_later_stages_skipped(self, tmp_path):
         (tmp_path / "run" / "triggers.rmts").mkdir(parents=True)
         manifest = run_pipeline(micro_config(seed=35), tmp_path / "run")
@@ -1091,6 +1108,8 @@ class TestCli:
         )
         saved = ne.load_checkpoint(tmp_path / "xi" / "xi000.rmk")
         assert saved.parameters_digest() == expected.parameters_digest()
+        row = json.loads((tmp_path / "xi" / "xi_manifest.json").read_text())["models"][0]
+        assert (row["data_seed"], row["pretrain_epochs"], row["pretrain_images"]) == (12_031, 2, 30)
 
     def test_population_reproduces_run_population(self, micro_run, tmp_path):
         # `population --seed S` samples with run S's omega and xi master seeds
@@ -1110,6 +1129,16 @@ class TestCli:
             for name in names:
                 written = (tmp_path / kind / name).read_bytes()
                 assert written == (out / "population" / name).read_bytes(), name
+        # each xi row says how its model was trained
+        rows = json.loads((out / "population" / "xi_manifest.json").read_text())["models"]
+        assert [
+            (row["seed"], row["data_seed"], row["pretrain_epochs"], row["pretrain_images"])
+            for row in rows
+        ] == [
+            (config.seeds.xi + i, config.seeds.xi + i + 10_000, config.pretrain_epochs,
+             config.pretrain_images)
+            for i in range(config.m_models)
+        ]
 
     def test_bounds_on_run_population_reproduces_report(self, micro_run, tmp_path):
         # each population loads the files its manifest lists, not every *.rmk

@@ -668,3 +668,16 @@ class TestCheckpoint:
         assert len(body) == 10 + 9 + 8 * 12
         with pytest.raises(ne.CheckpointError, match=message):
             ne.network_from_checkpoint_bytes(self._resealed(edit(body)))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda body: body[:6] + struct.pack("<I", 0), "network needs at least one layer"),
+        (lambda body: body[:6] + struct.pack("<I", 2) + body[10:]
+         + struct.pack("<IIB", 4, 1, 0) + bytes(8 * 5), "layer dimensions do not chain: 3 -> 4"),
+        (lambda body: body[:19] + struct.pack("<d", np.nan) + body[27:],
+         "layer parameters must be finite"),
+    ], ids=["no-layers", "unchained-layers", "nan-parameter"])
+    def test_well_sealed_bad_network_is_a_checkpoint_error(self, edit, message):
+        # the checksum holds, but the layers do not make a network
+        body = ne.checkpoint_bytes(ne.init_network([3, 3], ["identity"], 28))[:-8]
+        with pytest.raises(ne.CheckpointError, match=message):
+            ne.network_from_checkpoint_bytes(self._resealed(edit(body)))

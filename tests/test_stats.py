@@ -303,10 +303,11 @@ class TestCovarianceDelta:
 
     def test_directional_dependent_positive_independents_near_zero(self, desk_run):
         seed = desk_run.config.seed + 6
-        reference = desk_run.distances["watermarked"]
-        dep = np.mean(stats.covariance_delta(reference, desk_run.distances["prune20"], seed, seed))
+        distances = desk_run.covariance_distances  # the covariance stage's draws
+        reference = distances["watermarked"]
+        dep = np.mean(stats.covariance_delta(reference, distances["prune20"], seed, seed))
         indep_means = [
-            np.mean(stats.covariance_delta(reference, desk_run.distances[name], seed, seed))
+            np.mean(stats.covariance_delta(reference, distances[name], seed, seed))
             for name in desk_run.independent_ids
         ]
         assert dep > 0.0

@@ -474,8 +474,9 @@ class TestStegoBatch:
         assert np.array_equal(after, wm._build_stego(**changed))
 
 
-class TestSplitDecode:
-    """decode_triggers on one row block per CPU gives the bytes of one block."""
+class TestSerialDecode:
+    """decode_triggers runs one chain over the whole stego batch in the
+    caller's thread."""
 
     @staticmethod
     def _decode(suspect, bundle, triggers, k_draws, seed=140):
@@ -484,91 +485,50 @@ class TestSplitDecode:
             bundle.hyper.delta_scale,
         )
 
-    @pytest.mark.parametrize("k_draws", [1, 2, 64])
-    def test_bytes_do_not_depend_on_worker_count(self, mini_run, monkeypatch, k_draws):
-        triggers = mini_run.triggers[:15]  # odd N: blocks of unequal size
-        fresh = ne.init_network([MINI["s"], 48, MINI["k"]], ["tanh", "identity"], 141)
-        results = {}
-        for workers in (1, 2, 3):
-            see_cpus(monkeypatch, workers)
-            assert len(wm._trigger_blocks(len(triggers), k_draws)) == workers
-            results[workers] = [
-                self._decode(net, mini_run.bundle, triggers, k_draws)
-                for net in (mini_run.bundle.watermarked_f, fresh)
-            ]
-        for workers in (2, 3):
-            for split, whole in zip(results[workers], results[1]):
-                for a, b in zip(split, whole):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-    def test_more_workers_than_cores_under_fast_switching(self, mini_run, monkeypatch):
-        triggers = mini_run.triggers
-        bundle = mini_run.bundle
-        see_cpus(monkeypatch, 1)
-        whole = self._decode(bundle.watermarked_f, bundle, triggers, 16)
-        see_cpus(monkeypatch, 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                split = self._decode(bundle.watermarked_f, bundle, triggers, 16)
-                for a, b in zip(split, whole):
-                    assert a.tobytes() == b.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_desk_config_bytes_do_not_depend_on_worker_count(self, desk_run, monkeypatch):
-        config, bundle = desk_run.config, desk_run.bundle
-        for name in ("watermarked", "prune40", "independent0"):
-            suspect_results = []
-            for workers in (1, 2):
-                see_cpus(monkeypatch, workers)
-                suspect_results.append(self._decode(
-                    desk_run.suspects[name], bundle, desk_run.triggers, config.k_verify,
-                    config.seed + 6,
-                ))
-            for a, b in zip(*suspect_results):
-                assert a.tobytes() == b.tobytes()
-            assert np.array_equal(suspect_results[1][2], desk_run.distances[name])
-
-    @pytest.mark.parametrize("n_trig", [2, 3])
-    def test_single_draw_never_makes_one_row_block(self, mini_run, monkeypatch, n_trig):
-        see_cpus(monkeypatch, 3)
-        rows = []
+    def test_starts_no_thread_and_stays_in_callers_thread(self, mini_run, monkeypatch):
+        see_cpus(monkeypatch, 4)  # free CPUs are no reason to split the decode
+        callers, rows = set(), []
 
         def spy(net, inputs):
-            if net is not mini_run.bundle.encoder_e:  # the stego batch's own passes
-                rows.append(inputs.shape[0])
+            callers.add(threading.get_ident())
+            rows.append(inputs.shape[0])
             return ne.forward_batch(net, inputs)
 
+        def no_thread(thread):
+            raise AssertionError(f"decode_triggers started thread {thread.name}")
+
+        monkeypatch.setattr(wm, "_stego_memo", None)  # so the batch is built here
         monkeypatch.setattr(wm, "forward_batch", spy)
-        self._decode(mini_run.bundle.watermarked_f, mini_run.bundle,
-                     mini_run.triggers[:n_trig], 1)
-        assert wm._trigger_blocks(n_trig, 1) == [(0, n_trig)]
-        assert rows == [n_trig, n_trig]
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        triggers = mini_run.triggers
+        soft, hard, distances = self._decode(
+            mini_run.bundle.watermarked_f, mini_run.bundle, triggers, 4, seed=143
+        )
+        assert callers == {threading.get_ident()}
+        # the stego batch's per-trigger encoder passes, then one suspect and
+        # one decoder pass over all N * K rows
+        assert rows == [4] * len(triggers) + [4 * len(triggers)] * 2
+        assert soft.shape == hard.shape == (len(triggers), 4, MINI["n"])
+        assert np.array_equal(distances, (hard != triggers.messages[:, None, :]).sum(axis=2))
 
-    def test_helper_exception_reaches_caller(self, mini_run, monkeypatch):
-        see_cpus(monkeypatch, 2)
-
-        class HelperFailed(Exception):
+    def test_suspect_exception_reaches_caller(self, mini_run, monkeypatch):
+        class SuspectFailed(Exception):
             pass
 
-        def failing_in_helper(net, inputs):
-            if threading.current_thread() is not threading.main_thread():
-                raise HelperFailed("block failed")
+        suspect = mini_run.bundle.watermarked_f.copy()
+
+        def failing_suspect(net, inputs):
+            if net is suspect:
+                raise SuspectFailed("suspect pass failed")
             return ne.forward_batch(net, inputs)
 
-        monkeypatch.setattr(wm, "forward_batch", failing_in_helper)
-        threads = threading.active_count()
-        with pytest.raises(HelperFailed):
-            self._decode(mini_run.bundle.watermarked_f, mini_run.bundle,
-                         mini_run.triggers, 4)
-        assert threading.active_count() == threads
+        monkeypatch.setattr(wm, "forward_batch", failing_suspect)
+        with pytest.raises(SuspectFailed):
+            self._decode(suspect, mini_run.bundle, mini_run.triggers, 4)
 
-    def test_helpers_keep_callers_errstate(self, mini_run, monkeypatch):
-        # without the caller's errstate a helper would warn, and the
-        # error::RuntimeWarning filter turns a warning into an exception
-        see_cpus(monkeypatch, 2)
+    def test_callers_errstate_holds(self, mini_run):
+        # the error::RuntimeWarning filter turns an unsilenced overflow into
+        # an exception; the caller's errstate silences it
         overflowing = ne.init_network([MINI["s"], 48, MINI["k"]], ["tanh", "identity"], 142)
         overflowing.layers[0].weight[:] = 1e308
         triggers = mini_run.triggers
@@ -578,9 +538,21 @@ class TestSplitDecode:
             soft, _, _ = self._decode(overflowing, mini_run.bundle, triggers, 4)
         assert soft.shape == (len(triggers), 4, MINI["n"])
 
+    def test_desk_distances_are_first_columns_of_k64(self, desk_run):
+        # the draws of trigger i come from one stream, so the verify distances
+        # at K = 16 are the first 16 columns of a K = 64 decode, to the byte
+        config = desk_run.config
+        assert config.k_verify == 16
+        for name in ("watermarked", "prune40", "finetune3", "independent0"):
+            wide = self._decode(
+                desk_run.suspects[name], desk_run.bundle, desk_run.triggers, 64, config.seed + 6
+            )[2]
+            narrow = desk_run.distances[name]
+            assert narrow.tobytes() == np.ascontiguousarray(wide[:, :16]).tobytes(), name
+
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
     def test_no_thread_outlives_a_verify(self):
-        # a single-threaded process splits the decode, and an IndependentPool
+        # a verify decodes in the caller's thread alone, and an IndependentPool
         # opened after it still finds the process single-threaded
         code = """
 import multiprocessing, threading
@@ -597,7 +569,7 @@ def spy(net, inputs):
     return ne.forward_batch(net, inputs)
 wm.forward_batch = spy
 verify_suspect(source, bundle, triggers, 1, 4, 5, "source")
-assert len(threads) == 2, threads
+assert threads == {threading.get_ident()}, threads
 assert ne._running_threads() == 1, ne._running_threads()
 with atk.IndependentPool(2) as pool:
     getters = pool.submit([16, 12, 6], [6, 7], [8, 9], 1, 10)
