@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import multiprocessing
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -20,6 +20,8 @@ from functools import partial
 import numpy as np
 
 from .nnengine import (
+    ForwardTrace,
+    Gradients,
     MlpNetwork,
     OptimizerState,
     _worker_count,
@@ -101,24 +103,27 @@ def finetune_attack(
 ) -> tuple[MlpNetwork, float]:
     """Fine-tune every backbone layer through a fresh linear head with
     cross-entropy; the head is discarded. The backbone and head train as
-    one network under one optimizer state. Returns (backbone, accuracy)."""
+    one network under one optimizer state, and every step reuses one trace
+    and one gradient buffer. Returns (backbone, accuracy)."""
     rng = np.random.default_rng(seed)
     head = init_network([backbone.output_dim, task.n_classes], ["identity"], rng)
     net = MlpNetwork(backbone.layers + head.layers)
     state = OptimizerState.fresh(net, lr=lr)
     n_samples = task.inputs.shape[0]
+    rows = min(batch_size, n_samples)
+    trace, grads = ForwardTrace.empty(net, rows), Gradients.empty(net, rows, wrt_input=False)
     onehot = np.eye(task.n_classes)[task.labels]
     for _ in range(epochs):
         order = rng.permutation(n_samples)
         for start in range(0, n_samples, batch_size):
             idx = order[start : start + batch_size]
-            logits, trace = forward_batch(net, task.inputs[idx])
+            logits, _ = forward_batch(net, task.inputs[idx], into=trace)
             probs = _softmax(logits)
             if not np.isfinite(probs).all():
                 raise TrainingDiverged("fine-tuning diverged: non-finite logits")
             probs -= onehot[idx]
             probs /= idx.size
-            optimizer_step(net, backward(net, trace, probs, wrt_input=False), state)
+            optimizer_step(net, backward(net, trace, probs, wrt_input=False, into=grads), state)
     logits, _ = forward_batch(net, task.inputs)
     accuracy = float((logits.argmax(axis=1) == task.labels).mean())
     return MlpNetwork(net.layers[:-1]), accuracy
@@ -135,8 +140,9 @@ def distill_attack(
     seed: int = 0,
 ) -> tuple[MlpNetwork, float]:
     """Train a fresh random student with the given hidden widths to match the
-    teacher's embeddings on synthetic unlabeled inputs. Returns (student,
-    final mean squared matching loss)."""
+    teacher's embeddings on synthetic unlabeled inputs; every step reuses one
+    trace, one output-gradient buffer and one gradient buffer. Returns
+    (student, final mean squared matching loss)."""
     s, k = teacher.input_dim, teacher.output_dim
     dims = [s, *student_hidden, k]
     student = init_network(
@@ -145,18 +151,24 @@ def distill_attack(
     inputs = gen_synthetic_images(n_inputs, s, data_seed)
     targets, _ = forward_batch(teacher, inputs)
     state = OptimizerState.fresh(student, lr=lr)
+    rows = min(batch_size, n_inputs)
+    trace = ForwardTrace.empty(student, rows)
+    grads = Gradients.empty(student, rows, wrt_input=False)
+    g_out = np.empty((rows, k))
     rng = np.random.default_rng(seed + 1)
     for _ in range(epochs):
         order = rng.permutation(n_inputs)
         for start in range(0, n_inputs, batch_size):
             idx = order[start : start + batch_size]
-            out, trace = forward_batch(student, inputs[idx])
-            diff = out - targets[idx]
+            out, _ = forward_batch(student, inputs[idx], into=trace)
+            diff = np.subtract(out, targets[idx], out=g_out[: idx.size])
             if not np.isfinite(diff).all():
                 raise TrainingDiverged("distillation diverged: non-finite outputs")
             diff *= 2.0
             diff /= idx.size
-            optimizer_step(student, backward(student, trace, diff, wrt_input=False), state)
+            optimizer_step(
+                student, backward(student, trace, diff, wrt_input=False, into=grads), state
+            )
     out, _ = forward_batch(student, inputs)
     final_loss = float(((out - targets) ** 2).mean())
     return student, final_loss
@@ -178,9 +190,10 @@ def make_independent(
 
     The backbone and head train as one network under one optimizer state.
     A step masks its batch into a preallocated buffer by multiplying with
-    the keep mask (pixels lie in [0, 1], so a masked pixel is +0.0) and
-    builds the output gradient in another; the last batch of an epoch uses
-    their leading rows.
+    the keep mask (pixels lie in [0, 1], so a masked pixel is +0.0), builds
+    the output gradient in another, and runs forward and backward in one
+    trace and one gradient buffer; the last batch of an epoch uses their
+    leading rows.
     """
     dims = list(dims)
     s = dims[0]
@@ -190,6 +203,8 @@ def make_independent(
     state = OptimizerState.fresh(net, lr=lr)
     masked = np.empty((min(batch_size, n_images), s))
     g_out = np.empty_like(masked)
+    trace = ForwardTrace.empty(net, len(masked))
+    grads = Gradients.empty(net, len(masked), wrt_input=False)
     for _ in range(epochs):
         order = rng.permutation(n_images)
         for start in range(0, n_images, batch_size):
@@ -198,11 +213,11 @@ def make_independent(
             inputs = np.multiply(
                 batch, rng.random(batch.shape) >= mask_fraction, out=masked[: idx.size]
             )
-            recon, trace = forward_batch(net, inputs)
+            recon, _ = forward_batch(net, inputs, into=trace)
             g = np.subtract(recon, batch, out=g_out[: idx.size])
             g *= 2.0
             g /= idx.size
-            optimizer_step(net, backward(net, trace, g, wrt_input=False), state)
+            optimizer_step(net, backward(net, trace, g, wrt_input=False, into=grads), state)
     return MlpNetwork(net.layers[:-1])
 
 
@@ -301,8 +316,8 @@ def xi_population(
     """The independent (xi) population of a master seed, submitted to the
     pool: model i trains from seed + i on pretraining data seed
     seed + i + 10000, for epochs over n_images images. Its models come in
-    seed order as iteration asks for them; iterate them while the pool is
-    open."""
+    seed order as iteration asks for them, and the population keeps no model
+    it has handed out; iterate them while the pool is open."""
     seeds = range(seed, seed + m_models)
     data_seeds = [s + 10_000 for s in seeds]
     getters = pool.submit(dims, seeds, data_seeds, epochs, n_images)
@@ -311,7 +326,15 @@ def xi_population(
          "pretrain_epochs": epochs, "pretrain_images": n_images}
         for i, (s, d) in enumerate(zip(seeds, data_seeds))
     ]
-    return PopulationResult((get() for get in getters), rows)
+    return PopulationResult(_results(getters), rows)
+
+
+def _results(getters: list[Callable[[], MlpNetwork]]) -> Iterator[MlpNetwork]:
+    """Each getter's model, in order. A getter is dropped before its model
+    is handed out: a finished future's getter would keep its model alive."""
+    getters.reverse()
+    while getters:
+        yield getters.pop()()
 
 
 def _random_omega_spec(rng: np.random.Generator, seed: int) -> AttackSpec:

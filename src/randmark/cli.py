@@ -310,6 +310,20 @@ def _cmd_report(args) -> int:
     timed = [f"{name}={seconds[name]:.3f}" for name in PIPELINE_STAGES if name in seconds]
     if timed:
         print("  stage seconds: " + " ".join(timed))
+    embed_file = run / "embed_log.json"
+    if embed_file.is_file():
+        epochs = _json_object(embed_file, {"epochs": list})["epochs"]
+        summary = f"  embedding: epochs={len(epochs)}"
+        if epochs:
+            try:
+                accuracy, fidelity = [
+                    json_field(epochs[-1], key, JSON_NUMBER, f"'epochs'[-1][{key!r}]")
+                    for key in ("bit_accuracy", "fidelity")
+                ]
+            except ValueError as exc:
+                raise ValueError(f"{embed_file}: {exc}") from None
+            summary += f" bit_accuracy={accuracy:.3f} fidelity={fidelity:.4g}"
+        print(summary)
     verify_dir = run / "verification"
     if verify_dir.is_dir():
         for path in sorted(verify_dir.glob("*.json")):

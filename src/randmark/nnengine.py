@@ -7,8 +7,12 @@ parameter vector in checkpoint payload order (W0, b0, W1, b1, ...), and
 each layer's weight and bias are views into it. Gradients and the AdamW
 moments share that layout, so an optimizer step, a gradient sum, a finite
 check or a copy is one numpy pass over one vector. Forward/backward are
-pure functions of their inputs; optimizer state lives outside the network
-so networks stay copyable and hashable by content. The module also holds
+pure functions of their inputs unless given into=, numpy's out= idiom: then
+they write into caller-owned buffers (ForwardTrace.empty, Gradients.empty)
+that a training loop allocates once and reuses every step, with the same
+bytes, and backward spends the trace by building its derivative terms over
+the trace's activations. Optimizer state lives outside the network so
+networks stay copyable and hashable by content. The module also holds
 the rule for how many worker processes may train independent models side
 by side (_worker_count); everything in this module runs in the caller's
 thread.
@@ -176,29 +180,65 @@ class ForwardTrace:
     activations[i] is the input to layer i; activations[-1] is the network
     output. All arrays are (B, dim). Every activation's derivative is taken
     from the activated value, so no pre-activation is kept.
+
+    A trace made by ForwardTrace.empty(net, rows) also owns one (rows,
+    out_dim) buffer per layer, which forward_batch(into=trace) fills; a
+    backward(into=...) then overwrites activations[1:] with the derivative
+    terms and marks the trace spent, and a spent trace refuses its output and
+    a second backward until the next forward_batch refills it.
     """
 
     activations: list[np.ndarray]
+    buffers: list[np.ndarray] | None = field(default=None, repr=False)
+    spent: bool = False
+
+    @classmethod
+    def empty(cls, net: MlpNetwork, rows: int) -> "ForwardTrace":
+        """A trace with buffers for batches of up to rows rows through net."""
+        return cls([], [np.empty((rows, layer.out_dim)) for layer in net.layers])
+
+    def _check_unspent(self) -> None:
+        if self.spent:
+            raise ValueError("trace was spent by backward(into=...); run forward_batch again")
 
     @property
     def output(self) -> np.ndarray:
+        self._check_unspent()
         return self.activations[-1]
 
 
-def forward_batch(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
+def forward_batch(
+    net: MlpNetwork, inputs: np.ndarray, into: ForwardTrace | None = None
+) -> tuple[np.ndarray, ForwardTrace]:
     """Run a (B, input_dim) batch through the network.
 
     Each layer's bias and activation are written into its matmul's output,
     so a layer allocates one (B, out_dim) array; the input is not modified.
+    With into, a trace made by ForwardTrace.empty for at least B rows, each
+    layer writes the leading B rows of its buffer instead, and into is
+    returned as the trace; an into that does not fit the network and batch
+    raises ValueError before anything is written. Either way every output
+    byte is the same.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(
             f"expected batch of shape (B, {net.input_dim}), got {x.shape}"
         )
+    outs = [None] * len(net.layers)
+    if into is not None:
+        if into.buffers is None or [b.shape[1] for b in into.buffers] != [
+            layer.out_dim for layer in net.layers
+        ]:
+            raise ValueError("into is not a ForwardTrace.empty trace of this network")
+        if x.shape[0] > into.buffers[0].shape[0]:
+            raise ValueError(
+                f"batch of {x.shape[0]} rows exceeds into's {into.buffers[0].shape[0]}"
+            )
+        outs = [buffer[: x.shape[0]] for buffer in into.buffers]
     activations = [x]
-    for layer in net.layers:
-        x = x @ layer.weight
+    for layer, out in zip(net.layers, outs):
+        x = np.matmul(x, layer.weight, out=out)
         x += layer.bias
         if layer.activation == "relu":
             np.maximum(x, 0.0, out=x)
@@ -211,17 +251,35 @@ def forward_batch(net: MlpNetwork, inputs: np.ndarray) -> tuple[np.ndarray, Forw
             x += 1.0
             x *= 0.5
         activations.append(x)
-    return x, ForwardTrace(activations)
+    if into is None:
+        return x, ForwardTrace(activations)
+    into.activations, into.spent = activations, False
+    return x, into
 
 
 @dataclass
 class Gradients:
     """The loss gradient w.r.t. every network parameter, in one vector laid
     out as MlpNetwork.params, plus the gradient w.r.t. the input batch
-    (needed when networks are chained)."""
+    (needed when networks are chained).
+
+    Gradients made by Gradients.empty(net, rows, wrt_input) also own the two
+    flat scratch buffers that backward(into=...) writes input gradients to,
+    layer by layer in turn, so wrt_input is then a view into one of them.
+    """
 
     flat: np.ndarray
     wrt_input: np.ndarray | None = None
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    @classmethod
+    def empty(cls, net: MlpNetwork, rows: int, wrt_input: bool = True) -> "Gradients":
+        """Gradients for backward(net, ..., wrt_input, into=...) over batches
+        of up to rows rows."""
+        return cls(
+            np.empty_like(net.params),
+            scratch=tuple(np.empty(rows * width) for width in _scratch_widths(net, wrt_input)),
+        )
 
     def add_(self, other: "Gradients") -> "Gradients":
         """In-place accumulation of another gradient of the same network
@@ -247,11 +305,52 @@ def _layer_views(vector: np.ndarray, spec):
         offset = end + out_dim
 
 
+def _scratch_widths(net: MlpNetwork, wrt_input: bool) -> tuple[int, int]:
+    """Row widths of the two scratch buffers of backward(into=...): layer i,
+    counted from the last, writes buffer i % 2 with its input gradient
+    (skipped for the first layer without wrt_input) and, for a sigmoid, first
+    with 1 - a."""
+    widths = [0, 0]
+    for i, layer in enumerate(reversed(net.layers)):
+        first = i == len(net.layers) - 1
+        widths[i % 2] = max(
+            widths[i % 2],
+            layer.in_dim if wrt_input or not first else 0,
+            layer.out_dim if layer.activation == "sigmoid" else 0,
+        )
+    return widths[0], widths[1]
+
+
+def _leading(buffer: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The leading entries of a flat buffer as a C-contiguous array of shape."""
+    return buffer[: shape[0] * shape[1]].reshape(shape)
+
+
+def _derivative_term(activation: str, a, g, out, scratch):
+    """dz = g * activation'(z), taken from the activated value a and written
+    to out, which may be a itself; scratch, of a's shape and possibly out,
+    holds 1 - a for a sigmoid. g is never written. Each element is rounded
+    as g * (a > 0), (1 - a*a) * g and ((1 - a) * a) * g read."""
+    if activation == "identity":
+        return g
+    if activation == "relu":
+        np.greater(a, 0.0, out=out)
+        return np.multiply(g, out, out=out)
+    if activation == "tanh":
+        np.multiply(a, a, out=out)
+        np.subtract(1.0, out, out=out)
+    else:  # sigmoid
+        np.subtract(1.0, a, out=scratch)
+        np.multiply(scratch, a, out=out)
+    return np.multiply(out, g, out=out)
+
+
 def backward(
     net: MlpNetwork,
     trace: ForwardTrace,
     output_gradient: np.ndarray,
     wrt_input: bool = True,
+    into: Gradients | None = None,
 ) -> Gradients:
     """Backpropagate d(loss)/d(output) through the traced forward pass.
 
@@ -262,7 +361,18 @@ def backward(
     computed: the result's wrt_input is then an empty (B, 0) array, which
     keeps the batch size readable but fails any use as a gradient. Weight
     and bias gradients are the same bytes either way.
+
+    Without into, each layer builds its derivative term in a fresh array and
+    neither the trace nor output_gradient is written. With into, Gradients
+    made by Gradients.empty for this network, at least B rows and this
+    wrt_input, the parameter gradients go to into.flat, each derivative term
+    is built in place over the trace's output activation of its layer (the
+    trace is then spent), and input gradients go to into's scratch buffers;
+    into is returned, with every byte as the allocating path gives it. An
+    into or output_gradient that does not fit raises ValueError before
+    anything is written.
     """
+    trace._check_unspent()
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
@@ -275,32 +385,44 @@ def backward(
     for layer, act_in, act_out in zip(net.layers, trace.activations, trace.activations[1:]):
         if act_out.shape[1] != layer.out_dim or act_in.shape[1] != layer.in_dim:
             raise ValueError("trace does not match network shapes")
-    flat = np.empty_like(net.params)
+    rows = g.shape[0]
+    if into is None:
+        flat = np.empty_like(net.params)
+    else:
+        widths = _scratch_widths(net, wrt_input)
+        if into.flat.shape != net.params.shape or into.scratch is None or any(
+            rows * width > buffer.size for width, buffer in zip(widths, into.scratch)
+        ):
+            raise ValueError(
+                f"into is not a Gradients.empty of this network for {rows} rows "
+                f"and wrt_input={wrt_input}"
+            )
+        if any(np.may_share_memory(g, a) for a in (*trace.activations[1:], *into.scratch)):
+            raise ValueError("output gradient overlaps the trace or into's scratch")
+        flat = into.flat
     views = list(_layer_views(flat, net.spec))
-    for i in range(len(net.layers) - 1, -1, -1):
+    for step, i in enumerate(range(len(net.layers) - 1, -1, -1)):
         layer = net.layers[i]
         a = trace.activations[i + 1]
-        # dz = g * activation'(z), the derivative taken from a and built in
-        # one fresh buffer; g, possibly the caller's array, is never written
-        if layer.activation == "identity":
-            dz = g
-        elif layer.activation == "relu":
-            dz = g * (a > 0.0)
-        elif layer.activation == "tanh":
-            dz = a * a
-            np.subtract(1.0, dz, out=dz)
-            dz *= g
-        else:  # sigmoid
-            dz = 1.0 - a
-            dz *= a
-            dz *= g
+        if into is None:  # in a fresh array: the trace stays as it is
+            out = scratch = None if layer.activation == "identity" else np.empty_like(a)
+        else:  # over a; a sigmoid's 1 - a goes where this layer's g goes next
+            buffer = into.scratch[step % 2]
+            out = a
+            scratch = _leading(buffer, a.shape) if layer.activation == "sigmoid" else None
+        dz = _derivative_term(layer.activation, a, g, out, scratch)
         np.matmul(trace.activations[i].T, dz, out=views[i][0])
         dz.sum(axis=0, out=views[i][1])
         if i > 0 or wrt_input:
-            g = dz @ layer.weight.T
+            g_in = None if into is None else _leading(buffer, (rows, layer.in_dim))
+            g = np.matmul(dz, layer.weight.T, out=g_in)
         else:
-            g = np.empty((g.shape[0], 0))
-    return Gradients(flat, wrt_input=g)
+            g = np.empty((rows, 0))
+    if into is None:
+        return Gradients(flat, wrt_input=g)
+    trace.spent = True
+    into.wrt_input = g
+    return into
 
 
 @dataclass

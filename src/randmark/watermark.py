@@ -25,6 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .nnengine import (
+    ForwardTrace,
+    Gradients,
     MlpNetwork,
     OptimizerState,
     backward,
@@ -345,52 +347,90 @@ class TrainingLog:
         return self.epochs[-1]
 
 
-def _loss_and_grads(
-    out_ref: np.ndarray,  # (N, k) frozen reference embeddings of images
-    watermarked_f: MlpNetwork,
-    encoder_e: MlpNetwork,
-    decoder_d: MlpNetwork,
-    images: np.ndarray,  # (N, s)
-    messages: np.ndarray,  # (N, n) float
-    noise: np.ndarray,  # (N, K, s)
-    lam: float,
-    delta_scale: float,
-):
-    """Summed-over-triggers loss and its analytic gradients.
-
-    Returns (fidelity_sum, message_sum, bit_accuracy, grads) where grads is
-    (g_watermarked, g_encoder, g_decoder).
+class _EmbedStep:
+    """The embedding loss summed over triggers, and its analytic gradients,
+    computed in buffers allocated once for a trigger set's (N, n) message
+    bits and K noise draws per trigger: the (N * K, s + n) encoder input,
+    whose bit columns are filled here; the (N * K, s) stego batch, whose
+    (N, K, s) view noise may take each epoch's noise draw, since a call
+    reads the draw before it builds the stego; the message error; and a
+    ForwardTrace and a Gradients per pass. Each call overwrites all of them,
+    the gradients it returned before included, with the bytes that fresh
+    arrays would hold.
     """
-    n_trig, k_draws, s = noise.shape
-    noisy = (images[:, None, :] + noise).reshape(n_trig * k_draws, s)
-    bits_rep = np.repeat(messages, k_draws, axis=0)
 
-    e_out, tr_e = forward_batch(encoder_e, np.concatenate([noisy, bits_rep], axis=1))
-    stego = noisy + delta_scale * e_out
-    emb, tr_fm = forward_batch(watermarked_f, stego)
-    soft, tr_d = forward_batch(decoder_d, emb)
+    def __init__(self, watermarked_f, encoder_e, decoder_d, messages: np.ndarray, k_draws: int):
+        self.nets = (watermarked_f, encoder_e, decoder_d)
+        n_trig, n = messages.shape
+        s, rows = encoder_e.output_dim, n_trig * k_draws
+        self.encoder_input = np.empty((rows, s + n))
+        self.noisy = self.encoder_input[:, :s]
+        self.noisy_draws = self.encoder_input.reshape(n_trig, k_draws, s + n)[:, :, :s]
+        self.bits = self.encoder_input[:, s:]
+        self.bits[:] = np.repeat(messages, k_draws, axis=0)
+        self.bit_is_one = self.bits >= 0.5
+        self.stego = np.empty((rows, s))
+        self.noise = self.stego.reshape(n_trig, k_draws, s)
+        self.error = np.empty((rows, n))
+        self.squared = np.empty((rows, n))
+        self.traces = {
+            "encoder": ForwardTrace.empty(encoder_e, rows),
+            "message": ForwardTrace.empty(watermarked_f, rows),
+            "decoder": ForwardTrace.empty(decoder_d, rows),
+            "fidelity": ForwardTrace.empty(watermarked_f, n_trig),
+        }
+        self.grads = {
+            "encoder": Gradients.empty(encoder_e, rows, wrt_input=False),
+            "message": Gradients.empty(watermarked_f, rows),
+            "decoder": Gradients.empty(decoder_d, rows),
+            "fidelity": Gradients.empty(watermarked_f, n_trig, wrt_input=False),
+        }
 
-    diff_soft = soft - bits_rep
-    message_sum = (lam / k_draws) * float((diff_soft**2).sum())
-    hard = soft >= 0.5
-    bit_accuracy = float((hard == (bits_rep >= 0.5)).mean())
+    def __call__(
+        self,
+        out_ref: np.ndarray,  # (N, k) frozen reference embeddings of images
+        images: np.ndarray,  # (N, s)
+        noise: np.ndarray,  # (N, K, s), possibly self.noise
+        lam: float,
+        delta_scale: float,
+    ):
+        """(fidelity_sum, message_sum, bit_accuracy, grads) where grads is
+        (g_watermarked, g_encoder, g_decoder)."""
+        watermarked_f, encoder_e, decoder_d = self.nets
+        traces, grads = self.traces, self.grads
+        k_draws = noise.shape[1]
+        np.add(images[:, None, :], noise, out=self.noisy_draws)
 
-    out_w, tr_fc = forward_batch(watermarked_f, images)
-    diff_fid = out_w - out_ref
-    norms = np.sqrt((diff_fid**2).sum(axis=1))
-    fidelity_sum = float(norms.sum())
+        e_out, tr_e = forward_batch(encoder_e, self.encoder_input, into=traces["encoder"])
+        stego = np.multiply(delta_scale, e_out, out=self.stego)
+        np.add(self.noisy, stego, out=stego)
+        emb, tr_fm = forward_batch(watermarked_f, stego, into=traces["message"])
+        soft, tr_d = forward_batch(decoder_d, emb, into=traces["decoder"])
 
-    g_soft = (2.0 * lam / k_draws) * diff_soft
-    g_dec = backward(decoder_d, tr_d, g_soft)
-    g_f_msg = backward(watermarked_f, tr_fm, g_dec.wrt_input)
-    g_enc = backward(encoder_e, tr_e, delta_scale * g_f_msg.wrt_input, wrt_input=False)
+        diff_soft = np.subtract(soft, self.bits, out=self.error)
+        message_sum = (lam / k_draws) * float(np.square(diff_soft, out=self.squared).sum())
+        hard = soft >= 0.5
+        bit_accuracy = float((hard == self.bit_is_one).mean())
 
-    safe = np.maximum(norms, _NORM_FLOOR)
-    g_fid_out = np.where(norms[:, None] > 0.0, diff_fid / safe[:, None], 0.0)
-    g_f_fid = backward(watermarked_f, tr_fc, g_fid_out, wrt_input=False)
-    g_f_msg.add_(g_f_fid)
+        out_w, tr_fc = forward_batch(watermarked_f, images, into=traces["fidelity"])
+        diff_fid = out_w - out_ref
+        norms = np.sqrt((diff_fid**2).sum(axis=1))
+        fidelity_sum = float(norms.sum())
 
-    return fidelity_sum, message_sum, bit_accuracy, (g_f_msg, g_enc, g_dec)
+        g_soft = np.multiply(2.0 * lam / k_draws, diff_soft, out=diff_soft)
+        g_dec = backward(decoder_d, tr_d, g_soft, into=grads["decoder"])
+        g_f_msg = backward(watermarked_f, tr_fm, g_dec.wrt_input, into=grads["message"])
+        g_emb_in = np.multiply(delta_scale, g_f_msg.wrt_input, out=g_f_msg.wrt_input)
+        g_enc = backward(encoder_e, tr_e, g_emb_in, wrt_input=False, into=grads["encoder"])
+
+        safe = np.maximum(norms, _NORM_FLOOR)
+        g_fid_out = np.where(norms[:, None] > 0.0, diff_fid / safe[:, None], 0.0)
+        g_f_fid = backward(
+            watermarked_f, tr_fc, g_fid_out, wrt_input=False, into=grads["fidelity"]
+        )
+        g_f_msg.add_(g_f_fid)
+
+        return fidelity_sum, message_sum, bit_accuracy, (g_f_msg, g_enc, g_dec)
 
 
 def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBundle, TrainingLog]:
@@ -398,8 +438,10 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
     trigger set. The frozen reference is never touched.
 
     Noise draws are fresh each epoch, derived deterministically from the
-    trigger set's master seed. On a non-finite loss the bundle is rolled
-    back to the last finite epoch and TrainingDiverged is raised.
+    trigger set's master seed. Every epoch runs in the buffers of one
+    _EmbedStep and the optimizer states, allocated before the first, so
+    the loop allocates no batch-sized array. On a non-finite loss the bundle
+    is rolled back to the last finite epoch and TrainingDiverged is raised.
     """
     if triggers.s != bundle.s or triggers.n != bundle.n:
         raise ValueError("trigger set dimensions do not match bundle")
@@ -419,19 +461,12 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
     log = TrainingLog()
     snapshot = [net.params.copy() for net in trained]
     out_ref, _ = forward_batch(bundle.frozen_f, triggers.images)  # frozen: the same every epoch
+    step = _EmbedStep(*trained, messages, hyper.k_train)
     for epoch in range(hyper.epochs):
-        noise = rng.standard_normal((n_trig, hyper.k_train, triggers.s))
+        noise = rng.standard_normal(out=step.noise)
         noise *= triggers.sigmas[:, None, None]
-        fid, msg, acc, grads = _loss_and_grads(
-            out_ref,
-            bundle.watermarked_f,
-            bundle.encoder_e,
-            bundle.decoder_d,
-            triggers.images,
-            messages,
-            noise,
-            hyper.lam,
-            hyper.delta_scale,
+        fid, msg, acc, grads = step(
+            out_ref, triggers.images, noise, hyper.lam, hyper.delta_scale
         )
         total = fid + msg
         if not (math.isfinite(total) and all(g.is_finite() for g in grads)):

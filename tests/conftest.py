@@ -80,10 +80,12 @@ def trigger_loss(bundle: wm.ModelBundle, triggers: wm.TriggerSet, k_draws: int, 
     image = triggers.images[0]
     noise = (wm.sample_noise(image, triggers.sigmas[0], k_draws, stream_seed) - image)[None]
     out_ref, _ = forward_batch(bundle.frozen_f, triggers.images)
-    fidelity, message, _, grads = wm._loss_and_grads(
-        out_ref, bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d,
-        triggers.images, triggers.messages.astype(np.float64), noise,
-        bundle.hyper.lam, bundle.hyper.delta_scale,
+    step = wm._EmbedStep(
+        bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d,
+        triggers.messages.astype(np.float64), k_draws,
+    )
+    fidelity, message, _, grads = step(
+        out_ref, triggers.images, noise, bundle.hyper.lam, bundle.hyper.delta_scale
     )
     return fidelity, message, dict(zip(("watermarked_f", "encoder_e", "decoder_d"), grads))
 

@@ -6,6 +6,7 @@ import logging
 import os
 import signal
 import threading
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -221,6 +222,18 @@ class TestTrainIndependents:
             models = _train_in_pool(DIMS, self.SEEDS, self.DATA_SEEDS, 3, 40)
             assert [m.parameters_digest() for m in models] == serial
             assert len(in_parent) == trained_in_parent
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
+    def test_population_releases_each_model_once_taken(self, monkeypatch, cpus):
+        # the population holds no model it has handed out: once the consumer
+        # drops model i, it is gone before model i + 1 is asked for
+        see_cpus(monkeypatch, cpus)
+        with atk.IndependentPool(3) as pool:
+            models = iter(atk.xi_population(pool, DIMS, 90, 3, epochs=1, n_images=20).models)
+            for _ in range(3):
+                taken = weakref.ref(next(models))
+                assert taken() is None
+            assert next(models, None) is None
 
     def test_threaded_process_trains_in_process(self, monkeypatch):
         # BLAS threads in every worker would oversubscribe the cores, and a

@@ -1296,16 +1296,38 @@ class TestCli:
             "verify": 1.0,
         }
         (run / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
+        files = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
         assert cli.main(["report", "--run", str(run)]) == cli.EXIT_OK
+        assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == files
         assert capsys.readouterr().out == (
             f"run {run} (version {manifest['version']})\n"
             "  stage seconds: data=0.012 embed=2.000 attacks=0.250 verify=1.000"
             " covariance=0.000 bounds=3.500\n"
+            "  embedding: epochs=80 bit_accuracy=0.789 fidelity=0.0105\n"
             "      independent0: detection_rate=0.375 tau=2 K=8\n"
             "           prune20: detection_rate=0.750 tau=2 K=8\n"
             "       watermarked: detection_rate=0.750 tau=2 K=8\n"
             "  bounds: p_omega=0.867 p_xi=0.734 h_minus=None h_plus=None\n"
         )
+
+    def test_report_without_embed_log_prints_no_embedding_line(
+        self, micro_run, tmp_path, capsys
+    ):
+        _, out, _ = micro_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        (run / "embed_log.json").unlink()
+        assert cli.main(["report", "--run", str(run)]) == cli.EXIT_OK
+        text = capsys.readouterr().out
+        assert "embedding" not in text and "watermarked" in text
+
+    def test_report_embedding_line_with_no_epochs(self, micro_run, tmp_path, capsys):
+        _, out, _ = micro_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        (run / "embed_log.json").write_text('{"epochs": []}')
+        assert cli.main(["report", "--run", str(run)]) == cli.EXIT_OK
+        assert "  embedding: epochs=0\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name, text, message", [
         ("manifest.json", "{}", "missing key 'version'"),
@@ -1327,10 +1349,21 @@ class TestCli:
          "'stage_seconds'['embed'] has the wrong type bool"),
         ("bound_report.json", '{"p_omega": true, "p_xi": 0.5, "h_minus": null, "h_plus": 1}',
          "'p_omega' has the wrong type bool"),
+        ("embed_log.json", "{", "Expecting property name"),
+        ("embed_log.json", "{}", "missing key 'epochs'"),
+        ("embed_log.json", '{"epochs": {"0": 1}}', "'epochs' has the wrong type dict"),
+        ("embed_log.json", '{"epochs": [{"bit_accuracy": 1.0}]}',
+         "missing key 'epochs'[-1]['fidelity']"),
+        ("embed_log.json", '{"epochs": [{"bit_accuracy": "1", "fidelity": 0.5}]}',
+         "'epochs'[-1]['bit_accuracy'] has the wrong type str"),
+        ("embed_log.json", '{"epochs": [{"bit_accuracy": 1.0, "fidelity": false}]}',
+         "'epochs'[-1]['fidelity'] has the wrong type bool"),
     ], ids=["manifest-empty", "manifest-list", "manifest-unparsable", "manifest-version-int",
             "manifest-failures-list", "manifest-stage-seconds-str", "verification-missing-key",
             "verification-rate-str", "verification-null", "bounds-missing-key", "bounds-p-null",
-            "manifest-stage-seconds-bool", "bounds-p-bool"])
+            "manifest-stage-seconds-bool", "bounds-p-bool", "embed-log-unparsable",
+            "embed-log-empty", "embed-log-epochs-dict", "embed-log-missing-fidelity",
+            "embed-log-accuracy-str", "embed-log-fidelity-bool"])
     def test_report_rejects_malformed_run_file(self, micro_run, tmp_path, capsys, name, text,
                                                message):
         _, out, _ = micro_run

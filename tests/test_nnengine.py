@@ -261,6 +261,103 @@ class TestInPlaceKernels:
             assert g.tobytes() == g_before.tobytes()
 
 
+def _buffer_nets(act, rng):
+    """Nets for the into= path: three layers of act with narrowing widths,
+    and act before a sigmoid output wider than any layer input."""
+    yield ne.init_network([9, 7, 5, 3], [act] * 3, rng)
+    yield ne.init_network([4, 6, 11], [act, "sigmoid"], rng)
+
+
+def _sealed(*arrays):
+    """Bytes of every array, to show that a refused call wrote nothing."""
+    return [a.tobytes() for a in arrays]
+
+
+class TestBufferPath:
+    """forward_batch and backward with into= write the allocating path's
+    bytes into caller-owned buffers, whichever leading rows a batch uses."""
+
+    @pytest.mark.parametrize("wrt_input", [True, False])
+    @pytest.mark.parametrize("act", ne.ACTIVATIONS)
+    def test_into_matches_allocating_bytes(self, act, wrt_input):
+        rng = np.random.default_rng(12)
+        for net in _buffer_nets(act, rng):
+            trace = ne.ForwardTrace.empty(net, 64)
+            grads = ne.Gradients.empty(net, 64, wrt_input=wrt_input)
+            for rows in (64, 44, 1):  # a full batch, then partial leading slices
+                x = 2.0 * rng.standard_normal((rows, net.input_dim))
+                g = rng.standard_normal((rows, net.output_dim))
+                out, fresh = ne.forward_batch(net, x)
+                activations = [a.copy() for a in fresh.activations]
+                expected = ne.backward(net, fresh, g, wrt_input=wrt_input)
+                g_before = g.copy()
+
+                into_out, filled = ne.forward_batch(net, x, into=trace)
+                assert filled is trace and not trace.spent
+                assert into_out.tobytes() == out.tobytes()
+                assert _sealed(*trace.activations) == _sealed(*activations)
+                assert ne.backward(net, trace, g, wrt_input=wrt_input, into=grads) is grads
+                assert grads.flat.tobytes() == expected.flat.tobytes()
+                assert grads.wrt_input.shape == expected.wrt_input.shape
+                assert grads.wrt_input.tobytes() == expected.wrt_input.tobytes()
+                assert trace.spent and g.tobytes() == g_before.tobytes()
+
+    def test_spent_trace_refuses_reuse(self):
+        rng = np.random.default_rng(13)
+        net = ne.init_network([5, 4, 3], ["tanh", "sigmoid"], rng)
+        trace = ne.ForwardTrace.empty(net, 8)
+        grads = ne.Gradients.empty(net, 8)
+        x, g = rng.standard_normal((8, 5)), rng.standard_normal((8, 3))
+        ne.forward_batch(net, x, into=trace)
+        first = ne.backward(net, trace, g, into=grads).flat.copy()
+        for reuse in (
+            lambda: trace.output,
+            lambda: ne.backward(net, trace, g),
+            lambda: ne.backward(net, trace, g, into=ne.Gradients.empty(net, 8)),
+        ):
+            with pytest.raises(ValueError, match="spent"):
+                reuse()
+        ne.forward_batch(net, x, into=trace)  # a forward refills it
+        assert ne.backward(net, trace, g, into=grads).flat.tobytes() == first.tobytes()
+
+    def test_mismatched_forward_into_refused_before_writing(self):
+        rng = np.random.default_rng(14)
+        net = ne.init_network([5, 4, 3], ["tanh", "identity"], rng)
+        x = rng.standard_normal((8, 5))
+        for into in (
+            ne.ForwardTrace.empty(ne.init_network([5, 6, 3], ["tanh", "identity"], 1), 8),
+            ne.ForwardTrace.empty(net, 7),  # one row short
+            ne.ForwardTrace([x]),  # owns no buffers
+        ):
+            buffers = into.buffers or []
+            for buffer in buffers:
+                buffer.fill(np.nan)
+            before = _sealed(*buffers)
+            with pytest.raises(ValueError):
+                ne.forward_batch(net, x, into=into)
+            assert _sealed(*buffers) == before
+
+    def test_mismatched_backward_into_refused_before_writing(self):
+        rng = np.random.default_rng(15)
+        net = ne.init_network([5, 4, 3], ["tanh", "sigmoid"], rng)
+        x, g = rng.standard_normal((8, 5)), rng.standard_normal((8, 3))
+        trace = ne.ForwardTrace.empty(net, 8)
+        ne.forward_batch(net, x, into=trace)
+        for into, output_gradient in (
+            (ne.Gradients.empty(ne.init_network([5, 6, 3], ["tanh", "sigmoid"], 1), 8), g),
+            (ne.Gradients.empty(net, 7), g),  # one row short
+            (ne.Gradients.empty(net, 8, wrt_input=False), g),  # no room for wrt_input
+            (ne.Gradients(np.empty_like(net.params)), g),  # owns no scratch
+            (ne.Gradients.empty(net, 8), trace.output),  # g would be overwritten
+        ):
+            into.flat.fill(np.nan)
+            before = _sealed(into.flat, *(into.scratch or ()), *trace.activations)
+            with pytest.raises(ValueError):
+                ne.backward(net, trace, output_gradient, into=into)
+            assert _sealed(into.flat, *(into.scratch or ()), *trace.activations) == before
+            assert not trace.spent
+
+
 class TestGradientCheck:
     def test_linear_loss_near_machine_precision(self):
         rng = np.random.default_rng(9)

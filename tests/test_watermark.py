@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ import pytest
 
 from randmark import nnengine as ne
 from randmark import watermark as wm
+from randmark.harness import ExperimentConfig, build_trigger_set
 from randmark.stats import mean_distance, var_distance
+from randmark.synth import gen_synthetic_images
 
 from conftest import (
     MINI, decode_one_trigger, gradient_check, one_trigger, see_cpus, trigger_loss,
@@ -246,6 +249,37 @@ class TestEmbedWatermark:
         scale = float(np.sqrt((out_ref**2).sum(axis=1)).mean())
         assert final["fidelity"] <= 0.1 * scale
 
+    def test_default_dims_traced_peak_is_bounded(self):
+        # every epoch reuses buffers allocated before the first, so the peak
+        # above the start stays under 30 MB (36.5 MB when each epoch allocated
+        # its own arrays) and does not grow with the epoch count
+        config = ExperimentConfig()
+        triggers = build_trigger_set(
+            gen_synthetic_images(config.trigger_count, config.s, 1), config.n,
+            config.sigma_scale, 2,
+        )
+        dims = config.backbone_dims
+        source = ne.init_network(dims, ["tanh"] * (len(dims) - 2) + ["identity"], 3)
+        peaks = {}
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            for epochs in (2, 4):
+                bundle = wm.ModelBundle.create(
+                    source, config.n, encoder_hidden=config.encoder_hidden,
+                    decoder_hidden=config.decoder_hidden,
+                    hyper=dataclasses.replace(config.hyper(), epochs=epochs), seed=4,
+                )
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                wm.embed_watermark(bundle, triggers)
+                peaks[epochs] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peaks[2] <= 30e6, peaks
+        assert peaks[4] <= peaks[2] + 16_384, peaks  # two more log records
+
     def test_frozen_reference_untouched(self, mini_run):
         triggers = mini_run.triggers
         bundle = wm.ModelBundle.create(
@@ -290,14 +324,13 @@ class TestEmbedWatermark:
         noise *= triggers.sigmas[:, None, None]
         out_ref, _ = ne.forward_batch(bundle.frozen_f, images)
         nets = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
-        fid_b, msg_b, _, _ = wm._loss_and_grads(
-            out_ref, *nets, images, messages, noise, bundle.hyper.lam, bundle.hyper.delta_scale
+        fid_b, msg_b, _, _ = wm._EmbedStep(*nets, messages, 4)(
+            out_ref, images, noise, bundle.hyper.lam, bundle.hyper.delta_scale
         )
         accumulated = 0.0
         for i in range(len(triggers)):
-            fid_i, msg_i, _, _ = wm._loss_and_grads(
-                out_ref[i : i + 1], *nets,
-                images[i : i + 1], messages[i : i + 1], noise[i : i + 1],
+            fid_i, msg_i, _, _ = wm._EmbedStep(*nets, messages[i : i + 1], 4)(
+                out_ref[i : i + 1], images[i : i + 1], noise[i : i + 1],
                 bundle.hyper.lam, bundle.hyper.delta_scale,
             )
             accumulated += fid_i + msg_i
