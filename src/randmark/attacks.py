@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import multiprocessing
+import os
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from .nnengine import (
     Gradients,
     MlpNetwork,
     OptimizerState,
-    _worker_count,
     backward,
     forward_batch,
     init_network,
@@ -219,6 +219,32 @@ def make_independent(
             g /= idx.size
             optimizer_step(net, backward(net, trace, g, wrt_input=False, into=grads), state)
     return MlpNetwork(net.layers[:-1])
+
+
+def _running_threads() -> int:
+    """OS threads of this process, BLAS threads included (Linux only)."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def _worker_count(jobs: int) -> int:
+    """Worker processes for an IndependentPool of `jobs` models: one per CPU
+    in the affinity mask, at most one per job, if this process runs no thread
+    besides its main one; otherwise 1, which trains in this process.
+
+    numpy's OpenBLAS starts its threads when it loads, unless it is pinned to
+    one thread before that (RANDMARK_THREADS=1 or OPENBLAS_NUM_THREADS=1 set
+    before Python starts). So a single-threaded process has a BLAS pinned to
+    one thread, and a fork copies no running thread. With two workers on an
+    unpinned BLAS, a default pipeline on 2 CPUs took 2-3x longer than
+    serially. A running IndependentPool's own threads likewise keep a second
+    pool serial while its workers train.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = _running_threads()
+    except (AttributeError, OSError):  # no affinity mask or /proc: stay serial
+        return 1
+    return min(jobs, cpus) if threads == 1 else 1
 
 
 def _train_independent(job) -> MlpNetwork:

@@ -6,23 +6,18 @@ four scalar activations. A network keeps all of them in one contiguous
 parameter vector in checkpoint payload order (W0, b0, W1, b1, ...), and
 each layer's weight and bias are views into it. Gradients and the AdamW
 moments share that layout, so an optimizer step, a gradient sum, a finite
-check or a copy is one numpy pass over one vector. Forward/backward are
-pure functions of their inputs unless given into=, numpy's out= idiom: then
-they write into caller-owned buffers (ForwardTrace.empty, Gradients.empty)
-that a training loop allocates once and reuses every step, with the same
-bytes, and backward spends the trace by building its derivative terms over
-the trace's activations. Optimizer state lives outside the network so
-networks stay copyable and hashable by content. The module also holds
-the rule for how many worker processes may train independent models side
-by side (_worker_count); everything in this module runs in the caller's
-thread.
+check or a copy is one numpy pass over one vector. Forward and backward
+write into buffers (ForwardTrace.empty, Gradients.empty) that a training
+loop makes once and reuses every step, as numpy's out= does, or into fresh
+ones; backward spends the trace by building its derivative terms over the
+trace's activations. Optimizer state lives outside the network so
+networks stay copyable and hashable by content.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -181,15 +176,14 @@ class ForwardTrace:
     output. All arrays are (B, dim). Every activation's derivative is taken
     from the activated value, so no pre-activation is kept.
 
-    A trace made by ForwardTrace.empty(net, rows) also owns one (rows,
-    out_dim) buffer per layer, which forward_batch(into=trace) fills; a
-    backward(into=...) then overwrites activations[1:] with the derivative
-    terms and marks the trace spent, and a spent trace refuses its output and
-    a second backward until the next forward_batch refills it.
+    The trace owns one (rows, out_dim) buffer per layer, and activations[1:]
+    are leading rows of them. backward overwrites those with the derivative
+    terms and marks the trace spent; a spent trace refuses its output and a
+    second backward until the next forward_batch refills it.
     """
 
     activations: list[np.ndarray]
-    buffers: list[np.ndarray] | None = field(default=None, repr=False)
+    buffers: list[np.ndarray] = field(repr=False)
     spent: bool = False
 
     @classmethod
@@ -197,48 +191,39 @@ class ForwardTrace:
         """A trace with buffers for batches of up to rows rows through net."""
         return cls([], [np.empty((rows, layer.out_dim)) for layer in net.layers])
 
-    def _check_unspent(self) -> None:
-        if self.spent:
-            raise ValueError("trace was spent by backward(into=...); run forward_batch again")
-
     @property
     def output(self) -> np.ndarray:
-        self._check_unspent()
+        if self.spent:
+            raise ValueError("trace was spent by backward; run forward_batch again")
         return self.activations[-1]
 
 
 def forward_batch(
     net: MlpNetwork, inputs: np.ndarray, into: ForwardTrace | None = None
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Run a (B, input_dim) batch through the network.
+    """Run a (B, input_dim) batch through the network into a trace.
 
-    Each layer's bias and activation are written into its matmul's output,
-    so a layer allocates one (B, out_dim) array; the input is not modified.
-    With into, a trace made by ForwardTrace.empty for at least B rows, each
-    layer writes the leading B rows of its buffer instead, and into is
-    returned as the trace; an into that does not fit the network and batch
-    raises ValueError before anything is written. Either way every output
-    byte is the same.
+    Each layer writes its matmul, then its bias and activation, into the
+    leading B rows of its buffer in into, which is returned as the trace; the
+    input is not modified. into is a ForwardTrace.empty of this network for
+    at least B rows, which a training loop makes once and reuses every step;
+    without it a fresh one is made. An into that does not fit the network and
+    batch raises ValueError before anything is written.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(
             f"expected batch of shape (B, {net.input_dim}), got {x.shape}"
         )
-    outs = [None] * len(net.layers)
-    if into is not None:
-        if into.buffers is None or [b.shape[1] for b in into.buffers] != [
-            layer.out_dim for layer in net.layers
-        ]:
-            raise ValueError("into is not a ForwardTrace.empty trace of this network")
-        if x.shape[0] > into.buffers[0].shape[0]:
-            raise ValueError(
-                f"batch of {x.shape[0]} rows exceeds into's {into.buffers[0].shape[0]}"
-            )
-        outs = [buffer[: x.shape[0]] for buffer in into.buffers]
+    if into is None:
+        into = ForwardTrace.empty(net, len(x))
+    if [b.shape[1] for b in into.buffers] != [layer.out_dim for layer in net.layers]:
+        raise ValueError("into is not a ForwardTrace.empty trace of this network")
+    if len(x) > len(into.buffers[0]):
+        raise ValueError(f"batch of {len(x)} rows exceeds into's {len(into.buffers[0])}")
     activations = [x]
-    for layer, out in zip(net.layers, outs):
-        x = np.matmul(x, layer.weight, out=out)
+    for layer, buffer in zip(net.layers, into.buffers):
+        x = np.matmul(x, layer.weight, out=buffer[: len(x)])
         x += layer.bias
         if layer.activation == "relu":
             np.maximum(x, 0.0, out=x)
@@ -251,8 +236,6 @@ def forward_batch(
             x += 1.0
             x *= 0.5
         activations.append(x)
-    if into is None:
-        return x, ForwardTrace(activations)
     into.activations, into.spent = activations, False
     return x, into
 
@@ -264,8 +247,8 @@ class Gradients:
     (needed when networks are chained).
 
     Gradients made by Gradients.empty(net, rows, wrt_input) also own the two
-    flat scratch buffers that backward(into=...) writes input gradients to,
-    layer by layer in turn, so wrt_input is then a view into one of them.
+    flat scratch buffers that backward writes input gradients to, layer by
+    layer in turn, so its wrt_input is a view into one of them.
     """
 
     flat: np.ndarray
@@ -306,7 +289,7 @@ def _layer_views(vector: np.ndarray, spec):
 
 
 def _scratch_widths(net: MlpNetwork, wrt_input: bool) -> tuple[int, int]:
-    """Row widths of the two scratch buffers of backward(into=...): layer i,
+    """Row widths of the two scratch buffers of backward: layer i,
     counted from the last, writes buffer i % 2 with its input gradient
     (skipped for the first layer without wrt_input) and, for a sigmoid, first
     with 1 - a."""
@@ -326,23 +309,23 @@ def _leading(buffer: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return buffer[: shape[0] * shape[1]].reshape(shape)
 
 
-def _derivative_term(activation: str, a, g, out, scratch):
+def _derivative_term(activation: str, a, g, scratch):
     """dz = g * activation'(z), taken from the activated value a and written
-    to out, which may be a itself; scratch, of a's shape and possibly out,
-    holds 1 - a for a sigmoid. g is never written. Each element is rounded
-    as g * (a > 0), (1 - a*a) * g and ((1 - a) * a) * g read."""
+    over a; scratch, of a's shape, holds 1 - a for a sigmoid. g is never
+    written, and is dz itself for the identity. Each element is rounded as
+    g * (a > 0), (1 - a*a) * g and ((1 - a) * a) * g read."""
     if activation == "identity":
         return g
     if activation == "relu":
-        np.greater(a, 0.0, out=out)
-        return np.multiply(g, out, out=out)
+        np.greater(a, 0.0, out=a)
+        return np.multiply(g, a, out=a)
     if activation == "tanh":
-        np.multiply(a, a, out=out)
-        np.subtract(1.0, out, out=out)
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
     else:  # sigmoid
         np.subtract(1.0, a, out=scratch)
-        np.multiply(scratch, a, out=out)
-    return np.multiply(out, g, out=out)
+        np.multiply(scratch, a, out=a)
+    return np.multiply(a, g, out=a)
 
 
 def backward(
@@ -362,23 +345,22 @@ def backward(
     keeps the batch size readable but fails any use as a gradient. Weight
     and bias gradients are the same bytes either way.
 
-    Without into, each layer builds its derivative term in a fresh array and
-    neither the trace nor output_gradient is written. With into, Gradients
-    made by Gradients.empty for this network, at least B rows and this
-    wrt_input, the parameter gradients go to into.flat, each derivative term
-    is built in place over the trace's output activation of its layer (the
-    trace is then spent), and input gradients go to into's scratch buffers;
-    into is returned, with every byte as the allocating path gives it. An
-    into or output_gradient that does not fit raises ValueError before
-    anything is written.
+    The parameter gradients go to into.flat, each derivative term is built
+    in place over the trace's output activation of its layer, which spends
+    the trace, and input gradients go to into's scratch buffers; into is
+    returned, and output_gradient is not written. into is a Gradients.empty
+    for this network, at least B rows and this wrt_input, which a training
+    loop makes once and reuses every step; without it a fresh one is made.
+    An into or output_gradient that does not fit, or an output_gradient that
+    overlaps the trace or into's scratch, raises ValueError before anything
+    is written.
     """
-    trace._check_unspent()
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
     if len(trace.activations) != len(net.layers) + 1:
         raise ValueError("trace does not match network depth")
-    if g.shape != trace.output.shape:
+    if g.shape != trace.output.shape:  # a spent trace refuses its output
         raise ValueError(
             f"output gradient shape {g.shape} does not match trace {trace.output.shape}"
         )
@@ -387,39 +369,31 @@ def backward(
             raise ValueError("trace does not match network shapes")
     rows = g.shape[0]
     if into is None:
-        flat = np.empty_like(net.params)
-    else:
-        widths = _scratch_widths(net, wrt_input)
-        if into.flat.shape != net.params.shape or into.scratch is None or any(
-            rows * width > buffer.size for width, buffer in zip(widths, into.scratch)
-        ):
-            raise ValueError(
-                f"into is not a Gradients.empty of this network for {rows} rows "
-                f"and wrt_input={wrt_input}"
-            )
-        if any(np.may_share_memory(g, a) for a in (*trace.activations[1:], *into.scratch)):
-            raise ValueError("output gradient overlaps the trace or into's scratch")
-        flat = into.flat
-    views = list(_layer_views(flat, net.spec))
+        into = Gradients.empty(net, rows, wrt_input)
+    widths = _scratch_widths(net, wrt_input)
+    if into.flat.shape != net.params.shape or into.scratch is None or any(
+        rows * width > buffer.size for width, buffer in zip(widths, into.scratch)
+    ):
+        raise ValueError(
+            f"into is not a Gradients.empty of this network for {rows} rows "
+            f"and wrt_input={wrt_input}"
+        )
+    if any(np.may_share_memory(g, a) for a in (*trace.activations[1:], *into.scratch)):
+        raise ValueError("output gradient overlaps the trace or into's scratch")
+    views = list(_layer_views(into.flat, net.spec))
     for step, i in enumerate(range(len(net.layers) - 1, -1, -1)):
         layer = net.layers[i]
         a = trace.activations[i + 1]
-        if into is None:  # in a fresh array: the trace stays as it is
-            out = scratch = None if layer.activation == "identity" else np.empty_like(a)
-        else:  # over a; a sigmoid's 1 - a goes where this layer's g goes next
-            buffer = into.scratch[step % 2]
-            out = a
-            scratch = _leading(buffer, a.shape) if layer.activation == "sigmoid" else None
-        dz = _derivative_term(layer.activation, a, g, out, scratch)
+        # a sigmoid's 1 - a goes where this layer's input gradient goes next
+        buffer = into.scratch[step % 2]
+        scratch = _leading(buffer, a.shape) if layer.activation == "sigmoid" else None
+        dz = _derivative_term(layer.activation, a, g, scratch)
         np.matmul(trace.activations[i].T, dz, out=views[i][0])
         dz.sum(axis=0, out=views[i][1])
         if i > 0 or wrt_input:
-            g_in = None if into is None else _leading(buffer, (rows, layer.in_dim))
-            g = np.matmul(dz, layer.weight.T, out=g_in)
+            g = np.matmul(dz, layer.weight.T, out=_leading(buffer, (rows, layer.in_dim)))
         else:
             g = np.empty((rows, 0))
-    if into is None:
-        return Gradients(flat, wrt_input=g)
     trace.spent = True
     into.wrt_input = g
     return into
@@ -604,28 +578,3 @@ def load_checkpoint(path) -> MlpNetwork:
         data = fh.read()
     return network_from_checkpoint_bytes(data)
 
-
-def _running_threads() -> int:
-    """OS threads of this process, BLAS threads included (Linux only)."""
-    return len(os.listdir("/proc/self/task"))
-
-
-def _worker_count(jobs: int) -> int:
-    """Worker processes for an IndependentPool of `jobs` models: one per CPU
-    in the affinity mask, at most one per job, if this process runs no thread
-    besides its main one; otherwise 1, which trains in this process.
-
-    numpy's OpenBLAS starts its threads when it loads, unless it is pinned to
-    one thread before that (RANDMARK_THREADS=1 or OPENBLAS_NUM_THREADS=1 set
-    before Python starts). So a single-threaded process has a BLAS pinned to
-    one thread, and a fork copies no running thread. With two workers on an
-    unpinned BLAS, a default pipeline on 2 CPUs took 2-3x longer than
-    serially. A running IndependentPool's own threads likewise keep a second
-    pool serial while its workers train.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        threads = _running_threads()
-    except (AttributeError, OSError):  # no affinity mask or /proc: stay serial
-        return 1
-    return min(jobs, cpus) if threads == 1 else 1

@@ -184,6 +184,8 @@ def lemma_validity_simulation(
     when its precondition holds, and scores a violation when the true tail
     exceeds it.
     """
+    if reps < 1_000:
+        raise ValueError("need at least 10^3 replications")
     p = np.asarray(list(probs), dtype=np.float64)
     n = p.size
     if n == 0 or not ((p >= 0.0) & (p <= 1.0)).all():

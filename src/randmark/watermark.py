@@ -277,8 +277,9 @@ class ModelBundle:
     def load(cls, directory) -> "ModelBundle":
         """Read a bundle written by save. A manifest.txt that lacks a key
         (weight_decay defaults to 0), holds a value that is not a finite
-        number of the key's type, or one out of HyperParams' range raises
-        ValueError naming the file and key."""
+        number of the key's type, one out of HyperParams' range, or an s, k
+        or n other than the networks' raises ValueError naming the file and
+        key."""
         directory = Path(directory)
         manifest = directory / "manifest.txt"
         kv = {}
@@ -306,12 +307,20 @@ class ModelBundle:
                 for key, name in _BUNDLE_HYPER_KEYS
                 if key in kv or name != "weight_decay"  # bundles saved before it lack it
             })
+            dims = {key: number(key, int) for key in ("s", "k", "n")}
         except ValueError as exc:
             raise ValueError(f"{manifest}: {exc}") from None
-        return cls(
+        bundle = cls(
             **{name: load_checkpoint(directory / f"{name}.rmk") for name in _BUNDLE_NETWORKS},
             hyper=hyper,
         )
+        for key, value in dims.items():
+            if getattr(bundle, key) != value:
+                raise ValueError(
+                    f"{manifest}: {key}={value} does not match the networks' "
+                    f"{getattr(bundle, key)}"
+                )
+        return bundle
 
 
 def sample_noise(image: np.ndarray, sigma: float, k_draws: int, stream_seed: int) -> np.ndarray:

@@ -108,7 +108,7 @@ def see_cpus(monkeypatch, count):
     BLAS pinned to one thread), under which population training uses one
     worker per CPU."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(ne, "_running_threads", lambda: 1)
+    monkeypatch.setattr(atk, "_running_threads", lambda: 1)
 
 
 @dataclass

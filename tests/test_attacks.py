@@ -242,7 +242,7 @@ class TestTrainIndependents:
             raise AssertionError("a pool was made for a process running BLAS threads")
 
         see_cpus(monkeypatch, 2)
-        monkeypatch.setattr(ne, "_running_threads", lambda: 3)
+        monkeypatch.setattr(atk, "_running_threads", lambda: 3)
         monkeypatch.setattr(atk, "ProcessPoolExecutor", no_pool)
         models = _train_in_pool(DIMS, self.SEEDS[:2], self.DATA_SEEDS[:2], 1, 20)
         assert len(models) == 2

@@ -388,6 +388,17 @@ class TestPipeline:
         for rel, digest in manifest.files.items():
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
 
+    def test_output_bytes_pinned(self, micro_run):
+        # every file of the run, from training through decoding, verification,
+        # covariance and bounds: a change to any rounding step or random draw
+        # on those paths shows here
+        _, _, manifest = micro_run
+        assert len(manifest.files) == 22
+        files = json.dumps(manifest.files, sort_keys=True).encode()
+        assert hashlib.sha256(files).hexdigest() == (
+            "c80da44b7eb7c93a3068137232fba195cd124ebc29ff655864b70e61ee639499"
+        )
+
     def test_sweep_covers_all_suspects_and_taus(self, micro_run):
         config, out, _ = micro_run
         lines = (out / "sweep.csv").read_text().strip().splitlines()[1:]
@@ -805,6 +816,13 @@ class TestCli:
         ("epochs", "epochs=ten", "epochs='ten' is not a finite int"),
         ("lambda", "lambda=nan", "lambda='nan' is not a finite float"),
         ("learning_rate", "learning_rate=-1", "learning_rate must be positive and finite"),
+        ("s", None, "missing key 's'"),
+        ("k", None, "missing key 'k'"),
+        ("n", None, "missing key 'n'"),
+        ("s", "s=zzz", "s='zzz' is not a finite int"),
+        ("s", "s=17", "s=17 does not match the networks' 16"),
+        ("k", "k=7", "k=7 does not match the networks' 6"),
+        ("n", "n=99", "n=99 does not match the networks' 8"),
     ])
     def test_verify_rejects_malformed_bundle_manifest(
         self, micro_run, tmp_path, capsys, key, line, message
@@ -1230,6 +1248,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "probabilities must lie in [0, 1]" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_lemma_sim_rejects_too_few_replications(self, capsys):
+        code = cli.main([
+            "oracle", "lemma-sim", "--probs", "0.9,0.9,0.9", "--delta", "0.1",
+            "--r-bar", "1", "--reps", "0",
+        ])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "10^3 replications" in captured.err
         assert "Traceback" not in captured.err
 
     def test_bounds_from_estimates_needs_no_bundle(self, tmp_path, capsys):

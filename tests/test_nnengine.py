@@ -125,10 +125,10 @@ class TestBackward:
         rng = np.random.default_rng(9)
         for dims, acts in (([5, 4, 3], ["tanh", "identity"]), ([6, 2], ["sigmoid"])):
             net = ne.init_network(dims, acts, rng)
-            _, trace = ne.forward_batch(net, rng.standard_normal((7, dims[0])))
+            x = rng.standard_normal((7, dims[0]))
             g_out = rng.standard_normal((7, dims[-1]))
-            full = ne.backward(net, trace, g_out)
-            skipped = ne.backward(net, trace, g_out, wrt_input=False)
+            full = ne.backward(net, ne.forward_batch(net, x)[1], g_out)
+            skipped = ne.backward(net, ne.forward_batch(net, x)[1], g_out, wrt_input=False)
             assert full.flat.tobytes() == skipped.flat.tobytes()
             assert full.wrt_input.shape == (7, dims[0])
             assert skipped.wrt_input.shape == (7, 0)
@@ -227,13 +227,14 @@ class TestInPlaceKernels:
     def test_backward_from_activation_at_special_pre_activations(self, act):
         # pre-activations no matmul produces (-0.0) next to infinities, NaN
         # and near-limit magnitudes, fed to backward through a hand-built trace
+        # whose one buffer holds their activations
         pre = np.array([[-0.0, 0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 0.7]])
         net = ne.MlpNetwork([ne.Layer(np.eye(8), np.zeros(8), act)])
         x = np.linspace(-1.0, 1.0, 8)[None, :]
         a = _ref_activate(act, pre.copy())
         g = np.array([[1.5, -1.5, 2.0, -2.0, 0.25, -0.25, 3.0, -0.0]])
         ref_w, ref_b, ref_in = _ref_backward(net, [x, a], [pre], g)
-        grads = ne.backward(net, ne.ForwardTrace([x, a]), g)
+        grads = ne.backward(net, ne.ForwardTrace([x, a], [a]), g)
         assert grads.flat.tobytes() == _payload(ref_w, ref_b).tobytes()
         assert grads.wrt_input.tobytes() == ref_in.tobytes()
 
@@ -246,13 +247,13 @@ class TestInPlaceKernels:
         ):
             x = rng.standard_normal((7, net.input_dim))
             x_before = x.copy()
-            _, trace = ne.forward_batch(net, x)
-            assert x.tobytes() == x_before.tobytes()
             for wrt_input in (True, False):
+                _, trace = ne.forward_batch(net, x)
                 g = rng.standard_normal((7, net.output_dim))
                 g_before = g.copy()
                 ne.backward(net, trace, g, wrt_input=wrt_input)
                 assert g.tobytes() == g_before.tobytes()
+                assert x.tobytes() == x_before.tobytes()
             one = rng.standard_normal(net.input_dim)
             _, trace = ne.forward_batch(net, one[None, :])
             g = rng.standard_normal(net.output_dim)
@@ -262,7 +263,7 @@ class TestInPlaceKernels:
 
 
 def _buffer_nets(act, rng):
-    """Nets for the into= path: three layers of act with narrowing widths,
+    """Nets for reused buffers: three layers of act with narrowing widths,
     and act before a sigmoid output wider than any layer input."""
     yield ne.init_network([9, 7, 5, 3], [act] * 3, rng)
     yield ne.init_network([4, 6, 11], [act, "sigmoid"], rng)
@@ -274,8 +275,9 @@ def _sealed(*arrays):
 
 
 class TestBufferPath:
-    """forward_batch and backward with into= write the allocating path's
-    bytes into caller-owned buffers, whichever leading rows a batch uses."""
+    """forward_batch and backward write the same bytes into reused
+    caller-owned buffers as into fresh ones, whichever leading rows a batch
+    uses."""
 
     @pytest.mark.parametrize("wrt_input", [True, False])
     @pytest.mark.parametrize("act", ne.ACTIVATIONS)
@@ -288,8 +290,10 @@ class TestBufferPath:
                 x = 2.0 * rng.standard_normal((rows, net.input_dim))
                 g = rng.standard_normal((rows, net.output_dim))
                 out, fresh = ne.forward_batch(net, x)
+                out = out.copy()  # the backward builds its derivative terms over it
                 activations = [a.copy() for a in fresh.activations]
                 expected = ne.backward(net, fresh, g, wrt_input=wrt_input)
+                assert fresh.spent
                 g_before = g.copy()
 
                 into_out, filled = ne.forward_batch(net, x, into=trace)
@@ -305,20 +309,24 @@ class TestBufferPath:
     def test_spent_trace_refuses_reuse(self):
         rng = np.random.default_rng(13)
         net = ne.init_network([5, 4, 3], ["tanh", "sigmoid"], rng)
-        trace = ne.ForwardTrace.empty(net, 8)
+        reused = ne.ForwardTrace.empty(net, 8)
         grads = ne.Gradients.empty(net, 8)
         x, g = rng.standard_normal((8, 5)), rng.standard_normal((8, 3))
-        ne.forward_batch(net, x, into=trace)
-        first = ne.backward(net, trace, g, into=grads).flat.copy()
-        for reuse in (
-            lambda: trace.output,
-            lambda: ne.backward(net, trace, g),
-            lambda: ne.backward(net, trace, g, into=ne.Gradients.empty(net, 8)),
-        ):
-            with pytest.raises(ValueError, match="spent"):
-                reuse()
-        ne.forward_batch(net, x, into=trace)  # a forward refills it
-        assert ne.backward(net, trace, g, into=grads).flat.tobytes() == first.tobytes()
+        ne.forward_batch(net, x, into=reused)
+        first = ne.backward(net, reused, g, into=grads).flat.copy()
+        _, fresh = ne.forward_batch(net, x)  # a fresh trace, spent by a default backward
+        assert ne.backward(net, fresh, g).flat.tobytes() == first.tobytes()
+        for trace in (reused, fresh):
+            assert trace.spent
+            for reuse in (
+                lambda: trace.output,
+                lambda: ne.backward(net, trace, g),
+                lambda: ne.backward(net, trace, g, into=ne.Gradients.empty(net, 8)),
+            ):
+                with pytest.raises(ValueError, match="spent"):
+                    reuse()
+        ne.forward_batch(net, x, into=reused)  # a forward refills it
+        assert ne.backward(net, reused, g, into=grads).flat.tobytes() == first.tobytes()
 
     def test_mismatched_forward_into_refused_before_writing(self):
         rng = np.random.default_rng(14)
@@ -327,15 +335,13 @@ class TestBufferPath:
         for into in (
             ne.ForwardTrace.empty(ne.init_network([5, 6, 3], ["tanh", "identity"], 1), 8),
             ne.ForwardTrace.empty(net, 7),  # one row short
-            ne.ForwardTrace([x]),  # owns no buffers
         ):
-            buffers = into.buffers or []
-            for buffer in buffers:
+            for buffer in into.buffers:
                 buffer.fill(np.nan)
-            before = _sealed(*buffers)
+            before = _sealed(*into.buffers)
             with pytest.raises(ValueError):
                 ne.forward_batch(net, x, into=into)
-            assert _sealed(*buffers) == before
+            assert _sealed(*into.buffers) == before
 
     def test_mismatched_backward_into_refused_before_writing(self):
         rng = np.random.default_rng(15)

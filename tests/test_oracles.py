@@ -146,6 +146,12 @@ class TestLemmaSimulation:
         with pytest.raises(ValueError):
             oracles.lemma_validity_simulation([0.5] * 10, 0.05, 8, 5_000, seed=12)
 
+    @pytest.mark.parametrize("reps", [0, 1, 999])
+    def test_too_few_replications_rejected(self, reps):
+        # zero replications would divide by zero in the violation rate
+        with pytest.raises(ValueError, match="10\\^3 replications"):
+            oracles.lemma_validity_simulation([0.9] * 3, 0.1, 1, reps, seed=12)
+
     def test_small_count_configuration(self):
         # 15 summands with mean 0.9 against threshold 10: the concentration
         # margin is wide, so most replications fall in the inapplicable

@@ -603,7 +603,7 @@ def spy(net, inputs):
 wm.forward_batch = spy
 verify_suspect(source, bundle, triggers, 1, 4, 5, "source")
 assert threads == {threading.get_ident()}, threads
-assert ne._running_threads() == 1, ne._running_threads()
+assert atk._running_threads() == 1, atk._running_threads()
 with atk.IndependentPool(2) as pool:
     getters = pool.submit([16, 12, 6], [6, 7], [8, 9], 1, 10)
     assert len(multiprocessing.active_children()) == 2
