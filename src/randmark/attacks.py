@@ -42,6 +42,14 @@ ATTACK_KINDS = ("finetune", "prune", "distill")
 # functional copies any more and are dropped from populations.
 FUNCTIONALITY_LIMIT = 0.5
 
+# Training settings of the synthetic tasks, the attacks and make_independent.
+_BLOB_SPREAD = 0.08
+_FINETUNE_BATCH = 64
+_DISTILL_BATCH = 256
+_MASK_FRACTION = 0.25
+_INDEPENDENT_LR = 2e-3
+_INDEPENDENT_BATCH = 128
+
 
 @dataclass
 class AttackSpec:
@@ -77,13 +85,14 @@ class DownstreamTask:
 
 
 def make_blob_task(
-    s: int, n_classes: int = 4, n_samples: int = 512, seed: int = 0, spread: float = 0.08
+    s: int, n_classes: int = 4, n_samples: int = 512, seed: int = 0
 ) -> DownstreamTask:
-    """Gaussian blobs around distinct texture centers, one per class."""
+    """Gaussian blobs of standard deviation 0.08 around distinct texture
+    centers, one per class."""
     rng = np.random.default_rng(seed)
     centers = gen_synthetic_images(n_classes, s, seed + 1)
     labels = rng.integers(0, n_classes, size=n_samples)
-    inputs = centers[labels] + spread * rng.standard_normal((n_samples, s))
+    inputs = centers[labels] + _BLOB_SPREAD * rng.standard_normal((n_samples, s))
     return DownstreamTask(inputs=inputs, labels=labels, n_classes=n_classes, seed=seed)
 
 
@@ -94,29 +103,24 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def finetune_attack(
-    backbone: MlpNetwork,
-    task: DownstreamTask,
-    epochs: int,
-    lr: float,
-    seed: int = 0,
-    batch_size: int = 64,
+    backbone: MlpNetwork, task: DownstreamTask, epochs: int, lr: float, seed: int = 0
 ) -> tuple[MlpNetwork, float]:
     """Fine-tune every backbone layer through a fresh linear head with
-    cross-entropy; the head is discarded. The backbone and head train as
-    one network under one optimizer state, and every step reuses one trace
-    and one gradient buffer. Returns (backbone, accuracy)."""
+    cross-entropy in batches of 64; the head is discarded. The backbone and
+    head train as one network under one optimizer state, and every step
+    reuses one trace and one gradient buffer. Returns (backbone, accuracy)."""
     rng = np.random.default_rng(seed)
     head = init_network([backbone.output_dim, task.n_classes], ["identity"], rng)
     net = MlpNetwork(backbone.layers + head.layers)
     state = OptimizerState.fresh(net, lr=lr)
     n_samples = task.inputs.shape[0]
-    rows = min(batch_size, n_samples)
+    rows = min(_FINETUNE_BATCH, n_samples)
     trace, grads = ForwardTrace.empty(net, rows), Gradients.empty(net, rows, wrt_input=False)
     onehot = np.eye(task.n_classes)[task.labels]
     for _ in range(epochs):
         order = rng.permutation(n_samples)
-        for start in range(0, n_samples, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n_samples, _FINETUNE_BATCH):
+            idx = order[start : start + _FINETUNE_BATCH]
             logits, _ = forward_batch(net, task.inputs[idx], into=trace)
             probs = _softmax(logits)
             if not np.isfinite(probs).all():
@@ -136,13 +140,12 @@ def distill_attack(
     epochs: int,
     lr: float = 1e-3,
     n_inputs: int = 5000,
-    batch_size: int = 256,
     seed: int = 0,
 ) -> tuple[MlpNetwork, float]:
     """Train a fresh random student with the given hidden widths to match the
-    teacher's embeddings on synthetic unlabeled inputs; every step reuses one
-    trace, one output-gradient buffer and one gradient buffer. Returns
-    (student, final mean squared matching loss)."""
+    teacher's embeddings on synthetic unlabeled inputs, in batches of 256;
+    every step reuses one trace, one output-gradient buffer and one gradient
+    buffer. Returns (student, final mean squared matching loss)."""
     s, k = teacher.input_dim, teacher.output_dim
     dims = [s, *student_hidden, k]
     student = init_network(
@@ -151,15 +154,15 @@ def distill_attack(
     inputs = gen_synthetic_images(n_inputs, s, data_seed)
     targets, _ = forward_batch(teacher, inputs)
     state = OptimizerState.fresh(student, lr=lr)
-    rows = min(batch_size, n_inputs)
+    rows = min(_DISTILL_BATCH, n_inputs)
     trace = ForwardTrace.empty(student, rows)
     grads = Gradients.empty(student, rows, wrt_input=False)
     g_out = np.empty((rows, k))
     rng = np.random.default_rng(seed + 1)
     for _ in range(epochs):
         order = rng.permutation(n_inputs)
-        for start in range(0, n_inputs, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n_inputs, _DISTILL_BATCH):
+            idx = order[start : start + _DISTILL_BATCH]
             out, _ = forward_batch(student, inputs[idx], into=trace)
             diff = np.subtract(out, targets[idx], out=g_out[: idx.size])
             if not np.isfinite(diff).all():
@@ -175,18 +178,13 @@ def distill_attack(
 
 
 def make_independent(
-    dims,
-    seed: int,
-    pretrain_data_seed: int,
-    epochs: int = 40,
-    n_images: int = 400,
-    mask_fraction: float = 0.25,
-    lr: float = 2e-3,
-    batch_size: int = 128,
+    dims, seed: int, pretrain_data_seed: int, epochs: int = 40, n_images: int = 400
 ) -> MlpNetwork:
     """Backbone trained from scratch to reconstruct masked pixels through
     its embedding bottleneck; a linear reconstruction head is used during
     training and discarded. The routine sees only its own synthetic data.
+    Each pixel is masked with probability 0.25, and AdamW trains at learning
+    rate 2e-3 in batches of 128 images.
 
     The backbone and head train as one network under one optimizer state.
     A step masks its batch into a preallocated buffer by multiplying with
@@ -200,18 +198,18 @@ def make_independent(
     rng = np.random.default_rng(seed)
     net = init_network(dims + [s], ["tanh"] * (len(dims) - 2) + ["identity"] * 2, rng)
     images = gen_synthetic_images(n_images, s, pretrain_data_seed)
-    state = OptimizerState.fresh(net, lr=lr)
-    masked = np.empty((min(batch_size, n_images), s))
+    state = OptimizerState.fresh(net, lr=_INDEPENDENT_LR)
+    masked = np.empty((min(_INDEPENDENT_BATCH, n_images), s))
     g_out = np.empty_like(masked)
     trace = ForwardTrace.empty(net, len(masked))
     grads = Gradients.empty(net, len(masked), wrt_input=False)
     for _ in range(epochs):
         order = rng.permutation(n_images)
-        for start in range(0, n_images, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n_images, _INDEPENDENT_BATCH):
+            idx = order[start : start + _INDEPENDENT_BATCH]
             batch = images[idx]
             inputs = np.multiply(
-                batch, rng.random(batch.shape) >= mask_fraction, out=masked[: idx.size]
+                batch, rng.random(batch.shape) >= _MASK_FRACTION, out=masked[: idx.size]
             )
             recon, _ = forward_batch(net, inputs, into=trace)
             g = np.subtract(recon, batch, out=g_out[: idx.size])

@@ -105,7 +105,6 @@ class ExperimentConfig:
     m_models: int = 50
     independents: int = 5
     seed: int = 2024
-    bounds_stage: bool = True
     attacks: list[tuple[str, AttackSpec]] = field(default_factory=lambda: [
         ("prune20", AttackSpec(kind="prune", fraction=0.2)),
         ("prune40", AttackSpec(kind="prune", fraction=0.4)),
@@ -235,7 +234,7 @@ _SECTIONS = {
         "pretrain_images",
     ),
     "verify": ("k_verify", "tau"),
-    "bounds": ("alpha", "delta", "r_bar", "r_under", "m_models", "bounds_stage"),
+    "bounds": ("alpha", "delta", "r_bar", "r_under", "m_models"),
     "run": ("seed", "independents"),
 }
 
@@ -244,15 +243,8 @@ def _widths(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-def _boolean(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
-
-
 # A config value's parser, by the type of its field's default.
-_PARSERS = {bool: _boolean, int: int, float: float, str: str, tuple: _widths}
+_PARSERS = {int: int, float: float, str: str, tuple: _widths}
 
 
 def verify_suspect(
@@ -463,8 +455,7 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
         stage_seconds[name] = time.perf_counter() - t0
         return result
 
-    jobs = config.independents + (config.m_models if config.bounds_stage else 0)
-    with IndependentPool(jobs) as pool:
+    with IndependentPool(config.independents + config.m_models) as pool:
         independents = pool.submit(
             dims,
             [seeds.independents + i for i in range(config.independents)],
@@ -472,7 +463,7 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
             config.pretrain_epochs,
             config.pretrain_images,
         )
-        xi = submit_xi(pool, dims, config) if config.bounds_stage else None
+        xi = submit_xi(pool, dims, config)
         triggers = stage("data", lambda: data_stage(config, out / "triggers.rmts"))
         bundle = stage("embed", lambda: embed_stage(config, triggers, out)[0], triggers)
         suspects = stage(
@@ -490,7 +481,6 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
                 bounds_stage(config, bundle, triggers, out / "population", xi).to_json()
             ),
             suspects,  # a failed attacks stage ends the run, as a failed embed does
-            xi,
         )
     return _finalize_manifest(out, config, stage_seconds, failures)
 

@@ -399,20 +399,24 @@ def backward(
     return into
 
 
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
-    """AdamW state: first and second moment accumulators m and v, laid out
-    as the network's params vector, the step counter, and hyperparameters.
-    Weight decay is decoupled and applied to weights only.
+    """AdamW state: the learning rate and weight decay, first and second
+    moment accumulators m and v, laid out as the network's params vector,
+    and the step counter. The moments decay at beta1 = 0.9 and
+    beta2 = 0.999, and eps = 1e-8. Weight decay is decoupled and applied to
+    weights only.
 
     scratch holds two params-sized buffers that optimizer_step works in, so
     a step allocates no parameter-sized array.
     """
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     weight_decay: float
     step: int
     m: np.ndarray
@@ -421,19 +425,10 @@ class OptimizerState:
 
     @classmethod
     def fresh(
-        cls,
-        net: MlpNetwork,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
+        cls, net: MlpNetwork, lr: float = 1e-3, weight_decay: float = 0.0
     ) -> "OptimizerState":
         return cls(
             lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
             weight_decay=weight_decay,
             step=0,
             m=np.zeros_like(net.params),
@@ -447,9 +442,10 @@ def optimizer_step(net: MlpNetwork, grads: Gradients, state: OptimizerState) -> 
 
     Rejects the step (raises, nothing mutated) if a gradient or moment does
     not match the network or any gradient entry is non-finite. Otherwise
-    m = m*b1 + g*(1-b1); v = v*b2 + (1-b2)*(g*g);
-    params -= lr*(m/bc1) / (sqrt(v/bc2) + eps), each in place over the whole
-    params vector and rounded op for op as the expressions read.
+    m = m*beta1 + g*(1-beta1); v = v*beta2 + (1-beta2)*(g*g);
+    params -= lr*(m/bc1) / (sqrt(v/bc2) + eps) with bc = 1 - beta**step,
+    each in place over the whole params vector and rounded op for op as the
+    expressions read.
     """
     if grads.flat.shape != net.params.shape:
         raise ValueError(
@@ -465,25 +461,25 @@ def optimizer_step(net: MlpNetwork, grads: Gradients, state: OptimizerState) -> 
         raise ValueError("non-finite gradient entries; step rejected")
 
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - _BETA1**state.step
+    bc2 = 1.0 - _BETA2**state.step
     if state.weight_decay:
         for layer in net.layers:
             layer.weight *= 1.0 - state.lr * state.weight_decay
     grad, m, v = grads.flat, state.m, state.v
     num, den = state.scratch
-    m *= state.beta1
-    np.multiply(grad, 1.0 - state.beta1, out=num)
+    m *= _BETA1
+    np.multiply(grad, 1.0 - _BETA1, out=num)
     m += num
-    v *= state.beta2
+    v *= _BETA2
     np.multiply(grad, grad, out=num)
-    num *= 1.0 - state.beta2
+    num *= 1.0 - _BETA2
     v += num
     np.divide(m, bc1, out=num)
     num *= state.lr
     np.divide(v, bc2, out=den)
     np.sqrt(den, out=den)
-    den += state.eps
+    den += _EPS
     num /= den
     net.params -= num
 

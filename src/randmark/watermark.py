@@ -275,19 +275,15 @@ class ModelBundle:
 
     @classmethod
     def load(cls, directory) -> "ModelBundle":
-        """Read a bundle written by save. A manifest.txt that lacks a key
-        (weight_decay defaults to 0), holds a value that is not a finite
-        number of the key's type, one out of HyperParams' range, or an s, k
-        or n other than the networks' raises ValueError naming the file and
-        key."""
+        """Read a bundle written by save. A manifest.txt that lacks a key or
+        holds a line that is not key=value, an unknown or repeated key, a
+        value that is not a finite number of the key's type, one out of
+        HyperParams' range, or an s, k or n other than the networks' raises
+        ValueError naming the file and the line or key."""
         directory = Path(directory)
         manifest = directory / "manifest.txt"
+        known = [key for key, _ in _BUNDLE_HYPER_KEYS] + ["s", "k", "n"]
         kv = {}
-        for line in manifest.read_text().splitlines():
-            line = line.strip()
-            if line and "=" in line:
-                key, value = line.split("=", 1)
-                kv[key.strip()] = value.strip()
 
         def number(key: str, cast):
             if key not in kv:
@@ -302,10 +298,18 @@ class ModelBundle:
 
         defaults = HyperParams()
         try:
+            for line in manifest.read_text().splitlines():
+                key, sep, value = (part.strip() for part in line.partition("="))
+                if not sep:
+                    raise ValueError(f"line {line!r} is not key=value")
+                if key not in known:
+                    raise ValueError(f"unknown key {key!r}")
+                if key in kv:
+                    raise ValueError(f"repeated key {key!r}")
+                kv[key] = value
             hyper = HyperParams(**{
                 name: number(key, type(getattr(defaults, name)))
                 for key, name in _BUNDLE_HYPER_KEYS
-                if key in kv or name != "weight_decay"  # bundles saved before it lack it
             })
             dims = {key: number(key, int) for key in ("s", "k", "n")}
         except ValueError as exc:

@@ -259,7 +259,7 @@ lr = 0.002
         ("[bound]\nm_models = 10\n", "unknown section [bound]"),
         ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
         ("[attack.p]\nkind = prune\nfracton = 0.3\n", "unknown key 'fracton' in [attack.p]"),
-        ("[bounds]\nbounds_stage = maybe\n", "[bounds] bounds_stage: not a boolean"),
+        ("[bounds]\nbounds_stage = false\n", "unknown key 'bounds_stage' in [bounds]"),
         ("[run]\nseed = twelve\n", "[run] seed"),
         ("[bounds]\nr_bar = 101\n", "r_bar"),
         ("[attack.p]\nfraction = 0.3\n", "[attack.p] needs a kind"),
@@ -280,7 +280,7 @@ lr = 0.002
         ("[run]\nseed = 1\n[run]\nseed = 2\n", "section 'run' already exists"),
         ("[run]\nseed = -5\n", "seed must not be negative"),
     ], ids=["unknown-key", "unknown-section", "default-section", "unknown-attack-key",
-            "bounds-stage-not-boolean", "unparsable-value", "out-of-range", "attack-without-kind",
+            "bounds-stage-removed", "unparsable-value", "out-of-range", "attack-without-kind",
             "embed-lr-negative", "pretrain-images-zero", "attack-lr-negative",
             "backbone-width-zero", "backbone-width-negative", "decoder-width-zero",
             "s-not-square", "sigma-scale-negative", "sigma-scale-nan",
@@ -311,7 +311,7 @@ lr = 0.002
             trigger_count=20, sigma_scale=0.3, lam=1.5, k_train=3, k_verify=10, epochs=4,
             learning_rate=3e-3, delta_scale=0.25, pretrain_epochs=0, pretrain_images=30,
             tau=4, alpha=0.05, delta=0.5, r_bar=12, r_under=6, m_models=3, independents=2,
-            seed=17, bounds_stage=False,
+            seed=17,
             attacks=[("ft-2", AttackSpec(kind="finetune", epochs=2, lr=5e-4)),
                      ("d_1", AttackSpec(kind="distill", epochs=1, lr=0.01, fraction=0.5))],
         )
@@ -329,12 +329,6 @@ lr = 0.002
         path = tmp_path / "exp.cfg"
         path.write_text("\n".join(lines) + "\n")
         assert ExperimentConfig.from_file(path) == config
-
-    @pytest.mark.parametrize("text, expected", [("on", True), ("No", False), ("1", True)])
-    def test_bounds_stage_boolean(self, tmp_path, text, expected):
-        path = tmp_path / "exp.cfg"
-        path.write_text(f"[bounds]\nbounds_stage = {text}\n")
-        assert ExperimentConfig.from_file(path).bounds_stage is expected
 
     def test_pipeline_with_bad_config_exits_1_before_work(self, tmp_path, capsys, monkeypatch):
         def no_work(*args, **kwargs):
@@ -413,7 +407,7 @@ class TestPipeline:
         assert len(payload["rho"]) == 8
 
     def test_zero_attack_config_keeps_baselines_only(self, tmp_path):
-        config = micro_config(attacks=[], bounds_stage=False, seed=32)
+        config = micro_config(attacks=[], seed=32)
         run_pipeline(config, tmp_path / "run")
         lines = (tmp_path / "run" / "sweep.csv").read_text().strip().splitlines()[1:]
         kinds = {line.split(",")[1] for line in lines}
@@ -424,7 +418,6 @@ class TestPipeline:
         # failure lands in the manifest and verification never runs
         config = micro_config(
             seed=34,
-            bounds_stage=False,
             attacks=[("ftboom", AttackSpec(kind="finetune", epochs=2, lr=1e308))],
         )
         with np.errstate(over="ignore", invalid="ignore"):
@@ -440,7 +433,7 @@ class TestPipeline:
 
     def test_embed_divergence_recorded_in_manifest_failures(self, tmp_path):
         # a diverged embed writes no embed_log.json; the manifest says why
-        config = micro_config(seed=43, bounds_stage=False, learning_rate=1e200)
+        config = micro_config(seed=43, learning_rate=1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             manifest = run_pipeline(config, tmp_path / "run")
         assert set(manifest.failures) == {"embed"}
@@ -461,8 +454,8 @@ class TestPipeline:
         }
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        config_a = micro_config(bounds_stage=False, seed=33)
-        config_b = micro_config(bounds_stage=False, seed=33)
+        config_a = micro_config(seed=33)
+        config_b = micro_config(seed=33)
         run_pipeline(config_a, tmp_path / "a")
         run_pipeline(config_b, tmp_path / "b")
         files_a = sorted(
@@ -507,7 +500,7 @@ class TestPopulationTraining:
             assert saved.parameters_digest() == expected.parameters_digest()
 
     def test_worker_failure_is_an_attacks_stage_failure(self, monkeypatch, tmp_path):
-        config = micro_config(seed=38, independents=2, bounds_stage=False)
+        config = micro_config(seed=38, independents=2)
         real = atk.gen_synthetic_images
 
         def poisoned(count, s, seed):
@@ -544,7 +537,7 @@ class TestPopulationTraining:
         assert len(pools) == 1
         assert len(in_parent) == 1
 
-    def test_no_bounds_stage_submits_no_xi_jobs(self, monkeypatch, tmp_path):
+    def test_run_submits_independents_then_xi_seeds(self, monkeypatch, tmp_path):
         submitted = []
         real_submit = atk.IndependentPool.submit
 
@@ -553,9 +546,10 @@ class TestPopulationTraining:
             return real_submit(pool, dims, seeds, *args)
 
         monkeypatch.setattr(atk.IndependentPool, "submit", recorded)
-        config = micro_config(seed=40, independents=2, bounds_stage=False)
+        config = micro_config(seed=40, independents=2)
         assert run_pipeline(config, tmp_path / "run").failures == {}
-        assert submitted == [[config.seed + 100, config.seed + 101]]
+        xi = [config.seed + 2000 + index for index in range(config.m_models)]
+        assert submitted == [[config.seed + 100, config.seed + 101], xi]
 
     def test_xi_worker_failure_is_a_bounds_stage_failure(self, monkeypatch, tmp_path):
         config = micro_config(seed=41, m_models=3)
@@ -813,6 +807,10 @@ class TestCli:
 
     @pytest.mark.parametrize("key, line, message", [
         ("k_train", None, "missing key 'k_train'"),
+        ("weight_decay", None, "missing key 'weight_decay'"),
+        (None, "n=99", "repeated key 'n'"),
+        (None, "bogus=1", "unknown key 'bogus'"),
+        (None, "not a key line", "line 'not a key line' is not key=value"),
         ("epochs", "epochs=ten", "epochs='ten' is not a finite int"),
         ("lambda", "lambda=nan", "lambda='nan' is not a finite float"),
         ("learning_rate", "learning_rate=-1", "learning_rate must be positive and finite"),
@@ -831,9 +829,8 @@ class TestCli:
         bundle = tmp_path / "bundle"
         shutil.copytree(out / "bundle", bundle)
         text = (bundle / "manifest.txt").read_text()
-        lines = [kept for kept in text.splitlines() if not kept.startswith(f"{key}=")]
-        if line:
-            lines.append(line)
+        lines = [line] if line else []
+        lines += [kept for kept in text.splitlines() if not kept.startswith(f"{key}=")]
         (bundle / "manifest.txt").write_text("\n".join(lines) + "\n")
         code = cli.main([
             "verify",
