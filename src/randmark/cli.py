@@ -17,11 +17,12 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import oracles
-from .attacks import ATTACK_KINDS, AttackSpec, IndependentPool, apply_attack
+from .attacks import IndependentPool, apply_attack
 from .harness import (
     JSON_NUMBER,
     PIPELINE_STAGES,
     ExperimentConfig,
+    _check_config_n,
     bound_report_from_estimates,
     bounds_stage,
     compute_bound_report,
@@ -53,9 +54,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="randmark", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", help="experiment config file (key=value sections)")
-        p.add_argument("--seed", type=int, help="the run seed (overrides the config's)")
+        if seed:
+            p.add_argument("--seed", type=int, help="the run seed (overrides the config's)")
         p.add_argument("--out", help="output directory or file")
 
     p = sub.add_parser("gen-data", help="generate a synthetic trigger set")
@@ -66,26 +68,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--triggers", help="existing trigger-set file (default: generate)")
 
     p = sub.add_parser("attack", help="derive a functional copy of the watermarked backbone")
-    common(p)
+    common(p, seed=False)  # an attack's seed is its spec's
     p.add_argument("--bundle", required=True)
-    p.add_argument("--kind", required=True, choices=ATTACK_KINDS)
-    p.add_argument("--fraction", type=float, default=0.2)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--name", required=True, help="an attack of the config's [attack.NAME]")
 
     p = sub.add_parser("verify", help="decide whether a suspect carries the watermark")
     common(p)
     p.add_argument("--suspect", required=True, help="suspect checkpoint")
     p.add_argument("--bundle", required=True, help="bundle directory")
     p.add_argument("--triggers", required=True, help="trigger-set file")
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--K", type=int, required=True, dest="k_draws")
 
     p = sub.add_parser("population", help="sample a model population for bound estimation")
     common(p)
     p.add_argument("--bundle", required=True)
     p.add_argument("--kind", required=True, choices=["omega", "xi"])
-    p.add_argument("--M", type=int, required=True, dest="m_models")
 
     p = sub.add_parser("bounds", help="estimate detection-rate deviation bounds")
     common(p)
@@ -143,7 +139,7 @@ def _build_parser() -> _Parser:
 
 def _load_config(args):
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)  # replace reruns the range checks
     return config
 
@@ -173,15 +169,13 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    config = _load_config(args)
-    bundle = ModelBundle.load(args.bundle)
-    spec = AttackSpec(
-        kind=args.kind, epochs=args.epochs, lr=args.lr, fraction=args.fraction, seed=config.seed
-    )
-    net = apply_attack(bundle, spec)
-    out = Path(args.out or f"{args.kind}.rmk")
+    specs = dict(_load_config(args).attacks)
+    if args.name not in specs:
+        raise ValueError(f"no attack {args.name!r} in the config; it has: {', '.join(specs)}")
+    net = apply_attack(ModelBundle.load(args.bundle), specs[args.name])
+    out = Path(args.out or f"{args.name}.rmk")
     save_checkpoint(net, out)
-    print(f"wrote {args.kind} suspect to {out}")
+    print(f"wrote {args.name} suspect to {out}")
     return EXIT_OK
 
 
@@ -189,10 +183,10 @@ def _cmd_verify(args) -> int:
     config = _load_config(args)
     bundle = ModelBundle.load(args.bundle)
     triggers = load_trigger_set(args.triggers)
-    suspect = load_checkpoint(args.suspect)
+    _check_config_n(config, triggers)
     report, _ = verify_suspect(
-        suspect, bundle, triggers, args.tau, args.k_draws, config.seeds.verify,
-        Path(args.suspect).stem,
+        load_checkpoint(args.suspect), bundle, triggers, config.tau, config.k_verify,
+        config.seeds.verify, Path(args.suspect).stem,
     )
     text = report.to_json()
     if args.out:
@@ -204,7 +198,7 @@ def _cmd_verify(args) -> int:
 def _cmd_population(args) -> int:
     config = _load_config(args)
     out = Path(args.out or f"population_{args.kind}")
-    saved = population_stage(config, ModelBundle.load(args.bundle), args.kind, args.m_models, out)
+    saved = population_stage(config, ModelBundle.load(args.bundle), args.kind, out)
     print(f"wrote {saved} {args.kind} models to {out}")
     return EXIT_OK
 

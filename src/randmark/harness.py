@@ -263,10 +263,7 @@ def verify_suspect(
         raise ValueError(f"tau must lie in [0, {triggers.n}], got {tau}")
     if k_draws < 1:
         raise ValueError(f"K must be at least 1, got {k_draws}")
-    distances = decode_triggers(
-        suspect, bundle.encoder_e, bundle.decoder_d, triggers, k_draws, seed,
-        bundle.hyper.delta_scale,
-    )[2]
+    distances = decode_triggers(suspect, bundle, triggers, k_draws, seed)[2]
     report = VerificationReport.from_batches(suspect_id, distances, triggers.n, tau, seed)
     return report, distances
 
@@ -284,10 +281,7 @@ def population_distances(
     models yields it."""
     out = np.empty((len(models), len(triggers), k_draws), dtype=np.int64)
     for mi, model in enumerate(models):
-        out[mi] = decode_triggers(
-            model, bundle.encoder_e, bundle.decoder_d, triggers, k_draws, seed,
-            bundle.hyper.delta_scale,
-        )[2]
+        out[mi] = decode_triggers(model, bundle, triggers, k_draws, seed)[2]
     return out
 
 
@@ -612,10 +606,7 @@ def compute_bound_report(
     models are decoded first, each as iteration yields it. The message
     length comes from the trigger set; a config whose n differs raises
     ValueError."""
-    if config.n != triggers.n:
-        raise ValueError(
-            f"config n = {config.n} does not match the trigger set's {triggers.n}-bit messages"
-        )
+    _check_config_n(config, triggers)
     n_bits, k_draws = triggers.n, config.k_verify
     counts = {}
     rates = {}
@@ -628,6 +619,15 @@ def compute_bound_report(
         rho = dists.mean(axis=2)  # (n_models, N)
         rates[label] = float((rho[0] <= config.tau).mean())
     return _bound_report(config, counts["omega"], counts["xi"], rates["omega"], rates["xi"])
+
+
+def _check_config_n(config: ExperimentConfig, triggers: TriggerSet) -> None:
+    """ValueError unless config's message length n is the trigger set's: its
+    tau, and the bounds computed at it, are for n-bit messages."""
+    if config.n != triggers.n:
+        raise ValueError(
+            f"config n = {config.n} does not match the trigger set's {triggers.n}-bit messages"
+        )
 
 
 def _bound_report(config: ExperimentConfig, omega, xi, p_hat: float, q_hat: float) -> BoundReport:
@@ -671,15 +671,13 @@ def bounds_stage(
     )
 
 
-def population_stage(
-    config: ExperimentConfig, bundle: ModelBundle, kind: str, m_models: int, out: Path
-) -> int:
-    """Sample m_models models of a run's omega or xi population (master seed
-    from RunSeeds) and save them into out as a bounds stage does. Returns
-    the number of models saved."""
+def population_stage(config: ExperimentConfig, bundle: ModelBundle, kind: str, out: Path) -> int:
+    """Sample config.m_models models of a run's omega or xi population
+    (master seed from RunSeeds) and save them into out as a bounds stage
+    does. Returns the number of models saved."""
     seed = config.seeds.omega if kind == "omega" else config.seeds.xi
     result = sample_model_population(
-        bundle, kind, m_models, seed,
+        bundle, kind, config.m_models, seed,
         pretrain_epochs=config.pretrain_epochs, pretrain_images=config.pretrain_images,
     )
     for _ in PopulationWriter(out, kind, result):

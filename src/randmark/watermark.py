@@ -564,57 +564,47 @@ def stego_batch(
 
 
 def decode_triggers(
-    suspect: MlpNetwork,
-    encoder_e: MlpNetwork,
-    decoder_d: MlpNetwork,
-    triggers: TriggerSet,
-    k_draws: int,
-    seed: int,
-    delta_scale: float = 0.5,
+    suspect: MlpNetwork, bundle: ModelBundle, triggers: TriggerSet, k_draws: int, seed: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode K messages per trigger from a suspect backbone in one pass.
 
-    The verifier's encoder and decoder wrap the suspect in place of the
+    The bundle's encoder and decoder wrap the suspect in place of the
     watermarked backbone. Returns soft bits (N, K, n), hard bits (N, K, n),
     where a soft bit of exactly 0.5 reads as 1, and Hamming distances to each
-    trigger's message (N, K). Refuses suspects whose input/output dimensions
-    do not fit the verifier before any stego work.
+    trigger's message (N, K). A trigger set whose s or n is not the bundle's
+    raises ValueError, and a suspect whose input/output dimensions do not fit
+    the bundle raises VerificationRefused, both before any stego work.
 
     One straight chain in the caller's thread over the whole stego batch of
     stego_batch: suspect forward, decoder forward, hard bits, distances.
     """
     s, n, n_trig = triggers.s, triggers.n, len(triggers)
-    if suspect.input_dim != s or suspect.output_dim != decoder_d.input_dim:
+    if (s, n) != (bundle.s, bundle.n):
+        raise ValueError(
+            f"trigger set has s = {s}, n = {n}; the bundle needs s = {bundle.s}, n = {bundle.n}"
+        )
+    if suspect.input_dim != s or suspect.output_dim != bundle.k:
         raise VerificationRefused(
             f"suspect maps {suspect.input_dim} -> {suspect.output_dim}, verifier "
-            f"needs {s} -> {decoder_d.input_dim}"
+            f"needs {s} -> {bundle.k}"
         )
-    if encoder_e.input_dim != s + n or encoder_e.output_dim != s:
-        raise ValueError("encoder does not match trigger dimensions")
-    stego = stego_batch(encoder_e, triggers, k_draws, seed, delta_scale)
+    stego = stego_batch(bundle.encoder_e, triggers, k_draws, seed, bundle.hyper.delta_scale)
     emb = forward_batch(suspect, stego)[0]
-    soft = forward_batch(decoder_d, emb)[0].reshape(n_trig, k_draws, n)
+    soft = forward_batch(bundle.decoder_d, emb)[0].reshape(n_trig, k_draws, n)
     hard = (soft >= 0.5).astype(np.int8)
     distances = (hard != triggers.messages[:, None, :]).sum(axis=2, dtype=np.int64)
     return soft, hard, distances
 
 
 def extract_messages(
-    suspect: MlpNetwork,
-    encoder_e: MlpNetwork,
-    decoder_d: MlpNetwork,
-    triggers: TriggerSet,
-    index: int,
-    k_draws: int,
+    suspect: MlpNetwork, bundle: ModelBundle, triggers: TriggerSet, index: int, k_draws: int,
     stream_seed: int,
-    delta_scale: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode K messages from a suspect backbone for trigger `index` of the
     set, with noise draws from stream_seed (modulo 2**64): decode_triggers'
     row for it, as soft bits (K, n), hard bits (K, n) and distances (K,)."""
     index = range(len(triggers))[index]
     soft, hard, distances = decode_triggers(
-        suspect, encoder_e, decoder_d, triggers[index : index + 1], k_draws, stream_seed,
-        delta_scale,
+        suspect, bundle, triggers[index : index + 1], k_draws, stream_seed
     )
     return soft[0], hard[0], distances[0]

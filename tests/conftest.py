@@ -92,14 +92,16 @@ def trigger_loss(bundle: wm.ModelBundle, triggers: wm.TriggerSet, k_draws: int, 
 
 def decode_one_trigger(decoder: MlpNetwork, message_bits, k_draws: int):
     """decode_triggers' soft bits (K, n), hard bits (K, n) and distances (K,)
-    for one trigger carrying message_bits, through decoder; a decoder with
-    zero weights reads the same bits from every embedding."""
+    for one trigger carrying message_bits, through a bundle around decoder
+    (a sigmoid output layer) whose watermarked backbone is the suspect; a
+    decoder with zero weights reads the same bits from every embedding."""
     s, k, n = 4, decoder.input_dim, decoder.output_dim
-    triggers = wm.TriggerSet(np.full((1, s), 0.5), [message_bits], [0.1], 0)
-    soft, hard, distances = wm.decode_triggers(
-        ne.init_network([s, k], ["identity"], 0), ne.init_network([s + n, s], ["tanh"], 1),
-        decoder, triggers, k_draws, 3,
+    backbone = ne.init_network([s, k], ["identity"], 0)
+    bundle = wm.ModelBundle(
+        backbone, backbone, ne.init_network([s + n, s], ["tanh"], 1), decoder, wm.HyperParams()
     )
+    triggers = wm.TriggerSet(np.full((1, s), 0.5), [message_bits], [0.1], 0)
+    soft, hard, distances = wm.decode_triggers(backbone, bundle, triggers, k_draws, 3)
     return soft[0], hard[0], distances[0]
 
 

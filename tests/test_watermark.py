@@ -146,14 +146,7 @@ class TestDecoder:
         bundle = mini_run.bundle
         for index in range(len(mini_run.triggers)):
             _, _, distances = wm.extract_messages(
-                bundle.watermarked_f,
-                bundle.encoder_e,
-                bundle.decoder_d,
-                mini_run.triggers,
-                index,
-                64,
-                900 + index,
-                delta_scale=bundle.hyper.delta_scale,
+                bundle.watermarked_f, bundle, mini_run.triggers, index, 64, 900 + index
             )
             assert (distances == 0).mean() >= 0.95
 
@@ -353,10 +346,7 @@ class TestExtractMessages:
     def test_watermarked_model_mean_distance_small(self, mini_run):
         bundle = mini_run.bundle
         distances = np.stack([
-            wm.extract_messages(
-                bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d,
-                mini_run.triggers, i, 64, 40 + i, delta_scale=bundle.hyper.delta_scale,
-            )[2]
+            wm.extract_messages(bundle.watermarked_f, bundle, mini_run.triggers, i, 64, 40 + i)[2]
             for i in range(len(mini_run.triggers))
         ])
         assert np.mean(mean_distance(distances)) <= 1.0
@@ -369,10 +359,7 @@ class TestExtractMessages:
             [MINI["s"], 48, MINI["k"]], seed=77, pretrain_data_seed=78, epochs=30, n_images=120
         )
         distances = np.stack([
-            wm.extract_messages(
-                g, bundle.encoder_e, bundle.decoder_d, mini_run.triggers, i, 64, 40 + i,
-                delta_scale=bundle.hyper.delta_scale,
-            )[2]
+            wm.extract_messages(g, bundle, mini_run.triggers, i, 64, 40 + i)[2]
             for i in range(len(mini_run.triggers))
         ])
         n = mini_run.triggers.n
@@ -387,26 +374,16 @@ class TestExtractMessages:
         fresh = ne.init_network([MINI["s"], 48, MINI["k"]], ["tanh", "identity"], 999)
         rho_wm, rho_fresh = [], []
         for i in range(len(mini_run.triggers)):
-            kwargs = dict(
-                triggers=mini_run.triggers, index=i, k_draws=32, stream_seed=50 + i,
-                delta_scale=bundle.hyper.delta_scale,
-            )
-            rho_wm.append(
-                wm.extract_messages(
-                    bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d, **kwargs
-                )[2].mean()
-            )
-            rho_fresh.append(
-                wm.extract_messages(fresh, bundle.encoder_e, bundle.decoder_d, **kwargs)[2].mean()
-            )
+            kwargs = dict(triggers=mini_run.triggers, index=i, k_draws=32, stream_seed=50 + i)
+            rho_wm.append(wm.extract_messages(bundle.watermarked_f, bundle, **kwargs)[2].mean())
+            rho_fresh.append(wm.extract_messages(fresh, bundle, **kwargs)[2].mean())
         assert np.mean(rho_wm) < n / 4
         assert np.mean(rho_fresh) > n / 4
 
     def test_single_draw_has_no_variance(self, mini_run):
         bundle = mini_run.bundle
         soft, hard, distances = wm.extract_messages(
-            bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d,
-            mini_run.triggers, 0, 1, 60, delta_scale=bundle.hyper.delta_scale,
+            bundle.watermarked_f, bundle, mini_run.triggers, 0, 1, 60
         )
         assert soft.shape == hard.shape == (1, MINI["n"])
         assert distances.shape == (1,)
@@ -415,14 +392,8 @@ class TestExtractMessages:
     def test_deterministic_extraction(self, mini_run):
         bundle = mini_run.bundle
         t = mini_run.triggers
-        a = wm.extract_messages(
-            bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d, t, 2, 16, 71,
-            delta_scale=bundle.hyper.delta_scale,
-        )
-        b = wm.extract_messages(
-            bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d, t, 2, 16, 71,
-            delta_scale=bundle.hyper.delta_scale,
-        )
+        a = wm.extract_messages(bundle.watermarked_f, bundle, t, 2, 16, 71)
+        b = wm.extract_messages(bundle.watermarked_f, bundle, t, 2, 16, 71)
         for array_a, array_b in zip(a, b):
             assert np.array_equal(array_a, array_b)
 
@@ -432,10 +403,7 @@ class TestExtractMessages:
         fresh = ne.init_network([MINI["s"], 24, MINI["k"]], ["relu", "identity"], rng)
         triggers = mini_run.triggers
         for i in range(6):
-            _, hard, distances = wm.extract_messages(
-                fresh, bundle.encoder_e, bundle.decoder_d, triggers, i, 17, 80 + i,
-                delta_scale=bundle.hyper.delta_scale,
-            )
+            _, hard, distances = wm.extract_messages(fresh, bundle, triggers, i, 17, 80 + i)
             assert np.all(distances >= 0) and np.all(distances <= triggers.n)
             assert np.array_equal(distances, (hard != triggers.messages[i]).sum(axis=1))
 
@@ -443,14 +411,10 @@ class TestExtractMessages:
         bundle = mini_run.bundle
         bad = ne.init_network([MINI["s"] + 1, 8, MINI["k"]], ["tanh", "identity"], 30)
         with pytest.raises(wm.VerificationRefused):
-            wm.extract_messages(
-                bad, bundle.encoder_e, bundle.decoder_d, mini_run.triggers, 0, 4, 90,
-            )
+            wm.extract_messages(bad, bundle, mini_run.triggers, 0, 4, 90)
         bad_out = ne.init_network([MINI["s"], 8, MINI["k"] + 2], ["tanh", "identity"], 31)
         with pytest.raises(wm.VerificationRefused):
-            wm.extract_messages(
-                bad_out, bundle.encoder_e, bundle.decoder_d, mini_run.triggers, 0, 4, 91,
-            )
+            wm.extract_messages(bad_out, bundle, mini_run.triggers, 0, 4, 91)
 
 
 class TestStegoBatch:
@@ -513,10 +477,7 @@ class TestSerialDecode:
 
     @staticmethod
     def _decode(suspect, bundle, triggers, k_draws, seed=140):
-        return wm.decode_triggers(
-            suspect, bundle.encoder_e, bundle.decoder_d, triggers, k_draws, seed,
-            bundle.hyper.delta_scale,
-        )
+        return wm.decode_triggers(suspect, bundle, triggers, k_draws, seed)
 
     def test_starts_no_thread_and_stays_in_callers_thread(self, mini_run, monkeypatch):
         see_cpus(monkeypatch, 4)  # free CPUs are no reason to split the decode
