@@ -799,43 +799,64 @@ class TestCli:
         cfg.write_text(MICRO_CFG)
         assert ExperimentConfig.from_file(cfg) == micro_config()
 
-    def test_commands_reproduce_the_pipeline(self, tmp_path):
+    def test_attack_reproduces_run_suspects(self, tmp_path):
         # a run of the micro config with a fine-tune attack added: given that
-        # config (and the run's seed, where a command takes one), attack,
-        # verify and population each rewrite the run's files byte for byte
+        # config, `attack --name` rewrites each of the run's suspects byte for byte
         cfg = tmp_path / "micro.cfg"
         cfg.write_text(MICRO_CFG + "\n[attack.finetune2]\nkind = finetune\nepochs = 2\n")
-        seed, run, redo = "47", tmp_path / "run", tmp_path / "redo"
-        assert cli.main(["pipeline", "--config", str(cfg), "--seed", seed, "--out", str(run)]) == 0
-        (redo / "suspects").mkdir(parents=True)
-        (redo / "verification").mkdir()
-        bundle = ["--config", str(cfg), "--bundle", str(run / "bundle")]
+        run, redo = tmp_path / "run", tmp_path / "redo"
+        assert cli.main(["pipeline", "--config", str(cfg), "--seed", "47", "--out", str(run)]) == 0
+        redo.mkdir()
         for name in ("prune20", "finetune2"):
-            out = redo / "suspects" / f"{name}.rmk"
-            assert cli.main(["attack", *bundle, "--name", name, "--out", str(out)]) == 0
-        for suspect in sorted((run / "suspects").iterdir()):
-            assert cli.main([
-                "verify", *bundle, "--seed", seed, "--suspect", str(suspect),
-                "--triggers", str(run / "triggers.rmts"),
-                "--out", str(redo / "verification" / f"{suspect.stem}.json"),
-            ]) == 0
+            code = cli.main([
+                "attack", "--config", str(cfg), "--bundle", str(run / "bundle"),
+                "--name", name, "--out", str(redo / f"{name}.rmk"),
+            ])
+            assert code == cli.EXIT_OK
+            expected = (run / "suspects" / f"{name}.rmk").read_bytes()
+            assert (redo / f"{name}.rmk").read_bytes() == expected, name
+
+    def test_verify_reproduces_pipeline_report(self, micro_run, tmp_path):
+        # `verify --config --seed S` decides at the config's tau and K with the
+        # pipeline's verification seed, on every suspect of the run
+        config, out, _ = micro_run
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG)
+        suspects = sorted((out / "suspects").iterdir())
+        assert len(suspects) == 3  # watermarked, prune20 and one independent
+        for suspect in suspects:
+            code = cli.main([
+                "verify", "--config", str(cfg), "--seed", str(config.seed),
+                "--suspect", str(suspect),
+                "--bundle", str(out / "bundle"),
+                "--triggers", str(out / "triggers.rmts"),
+                "--out", str(tmp_path / f"{suspect.stem}.json"),
+            ])
+            assert code == cli.EXIT_OK
+            expected = (out / "verification" / f"{suspect.stem}.json").read_bytes()
+            assert (tmp_path / f"{suspect.stem}.json").read_bytes() == expected, suspect.name
+
+    def test_population_reproduces_run_population(self, micro_run, tmp_path):
+        # `population --seed S` samples the config's M models with run S's
+        # omega and xi master seeds
+        config, out, _ = micro_run
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG)
         for kind in ("omega", "xi"):
-            assert cli.main([
-                "population", *bundle, "--seed", seed, "--kind", kind,
-                "--out", str(redo / "population"),
-            ]) == 0
-        written = sorted(str(path.relative_to(redo)) for path in redo.rglob("*.*"))
-        assert written == sorted(
-            ["suspects/prune20.rmk", "suspects/finetune2.rmk"]
-            + [str(path.relative_to(run)) for path in run.glob("verification/*")]
-            + [str(path.relative_to(run)) for path in run.glob("population/*")]
-        )
-        assert len(written) == 2 + 4 + 6  # 4 suspects; 2 models and a manifest per kind
-        for name in written:
-            assert (redo / name).read_bytes() == (run / name).read_bytes(), name
+            code = cli.main([
+                "population", "--config", str(cfg), "--seed", str(config.seed),
+                "--bundle", str(out / "bundle"), "--kind", kind,
+                "--out", str(tmp_path / kind),
+            ])
+            assert code == cli.EXIT_OK
+            names = sorted(path.name for path in (out / "population").glob(f"{kind}*"))
+            assert len(names) == config.m_models + 1  # the models and a manifest
+            assert sorted(path.name for path in (tmp_path / kind).iterdir()) == names
+            for name in names:
+                written = (tmp_path / kind / name).read_bytes()
+                assert written == (out / "population" / name).read_bytes(), name
         # each xi row says how its model was trained
-        config = dataclasses.replace(micro_config(), seed=int(seed))
-        rows = json.loads((run / "population" / "xi_manifest.json").read_text())["models"]
+        rows = json.loads((out / "population" / "xi_manifest.json").read_text())["models"]
         assert [
             (row["seed"], row["data_seed"], row["pretrain_epochs"], row["pretrain_images"])
             for row in rows
