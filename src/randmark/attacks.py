@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 import multiprocessing
-import os
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from .nnengine import (
     Gradients,
     MlpNetwork,
     OptimizerState,
+    _worker_count,
     backward,
     forward_batch,
     init_network,
@@ -219,32 +219,6 @@ def make_independent(
     return MlpNetwork(net.layers[:-1])
 
 
-def _running_threads() -> int:
-    """OS threads of this process, BLAS threads included (Linux only)."""
-    return len(os.listdir("/proc/self/task"))
-
-
-def _worker_count(jobs: int) -> int:
-    """Worker processes for an IndependentPool of `jobs` models: one per CPU
-    in the affinity mask, at most one per job, if this process runs no thread
-    besides its main one; otherwise 1, which trains in this process.
-
-    numpy's OpenBLAS starts its threads when it loads, unless it is pinned to
-    one thread before that (RANDMARK_THREADS=1 or OPENBLAS_NUM_THREADS=1 set
-    before Python starts). So a single-threaded process has a BLAS pinned to
-    one thread, and a fork copies no running thread. With two workers on an
-    unpinned BLAS, a default pipeline on 2 CPUs took 2-3x longer than
-    serially. A running IndependentPool's own threads likewise keep a second
-    pool serial while its workers train.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        threads = _running_threads()
-    except (AttributeError, OSError):  # no affinity mask or /proc: stay serial
-        return 1
-    return min(jobs, cpus) if threads == 1 else 1
-
-
 def _train_independent(job) -> MlpNetwork:
     """Worker job of IndependentPool. Module-level and private, so that a
     worker process unpickles it by name even while a profiler has replaced
@@ -259,12 +233,13 @@ class IndependentPool:
     """Trains make_independent models in forked worker processes while the
     caller goes on with other work, or in-process when there is one worker.
 
-    Sized for `jobs` models by _worker_count: one worker per CPU in the
-    affinity mask when BLAS is pinned to one thread. The workers are forked
-    at the first submit, so open the pool while the process is still small
-    and single-threaded. Jobs start in submission order. Each model is
-    trained whole by make_independent in one process from its own seeds, so
-    it is bit-identical to one trained serially.
+    Sized for `jobs` models by nnengine's _worker_count: one worker per CPU
+    in the affinity mask when BLAS is pinned to one thread. The workers are
+    forked at the first submit, so open the pool while the process is still
+    small and single-threaded (forward_batch's idle helpers aside). Jobs
+    start in submission order. Each model is trained whole by
+    make_independent in one process from its own seeds, so it is
+    bit-identical to one trained serially.
 
     Use it as a context manager: on exit, jobs not yet started are cancelled
     and the workers and the pool's threads are joined (a running job is

@@ -299,7 +299,8 @@ def _cmd_report(args) -> int:
     manifest = _json_object(
         run / "manifest.json", {"version": str, "failures": dict}, number_maps=("stage_seconds",)
     )
-    print(f"run {run} (version {manifest['version']})")
+    build = [f"{key} {manifest.get(key, 'unknown')}" for key in ("numpy", "blas_core")]
+    print(f"run {run} (version {manifest['version']}, {', '.join(build)})")
     seconds = manifest["stage_seconds"]
     timed = [f"{name}={seconds[name]:.3f}" for name in PIPELINE_STAGES if name in seconds]
     if timed:

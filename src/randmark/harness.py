@@ -2,13 +2,16 @@
 pipeline: embed, attack, verify, bound, report.
 
 All outputs are deterministic functions of the config and its seeds; the
-run manifest is the only file carrying wall-clock values.
+run manifest is the only file carrying wall-clock values, and it records
+the numpy version and OpenBLAS core that ran, on which trained weights
+depend in their last bits.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -402,6 +405,8 @@ PIPELINE_STAGES = ("data", "embed", "attacks", "verify", "covariance", "bounds")
 @dataclass
 class RunManifest:
     version: str
+    numpy: str
+    blas_core: str  # the OpenBLAS kernels that ran (_blas_core); weights depend on them
     config: dict
     files: dict[str, str]
     stage_seconds: dict[str, float]
@@ -415,6 +420,21 @@ def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def _blas_core() -> str:
+    """The OpenBLAS core numpy's matmul runs on (SkylakeX, Haswell, ...),
+    as the loaded library reports it at run time, or "unknown" when no
+    OpenBLAS is mapped into this process or it does not say."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+        library = ctypes.CDLL(min(paths, key=lambda path: "numpy" not in path))
+        corename = library.scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    except (OSError, ValueError, AttributeError):
+        return "unknown"
 
 
 def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
@@ -697,6 +717,8 @@ def _finalize_manifest(
             files[str(path.relative_to(out))] = _sha256(path)
     manifest = RunManifest(
         version=__version__,
+        numpy=np.__version__,
+        blas_core=_blas_core(),
         config=config.snapshot(),
         files=files,
         stage_seconds=stage_seconds,

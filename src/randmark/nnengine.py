@@ -12,13 +12,32 @@ loop makes once and reuses every step, as numpy's out= does, or into fresh
 ones; backward spends the trace by building its derivative terms over the
 trace's activations. Optimizer state lives outside the network so
 networks stay copyable and hashable by content.
+
+forward_batch runs a batch of at least 512 rows as blocks of at most 256
+rows, shrinking towards the end (_block_cuts), which the caller and one
+helper thread per spare CPU (_worker_count) take from one shared
+iterator; each block runs every layer over its rows. The caller never
+waits for a helper to wake, and a block a helper holds for much longer
+than the caller's own blocks took, the caller runs itself (_Blocks). The
+helpers are daemon threads started at the first such batch and kept, so
+no thread is started or joined per call. Every cut falls at a multiple of
+32 rows and leaves no one-row block; OpenBLAS then sums each row as in one
+product of the whole batch, so a split batch gives the bytes of a serial
+one. A process that runs any other thread, BLAS threads or an
+IndependentPool's included, has no spare CPU, so its forwards run in the
+caller's thread alone; backward always does.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import math
+import os
+import queue
 import struct
+import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,6 +217,36 @@ class ForwardTrace:
         return self.activations[-1]
 
 
+# forward_batch cuts a batch of at least _SPLIT_ROWS rows into blocks of at
+# most _BLOCK_ROWS and, the last aside, at least _MIN_BLOCK_ROWS rows, every
+# cut at a multiple of 32 rows, and never leaves a one-row block: OpenBLAS's
+# dgemm kernels then sum each row of a block as in one product of the whole
+# batch.
+_SPLIT_ROWS = 512
+_BLOCK_ROWS = 256
+_MIN_BLOCK_ROWS = 64
+# once no block is left to take, the caller gives a block a helper holds
+# _PATIENCE times the time its own blocks took per row, counted from when
+# the helper took it, then runs it itself
+_PATIENCE = 1.5
+
+
+def _block_cuts(rows: int, workers: int) -> list[int]:
+    """The row offsets 0 < ... < rows that cut a batch into blocks for
+    `workers` threads: each block is the rows left over workers, rounded down
+    to a multiple of 32 and held between _MIN_BLOCK_ROWS and _BLOCK_ROWS, and
+    a tail of at most one row more than that joins it. The blocks shrink
+    towards the end, so a thread that runs slower than the others, or starts
+    late, holds up the last one for a short block at most. For 1600 rows and
+    2 workers: five blocks of 256 rows, then 160, 64, 64 and 32."""
+    cuts = [0]
+    while cuts[-1] < rows:
+        left = rows - cuts[-1]
+        size = min(_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, left // workers // 32 * 32))
+        cuts.append(rows if left <= size + 1 else cuts[-1] + size)
+    return cuts
+
+
 def forward_batch(
     net: MlpNetwork, inputs: np.ndarray, into: ForwardTrace | None = None
 ) -> tuple[np.ndarray, ForwardTrace]:
@@ -209,6 +258,14 @@ def forward_batch(
     at least B rows, which a training loop makes once and reuses every step;
     without it a fresh one is made. An into that does not fit the network and
     batch raises ValueError before anything is written.
+
+    A batch of at least 512 rows runs as blocks of at most 256 rows
+    (_Blocks) shared by the caller and the helper threads of _block_helpers,
+    a helper's in a copy of the caller's context (so its np.errstate holds
+    there too); the call returns, or raises the first exception of any
+    block, once every block is done. A helper that is slow to wake takes no
+    block, and one that stalls in a block loses it to the caller. The bytes
+    are those of a serial pass.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -219,11 +276,29 @@ def forward_batch(
         into = ForwardTrace.empty(net, len(x))
     if [b.shape[1] for b in into.buffers] != [layer.out_dim for layer in net.layers]:
         raise ValueError("into is not a ForwardTrace.empty trace of this network")
-    if len(x) > len(into.buffers[0]):
-        raise ValueError(f"batch of {len(x)} rows exceeds into's {len(into.buffers[0])}")
-    activations = [x]
-    for layer, buffer in zip(net.layers, into.buffers):
-        x = np.matmul(x, layer.weight, out=buffer[: len(x)])
+    rows = len(x)
+    if rows > len(into.buffers[0]):
+        raise ValueError(f"batch of {rows} rows exceeds into's {len(into.buffers[0])}")
+    helpers = _block_helpers(rows)
+    if helpers:
+        blocks = _Blocks(net, x, into.buffers, len(helpers) + 1)
+        for helper in helpers:
+            helper.calls.put((contextvars.copy_context(), blocks.help))
+        blocks.run()
+        if blocks.error is not None:
+            raise blocks.error
+    else:
+        _layers(net, x, [buffer[:rows] for buffer in into.buffers])
+    into.activations = [x, *(buffer[:rows] for buffer in into.buffers)]
+    into.spent = False
+    return into.activations[-1], into
+
+
+def _layers(net: MlpNetwork, x: np.ndarray, outs) -> None:
+    """Run the rows of x through every layer of net, writing each layer's
+    output into its array of outs, which has as many rows as x."""
+    for layer, out in zip(net.layers, outs):
+        x = np.matmul(x, layer.weight, out=out)
         x += layer.bias
         if layer.activation == "relu":
             np.maximum(x, 0.0, out=x)
@@ -235,9 +310,173 @@ def forward_batch(
             np.tanh(x, out=x)
             x += 1.0
             x *= 0.5
-        activations.append(x)
-    into.activations, into.spent = activations, False
-    return x, into
+
+
+class _Blocks:
+    """One batch's rows as the blocks of _block_cuts, which the caller (run)
+    and the helpers (help) take from one shared iterator (a range iterator's
+    next() holds the GIL), so each block is taken once.
+
+    The caller writes its blocks straight into the trace buffers. A helper
+    writes a block into arrays of its own, then, under the lock, copies it
+    into the buffers unless the caller has taken it over. Once no block is
+    left to take, the caller gives each block a helper holds _PATIENCE times
+    the time its own blocks took per row, counted from when the helper took
+    it, then takes over the ones still unwritten and runs them itself. So a
+    helper that stalls (on a vCPU whose host runs something else, say)
+    delays the call by about one block's time, and a helper that never
+    wakes delays it not at all; a stalled helper's late copy is dropped.
+    The bytes of a block are the same in either thread. error keeps the
+    first exception of a block whose rows count (not one taken over); every
+    other block still runs."""
+
+    def __init__(self, net: MlpNetwork, x: np.ndarray, buffers, workers: int):
+        self.net, self.x, self.buffers = net, x, buffers
+        self.cuts = _block_cuts(len(x), workers)
+        self.indices = iter(range(len(self.cuts) - 1))
+        self.lock = threading.Condition()
+        self.claimed: dict[int, float] = {}  # helper blocks by the perf_counter() they were taken at
+        self.written: set[int] = set()  # helper blocks copied into the buffers, or failed
+        self.taken: set[int] = set()  # helper blocks the caller took over
+        self.error: BaseException | None = None
+
+    def _run(self, index: int, outs=None) -> BaseException | None:
+        """Run a block into outs (its rows of the buffers by default);
+        return the exception it raised, if any."""
+        start, stop = self.cuts[index], self.cuts[index + 1]
+        if outs is None:
+            outs = [buffer[start:stop] for buffer in self.buffers]
+        try:
+            _layers(self.net, self.x[start:stop], outs)
+        except BaseException as exc:
+            return exc
+        return None
+
+    def help(self) -> None:
+        for index in self.indices:
+            self.claimed[index] = time.perf_counter()
+            start, stop = self.cuts[index], self.cuts[index + 1]
+            outs = [np.empty((stop - start, layer.out_dim)) for layer in self.net.layers]
+            error = self._run(index, outs)
+            with self.lock:
+                if index in self.taken:
+                    continue
+                if error is None:
+                    for buffer, out in zip(self.buffers, outs):
+                        buffer[start:stop] = out
+                self.error = self.error or error
+                self.written.add(index)
+                self.lock.notify_all()
+
+    def run(self) -> None:
+        mine, rows, seconds = set(), 0, 0.0
+        for index in self.indices:
+            began = time.perf_counter()
+            error = self._run(index)
+            seconds += time.perf_counter() - began
+            rows += self.cuts[index + 1] - self.cuts[index]
+            mine.add(index)
+            if error is not None:
+                with self.lock:
+                    self.error = self.error or error
+        for index in range(len(self.cuts) - 1):
+            if index in mine:
+                continue
+            patience = None
+            if rows:  # a block just taken may not show its time yet
+                size = self.cuts[index + 1] - self.cuts[index]
+                claimed = self.claimed.get(index, time.perf_counter())
+                patience = claimed + _PATIENCE * size * seconds / rows - time.perf_counter()
+            with self.lock:
+                if self.lock.wait_for(lambda: index in self.written, patience):
+                    continue
+                self.taken.add(index)
+            error = self._run(index)
+            if error is not None:
+                with self.lock:
+                    self.error = self.error or error
+
+
+class _Helper:
+    """A daemon thread that runs each (context, work) put on calls as
+    context.run(work); work reports its own outcome (_Blocks.help)."""
+
+    def __init__(self):
+        self.calls: queue.SimpleQueue = queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, name="randmark-forward", daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            context, work = self.calls.get()
+            context.run(work)
+            del context, work  # keep no batch alive between calls
+
+
+# forward_batch's helpers, started at the first split batch and kept
+_helpers: list[_Helper] = []
+
+
+def _quiesce_helpers() -> None:
+    """Before a fork, wait until each helper has finished its calls: one
+    may still be running a block the caller took over from it, and a fork
+    must copy no thread that is inside numpy or BLAS."""
+    for helper in _helpers:
+        idle = threading.Event()
+        helper.calls.put((contextvars.copy_context(), idle.set))
+        idle.wait()
+
+
+def _forget_helpers() -> None:
+    """A forked child has none of its parent's threads."""
+    _helpers.clear()
+
+
+os.register_at_fork(before=_quiesce_helpers, after_in_child=_forget_helpers)
+
+
+def _block_helpers(rows: int) -> list[_Helper]:
+    """The helpers that share a batch of rows with the caller: for a batch
+    of at least _SPLIT_ROWS rows, one per worker of _worker_count beyond the
+    caller, started as needed; otherwise none."""
+    if rows < _SPLIT_ROWS:
+        return []
+    wanted = _worker_count(-(-rows // _BLOCK_ROWS)) - 1
+    while len(_helpers) < wanted:
+        _helpers.append(_Helper())
+    return _helpers[:wanted]
+
+
+def _running_threads() -> int:
+    """OS threads of this process, BLAS threads included and forward_batch's
+    helpers not (Linux only)."""
+    helpers = {str(helper.thread.native_id) for helper in _helpers}
+    return sum(task not in helpers for task in os.listdir("/proc/self/task"))
+
+
+def _worker_count(jobs: int) -> int:
+    """Workers for `jobs` parallel jobs, the caller included: one per CPU in
+    the affinity mask, at most one per job, if this process runs no thread
+    besides its main one and forward_batch's helpers; otherwise 1, which
+    runs everything in the caller. It sizes an IndependentPool's worker
+    processes and forward_batch's blocks alike.
+
+    numpy's OpenBLAS starts its threads when it loads, unless it is pinned to
+    one thread before that (RANDMARK_THREADS=1 or OPENBLAS_NUM_THREADS=1 set
+    before Python starts). So a single-threaded process has a BLAS pinned to
+    one thread, and a fork copies no running thread: forward_batch's helpers
+    are idle at a fork (_quiesce_helpers), and a forked child forgets them.
+    With two workers on an unpinned BLAS, a default pipeline on 2 CPUs took
+    2-3x longer than serially. A running IndependentPool's own threads
+    likewise keep a second pool serial, and every forward serial, while its
+    workers train.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = _running_threads()
+    except (AttributeError, OSError):  # no affinity mask or /proc: stay serial
+        return 1
+    return min(jobs, cpus) if threads == 1 else 1
 
 
 @dataclass

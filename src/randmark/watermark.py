@@ -446,6 +446,7 @@ class _EmbedStep:
         return fidelity_sum, message_sum, bit_accuracy, (g_f_msg, g_enc, g_dec)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBundle, TrainingLog]:
     """Jointly train the watermarked backbone, encoder, and decoder on the
     trigger set. The frozen reference is never touched.
@@ -453,8 +454,10 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
     Noise draws are fresh each epoch, derived deterministically from the
     trigger set's master seed. Every epoch runs in the buffers of one
     _EmbedStep and the optimizer states, allocated before the first, so
-    the loop allocates no batch-sized array. On a non-finite loss the bundle
-    is rolled back to the last finite epoch and TrainingDiverged is raised.
+    the loop allocates no batch-sized array. On a non-finite loss or gradient
+    the bundle is rolled back to the last finite epoch and TrainingDiverged
+    is raised, whatever floating-point warnings the diverging step gave: the
+    function runs under np.errstate(over="ignore", invalid="ignore").
     """
     if triggers.s != bundle.s or triggers.n != bundle.n:
         raise ValueError("trigger set dimensions do not match bundle")

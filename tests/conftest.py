@@ -1,12 +1,16 @@
 """Shared fixtures and test tools: a fast mini training run for unit tests,
 one desk-scale run shared by the acceptance suite and directional tests, a
-finite-difference gradient checker, weight sparsity, and one-trigger views
-of the embedding loss and of decoding."""
+finite-difference gradient checker, weight sparsity, one-trigger views of
+the embedding loss and of decoding, and a runner for code that needs a
+single-threaded process with BLAS pinned."""
 
 import math
 import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,7 +114,54 @@ def see_cpus(monkeypatch, count):
     BLAS pinned to one thread), under which population training uses one
     worker per CPU."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(atk, "_running_threads", lambda: 1)
+    monkeypatch.setattr(ne, "_running_threads", lambda: 1)
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+# OpenBLAS kernel families for run_pinned's coretype, each skipped on a CPU
+# without the instructions it runs: a forced core is not checked against
+# the CPU by OpenBLAS
+_FLAGS = _cpu_flags()
+CORETYPES = [
+    pytest.param(core, marks=pytest.mark.skipif(flag not in _FLAGS, reason=f"CPU lacks {flag}"))
+    for core, flag in (("SkylakeX", "avx512f"), ("Haswell", "avx2"), ("Sandybridge", "avx"))
+]
+
+
+# Run first in run_pinned's code, it keeps the process on the first two CPUs
+# of its affinity mask, so that forward_batch finds exactly one spare CPU
+# there and starts one helper.
+TWO_CPUS = "import os; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+
+
+def run_pinned(code: str, coretype: str | None = None, timeout: float = 300) -> str:
+    """Run code in a fresh Python with BLAS pinned to one thread
+    (RANDMARK_THREADS=1), RuntimeWarnings raised as errors as in this suite,
+    and OpenBLAS on the kernels of coretype when given; return its standard
+    output after asserting that it exited 0.
+
+    A test process itself never splits a forward: pytest's faulthandler
+    watchdog is a second thread, so forward_batch finds no spare CPU in it.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(ne.__file__).resolve().parents[1])}
+    for var in ("RANDMARK_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 @dataclass

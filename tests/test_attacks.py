@@ -241,7 +241,7 @@ class TestTrainIndependents:
             raise AssertionError("a pool was made for a process running BLAS threads")
 
         see_cpus(monkeypatch, 2)
-        monkeypatch.setattr(atk, "_running_threads", lambda: 3)
+        monkeypatch.setattr(ne, "_running_threads", lambda: 3)
         monkeypatch.setattr(atk, "ProcessPoolExecutor", no_pool)
         models = _train_in_pool(DIMS, self.SEEDS[:2], self.DATA_SEEDS[:2], 1, 20)
         assert len(models) == 2
@@ -251,7 +251,7 @@ class TestTrainIndependents:
         # again, and so gets a pool, only if the first run's pool threads are
         # gone (counted as Python threads: OpenBLAS may stop its own at a fork)
         before = threading.active_count()
-        monkeypatch.setattr(atk, "_worker_count", lambda jobs: 2)
+        see_cpus(monkeypatch, 2)
         _train_in_pool(DIMS, self.SEEDS[:2], self.DATA_SEEDS[:2], 1, 20)
         assert threading.active_count() == before
 

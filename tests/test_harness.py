@@ -30,7 +30,7 @@ from randmark.harness import (
 from randmark.synth import gen_synthetic_images
 from randmark.watermark import load_trigger_set
 
-from conftest import one_trigger, see_cpus
+from conftest import CORETYPES, one_trigger, run_pinned, see_cpus
 
 
 def micro_config(**overrides) -> ExperimentConfig:
@@ -391,6 +391,27 @@ class TestPipeline:
         assert set(manifest.files) == on_disk
         for rel, digest in manifest.files.items():
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
+
+    def test_manifest_records_numpy_and_blas_core(self, micro_run):
+        _, out, manifest = micro_run
+        written = json.loads((out / "manifest.json").read_text())
+        assert written["numpy"] == manifest.numpy == np.__version__
+        assert written["blas_core"] == manifest.blas_core == harness._blas_core()
+
+    @pytest.mark.parametrize("coretype", CORETYPES)
+    def test_blas_core_is_the_kernel_that_runs(self, coretype):
+        if harness._blas_core() == "unknown":
+            pytest.skip("numpy runs on no OpenBLAS that reports its core")
+        code = "from randmark import harness; print(harness._blas_core())"
+        assert run_pinned(code, coretype).strip() == coretype
+
+    def test_blas_core_unknown_when_the_library_does_not_say(self, monkeypatch):
+        def unloadable(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        for cdll in (unloadable, lambda path: object()):  # the second has no corename
+            monkeypatch.setattr(harness.ctypes, "CDLL", cdll)
+            assert harness._blas_core() == "unknown"
 
     def test_output_bytes_pinned(self, micro_run):
         # every file of the run, from training through decoding, verification,
@@ -1410,7 +1431,8 @@ class TestCli:
         assert cli.main(["report", "--run", str(run)]) == cli.EXIT_OK
         assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == files
         assert capsys.readouterr().out == (
-            f"run {run} (version {manifest['version']})\n"
+            f"run {run} (version {manifest['version']}, numpy {manifest['numpy']}, "
+            f"blas_core {manifest['blas_core']})\n"
             "  stage seconds: data=0.012 embed=2.000 attacks=0.250 verify=1.000"
             " covariance=0.000 bounds=3.500\n"
             "  embedding: epochs=80 bit_accuracy=0.789 fidelity=0.0105\n"
@@ -1418,6 +1440,19 @@ class TestCli:
             "           prune20: detection_rate=0.750 tau=2 K=8\n"
             "       watermarked: detection_rate=0.750 tau=2 K=8\n"
             "  bounds: p_omega=0.867 p_xi=0.734 h_minus=None h_plus=None\n"
+        )
+
+    def test_report_of_a_manifest_without_build_keys(self, micro_run, tmp_path, capsys):
+        # a run written before the manifest recorded numpy and the BLAS core
+        _, out, _ = micro_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["numpy"], manifest["blas_core"]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["report", "--run", str(run)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith(
+            f"run {run} (version {manifest['version']}, numpy unknown, blas_core unknown)\n"
         )
 
     def test_report_without_embed_log_prints_no_embedding_line(

@@ -2,6 +2,7 @@
 behavior, global magnitude pruning, and checkpoint format guarantees."""
 
 import copy
+import os
 import pickle
 import struct
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from randmark import attacks as atk
 from randmark import nnengine as ne
 
-from conftest import gradient_check, see_cpus, sparsity
+from conftest import CORETYPES, TWO_CPUS, gradient_check, run_pinned, see_cpus, sparsity
 
 
 def _loss_quadratic(targets):
@@ -79,6 +80,279 @@ class TestForward:
         a, _ = ne.forward_batch(net, x)
         b, _ = ne.forward_batch(net, x)
         assert np.array_equal(a, b)
+
+
+# Prepended to the code of a TestSplitForward process: the rows of `batch`
+# that a block handed to _layers covers (the block is a view of the batch).
+SPAN = """
+def span(block, batch):
+    start = (block.ctypes.data - batch.ctypes.data) // batch.strides[0]
+    return start, start + len(block)
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+class TestSplitForward:
+    """A batch of at least 512 rows runs as blocks of at most 256 rows
+    shared by the caller and a persistent helper thread, in a process with
+    BLAS pinned and no other thread; each test runs in such a process of its
+    own."""
+
+    def test_block_cuts_shrink_at_multiples_of_32(self):
+        assert ne._block_cuts(1600, 2) == [0, 256, 512, 768, 1024, 1280, 1440, 1504, 1568, 1600]
+        assert ne._block_cuts(513, 2) == [0, 256, 384, 448, 513]  # a one-row tail joins its block
+        for workers in (2, 3, 8):
+            for rows in range(512, 7000, 7):
+                cuts = ne._block_cuts(rows, workers)
+                sizes = [b - a for a, b in zip(cuts, cuts[1:])]
+                assert cuts[0] == 0 and cuts[-1] == rows, (rows, workers)
+                assert all(cut % 32 == 0 for cut in cuts[:-1]), (rows, workers)
+                assert all(64 <= size <= 256 for size in sizes[:-1]), (rows, workers)
+                assert sizes[:-1] == sorted(sizes[:-1], reverse=True), (rows, workers)
+                assert 1 < sizes[-1] <= sizes[-2] + 1, (rows, workers)
+
+    @pytest.mark.parametrize("coretype", CORETYPES)
+    def test_split_bytes_equal_one_block(self, coretype):
+        # the caller's blocks are written in place, a helper's through arrays
+        # of its own; both give the bytes of one product of the whole batch
+        code = TWO_CPUS + SPAN + """
+import threading
+import numpy as np
+from randmark import nnengine as ne
+
+ne._PATIENCE = 1e6  # no block taken over: each runs once, in one thread
+layers, blocks, caller = ne._layers, [], threading.get_ident()
+def spy(net, x, outs):
+    blocks.append((*span(x, batch), threading.get_ident() == caller))
+    layers(net, x, outs)
+ne._layers = spy
+rng = np.random.default_rng(40)
+for act in ne.ACTIVATIONS:
+    # the weight shapes of the default backbone and decoder
+    net = ne.init_network([256, 192, 64, 128, 32], [act] * 4, 41)
+    for rows in (512, 513, 800, 1600, 1601, 6400):
+        batch = rng.random((rows, 256))
+        blocks.clear()
+        _, trace = ne.forward_batch(net, batch)
+        cuts = ne._block_cuts(rows, 2)
+        assert sorted(block[:2] for block in blocks) == list(zip(cuts, cuts[1:])), (rows, blocks)
+        one = ne.ForwardTrace.empty(net, rows)
+        layers(net, batch, one.buffers)
+        for split, serial in zip(trace.activations[1:], one.buffers):
+            assert split.tobytes() == serial.tobytes(), (act, rows)
+assert len(ne._helpers) == 1
+print("ok")
+"""
+        assert run_pinned(code, coretype).strip() == "ok"
+
+    def test_each_block_runs_once_under_thread_stress(self):
+        # seven helpers on two CPUs, switching threads every microsecond: a
+        # block handed out twice or never shows in the block list; with the
+        # caller's default patience it takes blocks over, and the bytes hold
+        code = SPAN + """
+import os, sys
+import numpy as np
+from randmark import nnengine as ne
+
+os.sched_getaffinity = lambda pid: set(range(8))
+layers, blocks = ne._layers, []
+def spy(net, x, outs):
+    blocks.append(span(x, batch)[0])  # list.append is one atomic step
+    layers(net, x, outs)
+ne._layers = spy
+net = ne.init_network([16, 8], ["tanh"], 49)
+batch = np.random.default_rng(50).random((6400, 16))
+one = ne.ForwardTrace.empty(net, 6400)
+layers(net, batch, one.buffers)
+cuts = ne._block_cuts(6400, 8)[:-1]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for patience in (1e6, ne._PATIENCE):
+        ne._PATIENCE = patience
+        for _ in range(100):
+            blocks.clear()
+            out, _ = ne.forward_batch(net, batch)
+            if patience == 1e6:
+                assert sorted(blocks) == cuts, blocks
+            else:  # a block taken over also ran, or runs, in its helper
+                assert set(blocks) == set(cuts), blocks
+            assert out.tobytes() == one.buffers[-1].tobytes()
+finally:
+    sys.setswitchinterval(interval)
+assert len(ne._helpers) == 7
+print("ok")
+"""
+        assert run_pinned(code, timeout=120).strip() == "ok"
+
+    def test_caller_takes_over_a_stalled_helpers_block(self):
+        # the helper stalls in its first block for 5 s: the caller runs that
+        # block itself and returns, the helper's late copy of it, made wrong
+        # on purpose, never reaches the trace, and a fork waits for the helper
+        code = TWO_CPUS + """
+import threading, time
+import numpy as np
+from randmark import nnengine as ne
+
+layers, caller = ne._layers, threading.get_ident()
+stalled, stall_over = threading.Event(), threading.Event()
+def spy(net, x, outs):
+    if threading.get_ident() != caller and not stalled.is_set():
+        stalled.set()
+        time.sleep(5)
+        outs[-1][:] = np.nan
+        stall_over.set()
+        return
+    if not stalled.wait(60):  # the helper holds a block before the caller runs one
+        raise AssertionError("the helper took no block")
+    layers(net, x, outs)
+ne._layers = spy
+net = ne.init_network([64, 48, 16], ["tanh", "identity"], 51)
+batch = np.random.default_rng(52).random((1600, 64))
+one = ne.ForwardTrace.empty(net, 1600)
+layers(net, batch, one.buffers)
+began = time.perf_counter()
+out, trace = ne.forward_batch(net, batch)
+assert time.perf_counter() - began < 4, "the caller waited for the stalled helper"
+assert out.tobytes() == one.buffers[-1].tobytes() and not stall_over.is_set()
+pid = os.fork()
+if pid == 0:
+    os._exit(0)
+assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+assert stall_over.is_set(), "the fork copied a helper still in its block"
+assert out.tobytes() == one.buffers[-1].tobytes()
+ne._layers = layers
+out, _ = ne.forward_batch(net, batch)  # the helper serves the next call
+assert out.tobytes() == one.buffers[-1].tobytes()
+print("ok")
+"""
+        assert run_pinned(code).strip() == "ok"
+
+    def test_one_persistent_helper_then_a_forked_pool(self):
+        code = TWO_CPUS + """
+import multiprocessing, threading
+import numpy as np
+from randmark import attacks as atk, nnengine as ne
+
+seeds = [(6, 8), (7, 9)]
+serial = [
+    atk.make_independent([16, 12, 6], seed=s, pretrain_data_seed=d, epochs=1, n_images=10)
+    .parameters_digest() for s, d in seeds
+]
+started, start = [], threading.Thread.start
+def counted(thread):
+    started.append(thread.name)
+    start(thread)
+threading.Thread.start = counted
+net = ne.init_network([64, 48, 16], ["tanh", "identity"], 42)
+x = np.random.default_rng(43).random((1600, 64))
+for _ in range(200):
+    ne.forward_batch(net, x)
+assert started == ["randmark-forward"], started
+threading.Thread.start = start
+assert ne._running_threads() == 1 and ne._worker_count(2) == 2
+pid = os.fork()
+if pid == 0:  # a forked child has no helper and forgets the parent's
+    os._exit(0 if ne._helpers == [] else 1)
+assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+with atk.IndependentPool(2) as pool:
+    getters = pool.submit([16, 12, 6], *zip(*seeds), 1, 10)
+    assert len(multiprocessing.active_children()) == 2
+    assert [get().parameters_digest() for get in getters] == serial
+print("ok")
+"""
+        assert run_pinned(code).strip() == "ok"
+
+    def test_exceptions_after_every_block_and_callers_errstate_in_helper(self):
+        code = TWO_CPUS + SPAN + """
+import threading, time
+import numpy as np
+from randmark import nnengine as ne
+
+ne._PATIENCE = 1e6  # no block taken over: each runs once, in one thread
+caller = threading.get_ident()
+layers, helper_ran, written, failed = ne._layers, threading.Event(), [], []
+def run(fail_in, net, x, outs):
+    in_caller = threading.get_ident() == caller
+    if not in_caller:
+        helper_ran.set()
+    elif not helper_ran.wait(60):  # the helper takes a block before the caller
+        raise AssertionError("the helper took no block")
+    start = span(x, batch)[0]
+    if fail_in == ("caller" if in_caller else "helper"):
+        failed.append(start)
+        raise KeyError(start)
+    time.sleep(0.002)
+    layers(net, x, outs)
+    written.append(start)
+
+net = ne.init_network([8, 4], ["identity"], 44)
+batch = np.random.default_rng(45).random((6400, 8))
+for fail_in in ("helper", "caller"):
+    helper_ran.clear()
+    written.clear()
+    failed.clear()
+    ne._layers = lambda *args: run(fail_in, *args)
+    try:
+        ne.forward_batch(net, batch)
+    except KeyError as exc:
+        # every block that did not fail was written before the first failure raised
+        assert exc.args[0] == failed[0], (fail_in, failed)
+        assert sorted(written + failed) == ne._block_cuts(6400, 2)[:-1], (fail_in, written)
+    else:
+        raise AssertionError(f"the {fail_in}'s exception did not reach the caller")
+
+huge = ne.init_network([8, 4], ["identity"], 46)
+huge.params[:] = 1e308
+ne._layers = lambda *args: run(None, *args)
+helper_ran.clear()
+try:
+    ne.forward_batch(huge, batch)
+except RuntimeWarning as exc:
+    assert "overflow" in str(exc)
+else:
+    raise AssertionError("an unsilenced overflow did not raise")
+helper_ran.clear()
+with np.errstate(over="ignore"):
+    out, _ = ne.forward_batch(huge, batch)
+assert helper_ran.is_set() and np.isinf(out).all()
+ne._layers = layers
+out, _ = ne.forward_batch(net, batch)  # the helper outlives the exceptions
+one = ne.ForwardTrace.empty(net, 6400)
+layers(net, batch, one.buffers)
+assert out.tobytes() == one.buffers[-1].tobytes()
+print("ok")
+"""
+        assert run_pinned(code).strip() == "ok"
+
+    def test_other_thread_keeps_forward_in_one_block(self):
+        code = TWO_CPUS + SPAN + """
+import threading
+import numpy as np
+from randmark import nnengine as ne
+
+layers, blocks = ne._layers, []
+def spy(net, x, outs):
+    blocks.append((threading.get_ident(), *span(x, batch)))
+    layers(net, x, outs)
+ne._layers = spy
+net = ne.init_network([64, 16], ["tanh"], 47)
+batch = np.random.default_rng(48).random((1600, 64))
+ne.forward_batch(net, batch)
+cuts = ne._block_cuts(1600, 2)
+assert {block[1:] for block in blocks} == set(zip(cuts, cuts[1:])), blocks  # split while no other thread runs
+blocks.clear()
+done = threading.Event()
+other = threading.Thread(target=done.wait)
+other.start()
+ne.forward_batch(net, batch)
+done.set()
+other.join(60)
+assert not other.is_alive()
+assert blocks == [(threading.get_ident(), 0, 1600)], blocks
+print("ok")
+"""
+        assert run_pinned(code).strip() == "ok"
 
 
 class TestBackward:

@@ -22,7 +22,8 @@ from randmark.stats import mean_distance, var_distance
 from randmark.synth import gen_synthetic_images
 
 from conftest import (
-    MINI, decode_one_trigger, gradient_check, one_trigger, see_cpus, trigger_loss,
+    CORETYPES, MINI, TWO_CPUS, decode_one_trigger, gradient_check, one_trigger, run_pinned,
+    see_cpus, trigger_loss,
 )
 
 
@@ -306,6 +307,37 @@ class TestEmbedWatermark:
         out, _ = ne.forward_batch(bundle.watermarked_f, triggers.images)
         assert np.isfinite(out).all()
 
+    @pytest.mark.parametrize("coretype", CORETYPES)
+    def test_divergence_raises_under_any_warnings_filter(self, coretype):
+        # with RuntimeWarnings as errors and no errstate of the caller's, the
+        # diverging step's overflow (and, on Sandybridge, its invalid value)
+        # must not pre-empt TrainingDiverged and the rollback
+        code = """
+from randmark import attacks as atk, watermark as wm
+from randmark.harness import build_trigger_set
+from randmark.synth import gen_synthetic_images
+
+triggers = build_trigger_set(gen_synthetic_images(16, 64, 11), 8, 0.1, 12)
+source = atk.make_independent(
+    [64, 48, 16], seed=13, pretrain_data_seed=14, epochs=30, n_images=120
+)
+hyper = wm.HyperParams(lam=1.0, k_train=4, epochs=5, learning_rate=1e200)
+bundle = wm.ModelBundle.create(
+    source, 8, encoder_hidden=(48,), decoder_hidden=(24,), hyper=hyper, seed=22
+)
+trained = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
+before = [net.parameters_digest() for net in trained]
+try:
+    wm.embed_watermark(bundle, triggers)
+except wm.TrainingDiverged as exc:
+    assert "epoch 1" in str(exc), exc
+else:
+    raise AssertionError("embedding did not diverge")
+assert [net.parameters_digest() for net in trained] == before
+print("ok")
+"""
+        assert run_pinned(code, coretype).strip() == "ok"
+
     def test_loss_independent_of_accumulation_order(self, mini_run):
         # one full-batch evaluation vs per-trigger accumulation
         bundle = mini_run.bundle
@@ -564,7 +596,7 @@ def spy(net, inputs):
 wm.forward_batch = spy
 verify_suspect(source, bundle, triggers, 1, 4, 5, "source")
 assert threads == {threading.get_ident()}, threads
-assert atk._running_threads() == 1, atk._running_threads()
+assert ne._running_threads() == 1, ne._running_threads()
 with atk.IndependentPool(2) as pool:
     getters = pool.submit([16, 12, 6], [6, 7], [8, 9], 1, 10)
     assert len(multiprocessing.active_children()) == 2
@@ -579,6 +611,46 @@ print("ok")
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "ok"
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+class TestSplitDecode:
+    def test_desk_decode_splits_inside_forward_batch_in_the_caller(self):
+        # at desk size the suspect and decoder passes are 1,600 rows each:
+        # forward_batch shares their blocks with its helper, but every
+        # forward_batch call, which a tracer would wrap, is the caller's
+        code = TWO_CPUS + """
+import threading
+from randmark import nnengine as ne, watermark as wm
+from randmark.harness import ExperimentConfig, build_trigger_set, verify_suspect
+from randmark.synth import gen_synthetic_images
+
+config = ExperimentConfig()
+images = gen_synthetic_images(config.trigger_count, config.s, 1)
+triggers = build_trigger_set(images, config.n, config.sigma_scale, 2)
+source = ne.init_network(config.backbone_dims, ["tanh", "identity"], 3)
+bundle = wm.ModelBundle.create(
+    source, config.n, encoder_hidden=config.encoder_hidden,
+    decoder_hidden=config.decoder_hidden, seed=4,
+)
+calls, block_threads = [], set()
+forward, layers = ne.forward_batch, ne._layers
+def spy(net, inputs):
+    calls.append((threading.get_ident(), len(inputs)))
+    return forward(net, inputs)
+def block_spy(*args):
+    block_threads.add(threading.get_ident())
+    layers(*args)
+wm.forward_batch, ne._layers = spy, block_spy
+verify_suspect(source, bundle, triggers, config.tau, config.k_verify, 5, "source")
+rows = config.trigger_count * config.k_verify
+assert {thread for thread, _ in calls} == {threading.get_ident()}, calls
+assert [n for _, n in calls if n >= 512] == [rows, rows], calls
+assert [helper.thread.name for helper in ne._helpers] == ["randmark-forward"]
+assert block_threads <= {threading.get_ident(), ne._helpers[0].thread.ident}
+print("ok")
+"""
+        assert run_pinned(code).strip() == "ok"
 
 
 class TestPersistence:
