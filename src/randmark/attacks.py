@@ -348,36 +348,23 @@ def _random_omega_spec(rng: np.random.Generator, seed: int) -> AttackSpec:
 
 
 def sample_model_population(
-    bundle: ModelBundle,
-    kind: str,
-    m_models: int,
-    seed: int,
-    pretrain_epochs: int = 40,
-    pretrain_images: int = 400,
+    bundle: ModelBundle, kind: str, m_models: int, seed: int
 ) -> PopulationResult:
-    """M functional copies (kind="omega") or M independent models
-    (kind="xi"), with per-model seeds derived from the master seed plus the
-    model index. Independent models pretrain for pretrain_epochs over
-    pretrain_images synthetic images (make_independent's defaults).
+    """M functional copies of the watermarked backbone (the omega
+    population), with per-model seeds derived from the master seed plus the
+    model index. kind must be "omega": it stays, with m_models after it, only
+    for the benchmark tracer, which reads both by position. The independent
+    (xi) population is xi_population's, trained in the caller's pool.
 
-    Omega copies come from the randomized attack mixture of
-    _random_omega_spec. Those failing the functionality check (relative
-    embedding error beyond FUNCTIONALITY_LIMIT on 128 held-out synthetic
-    images) are excluded with a warning. Independent models are the
-    xi_population of the master seed, trained side by side in an
-    IndependentPool of their own.
+    Copies come from the randomized attack mixture of _random_omega_spec.
+    Those failing the functionality check (relative embedding error beyond
+    FUNCTIONALITY_LIMIT on 128 held-out synthetic images) are excluded with
+    a warning.
     """
-    if kind not in ("omega", "xi"):
-        raise ValueError("kind must be 'omega' or 'xi'")
+    if kind != "omega":
+        raise ValueError(f"kind must be 'omega', got {kind!r}: xi_population samples xi")
     if m_models < 1:
         raise ValueError("need at least one model")
-    if kind == "xi":
-        with IndependentPool(m_models) as pool:
-            result = xi_population(
-                pool, bundle.backbone_dims, seed, m_models, pretrain_epochs, pretrain_images
-            )
-            result.models = list(result.models)
-        return result
     result = PopulationResult(models=[], rows=[])
     heldout_inputs = gen_synthetic_images(128, bundle.s, seed + 999)
     mix_rng = np.random.default_rng(seed)

@@ -90,8 +90,8 @@ def _build_parser() -> _Parser:
     for kind, models in (("omega", "functional-copy"), ("xi", "independent-model")):
         p.add_argument(
             f"--population-{kind}",
-            help=f"directory of {models} checkpoints: those {kind}_manifest.json "
-            "lists if it is there, else every *.rmk",
+            help=f"directory of {models} checkpoints, exactly those its finished "
+            f"{kind}_manifest.json lists (as `population` and `pipeline` write it)",
         )
     p.add_argument(
         "--estimates",

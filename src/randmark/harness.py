@@ -17,7 +17,8 @@ import json
 import math
 import re
 import time
-from collections.abc import Callable, Collection, Iterator
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import NamedTuple
@@ -272,7 +273,7 @@ def verify_suspect(
 
 
 def population_distances(
-    models: Collection[MlpNetwork],
+    models: Iterable[MlpNetwork],
     bundle: ModelBundle,
     triggers: TriggerSet,
     k_draws: int,
@@ -281,29 +282,27 @@ def population_distances(
     """(n_models, N, K) per-draw Hamming distances over the shared stego batch,
     so the per-model Bernoulli trials stay paired with each other and with
     verify_suspect at the same seed. Each model is decoded as iteration over
-    models yields it."""
-    out = np.empty((len(models), len(triggers), k_draws), dtype=np.int64)
-    for mi, model in enumerate(models):
-        out[mi] = decode_triggers(model, bundle, triggers, k_draws, seed)[2]
-    return out
+    models yields it; no models give a (0, N, K) array."""
+    rows = [decode_triggers(model, bundle, triggers, k_draws, seed)[2] for model in models]
+    return np.array(rows, dtype=np.int64).reshape(-1, len(triggers), k_draws)
 
 
 @dataclass
 class PopulationWriter:
     """One population's models, each saved to directory/<label>NNN.rmk as
-    iteration reaches it; after the last, <label>_manifest.json records the
-    manifest rows (each with its file name) and the excluded count. Its
-    length is the number of rows, known before any model arrives."""
+    iteration reaches it. <label>_manifest.json, which records the manifest
+    rows (each with its file name) and the excluded count, exists only for a
+    finished population: a stale one is removed before the first model is
+    saved, and the new one is written after the last."""
 
     directory: Path
     label: str
     population: PopulationResult
 
-    def __len__(self) -> int:
-        return len(self.population.rows)
-
     def __iter__(self) -> Iterator[MlpNetwork]:
         self.directory.mkdir(parents=True, exist_ok=True)
+        manifest = self.directory / f"{self.label}_manifest.json"
+        manifest.unlink(missing_ok=True)
         rows, files = self.population.rows, []
         for model in self.population.models:
             files.append(f"{self.label}{len(files):03d}.rmk")
@@ -312,32 +311,34 @@ class PopulationWriter:
         if len(files) != len(rows):
             raise ValueError(f"{self.label}: {len(files)} models for {len(rows)} rows")
         rows = [{**row, "file": name} for row, name in zip(rows, files)]
-        (self.directory / f"{self.label}_manifest.json").write_text(json.dumps(
+        manifest.write_text(json.dumps(
             {"models": rows, "excluded": self.population.excluded}, indent=2, sort_keys=True
         ))
 
 
 def load_population(directory, label: str) -> list[MlpNetwork]:
-    """The models of one population directory: if it holds
-    <label>_manifest.json, as PopulationWriter writes it, exactly the files
-    its rows name, in row order, else every *.rmk file in name order. A
+    """The models of one population directory: exactly the files its
+    <label>_manifest.json rows name, in row order. PopulationWriter writes
+    that manifest only for a finished population, so a directory without
+    one, a population cut short among them, raises ValueError; so does a
     manifest that does not parse as one, or names anything but a checkpoint
-    file in the directory, raises ValueError, and so does a directory
-    without models."""
+    file in the directory, or no file at all."""
     directory = Path(directory)
     manifest = directory / f"{label}_manifest.json"
-    if manifest.is_file():
-        try:
-            names = [row["file"] for row in json.loads(manifest.read_text())["models"]]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"{manifest}: not a population manifest ({exc!r})") from None
-        for name in names:
-            if not (isinstance(name, str) and Path(name).name == name
-                    and (directory / name).is_file()):
-                raise ValueError(f"{manifest}: {name!r} is not a checkpoint file in {directory}")
-        files = [directory / name for name in names]
-    else:
-        files = sorted(directory.glob("*.rmk"))
+    if not manifest.is_file():
+        raise ValueError(
+            f"{directory} holds no finished {label} population: no {manifest.name} "
+            '(checkpoints put there by hand need one, at least {"models": [{"file": "a.rmk"}]})'
+        )
+    try:
+        names = [row["file"] for row in json.loads(manifest.read_text())["models"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{manifest}: not a population manifest ({exc!r})") from None
+    for name in names:
+        if not (isinstance(name, str) and Path(name).name == name
+                and (directory / name).is_file()):
+            raise ValueError(f"{manifest}: {name!r} is not a checkpoint file in {directory}")
+    files = [directory / name for name in names]
     if not files:
         raise ValueError(f"no checkpoints in {directory}")
     return [load_checkpoint(path) for path in files]
@@ -616,8 +617,8 @@ def compute_bound_report(
     config: ExperimentConfig,
     bundle: ModelBundle,
     triggers: TriggerSet,
-    omega_models: Collection[MlpNetwork],
-    xi_models: Collection[MlpNetwork],
+    omega_models: Iterable[MlpNetwork],
+    xi_models: Iterable[MlpNetwork],
     verify_seed: int,
 ):
     """Bit-collision estimates pooled across each population, Poisson-
@@ -694,14 +695,15 @@ def bounds_stage(
 def population_stage(config: ExperimentConfig, bundle: ModelBundle, kind: str, out: Path) -> int:
     """Sample config.m_models models of a run's omega or xi population
     (master seed from RunSeeds) and save them into out as a bounds stage
-    does. Returns the number of models saved."""
-    seed = config.seeds.omega if kind == "omega" else config.seeds.xi
-    result = sample_model_population(
-        bundle, kind, config.m_models, seed,
-        pretrain_epochs=config.pretrain_epochs, pretrain_images=config.pretrain_images,
-    )
-    for _ in PopulationWriter(out, kind, result):
-        pass
+    does: omega in this process, xi in a pool opened for it, each xi model
+    saved and dropped as it arrives. Returns the number of models saved."""
+    if kind == "omega":
+        result = sample_model_population(bundle, "omega", config.m_models, config.seeds.omega)
+        deque(PopulationWriter(out, kind, result), maxlen=0)
+    else:
+        with IndependentPool(config.m_models) as pool:
+            result = submit_xi(pool, bundle.backbone_dims, config)
+            deque(PopulationWriter(out, kind, result), maxlen=0)  # drops each model once saved
     return len(result.rows)
 
 

@@ -19,7 +19,8 @@ from randmark import attacks as atk
 from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.harness import (
-    COVARIANCE_DRAWS, ExperimentConfig, build_trigger_set, population_distances, verify_suspect,
+    COVARIANCE_DRAWS, ExperimentConfig, _blas_core, build_trigger_set, population_distances,
+    verify_suspect,
 )
 from randmark.nnengine import MlpNetwork, forward_batch
 from randmark.synth import gen_synthetic_images
@@ -134,6 +135,18 @@ CORETYPES = [
     pytest.param(core, marks=pytest.mark.skipif(flag not in _FLAGS, reason=f"CPU lacks {flag}"))
     for core, flag in (("SkylakeX", "avx512f"), ("Haswell", "avx2"), ("Sandybridge", "avx"))
 ]
+
+
+def assert_pinned(observed, by_core: dict):
+    """Assert that observed is the value pinned for the OpenBLAS core this
+    process runs on (harness._blas_core()): trained weights depend on the
+    kernel in their last bits. A core with no pinned value fails, naming the
+    core and the value it gives."""
+    core = _blas_core()
+    if core not in by_core:
+        pytest.fail(f"no value pinned for OpenBLAS core {core!r} (pinned for "
+                    f"{', '.join(by_core)}); on it this gives {observed!r}")
+    assert observed == by_core[core], f"pinned for OpenBLAS core {core}"
 
 
 # Run first in run_pinned's code, it keeps the process on the first two CPUs

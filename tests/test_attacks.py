@@ -160,8 +160,9 @@ class TestPopulation:
         assert a.rows == b.rows
 
     def test_xi_population_is_independent_models(self, mini_run):
-        result = atk.sample_model_population(mini_run.bundle, "xi", 2, seed=72)
-        assert len(result.models) == 2
+        with atk.IndependentPool(2) as pool:
+            result = atk.xi_population(pool, mini_run.bundle.backbone_dims, 72, 2, 1, 20)
+            assert len(list(result.models)) == 2
         assert all(row["kind"] == "independent" for row in result.rows)
 
     def test_default_mixture_keeps_watermark_retaining_kinds(self, mini_run):
@@ -187,8 +188,9 @@ class TestPopulation:
             assert err < atk.FUNCTIONALITY_LIMIT
 
     def test_invalid_kind_rejected(self, mini_run):
-        with pytest.raises(ValueError):
-            atk.sample_model_population(mini_run.bundle, "sigma", 1, seed=76)
+        for kind in ("sigma", "xi"):
+            with pytest.raises(ValueError, match="xi_population"):
+                atk.sample_model_population(mini_run.bundle, kind, 1, seed=76)
 
 
 def _train_in_pool(dims, seeds, data_seeds, epochs, n_images):

@@ -9,6 +9,8 @@ import multiprocessing
 import shutil
 import struct
 import threading
+import weakref
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from randmark.harness import (
 from randmark.synth import gen_synthetic_images
 from randmark.watermark import load_trigger_set
 
-from conftest import CORETYPES, one_trigger, run_pinned, see_cpus
+from conftest import CORETYPES, assert_pinned, one_trigger, run_pinned, see_cpus
 
 
 def micro_config(**overrides) -> ExperimentConfig:
@@ -420,9 +422,11 @@ class TestPipeline:
         _, _, manifest = micro_run
         assert len(manifest.files) == 22
         files = json.dumps(manifest.files, sort_keys=True).encode()
-        assert hashlib.sha256(files).hexdigest() == (
-            "c80da44b7eb7c93a3068137232fba195cd124ebc29ff655864b70e61ee639499"
-        )
+        assert_pinned(hashlib.sha256(files).hexdigest(), {
+            "SkylakeX": "c80da44b7eb7c93a3068137232fba195cd124ebc29ff655864b70e61ee639499",
+            "Haswell": "db2ba06b3e264719e80e27fa92307080cf6ba07b7c6ded4db4f5661b771dbb03",
+            "Sandybridge": "9976f820d53f8284dd292ae5e2888769180676add6ff74530c058a89113b9d16",
+        })
 
     def test_decision_bytes_pinned(self, micro_run):
         # the files that carry the run's decisions; a BLAS kernel that sums in
@@ -594,7 +598,7 @@ class TestPopulationTraining:
         xi = [config.seed + 2000 + index for index in range(config.m_models)]
         assert submitted == [[config.seed + 100, config.seed + 101], xi]
 
-    def test_xi_worker_failure_is_a_bounds_stage_failure(self, monkeypatch, tmp_path):
+    def test_xi_worker_failure_is_a_bounds_stage_failure(self, monkeypatch, tmp_path, capsys):
         config = micro_config(seed=41, m_models=3)
         real = atk.gen_synthetic_images
 
@@ -617,6 +621,22 @@ class TestPopulationTraining:
         ):
             assert name in manifest.files, name
         assert "bound_report.json" not in manifest.files
+        # the directory holds the omega population and xi000.rmk but no
+        # finished xi population, and reads as none, never as those files
+        run = tmp_path / "run"
+        with pytest.raises(ValueError, match="no xi_manifest.json"):
+            harness.load_population(run / "population", "xi")
+        code = cli.main([
+            "bounds", "--config", str(_write_micro_cfg(tmp_path / "micro.cfg")),
+            "--bundle", str(run / "bundle"), "--triggers", str(run / "triggers.rmts"),
+            "--population-omega", str(run / "population"),
+            "--population-xi", str(run / "population"),
+            "--out", str(tmp_path / "bounds_out"),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "xi_manifest.json" in err and "Traceback" not in err
+        assert not (tmp_path / "bounds_out").exists()
 
     @pytest.mark.parametrize("failing", ["embed", "attacks", "bounds"])
     def test_failed_run_leaves_no_worker_or_thread(self, monkeypatch, tmp_path, failing):
@@ -713,6 +733,16 @@ class TestSharedExtraction:
                 suspect_id="s",
             )
             assert np.array_equal(row, distances)
+
+    def test_population_of_no_models(self, mini_run):
+        # models are decoded as iteration yields them; none give (0, N, K),
+        # which the bound report refuses
+        dists = population_distances(iter(()), mini_run.bundle, mini_run.triggers, 8, 50)
+        assert (dists.shape, dists.dtype) == ((0, len(mini_run.triggers), 8), np.int64)
+        with pytest.raises(ValueError, match="omega population is empty"):
+            harness.compute_bound_report(
+                micro_config(), mini_run.bundle, mini_run.triggers, iter(()), iter(()), 50
+            )
 
     def test_wrong_dimensions_refused_before_stego_work(self, mini_run, monkeypatch):
         bundle = mini_run.bundle
@@ -886,6 +916,30 @@ class TestCli:
              config.pretrain_images)
             for i in range(config.m_models)
         ]
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
+    def test_population_xi_saves_one_model_at_a_time(self, micro_run, monkeypatch, tmp_path, cpus):
+        # `population --kind xi` streams its models to disk: when one is
+        # saved, no model saved before it is still alive
+        _, out, _ = micro_run
+        saved = []
+        real_save = harness.save_checkpoint
+
+        def spy(model, path):
+            assert [ref() for ref in saved] == [None] * len(saved), f"alive at {path.name}"
+            saved.append(weakref.ref(model))
+            real_save(model, path)
+
+        monkeypatch.setattr(harness, "save_checkpoint", spy)
+        see_cpus(monkeypatch, cpus)
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG.replace("m_models = 2", "m_models = 3"))
+        code = cli.main([
+            "population", "--config", str(cfg), "--bundle", str(out / "bundle"),
+            "--kind", "xi", "--out", str(tmp_path / "xi"),
+        ])
+        assert code == cli.EXIT_OK
+        assert len(saved) == 3
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as info:
@@ -1127,6 +1181,9 @@ class TestCli:
         (xi_dir / "indep.rmk").write_bytes(
             (out / "suspects" / "independent0.rmk").read_bytes()
         )
+        # the least manifest a directory put together by hand needs
+        (omega_dir / "omega_manifest.json").write_text('{"models": [{"file": "copy.rmk"}]}')
+        (xi_dir / "xi_manifest.json").write_text('{"models": [{"file": "indep.rmk"}]}')
         cfg = _write_micro_cfg(tmp_path / "micro.cfg")
         code = cli.main([
             "bounds",
@@ -1148,6 +1205,8 @@ class TestCli:
         xi_dir.mkdir()
         ne.save_checkpoint(ne.init_network([17, 6, 6], ["tanh", "identity"], 53), omega_dir / "w.rmk")
         (xi_dir / "indep.rmk").write_bytes((out / "suspects" / "independent0.rmk").read_bytes())
+        (omega_dir / "omega_manifest.json").write_text('{"models": [{"file": "w.rmk"}]}')
+        (xi_dir / "xi_manifest.json").write_text('{"models": [{"file": "indep.rmk"}]}')
         code = cli.main([
             "bounds",
             "--config", str(_write_micro_cfg(tmp_path / "micro.cfg")),
@@ -1320,6 +1379,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "bounds_out").exists()
+
+    def test_cut_rewrite_of_a_population_is_refused(self, tmp_path):
+        # a rewrite stopped after 2 of 5 models, into a directory that holds a
+        # finished population, must not read as 2 new models and 3 old ones
+        def models(seed, stop=None):
+            for index in range(5):
+                if index == stop:
+                    raise RuntimeError("stopped")
+                yield ne.init_network([4, 3], ["identity"], seed + index)
+
+        rows = [{"index": index} for index in range(5)]
+        written = harness.PopulationWriter(tmp_path, "xi", atk.PopulationResult(models(0), rows))
+        deque(written, maxlen=0)
+        assert len(harness.load_population(tmp_path, "xi")) == 5
+        cut = harness.PopulationWriter(tmp_path, "xi", atk.PopulationResult(models(10, 2), rows))
+        with pytest.raises(RuntimeError, match="stopped"):
+            deque(cut, maxlen=0)
+        with pytest.raises(ValueError, match="no xi_manifest.json") as info:
+            harness.load_population(tmp_path, "xi")
+        assert '{"models": [{"file": "a.rmk"}]}' in str(info.value)
 
     def test_oracle_emits_json(self, capsys):
         code = cli.main([

@@ -33,8 +33,6 @@ OPTIONS = {
     "attacks.distill_attack.seed",
     "attacks.make_independent.epochs",
     "attacks.make_independent.n_images",
-    "attacks.sample_model_population.pretrain_epochs",
-    "attacks.sample_model_population.pretrain_images",
     "cli.main.argv",
     "harness.json_field.name",
     "nnengine.forward_batch.into",
