@@ -283,7 +283,10 @@ def population_distances(
     so the per-model Bernoulli trials stay paired with each other and with
     verify_suspect at the same seed. Each model is decoded as iteration over
     models yields it; no models give a (0, N, K) array."""
-    rows = [decode_triggers(model, bundle, triggers, k_draws, seed)[2] for model in models]
+    rows = []
+    for model in models:
+        rows.append(decode_triggers(model, bundle, triggers, k_draws, seed)[2])
+        del model  # hold no model while models yields the next
     return np.array(rows, dtype=np.int64).reshape(-1, len(triggers), k_draws)
 
 
@@ -316,13 +319,14 @@ class PopulationWriter:
         ))
 
 
-def load_population(directory, label: str) -> list[MlpNetwork]:
-    """The models of one population directory: exactly the files its
-    <label>_manifest.json rows name, in row order. PopulationWriter writes
-    that manifest only for a finished population, so a directory without
-    one, a population cut short among them, raises ValueError; so does a
-    manifest that does not parse as one, or names anything but a checkpoint
-    file in the directory, or no file at all."""
+def load_population(directory, label: str) -> Iterator[MlpNetwork]:
+    """The models of one population directory, each loaded as iteration
+    reaches it: exactly the files its <label>_manifest.json rows name, in
+    row order. PopulationWriter writes that manifest only for a finished
+    population, so a directory without one, a population cut short among
+    them, raises ValueError; so does a manifest that does not parse as one,
+    or names anything but a checkpoint file in the directory, or no file at
+    all. These checks run in the call, before any checkpoint loads."""
     directory = Path(directory)
     manifest = directory / f"{label}_manifest.json"
     if not manifest.is_file():
@@ -341,7 +345,7 @@ def load_population(directory, label: str) -> list[MlpNetwork]:
     files = [directory / name for name in names]
     if not files:
         raise ValueError(f"no checkpoints in {directory}")
-    return [load_checkpoint(path) for path in files]
+    return (load_checkpoint(path) for path in files)
 
 
 JSON_NUMBER = (int, float)  # the Python types a JSON number loads as

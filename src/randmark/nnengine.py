@@ -25,7 +25,16 @@ no thread is started or joined per call. Every cut falls at a multiple of
 product of the whole batch, so a split batch gives the bytes of a serial
 one. A process that runs any other thread, BLAS threads or an
 IndependentPool's included, has no spare CPU, so its forwards run in the
-caller's thread alone; backward always does.
+caller's thread alone.
+
+backward of at least 512 rows hands each layer's weight-gradient product
+to the helper (_offload) while the caller computes the bias sum and the
+input-gradient product, and waits for it before the next layer; a first
+layer without an input gradient cuts its weight gradient at a multiple of
+32 columns instead, and the helper takes the right part. Each product is
+one BLAS call over whole operands or a 32-aligned column block, so the
+bytes are those of a serial pass. Without a spare CPU, backward runs in the
+caller's thread alone.
 """
 
 from __future__ import annotations
@@ -38,7 +47,9 @@ import queue
 import struct
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -399,7 +410,8 @@ class _Blocks:
 
 class _Helper:
     """A daemon thread that runs each (context, work) put on calls as
-    context.run(work); work reports its own outcome (_Blocks.help)."""
+    context.run(work); work reports its own outcome (_Blocks.help, or the
+    waiter of _offload)."""
 
     def __init__(self):
         self.calls: queue.SimpleQueue = queue.SimpleQueue()
@@ -445,6 +457,45 @@ def _block_helpers(rows: int) -> list[_Helper]:
     while len(_helpers) < wanted:
         _helpers.append(_Helper())
     return _helpers[:wanted]
+
+
+def _offload(helper: _Helper | None, work: Callable[[], object]) -> Callable[[], None]:
+    """Hand work (np.matmul or private code, never a traced public function)
+    to helper, in a copy of the caller's context, so its np.errstate holds
+    there too, and return the waiter that the caller must call before it
+    uses work's output. Whichever of the helper and the waiter starts work
+    first runs it: a helper that is busy, or has not woken by the time the
+    caller calls the waiter, loses the work to the caller, as with _Blocks.
+    The waiter returns, or re-raises work's exception, once work is done,
+    and again at every later call. Without a helper the waiter runs work.
+    """
+    # two plain locks, cheaper to make than an Event: claim goes to whoever
+    # runs work, and done is held until work has run
+    claim, done, errors = threading.Lock(), threading.Lock(), []
+    done.acquire()
+
+    def run() -> None:
+        try:
+            work()
+        except BaseException as exc:
+            errors.append(exc)
+        done.release()
+
+    def take() -> None:
+        if claim.acquire(blocking=False):
+            run()
+
+    def wait() -> None:
+        if claim.acquire(blocking=False):
+            run()
+        with done:
+            pass
+        if errors:
+            raise errors[0]
+
+    if helper is not None:
+        helper.calls.put((contextvars.copy_context(), take))
+    return wait
 
 
 def _running_threads() -> int:
@@ -593,6 +644,15 @@ def backward(
     An into or output_gradient that does not fit, or an output_gradient that
     overlaps the trace or into's scratch, raises ValueError before anything
     is written.
+
+    With at least 512 rows and a helper of _block_helpers, each layer's
+    weight-gradient product runs on the helper, in a copy of the caller's
+    context, beside the caller's bias sum and input-gradient product; the
+    first layer under wrt_input=False splits its weight gradient at
+    out_dim // 2 rounded down to a multiple of 32 columns instead (run
+    whole in the caller below 64 columns). The caller waits for the helper
+    at the end of each layer, and so raises a helper's exception only once
+    both products are written. The bytes are those of a serial pass.
     """
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.ndim == 1:
@@ -619,6 +679,7 @@ def backward(
         )
     if any(np.may_share_memory(g, a) for a in (*trace.activations[1:], *into.scratch)):
         raise ValueError("output gradient overlaps the trace or into's scratch")
+    helper = (_block_helpers(rows) or [None])[0]
     views = list(_layer_views(into.flat, net.spec))
     for step, i in enumerate(range(len(net.layers) - 1, -1, -1)):
         layer = net.layers[i]
@@ -627,12 +688,25 @@ def backward(
         buffer = into.scratch[step % 2]
         scratch = _leading(buffer, a.shape) if layer.activation == "sigmoid" else None
         dz = _derivative_term(layer.activation, a, g, scratch)
-        np.matmul(trace.activations[i].T, dz, out=views[i][0])
-        dz.sum(axis=0, out=views[i][1])
-        if i > 0 or wrt_input:
-            g = np.matmul(dz, layer.weight.T, out=_leading(buffer, (rows, layer.in_dim)))
-        else:
-            g = np.empty((rows, 0))
+        a_in_t, (weight_grad, bias_grad) = trace.activations[i].T, views[i]
+        input_grad = i > 0 or wrt_input
+        # the helper takes the weight gradient's columns from cut on; a
+        # 32-aligned cut keeps each column's bytes those of one product
+        cut = 0 if input_grad or helper is None else layer.out_dim // 2 // 32 * 32
+        wait = _offload(
+            helper if input_grad or cut else None,
+            partial(np.matmul, a_in_t, dz[:, cut:], out=weight_grad[:, cut:]),
+        )
+        try:
+            if cut:
+                np.matmul(a_in_t, dz[:, :cut], out=weight_grad[:, :cut])
+            dz.sum(axis=0, out=bias_grad)
+            if input_grad:
+                g = np.matmul(dz, layer.weight.T, out=_leading(buffer, (rows, layer.in_dim)))
+            else:
+                g = np.empty((rows, 0))
+        finally:
+            wait()  # the next layer's derivative term overwrites a_in_t
     trace.spent = True
     into.wrt_input = g
     return into

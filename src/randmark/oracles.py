@@ -144,6 +144,8 @@ def coverage_simulation(
     """
     if reps < 1_000:
         raise ValueError("need at least 10^3 replications")
+    if trials_per_rep < 1:
+        raise ValueError(f"need at least 1 trial per replication, got {trials_per_rep} trials")
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     rng = np.random.default_rng(seed)

@@ -20,6 +20,7 @@ import copy
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,8 @@ from .nnengine import (
     Gradients,
     MlpNetwork,
     OptimizerState,
+    _block_helpers,
+    _offload,
     backward,
     forward_batch,
     init_network,
@@ -366,10 +369,11 @@ class _EmbedStep:
     bits and K noise draws per trigger: the (N * K, s + n) encoder input,
     whose bit columns are filled here; the (N * K, s) stego batch, whose
     (N, K, s) view noise may take each epoch's noise draw, since a call
-    reads the draw before it builds the stego; the message error; and a
-    ForwardTrace and a Gradients per pass. Each call overwrites all of them,
-    the gradients it returned before included, with the bytes that fresh
-    arrays would hold.
+    reads the draw before it builds the stego and needs the stego no more
+    once it returns, so the next draw may fill it between calls; the
+    message error; and a ForwardTrace and a Gradients per pass. Each call
+    overwrites all of them, the gradients it returned before included, with
+    the bytes that fresh arrays would hold.
     """
 
     def __init__(self, watermarked_f, encoder_e, decoder_d, messages: np.ndarray, k_draws: int):
@@ -458,6 +462,14 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
     the bundle is rolled back to the last finite epoch and TrainingDiverged
     is raised, whatever floating-point warnings the diverging step gave: the
     function runs under np.errstate(over="ignore", invalid="ignore").
+
+    With at least 512 stego rows (N * K) and a helper of _block_helpers,
+    the next epoch's noise is drawn on the helper, from the same generator
+    in the same order, while the caller checks the epoch and steps the
+    optimizers; the caller waits for the draw before the next epoch, or
+    before a rollback. backward shares its products with the same helper,
+    so the function returns only once no work of it runs there, and the
+    bytes are those of a serial run.
     """
     if triggers.s != bundle.s or triggers.n != bundle.n:
         raise ValueError("trigger set dimensions do not match bundle")
@@ -478,14 +490,19 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
     snapshot = [net.params.copy() for net in trained]
     out_ref, _ = forward_batch(bundle.frozen_f, triggers.images)  # frozen: the same every epoch
     step = _EmbedStep(*trained, messages, hyper.k_train)
+    helper = (_block_helpers(len(step.stego)) or [None])[0]
+    draw = partial(_draw_noise, rng, step.noise, triggers.sigmas)
+    drawn = _offload(None, draw)
     for epoch in range(hyper.epochs):
-        noise = rng.standard_normal(out=step.noise)
-        noise *= triggers.sigmas[:, None, None]
+        drawn()
         fid, msg, acc, grads = step(
-            out_ref, triggers.images, noise, hyper.lam, hyper.delta_scale
+            out_ref, triggers.images, step.noise, hyper.lam, hyper.delta_scale
         )
+        if epoch + 1 < hyper.epochs:  # step is done with the noise
+            drawn = _offload(helper, draw)
         total = fid + msg
         if not (math.isfinite(total) and all(g.is_finite() for g in grads)):
+            drawn()
             for net, saved in zip(trained, snapshot):
                 np.copyto(net.params, saved)
             raise TrainingDiverged(
@@ -505,6 +522,13 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
             }
         )
     return bundle, log
+
+
+def _draw_noise(rng: np.random.Generator, noise: np.ndarray, sigmas: np.ndarray) -> None:
+    """One epoch's (N, K, s) noise draw from rng, written into noise and
+    scaled by each trigger's sigma."""
+    rng.standard_normal(out=noise)
+    noise *= sigmas[:, None, None]
 
 
 def trigger_stream_seed(seed: int, index: int) -> int:

@@ -1335,6 +1335,32 @@ class TestCli:
         written = (tmp_path / "bounds_out" / "bound_report.json").read_bytes()
         assert written == (out / "bound_report.json").read_bytes()
 
+    def test_bounds_loads_one_population_model_at_a_time(self, micro_run, monkeypatch, tmp_path):
+        # `bounds --population-omega/--population-xi` streams its models from
+        # disk: when one loads, no model loaded before it is still alive
+        config, out, _ = micro_run
+        loaded = []
+        real_load = harness.load_checkpoint
+
+        def spy(path):
+            assert [ref() for ref in loaded] == [None] * len(loaded), f"alive at {path.name}"
+            model = real_load(path)
+            loaded.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(harness, "load_checkpoint", spy)
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG)
+        code = cli.main([
+            "bounds", "--config", str(cfg),
+            "--bundle", str(out / "bundle"), "--triggers", str(out / "triggers.rmts"),
+            "--population-omega", str(out / "population"),
+            "--population-xi", str(out / "population"),
+            "--out", str(tmp_path / "bounds_out"),
+        ])
+        assert code in (cli.EXIT_OK, cli.EXIT_BOUND_NA)
+        assert len(loaded) == 2 * config.m_models
+
     def test_bounds_rejects_config_n_other_than_triggers(self, micro_run, tmp_path, capsys):
         _, out, _ = micro_run  # n = 8
         cfg = tmp_path / "micro.cfg"
@@ -1392,7 +1418,7 @@ class TestCli:
         rows = [{"index": index} for index in range(5)]
         written = harness.PopulationWriter(tmp_path, "xi", atk.PopulationResult(models(0), rows))
         deque(written, maxlen=0)
-        assert len(harness.load_population(tmp_path, "xi")) == 5
+        assert len(list(harness.load_population(tmp_path, "xi"))) == 5
         cut = harness.PopulationWriter(tmp_path, "xi", atk.PopulationResult(models(10, 2), rows))
         with pytest.raises(RuntimeError, match="stopped"):
             deque(cut, maxlen=0)
@@ -1440,6 +1466,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "10^3 replications" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_coverage_rejects_fewer_than_one_trial(self, capsys, trials):
+        code = cli.main([
+            "oracle", "coverage", "--p", "0.5", f"--trials={trials}", "--level", "0.1",
+        ])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"got {trials} trials" in captured.err
         assert "Traceback" not in captured.err
 
     def test_bounds_from_estimates_needs_no_bundle(self, tmp_path, capsys):

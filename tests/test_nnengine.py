@@ -355,6 +355,193 @@ print("ok")
         assert run_pinned(code).strip() == "ok"
 
 
+# Prepended to the code of a TestSplitBackward process: a spy for np.matmul
+# that records each product's thread and output shape (the helper's products
+# are partials bound at each backward call, so they see it too). No forward
+# block is taken over, so no late forward block runs in the helper.
+MATMUL_SPY = """
+import threading
+import numpy as np
+from randmark import nnengine as ne
+
+ne._PATIENCE = 1e6
+caller, matmul, products = threading.get_ident(), np.matmul, []
+def spy(a, b, out=None):
+    products.append((threading.get_ident() == caller, out.shape))
+    return matmul(a, b, out=out)
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+class TestSplitBackward:
+    """A backward of at least 512 rows hands each layer's weight-gradient
+    product, or for a first layer without an input gradient the columns
+    from a 32-aligned cut on, to forward_batch's helper (_offload), in a
+    process with BLAS pinned and no other thread; each test runs in such a
+    process of its own."""
+
+    @pytest.mark.parametrize("coretype", CORETYPES)
+    def test_split_bytes_equal_serial(self, coretype):
+        code = TWO_CPUS + MATMUL_SPY + """
+block_helpers = ne._block_helpers
+rng = np.random.default_rng(60)
+helper_products = 0
+# the default encoder, backbone and decoder, a first layer of 200 outputs,
+# whose cut falls at 96 columns, not 100, and one of 40, too few to cut
+for dims in ([288, 256, 256], [256, 192, 64], [64, 128, 32], [40, 200, 8], [32, 40, 8]):
+    for act in ne.ACTIVATIONS:
+        net = ne.init_network(dims, [act, act], 61)
+        for rows in (512, 513, 800, 1600):
+            x, g = rng.random((rows, dims[0])), rng.random((rows, dims[-1]))
+            for wrt_input in (True, False):
+                runs = []
+                for helpers in (block_helpers, lambda rows: []):
+                    _, trace = ne.forward_batch(net, x)
+                    products.clear()
+                    ne._block_helpers, np.matmul = helpers, spy
+                    grads = ne.backward(net, trace, g, wrt_input)
+                    ne._block_helpers, np.matmul = block_helpers, matmul
+                    runs.append((grads.flat.tobytes(), grads.wrt_input.tobytes(), list(products)))
+                (flat, inputs, split), (flat_1, inputs_1, serial) = runs
+                case = (dims, act, rows, wrt_input)
+                assert flat == flat_1 and inputs == inputs_1, case
+                assert all(in_caller for in_caller, _ in serial), case
+                helper_products += sum(not in_caller for in_caller, _ in split)
+                # output shapes: weight gradients, then input gradients
+                expected = [(n_in, n_out) for n_in, n_out in zip(dims, dims[1:])]
+                expected += [(rows, n_in) for n_in in dims[int(not wrt_input):-1]]
+                cut = dims[1] // 2 // 32 * 32
+                if not wrt_input and cut:  # the first layer's weight gradient is cut
+                    expected.remove((dims[0], dims[1]))
+                    expected += [(dims[0], cut), (dims[0], dims[1] - cut)]
+                assert sorted(shape for _, shape in split) == sorted(expected), (case, split)
+assert helper_products > 0, "the helper took no product"
+assert len(ne._helpers) == 1
+print("ok")
+"""
+        assert run_pinned(code, coretype).strip() == "ok"
+
+    @pytest.mark.parametrize("coretype", CORETYPES)
+    def test_helpers_exception_and_callers_errstate(self, coretype):
+        # the helper's weight-gradient product raises after it wrote its
+        # output: the exception reaches the caller after the caller wrote the
+        # input gradient; an overflow in the helper's product obeys the
+        # caller's errstate
+        code = TWO_CPUS + MATMUL_SPY + """
+import time
+
+started = threading.Event()
+def helper_first(fail):
+    def product(a, b, out=None):
+        if threading.get_ident() == caller:
+            if not started.wait(60):  # the helper takes its product before the caller
+                raise AssertionError("the helper took no product")
+        else:
+            started.set()
+            time.sleep(0.05)
+        spy(a, b, out=out)
+        if fail and threading.get_ident() != caller:
+            raise KeyError("helper")
+    return product
+
+net = ne.init_network([64, 48], ["identity"], 62)
+x = np.random.default_rng(63).random((800, 64))
+g = np.ones((800, 48))
+block_helpers, ne._block_helpers = ne._block_helpers, lambda rows: []
+_, trace = ne.forward_batch(net, x)
+serial = ne.backward(net, trace, g)
+ne._block_helpers = block_helpers
+
+into = ne.Gradients.empty(net, 800)
+_, trace = ne.forward_batch(net, x)
+started.clear()
+np.matmul = helper_first(True)
+try:
+    ne.backward(net, trace, g, into=into)
+except KeyError:
+    pass
+else:
+    raise AssertionError("the helper's exception did not reach the caller")
+np.matmul = matmul
+assert into.flat.tobytes() == serial.flat.tobytes()
+inputs = into.scratch[0][: 800 * 64].reshape(800, 64)
+assert inputs.tobytes() == serial.wrt_input.tobytes()
+assert sorted(in_caller for in_caller, _ in products) == [False, True], products
+
+huge_x = np.full((800, 64), 1e306)  # x.T @ g overflows, g @ W.T does not
+net.params[:] = 1e-10
+for silenced in (False, True):
+    _, trace = ne.forward_batch(net, huge_x)
+    products.clear()
+    started.clear()
+    np.matmul = helper_first(False)
+    try:
+        if silenced:
+            with np.errstate(over="ignore"):
+                grads = ne.backward(net, trace, g)
+            assert np.isinf(grads.flat[: 64 * 48]).all()
+        else:
+            ne.backward(net, trace, g)
+            raise AssertionError("an unsilenced overflow did not raise")
+    except RuntimeWarning as exc:
+        assert not silenced and "overflow" in str(exc), exc
+    finally:
+        np.matmul = matmul
+    assert (False, (64, 48)) in products, products
+print("ok")
+"""
+        assert run_pinned(code, coretype).strip() == "ok"
+
+    @pytest.mark.parametrize("coretype", CORETYPES)
+    def test_busy_helper_loses_work_and_each_runs_once(self, coretype):
+        # while the helper runs something else, every product of a backward
+        # runs in the caller, with the same bytes; each piece of offloaded
+        # work runs once, also when threads switch every microsecond
+        code = TWO_CPUS + MATMUL_SPY + """
+import contextvars, sys, time
+
+net = ne.init_network([256, 192, 64], ["tanh", "identity"], 64)
+x = np.random.default_rng(65).random((800, 256))
+g = np.random.default_rng(66).random((800, 64))
+_, trace = ne.forward_batch(net, x)  # starts the helper
+block_helpers, ne._block_helpers = ne._block_helpers, lambda rows: []
+serial = ne.backward(net, trace, g).flat.copy()
+ne._block_helpers = block_helpers
+helper = ne._helpers[0]
+busy, release = threading.Event(), threading.Event()
+helper.calls.put((contextvars.copy_context(), lambda: (busy.set(), release.wait(60))))
+assert busy.wait(60)
+_, trace = ne.forward_batch(net, x)
+np.matmul = spy
+grads = ne.backward(net, trace, g)
+np.matmul = matmul
+release.set()
+assert grads.flat.tobytes() == serial.tobytes()
+assert len(products) == 4 and all(in_caller for in_caller, _ in products), products
+
+runs = []
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for i in range(2000):
+        ran = []
+        runs.append(ran)
+        wait = ne._offload(helper, lambda ran=ran: ran.append(threading.get_ident()))
+        if i % 2:
+            time.sleep(1e-4)  # the helper may wake first
+        wait()
+        assert len(ran) == 1, ran
+finally:
+    sys.setswitchinterval(interval)
+ne._quiesce_helpers()  # the helper has seen every call
+assert all(len(ran) == 1 for ran in runs)
+takers = {ran[0] for ran in runs}
+assert takers == {caller, helper.thread.ident}, takers
+print("ok")
+"""
+        assert run_pinned(code, coretype).strip() == "ok"
+
+
 class TestBackward:
     def test_zero_output_gradient_gives_zero_grads(self):
         net = ne.init_network([4, 3, 2], ["tanh", "identity"], 3)
