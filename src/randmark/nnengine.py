@@ -16,16 +16,16 @@ networks stay copyable and hashable by content.
 forward_batch runs a batch of at least 512 rows as blocks of at most 256
 rows, shrinking towards the end (_block_cuts), which the caller and one
 helper thread per spare CPU (_worker_count) take from one shared
-iterator; each block runs every layer over its rows. The caller never
-waits for a helper to wake, and a block a helper holds for much longer
-than the caller's own blocks took, the caller runs itself (_Blocks). The
-helpers are daemon threads started at the first such batch and kept, so
-no thread is started or joined per call. Every cut falls at a multiple of
-32 rows and leaves no one-row block; OpenBLAS then sums each row as in one
-product of the whole batch, so a split batch gives the bytes of a serial
-one. A process that runs any other thread, BLAS threads or an
-IndependentPool's included, has no spare CPU, so its forwards run in the
-caller's thread alone.
+iterator; each block runs every layer over its rows, straight into the
+trace. Each helper gets that loop through _offload, so the caller never
+waits for a helper to wake, and the call returns once no thread is inside
+a block. The helpers are daemon threads started at the first such batch
+and kept, so no thread is started or joined per call. Every cut falls at
+a multiple of 32 rows and leaves no one-row block; OpenBLAS then sums
+each row as in one product of the whole batch, so a split batch gives the
+bytes of a serial one. A process that runs any other thread, BLAS threads
+or an IndependentPool's included, has no spare CPU, so its forwards run in
+the caller's thread alone.
 
 backward of at least 512 rows hands each layer's weight-gradient product
 to the helper (_offload) while the caller computes the bias sum and the
@@ -46,7 +46,6 @@ import os
 import queue
 import struct
 import threading
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -236,10 +235,6 @@ class ForwardTrace:
 _SPLIT_ROWS = 512
 _BLOCK_ROWS = 256
 _MIN_BLOCK_ROWS = 64
-# once no block is left to take, the caller gives a block a helper holds
-# _PATIENCE times the time its own blocks took per row, counted from when
-# the helper took it, then runs it itself
-_PATIENCE = 1.5
 
 
 def _block_cuts(rows: int, workers: int) -> list[int]:
@@ -271,12 +266,14 @@ def forward_batch(
     batch raises ValueError before anything is written.
 
     A batch of at least 512 rows runs as blocks of at most 256 rows
-    (_Blocks) shared by the caller and the helper threads of _block_helpers,
-    a helper's in a copy of the caller's context (so its np.errstate holds
-    there too); the call returns, or raises the first exception of any
-    block, once every block is done. A helper that is slow to wake takes no
-    block, and one that stalls in a block loses it to the caller. The bytes
-    are those of a serial pass.
+    (_block_cuts), which the caller and the helper threads of _block_helpers
+    take from one shared iterator, each writing its blocks' rows straight
+    into the trace. A helper runs the loop through _offload, in a copy of
+    the caller's context (so its np.errstate holds there too), and a helper
+    that is slow to wake takes no block. The call returns, or raises the
+    first exception of any block, once every block is written and no helper
+    is inside one; so a helper that stalls in a block holds the call up
+    until it finishes. The bytes are those of a serial pass.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -292,12 +289,24 @@ def forward_batch(
         raise ValueError(f"batch of {rows} rows exceeds into's {len(into.buffers[0])}")
     helpers = _block_helpers(rows)
     if helpers:
-        blocks = _Blocks(net, x, into.buffers, len(helpers) + 1)
-        for helper in helpers:
-            helper.calls.put((contextvars.copy_context(), blocks.help))
-        blocks.run()
-        if blocks.error is not None:
-            raise blocks.error
+        cuts = _block_cuts(rows, len(helpers) + 1)
+        # next() on a range iterator holds the GIL, so each block is taken once
+        blocks, errors = iter(range(len(cuts) - 1)), []
+
+        def run() -> None:
+            for index in blocks:
+                start, stop = cuts[index], cuts[index + 1]
+                try:
+                    _layers(net, x[start:stop], [buffer[start:stop] for buffer in into.buffers])
+                except BaseException as exc:
+                    errors.append(exc)
+
+        waits = [_offload(helper, run) for helper in helpers]
+        run()
+        for wait in waits:
+            wait()
+        if errors:
+            raise errors[0]
     else:
         _layers(net, x, [buffer[:rows] for buffer in into.buffers])
     into.activations = [x, *(buffer[:rows] for buffer in into.buffers)]
@@ -323,95 +332,10 @@ def _layers(net: MlpNetwork, x: np.ndarray, outs) -> None:
             x *= 0.5
 
 
-class _Blocks:
-    """One batch's rows as the blocks of _block_cuts, which the caller (run)
-    and the helpers (help) take from one shared iterator (a range iterator's
-    next() holds the GIL), so each block is taken once.
-
-    The caller writes its blocks straight into the trace buffers. A helper
-    writes a block into arrays of its own, then, under the lock, copies it
-    into the buffers unless the caller has taken it over. Once no block is
-    left to take, the caller gives each block a helper holds _PATIENCE times
-    the time its own blocks took per row, counted from when the helper took
-    it, then takes over the ones still unwritten and runs them itself. So a
-    helper that stalls (on a vCPU whose host runs something else, say)
-    delays the call by about one block's time, and a helper that never
-    wakes delays it not at all; a stalled helper's late copy is dropped.
-    The bytes of a block are the same in either thread. error keeps the
-    first exception of a block whose rows count (not one taken over); every
-    other block still runs."""
-
-    def __init__(self, net: MlpNetwork, x: np.ndarray, buffers, workers: int):
-        self.net, self.x, self.buffers = net, x, buffers
-        self.cuts = _block_cuts(len(x), workers)
-        self.indices = iter(range(len(self.cuts) - 1))
-        self.lock = threading.Condition()
-        self.claimed: dict[int, float] = {}  # helper blocks by the perf_counter() they were taken at
-        self.written: set[int] = set()  # helper blocks copied into the buffers, or failed
-        self.taken: set[int] = set()  # helper blocks the caller took over
-        self.error: BaseException | None = None
-
-    def _run(self, index: int, outs=None) -> BaseException | None:
-        """Run a block into outs (its rows of the buffers by default);
-        return the exception it raised, if any."""
-        start, stop = self.cuts[index], self.cuts[index + 1]
-        if outs is None:
-            outs = [buffer[start:stop] for buffer in self.buffers]
-        try:
-            _layers(self.net, self.x[start:stop], outs)
-        except BaseException as exc:
-            return exc
-        return None
-
-    def help(self) -> None:
-        for index in self.indices:
-            self.claimed[index] = time.perf_counter()
-            start, stop = self.cuts[index], self.cuts[index + 1]
-            outs = [np.empty((stop - start, layer.out_dim)) for layer in self.net.layers]
-            error = self._run(index, outs)
-            with self.lock:
-                if index in self.taken:
-                    continue
-                if error is None:
-                    for buffer, out in zip(self.buffers, outs):
-                        buffer[start:stop] = out
-                self.error = self.error or error
-                self.written.add(index)
-                self.lock.notify_all()
-
-    def run(self) -> None:
-        mine, rows, seconds = set(), 0, 0.0
-        for index in self.indices:
-            began = time.perf_counter()
-            error = self._run(index)
-            seconds += time.perf_counter() - began
-            rows += self.cuts[index + 1] - self.cuts[index]
-            mine.add(index)
-            if error is not None:
-                with self.lock:
-                    self.error = self.error or error
-        for index in range(len(self.cuts) - 1):
-            if index in mine:
-                continue
-            patience = None
-            if rows:  # a block just taken may not show its time yet
-                size = self.cuts[index + 1] - self.cuts[index]
-                claimed = self.claimed.get(index, time.perf_counter())
-                patience = claimed + _PATIENCE * size * seconds / rows - time.perf_counter()
-            with self.lock:
-                if self.lock.wait_for(lambda: index in self.written, patience):
-                    continue
-                self.taken.add(index)
-            error = self._run(index)
-            if error is not None:
-                with self.lock:
-                    self.error = self.error or error
-
-
 class _Helper:
     """A daemon thread that runs each (context, work) put on calls as
-    context.run(work); work reports its own outcome (_Blocks.help, or the
-    waiter of _offload)."""
+    context.run(work); work reports its own outcome, to the waiter of
+    _offload."""
 
     def __init__(self):
         self.calls: queue.SimpleQueue = queue.SimpleQueue()
@@ -430,9 +354,10 @@ _helpers: list[_Helper] = []
 
 
 def _quiesce_helpers() -> None:
-    """Before a fork, wait until each helper has finished its calls: one
-    may still be running a block the caller took over from it, and a fork
-    must copy no thread that is inside numpy or BLAS."""
+    """Before a fork, wait until each helper has finished the calls put
+    to it so far: a fork must copy no thread that is inside numpy or BLAS,
+    and a helper may still be running work that a thread other than the
+    forking one handed it (_offload)."""
     for helper in _helpers:
         idle = threading.Event()
         helper.calls.put((contextvars.copy_context(), idle.set))
@@ -465,9 +390,10 @@ def _offload(helper: _Helper | None, work: Callable[[], object]) -> Callable[[],
     there too, and return the waiter that the caller must call before it
     uses work's output. Whichever of the helper and the waiter starts work
     first runs it: a helper that is busy, or has not woken by the time the
-    caller calls the waiter, loses the work to the caller, as with _Blocks.
-    The waiter returns, or re-raises work's exception, once work is done,
-    and again at every later call. Without a helper the waiter runs work.
+    caller calls the waiter, loses the work to the caller, and a helper that
+    started it holds the waiter up until it is done. The waiter returns, or
+    re-raises work's exception, once work is done, and again at every later
+    call. Without a helper the waiter runs work.
     """
     # two plain locks, cheaper to make than an Event: claim goes to whoever
     # runs work, and done is held until work has run

@@ -161,9 +161,19 @@ def run_pinned(code: str, coretype: str | None = None, timeout: float = 300) -> 
     and OpenBLAS on the kernels of coretype when given; return its standard
     output after asserting that it exited 0.
 
-    A test process itself never splits a forward: pytest's faulthandler
-    watchdog is a second thread, so forward_batch finds no spare CPU in it.
+    A child still running at 90% of timeout writes every thread's stack to
+    its standard error and dies of SIGALRM, so the failed assertion shows
+    where it hung. The alarm starts no thread: faulthandler's
+    dump_traceback_later would, and forward_batch would then find no spare
+    CPU. For the same reason a test process itself never splits a forward:
+    pytest's faulthandler watchdog is a second thread.
     """
+    alarm = max(1, int(timeout * 0.9))
+    code = (
+        "import faulthandler, signal; "
+        "faulthandler.register(signal.SIGALRM, all_threads=True, chain=True); "
+        f"signal.alarm({alarm})\n" + code
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(ne.__file__).resolve().parents[1])}
     for var in ("RANDMARK_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"

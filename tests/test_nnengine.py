@@ -113,14 +113,13 @@ class TestSplitForward:
 
     @pytest.mark.parametrize("coretype", CORETYPES)
     def test_split_bytes_equal_one_block(self, coretype):
-        # the caller's blocks are written in place, a helper's through arrays
-        # of its own; both give the bytes of one product of the whole batch
+        # each thread writes its blocks in place, with the bytes of one
+        # product of the whole batch; each block runs once, in one thread
         code = TWO_CPUS + SPAN + """
 import threading
 import numpy as np
 from randmark import nnengine as ne
 
-ne._PATIENCE = 1e6  # no block taken over: each runs once, in one thread
 layers, blocks, caller = ne._layers, [], threading.get_ident()
 def spy(net, x, outs):
     blocks.append((*span(x, batch), threading.get_ident() == caller))
@@ -147,8 +146,8 @@ print("ok")
 
     def test_each_block_runs_once_under_thread_stress(self):
         # seven helpers on two CPUs, switching threads every microsecond: a
-        # block handed out twice or never shows in the block list; with the
-        # caller's default patience it takes blocks over, and the bytes hold
+        # block handed out twice or never shows in the block list, and the
+        # bytes hold
         code = SPAN + """
 import os, sys
 import numpy as np
@@ -168,16 +167,11 @@ cuts = ne._block_cuts(6400, 8)[:-1]
 interval = sys.getswitchinterval()
 sys.setswitchinterval(1e-6)
 try:
-    for patience in (1e6, ne._PATIENCE):
-        ne._PATIENCE = patience
-        for _ in range(100):
-            blocks.clear()
-            out, _ = ne.forward_batch(net, batch)
-            if patience == 1e6:
-                assert sorted(blocks) == cuts, blocks
-            else:  # a block taken over also ran, or runs, in its helper
-                assert set(blocks) == set(cuts), blocks
-            assert out.tobytes() == one.buffers[-1].tobytes()
+    for _ in range(100):
+        blocks.clear()
+        out, _ = ne.forward_batch(net, batch)
+        assert sorted(blocks) == cuts, blocks
+        assert out.tobytes() == one.buffers[-1].tobytes()
 finally:
     sys.setswitchinterval(interval)
 assert len(ne._helpers) == 7
@@ -185,48 +179,66 @@ print("ok")
 """
         assert run_pinned(code, timeout=120).strip() == "ok"
 
-    def test_caller_takes_over_a_stalled_helpers_block(self):
-        # the helper stalls in its first block for 5 s: the caller runs that
-        # block itself and returns, the helper's late copy of it, made wrong
-        # on purpose, never reaches the trace, and a fork waits for the helper
+    def test_caller_waits_for_a_stalled_helpers_block(self):
+        # the helper is held in its first block until the caller has run all
+        # the others: the call returns only once the helper has written that
+        # block, with the serial bytes, and the helper writes nothing after;
+        # a fork waits for a helper call in progress. Every wait is on an
+        # event; a hang ends in run_pinned's stack dump.
         code = TWO_CPUS + """
-import threading, time
+import contextvars, threading, time
 import numpy as np
 from randmark import nnengine as ne
 
 layers, caller = ne._layers, threading.get_ident()
-stalled, stall_over = threading.Event(), threading.Event()
+held, callers_done, order = threading.Event(), threading.Event(), []
 def spy(net, x, outs):
-    if threading.get_ident() != caller and not stalled.is_set():
-        stalled.set()
-        time.sleep(5)
-        outs[-1][:] = np.nan
-        stall_over.set()
-        return
-    if not stalled.wait(60):  # the helper holds a block before the caller runs one
-        raise AssertionError("the helper took no block")
-    layers(net, x, outs)
+    if threading.get_ident() == caller:
+        held.wait()  # the helper holds a block before the caller runs one
+        layers(net, x, outs)
+        order.append("caller")
+        if order.count("caller") == len(cuts) - 2:
+            callers_done.set()
+    elif not held.is_set():
+        held.set()
+        callers_done.wait()
+        time.sleep(0.1)  # the stall outlasts the caller's own blocks
+        layers(net, x, outs)
+        order.append("helper")
+    else:
+        raise AssertionError("the helper took a second block")
 ne._layers = spy
 net = ne.init_network([64, 48, 16], ["tanh", "identity"], 51)
 batch = np.random.default_rng(52).random((1600, 64))
+cuts = ne._block_cuts(1600, 2)
 one = ne.ForwardTrace.empty(net, 1600)
 layers(net, batch, one.buffers)
-began = time.perf_counter()
 out, trace = ne.forward_batch(net, batch)
-assert time.perf_counter() - began < 4, "the caller waited for the stalled helper"
-assert out.tobytes() == one.buffers[-1].tobytes() and not stall_over.is_set()
+order.append("returned")
+returned = [a.tobytes() for a in trace.activations[1:]]
+assert returned == [a.tobytes() for a in one.buffers], "the trace is not the serial bytes"
+ne._quiesce_helpers()
+assert order == ["caller"] * (len(cuts) - 2) + ["helper", "returned"], order
+assert [a.tobytes() for a in trace.activations[1:]] == returned, "the helper wrote after the call"
+
+started, finished = threading.Event(), threading.Event()
+def call():
+    started.set()
+    time.sleep(0.1)
+    finished.set()
+ne._helpers[0].calls.put((contextvars.copy_context(), call))
+started.wait()
 pid = os.fork()
 if pid == 0:
     os._exit(0)
 assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-assert stall_over.is_set(), "the fork copied a helper still in its block"
-assert out.tobytes() == one.buffers[-1].tobytes()
+assert finished.is_set(), "the fork copied a helper inside a call"
 ne._layers = layers
 out, _ = ne.forward_batch(net, batch)  # the helper serves the next call
 assert out.tobytes() == one.buffers[-1].tobytes()
 print("ok")
 """
-        assert run_pinned(code).strip() == "ok"
+        assert run_pinned(code, timeout=60).strip() == "ok"
 
     def test_one_persistent_helper_then_a_forked_pool(self):
         code = TWO_CPUS + """
@@ -269,7 +281,6 @@ import threading, time
 import numpy as np
 from randmark import nnengine as ne
 
-ne._PATIENCE = 1e6  # no block taken over: each runs once, in one thread
 caller = threading.get_ident()
 layers, helper_ran, written, failed = ne._layers, threading.Event(), [], []
 def run(fail_in, net, x, outs):
@@ -355,16 +366,22 @@ print("ok")
         assert run_pinned(code).strip() == "ok"
 
 
+def test_run_pinned_shows_where_a_hung_child_is_stuck():
+    code = "import threading\nthreading.Event().wait()\n"
+    with pytest.raises(AssertionError, match=r"(?s)most recent call first.*in wait"):
+        run_pinned(code, timeout=2)
+
+
 # Prepended to the code of a TestSplitBackward process: a spy for np.matmul
 # that records each product's thread and output shape (the helper's products
-# are partials bound at each backward call, so they see it too). No forward
-# block is taken over, so no late forward block runs in the helper.
+# are partials bound at each backward call, so they see it too). A forward
+# returns only once its helper has left its blocks, so no forward product
+# runs in the helper during a backward.
 MATMUL_SPY = """
 import threading
 import numpy as np
 from randmark import nnengine as ne
 
-ne._PATIENCE = 1e6
 caller, matmul, products = threading.get_ident(), np.matmul, []
 def spy(a, b, out=None):
     products.append((threading.get_ident() == caller, out.shape))
