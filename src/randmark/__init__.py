@@ -1,17 +1,11 @@
 """Trigger-set watermarking of feature-extractor models: embed binary
 messages into noisy trigger representations, extract them from suspect
-models, and decide ownership with calibrated statistical bounds."""
+models, and decide ownership with calibrated statistical bounds.
 
-import os as _os
+Importing it pins numpy's OpenBLAS to one thread unless OPENBLAS_NUM_THREADS
+or OMP_NUM_THREADS is set; the package uses every CPU itself."""
 
 __version__ = "0.1.0"
-
-# RANDMARK_THREADS caps BLAS threads. BLAS reads its thread count when numpy
-# loads, so the cap is applied here, before this package first imports numpy;
-# it has no effect if the host program imported numpy earlier.
-if _os.environ.get("RANDMARK_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["RANDMARK_THREADS"])
 
 from .nnengine import (  # noqa: F401
     Layer,

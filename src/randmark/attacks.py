@@ -234,9 +234,9 @@ class IndependentPool:
     caller goes on with other work, or in-process when there is one worker.
 
     Sized for `jobs` models by nnengine's _worker_count: one worker per CPU
-    in the affinity mask when BLAS is pinned to one thread. The workers are
-    forked at the first submit, so open the pool while the process is still
-    small and single-threaded (forward_batch's idle helpers aside). Jobs
+    in the affinity mask when BLAS runs one thread. The workers are forked
+    at the first submit, so open the pool while the process is still small
+    and runs no other thread (forward_batch's idle helpers aside). Jobs
     start in submission order. Each model is trained whole by
     make_independent in one process from its own seeds, so it is
     bit-identical to one trained serially.

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 usage error (also a bad input file or a diverged
 training run), 2 verification refused (suspect architecture incompatible),
 3 bound not applicable.
 
-RANDMARK_THREADS caps numerical parallelism; the randmark package applies
-it when it is imported, before numpy loads.
+Importing randmark pins numpy's OpenBLAS to one thread unless
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set; it then uses every CPU of the
+affinity mask, while a user's thread count or taskset -c 0 runs serially.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import ctypes
 import hashlib
 import json
 import math
@@ -36,7 +35,7 @@ from .attacks import (
     xi_population,
 )
 from .bounds import BoundReport, build_bound_report
-from .nnengine import MlpNetwork, load_checkpoint, save_checkpoint
+from .nnengine import MlpNetwork, _blas_core, load_checkpoint, save_checkpoint
 from .stats import VerificationReport, covariance_delta, sweep_rows, write_detection_sweep
 from .synth import gen_synthetic_images
 from .watermark import (
@@ -421,27 +420,6 @@ class RunManifest:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
-def _blas_core() -> str:
-    """The OpenBLAS core numpy's matmul runs on (SkylakeX, Haswell, ...),
-    as the loaded library reports it at run time, or "unknown" when no
-    OpenBLAS is mapped into this process or it does not say."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line}
-        library = ctypes.CDLL(min(paths, key=lambda path: "numpy" not in path))
-        corename = library.scipy_openblas_get_corename64_
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    except (OSError, ValueError, AttributeError):
-        return "unknown"
-
-
 def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
     """Full workflow into a run directory: trigger data, embedding, attack
     suspects, verification reports and sweep CSV, covariance CSV, bound
@@ -488,11 +466,13 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
         suspects = stage(
             "attacks", lambda: attacks_stage(config, bundle, independents, out / "suspects"), bundle
         )
-        stage("verify", lambda: verify_stage(config, bundle, triggers, suspects, out), suspects)
+        distances = stage(
+            "verify", lambda: verify_stage(config, bundle, triggers, suspects, out), suspects
+        )
         stage(
             "covariance",
-            lambda: covariance_stage(config, bundle, triggers, suspects, out / "covariance.csv"),
-            suspects,
+            lambda: covariance_stage(config, suspects, distances, out / "covariance.csv"),
+            distances,
         )
         stage(
             "bounds",
@@ -562,27 +542,6 @@ def attacks_stage(
     return suspects
 
 
-def verify_stage(
-    config: ExperimentConfig,
-    bundle: ModelBundle,
-    triggers: TriggerSet,
-    suspects: list[tuple[str, str, MlpNetwork]],
-    out: Path,
-) -> None:
-    """Verify each suspect, writing out/verification/<name>.json and the
-    detection sweep out/sweep.csv."""
-    verify_dir = out / "verification"
-    verify_dir.mkdir(exist_ok=True)
-    rows = []
-    for name, kind, net in suspects:
-        report, _ = verify_suspect(
-            net, bundle, triggers, config.tau, config.k_verify, config.seeds.verify, name
-        )
-        (verify_dir / f"{name}.json").write_text(report.to_json())
-        rows.extend(sweep_rows(name, kind, report.rho, config.n))
-    write_detection_sweep(out / "sweep.csv", rows)
-
-
 # Paired draws per trigger for the covariance diagnostic, more than the decision
 # rule's k_verify needs: the draws of one model barely vary, so the
 # watermarked/prune20 pair's mean covariance stands about 3 standard deviations
@@ -591,20 +550,43 @@ def verify_stage(
 COVARIANCE_DRAWS = 64
 
 
-def covariance_stage(
+def verify_stage(
     config: ExperimentConfig,
     bundle: ModelBundle,
     triggers: TriggerSet,
     suspects: list[tuple[str, str, MlpNetwork]],
+    out: Path,
+) -> np.ndarray:
+    """Decode each suspect once over max(k_verify, COVARIANCE_DRAWS) draws,
+    and verify it on the first k_verify, the bytes of a decode at k_verify,
+    writing out/verification/<name>.json and the detection sweep
+    out/sweep.csv. Returns the (n_suspects, N, K) distances."""
+    seed = config.seeds.verify
+    nets, k_draws = [net for _, _, net in suspects], max(config.k_verify, COVARIANCE_DRAWS)
+    distances = population_distances(nets, bundle, triggers, k_draws, seed)
+    verify_dir = out / "verification"
+    verify_dir.mkdir(exist_ok=True)
+    rows = []
+    for (name, kind, _), wide in zip(suspects, distances):
+        narrow = np.ascontiguousarray(wide[:, : config.k_verify])
+        report = VerificationReport.from_batches(name, narrow, triggers.n, config.tau, seed)
+        (verify_dir / f"{name}.json").write_text(report.to_json())
+        rows.extend(sweep_rows(name, kind, report.rho, config.n))
+    write_detection_sweep(out / "sweep.csv", rows)
+    return distances
+
+
+def covariance_stage(
+    config: ExperimentConfig,
+    suspects: list[tuple[str, str, MlpNetwork]],
+    distances: np.ndarray,
     path: Path,
 ) -> None:
     """Write the per-trigger covariance deltas of the watermarked backbone
-    paired with each other suspect to the CSV file path, every suspect
-    decoded over COVARIANCE_DRAWS draws of the verify seed."""
+    paired with each other suspect to the CSV file path, over the first
+    COVARIANCE_DRAWS draws of verify_stage's distances."""
     seed = config.seeds.verify
-    distances = population_distances(
-        [net for _, _, net in suspects], bundle, triggers, COVARIANCE_DRAWS, seed
-    )
+    distances = distances[:, :, :COVARIANCE_DRAWS]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair_id", "kind", "trigger_id", "delta"])
@@ -720,7 +702,7 @@ def _finalize_manifest(
     files = {}
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
-            files[str(path.relative_to(out))] = _sha256(path)
+            files[str(path.relative_to(out))] = hashlib.sha256(path.read_bytes()).hexdigest()
     manifest = RunManifest(
         version=__version__,
         numpy=np.__version__,

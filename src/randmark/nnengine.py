@@ -23,9 +23,9 @@ a block. The helpers are daemon threads started at the first such batch
 and kept, so no thread is started or joined per call. Every cut falls at
 a multiple of 32 rows and leaves no one-row block; OpenBLAS then sums
 each row as in one product of the whole batch, so a split batch gives the
-bytes of a serial one. A process that runs any other thread, BLAS threads
-or an IndependentPool's included, has no spare CPU, so its forwards run in
-the caller's thread alone.
+bytes of a serial one. A process whose BLAS does not report one thread,
+or that runs any other Python thread (an IndependentPool's included), has no
+spare CPU, so its forwards run in the caller's thread alone.
 
 backward of at least 512 rows hands each layer's weight-gradient product
 to the helper (_offload) while the caller computes the bias sum and the
@@ -40,6 +40,7 @@ caller's thread alone.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import hashlib
 import math
 import os
@@ -424,36 +425,56 @@ def _offload(helper: _Helper | None, work: Callable[[], object]) -> Callable[[],
     return wait
 
 
-def _running_threads() -> int:
-    """OS threads of this process, BLAS threads included and forward_batch's
-    helpers not (Linux only)."""
-    helpers = {str(helper.thread.native_id) for helper in _helpers}
-    return sum(task not in helpers for task in os.listdir("/proc/self/task"))
+def _scipy_openblas() -> ctypes.CDLL | None:
+    """numpy's OpenBLAS, opened from among this process's mapped files, or
+    None if numpy runs on a BLAS other than scipy-openblas."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+        library = ctypes.CDLL(min(paths, key=lambda path: "numpy" not in path))
+        library.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+    except (OSError, ValueError, AttributeError):
+        return None
+    return library
+
+
+# pinned to one thread unless the user chose a count, also after a host program
+# loaded numpy: the package spreads its work over the CPUs itself
+_BLAS = _scipy_openblas()
+if _BLAS is not None and not (os.environ.get("OPENBLAS_NUM_THREADS")
+                              or os.environ.get("OMP_NUM_THREADS")):
+    _BLAS.scipy_openblas_set_num_threads64_(1)
+
+
+def _blas_core() -> str:
+    """The OpenBLAS core numpy's products run on (SkylakeX, ...), or "unknown"."""
+    return "unknown" if _BLAS is None else _BLAS.scipy_openblas_get_corename64_().decode()
+
+
+def _blas_threads() -> int:
+    """The threads that numpy's OpenBLAS runs a product on (0: unknown)."""
+    return 0 if _BLAS is None else _BLAS.scipy_openblas_get_num_threads64_()
 
 
 def _worker_count(jobs: int) -> int:
     """Workers for `jobs` parallel jobs, the caller included: one per CPU in
-    the affinity mask, at most one per job, if this process runs no thread
-    besides its main one and forward_batch's helpers; otherwise 1, which
-    runs everything in the caller. It sizes an IndependentPool's worker
-    processes and forward_batch's blocks alike.
+    the affinity mask, at most one per job, if BLAS runs one thread and no
+    Python thread runs besides the caller and forward_batch's helpers;
+    otherwise 1, which runs everything in the caller. It sizes an
+    IndependentPool's worker processes and forward_batch's blocks alike.
 
-    numpy's OpenBLAS starts its threads when it loads, unless it is pinned to
-    one thread before that (RANDMARK_THREADS=1 or OPENBLAS_NUM_THREADS=1 set
-    before Python starts). So a single-threaded process has a BLAS pinned to
-    one thread, and a fork copies no running thread: forward_batch's helpers
-    are idle at a fork (_quiesce_helpers), and a forked child forgets them.
-    With two workers on an unpinned BLAS, a default pipeline on 2 CPUs took
-    2-3x longer than serially. A running IndependentPool's own threads
-    likewise keep a second pool serial, and every forward serial, while its
-    workers train.
+    So a user's BLAS thread count, a one-CPU mask (taskset -c 0), a BLAS
+    other than scipy-openblas, or a running IndependentPool's threads keep
+    the process serial. No thread runs at a fork: the helpers are idle
+    (_quiesce_helpers), and OpenBLAS stops its own.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
-        threads = _running_threads()
-    except (AttributeError, OSError):  # no affinity mask or /proc: stay serial
+    except (AttributeError, OSError):  # no affinity mask: stay serial
         return 1
-    return min(jobs, cpus) if threads == 1 else 1
+    helpers = {helper.thread for helper in _helpers}
+    threads = sum(thread not in helpers for thread in threading.enumerate())
+    return min(jobs, cpus) if _blas_threads() == 1 and threads == 1 else 1
 
 
 @dataclass

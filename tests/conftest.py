@@ -2,7 +2,7 @@
 one desk-scale run shared by the acceptance suite and directional tests, a
 finite-difference gradient checker, weight sparsity, one-trigger views of
 the embedding loss and of decoding, and a runner for code that needs a
-single-threaded process with BLAS pinned."""
+fresh process with a given BLAS thread count."""
 
 import math
 import os
@@ -19,10 +19,10 @@ from randmark import attacks as atk
 from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.harness import (
-    COVARIANCE_DRAWS, ExperimentConfig, _blas_core, build_trigger_set, population_distances,
+    COVARIANCE_DRAWS, ExperimentConfig, build_trigger_set, population_distances,
     verify_suspect,
 )
-from randmark.nnengine import MlpNetwork, forward_batch
+from randmark.nnengine import MlpNetwork, _blas_core, forward_batch
 from randmark.synth import gen_synthetic_images
 
 MINI = dict(s=64, k=16, n=8, n_triggers=16)
@@ -111,11 +111,10 @@ def decode_one_trigger(decoder: MlpNetwork, message_bits, k_draws: int):
 
 
 def see_cpus(monkeypatch, count):
-    """Show the process `count` CPUs and no thread besides its main one (a
-    BLAS pinned to one thread), under which population training uses one
-    worker per CPU."""
+    """Show the process `count` CPUs and a BLAS on one thread, under which a
+    process that runs no other Python thread uses one worker per CPU."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(ne, "_running_threads", lambda: 1)
+    monkeypatch.setattr(ne, "_blas_threads", lambda: 1)
 
 
 def _cpu_flags() -> set[str]:
@@ -139,7 +138,7 @@ CORETYPES = [
 
 def assert_pinned(observed, by_core: dict):
     """Assert that observed is the value pinned for the OpenBLAS core this
-    process runs on (harness._blas_core()): trained weights depend on the
+    process runs on (nnengine._blas_core()): trained weights depend on the
     kernel in their last bits. A core with no pinned value fails, naming the
     core and the value it gives."""
     core = _blas_core()
@@ -149,24 +148,34 @@ def assert_pinned(observed, by_core: dict):
     assert observed == by_core[core], f"pinned for OpenBLAS core {core}"
 
 
+# The variables that set a BLAS's thread count, each read when it loads
+THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
+)
+
+
 # Run first in run_pinned's code, it keeps the process on the first two CPUs
 # of its affinity mask, so that forward_batch finds exactly one spare CPU
 # there and starts one helper.
 TWO_CPUS = "import os; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
 
 
-def run_pinned(code: str, coretype: str | None = None, timeout: float = 300) -> str:
-    """Run code in a fresh Python with BLAS pinned to one thread
-    (RANDMARK_THREADS=1), RuntimeWarnings raised as errors as in this suite,
-    and OpenBLAS on the kernels of coretype when given; return its standard
-    output after asserting that it exited 0.
+def run_pinned(
+    code: str, coretype: str | None = None, timeout: float = 300, blas_threads: int | None = 1
+) -> str:
+    """Run code in a fresh Python with RuntimeWarnings raised as errors as in
+    this suite, and OpenBLAS on the kernels of coretype when given; return
+    its standard output after asserting that it exited 0.
+
+    The child's thread variables are stripped from the environment it would
+    inherit; OPENBLAS_NUM_THREADS is set to blas_threads, 1 (pinned) by
+    default, or left unset for None, the path of a user who set nothing.
 
     A child still running at 90% of timeout writes every thread's stack to
     its standard error and dies of SIGALRM, so the failed assertion shows
-    where it hung. The alarm starts no thread: faulthandler's
-    dump_traceback_later would, and forward_batch would then find no spare
-    CPU. For the same reason a test process itself never splits a forward:
-    pytest's faulthandler watchdog is a second thread.
+    where it hung. The alarm starts no thread (faulthandler's
+    dump_traceback_later would), so the child's task list holds only its own
+    threads and OpenBLAS's.
     """
     alarm = max(1, int(timeout * 0.9))
     code = (
@@ -175,8 +184,10 @@ def run_pinned(code: str, coretype: str | None = None, timeout: float = 300) -> 
         f"signal.alarm({alarm})\n" + code
     )
     env = {**os.environ, "PYTHONPATH": str(Path(ne.__file__).resolve().parents[1])}
-    for var in ("RANDMARK_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+    for var in THREAD_VARIABLES:
+        env.pop(var, None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
     result = subprocess.run(
@@ -219,7 +230,7 @@ class DeskRun:
     suspects: dict = field(default_factory=dict)
     reports: dict = field(default_factory=dict)
     distances: dict = field(default_factory=dict)
-    covariance_distances: dict = field(default_factory=dict)  # as the covariance stage decodes
+    covariance_distances: dict = field(default_factory=dict)  # the covariance stage's draws
     finetune_accuracy: float = 0.0
     fidelity_ratio: float = 0.0
     build_seconds: float = 0.0
@@ -234,7 +245,7 @@ def desk_run() -> DeskRun:
     """Full separation experiment at the default desk configuration:
     embed, attack (two prune levels, one fine-tune), ten independent
     models, verify everything with one shared noise stream, and decode
-    everything again as the covariance stage does."""
+    everything again over the covariance stage's COVARIANCE_DRAWS draws."""
     t_start = time.perf_counter()
     config = ExperimentConfig()
     images = gen_synthetic_images(config.trigger_count, config.s, config.seed + 1)

@@ -236,17 +236,32 @@ class TestTrainIndependents:
                 assert taken() is None
             assert next(models, None) is None
 
-    def test_threaded_process_trains_in_process(self, monkeypatch):
-        # BLAS threads in every worker would oversubscribe the cores, and a
-        # fork would copy a process whose BLAS threads are running
+    def _assert_trains_in_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was made for a process running BLAS threads")
+            raise AssertionError("a pool was made for a process running other threads")
 
-        see_cpus(monkeypatch, 2)
-        monkeypatch.setattr(ne, "_running_threads", lambda: 3)
         monkeypatch.setattr(atk, "ProcessPoolExecutor", no_pool)
         models = _train_in_pool(DIMS, self.SEEDS[:2], self.DATA_SEEDS[:2], 1, 20)
         assert len(models) == 2
+
+    def test_threaded_process_trains_in_process(self, monkeypatch):
+        # BLAS threads in every worker would oversubscribe the cores
+        see_cpus(monkeypatch, 2)
+        monkeypatch.setattr(ne, "_blas_threads", lambda: 2)
+        self._assert_trains_in_process(monkeypatch)
+
+    def test_process_running_a_python_thread_trains_in_process(self, monkeypatch):
+        # a fork would copy a process whose other thread is running
+        see_cpus(monkeypatch, 2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            self._assert_trains_in_process(monkeypatch)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
 
     def test_pool_leaves_no_thread_behind(self, monkeypatch):
         # a second pipeline run in the same process finds it single-threaded

@@ -23,6 +23,7 @@ from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.attacks import AttackSpec
 from randmark.harness import (
+    COVARIANCE_DRAWS,
     ExperimentConfig,
     build_trigger_set,
     population_distances,
@@ -398,22 +399,27 @@ class TestPipeline:
         _, out, manifest = micro_run
         written = json.loads((out / "manifest.json").read_text())
         assert written["numpy"] == manifest.numpy == np.__version__
-        assert written["blas_core"] == manifest.blas_core == harness._blas_core()
+        assert written["blas_core"] == manifest.blas_core == ne._blas_core()
 
     @pytest.mark.parametrize("coretype", CORETYPES)
     def test_blas_core_is_the_kernel_that_runs(self, coretype):
-        if harness._blas_core() == "unknown":
+        if ne._blas_core() == "unknown":
             pytest.skip("numpy runs on no OpenBLAS that reports its core")
-        code = "from randmark import harness; print(harness._blas_core())"
+        code = "from randmark import nnengine; print(nnengine._blas_core())"
         assert run_pinned(code, coretype).strip() == coretype
 
     def test_blas_core_unknown_when_the_library_does_not_say(self, monkeypatch):
+        # a library that does not load, or lacks scipy-openblas's functions,
+        # gives no BLAS handle: the core reads unknown and every job is serial
         def unloadable(path):
             raise OSError(f"{path}: cannot open shared object file")
 
         for cdll in (unloadable, lambda path: object()):  # the second has no corename
-            monkeypatch.setattr(harness.ctypes, "CDLL", cdll)
-            assert harness._blas_core() == "unknown"
+            monkeypatch.setattr(ne.ctypes, "CDLL", cdll)
+            assert ne._scipy_openblas() is None
+        monkeypatch.setattr(ne, "_BLAS", None)
+        assert ne._blas_core() == "unknown"
+        assert ne._worker_count(2) == 1
 
     def test_output_bytes_pinned(self, micro_run):
         # every file of the run, from training through decoding, verification,
@@ -472,6 +478,24 @@ class TestPipeline:
         assert "attacks" in manifest.failures
         assert not (tmp_path / "run" / "verification").exists()
         assert (tmp_path / "run" / "manifest.json").is_file()
+
+    def test_each_suspect_decoded_once(self, monkeypatch, tmp_path):
+        # verify decodes every suspect over COVARIANCE_DRAWS draws, of which
+        # covariance reads the same distances; only the bound populations
+        # decode at k_verify
+        draws, decode = [], harness.decode_triggers
+
+        def counted(suspect, bundle, triggers, k_draws, seed):
+            draws.append(k_draws)
+            return decode(suspect, bundle, triggers, k_draws, seed)
+
+        monkeypatch.setattr(harness, "decode_triggers", counted)
+        config = micro_config(seed=35)
+        manifest = run_pipeline(config, tmp_path / "run")
+        assert manifest.failures == {} and len(manifest.stage_seconds) == 6
+        suspects = 1 + len(config.attacks) + config.independents
+        assert draws[:suspects] == [COVARIANCE_DRAWS] * suspects
+        assert set(draws[suspects:]) == {config.k_verify}
 
     def test_embed_log_holds_the_epochs_alone(self, micro_run):
         config, out, _ = micro_run

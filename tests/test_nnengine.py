@@ -13,7 +13,18 @@ import pytest
 from randmark import attacks as atk
 from randmark import nnengine as ne
 
-from conftest import CORETYPES, TWO_CPUS, gradient_check, run_pinned, see_cpus, sparsity
+from conftest import (
+    CORETYPES, TWO_CPUS, assert_pinned, gradient_check, run_pinned, see_cpus, sparsity,
+)
+import test_training_pins
+
+# (dims, n_images, digests by core) of each make_independent pin, seeds 5 and 6
+# over 3 epochs
+PINNED_INDEPENDENTS = next(
+    mark.args[1]
+    for mark in test_training_pins.TestMakeIndependent.test_parameters_digest.pytestmark
+    if mark.name == "parametrize"
+)
 
 
 def _loss_quadratic(targets):
@@ -89,6 +100,60 @@ def span(block, batch):
     start = (block.ctypes.data - batch.ctypes.data) // batch.strides[0]
     return start, start + len(block)
 """
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+class TestBlasPin:
+    """Importing randmark pins numpy's OpenBLAS to one thread unless the user
+    set a thread count; a process with BLAS on one thread and no other
+    Python thread has one worker per CPU of its affinity mask."""
+
+    def test_import_pins_blas_without_a_thread_variable(self):
+        # and an affinity mask of one CPU, as taskset -c 0 sets, runs serially
+        code = TWO_CPUS + """
+from randmark import nnengine as ne
+assert ne._blas_threads() == 1, ne._blas_threads()
+print(ne._worker_count(2))
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+print(ne._worker_count(2))
+"""
+        assert run_pinned(code, blas_threads=None).split() == ["2", "1"]
+
+    def test_host_that_loaded_numpy_first_forks_workers_with_pinned_bytes(self):
+        # numpy, loaded unpinned, has started OpenBLAS's thread; the import
+        # pins BLAS and leaves that thread parked, and the forked workers
+        # train the bytes pinned in test_training_pins
+        cases = [(dims, n_images) for dims, n_images, _ in PINNED_INDEPENDENTS]
+        code = TWO_CPUS + f"""
+import hashlib, multiprocessing
+import numpy
+tasks = lambda: len(os.listdir("/proc/self/task"))
+assert tasks() == 2, tasks()
+from randmark import attacks as atk, nnengine as ne
+assert (tasks(), ne._blas_threads(), ne._worker_count(2)) == (2, 1, 2)
+with atk.IndependentPool(len({cases!r})) as pool:
+    getters = [pool.submit(dims, [5], [6], 3, n_images)[0] for dims, n_images in {cases!r}]
+    assert len(multiprocessing.active_children()) == 2
+    for get in getters:
+        print(hashlib.sha256(get().parameters_digest().encode()).hexdigest())
+"""
+        digests = run_pinned(code, blas_threads=None).split()
+        for digest, (_, _, expected) in zip(digests, PINNED_INDEPENDENTS, strict=True):
+            assert_pinned(digest, expected)
+
+    def test_a_users_thread_count_keeps_the_process_serial(self):
+        code = TWO_CPUS + """
+import numpy as np
+from randmark import attacks as atk, nnengine as ne
+assert ne._blas_threads() == 2, ne._blas_threads()
+assert ne._worker_count(2) == 1
+with atk.IndependentPool(2) as pool:
+    assert pool._executor is None
+ne.forward_batch(ne.init_network([8, 4], ["tanh"], 1), np.ones((1600, 8)))
+assert ne._helpers == []
+print("ok")
+"""
+        assert run_pinned(code, blas_threads=2).strip() == "ok"
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
@@ -262,7 +327,7 @@ for _ in range(200):
     ne.forward_batch(net, x)
 assert started == ["randmark-forward"], started
 threading.Thread.start = start
-assert ne._running_threads() == 1 and ne._worker_count(2) == 2
+assert ne._worker_count(2) == 2
 pid = os.fork()
 if pid == 0:  # a forked child has no helper and forgets the parent's
     os._exit(0 if ne._helpers == [] else 1)
