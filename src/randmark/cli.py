@@ -5,8 +5,9 @@ training run), 2 verification refused (suspect architecture incompatible),
 3 bound not applicable.
 
 Importing randmark pins numpy's OpenBLAS to one thread unless
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set; it then uses every CPU of the
-affinity mask, while a user's thread count or taskset -c 0 runs serially.
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS sets a count; it
+then uses every CPU of the affinity mask, while a user's thread count or
+taskset -c 0 runs serially.
 """
 
 from __future__ import annotations

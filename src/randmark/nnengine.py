@@ -45,6 +45,7 @@ import hashlib
 import math
 import os
 import queue
+import re
 import struct
 import threading
 from collections.abc import Callable
@@ -439,10 +440,14 @@ def _scipy_openblas() -> ctypes.CDLL | None:
 
 
 # pinned to one thread unless the user chose a count, also after a host program
-# loaded numpy: the package spreads its work over the CPUs itself
+# loaded numpy: the package spreads its work over the CPUs itself. OpenBLAS
+# reads each of these variables as C's atoi does and takes a count above 0;
+# an empty value, 0 or one that starts with no digit chooses none.
 _BLAS = _scipy_openblas()
-if _BLAS is not None and not (os.environ.get("OPENBLAS_NUM_THREADS")
-                              or os.environ.get("OMP_NUM_THREADS")):
+if _BLAS is not None and not any(
+    re.match(r"\s*\+?0*[1-9]", os.environ.get(var, ""))
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
     _BLAS.scipy_openblas_set_num_threads64_(1)
 
 

@@ -1,9 +1,12 @@
 """Shared fixtures and test tools: a fast mini training run for unit tests,
 one desk-scale run shared by the acceptance suite and directional tests, a
 finite-difference gradient checker, weight sparsity, one-trigger views of
-the embedding loss and of decoding, and a runner for code that needs a
-fresh process with a given BLAS thread count."""
+the embedding loss and of decoding, a runner for code that needs a fresh
+process with a given BLAS thread count, and the kernel checks, which share
+one such process per OpenBLAS kernel."""
 
+import functools
+import json
 import math
 import os
 import subprocess
@@ -160,6 +163,38 @@ THREAD_VARIABLES = (
 TWO_CPUS = "import os; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
 
 
+# The children run_pinned started in this session and their wall seconds,
+# which pytest_terminal_summary reports
+PINNED = {"children": 0, "seconds": 0.0}
+
+
+def _pinned_child(
+    code: str, coretype: str | None, timeout: float, blas_threads: int | None
+) -> subprocess.CompletedProcess:
+    alarm = max(1, int(timeout * 0.9))
+    code = (
+        "import faulthandler, signal; "
+        "faulthandler.register(signal.SIGALRM, all_threads=True, chain=True); "
+        f"signal.alarm({alarm})\n" + code
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ne.__file__).resolve().parents[1])}
+    for var in THREAD_VARIABLES:
+        env.pop(var, None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    t0 = time.perf_counter()
+    try:
+        return subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+            capture_output=True, text=True, env=env, timeout=timeout,
+        )
+    finally:
+        PINNED["children"] += 1
+        PINNED["seconds"] += time.perf_counter() - t0
+
+
 def run_pinned(
     code: str, coretype: str | None = None, timeout: float = 300, blas_threads: int | None = 1
 ) -> str:
@@ -177,25 +212,133 @@ def run_pinned(
     dump_traceback_later would), so the child's task list holds only its own
     threads and OpenBLAS's.
     """
-    alarm = max(1, int(timeout * 0.9))
-    code = (
-        "import faulthandler, signal; "
-        "faulthandler.register(signal.SIGALRM, all_threads=True, chain=True); "
-        f"signal.alarm({alarm})\n" + code
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(ne.__file__).resolve().parents[1])}
-    for var in THREAD_VARIABLES:
-        env.pop(var, None)
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
-    result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
-        capture_output=True, text=True, env=env, timeout=timeout,
-    )
+    result = _pinned_child(code, coretype, timeout, blas_threads)
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+# Run in each check's own namespace before its code: the imports, and a spy
+# for np.matmul that records each product's thread and output shape (the
+# helper's products are partials bound at each backward call, so they see it
+# too). A forward returns only once its helper has left its blocks, so no
+# forward product runs in the helper during a backward.
+CHECK_PRELUDE = """
+import threading
+import numpy as np
+from randmark import nnengine as ne, watermark as wm
+
+caller, matmul, products = threading.get_ident(), np.matmul, []
+def spy(a, b, out=None):
+    products.append((threading.get_ident() == caller, out.shape))
+    return matmul(a, b, out=out)
+"""
+
+# The body of a run_checks child, after CHECKS. Each check runs in a fresh
+# namespace; whatever it patched of PATCHABLE, or the switch interval, is put
+# back before the next one runs, and a check that left something patched
+# fails. One JSON line per check: its name and its traceback, or null.
+_CHECK_RUNNER = """
+import json, linecache, sys, threading, traceback
+import numpy as np
+from randmark import nnengine as ne, watermark as wm
+
+PATCHABLE = [(np, "matmul"), (ne, "_block_helpers"), (ne, "_layers"),
+             (wm, "_block_helpers"), (wm, "_draw_noise"), (threading.Thread, "start")]
+prelude = compile(PRELUDE, "prelude", "exec")
+for name, code in CHECKS:
+    before, interval = [getattr(*point) for point in PATCHABLE], sys.getswitchinterval()
+    linecache.cache[name] = (len(code), None, code.splitlines(True), name)
+    try:
+        namespace = {"__name__": "__main__"}
+        exec(prelude, namespace)
+        exec(compile(code, name, "exec"), namespace)
+        left = [f"{owner.__name__}.{attr}" for (owner, attr), value in zip(PATCHABLE, before)
+                if getattr(owner, attr) is not value]
+        if sys.getswitchinterval() != interval:
+            left.append("the switch interval")
+        assert not left, f"the check left {', '.join(left)} patched"
+        failure = None
+    except Exception:
+        failure = traceback.format_exc()
+    finally:
+        for (owner, attr), value in zip(PATCHABLE, before):
+            setattr(owner, attr, value)
+        sys.setswitchinterval(interval)
+    print(json.dumps([name, failure]), flush=True)
+"""
+
+
+def run_checks(
+    checks: dict[str, str], coretype: str | None = None, timeout: float = 300
+) -> dict[str, str | None]:
+    """Run each check's code, in order, in one run_pinned child on the first
+    two CPUs of the affinity mask (TWO_CPUS); return by name each check's
+    traceback, or None for one that passed.
+
+    Each check runs after CHECK_PRELUDE in a namespace of its own, and the
+    child restores what a check patched before the next one runs. A check
+    that no result line reports, because the child died first, gets the
+    child's standard error: a hang ends there in run_pinned's stack dump.
+    """
+    code = TWO_CPUS + f"PRELUDE = {CHECK_PRELUDE!r}\nCHECKS = {list(checks.items())!r}\n"
+    result = _pinned_child(code + _CHECK_RUNNER, coretype, timeout, blas_threads=1)
+    reported = dict(json.loads(line) for line in result.stdout.splitlines())
+    died = f"the child exited {result.returncode} before this check reported\n{result.stderr}"
+    return {name: reported.get(name, died) for name in checks}
+
+
+# The kernel checks: (code, fresh_process) by name, module.qualname of the
+# test; pytest_collection_finish keeps those of the selected tests
+KERNEL_CHECKS: dict[str, tuple[str, bool]] = {}
+
+
+def kernel_check(code: str, fresh_process: bool = False):
+    """Make a test that is parametrized over CORETYPES and asserts that code
+    passed in its kernel's shared child, which runs every kernel check of
+    the session through run_checks the first time a test asks for that
+    kernel. The test's own body runs first, in this process: a skip, say.
+
+    A check restores what it patches. One check may ask for a fresh process:
+    it runs first, before any other has run in the child."""
+
+    def decorate(test):
+        name = f"{test.__module__}.{test.__qualname__}"
+        KERNEL_CHECKS[name] = (code, fresh_process)
+
+        @functools.wraps(test)
+        def run(*args, coretype):
+            test(*args, coretype)
+            failure = _kernel_results(coretype)[name]
+            if failure is not None:
+                pytest.fail(f"in the {coretype} child:\n{failure}", pytrace=False)
+
+        run.kernel_check = name
+        return pytest.mark.parametrize("coretype", CORETYPES)(run)
+
+    return decorate
+
+
+@functools.cache
+def _kernel_results(coretype: str) -> dict[str, str | None]:
+    checks = sorted(KERNEL_CHECKS.items(), key=lambda item: not item[1][1])  # fresh first
+    assert sum(fresh for _, (_, fresh) in checks) <= 1, "more than one check needs a fresh process"
+    return run_checks({name: code for name, (code, _) in checks}, coretype)
+
+
+def pytest_collection_finish(session):
+    # the checks of the selected tests that no true skipif condition skips
+    selected = {
+        getattr(item.obj, "kernel_check", None) for item in session.items
+        if not any(mark.args and mark.args[0] is True for mark in item.iter_markers("skipif"))
+    }
+    for name in [name for name in KERNEL_CHECKS if name not in selected]:
+        del KERNEL_CHECKS[name]
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.write_line(
+        f"run_pinned: {PINNED['children']} children, {PINNED['seconds']:.1f} s"
+    )
 
 
 @dataclass
@@ -245,47 +388,51 @@ def desk_run() -> DeskRun:
     """Full separation experiment at the default desk configuration:
     embed, attack (two prune levels, one fine-tune), ten independent
     models, verify everything with one shared noise stream, and decode
-    everything again over the covariance stage's COVARIANCE_DRAWS draws."""
+    everything again over the covariance stage's COVARIANCE_DRAWS draws.
+    As in run_pipeline, the independents are submitted to an IndependentPool
+    first and train in its workers, bit-identical to serial ones."""
     t_start = time.perf_counter()
     config = ExperimentConfig()
-    images = gen_synthetic_images(config.trigger_count, config.s, config.seed + 1)
-    triggers = build_trigger_set(images, config.n, config.sigma_scale, config.seed + 2)
-    source = atk.make_independent(
-        config.backbone_dims,
-        seed=config.seed + 3,
-        pretrain_data_seed=config.seed + 4,
-        epochs=config.pretrain_epochs,
-        n_images=config.pretrain_images,
-    )
-    bundle = wm.ModelBundle.create(
-        source,
-        config.n,
-        encoder_hidden=config.encoder_hidden,
-        decoder_hidden=config.decoder_hidden,
-        hyper=config.hyper(),
-        seed=config.seed + 5,
-    )
-    bundle, log = wm.embed_watermark(bundle, triggers)
-    run = DeskRun(config=config, triggers=triggers, bundle=bundle, log=log)
-
-    suspects = run.suspects
-    suspects["watermarked"] = bundle.watermarked_f
-    suspects["prune20"] = ne.l1_unstructured_prune(bundle.watermarked_f, 0.2)
-    suspects["prune40"] = ne.l1_unstructured_prune(bundle.watermarked_f, 0.4)
-    task = atk.make_blob_task(config.s, n_classes=4, seed=config.seed)
-    finetuned, accuracy = atk.finetune_attack(
-        bundle.watermarked_f, task, epochs=3, lr=1e-3, seed=config.seed
-    )
-    run.finetune_accuracy = accuracy
-    suspects["finetune3"] = finetuned
-    for i in range(10):
-        suspects[f"independent{i}"] = atk.make_independent(
+    with atk.IndependentPool(10) as pool:
+        independents = pool.submit(
             config.backbone_dims,
-            seed=config.seed + 100 + i,
-            pretrain_data_seed=config.seed + 200 + i,
+            [config.seed + 100 + i for i in range(10)],
+            [config.seed + 200 + i for i in range(10)],
+            config.pretrain_epochs,
+            config.pretrain_images,
+        )
+        images = gen_synthetic_images(config.trigger_count, config.s, config.seed + 1)
+        triggers = build_trigger_set(images, config.n, config.sigma_scale, config.seed + 2)
+        source = atk.make_independent(
+            config.backbone_dims,
+            seed=config.seed + 3,
+            pretrain_data_seed=config.seed + 4,
             epochs=config.pretrain_epochs,
             n_images=config.pretrain_images,
         )
+        bundle = wm.ModelBundle.create(
+            source,
+            config.n,
+            encoder_hidden=config.encoder_hidden,
+            decoder_hidden=config.decoder_hidden,
+            hyper=config.hyper(),
+            seed=config.seed + 5,
+        )
+        bundle, log = wm.embed_watermark(bundle, triggers)
+        run = DeskRun(config=config, triggers=triggers, bundle=bundle, log=log)
+
+        suspects = run.suspects
+        suspects["watermarked"] = bundle.watermarked_f
+        suspects["prune20"] = ne.l1_unstructured_prune(bundle.watermarked_f, 0.2)
+        suspects["prune40"] = ne.l1_unstructured_prune(bundle.watermarked_f, 0.4)
+        task = atk.make_blob_task(config.s, n_classes=4, seed=config.seed)
+        finetuned, accuracy = atk.finetune_attack(
+            bundle.watermarked_f, task, epochs=3, lr=1e-3, seed=config.seed
+        )
+        run.finetune_accuracy = accuracy
+        suspects["finetune3"] = finetuned
+        for i, get in enumerate(independents):
+            suspects[f"independent{i}"] = get()
 
     verify_seed = config.seed + 6
     for name, net in suspects.items():

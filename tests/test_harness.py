@@ -33,7 +33,7 @@ from randmark.harness import (
 from randmark.synth import gen_synthetic_images
 from randmark.watermark import load_trigger_set
 
-from conftest import CORETYPES, assert_pinned, one_trigger, run_pinned, see_cpus
+from conftest import assert_pinned, kernel_check, one_trigger, see_cpus
 
 
 def micro_config(**overrides) -> ExperimentConfig:
@@ -401,12 +401,13 @@ class TestPipeline:
         assert written["numpy"] == manifest.numpy == np.__version__
         assert written["blas_core"] == manifest.blas_core == ne._blas_core()
 
-    @pytest.mark.parametrize("coretype", CORETYPES)
+    @kernel_check("""
+import os
+assert ne._blas_core() == os.environ["OPENBLAS_CORETYPE"], ne._blas_core()
+""")
     def test_blas_core_is_the_kernel_that_runs(self, coretype):
         if ne._blas_core() == "unknown":
             pytest.skip("numpy runs on no OpenBLAS that reports its core")
-        code = "from randmark import nnengine; print(nnengine._blas_core())"
-        assert run_pinned(code, coretype).strip() == coretype
 
     def test_blas_core_unknown_when_the_library_does_not_say(self, monkeypatch):
         # a library that does not load, or lacks scipy-openblas's functions,

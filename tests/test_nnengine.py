@@ -4,6 +4,7 @@ behavior, global magnitude pruning, and checkpoint format guarantees."""
 import copy
 import os
 import pickle
+import re
 import struct
 import tracemalloc
 
@@ -14,7 +15,8 @@ from randmark import attacks as atk
 from randmark import nnengine as ne
 
 from conftest import (
-    CORETYPES, TWO_CPUS, assert_pinned, gradient_check, run_pinned, see_cpus, sparsity,
+    TWO_CPUS, assert_pinned, gradient_check, kernel_check, run_checks, run_pinned, see_cpus,
+    sparsity,
 )
 import test_training_pins
 
@@ -141,8 +143,13 @@ with atk.IndependentPool(len({cases!r})) as pool:
         for digest, (_, _, expected) in zip(digests, PINNED_INDEPENDENTS, strict=True):
             assert_pinned(digest, expected)
 
-    def test_a_users_thread_count_keeps_the_process_serial(self):
-        code = TWO_CPUS + """
+    @pytest.mark.parametrize(
+        "variable", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"]
+    )
+    def test_a_users_thread_count_keeps_the_process_serial(self, variable):
+        # each variable that OpenBLAS reads, set before numpy loads
+        code = TWO_CPUS + f"""
+os.environ[{variable!r}] = "2"
 import numpy as np
 from randmark import attacks as atk, nnengine as ne
 assert ne._blas_threads() == 2, ne._blas_threads()
@@ -153,7 +160,17 @@ ne.forward_batch(ne.init_network([8, 4], ["tanh"], 1), np.ones((1600, 8)))
 assert ne._helpers == []
 print("ok")
 """
-        assert run_pinned(code, blas_threads=2).strip() == "ok"
+        assert run_pinned(code, blas_threads=None).strip() == "ok"
+
+    def test_a_count_that_openblas_does_not_read_is_pinned(self):
+        # OpenBLAS runs one thread per CPU for an empty value, 0 or no number
+        code = TWO_CPUS + """
+os.environ.update(OPENBLAS_NUM_THREADS="0", GOTO_NUM_THREADS="", OMP_NUM_THREADS="x")
+from randmark import nnengine as ne
+assert ne._blas_threads() == 1, ne._blas_threads()
+print(ne._worker_count(2))
+"""
+        assert run_pinned(code, blas_threads=None).strip() == "2"
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
@@ -161,7 +178,7 @@ class TestSplitForward:
     """A batch of at least 512 rows runs as blocks of at most 256 rows
     shared by the caller and a persistent helper thread, in a process with
     BLAS pinned and no other thread; each test runs in such a process of its
-    own."""
+    own, the kernel check in its kernel's shared one."""
 
     def test_block_cuts_shrink_at_multiples_of_32(self):
         assert ne._block_cuts(1600, 2) == [0, 256, 512, 768, 1024, 1280, 1440, 1504, 1568, 1600]
@@ -176,16 +193,8 @@ class TestSplitForward:
                 assert sizes[:-1] == sorted(sizes[:-1], reverse=True), (rows, workers)
                 assert 1 < sizes[-1] <= sizes[-2] + 1, (rows, workers)
 
-    @pytest.mark.parametrize("coretype", CORETYPES)
-    def test_split_bytes_equal_one_block(self, coretype):
-        # each thread writes its blocks in place, with the bytes of one
-        # product of the whole batch; each block runs once, in one thread
-        code = TWO_CPUS + SPAN + """
-import threading
-import numpy as np
-from randmark import nnengine as ne
-
-layers, blocks, caller = ne._layers, [], threading.get_ident()
+    @kernel_check(SPAN + """
+layers, blocks = ne._layers, []
 def spy(net, x, outs):
     blocks.append((*span(x, batch), threading.get_ident() == caller))
     layers(net, x, outs)
@@ -205,9 +214,11 @@ for act in ne.ACTIVATIONS:
         for split, serial in zip(trace.activations[1:], one.buffers):
             assert split.tobytes() == serial.tobytes(), (act, rows)
 assert len(ne._helpers) == 1
-print("ok")
-"""
-        assert run_pinned(code, coretype).strip() == "ok"
+ne._layers = layers
+""")
+    def test_split_bytes_equal_one_block(self, coretype):
+        """Each thread writes its blocks in place, with the bytes of one
+        product of the whole batch; each block runs once, in one thread."""
 
     def test_each_block_runs_once_under_thread_stress(self):
         # seven helpers on two CPUs, switching threads every microsecond: a
@@ -437,21 +448,23 @@ def test_run_pinned_shows_where_a_hung_child_is_stuck():
         run_pinned(code, timeout=2)
 
 
-# Prepended to the code of a TestSplitBackward process: a spy for np.matmul
-# that records each product's thread and output shape (the helper's products
-# are partials bound at each backward call, so they see it too). A forward
-# returns only once its helper has left its blocks, so no forward product
-# runs in the helper during a backward.
-MATMUL_SPY = """
-import threading
-import numpy as np
-from randmark import nnengine as ne
-
-caller, matmul, products = threading.get_ident(), np.matmul, []
-def spy(a, b, out=None):
-    products.append((threading.get_ident() == caller, out.shape))
-    return matmul(a, b, out=out)
-"""
+def test_run_checks_reports_each_check_undoes_its_patches_and_shows_a_hang():
+    # a check that raises fails with its own traceback, source lines included,
+    # and one that leaves a patch fails; the next check runs unpatched. A hung
+    # check ends the child in run_pinned's stack dump, after the others reported.
+    results = run_checks({
+        "raises": "np.matmul = spy\nraise KeyError('raised here')\n",
+        "passes": "assert np.matmul.__name__ == 'matmul' and products == []\n",
+        "leaks": "ne._block_helpers = lambda rows: []\n",
+        "unpatched": "assert ne._block_helpers.__name__ == '_block_helpers'\n",
+        "hangs": "threading.Event().wait()\n",
+    }, timeout=3)
+    assert results["passes"] is None and results["unpatched"] is None, results
+    assert 'File "raises", line 2' in results["raises"], results["raises"]
+    assert "raise KeyError('raised here')" in results["raises"], results["raises"]
+    assert "left randmark.nnengine._block_helpers patched" in results["leaks"], results["leaks"]
+    assert re.search(r"(?s)before this check reported.*most recent call first.*in wait",
+                     results["hangs"]), results["hangs"]
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
@@ -459,12 +472,10 @@ class TestSplitBackward:
     """A backward of at least 512 rows hands each layer's weight-gradient
     product, or for a first layer without an input gradient the columns
     from a 32-aligned cut on, to forward_batch's helper (_offload), in a
-    process with BLAS pinned and no other thread; each test runs in such a
-    process of its own."""
+    process with BLAS pinned and no other thread: each kernel's shared child
+    of the kernel checks, where CHECK_PRELUDE's spy records the products."""
 
-    @pytest.mark.parametrize("coretype", CORETYPES)
-    def test_split_bytes_equal_serial(self, coretype):
-        code = TWO_CPUS + MATMUL_SPY + """
+    @kernel_check("""
 block_helpers = ne._block_helpers
 rng = np.random.default_rng(60)
 helper_products = 0
@@ -475,10 +486,15 @@ for dims in ([288, 256, 256], [256, 192, 64], [64, 128, 32], [40, 200, 8], [32, 
         net = ne.init_network(dims, [act, act], 61)
         for rows in (512, 513, 800, 1600):
             x, g = rng.random((rows, dims[0])), rng.random((rows, dims[-1]))
+            # backward spends the trace: each backward gets the forward's bytes back
+            _, trace = ne.forward_batch(net, x)
+            kept = [a.copy() for a in trace.activations[1:]]
             for wrt_input in (True, False):
                 runs = []
                 for helpers in (block_helpers, lambda rows: []):
-                    _, trace = ne.forward_batch(net, x)
+                    for activation, copy in zip(trace.activations[1:], kept):
+                        activation[...] = copy
+                    trace.spent = False
                     products.clear()
                     ne._block_helpers, np.matmul = helpers, spy
                     grads = ne.backward(net, trace, g, wrt_input)
@@ -499,17 +515,12 @@ for dims in ([288, 256, 256], [256, 192, 64], [64, 128, 32], [40, 200, 8], [32, 
                 assert sorted(shape for _, shape in split) == sorted(expected), (case, split)
 assert helper_products > 0, "the helper took no product"
 assert len(ne._helpers) == 1
-print("ok")
-"""
-        assert run_pinned(code, coretype).strip() == "ok"
+""")
+    def test_split_bytes_equal_serial(self, coretype):
+        """Split and serial backwards give the same bytes, every product
+        where the split puts it."""
 
-    @pytest.mark.parametrize("coretype", CORETYPES)
-    def test_helpers_exception_and_callers_errstate(self, coretype):
-        # the helper's weight-gradient product raises after it wrote its
-        # output: the exception reaches the caller after the caller wrote the
-        # input gradient; an overflow in the helper's product obeys the
-        # caller's errstate
-        code = TWO_CPUS + MATMUL_SPY + """
+    @kernel_check("""
 import time
 
 started = threading.Event()
@@ -570,22 +581,20 @@ for silenced in (False, True):
     finally:
         np.matmul = matmul
     assert (False, (64, 48)) in products, products
-print("ok")
-"""
-        assert run_pinned(code, coretype).strip() == "ok"
+""")
+    def test_helpers_exception_and_callers_errstate(self, coretype):
+        """The helper's weight-gradient product raises after it wrote its
+        output: the exception reaches the caller after the caller wrote the
+        input gradient; an overflow in the helper's product obeys the
+        caller's errstate."""
 
-    @pytest.mark.parametrize("coretype", CORETYPES)
-    def test_busy_helper_loses_work_and_each_runs_once(self, coretype):
-        # while the helper runs something else, every product of a backward
-        # runs in the caller, with the same bytes; each piece of offloaded
-        # work runs once, also when threads switch every microsecond
-        code = TWO_CPUS + MATMUL_SPY + """
+    @kernel_check("""
 import contextvars, sys, time
 
 net = ne.init_network([256, 192, 64], ["tanh", "identity"], 64)
 x = np.random.default_rng(65).random((800, 256))
 g = np.random.default_rng(66).random((800, 64))
-_, trace = ne.forward_batch(net, x)  # starts the helper
+_, trace = ne.forward_batch(net, x)  # starts the helper if none runs yet
 block_helpers, ne._block_helpers = ne._block_helpers, lambda rows: []
 serial = ne.backward(net, trace, g).flat.copy()
 ne._block_helpers = block_helpers
@@ -619,9 +628,12 @@ ne._quiesce_helpers()  # the helper has seen every call
 assert all(len(ran) == 1 for ran in runs)
 takers = {ran[0] for ran in runs}
 assert takers == {caller, helper.thread.ident}, takers
-print("ok")
-"""
-        assert run_pinned(code, coretype).strip() == "ok"
+""")
+    def test_busy_helper_loses_work_and_each_runs_once(self, coretype):
+        """While the helper runs something else, every product of a
+        backward runs in the caller, with the same bytes; each piece of
+        offloaded work runs once, also when threads switch every
+        microsecond."""
 
 
 class TestBackward:

@@ -19,7 +19,7 @@ from randmark.stats import mean_distance, var_distance
 from randmark.synth import gen_synthetic_images
 
 from conftest import (
-    CORETYPES, MINI, TWO_CPUS, decode_one_trigger, gradient_check, one_trigger, run_pinned,
+    MINI, TWO_CPUS, decode_one_trigger, gradient_check, kernel_check, one_trigger, run_pinned,
     see_cpus, trigger_loss,
 )
 
@@ -307,13 +307,8 @@ class TestEmbedWatermark:
         out, _ = ne.forward_batch(bundle.watermarked_f, triggers.images)
         assert np.isfinite(out).all()
 
-    @pytest.mark.parametrize("coretype", CORETYPES)
-    def test_divergence_raises_under_any_warnings_filter(self, coretype):
-        # with RuntimeWarnings as errors and no errstate of the caller's, the
-        # diverging step's overflow (and, on Sandybridge, its invalid value)
-        # must not pre-empt TrainingDiverged and the rollback
-        code = """
-from randmark import attacks as atk, watermark as wm
+    @kernel_check("""
+from randmark import attacks as atk
 from randmark.harness import build_trigger_set
 from randmark.synth import gen_synthetic_images
 
@@ -334,9 +329,11 @@ except wm.TrainingDiverged as exc:
 else:
     raise AssertionError("embedding did not diverge")
 assert [net.parameters_digest() for net in trained] == before
-print("ok")
-"""
-        assert run_pinned(code, coretype).strip() == "ok"
+""")
+    def test_divergence_raises_under_any_warnings_filter(self, coretype):
+        """With RuntimeWarnings as errors and no errstate of the caller's,
+        the diverging step's overflow (and, on Sandybridge, its invalid
+        value) must not pre-empt TrainingDiverged and the rollback."""
 
     def test_loss_independent_of_accumulation_order(self, mini_run):
         # one full-batch evaluation vs per-trigger accumulation
@@ -652,14 +649,8 @@ class TestSplitEmbed:
     products and the next epoch's noise draw on forward_batch's helper, in a
     process with BLAS pinned and no other thread."""
 
-    @pytest.mark.parametrize("coretype", CORETYPES)
-    def test_bytes_equal_without_helper(self, coretype):
-        # the desk config (800 rows) and one of 576 rows with other widths;
-        # each noise draw is slowed, so an epoch that did not wait for it
-        # would read stale noise
-        code = TWO_CPUS + """
-import dataclasses, threading, time
-from randmark import nnengine as ne, watermark as wm
+    @kernel_check("""
+import dataclasses, time
 from randmark.harness import ExperimentConfig, build_trigger_set
 from randmark.synth import gen_synthetic_images
 
@@ -693,17 +684,17 @@ for config in (ExperimentConfig(), ExperimentConfig(
     split = embed(config, block_helpers)
     assert drawn_in - {threading.get_ident()}, "the helper drew no noise"
     assert split == embed(config, lambda rows: []), config.s
-print("ok")
-"""
-        assert run_pinned(code, coretype).strip() == "ok"
+ne._block_helpers = wm._block_helpers = block_helpers
+wm._draw_noise = draw
+""")
+    def test_bytes_equal_without_helper(self, coretype):
+        """The desk config (800 rows) and one of 576 rows with other widths;
+        each noise draw is slowed, so an epoch that did not wait for it
+        would read stale noise."""
 
-    @pytest.mark.parametrize("coretype", CORETYPES)
-    def test_one_helper_after_embeds_then_a_forked_pool(self, coretype):
-        # an embed, and one that diverges and rolls back, leave only the
-        # helper, idle: an IndependentPool then forks its two workers
-        code = TWO_CPUS + """
-import multiprocessing, threading
-from randmark import attacks as atk, nnengine as ne, watermark as wm
+    @kernel_check("""
+import multiprocessing
+from randmark import attacks as atk
 from randmark.harness import build_trigger_set
 from randmark.synth import gen_synthetic_images
 
@@ -741,9 +732,11 @@ with atk.IndependentPool(2) as pool:
     getters = pool.submit([16, 12, 6], *zip(*seeds), 1, 10)
     assert len(multiprocessing.active_children()) == 2
     assert [get().parameters_digest() for get in getters] == serial
-print("ok")
-"""
-        assert run_pinned(code, coretype).strip() == "ok"
+""", fresh_process=True)
+    def test_one_helper_after_embeds_then_a_forked_pool(self, coretype):
+        """An embed, and one that diverges and rolls back, leave only the
+        helper, idle: an IndependentPool then forks its two workers. It
+        counts the threads started from a fresh process."""
 
 
 class TestPersistence:
