@@ -12,10 +12,9 @@ from __future__ import annotations
 import logging
 import math
 import multiprocessing
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -235,11 +234,11 @@ class IndependentPool:
 
     Sized for `jobs` models by nnengine's _worker_count: one worker per CPU
     in the affinity mask when BLAS runs one thread. The workers are forked
-    at the first submit, so open the pool while the process is still small
-    and runs no other thread (forward_batch's idle helpers aside). Jobs
-    start in submission order. Each model is trained whole by
-    make_independent in one process from its own seeds, so it is
-    bit-identical to one trained serially.
+    at the first submit, so submit while the process is still small and
+    runs no other thread (forward_batch's idle helpers aside). Jobs start in
+    submission order. Each model is trained whole by make_independent in one
+    process from its own seeds, so it is bit-identical to one trained
+    serially.
 
     Use it as a context manager: on exit, jobs not yet started are cancelled
     and the workers and the pool's threads are joined (a running job is
@@ -253,19 +252,19 @@ class IndependentPool:
             context = multiprocessing.get_context("fork")
             self._executor = ProcessPoolExecutor(workers, mp_context=context)
 
-    def submit(
-        self, dims, seeds, data_seeds, epochs: int, n_images: int
-    ) -> list[Callable[[], MlpNetwork]]:
-        """One result getter per (seed, data seed) pair, in seed order. A
-        getter blocks until its model is trained and raises the job's
-        exception; with one worker it trains the model when called."""
+    def submit(self, dims, seeds, data_seeds, epochs: int, n_images: int) -> Iterator[MlpNetwork]:
+        """The model of each (seed, data seed) pair, in seed order, as
+        iteration asks for it: next() blocks until that model is trained and
+        raises its job's exception, and the iterator keeps no model it has
+        handed out. Every job is submitted in the call; with one worker,
+        next() trains the model."""
         jobs = [
             (list(dims), seed, data_seed, epochs, n_images)
             for seed, data_seed in zip(seeds, data_seeds, strict=True)
         ]
         if self._executor is None:
-            return [partial(_train_independent, job) for job in jobs]
-        return [self._executor.submit(_train_independent, job).result for job in jobs]
+            return map(_train_independent, jobs)
+        return self._executor.map(_train_independent, jobs)
 
     def __enter__(self) -> "IndependentPool":
         return self
@@ -279,8 +278,12 @@ def relative_embedding_error(
     model: MlpNetwork, reference: MlpNetwork, inputs: np.ndarray
 ) -> float:
     """Mean per-input embedding distance relative to the reference norm."""
-    out_m, _ = forward_batch(model, inputs)
-    out_r, _ = forward_batch(reference, inputs)
+    return _relative_error(forward_batch(model, inputs)[0], forward_batch(reference, inputs)[0])
+
+
+def _relative_error(out_m: np.ndarray, out_r: np.ndarray) -> float:
+    """relative_embedding_error of a model's embeddings out_m against the
+    reference's out_r of the same inputs."""
     norms = np.sqrt((out_r**2).sum(axis=1))
     dists = np.sqrt(((out_m - out_r) ** 2).sum(axis=1))
     return float((dists / np.maximum(norms, 1e-12)).mean())
@@ -319,21 +322,12 @@ def xi_population(
     it has handed out; iterate them while the pool is open."""
     seeds = range(seed, seed + m_models)
     data_seeds = [s + 10_000 for s in seeds]
-    getters = pool.submit(dims, seeds, data_seeds, epochs, n_images)
     rows = [
         {"index": i, "kind": "independent", "seed": s, "data_seed": d,
          "pretrain_epochs": epochs, "pretrain_images": n_images}
         for i, (s, d) in enumerate(zip(seeds, data_seeds))
     ]
-    return PopulationResult(_results(getters), rows)
-
-
-def _results(getters: list[Callable[[], MlpNetwork]]) -> Iterator[MlpNetwork]:
-    """Each getter's model, in order. A getter is dropped before its model
-    is handed out: a finished future's getter would keep its model alive."""
-    getters.reverse()
-    while getters:
-        yield getters.pop()()
+    return PopulationResult(pool.submit(dims, seeds, data_seeds, epochs, n_images), rows)
 
 
 def _random_omega_spec(rng: np.random.Generator, seed: int) -> AttackSpec:
@@ -367,12 +361,13 @@ def sample_model_population(
         raise ValueError("need at least one model")
     result = PopulationResult(models=[], rows=[])
     heldout_inputs = gen_synthetic_images(128, bundle.s, seed + 999)
+    reference, _ = forward_batch(bundle.watermarked_f, heldout_inputs)  # the same for every copy
     mix_rng = np.random.default_rng(seed)
     for index in range(m_models):
         model_seed = seed + index
         spec = _random_omega_spec(mix_rng, model_seed)
         model = apply_attack(bundle, spec)
-        error = relative_embedding_error(model, bundle.watermarked_f, heldout_inputs)
+        error = _relative_error(forward_batch(model, heldout_inputs)[0], reference)
         if error >= FUNCTIONALITY_LIMIT:
             logger.warning(
                 "omega model %d (%s) excluded: relative embedding error %.3f",

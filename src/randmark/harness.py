@@ -527,15 +527,16 @@ def embed_stage(
 def attacks_stage(
     config: ExperimentConfig,
     bundle: ModelBundle,
-    independents: list[Callable[[], MlpNetwork]],
+    independents: Iterable[MlpNetwork],
     suspect_dir: Path,
 ) -> list[tuple[str, str, MlpNetwork]]:
     """A run's suspects as (name, kind, network), each saved to
     suspect_dir/<name>.rmk: the watermarked backbone, each configured attack
-    on it, and the models of the independents' result getters."""
+    on it, and the independent models, in the order independents yields
+    them."""
     suspects = [("watermarked", "watermarked", bundle.watermarked_f)]
     suspects += [(name, spec.kind, apply_attack(bundle, spec)) for name, spec in config.attacks]
-    suspects += [(f"independent{i}", "independent", get()) for i, get in enumerate(independents)]
+    suspects += [(f"independent{i}", "independent", net) for i, net in enumerate(independents)]
     suspect_dir.mkdir(exist_ok=True)
     for name, _, net in suspects:
         save_checkpoint(net, suspect_dir / f"{name}.rmk")

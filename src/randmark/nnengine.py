@@ -19,11 +19,11 @@ helper thread per spare CPU (_worker_count) take from one shared
 iterator; each block runs every layer over its rows, straight into the
 trace. Each helper gets that loop through _offload, so the caller never
 waits for a helper to wake, and the call returns once no thread is inside
-a block. The helpers are daemon threads started at the first such batch
-and kept, so no thread is started or joined per call. Every cut falls at
-a multiple of 32 rows and leaves no one-row block; OpenBLAS then sums
-each row as in one product of the whole batch, so a split batch gives the
-bytes of a serial one. A process whose BLAS does not report one thread,
+a block. The helpers are one-thread executors started at the first such
+batch and kept, so no thread is started or joined per call. Every cut
+falls at a multiple of 32 rows and leaves no one-row block; OpenBLAS then
+sums each row as in one product of the whole batch, so a split batch gives
+the bytes of a serial one. A process whose BLAS does not report one thread,
 or that runs any other Python thread (an IndependentPool's included), has no
 spare CPU, so its forwards run in the caller's thread alone.
 
@@ -44,11 +44,11 @@ import ctypes
 import hashlib
 import math
 import os
-import queue
 import re
 import struct
 import threading
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -334,36 +334,19 @@ def _layers(net: MlpNetwork, x: np.ndarray, outs) -> None:
             x *= 0.5
 
 
-class _Helper:
-    """A daemon thread that runs each (context, work) put on calls as
-    context.run(work); work reports its own outcome, to the waiter of
-    _offload."""
-
-    def __init__(self):
-        self.calls: queue.SimpleQueue = queue.SimpleQueue()
-        self.thread = threading.Thread(target=self._serve, name="randmark-forward", daemon=True)
-        self.thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            context, work = self.calls.get()
-            context.run(work)
-            del context, work  # keep no batch alive between calls
-
-
-# forward_batch's helpers, started at the first split batch and kept
-_helpers: list[_Helper] = []
+# forward_batch's helpers, one-thread executors started at the first split
+# batch and kept; _worker_count tells their threads by this name prefix
+_helpers: list[ThreadPoolExecutor] = []
+_HELPER_NAME = "randmark-forward"
 
 
 def _quiesce_helpers() -> None:
-    """Before a fork, wait until each helper has finished the calls put
-    to it so far: a fork must copy no thread that is inside numpy or BLAS,
-    and a helper may still be running work that a thread other than the
-    forking one handed it (_offload)."""
+    """Before a fork, wait until each helper, one thread that runs its work
+    in submission order, has run a no-op submitted now: a fork must copy no
+    thread that is inside numpy or BLAS, and a helper may still be running
+    work that a thread other than the forking one handed it (_offload)."""
     for helper in _helpers:
-        idle = threading.Event()
-        helper.calls.put((contextvars.copy_context(), idle.set))
-        idle.wait()
+        helper.submit(int).result()
 
 
 def _forget_helpers() -> None:
@@ -374,7 +357,7 @@ def _forget_helpers() -> None:
 os.register_at_fork(before=_quiesce_helpers, after_in_child=_forget_helpers)
 
 
-def _block_helpers(rows: int) -> list[_Helper]:
+def _block_helpers(rows: int) -> list[ThreadPoolExecutor]:
     """The helpers that share a batch of rows with the caller: for a batch
     of at least _SPLIT_ROWS rows, one per worker of _worker_count beyond the
     caller, started as needed; otherwise none."""
@@ -382,47 +365,37 @@ def _block_helpers(rows: int) -> list[_Helper]:
         return []
     wanted = _worker_count(-(-rows // _BLOCK_ROWS)) - 1
     while len(_helpers) < wanted:
-        _helpers.append(_Helper())
+        _helpers.append(ThreadPoolExecutor(1, thread_name_prefix=_HELPER_NAME))
     return _helpers[:wanted]
 
 
-def _offload(helper: _Helper | None, work: Callable[[], object]) -> Callable[[], None]:
+def _offload(helper: ThreadPoolExecutor | None, work: Callable[[], object]) -> Callable[[], None]:
     """Hand work (np.matmul or private code, never a traced public function)
     to helper, in a copy of the caller's context, so its np.errstate holds
     there too, and return the waiter that the caller must call before it
     uses work's output. Whichever of the helper and the waiter starts work
     first runs it: a helper that is busy, or has not woken by the time the
-    caller calls the waiter, loses the work to the caller, and a helper that
-    started it holds the waiter up until it is done. The waiter returns, or
-    re-raises work's exception, once work is done, and again at every later
-    call. Without a helper the waiter runs work.
+    caller calls the waiter, loses the work to the caller, which cancels its
+    future, and a helper that started it holds the waiter up until it is
+    done. The waiter returns, or re-raises work's exception, once work is
+    done, and again at every later call. Without a helper the waiter runs it.
     """
-    # two plain locks, cheaper to make than an Event: claim goes to whoever
-    # runs work, and done is held until work has run
-    claim, done, errors = threading.Lock(), threading.Lock(), []
-    done.acquire()
-
-    def run() -> None:
-        try:
-            work()
-        except BaseException as exc:
-            errors.append(exc)
-        done.release()
-
-    def take() -> None:
-        if claim.acquire(blocking=False):
-            run()
+    future = None if helper is None else helper.submit(contextvars.copy_context().run, work)
+    outcome: list[BaseException | None] = []  # once work is done: its exception, or None
 
     def wait() -> None:
-        if claim.acquire(blocking=False):
-            run()
-        with done:
-            pass
-        if errors:
-            raise errors[0]
+        if not outcome:
+            if future is None or future.cancel():
+                try:
+                    work()
+                except BaseException as exc:
+                    outcome.append(exc)
+                outcome.append(None)
+            else:
+                outcome.append(future.exception())
+        if outcome[0] is not None:
+            raise outcome[0]
 
-    if helper is not None:
-        helper.calls.put((contextvars.copy_context(), take))
     return wait
 
 
@@ -463,8 +436,9 @@ def _blas_threads() -> int:
 
 def _worker_count(jobs: int) -> int:
     """Workers for `jobs` parallel jobs, the caller included: one per CPU in
-    the affinity mask, at most one per job, if BLAS runs one thread and no
-    Python thread runs besides the caller and forward_batch's helpers;
+    the affinity mask, at most one per job, if BLAS runs one thread, no
+    Python thread runs besides the caller and forward_batch's helpers, and
+    the main thread has not stopped (at exit no executor takes work);
     otherwise 1, which runs everything in the caller. It sizes an
     IndependentPool's worker processes and forward_batch's blocks alike.
 
@@ -477,9 +451,9 @@ def _worker_count(jobs: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # no affinity mask: stay serial
         return 1
-    helpers = {helper.thread for helper in _helpers}
-    threads = sum(thread not in helpers for thread in threading.enumerate())
-    return min(jobs, cpus) if _blas_threads() == 1 and threads == 1 else 1
+    threads = sum(not thread.name.startswith(_HELPER_NAME) for thread in threading.enumerate())
+    alone = threads == 1 and threading.main_thread().is_alive()
+    return min(jobs, cpus) if _blas_threads() == 1 and alone else 1
 
 
 @dataclass

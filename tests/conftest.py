@@ -431,8 +431,8 @@ def desk_run() -> DeskRun:
         )
         run.finetune_accuracy = accuracy
         suspects["finetune3"] = finetuned
-        for i, get in enumerate(independents):
-            suspects[f"independent{i}"] = get()
+        for i, net in enumerate(independents):
+            suspects[f"independent{i}"] = net
 
     verify_seed = config.seed + 6
     for name, net in suspects.items():

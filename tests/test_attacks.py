@@ -187,6 +187,20 @@ class TestPopulation:
             err = atk.relative_embedding_error(model, mini_run.bundle.watermarked_f, held)
             assert err < atk.FUNCTIONALITY_LIMIT
 
+    def test_one_reference_forward_per_population(self, mini_run, monkeypatch):
+        # every copy is measured against the watermarked backbone's embedding
+        # of the same held-out images, so that forward runs once
+        watermarked, forward, forwards = mini_run.bundle.watermarked_f, atk.forward_batch, []
+
+        def counted(net, inputs, into=None):
+            forwards.append(net is watermarked)
+            return forward(net, inputs, into)
+
+        monkeypatch.setattr(atk, "forward_batch", counted)
+        result = atk.sample_model_population(mini_run.bundle, "omega", 4, seed=78)
+        assert len(result.models) + result.excluded == 4
+        assert sum(forwards) == 1, forwards
+
     def test_invalid_kind_rejected(self, mini_run):
         for kind in ("sigma", "xi"):
             with pytest.raises(ValueError, match="xi_population"):
@@ -196,7 +210,7 @@ class TestPopulation:
 def _train_in_pool(dims, seeds, data_seeds, epochs, n_images):
     """Models trained side by side in an IndependentPool of their own."""
     with atk.IndependentPool(len(seeds)) as pool:
-        return [get() for get in pool.submit(dims, seeds, data_seeds, epochs, n_images)]
+        return list(pool.submit(dims, seeds, data_seeds, epochs, n_images))
 
 
 class TestTrainIndependents:

@@ -134,10 +134,10 @@ assert tasks() == 2, tasks()
 from randmark import attacks as atk, nnengine as ne
 assert (tasks(), ne._blas_threads(), ne._worker_count(2)) == (2, 1, 2)
 with atk.IndependentPool(len({cases!r})) as pool:
-    getters = [pool.submit(dims, [5], [6], 3, n_images)[0] for dims, n_images in {cases!r}]
+    models = [pool.submit(dims, [5], [6], 3, n_images) for dims, n_images in {cases!r}]
     assert len(multiprocessing.active_children()) == 2
-    for get in getters:
-        print(hashlib.sha256(get().parameters_digest().encode()).hexdigest())
+    for model, in models:
+        print(hashlib.sha256(model.parameters_digest().encode()).hexdigest())
 """
         digests = run_pinned(code, blas_threads=None).split()
         for digest, (_, _, expected) in zip(digests, PINNED_INDEPENDENTS, strict=True):
@@ -262,7 +262,7 @@ print("ok")
         # a fork waits for a helper call in progress. Every wait is on an
         # event; a hang ends in run_pinned's stack dump.
         code = TWO_CPUS + """
-import contextvars, threading, time
+import threading, time
 import numpy as np
 from randmark import nnengine as ne
 
@@ -302,7 +302,7 @@ def call():
     started.set()
     time.sleep(0.1)
     finished.set()
-ne._helpers[0].calls.put((contextvars.copy_context(), call))
+ne._helpers[0].submit(call)
 started.wait()
 pid = os.fork()
 if pid == 0:
@@ -336,7 +336,7 @@ net = ne.init_network([64, 48, 16], ["tanh", "identity"], 42)
 x = np.random.default_rng(43).random((1600, 64))
 for _ in range(200):
     ne.forward_batch(net, x)
-assert started == ["randmark-forward"], started
+assert started == ["randmark-forward_0"], started
 threading.Thread.start = start
 assert ne._worker_count(2) == 2
 pid = os.fork()
@@ -344,9 +344,9 @@ if pid == 0:  # a forked child has no helper and forgets the parent's
     os._exit(0 if ne._helpers == [] else 1)
 assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 with atk.IndependentPool(2) as pool:
-    getters = pool.submit([16, 12, 6], *zip(*seeds), 1, 10)
+    models = pool.submit([16, 12, 6], *zip(*seeds), 1, 10)
     assert len(multiprocessing.active_children()) == 2
-    assert [get().parameters_digest() for get in getters] == serial
+    assert [model.parameters_digest() for model in models] == serial
 print("ok")
 """
         assert run_pinned(code).strip() == "ok"
@@ -589,7 +589,7 @@ for silenced in (False, True):
         caller's errstate."""
 
     @kernel_check("""
-import contextvars, sys, time
+import sys, time
 
 net = ne.init_network([256, 192, 64], ["tanh", "identity"], 64)
 x = np.random.default_rng(65).random((800, 256))
@@ -600,13 +600,19 @@ serial = ne.backward(net, trace, g).flat.copy()
 ne._block_helpers = block_helpers
 helper = ne._helpers[0]
 busy, release = threading.Event(), threading.Event()
-helper.calls.put((contextvars.copy_context(), lambda: (busy.set(), release.wait(60))))
+helper.submit(lambda: (busy.set(), release.wait(60)))
 assert busy.wait(60)
 _, trace = ne.forward_batch(net, x)
 np.matmul = spy
 grads = ne.backward(net, trace, g)
 np.matmul = matmul
+queued = []  # work queued behind the busy helper: the caller claims it
+wait = ne._offload(helper, lambda: queued.append(threading.get_ident()))
+wait()
+wait()
 release.set()
+ne._quiesce_helpers()  # the helper has reached the claimed work
+assert queued == [caller], queued
 assert grads.flat.tobytes() == serial.tobytes()
 assert len(products) == 4 and all(in_caller for in_caller, _ in products), products
 
@@ -627,7 +633,7 @@ finally:
 ne._quiesce_helpers()  # the helper has seen every call
 assert all(len(ran) == 1 for ran in runs)
 takers = {ran[0] for ran in runs}
-assert takers == {caller, helper.thread.ident}, takers
+assert takers == {caller, helper.submit(threading.get_ident).result()}, takers
 """)
     def test_busy_helper_loses_work_and_each_runs_once(self, coretype):
         """While the helper runs something else, every product of a
@@ -1117,7 +1123,7 @@ class TestParameterVector:
     def test_models_from_a_two_worker_pool_keep_their_views(self, monkeypatch):
         see_cpus(monkeypatch, 2)
         with atk.IndependentPool(2) as pool:
-            models = [get() for get in pool.submit([16, 8, 4], [1, 2], [3, 4], 1, 10)]
+            models = list(pool.submit([16, 8, 4], [1, 2], [3, 4], 1, 10))
         for model in models:
             _assert_views(model)
 

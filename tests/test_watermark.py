@@ -7,6 +7,7 @@ import math
 import os
 import struct
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -595,9 +596,9 @@ verify_suspect(source, bundle, triggers, 1, 4, 5, "source")
 assert threads == {threading.get_ident()}, threads
 assert ne._worker_count(2) == 2
 with atk.IndependentPool(2) as pool:
-    getters = pool.submit([16, 12, 6], [6, 7], [8, 9], 1, 10)
+    models = pool.submit([16, 12, 6], [6, 7], [8, 9], 1, 10)
     assert len(multiprocessing.active_children()) == 2
-    assert len([get() for get in getters]) == 2
+    assert len(list(models)) == 2
 print("ok")
 """
         assert run_pinned(code, blas_threads=None).strip() == "ok"
@@ -636,8 +637,9 @@ verify_suspect(source, bundle, triggers, config.tau, config.k_verify, 5, "source
 rows = config.trigger_count * config.k_verify
 assert {thread for thread, _ in calls} == {threading.get_ident()}, calls
 assert [n for _, n in calls if n >= 512] == [rows, rows], calls
-assert [helper.thread.name for helper in ne._helpers] == ["randmark-forward"]
-assert block_threads <= {threading.get_ident(), ne._helpers[0].thread.ident}
+[helper] = ne._helpers
+assert helper.submit(lambda: threading.current_thread().name).result() == "randmark-forward_0"
+assert block_threads <= {threading.get_ident(), helper.submit(threading.get_ident).result()}
 print("ok")
 """
         assert run_pinned(code).strip() == "ok"
@@ -724,19 +726,50 @@ for lr in (2e-3, 1e200):
         assert [net.parameters_digest() for net in nets] == before
     else:
         assert lr == 2e-3, "embedding did not diverge"
-assert started == ["randmark-forward"], started
+assert started == ["randmark-forward_0"], started
 threading.Thread.start = start
 assert len(ne._helpers) == 1
 assert ne._worker_count(2) == 2
 with atk.IndependentPool(2) as pool:
-    getters = pool.submit([16, 12, 6], *zip(*seeds), 1, 10)
+    models = pool.submit([16, 12, 6], *zip(*seeds), 1, 10)
     assert len(multiprocessing.active_children()) == 2
-    assert [get().parameters_digest() for get in getters] == serial
+    assert [model.parameters_digest() for model in models] == serial
 """, fresh_process=True)
     def test_one_helper_after_embeds_then_a_forked_pool(self, coretype):
         """An embed, and one that diverges and rolls back, leave only the
         helper, idle: an IndependentPool then forks its two workers. It
         counts the threads started from a fresh process."""
+
+    def test_idle_helpers_never_hold_up_exit(self):
+        # the helpers are executor threads, which the interpreter joins at
+        # exit: a child that ran a split forward and an embed, whose helper
+        # is then idle, exits at once after its last statement. A forward in
+        # an atexit callback, after the helpers have stopped, runs serially.
+        code = TWO_CPUS + """
+import atexit, threading, time
+import numpy as np
+from randmark import nnengine as ne, watermark as wm
+from randmark.harness import build_trigger_set
+from randmark.synth import gen_synthetic_images
+
+net = ne.init_network([64, 48, 16], ["tanh", "identity"], 42)
+x = np.random.default_rng(43).random((1600, 64))
+split = ne.forward_batch(net, x)[0].tobytes()
+atexit.register(lambda: print(ne.forward_batch(net, x)[0].tobytes() == split))
+triggers = build_trigger_set(gen_synthetic_images(64, 16, 11), 8, 0.1, 12)  # 512 rows
+source = ne.init_network([16, 12, 6], ["tanh", "identity"], 13)
+bundle = wm.ModelBundle.create(
+    source, 8, encoder_hidden=(16,), decoder_hidden=(12,),
+    hyper=wm.HyperParams(k_train=8, epochs=5), seed=14,
+)
+wm.embed_watermark(bundle, triggers)
+names = [thread.name for thread in threading.enumerate()]
+assert names == ["MainThread", "randmark-forward_0"], names
+print(time.time())
+"""
+        last_statement, at_exit = run_pinned(code).split()
+        assert time.time() - float(last_statement) < 2
+        assert at_exit == "True"
 
 
 class TestPersistence:
