@@ -4,7 +4,8 @@ Functional copies come from fine-tuning on a synthetic downstream task,
 magnitude pruning, or embedding distillation into a fresh student.
 Independent models are trained from scratch on a masked-pixel
 reconstruction objective and never see the watermark bundle, the trigger
-set, or any message.
+set, or any message. Fine-tuning, distillation and independent models train
+in one minibatch AdamW loop, _fit, given each batch's loss gradient.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class DownstreamTask:
     inputs: np.ndarray  # (B, s)
     labels: np.ndarray  # (B,) ints in [0, n_classes)
     n_classes: int
-    seed: int
 
     def __post_init__(self):
         if self.inputs.shape[0] != self.labels.shape[0]:
@@ -92,7 +92,7 @@ def make_blob_task(
     centers = gen_synthetic_images(n_classes, s, seed + 1)
     labels = rng.integers(0, n_classes, size=n_samples)
     inputs = centers[labels] + _BLOB_SPREAD * rng.standard_normal((n_samples, s))
-    return DownstreamTask(inputs=inputs, labels=labels, n_classes=n_classes, seed=seed)
+    return DownstreamTask(inputs=inputs, labels=labels, n_classes=n_classes)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -101,35 +101,46 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _fit(net: MlpNetwork, lr: float, n_samples: int, batch: int, epochs: int, rng, grad):
+    """Train net in place with AdamW at learning rate lr for epochs passes
+    over n_samples samples, each in the order of one rng.permutation, in
+    batches of batch; return net. grad(idx, trace) runs the forward of the
+    samples idx into trace and returns d(loss)/d(output) of those rows.
+    Every step reuses one trace and one gradient buffer; a short last batch
+    uses their leading rows."""
+    state = OptimizerState.fresh(net, lr=lr)
+    rows = min(batch, n_samples)
+    trace, grads = ForwardTrace.empty(net, rows), Gradients.empty(net, rows, wrt_input=False)
+    for _ in range(epochs):
+        order = rng.permutation(n_samples)
+        for start in range(0, n_samples, batch):
+            idx = order[start : start + batch]
+            g = backward(net, trace, grad(idx, trace), wrt_input=False, into=grads)
+            optimizer_step(net, g, state)
+    return net
+
+
 def finetune_attack(
     backbone: MlpNetwork, task: DownstreamTask, epochs: int, lr: float, seed: int = 0
-) -> tuple[MlpNetwork, float]:
+) -> MlpNetwork:
     """Fine-tune every backbone layer through a fresh linear head with
-    cross-entropy in batches of 64; the head is discarded. The backbone and
-    head train as one network under one optimizer state, and every step
-    reuses one trace and one gradient buffer. Returns (backbone, accuracy)."""
+    cross-entropy in batches of 64. The backbone and head train as one
+    network, which is returned with the head as its last layer."""
     rng = np.random.default_rng(seed)
     head = init_network([backbone.output_dim, task.n_classes], ["identity"], rng)
     net = MlpNetwork(backbone.layers + head.layers)
-    state = OptimizerState.fresh(net, lr=lr)
-    n_samples = task.inputs.shape[0]
-    rows = min(_FINETUNE_BATCH, n_samples)
-    trace, grads = ForwardTrace.empty(net, rows), Gradients.empty(net, rows, wrt_input=False)
     onehot = np.eye(task.n_classes)[task.labels]
-    for _ in range(epochs):
-        order = rng.permutation(n_samples)
-        for start in range(0, n_samples, _FINETUNE_BATCH):
-            idx = order[start : start + _FINETUNE_BATCH]
-            logits, _ = forward_batch(net, task.inputs[idx], into=trace)
-            probs = _softmax(logits)
-            if not np.isfinite(probs).all():
-                raise TrainingDiverged("fine-tuning diverged: non-finite logits")
-            probs -= onehot[idx]
-            probs /= idx.size
-            optimizer_step(net, backward(net, trace, probs, wrt_input=False, into=grads), state)
-    logits, _ = forward_batch(net, task.inputs)
-    accuracy = float((logits.argmax(axis=1) == task.labels).mean())
-    return MlpNetwork(net.layers[:-1]), accuracy
+
+    def grad(idx, trace):
+        logits, _ = forward_batch(net, task.inputs[idx], into=trace)
+        probs = _softmax(logits)
+        if not np.isfinite(probs).all():
+            raise TrainingDiverged("fine-tuning diverged: non-finite logits")
+        probs -= onehot[idx]
+        probs /= idx.size
+        return probs
+
+    return _fit(net, lr, task.inputs.shape[0], _FINETUNE_BATCH, epochs, rng, grad)
 
 
 def distill_attack(
@@ -140,11 +151,10 @@ def distill_attack(
     lr: float = 1e-3,
     n_inputs: int = 5000,
     seed: int = 0,
-) -> tuple[MlpNetwork, float]:
+) -> MlpNetwork:
     """Train a fresh random student with the given hidden widths to match the
-    teacher's embeddings on synthetic unlabeled inputs, in batches of 256;
-    every step reuses one trace, one output-gradient buffer and one gradient
-    buffer. Returns (student, final mean squared matching loss)."""
+    teacher's embeddings on synthetic unlabeled inputs with mean squared
+    error, in batches of 256; return the student."""
     s, k = teacher.input_dim, teacher.output_dim
     dims = [s, *student_hidden, k]
     student = init_network(
@@ -152,28 +162,19 @@ def distill_attack(
     )
     inputs = gen_synthetic_images(n_inputs, s, data_seed)
     targets, _ = forward_batch(teacher, inputs)
-    state = OptimizerState.fresh(student, lr=lr)
-    rows = min(_DISTILL_BATCH, n_inputs)
-    trace = ForwardTrace.empty(student, rows)
-    grads = Gradients.empty(student, rows, wrt_input=False)
-    g_out = np.empty((rows, k))
+    g_out = np.empty((min(_DISTILL_BATCH, n_inputs), k))
+
+    def grad(idx, trace):
+        out, _ = forward_batch(student, inputs[idx], into=trace)
+        diff = np.subtract(out, targets[idx], out=g_out[: idx.size])
+        if not np.isfinite(diff).all():
+            raise TrainingDiverged("distillation diverged: non-finite outputs")
+        diff *= 2.0
+        diff /= idx.size
+        return diff
+
     rng = np.random.default_rng(seed + 1)
-    for _ in range(epochs):
-        order = rng.permutation(n_inputs)
-        for start in range(0, n_inputs, _DISTILL_BATCH):
-            idx = order[start : start + _DISTILL_BATCH]
-            out, _ = forward_batch(student, inputs[idx], into=trace)
-            diff = np.subtract(out, targets[idx], out=g_out[: idx.size])
-            if not np.isfinite(diff).all():
-                raise TrainingDiverged("distillation diverged: non-finite outputs")
-            diff *= 2.0
-            diff /= idx.size
-            optimizer_step(
-                student, backward(student, trace, diff, wrt_input=False, into=grads), state
-            )
-    out, _ = forward_batch(student, inputs)
-    final_loss = float(((out - targets) ** 2).mean())
-    return student, final_loss
+    return _fit(student, lr, n_inputs, _DISTILL_BATCH, epochs, rng, grad)
 
 
 def make_independent(
@@ -183,38 +184,29 @@ def make_independent(
     its embedding bottleneck; a linear reconstruction head is used during
     training and discarded. The routine sees only its own synthetic data.
     Each pixel is masked with probability 0.25, and AdamW trains at learning
-    rate 2e-3 in batches of 128 images.
-
-    The backbone and head train as one network under one optimizer state.
-    A step masks its batch into a preallocated buffer by multiplying with
-    the keep mask (pixels lie in [0, 1], so a masked pixel is +0.0), builds
-    the output gradient in another, and runs forward and backward in one
-    trace and one gradient buffer; the last batch of an epoch uses their
-    leading rows.
+    rate 2e-3 in batches of 128 images. A step multiplies its batch into a
+    buffer by a keep mask drawn after the epoch's permutation from the same
+    generator (pixels lie in [0, 1], so a masked pixel is +0.0).
     """
     dims = list(dims)
     s = dims[0]
     rng = np.random.default_rng(seed)
     net = init_network(dims + [s], ["tanh"] * (len(dims) - 2) + ["identity"] * 2, rng)
     images = gen_synthetic_images(n_images, s, pretrain_data_seed)
-    state = OptimizerState.fresh(net, lr=_INDEPENDENT_LR)
     masked = np.empty((min(_INDEPENDENT_BATCH, n_images), s))
     g_out = np.empty_like(masked)
-    trace = ForwardTrace.empty(net, len(masked))
-    grads = Gradients.empty(net, len(masked), wrt_input=False)
-    for _ in range(epochs):
-        order = rng.permutation(n_images)
-        for start in range(0, n_images, _INDEPENDENT_BATCH):
-            idx = order[start : start + _INDEPENDENT_BATCH]
-            batch = images[idx]
-            inputs = np.multiply(
-                batch, rng.random(batch.shape) >= _MASK_FRACTION, out=masked[: idx.size]
-            )
-            recon, _ = forward_batch(net, inputs, into=trace)
-            g = np.subtract(recon, batch, out=g_out[: idx.size])
-            g *= 2.0
-            g /= idx.size
-            optimizer_step(net, backward(net, trace, g, wrt_input=False, into=grads), state)
+
+    def grad(idx, trace):
+        batch = images[idx]
+        keep = rng.random(batch.shape) >= _MASK_FRACTION
+        inputs = np.multiply(batch, keep, out=masked[: idx.size])
+        recon, _ = forward_batch(net, inputs, into=trace)
+        g = np.subtract(recon, batch, out=g_out[: idx.size])
+        g *= 2.0
+        g /= idx.size
+        return g
+
+    _fit(net, _INDEPENDENT_LR, n_images, _INDEPENDENT_BATCH, epochs, rng, grad)
     return MlpNetwork(net.layers[:-1])
 
 
@@ -296,13 +288,12 @@ def apply_attack(bundle: ModelBundle, spec: AttackSpec) -> MlpNetwork:
         return l1_unstructured_prune(base, spec.fraction)
     if spec.kind == "finetune":
         task = make_blob_task(base.input_dim, seed=spec.seed)
-        net, _ = finetune_attack(base, task, spec.epochs, spec.lr, seed=spec.seed)
-        return net
-    student, _ = distill_attack(  # a student as wide as the backbone
+        net = finetune_attack(base, task, spec.epochs, spec.lr, seed=spec.seed)
+        return MlpNetwork(net.layers[:-1])
+    return distill_attack(  # a student as wide as the backbone
         base, tuple(layer.out_dim for layer in base.layers[:-1]), data_seed=spec.seed + 17,
         epochs=spec.epochs, lr=spec.lr, seed=spec.seed,
     )
-    return student
 
 
 @dataclass

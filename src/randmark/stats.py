@@ -21,17 +21,22 @@ import numpy as np
 _EXACT_N_CAP = 64
 
 
+def _check_distances(distances: np.ndarray) -> None:
+    if distances.ndim != 2 or distances.shape[1] < 1:
+        raise ValueError(f"need an (N, K) distance array with K >= 1, got {distances.shape}")
+
+
 def mean_distance(distances: np.ndarray) -> list[float]:
     """rho per trigger: the mean Hamming distance over each row's K draws of
     an (N, K) distance array."""
-    if distances.ndim != 2 or distances.shape[1] < 1:
-        raise ValueError(f"need an (N, K) distance array with K >= 1, got {distances.shape}")
+    _check_distances(distances)
     return distances.mean(axis=1).tolist()
 
 
 def var_distance(distances: np.ndarray) -> list[float | None]:
-    """Unbiased sample variance of each row's K per-draw distances; None for
-    every trigger when K < 2 (the statistic is undefined for one draw)."""
+    """Unbiased sample variance of each row's K per-draw distances of an
+    (N, K) distance array; None for every trigger when K = 1."""
+    _check_distances(distances)
     if distances.shape[1] < 2:
         return [None] * distances.shape[0]
     return distances.var(axis=1, ddof=1).tolist()

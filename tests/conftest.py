@@ -163,9 +163,9 @@ THREAD_VARIABLES = (
 TWO_CPUS = "import os; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
 
 
-# The children run_pinned started in this session and their wall seconds,
-# which pytest_terminal_summary reports
-PINNED = {"children": 0, "seconds": 0.0}
+# Each child run_pinned started in this pytest run, as [the test it ran for,
+# its wall seconds], which pytest_terminal_summary reports
+PINNED: list[list] = []
 
 
 def _pinned_child(
@@ -191,8 +191,8 @@ def _pinned_child(
             capture_output=True, text=True, env=env, timeout=timeout,
         )
     finally:
-        PINNED["children"] += 1
-        PINNED["seconds"] += time.perf_counter() - t0
+        test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0]
+        PINNED.append([test, time.perf_counter() - t0])
 
 
 def run_pinned(
@@ -322,7 +322,9 @@ def kernel_check(code: str, fresh_process: bool = False):
 def _kernel_results(coretype: str) -> dict[str, str | None]:
     checks = sorted(KERNEL_CHECKS.items(), key=lambda item: not item[1][1])  # fresh first
     assert sum(fresh for _, (_, fresh) in checks) <= 1, "more than one check needs a fresh process"
-    return run_checks({name: code for name, (code, _) in checks}, coretype)
+    results = run_checks({name: code for name, (code, _) in checks}, coretype)
+    PINNED[-1][0] = coretype  # the child run_checks just ran serves every test of its kernel
+    return results
 
 
 def pytest_collection_finish(session):
@@ -336,9 +338,20 @@ def pytest_collection_finish(session):
 
 
 def pytest_terminal_summary(terminalreporter):
-    terminalreporter.write_line(
-        f"run_pinned: {PINNED['children']} children, {PINNED['seconds']:.1f} s"
-    )
+    """Report run_pinned's children: their count and wall seconds, then each
+    kernel child's seconds and the three slowest other children, so that a
+    slow suite shows which child to cut."""
+    write = terminalreporter.write_line
+    write(f"run_pinned: {len(PINNED)} children, {sum(s for _, s in PINNED):.1f} s")
+    cores = {param.values[0] for param in CORETYPES}
+    kernels = [f"{name} {s:.1f} s" for name, s in PINNED if name in cores]
+    if kernels:
+        write("  kernel children: " + ", ".join(kernels))
+    slowest = sorted(((s, name) for name, s in PINNED if name not in cores), reverse=True)[:3]
+    if slowest:
+        write("  slowest other children:")
+    for s, name in slowest:
+        write(f"    {s:.1f} s {name}")
 
 
 @dataclass
@@ -374,7 +387,6 @@ class DeskRun:
     reports: dict = field(default_factory=dict)
     distances: dict = field(default_factory=dict)
     covariance_distances: dict = field(default_factory=dict)  # the covariance stage's draws
-    finetune_accuracy: float = 0.0
     fidelity_ratio: float = 0.0
     build_seconds: float = 0.0
 
@@ -425,12 +437,9 @@ def desk_run() -> DeskRun:
         suspects["watermarked"] = bundle.watermarked_f
         suspects["prune20"] = ne.l1_unstructured_prune(bundle.watermarked_f, 0.2)
         suspects["prune40"] = ne.l1_unstructured_prune(bundle.watermarked_f, 0.4)
-        task = atk.make_blob_task(config.s, n_classes=4, seed=config.seed)
-        finetuned, accuracy = atk.finetune_attack(
-            bundle.watermarked_f, task, epochs=3, lr=1e-3, seed=config.seed
+        suspects["finetune3"] = atk.apply_attack(
+            bundle, atk.AttackSpec(kind="finetune", epochs=3, lr=1e-3, seed=config.seed)
         )
-        run.finetune_accuracy = accuracy
-        suspects["finetune3"] = finetuned
         for i, net in enumerate(independents):
             suspects[f"independent{i}"] = net
 

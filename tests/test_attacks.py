@@ -32,17 +32,25 @@ def task():
     return atk.make_blob_task(MINI["s"], n_classes=4, n_samples=512, seed=43)
 
 
+def _finetune(backbone, task, epochs, seed):
+    """finetune_attack's backbone without its head, and the accuracy of the
+    whole fine-tuned network on the task."""
+    net = atk.finetune_attack(backbone, task, epochs=epochs, lr=1e-3, seed=seed)
+    logits, _ = ne.forward_batch(net, task.inputs)
+    return ne.MlpNetwork(net.layers[:-1]), float((logits.argmax(axis=1) == task.labels).mean())
+
+
 class TestFinetune:
     def test_zero_epochs_leaves_backbone_unchanged(self, backbone, task):
-        net, _ = atk.finetune_attack(backbone, task, epochs=0, lr=1e-3, seed=1)
+        net, _ = _finetune(backbone, task, epochs=0, seed=1)
         assert net.parameters_digest() == backbone.parameters_digest()
 
     def test_blob_task_is_learnable(self, backbone, task):
-        _, accuracy = atk.finetune_attack(backbone, task, epochs=10, lr=1e-3, seed=2)
+        _, accuracy = _finetune(backbone, task, epochs=10, seed=2)
         assert accuracy >= 0.9
 
     def test_parameters_drift_for_positive_epochs(self, backbone, task):
-        net, _ = atk.finetune_attack(backbone, task, epochs=1, lr=1e-3, seed=3)
+        net, _ = _finetune(backbone, task, epochs=1, seed=3)
         drift = sum(
             float(np.linalg.norm(a.weight - b.weight))
             for a, b in zip(net.layers, backbone.layers)
@@ -50,9 +58,14 @@ class TestFinetune:
         assert drift > 0.0
 
     def test_deterministic_under_seed(self, backbone, task):
-        a, _ = atk.finetune_attack(backbone, task, epochs=2, lr=1e-3, seed=4)
-        b, _ = atk.finetune_attack(backbone, task, epochs=2, lr=1e-3, seed=4)
+        a, _ = _finetune(backbone, task, epochs=2, seed=4)
+        b, _ = _finetune(backbone, task, epochs=2, seed=4)
         assert a.parameters_digest() == b.parameters_digest()
+
+    def test_returns_the_backbone_with_its_head_last(self, backbone, task):
+        net = atk.finetune_attack(backbone, task, epochs=0, lr=1e-3, seed=1)
+        assert net.spec[:-1] == backbone.spec
+        assert net.spec[-1] == (backbone.output_dim, task.n_classes, "identity")
 
 
 class TestAttackSpec:
@@ -79,11 +92,41 @@ class TestPrune:
 
 class TestDistill:
     def test_half_width_student_matches_embeddings(self, backbone):
-        student, _ = atk.distill_attack(
+        student = atk.distill_attack(
             backbone, (24,), data_seed=6, epochs=50, n_inputs=5000, seed=7
         )
         held = gen_synthetic_images(256, MINI["s"], 8)
         assert atk.relative_embedding_error(student, backbone, held) < 0.15
+
+
+class TestForwardCounts:
+    """An attack runs no forward beyond its training steps' and, for
+    distillation, the teacher's targets."""
+
+    @staticmethod
+    def _forward_rows(monkeypatch, bundle, spec):
+        """The row count of each forward_batch call of apply_attack(spec)."""
+        rows, real = [], ne.forward_batch
+
+        def counted(net, x, *args, **kwargs):
+            rows.append(x.shape[0])
+            return real(net, x, *args, **kwargs)
+
+        monkeypatch.setattr(atk, "forward_batch", counted)
+        atk.apply_attack(bundle, spec)
+        return rows
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_finetune_forwards_only_its_batches(self, monkeypatch, mini_run, epochs):
+        spec = atk.AttackSpec(kind="finetune", epochs=epochs, seed=5)
+        # 512 samples in 8 batches of 64
+        assert self._forward_rows(monkeypatch, mini_run.bundle, spec) == [64] * 8 * epochs
+
+    def test_distill_forwards_targets_and_batches(self, monkeypatch, mini_run):
+        spec = atk.AttackSpec(kind="distill", epochs=1, seed=5)
+        # the teacher's 5,000 targets, then 20 batches: 19 of 256 and one of 136
+        rows = self._forward_rows(monkeypatch, mini_run.bundle, spec)
+        assert rows == [5000] + [256] * 19 + [136]
 
 
 class TestMakeIndependent:

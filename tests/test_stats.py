@@ -2,6 +2,7 @@
 false-positive kernel, threshold calibration, and the covariance statistic."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +104,13 @@ class TestMeanVar:
     def test_no_draws_rejected(self):
         with pytest.raises(ValueError, match="K >= 1"):
             stats.mean_distance(np.zeros((3, 0), dtype=np.int64))
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 0), (2, 3, 4)], ids=["1-D", "no draws", "3-D"])
+    @pytest.mark.parametrize("statistic", [stats.mean_distance, stats.var_distance])
+    def test_array_not_n_by_k_rejected(self, statistic, shape):
+        expected = f"need an (N, K) distance array with K >= 1, got {shape}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            statistic(np.zeros(shape, dtype=np.int64))
 
 
 class TestArrayStatisticsMatchLoops:

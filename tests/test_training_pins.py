@@ -1,6 +1,7 @@
 """Pins of the training routines' output bytes: SHA-256 digests of the
-parameters that make_independent, finetune_attack, distill_attack and
-embed_watermark return at micro sizes. Any change to the order of a rounding
+parameters that make_independent, finetune_attack (without its head),
+distill_attack and embed_watermark return at micro sizes, with the accuracy
+and matching loss of the returned networks beside them. Any change to the order of a rounding
 step, to a random draw or to the BLAS kernel a product runs on shows here.
 The sizes put a 44-row and a 1-row batch last in an epoch, since a one-row
 product runs a different BLAS kernel than a many-row one. Each value is
@@ -14,6 +15,7 @@ import pytest
 from randmark import attacks as atk
 from randmark import watermark as wm
 from randmark.harness import build_trigger_set
+from randmark.nnengine import MlpNetwork, forward_batch
 from randmark.synth import gen_synthetic_images
 
 from conftest import assert_pinned
@@ -69,8 +71,10 @@ class TestAttacks:
     def test_finetune_digest(self, backbone):
         # 100 samples = 64 + 36 rows
         task = atk.make_blob_task(16, n_classes=3, n_samples=100, seed=7)
-        net, accuracy = atk.finetune_attack(backbone, task, epochs=2, lr=1e-3, seed=8)
-        assert_pinned((_digest(net), accuracy), {
+        net = atk.finetune_attack(backbone, task, epochs=2, lr=1e-3, seed=8)
+        logits, _ = forward_batch(net, task.inputs)
+        accuracy = float((logits.argmax(axis=1) == task.labels).mean())
+        assert_pinned((_digest(MlpNetwork(net.layers[:-1])), accuracy), {
             "SkylakeX": ("b50f970a310dec6d47cc092c82fb7c3105566368acddffb5a02a63cb27ed35f3", 0.66),
             "Haswell": ("058f620c24227d4b91356b28b949e45a0400037aa0e8a75970f4b73a7d38542f", 0.66),
             "Sandybridge": (
@@ -81,8 +85,8 @@ class TestAttacks:
     def test_finetune_one_row_batch_digest(self, backbone):
         # 65 samples = 64 + 1 row
         task = atk.make_blob_task(16, n_classes=3, n_samples=65, seed=7)
-        net, _ = atk.finetune_attack(backbone, task, epochs=2, lr=1e-3, seed=8)
-        assert_pinned(_digest(net), {
+        net = atk.finetune_attack(backbone, task, epochs=2, lr=1e-3, seed=8)
+        assert_pinned(_digest(MlpNetwork(net.layers[:-1])), {
             "SkylakeX": "d7c132ad879f2e3e64e29ca068c76bff28a5d09b890fcf7157b62d4ab667b704",
             "Haswell": "8dfc5863576930cb972e91d675593ad1d96c2e85d9f71155f22b115695c3cda3",
             "Sandybridge": "02762d4a7887f3afa586b21b15fa43ccf936a2d7cbbc54031f34f86943655b36",
@@ -90,9 +94,12 @@ class TestAttacks:
 
     def test_distill_digest(self, backbone):
         # 300 inputs = 256 + 44 rows
-        student, loss = atk.distill_attack(
+        student = atk.distill_attack(
             backbone, (6,), data_seed=9, epochs=2, lr=1e-3, n_inputs=300, seed=10
         )
+        inputs = gen_synthetic_images(300, 16, 9)
+        out, _ = forward_batch(student, inputs)
+        loss = float(((out - forward_batch(backbone, inputs)[0]) ** 2).mean())
         assert_pinned((_digest(student), loss), {
             "SkylakeX": (
                 "a6ea553b20b78ad91db44ae089dfb5a53a9e1d6da42562ab5c3e5e05a61b14c9",
