@@ -162,11 +162,12 @@ def _cmd_embed(args) -> int:
     else:
         triggers = data_stage(config, out / "triggers.rmts")
     _, log = embed_stage(config, triggers, out)
-    final = log.final()
-    print(
-        f"embedded: bit_accuracy={final['bit_accuracy']:.4f} "
-        f"fidelity={final['fidelity']:.4f} (bundle in {out / 'bundle'})"
-    )
+    if log.epochs:
+        final = log.final()
+        summary = f"bit_accuracy={final['bit_accuracy']:.4f} fidelity={final['fidelity']:.4f}"
+    else:  # no epoch ran, so there is no accuracy or fidelity to report
+        summary = "epochs=0"
+    print(f"embedded: {summary} (bundle in {out / 'bundle'})")
     return EXIT_OK
 
 

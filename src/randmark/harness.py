@@ -369,8 +369,9 @@ def bound_report_from_estimates(config: ExperimentConfig, path) -> BoundReport:
     per population (omega, xi) a non-empty list of {trigger_id, matches,
     trials} rows of JSON integers, taken in trigger_id order. A file that is
     not JSON, lacks a key, holds an empty population or a value of the
-    wrong type, repeats a trigger_id, or gives omega and xi different
-    trigger ids raises ValueError naming the file."""
+    wrong type, repeats a trigger_id, gives omega and xi different trigger
+    ids, or holds counts the bound rejects (matches above trials, fewer
+    triggers than r_bar) raises ValueError naming the file."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -397,9 +398,9 @@ def bound_report_from_estimates(config: ExperimentConfig, path) -> BoundReport:
         if ids["omega"] != ids["xi"]:
             raise ValueError("omega and xi cover different trigger ids")
         rates = [float(json_field(payload, key, JSON_NUMBER)) for key in ("p_hat", "q_hat")]
+        return _bound_report(config, counts["omega"], counts["xi"], *rates)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return _bound_report(config, counts["omega"], counts["xi"], *rates)
 
 
 # run_pipeline's stages in the order they run

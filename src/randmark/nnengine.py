@@ -13,28 +13,18 @@ ones; backward spends the trace by building its derivative terms over the
 trace's activations. Optimizer state lives outside the network so
 networks stay copyable and hashable by content.
 
-forward_batch runs a batch of at least 512 rows as blocks of at most 256
-rows, shrinking towards the end (_block_cuts), which the caller and one
-helper thread per spare CPU (_worker_count) take from one shared
-iterator; each block runs every layer over its rows, straight into the
-trace. Each helper gets that loop through _offload, so the caller never
-waits for a helper to wake, and the call returns once no thread is inside
-a block. The helpers are one-thread executors started at the first such
-batch and kept, so no thread is started or joined per call. Every cut
-falls at a multiple of 32 rows and leaves no one-row block; OpenBLAS then
-sums each row as in one product of the whole batch, so a split batch gives
-the bytes of a serial one. A process whose BLAS does not report one thread,
-or that runs any other Python thread (an IndependentPool's included), has no
-spare CPU, so its forwards run in the caller's thread alone.
-
-backward of at least 512 rows hands each layer's weight-gradient product
-to the helper (_offload) while the caller computes the bias sum and the
-input-gradient product, and waits for it before the next layer; a first
-layer without an input gradient cuts its weight gradient at a multiple of
-32 columns instead, and the helper takes the right part. Each product is
-one BLAS call over whole operands or a 32-aligned column block, so the
-bytes are those of a serial pass. Without a spare CPU, backward runs in the
-caller's thread alone.
+Helper threads. forward_batch, backward and watermark.embed_watermark reach
+other threads only through _fork_join(spare, *works), which runs works[0] in
+the caller and others on up to spare helpers, and returns or raises once
+every work is done: no work of an engine call is pending on a helper once
+the call returns. The helpers are one-thread executors started at first use
+and kept. A batch of at least 512 rows gets one helper per spare CPU (_spare,
+by _worker_count); a process whose BLAS does not report one thread, or that
+runs any other Python thread (an IndependentPool's included), has none, and
+_fork_join(0, ...) runs every work in the caller. A helper runs whole BLAS
+products, or blocks of them cut at multiples of 32 rows or columns, which
+OpenBLAS sums as one product of the whole operands, so the bytes are those
+of a serial pass whatever thread runs them.
 """
 
 from __future__ import annotations
@@ -51,6 +41,7 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -267,15 +258,11 @@ def forward_batch(
     without it a fresh one is made. An into that does not fit the network and
     batch raises ValueError before anything is written.
 
-    A batch of at least 512 rows runs as blocks of at most 256 rows
-    (_block_cuts), which the caller and the helper threads of _block_helpers
-    take from one shared iterator, each writing its blocks' rows straight
-    into the trace. A helper runs the loop through _offload, in a copy of
-    the caller's context (so its np.errstate holds there too), and a helper
-    that is slow to wake takes no block. The call returns, or raises the
-    first exception of any block, once every block is written and no helper
-    is inside one; so a helper that stalls in a block holds the call up
-    until it finishes. The bytes are those of a serial pass.
+    With helpers (_spare), the batch runs as blocks of at most 256 rows
+    (_block_cuts) that the caller and each helper take from one shared
+    iterator under _fork_join, each writing its blocks' rows straight into
+    the trace; without, it runs as one block. The bytes are those of a
+    serial pass.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -289,28 +276,16 @@ def forward_batch(
     rows = len(x)
     if rows > len(into.buffers[0]):
         raise ValueError(f"batch of {rows} rows exceeds into's {len(into.buffers[0])}")
-    helpers = _block_helpers(rows)
-    if helpers:
-        cuts = _block_cuts(rows, len(helpers) + 1)
-        # next() on a range iterator holds the GIL, so each block is taken once
-        blocks, errors = iter(range(len(cuts) - 1)), []
+    spare = _spare(rows)
+    cuts = _block_cuts(rows, spare + 1) if spare else [0, rows]
+    blocks = iter(range(len(cuts) - 1))  # next() holds the GIL: each block is taken once
 
-        def run() -> None:
-            for index in blocks:
-                start, stop = cuts[index], cuts[index + 1]
-                try:
-                    _layers(net, x[start:stop], [buffer[start:stop] for buffer in into.buffers])
-                except BaseException as exc:
-                    errors.append(exc)
+    def run() -> None:
+        for index in blocks:
+            start, stop = cuts[index], cuts[index + 1]
+            _layers(net, x[start:stop], [buffer[start:stop] for buffer in into.buffers])
 
-        waits = [_offload(helper, run) for helper in helpers]
-        run()
-        for wait in waits:
-            wait()
-        if errors:
-            raise errors[0]
-    else:
-        _layers(net, x, [buffer[:rows] for buffer in into.buffers])
+    _fork_join(spare, *[run] * (spare + 1))
     into.activations = [x, *(buffer[:rows] for buffer in into.buffers)]
     into.spent = False
     return into.activations[-1], into
@@ -334,8 +309,8 @@ def _layers(net: MlpNetwork, x: np.ndarray, outs) -> None:
             x *= 0.5
 
 
-# forward_batch's helpers, one-thread executors started at the first split
-# batch and kept; _worker_count tells their threads by this name prefix
+# _fork_join's helpers, one-thread executors started at first use and kept;
+# _worker_count tells their threads by this name prefix
 _helpers: list[ThreadPoolExecutor] = []
 _HELPER_NAME = "randmark-forward"
 
@@ -344,7 +319,7 @@ def _quiesce_helpers() -> None:
     """Before a fork, wait until each helper, one thread that runs its work
     in submission order, has run a no-op submitted now: a fork must copy no
     thread that is inside numpy or BLAS, and a helper may still be running
-    work that a thread other than the forking one handed it (_offload)."""
+    work of a _fork_join call in a thread other than the forking one."""
     for helper in _helpers:
         helper.submit(int).result()
 
@@ -357,46 +332,41 @@ def _forget_helpers() -> None:
 os.register_at_fork(before=_quiesce_helpers, after_in_child=_forget_helpers)
 
 
-def _block_helpers(rows: int) -> list[ThreadPoolExecutor]:
-    """The helpers that share a batch of rows with the caller: for a batch
-    of at least _SPLIT_ROWS rows, one per worker of _worker_count beyond the
-    caller, started as needed; otherwise none."""
-    if rows < _SPLIT_ROWS:
-        return []
-    wanted = _worker_count(-(-rows // _BLOCK_ROWS)) - 1
-    while len(_helpers) < wanted:
+def _spare(rows: int) -> int:
+    """The helpers that a batch of rows gets beside the caller: for at least
+    _SPLIT_ROWS rows, one per worker of _worker_count beyond the caller;
+    otherwise none."""
+    return _worker_count(-(-rows // _BLOCK_ROWS)) - 1 if rows >= _SPLIT_ROWS else 0
+
+
+def _fork_join(spare: int, *works: Callable[[], object]) -> None:
+    """Run each work once and return when all are done: works[0] in the
+    caller, works[1:spare + 1] each on a helper of its own, in a copy of the
+    caller's context (so its np.errstate holds there too). The caller then
+    goes through the other works in order: a helper's work that has not
+    started, its helper busy or not yet woken, the caller cancels and runs
+    itself; one that has started holds the call until it is done; a work
+    beyond the helpers the caller runs. Once every work is done, raises the
+    exception of the first work, in the order given, that raised. With
+    spare = 0 every work runs in the caller, in order. Works are np.matmul or
+    private code, never a traced public function."""
+    while len(_helpers) < min(spare, len(works) - 1):
         _helpers.append(ThreadPoolExecutor(1, thread_name_prefix=_HELPER_NAME))
-    return _helpers[:wanted]
-
-
-def _offload(helper: ThreadPoolExecutor | None, work: Callable[[], object]) -> Callable[[], None]:
-    """Hand work (np.matmul or private code, never a traced public function)
-    to helper, in a copy of the caller's context, so its np.errstate holds
-    there too, and return the waiter that the caller must call before it
-    uses work's output. Whichever of the helper and the waiter starts work
-    first runs it: a helper that is busy, or has not woken by the time the
-    caller calls the waiter, loses the work to the caller, which cancels its
-    future, and a helper that started it holds the waiter up until it is
-    done. The waiter returns, or re-raises work's exception, once work is
-    done, and again at every later call. Without a helper the waiter runs it.
-    """
-    future = None if helper is None else helper.submit(contextvars.copy_context().run, work)
-    outcome: list[BaseException | None] = []  # once work is done: its exception, or None
-
-    def wait() -> None:
-        if not outcome:
-            if future is None or future.cancel():
-                try:
-                    work()
-                except BaseException as exc:
-                    outcome.append(exc)
-                outcome.append(None)
-            else:
-                outcome.append(future.exception())
-        if outcome[0] is not None:
-            raise outcome[0]
-
-    return wait
+    futures = [
+        helper.submit(contextvars.copy_context().run, work)
+        for helper, work in zip(_helpers[:spare], works[1:])
+    ]
+    errors: list[BaseException] = []
+    for work, future in zip_longest(works, [None, *futures]):
+        if future is None or future.cancel():
+            try:
+                work()
+            except BaseException as exc:  # raised below, once every work is done
+                errors.append(exc)
+        elif (exc := future.exception()) is not None:
+            errors.append(exc)
+    if errors:
+        raise errors[0]
 
 
 def _scipy_openblas() -> ctypes.CDLL | None:
@@ -437,10 +407,10 @@ def _blas_threads() -> int:
 def _worker_count(jobs: int) -> int:
     """Workers for `jobs` parallel jobs, the caller included: one per CPU in
     the affinity mask, at most one per job, if BLAS runs one thread, no
-    Python thread runs besides the caller and forward_batch's helpers, and
-    the main thread has not stopped (at exit no executor takes work);
-    otherwise 1, which runs everything in the caller. It sizes an
-    IndependentPool's worker processes and forward_batch's blocks alike.
+    Python thread runs besides the caller and _fork_join's helpers, and the
+    main thread has not stopped (at exit no executor takes work); otherwise
+    1, which runs everything in the caller. It sizes an IndependentPool's
+    worker processes and an engine call's helpers (_spare) alike.
 
     So a user's BLAS thread count, a one-CPU mask (taskset -c 0), a BLAS
     other than scipy-openblas, or a running IndependentPool's threads keep
@@ -571,14 +541,12 @@ def backward(
     overlaps the trace or into's scratch, raises ValueError before anything
     is written.
 
-    With at least 512 rows and a helper of _block_helpers, each layer's
-    weight-gradient product runs on the helper, in a copy of the caller's
-    context, beside the caller's bias sum and input-gradient product; the
-    first layer under wrt_input=False splits its weight gradient at
-    out_dim // 2 rounded down to a multiple of 32 columns instead (run
-    whole in the caller below 64 columns). The caller waits for the helper
-    at the end of each layer, and so raises a helper's exception only once
-    both products are written. The bytes are those of a serial pass.
+    Each layer is one _fork_join: the caller's bias sum and input-gradient
+    product beside the weight-gradient product, which a helper (_spare)
+    takes. With a helper, the first layer under wrt_input=False cuts its
+    weight gradient at out_dim // 2 rounded down to a multiple of 32 columns
+    instead, the caller taking the left part. The bytes are those of a
+    serial pass.
     """
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.ndim == 1:
@@ -605,7 +573,7 @@ def backward(
         )
     if any(np.may_share_memory(g, a) for a in (*trace.activations[1:], *into.scratch)):
         raise ValueError("output gradient overlaps the trace or into's scratch")
-    helper = (_block_helpers(rows) or [None])[0]
+    spare = _spare(rows)
     views = list(_layer_views(into.flat, net.spec))
     for step, i in enumerate(range(len(net.layers) - 1, -1, -1)):
         layer = net.layers[i]
@@ -616,23 +584,20 @@ def backward(
         dz = _derivative_term(layer.activation, a, g, scratch)
         a_in_t, (weight_grad, bias_grad) = trace.activations[i].T, views[i]
         input_grad = i > 0 or wrt_input
+        g = _leading(buffer, (rows, layer.in_dim)) if input_grad else np.empty((rows, 0))
         # the helper takes the weight gradient's columns from cut on; a
         # 32-aligned cut keeps each column's bytes those of one product
-        cut = 0 if input_grad or helper is None else layer.out_dim // 2 // 32 * 32
-        wait = _offload(
-            helper if input_grad or cut else None,
-            partial(np.matmul, a_in_t, dz[:, cut:], out=weight_grad[:, cut:]),
-        )
-        try:
+        cut = 0 if input_grad or not spare else layer.out_dim // 2 // 32 * 32
+
+        def own() -> None:
             if cut:
                 np.matmul(a_in_t, dz[:, :cut], out=weight_grad[:, :cut])
             dz.sum(axis=0, out=bias_grad)
             if input_grad:
-                g = np.matmul(dz, layer.weight.T, out=_leading(buffer, (rows, layer.in_dim)))
-            else:
-                g = np.empty((rows, 0))
-        finally:
-            wait()  # the next layer's derivative term overwrites a_in_t
+                np.matmul(dz, layer.weight.T, out=g)
+
+        # joined before the next layer's derivative term overwrites a_in_t
+        _fork_join(spare, own, partial(np.matmul, a_in_t, dz[:, cut:], out=weight_grad[:, cut:]))
     trace.spent = True
     into.wrt_input = g
     return into

@@ -30,8 +30,8 @@ from .nnengine import (
     Gradients,
     MlpNetwork,
     OptimizerState,
-    _block_helpers,
-    _offload,
+    _fork_join,
+    _spare,
     backward,
     forward_batch,
     init_network,
@@ -463,13 +463,10 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
     is raised, whatever floating-point warnings the diverging step gave: the
     function runs under np.errstate(over="ignore", invalid="ignore").
 
-    With at least 512 stego rows (N * K) and a helper of _block_helpers,
-    the next epoch's noise is drawn on the helper, from the same generator
-    in the same order, while the caller checks the epoch and steps the
-    optimizers; the caller waits for the draw before the next epoch, or
-    before a rollback. backward shares its products with the same helper,
-    so the function returns only once no work of it runs there, and the
-    bytes are those of a serial run.
+    Each epoch ends in one _fork_join: the caller checks the epoch and steps
+    the optimizers while a helper (_spare, for at least 512 stego rows
+    N * K) draws the next epoch's noise, from the same generator in the same
+    order, so the bytes are those of a serial run.
     """
     if triggers.s != bundle.s or triggers.n != bundle.n:
         raise ValueError("trigger set dimensions do not match bundle")
@@ -490,19 +487,12 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
     snapshot = [net.params.copy() for net in trained]
     out_ref, _ = forward_batch(bundle.frozen_f, triggers.images)  # frozen: the same every epoch
     step = _EmbedStep(*trained, messages, hyper.k_train)
-    helper = (_block_helpers(len(step.stego)) or [None])[0]
+    spare = _spare(len(step.stego))
     draw = partial(_draw_noise, rng, step.noise, triggers.sigmas)
-    drawn = _offload(None, draw)
-    for epoch in range(hyper.epochs):
-        drawn()
-        fid, msg, acc, grads = step(
-            out_ref, triggers.images, step.noise, hyper.lam, hyper.delta_scale
-        )
-        if epoch + 1 < hyper.epochs:  # step is done with the noise
-            drawn = _offload(helper, draw)
+
+    def finish_epoch(epoch: int, fid: float, msg: float, acc: float, grads) -> None:
         total = fid + msg
         if not (math.isfinite(total) and all(g.is_finite() for g in grads)):
-            drawn()
             for net, saved in zip(trained, snapshot):
                 np.copyto(net.params, saved)
             raise TrainingDiverged(
@@ -521,6 +511,14 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
                 "bit_accuracy": acc,
             }
         )
+
+    draw()
+    for epoch in range(hyper.epochs):
+        losses = step(out_ref, triggers.images, step.noise, hyper.lam, hyper.delta_scale)
+        works = [partial(finish_epoch, epoch, *losses)]
+        if epoch + 1 < hyper.epochs:  # step is done with the noise
+            works.append(draw)
+        _fork_join(spare, *works)
     return bundle, log
 
 

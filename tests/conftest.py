@@ -220,8 +220,10 @@ def run_pinned(
 # Run in each check's own namespace before its code: the imports, and a spy
 # for np.matmul that records each product's thread and output shape (the
 # helper's products are partials bound at each backward call, so they see it
-# too). A forward returns only once its helper has left its blocks, so no
-# forward product runs in the helper during a backward.
+# too). No work of an engine call is pending on a helper once it returns
+# (nnengine._fork_join), so no forward product runs in the helper during a
+# backward. A check runs an engine call serially by patching ne._worker_count
+# to 1, the one seam every call's helpers (nnengine._spare) come from.
 CHECK_PRELUDE = """
 import threading
 import numpy as np
@@ -242,8 +244,8 @@ import json, linecache, sys, threading, traceback
 import numpy as np
 from randmark import nnengine as ne, watermark as wm
 
-PATCHABLE = [(np, "matmul"), (ne, "_block_helpers"), (ne, "_layers"),
-             (wm, "_block_helpers"), (wm, "_draw_noise"), (threading.Thread, "start")]
+PATCHABLE = [(np, "matmul"), (ne, "_worker_count"), (ne, "_layers"), (wm, "_draw_noise"),
+             (wm, "optimizer_step"), (threading.Thread, "start")]
 prelude = compile(PRELUDE, "prelude", "exec")
 for name, code in CHECKS:
     before, interval = [getattr(*point) for point in PATCHABLE], sys.getswitchinterval()
@@ -287,23 +289,21 @@ def run_checks(
     return {name: reported.get(name, died) for name in checks}
 
 
-# The kernel checks: (code, fresh_process) by name, module.qualname of the
-# test; pytest_collection_finish keeps those of the selected tests
-KERNEL_CHECKS: dict[str, tuple[str, bool]] = {}
+# The kernel checks: code by name, module.qualname of the test;
+# pytest_collection_finish keeps those of the selected tests
+KERNEL_CHECKS: dict[str, str] = {}
 
 
-def kernel_check(code: str, fresh_process: bool = False):
+def kernel_check(code: str):
     """Make a test that is parametrized over CORETYPES and asserts that code
     passed in its kernel's shared child, which runs every kernel check of
     the session through run_checks the first time a test asks for that
     kernel. The test's own body runs first, in this process: a skip, say.
-
-    A check restores what it patches. One check may ask for a fresh process:
-    it runs first, before any other has run in the child."""
+    A check restores what it patches."""
 
     def decorate(test):
         name = f"{test.__module__}.{test.__qualname__}"
-        KERNEL_CHECKS[name] = (code, fresh_process)
+        KERNEL_CHECKS[name] = code
 
         @functools.wraps(test)
         def run(*args, coretype):
@@ -320,9 +320,7 @@ def kernel_check(code: str, fresh_process: bool = False):
 
 @functools.cache
 def _kernel_results(coretype: str) -> dict[str, str | None]:
-    checks = sorted(KERNEL_CHECKS.items(), key=lambda item: not item[1][1])  # fresh first
-    assert sum(fresh for _, (_, fresh) in checks) <= 1, "more than one check needs a fresh process"
-    results = run_checks({name: code for name, (code, _) in checks}, coretype)
+    results = run_checks(KERNEL_CHECKS, coretype)
     PINNED[-1][0] = coretype  # the child run_checks just ran serves every test of its kernel
     return results
 

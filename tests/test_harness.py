@@ -1116,6 +1116,17 @@ class TestCli:
             assert (tmp_path / "run" / name).read_bytes() == (out / name).read_bytes(), name
         assert "embedded: bit_accuracy=" in capsys.readouterr().out
 
+    def test_embed_of_no_epoch_exits_0(self, tmp_path, capsys):
+        # the bundle and an empty log are written, as in a pipeline run; no
+        # epoch gives no accuracy or fidelity to print
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG.replace("epochs = 80", "epochs = 0"))
+        assert cli.main(["embed", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        out = capsys.readouterr().out
+        assert "embedded: epochs=0 (bundle in" in out and "bit_accuracy" not in out, out
+        assert json.loads((tmp_path / "run" / "embed_log.json").read_text())["epochs"] == []
+        assert (tmp_path / "run" / "bundle" / "manifest.txt").is_file()
+
     def test_embed_divergence_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "micro.cfg"
         cfg.write_text(MICRO_CFG.replace("[embed]", "[embed]\nlearning_rate = 1e200"))
@@ -1304,9 +1315,18 @@ class TestCli:
         (_estimates(p_hat="0.9"), "'p_hat' has the wrong type str"),
         (_estimates(matches=101146.7), "'matches' in omega row 0 has the wrong type float"),
         (_estimates(trials="108800"), "'trials' in omega row 0 has the wrong type str"),
+        (_estimates(matches=65), "matches must lie in [0, trials]"),
+        (
+            {
+                "p_hat": 1.0, "q_hat": 0.0,
+                "omega": [{"trigger_id": i, "matches": 60, "trials": 64} for i in range(3)],
+                "xi": [{"trigger_id": i, "matches": 33, "trials": 64} for i in range(3)],
+            },
+            "need 0 < r_under < r_bar <= number of triggers",
+        ),
     ], ids=["empty-object", "empty-population", "row-without-matches", "repeated-trigger-id",
             "different-trigger-ids", "count-beyond-64-bits", "p-hat-bool", "p-hat-str",
-            "matches-float", "trials-str"])
+            "matches-float", "trials-str", "matches-above-trials", "fewer-triggers-than-r-bar"])
     def test_malformed_estimates_file_exits_1(self, micro_run, tmp_path, capsys, payload, message):
         _, out, _ = micro_run
         path = tmp_path / "estimates.json"

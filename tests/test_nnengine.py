@@ -2,6 +2,7 @@
 behavior, global magnitude pruning, and checkpoint format guarantees."""
 
 import copy
+import functools
 import os
 import pickle
 import re
@@ -255,72 +256,17 @@ print("ok")
 """
         assert run_pinned(code, timeout=120).strip() == "ok"
 
-    def test_caller_waits_for_a_stalled_helpers_block(self):
-        # the helper is held in its first block until the caller has run all
-        # the others: the call returns only once the helper has written that
-        # block, with the serial bytes, and the helper writes nothing after;
-        # a fork waits for a helper call in progress. Every wait is on an
-        # event; a hang ends in run_pinned's stack dump.
-        code = TWO_CPUS + """
-import threading, time
-import numpy as np
-from randmark import nnengine as ne
-
-layers, caller = ne._layers, threading.get_ident()
-held, callers_done, order = threading.Event(), threading.Event(), []
-def spy(net, x, outs):
-    if threading.get_ident() == caller:
-        held.wait()  # the helper holds a block before the caller runs one
-        layers(net, x, outs)
-        order.append("caller")
-        if order.count("caller") == len(cuts) - 2:
-            callers_done.set()
-    elif not held.is_set():
-        held.set()
-        callers_done.wait()
-        time.sleep(0.1)  # the stall outlasts the caller's own blocks
-        layers(net, x, outs)
-        order.append("helper")
-    else:
-        raise AssertionError("the helper took a second block")
-ne._layers = spy
-net = ne.init_network([64, 48, 16], ["tanh", "identity"], 51)
-batch = np.random.default_rng(52).random((1600, 64))
-cuts = ne._block_cuts(1600, 2)
-one = ne.ForwardTrace.empty(net, 1600)
-layers(net, batch, one.buffers)
-out, trace = ne.forward_batch(net, batch)
-order.append("returned")
-returned = [a.tobytes() for a in trace.activations[1:]]
-assert returned == [a.tobytes() for a in one.buffers], "the trace is not the serial bytes"
-ne._quiesce_helpers()
-assert order == ["caller"] * (len(cuts) - 2) + ["helper", "returned"], order
-assert [a.tobytes() for a in trace.activations[1:]] == returned, "the helper wrote after the call"
-
-started, finished = threading.Event(), threading.Event()
-def call():
-    started.set()
-    time.sleep(0.1)
-    finished.set()
-ne._helpers[0].submit(call)
-started.wait()
-pid = os.fork()
-if pid == 0:
-    os._exit(0)
-assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-assert finished.is_set(), "the fork copied a helper inside a call"
-ne._layers = layers
-out, _ = ne.forward_batch(net, batch)  # the helper serves the next call
-assert out.tobytes() == one.buffers[-1].tobytes()
-print("ok")
-"""
-        assert run_pinned(code, timeout=60).strip() == "ok"
-
     def test_one_persistent_helper_then_a_forked_pool(self):
+        # forwards, an embed and one that diverges and rolls back start one
+        # helper between them, counted from a fresh process, and leave it
+        # idle: a forked child forgets it, and an IndependentPool then forks
+        # its two workers
         code = TWO_CPUS + """
 import multiprocessing, threading
 import numpy as np
-from randmark import attacks as atk, nnengine as ne
+from randmark import attacks as atk, nnengine as ne, watermark as wm
+from randmark.harness import build_trigger_set
+from randmark.synth import gen_synthetic_images
 
 seeds = [(6, 8), (7, 9)]
 serial = [
@@ -336,6 +282,22 @@ net = ne.init_network([64, 48, 16], ["tanh", "identity"], 42)
 x = np.random.default_rng(43).random((1600, 64))
 for _ in range(200):
     ne.forward_batch(net, x)
+triggers = build_trigger_set(gen_synthetic_images(64, 16, 11), 8, 0.1, 12)  # 512 rows
+source = ne.init_network([16, 12, 6], ["tanh", "identity"], 13)
+for lr in (2e-3, 1e200):
+    hyper = wm.HyperParams(k_train=8, epochs=5, learning_rate=lr)
+    bundle = wm.ModelBundle.create(
+        source, 8, encoder_hidden=(16,), decoder_hidden=(12,), hyper=hyper, seed=14
+    )
+    nets = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
+    before = [net.parameters_digest() for net in nets]
+    try:
+        wm.embed_watermark(bundle, triggers)
+    except wm.TrainingDiverged as exc:
+        assert lr == 1e200 and "epoch 1" in str(exc), exc
+        assert [net.parameters_digest() for net in nets] == before
+    else:
+        assert lr == 2e-3, "embedding did not diverge"
 assert started == ["randmark-forward_0"], started
 threading.Thread.start = start
 assert ne._worker_count(2) == 2
@@ -347,67 +309,6 @@ with atk.IndependentPool(2) as pool:
     models = pool.submit([16, 12, 6], *zip(*seeds), 1, 10)
     assert len(multiprocessing.active_children()) == 2
     assert [model.parameters_digest() for model in models] == serial
-print("ok")
-"""
-        assert run_pinned(code).strip() == "ok"
-
-    def test_exceptions_after_every_block_and_callers_errstate_in_helper(self):
-        code = TWO_CPUS + SPAN + """
-import threading, time
-import numpy as np
-from randmark import nnengine as ne
-
-caller = threading.get_ident()
-layers, helper_ran, written, failed = ne._layers, threading.Event(), [], []
-def run(fail_in, net, x, outs):
-    in_caller = threading.get_ident() == caller
-    if not in_caller:
-        helper_ran.set()
-    elif not helper_ran.wait(60):  # the helper takes a block before the caller
-        raise AssertionError("the helper took no block")
-    start = span(x, batch)[0]
-    if fail_in == ("caller" if in_caller else "helper"):
-        failed.append(start)
-        raise KeyError(start)
-    time.sleep(0.002)
-    layers(net, x, outs)
-    written.append(start)
-
-net = ne.init_network([8, 4], ["identity"], 44)
-batch = np.random.default_rng(45).random((6400, 8))
-for fail_in in ("helper", "caller"):
-    helper_ran.clear()
-    written.clear()
-    failed.clear()
-    ne._layers = lambda *args: run(fail_in, *args)
-    try:
-        ne.forward_batch(net, batch)
-    except KeyError as exc:
-        # every block that did not fail was written before the first failure raised
-        assert exc.args[0] == failed[0], (fail_in, failed)
-        assert sorted(written + failed) == ne._block_cuts(6400, 2)[:-1], (fail_in, written)
-    else:
-        raise AssertionError(f"the {fail_in}'s exception did not reach the caller")
-
-huge = ne.init_network([8, 4], ["identity"], 46)
-huge.params[:] = 1e308
-ne._layers = lambda *args: run(None, *args)
-helper_ran.clear()
-try:
-    ne.forward_batch(huge, batch)
-except RuntimeWarning as exc:
-    assert "overflow" in str(exc)
-else:
-    raise AssertionError("an unsilenced overflow did not raise")
-helper_ran.clear()
-with np.errstate(over="ignore"):
-    out, _ = ne.forward_batch(huge, batch)
-assert helper_ran.is_set() and np.isinf(out).all()
-ne._layers = layers
-out, _ = ne.forward_batch(net, batch)  # the helper outlives the exceptions
-one = ne.ForwardTrace.empty(net, 6400)
-layers(net, batch, one.buffers)
-assert out.tobytes() == one.buffers[-1].tobytes()
 print("ok")
 """
         assert run_pinned(code).strip() == "ok"
@@ -455,14 +356,14 @@ def test_run_checks_reports_each_check_undoes_its_patches_and_shows_a_hang():
     results = run_checks({
         "raises": "np.matmul = spy\nraise KeyError('raised here')\n",
         "passes": "assert np.matmul.__name__ == 'matmul' and products == []\n",
-        "leaks": "ne._block_helpers = lambda rows: []\n",
-        "unpatched": "assert ne._block_helpers.__name__ == '_block_helpers'\n",
+        "leaks": "ne._worker_count = lambda jobs: 1\n",
+        "unpatched": "assert ne._worker_count.__name__ == '_worker_count'\n",
         "hangs": "threading.Event().wait()\n",
     }, timeout=3)
     assert results["passes"] is None and results["unpatched"] is None, results
     assert 'File "raises", line 2' in results["raises"], results["raises"]
     assert "raise KeyError('raised here')" in results["raises"], results["raises"]
-    assert "left randmark.nnengine._block_helpers patched" in results["leaks"], results["leaks"]
+    assert "left randmark.nnengine._worker_count patched" in results["leaks"], results["leaks"]
     assert re.search(r"(?s)before this check reported.*most recent call first.*in wait",
                      results["hangs"]), results["hangs"]
 
@@ -471,12 +372,12 @@ def test_run_checks_reports_each_check_undoes_its_patches_and_shows_a_hang():
 class TestSplitBackward:
     """A backward of at least 512 rows hands each layer's weight-gradient
     product, or for a first layer without an input gradient the columns
-    from a 32-aligned cut on, to forward_batch's helper (_offload), in a
-    process with BLAS pinned and no other thread: each kernel's shared child
-    of the kernel checks, where CHECK_PRELUDE's spy records the products."""
+    from a 32-aligned cut on, to a helper (_fork_join), in a process with
+    BLAS pinned and no other thread: each kernel's shared child of the
+    kernel checks, where CHECK_PRELUDE's spy records the products."""
 
     @kernel_check("""
-block_helpers = ne._block_helpers
+worker_count = ne._worker_count
 rng = np.random.default_rng(60)
 helper_products = 0
 # the default encoder, backbone and decoder, a first layer of 200 outputs,
@@ -491,14 +392,14 @@ for dims in ([288, 256, 256], [256, 192, 64], [64, 128, 32], [40, 200, 8], [32, 
             kept = [a.copy() for a in trace.activations[1:]]
             for wrt_input in (True, False):
                 runs = []
-                for helpers in (block_helpers, lambda rows: []):
+                for count in (worker_count, lambda jobs: 1):
                     for activation, copy in zip(trace.activations[1:], kept):
                         activation[...] = copy
                     trace.spent = False
                     products.clear()
-                    ne._block_helpers, np.matmul = helpers, spy
+                    ne._worker_count, np.matmul = count, spy
                     grads = ne.backward(net, trace, g, wrt_input)
-                    ne._block_helpers, np.matmul = block_helpers, matmul
+                    ne._worker_count, np.matmul = worker_count, matmul
                     runs.append((grads.flat.tobytes(), grads.wrt_input.tobytes(), list(products)))
                 (flat, inputs, split), (flat_1, inputs_1, serial) = runs
                 case = (dims, act, rows, wrt_input)
@@ -520,126 +421,245 @@ assert len(ne._helpers) == 1
         """Split and serial backwards give the same bytes, every product
         where the split puts it."""
 
-    @kernel_check("""
-import time
-
-started = threading.Event()
-def helper_first(fail):
-    def product(a, b, out=None):
-        if threading.get_ident() == caller:
-            if not started.wait(60):  # the helper takes its product before the caller
-                raise AssertionError("the helper took no product")
-        else:
-            started.set()
-            time.sleep(0.05)
-        spy(a, b, out=out)
-        if fail and threading.get_ident() != caller:
-            raise KeyError("helper")
-    return product
-
-net = ne.init_network([64, 48], ["identity"], 62)
-x = np.random.default_rng(63).random((800, 64))
-g = np.ones((800, 48))
-block_helpers, ne._block_helpers = ne._block_helpers, lambda rows: []
-_, trace = ne.forward_batch(net, x)
-serial = ne.backward(net, trace, g)
-ne._block_helpers = block_helpers
-
-into = ne.Gradients.empty(net, 800)
-_, trace = ne.forward_batch(net, x)
-started.clear()
-np.matmul = helper_first(True)
-try:
-    ne.backward(net, trace, g, into=into)
-except KeyError:
-    pass
-else:
-    raise AssertionError("the helper's exception did not reach the caller")
-np.matmul = matmul
-assert into.flat.tobytes() == serial.flat.tobytes()
-inputs = into.scratch[0][: 800 * 64].reshape(800, 64)
-assert inputs.tobytes() == serial.wrt_input.tobytes()
-assert sorted(in_caller for in_caller, _ in products) == [False, True], products
-
-huge_x = np.full((800, 64), 1e306)  # x.T @ g overflows, g @ W.T does not
-net.params[:] = 1e-10
-for silenced in (False, True):
-    _, trace = ne.forward_batch(net, huge_x)
-    products.clear()
-    started.clear()
-    np.matmul = helper_first(False)
-    try:
-        if silenced:
-            with np.errstate(over="ignore"):
-                grads = ne.backward(net, trace, g)
-            assert np.isinf(grads.flat[: 64 * 48]).all()
-        else:
-            ne.backward(net, trace, g)
-            raise AssertionError("an unsilenced overflow did not raise")
-    except RuntimeWarning as exc:
-        assert not silenced and "overflow" in str(exc), exc
-    finally:
-        np.matmul = matmul
-    assert (False, (64, 48)) in products, products
-""")
-    def test_helpers_exception_and_callers_errstate(self, coretype):
-        """The helper's weight-gradient product raises after it wrote its
-        output: the exception reaches the caller after the caller wrote the
-        input gradient; an overflow in the helper's product obeys the
-        caller's errstate."""
-
-    @kernel_check("""
+# Each check of TestForkJoin, by name; they run in this order in one
+# run_checks child on two CPUs, since none depends on the BLAS kernel.
+# CHECK_PRELUDE gives each its imports and `caller`, the child's thread.
+FORK_JOIN_CHECKS = {
+    "each_work_runs_once_at_1us_switches": """
 import sys, time
-
-net = ne.init_network([256, 192, 64], ["tanh", "identity"], 64)
-x = np.random.default_rng(65).random((800, 256))
-g = np.random.default_rng(66).random((800, 64))
-_, trace = ne.forward_batch(net, x)  # starts the helper if none runs yet
-block_helpers, ne._block_helpers = ne._block_helpers, lambda rows: []
-serial = ne.backward(net, trace, g).flat.copy()
-ne._block_helpers = block_helpers
-helper = ne._helpers[0]
-busy, release = threading.Event(), threading.Event()
-helper.submit(lambda: (busy.set(), release.wait(60)))
-assert busy.wait(60)
-_, trace = ne.forward_batch(net, x)
-np.matmul = spy
-grads = ne.backward(net, trace, g)
-np.matmul = matmul
-queued = []  # work queued behind the busy helper: the caller claims it
-wait = ne._offload(helper, lambda: queued.append(threading.get_ident()))
-wait()
-wait()
-release.set()
-ne._quiesce_helpers()  # the helper has reached the claimed work
-assert queued == [caller], queued
-assert grads.flat.tobytes() == serial.tobytes()
-assert len(products) == 4 and all(in_caller for in_caller, _ in products), products
-
-runs = []
+# 0, 1, 3 or 7 helpers on two CPUs, with up to two works more than the
+# helpers take; the caller's work sometimes sleeps, so a helper may wake first
+calls = []
 interval = sys.getswitchinterval()
 sys.setswitchinterval(1e-6)
 try:
-    for i in range(2000):
-        ran = []
-        runs.append(ran)
-        wait = ne._offload(helper, lambda ran=ran: ran.append(threading.get_ident()))
-        if i % 2:
-            time.sleep(1e-4)  # the helper may wake first
-        wait()
-        assert len(ran) == 1, ran
+    for i in range(800):
+        spare = (0, 1, 3, 7)[i % 4]
+        ran = [[] for _ in range(spare + 1 + i % 3)]
+        def work(ran, index):
+            if index == 0 and i % 5 == 0:
+                time.sleep(1e-4)
+            ran.append(threading.get_ident())
+        ne._fork_join(spare, *[lambda r=r, k=k: work(r, k) for k, r in enumerate(ran)])
+        assert all(len(r) == 1 for r in ran), (spare, ran)
+        calls.append((spare, ran))
 finally:
     sys.setswitchinterval(interval)
-ne._quiesce_helpers()  # the helper has seen every call
-assert all(len(ran) == 1 for ran in runs)
-takers = {ran[0] for ran in runs}
-assert takers == {caller, helper.submit(threading.get_ident).result()}, takers
-""")
-    def test_busy_helper_loses_work_and_each_runs_once(self, coretype):
-        """While the helper runs something else, every product of a
-        backward runs in the caller, with the same bytes; each piece of
-        offloaded work runs once, also when threads switch every
-        microsecond."""
+ne._quiesce_helpers()  # a work run again after its call returned shows now
+helpers = {helper.submit(threading.get_ident).result() for helper in ne._helpers}
+assert len(helpers) == 7, helpers
+for spare, ran in calls:
+    assert all(len(r) == 1 for r in ran), (spare, ran)
+    threads = [r[0] for r in ran]
+    assert threads[0] == caller and set(threads[spare + 1 :]) <= {caller}, (spare, threads)
+    assert set(threads) <= {caller} | helpers, threads
+    if not spare:
+        assert set(threads) == {caller}, threads
+assert any(set(r[0] for r in ran) - {caller} for _, ran in calls), "no helper took a work"
+""",
+    "first_exception_in_work_order_once_all_are_done": """
+import time
+def run(spare, *fails):
+    # work k raises KeyError(k) if fails[k]; work 0 waits for the helper to
+    # start work 1, so work 1 raises first in time
+    started, done = threading.Event(), []
+    def work(k):
+        if k == 0 and spare:
+            assert started.wait(60), "the helper took no work"
+        elif k == 1:
+            started.set()
+            time.sleep(0.01)
+        done.append(k)
+        if fails[k]:
+            raise KeyError(k)
+    try:
+        ne._fork_join(spare, *[lambda k=k: work(k) for k in range(len(fails))])
+    except KeyError as exc:
+        assert sorted(done) == list(range(len(fails))), done
+        return exc.args[0]
+    assert sorted(done) == list(range(len(fails))), done
+
+assert run(1, False, True) == 1
+assert run(1, True, True) == 0
+assert run(1, False, False, True) == 2
+assert run(1, False, True, True) == 1
+assert run(1, False, False) is None
+assert run(0, False, True, True) == 1
+""",
+    "callers_errstate_holds_in_the_helper": """
+# the child raises RuntimeWarnings as errors, so an overflow that the
+# caller's errstate does not silence raises from the helper's work
+huge, threads = np.full(8, 1e308), []
+for silenced in (False, True):
+    started, out = threading.Event(), []
+    def overflow():
+        started.set()
+        threads.append(threading.get_ident())
+        out.append(huge * 10.0)
+    wait = lambda: started.wait(60)
+    try:
+        if silenced:
+            with np.errstate(over="ignore"):
+                ne._fork_join(1, wait, overflow)
+            assert np.isinf(out[0]).all()
+        else:
+            ne._fork_join(1, wait, overflow)
+            raise AssertionError("an unsilenced overflow did not raise")
+    except RuntimeWarning as exc:
+        assert not silenced and "overflow" in str(exc), exc
+assert len(threads) == 2 and caller not in threads, threads
+""",
+    "busy_helper_loses_unstarted_work": """
+ne._fork_join(1, int, int)  # a helper runs
+busy, release, ran = threading.Event(), threading.Event(), []
+ne._helpers[0].submit(lambda: (busy.set(), release.wait(60)))
+assert busy.wait(60)
+ne._fork_join(1, *[lambda k=k: ran.append((k, threading.get_ident())) for k in range(2)])
+assert ran == [(0, caller), (1, caller)], ran
+release.set()
+ne._quiesce_helpers()  # the helper has reached the cancelled work
+assert len(ran) == 2, ran
+""",
+    "started_work_holds_the_call": """
+import time
+started, callers_done, order = threading.Event(), threading.Event(), []
+def own():
+    assert started.wait(60), "the helper took no work"
+    order.append("caller")
+    callers_done.set()
+def helpers():
+    started.set()
+    callers_done.wait(60)
+    time.sleep(0.1)  # the helper's work outlasts the caller's
+    order.append("helper")
+ne._fork_join(1, own, helpers)
+order.append("returned")
+assert order == ["caller", "helper", "returned"], order
+""",
+    "no_work_runs_after_forward_or_backward_returns": """
+import time
+# the caller waits in each piece of its own until the helper is inside a
+# piece of the same call, which then outlasts the caller's; each piece is
+# recorded with the call it started in, after it is done, so a piece that
+# ends after its call returned shows behind that call's return
+layers, events, call = ne._layers, [], [0]
+in_block, in_product = threading.Event(), threading.Semaphore(0)
+def piece(kind, run, *args, **kwargs):
+    tag = call[0]
+    if threading.get_ident() == caller:
+        started = in_block.wait(60) if kind == "block" else in_product.acquire(timeout=60)
+        assert started, f"the helper took no {kind}"
+    else:
+        (in_block.set if kind == "block" else in_product.release)()
+        time.sleep(0.01)
+    run(*args, **kwargs)
+    events.append((tag, kind))
+def returned():
+    events.append((call[0], "returned"))
+    call[0] += 1
+net = ne.init_network([64, 48, 16], ["tanh", "identity"], 51)
+x, g = np.random.default_rng(52).random((1600, 64)), np.ones((1600, 16))
+try:
+    for _ in range(3):
+        in_block.clear()
+        ne._layers = lambda *args: piece("block", layers, *args)
+        _, trace = ne.forward_batch(net, x)
+        ne._layers = layers
+        returned()
+        np.matmul = lambda a, b, out=None: piece("product", matmul, a, b, out=out)
+        ne.backward(net, trace, g)
+        np.matmul = matmul
+        returned()
+finally:
+    ne._layers, np.matmul = layers, matmul
+ne._quiesce_helpers()
+done = 0
+for tag, kind in events:
+    assert tag == done, events
+    done += kind == "returned"
+assert done == 6 and events[-1][1] == "returned", events
+""",
+    "fork_finds_idle_helpers_and_waits_for_a_busy_one": """
+import os, time
+# after a call whose helper work ran long, a fork copies no running thread;
+# one that a helper is running work of another thread for waits for it
+done = []
+ne._fork_join(1, int, lambda: (time.sleep(0.1), done.append(1)))
+assert done == [1]
+started, finished = threading.Event(), threading.Event()
+def call():
+    started.set()
+    time.sleep(0.1)
+    finished.set()
+ne._helpers[0].submit(call)
+assert started.wait(60)
+pid = os.fork()
+if pid == 0:  # the child has no helper, starts its own, and each work runs once
+    ran = []
+    ne._fork_join(1, *[lambda k=k: ran.append(k) for k in range(2)])
+    os._exit(0 if sorted(ran) == [0, 1] and len(ne._helpers) == 1 else 1)
+assert finished.is_set(), "the fork copied a helper inside a call"
+assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+""",
+    "embed_that_raises_leaves_no_draw_behind": """
+import time
+from randmark.harness import build_trigger_set
+from randmark.synth import gen_synthetic_images
+
+# an optimizer step that raises in the second epoch, once the helper has
+# started the third epoch's slowed noise draw: the embed raises only once
+# that draw is done, and no draw runs after it returned
+draw, optimizer_step, draws = wm._draw_noise, wm.optimizer_step, []
+def slow_draw(*args):
+    draws.append("start")
+    time.sleep(0.05)
+    draw(*args)
+    draws.append("end")
+steps = []
+def failing_step(net, grads, state):
+    steps.append(1)
+    if len(steps) == 4:
+        while draws.count("start") < 3:
+            time.sleep(1e-3)
+        raise KeyError("step")
+    optimizer_step(net, grads, state)
+triggers = build_trigger_set(gen_synthetic_images(64, 16, 11), 8, 0.1, 12)  # 512 rows
+bundle = wm.ModelBundle.create(
+    ne.init_network([16, 12, 6], ["tanh", "identity"], 13), 8, encoder_hidden=(16,),
+    decoder_hidden=(12,), hyper=wm.HyperParams(k_train=8, epochs=5), seed=14,
+)
+wm._draw_noise, wm.optimizer_step = slow_draw, failing_step
+try:
+    wm.embed_watermark(bundle, triggers)
+except KeyError:
+    returned = list(draws)
+else:
+    raise AssertionError("the optimizer step's exception did not reach the caller")
+finally:
+    wm._draw_noise, wm.optimizer_step = draw, optimizer_step
+ne._quiesce_helpers()
+assert returned == ["start", "end"] * 3 and draws == returned, (returned, draws)
+""",
+}
+
+
+@functools.cache
+def _fork_join_results() -> dict[str, str | None]:
+    return run_checks(FORK_JOIN_CHECKS)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+class TestForkJoin:
+    """nnengine._fork_join, the one way forward_batch, backward and
+    embed_watermark reach a helper thread: each work runs once, the caller
+    runs what a helper has not started, and the call returns or raises only
+    once every work is done, with the caller's errstate in the helper."""
+
+    @pytest.mark.parametrize("check", FORK_JOIN_CHECKS)
+    def test_contract(self, check):
+        failure = _fork_join_results()[check]
+        if failure is not None:
+            pytest.fail(failure, pytrace=False)
 
 
 class TestBackward:

@@ -648,7 +648,7 @@ print("ok")
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
 class TestSplitEmbed:
     """An embed of at least 512 stego rows runs backward's weight-gradient
-    products and the next epoch's noise draw on forward_batch's helper, in a
+    products and the next epoch's noise draw on a helper (_fork_join), in a
     process with BLAS pinned and no other thread."""
 
     @kernel_check("""
@@ -663,8 +663,8 @@ def slow_draw(*args):
     draw(*args)
 wm._draw_noise = slow_draw
 
-def embed(config, helpers):
-    ne._block_helpers = wm._block_helpers = helpers
+def embed(config, worker_count):
+    ne._worker_count = worker_count
     images = gen_synthetic_images(config.trigger_count, config.s, 1)
     triggers = build_trigger_set(images, config.n, config.sigma_scale, 2)
     source = ne.init_network(config.backbone_dims, ["tanh", "identity"], 3)
@@ -677,68 +677,22 @@ def embed(config, helpers):
     nets = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
     return [net.parameters_digest() for net in nets], log.epochs
 
-block_helpers = ne._block_helpers
+worker_count = ne._worker_count
 for config in (ExperimentConfig(), ExperimentConfig(
     s=64, k=32, n=16, backbone_hidden=(96,), encoder_hidden=(80,), decoder_hidden=(48,),
     trigger_count=96, k_train=6,
 )):
     drawn_in.clear()
-    split = embed(config, block_helpers)
+    split = embed(config, worker_count)
     assert drawn_in - {threading.get_ident()}, "the helper drew no noise"
-    assert split == embed(config, lambda rows: []), config.s
-ne._block_helpers = wm._block_helpers = block_helpers
+    assert split == embed(config, lambda jobs: 1), config.s
+ne._worker_count = worker_count
 wm._draw_noise = draw
 """)
     def test_bytes_equal_without_helper(self, coretype):
         """The desk config (800 rows) and one of 576 rows with other widths;
         each noise draw is slowed, so an epoch that did not wait for it
         would read stale noise."""
-
-    @kernel_check("""
-import multiprocessing
-from randmark import attacks as atk
-from randmark.harness import build_trigger_set
-from randmark.synth import gen_synthetic_images
-
-seeds = [(6, 8), (7, 9)]
-serial = [
-    atk.make_independent([16, 12, 6], seed=s, pretrain_data_seed=d, epochs=1, n_images=10)
-    .parameters_digest() for s, d in seeds
-]
-started, start = [], threading.Thread.start
-def counted(thread):
-    started.append(thread.name)
-    start(thread)
-threading.Thread.start = counted
-triggers = build_trigger_set(gen_synthetic_images(64, 16, 11), 8, 0.1, 12)  # 512 rows
-source = ne.init_network([16, 12, 6], ["tanh", "identity"], 13)
-for lr in (2e-3, 1e200):
-    hyper = wm.HyperParams(k_train=8, epochs=5, learning_rate=lr)
-    bundle = wm.ModelBundle.create(
-        source, 8, encoder_hidden=(16,), decoder_hidden=(12,), hyper=hyper, seed=14
-    )
-    nets = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
-    before = [net.parameters_digest() for net in nets]
-    try:
-        wm.embed_watermark(bundle, triggers)
-    except wm.TrainingDiverged as exc:
-        assert lr == 1e200 and "epoch 1" in str(exc), exc
-        assert [net.parameters_digest() for net in nets] == before
-    else:
-        assert lr == 2e-3, "embedding did not diverge"
-assert started == ["randmark-forward_0"], started
-threading.Thread.start = start
-assert len(ne._helpers) == 1
-assert ne._worker_count(2) == 2
-with atk.IndependentPool(2) as pool:
-    models = pool.submit([16, 12, 6], *zip(*seeds), 1, 10)
-    assert len(multiprocessing.active_children()) == 2
-    assert [model.parameters_digest() for model in models] == serial
-""", fresh_process=True)
-    def test_one_helper_after_embeds_then_a_forked_pool(self, coretype):
-        """An embed, and one that diverges and rolls back, leave only the
-        helper, idle: an IndependentPool then forks its two workers. It
-        counts the threads started from a fresh process."""
 
     def test_idle_helpers_never_hold_up_exit(self):
         # the helpers are executor threads, which the interpreter joins at
