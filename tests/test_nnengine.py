@@ -257,16 +257,10 @@ print("ok")
         assert run_pinned(code, timeout=120).strip() == "ok"
 
     def test_one_persistent_helper_then_a_forked_pool(self):
-        # forwards, an embed and one that diverges and rolls back start one
-        # helper between them, counted from a fresh process, and leave it
-        # idle: a forked child forgets it, and an IndependentPool then forks
-        # its two workers
         code = TWO_CPUS + """
 import multiprocessing, threading
 import numpy as np
-from randmark import attacks as atk, nnengine as ne, watermark as wm
-from randmark.harness import build_trigger_set
-from randmark.synth import gen_synthetic_images
+from randmark import attacks as atk, nnengine as ne
 
 seeds = [(6, 8), (7, 9)]
 serial = [
@@ -282,22 +276,6 @@ net = ne.init_network([64, 48, 16], ["tanh", "identity"], 42)
 x = np.random.default_rng(43).random((1600, 64))
 for _ in range(200):
     ne.forward_batch(net, x)
-triggers = build_trigger_set(gen_synthetic_images(64, 16, 11), 8, 0.1, 12)  # 512 rows
-source = ne.init_network([16, 12, 6], ["tanh", "identity"], 13)
-for lr in (2e-3, 1e200):
-    hyper = wm.HyperParams(k_train=8, epochs=5, learning_rate=lr)
-    bundle = wm.ModelBundle.create(
-        source, 8, encoder_hidden=(16,), decoder_hidden=(12,), hyper=hyper, seed=14
-    )
-    nets = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
-    before = [net.parameters_digest() for net in nets]
-    try:
-        wm.embed_watermark(bundle, triggers)
-    except wm.TrainingDiverged as exc:
-        assert lr == 1e200 and "epoch 1" in str(exc), exc
-        assert [net.parameters_digest() for net in nets] == before
-    else:
-        assert lr == 2e-3, "embedding did not diverge"
 assert started == ["randmark-forward_0"], started
 threading.Thread.start = start
 assert ne._worker_count(2) == 2
@@ -420,6 +398,124 @@ assert len(ne._helpers) == 1
     def test_split_bytes_equal_serial(self, coretype):
         """Split and serial backwards give the same bytes, every product
         where the split puts it."""
+
+    @kernel_check("""
+import time
+
+started = threading.Event()
+def helper_first(fail):
+    def product(a, b, out=None):
+        if threading.get_ident() == caller:
+            if not started.wait(60):  # the helper takes its product before the caller
+                raise AssertionError("the helper took no product")
+        else:
+            started.set()
+            time.sleep(0.05)
+        spy(a, b, out=out)
+        if fail and threading.get_ident() != caller:
+            raise KeyError("helper")
+    return product
+
+net = ne.init_network([64, 48], ["identity"], 62)
+x = np.random.default_rng(63).random((800, 64))
+g = np.ones((800, 48))
+worker_count, ne._worker_count = ne._worker_count, lambda jobs: 1
+_, trace = ne.forward_batch(net, x)
+serial = ne.backward(net, trace, g)
+ne._worker_count = worker_count
+
+into = ne.Gradients.empty(net, 800)
+_, trace = ne.forward_batch(net, x)
+started.clear()
+np.matmul = helper_first(True)
+try:
+    ne.backward(net, trace, g, into=into)
+except KeyError:
+    pass
+else:
+    raise AssertionError("the helper's exception did not reach the caller")
+np.matmul = matmul
+assert into.flat.tobytes() == serial.flat.tobytes()
+inputs = into.scratch[0][: 800 * 64].reshape(800, 64)
+assert inputs.tobytes() == serial.wrt_input.tobytes()
+assert sorted(in_caller for in_caller, _ in products) == [False, True], products
+
+huge_x = np.full((800, 64), 1e306)  # x.T @ g overflows, g @ W.T does not
+net.params[:] = 1e-10
+for silenced in (False, True):
+    _, trace = ne.forward_batch(net, huge_x)
+    products.clear()
+    started.clear()
+    np.matmul = helper_first(False)
+    try:
+        if silenced:
+            with np.errstate(over="ignore"):
+                grads = ne.backward(net, trace, g)
+            assert np.isinf(grads.flat[: 64 * 48]).all()
+        else:
+            ne.backward(net, trace, g)
+            raise AssertionError("an unsilenced overflow did not raise")
+    except RuntimeWarning as exc:
+        assert not silenced and "overflow" in str(exc), exc
+    finally:
+        np.matmul = matmul
+    assert (False, (64, 48)) in products, products
+""")
+    def test_helpers_exception_and_callers_errstate(self, coretype):
+        """The helper's weight-gradient product raises after it wrote its
+        output: the exception reaches the caller after the caller wrote the
+        input gradient; an overflow in the helper's product obeys the
+        caller's errstate."""
+
+    @kernel_check("""
+import sys, time
+
+net = ne.init_network([256, 192, 64], ["tanh", "identity"], 64)
+x = np.random.default_rng(65).random((800, 256))
+g = np.random.default_rng(66).random((800, 64))
+_, trace = ne.forward_batch(net, x)  # starts the helper if none runs yet
+worker_count, ne._worker_count = ne._worker_count, lambda jobs: 1
+serial = ne.backward(net, trace, g).flat.copy()
+ne._worker_count = worker_count
+helper = ne._helpers[0]
+busy, release = threading.Event(), threading.Event()
+helper.submit(lambda: (busy.set(), release.wait(60)))
+assert busy.wait(60)
+_, trace = ne.forward_batch(net, x)
+np.matmul = spy
+grads = ne.backward(net, trace, g)
+np.matmul = matmul
+queued = []  # work queued behind the busy helper: the caller takes it
+ne._fork_join(1, int, lambda: queued.append(threading.get_ident()))
+release.set()
+ne._quiesce_helpers()  # the helper has reached the cancelled work
+assert queued == [caller], queued
+assert grads.flat.tobytes() == serial.tobytes()
+assert len(products) == 4 and all(in_caller for in_caller, _ in products), products
+
+runs = []
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for i in range(2000):
+        ran = []
+        runs.append(ran)
+        # the caller's own work sleeps every other call: the helper may wake first
+        own = (lambda: time.sleep(1e-4)) if i % 2 else int
+        ne._fork_join(1, own, lambda ran=ran: ran.append(threading.get_ident()))
+        assert len(ran) == 1, ran
+finally:
+    sys.setswitchinterval(interval)
+ne._quiesce_helpers()  # the helper has seen every call
+assert all(len(ran) == 1 for ran in runs)
+takers = {ran[0] for ran in runs}
+assert takers == {caller, helper.submit(threading.get_ident).result()}, takers
+""")
+    def test_busy_helper_loses_work_and_each_runs_once(self, coretype):
+        """While the helper runs something else, every product of a
+        backward runs in the caller, with the same bytes; each piece of
+        work handed to the helper runs once, also when threads switch every
+        microsecond."""
 
 # Each check of TestForkJoin, by name; they run in this order in one
 # run_checks child on two CPUs, since none depends on the BLAS kernel.

@@ -20,7 +20,7 @@ from randmark.stats import mean_distance, var_distance
 from randmark.synth import gen_synthetic_images
 
 from conftest import (
-    MINI, TWO_CPUS, decode_one_trigger, gradient_check, kernel_check, one_trigger, run_pinned,
+    CORETYPES, MINI, TWO_CPUS, decode_one_trigger, gradient_check, kernel_check, one_trigger, run_pinned,
     see_cpus, trigger_loss,
 )
 
@@ -693,6 +693,55 @@ wm._draw_noise = draw
         """The desk config (800 rows) and one of 576 rows with other widths;
         each noise draw is slowed, so an epoch that did not wait for it
         would read stale noise."""
+
+    @pytest.mark.parametrize("coretype", CORETYPES)
+    def test_one_helper_after_embeds_then_a_forked_pool(self, coretype):
+        # an embed, and one that diverges and rolls back, leave only the
+        # helper, idle, counted from a fresh process on the kernel: an
+        # IndependentPool then forks its two workers
+        code = TWO_CPUS + """
+import multiprocessing, threading
+from randmark import attacks as atk, nnengine as ne, watermark as wm
+from randmark.harness import build_trigger_set
+from randmark.synth import gen_synthetic_images
+
+seeds = [(6, 8), (7, 9)]
+serial = [
+    atk.make_independent([16, 12, 6], seed=s, pretrain_data_seed=d, epochs=1, n_images=10)
+    .parameters_digest() for s, d in seeds
+]
+started, start = [], threading.Thread.start
+def counted(thread):
+    started.append(thread.name)
+    start(thread)
+threading.Thread.start = counted
+triggers = build_trigger_set(gen_synthetic_images(64, 16, 11), 8, 0.1, 12)  # 512 rows
+source = ne.init_network([16, 12, 6], ["tanh", "identity"], 13)
+for lr in (2e-3, 1e200):
+    hyper = wm.HyperParams(k_train=8, epochs=5, learning_rate=lr)
+    bundle = wm.ModelBundle.create(
+        source, 8, encoder_hidden=(16,), decoder_hidden=(12,), hyper=hyper, seed=14
+    )
+    nets = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
+    before = [net.parameters_digest() for net in nets]
+    try:
+        wm.embed_watermark(bundle, triggers)
+    except wm.TrainingDiverged as exc:
+        assert lr == 1e200 and "epoch 1" in str(exc), exc
+        assert [net.parameters_digest() for net in nets] == before
+    else:
+        assert lr == 2e-3, "embedding did not diverge"
+assert started == ["randmark-forward_0"], started
+threading.Thread.start = start
+assert len(ne._helpers) == 1
+assert ne._worker_count(2) == 2
+with atk.IndependentPool(2) as pool:
+    models = pool.submit([16, 12, 6], *zip(*seeds), 1, 10)
+    assert len(multiprocessing.active_children()) == 2
+    assert [model.parameters_digest() for model in models] == serial
+print("ok")
+"""
+        assert run_pinned(code, coretype).strip() == "ok"
 
     def test_idle_helpers_never_hold_up_exit(self):
         # the helpers are executor threads, which the interpreter joins at
