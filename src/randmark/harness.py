@@ -324,8 +324,9 @@ def load_population(directory, label: str) -> Iterator[MlpNetwork]:
     row order. PopulationWriter writes that manifest only for a finished
     population, so a directory without one, a population cut short among
     them, raises ValueError; so does a manifest that does not parse as one,
-    or names anything but a checkpoint file in the directory, or no file at
-    all. These checks run in the call, before any checkpoint loads."""
+    or names anything but a checkpoint file in the directory, one file twice,
+    or no file at all. These checks run in the call, before any checkpoint
+    loads."""
     directory = Path(directory)
     manifest = directory / f"{label}_manifest.json"
     if not manifest.is_file():
@@ -337,10 +338,14 @@ def load_population(directory, label: str) -> Iterator[MlpNetwork]:
         names = [row["file"] for row in json.loads(manifest.read_text())["models"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{manifest}: not a population manifest ({exc!r})") from None
+    seen = set()
     for name in names:
         if not (isinstance(name, str) and Path(name).name == name
                 and (directory / name).is_file()):
             raise ValueError(f"{manifest}: {name!r} is not a checkpoint file in {directory}")
+        if name in seen:
+            raise ValueError(f"{manifest}: {name!r} is named more than once")
+        seen.add(name)
     files = [directory / name for name in names]
     if not files:
         raise ValueError(f"no checkpoints in {directory}")
@@ -472,7 +477,7 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
         )
         stage(
             "covariance",
-            lambda: covariance_stage(config, suspects, distances, out / "covariance.csv"),
+            lambda: covariance_stage(suspects, distances, out / "covariance.csv"),
             distances,
         )
         stage(
@@ -579,22 +584,18 @@ def verify_stage(
 
 
 def covariance_stage(
-    config: ExperimentConfig,
-    suspects: list[tuple[str, str, MlpNetwork]],
-    distances: np.ndarray,
-    path: Path,
+    suspects: list[tuple[str, str, MlpNetwork]], distances: np.ndarray, path: Path
 ) -> None:
     """Write the per-trigger covariance deltas of the watermarked backbone
     paired with each other suspect to the CSV file path, over the first
     COVARIANCE_DRAWS draws of verify_stage's distances."""
-    seed = config.seeds.verify
     distances = distances[:, :, :COVARIANCE_DRAWS]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair_id", "kind", "trigger_id", "delta"])
         for (name, kind, _), other in zip(suspects[1:], distances[1:]):
             pair_kind = "independent" if kind == "independent" else "dependent"
-            deltas = covariance_delta(distances[0], other, seed, seed)
+            deltas = covariance_delta(distances[0], other)
             writer.writerows(
                 [f"watermarked|{name}", pair_kind, ti, "" if delta is None else repr(delta)]
                 for ti, delta in enumerate(deltas)

@@ -88,6 +88,8 @@ def brute_force_poisson_binomial(probs, threshold: int, tail: str) -> OracleResu
         raise ValueError(f"enumeration refused for N = {n} > {ENUMERATION_CAP}")
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("probabilities must lie in [0, 1]")
+    if not 0 <= threshold <= n:
+        raise ValueError("threshold must lie in [0, N]")
     if tail not in ("below", "above"):
         raise ValueError("tail must be 'below' or 'above'")
     codes = np.arange(2**n, dtype=np.uint32)
@@ -109,6 +111,8 @@ def monte_carlo_bernoulli_sum(probs, threshold: int, trials: int, seed: int) -> 
     p = np.asarray(list(probs), dtype=np.float64)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("probabilities must lie in [0, 1]")
+    if not 0 <= threshold <= p.size:
+        raise ValueError("threshold must lie in [0, N]")
     rng = np.random.default_rng(seed)
     hits = 0
     chunk = 100_000

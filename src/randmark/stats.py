@@ -116,16 +116,12 @@ def select_threshold(r: float, n: int, epsilon_fpr: float) -> int | None:
     return chosen
 
 
-def covariance_delta(
-    distances_f: np.ndarray, distances_g: np.ndarray, seed_f: int, seed_g: int
-) -> list[float | None]:
+def covariance_delta(distances_f: np.ndarray, distances_g: np.ndarray) -> list[float | None]:
     """Per trigger, the sample covariance of two models' per-draw distance
-    sequences (two (N, K) arrays decoded with run seeds seed_f and seed_g),
-    via the polarization identity (V(X) + V(Y) - V(X-Y)) / 2 with unbiased
-    variances. Requires paired noise draws over the same N triggers; None
-    for every trigger when K < 2."""
-    if seed_f != seed_g:
-        raise ValueError("covariance_delta requires paired noise draws (same stream seed)")
+    sequences (two (N, K) arrays decoded with one run seed, so their noise
+    draws are paired), via the polarization identity
+    (V(X) + V(Y) - V(X-Y)) / 2 with unbiased variances. Requires the same N
+    triggers and K draws; None for every trigger when K < 2."""
     if distances_f.shape != distances_g.shape:
         raise ValueError("covariance_delta requires distances over the same triggers and K")
     if distances_f.shape[1] < 2:

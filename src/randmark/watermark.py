@@ -219,6 +219,8 @@ class ModelBundle:
             raise ValueError("encoder must map s+n -> s")
         if self.decoder_d.input_dim != k or self.decoder_d.output_dim != n:
             raise ValueError("decoder must map k -> n")
+        if self.encoder_e.layers[-1].activation != "tanh":
+            raise ValueError("encoder output layer must be tanh")
         if self.decoder_d.layers[-1].activation != "sigmoid":
             raise ValueError("decoder output layer must be sigmoid")
 

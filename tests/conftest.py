@@ -1,9 +1,9 @@
 """Shared fixtures and test tools: a fast mini training run for unit tests,
 one desk-scale run shared by the acceptance suite and directional tests, a
 finite-difference gradient checker, weight sparsity, one-trigger views of
-the embedding loss and of decoding, a runner for code that needs a fresh
-process with a given BLAS thread count, and the kernel checks, which share
-one such process per OpenBLAS kernel."""
+the embedding loss and of decoding, the one runner of the checks in
+pinned_checks.py, each in a fresh process with a given BLAS thread count,
+and the kernel checks, which share one such process per OpenBLAS kernel."""
 
 import functools
 import json
@@ -157,160 +157,83 @@ THREAD_VARIABLES = (
 )
 
 
-# Run first in run_pinned's code, it keeps the process on the first two CPUs
-# of its affinity mask, so that forward_batch finds exactly one spare CPU
-# there and starts one helper.
-TWO_CPUS = "import os; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
-
-
 # Each child run_pinned started in this pytest run, as [the test it ran for,
 # its wall seconds], which pytest_terminal_summary reports
 PINNED: list[list] = []
 
 
-def _pinned_child(
-    code: str, coretype: str | None, timeout: float, blas_threads: int | None
-) -> subprocess.CompletedProcess:
-    alarm = max(1, int(timeout * 0.9))
-    code = (
-        "import faulthandler, signal; "
-        "faulthandler.register(signal.SIGALRM, all_threads=True, chain=True); "
-        f"signal.alarm({alarm})\n" + code
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(ne.__file__).resolve().parents[1])}
-    for var in THREAD_VARIABLES:
-        env.pop(var, None)
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
-    t0 = time.perf_counter()
-    try:
-        return subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
-            capture_output=True, text=True, env=env, timeout=timeout,
-        )
-    finally:
-        test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0]
-        PINNED.append([test, time.perf_counter() - t0])
-
-
-def run_pinned(
-    code: str, coretype: str | None = None, timeout: float = 300, blas_threads: int | None = 1
-) -> str:
-    """Run code in a fresh Python with RuntimeWarnings raised as errors as in
-    this suite, and OpenBLAS on the kernels of coretype when given; return
-    its standard output after asserting that it exited 0.
+def run_pinned(*names: str, coretype: str | None = None, blas_threads: int | None = 1,
+               env: dict | None = None, args: list | None = None, timeout: float = 300) -> dict:
+    """Run the named functions of pinned_checks.py in order, each with args
+    as its positional arguments, in a fresh Python with RuntimeWarnings
+    raised as errors as in this suite, and OpenBLAS on the kernels of
+    coretype when given. Return each reported line, by name, as [traceback
+    or None, the JSON value returned]; a named check that reported nothing,
+    because the child died first, gets the child's exit code and standard
+    error, and so does each check that passed in a child that exited
+    nonzero after every named check reported: one that hung at exit or
+    crashed in shutdown.
 
     The child's thread variables are stripped from the environment it would
     inherit; OPENBLAS_NUM_THREADS is set to blas_threads, 1 (pinned) by
-    default, or left unset for None, the path of a user who set nothing.
-
-    A child still running at 90% of timeout writes every thread's stack to
-    its standard error and dies of SIGALRM, so the failed assertion shows
-    where it hung. The alarm starts no thread (faulthandler's
-    dump_traceback_later would), so the child's task list holds only its own
-    threads and OpenBLAS's.
+    default, or left unset for None, the path of a user who set nothing; env
+    then updates the child's environment. A child still running at 90% of
+    timeout writes every thread's stack to its standard error and dies.
     """
-    result = _pinned_child(code, coretype, timeout, blas_threads)
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
-# Run in each check's own namespace before its code: the imports, and a spy
-# for np.matmul that records each product's thread and output shape (the
-# helper's products are partials bound at each backward call, so they see it
-# too). No work of an engine call is pending on a helper once it returns
-# (nnengine._fork_join), so no forward product runs in the helper during a
-# backward. A check runs an engine call serially by patching ne._worker_count
-# to 1, the one seam every call's helpers (nnengine._spare) come from.
-CHECK_PRELUDE = """
-import threading
-import numpy as np
-from randmark import nnengine as ne, watermark as wm
-
-caller, matmul, products = threading.get_ident(), np.matmul, []
-def spy(a, b, out=None):
-    products.append((threading.get_ident() == caller, out.shape))
-    return matmul(a, b, out=out)
-"""
-
-# The body of a run_checks child, after CHECKS. Each check runs in a fresh
-# namespace; whatever it patched of PATCHABLE, or the switch interval, is put
-# back before the next one runs, and a check that left something patched
-# fails. One JSON line per check: its name and its traceback, or null.
-_CHECK_RUNNER = """
-import json, linecache, sys, threading, traceback
-import numpy as np
-from randmark import nnengine as ne, watermark as wm
-
-PATCHABLE = [(np, "matmul"), (ne, "_worker_count"), (ne, "_layers"), (wm, "_draw_noise"),
-             (wm, "optimizer_step"), (threading.Thread, "start")]
-prelude = compile(PRELUDE, "prelude", "exec")
-for name, code in CHECKS:
-    before, interval = [getattr(*point) for point in PATCHABLE], sys.getswitchinterval()
-    linecache.cache[name] = (len(code), None, code.splitlines(True), name)
+    child_env = {**os.environ, "PYTHONPATH": str(Path(ne.__file__).resolve().parents[1])}
+    for var in THREAD_VARIABLES:
+        child_env.pop(var, None)
+    if blas_threads is not None:
+        child_env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    if coretype is not None:
+        child_env["OPENBLAS_CORETYPE"] = coretype
+    child_env.update(env or {})
+    alarm = max(1, int(timeout * 0.9))
+    command = [sys.executable, "-W", "error::RuntimeWarning", Path(__file__).parent / "pinned_checks.py",
+               str(alarm), json.dumps(args or []), *names]
+    t0 = time.perf_counter()
     try:
-        namespace = {"__name__": "__main__"}
-        exec(prelude, namespace)
-        exec(compile(code, name, "exec"), namespace)
-        left = [f"{owner.__name__}.{attr}" for (owner, attr), value in zip(PATCHABLE, before)
-                if getattr(owner, attr) is not value]
-        if sys.getswitchinterval() != interval:
-            left.append("the switch interval")
-        assert not left, f"the check left {', '.join(left)} patched"
-        failure = None
-    except Exception:
-        failure = traceback.format_exc()
+        result = subprocess.run(command, capture_output=True, text=True, env=child_env, timeout=timeout)
     finally:
-        for (owner, attr), value in zip(PATCHABLE, before):
-            setattr(owner, attr, value)
-        sys.setswitchinterval(interval)
-    print(json.dumps([name, failure]), flush=True)
-"""
-
-
-def run_checks(
-    checks: dict[str, str], coretype: str | None = None, timeout: float = 300
-) -> dict[str, str | None]:
-    """Run each check's code, in order, in one run_pinned child on the first
-    two CPUs of the affinity mask (TWO_CPUS); return by name each check's
-    traceback, or None for one that passed.
-
-    Each check runs after CHECK_PRELUDE in a namespace of its own, and the
-    child restores what a check patched before the next one runs. A check
-    that no result line reports, because the child died first, gets the
-    child's standard error: a hang ends there in run_pinned's stack dump.
-    """
-    code = TWO_CPUS + f"PRELUDE = {CHECK_PRELUDE!r}\nCHECKS = {list(checks.items())!r}\n"
-    result = _pinned_child(code + _CHECK_RUNNER, coretype, timeout, blas_threads=1)
-    reported = dict(json.loads(line) for line in result.stdout.splitlines())
+        test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0]
+        PINNED.append([test, time.perf_counter() - t0])
     died = f"the child exited {result.returncode} before this check reported\n{result.stderr}"
-    return {name: reported.get(name, died) for name in checks}
+    reported = {line[0]: line[1:] for line in map(json.loads, result.stdout.splitlines())}
+    if result.returncode != 0 and reported.keys() >= set(names):
+        exited = f"the child exited {result.returncode} after every check reported\n{result.stderr}"
+        reported = {name: [failure or exited, value] for name, (failure, value) in reported.items()}
+    return {name: [died, None] for name in names} | reported
 
 
-# The kernel checks: code by name, module.qualname of the test;
-# pytest_collection_finish keeps those of the selected tests
+def returned(results: dict[str, list], name: str | None = None):
+    """What a check of run_pinned's results, by default the first, returned;
+    the test fails with its traceback if it raised or never reported."""
+    name = name or next(iter(results))
+    failure, value = results.get(name, [f"the child reported no {name!r}", None])
+    if failure is not None:
+        pytest.fail(failure, pytrace=False)
+    return value
+
+
+# The kernel checks: the name of the check function by module.qualname of
+# the test; pytest_collection_finish keeps those of the selected tests
 KERNEL_CHECKS: dict[str, str] = {}
 
 
-def kernel_check(code: str):
-    """Make a test that is parametrized over CORETYPES and asserts that code
-    passed in its kernel's shared child, which runs every kernel check of
-    the session through run_checks the first time a test asks for that
-    kernel. The test's own body runs first, in this process: a skip, say.
-    A check restores what it patches."""
+def kernel_check(check):
+    """Make a test that is parametrized over CORETYPES and asserts that the
+    check function of pinned_checks passed in its kernel's shared child,
+    which runs every kernel check of the session the first time a test asks
+    for that kernel. The test's own body runs first, in this process."""
 
     def decorate(test):
         name = f"{test.__module__}.{test.__qualname__}"
-        KERNEL_CHECKS[name] = code
+        KERNEL_CHECKS[name] = check.__name__
 
         @functools.wraps(test)
         def run(*args, coretype):
             test(*args, coretype)
-            failure = _kernel_results(coretype)[name]
-            if failure is not None:
-                pytest.fail(f"in the {coretype} child:\n{failure}", pytrace=False)
+            returned(shared_child(tuple(KERNEL_CHECKS.values()), coretype), check.__name__)
 
         run.kernel_check = name
         return pytest.mark.parametrize("coretype", CORETYPES)(run)
@@ -319,9 +242,11 @@ def kernel_check(code: str):
 
 
 @functools.cache
-def _kernel_results(coretype: str) -> dict[str, str | None]:
-    results = run_checks(KERNEL_CHECKS, coretype)
-    PINNED[-1][0] = coretype  # the child run_checks just ran serves every test of its kernel
+def shared_child(names: tuple, coretype: str | None = None) -> dict:
+    """run_pinned's results for names, from one child in a session."""
+    results = run_pinned(*names, coretype=coretype)
+    if coretype is not None:  # the child serves every test of its kernel
+        PINNED[-1][0] = coretype
     return results
 
 

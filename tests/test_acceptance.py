@@ -232,16 +232,11 @@ def test_09_fidelity(desk_run):
 
 
 def test_10_covariance_diagnostic(desk_run):
-    seed = desk_run.config.seed + 6
     distances = desk_run.covariance_distances  # the covariance stage's draws
     reference = distances["watermarked"]
-    dep = float(np.mean(
-        stats.covariance_delta(reference, distances["prune20"], seed, seed)
-    ))
+    dep = float(np.mean(stats.covariance_delta(reference, distances["prune20"])))
     indep = np.array([
-        np.mean(
-            stats.covariance_delta(reference, distances[f"independent{i}"], seed, seed)
-        )
+        np.mean(stats.covariance_delta(reference, distances[f"independent{i}"]))
         for i in range(10)
     ])
     p95 = float(np.percentile(indep, 95))

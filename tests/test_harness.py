@@ -34,6 +34,7 @@ from randmark.synth import gen_synthetic_images
 from randmark.watermark import load_trigger_set
 
 from conftest import assert_pinned, kernel_check, one_trigger, see_cpus
+import pinned_checks
 
 
 def micro_config(**overrides) -> ExperimentConfig:
@@ -401,10 +402,7 @@ class TestPipeline:
         assert written["numpy"] == manifest.numpy == np.__version__
         assert written["blas_core"] == manifest.blas_core == ne._blas_core()
 
-    @kernel_check("""
-import os
-assert ne._blas_core() == os.environ["OPENBLAS_CORETYPE"], ne._blas_core()
-""")
+    @kernel_check(pinned_checks.blas_core_is_the_kernel_that_runs)
     def test_blas_core_is_the_kernel_that_runs(self, coretype):
         if ne._blas_core() == "unknown":
             pytest.skip("numpy runs on no OpenBLAS that reports its core")
@@ -1430,8 +1428,10 @@ class TestCli:
         ('{"models": [{"file": "../outside.rmk"}]}', "'../outside.rmk' is not a checkpoint file"),
         ('{"models": [{"file": 3}]}', "3 is not a checkpoint file"),
         ('{"models": [], "excluded": 2}', "no checkpoints in"),
+        ('{"models": [{"file": "omega000.rmk"}, {"file": "omega000.rmk"}]}',
+         "omega_manifest.json: 'omega000.rmk' is named more than once"),
     ], ids=["not-json", "row-without-file", "models-not-a-list", "missing-file",
-            "file-outside-directory", "file-not-a-name", "no-models"])
+            "file-outside-directory", "file-not-a-name", "no-models", "repeated-file"])
     def test_bounds_rejects_bad_population_manifest(
         self, micro_run, tmp_path, capsys, manifest, message
     ):
@@ -1488,6 +1488,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "probabilities must lie in [0, 1]" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("kind", ["poisson-binomial", "mc-bernoulli"])
+    @pytest.mark.parametrize("d", ["-3", "3"])
+    def test_oracle_rejects_a_threshold_outside_0_n(self, capsys, kind, d):
+        # the check of bounds.poisson_binomial_cdf, the kernel these oracles check
+        code = cli.main(["oracle", kind, "--probs=0.5,0.5", "--d", d])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold must lie in [0, N]" in captured.err
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("probs", ["nan,0.9,0.9", "inf,0.9,0.9", "1.5,0.9,0.9", "-0.1,0.9", ","])

@@ -1,13 +1,15 @@
 """Engine tests: forward/backward against finite differences, AdamW
 behavior, global magnitude pruning, and checkpoint format guarantees."""
 
+import ast
 import copy
-import functools
+import inspect
 import os
 import pickle
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ from randmark import attacks as atk
 from randmark import nnengine as ne
 
 from conftest import (
-    TWO_CPUS, assert_pinned, gradient_check, kernel_check, run_checks, run_pinned, see_cpus,
+    assert_pinned, gradient_check, kernel_check, returned, run_pinned, see_cpus, shared_child,
     sparsity,
 )
+import pinned_checks
 import test_training_pins
 
 # (dims, n_images, digests by core) of each make_independent pin, seeds 5 and 6
@@ -96,15 +99,6 @@ class TestForward:
         assert np.array_equal(a, b)
 
 
-# Prepended to the code of a TestSplitForward process: the rows of `batch`
-# that a block handed to _layers covers (the block is a view of the batch).
-SPAN = """
-def span(block, batch):
-    start = (block.ctypes.data - batch.ctypes.data) // batch.strides[0]
-    return start, start + len(block)
-"""
-
-
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
 class TestBlasPin:
     """Importing randmark pins numpy's OpenBLAS to one thread unless the user
@@ -112,35 +106,12 @@ class TestBlasPin:
     Python thread has one worker per CPU of its affinity mask."""
 
     def test_import_pins_blas_without_a_thread_variable(self):
-        # and an affinity mask of one CPU, as taskset -c 0 sets, runs serially
-        code = TWO_CPUS + """
-from randmark import nnengine as ne
-assert ne._blas_threads() == 1, ne._blas_threads()
-print(ne._worker_count(2))
-os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
-print(ne._worker_count(2))
-"""
-        assert run_pinned(code, blas_threads=None).split() == ["2", "1"]
+        assert returned(run_pinned("import_pins_blas", blas_threads=None)) == [2, 1]
 
     def test_host_that_loaded_numpy_first_forks_workers_with_pinned_bytes(self):
-        # numpy, loaded unpinned, has started OpenBLAS's thread; the import
-        # pins BLAS and leaves that thread parked, and the forked workers
-        # train the bytes pinned in test_training_pins
+        # the forked workers train the bytes pinned in test_training_pins
         cases = [(dims, n_images) for dims, n_images, _ in PINNED_INDEPENDENTS]
-        code = TWO_CPUS + f"""
-import hashlib, multiprocessing
-import numpy
-tasks = lambda: len(os.listdir("/proc/self/task"))
-assert tasks() == 2, tasks()
-from randmark import attacks as atk, nnengine as ne
-assert (tasks(), ne._blas_threads(), ne._worker_count(2)) == (2, 1, 2)
-with atk.IndependentPool(len({cases!r})) as pool:
-    models = [pool.submit(dims, [5], [6], 3, n_images) for dims, n_images in {cases!r}]
-    assert len(multiprocessing.active_children()) == 2
-    for model, in models:
-        print(hashlib.sha256(model.parameters_digest().encode()).hexdigest())
-"""
-        digests = run_pinned(code, blas_threads=None).split()
+        digests = returned(run_pinned("numpy_first_then_pin", blas_threads=None, args=[cases]))
         for digest, (_, _, expected) in zip(digests, PINNED_INDEPENDENTS, strict=True):
             assert_pinned(digest, expected)
 
@@ -149,29 +120,12 @@ with atk.IndependentPool(len({cases!r})) as pool:
     )
     def test_a_users_thread_count_keeps_the_process_serial(self, variable):
         # each variable that OpenBLAS reads, set before numpy loads
-        code = TWO_CPUS + f"""
-os.environ[{variable!r}] = "2"
-import numpy as np
-from randmark import attacks as atk, nnengine as ne
-assert ne._blas_threads() == 2, ne._blas_threads()
-assert ne._worker_count(2) == 1
-with atk.IndependentPool(2) as pool:
-    assert pool._executor is None
-ne.forward_batch(ne.init_network([8, 4], ["tanh"], 1), np.ones((1600, 8)))
-assert ne._helpers == []
-print("ok")
-"""
-        assert run_pinned(code, blas_threads=None).strip() == "ok"
+        returned(run_pinned("users_thread_count_keeps_serial", blas_threads=None, env={variable: "2"}))
 
     def test_a_count_that_openblas_does_not_read_is_pinned(self):
         # OpenBLAS runs one thread per CPU for an empty value, 0 or no number
-        code = TWO_CPUS + """
-os.environ.update(OPENBLAS_NUM_THREADS="0", GOTO_NUM_THREADS="", OMP_NUM_THREADS="x")
-from randmark import nnengine as ne
-assert ne._blas_threads() == 1, ne._blas_threads()
-print(ne._worker_count(2))
-"""
-        assert run_pinned(code, blas_threads=None).strip() == "2"
+        env = dict(OPENBLAS_NUM_THREADS="0", GOTO_NUM_THREADS="", OMP_NUM_THREADS="x")
+        assert returned(run_pinned("unread_count_is_pinned", blas_threads=None, env=env)) == 2
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
@@ -194,156 +148,64 @@ class TestSplitForward:
                 assert sizes[:-1] == sorted(sizes[:-1], reverse=True), (rows, workers)
                 assert 1 < sizes[-1] <= sizes[-2] + 1, (rows, workers)
 
-    @kernel_check(SPAN + """
-layers, blocks = ne._layers, []
-def spy(net, x, outs):
-    blocks.append((*span(x, batch), threading.get_ident() == caller))
-    layers(net, x, outs)
-ne._layers = spy
-rng = np.random.default_rng(40)
-for act in ne.ACTIVATIONS:
-    # the weight shapes of the default backbone and decoder
-    net = ne.init_network([256, 192, 64, 128, 32], [act] * 4, 41)
-    for rows in (512, 513, 800, 1600, 1601, 6400):
-        batch = rng.random((rows, 256))
-        blocks.clear()
-        _, trace = ne.forward_batch(net, batch)
-        cuts = ne._block_cuts(rows, 2)
-        assert sorted(block[:2] for block in blocks) == list(zip(cuts, cuts[1:])), (rows, blocks)
-        one = ne.ForwardTrace.empty(net, rows)
-        layers(net, batch, one.buffers)
-        for split, serial in zip(trace.activations[1:], one.buffers):
-            assert split.tobytes() == serial.tobytes(), (act, rows)
-assert len(ne._helpers) == 1
-ne._layers = layers
-""")
+    @kernel_check(pinned_checks.split_bytes_equal_one_block)
     def test_split_bytes_equal_one_block(self, coretype):
         """Each thread writes its blocks in place, with the bytes of one
         product of the whole batch; each block runs once, in one thread."""
 
     def test_each_block_runs_once_under_thread_stress(self):
-        # seven helpers on two CPUs, switching threads every microsecond: a
-        # block handed out twice or never shows in the block list, and the
-        # bytes hold
-        code = SPAN + """
-import os, sys
-import numpy as np
-from randmark import nnengine as ne
-
-os.sched_getaffinity = lambda pid: set(range(8))
-layers, blocks = ne._layers, []
-def spy(net, x, outs):
-    blocks.append(span(x, batch)[0])  # list.append is one atomic step
-    layers(net, x, outs)
-ne._layers = spy
-net = ne.init_network([16, 8], ["tanh"], 49)
-batch = np.random.default_rng(50).random((6400, 16))
-one = ne.ForwardTrace.empty(net, 6400)
-layers(net, batch, one.buffers)
-cuts = ne._block_cuts(6400, 8)[:-1]
-interval = sys.getswitchinterval()
-sys.setswitchinterval(1e-6)
-try:
-    for _ in range(100):
-        blocks.clear()
-        out, _ = ne.forward_batch(net, batch)
-        assert sorted(blocks) == cuts, blocks
-        assert out.tobytes() == one.buffers[-1].tobytes()
-finally:
-    sys.setswitchinterval(interval)
-assert len(ne._helpers) == 7
-print("ok")
-"""
-        assert run_pinned(code, timeout=120).strip() == "ok"
+        returned(run_pinned("each_block_runs_once_under_thread_stress", timeout=120))
 
     def test_one_persistent_helper_then_a_forked_pool(self):
-        code = TWO_CPUS + """
-import multiprocessing, threading
-import numpy as np
-from randmark import attacks as atk, nnengine as ne
-
-seeds = [(6, 8), (7, 9)]
-serial = [
-    atk.make_independent([16, 12, 6], seed=s, pretrain_data_seed=d, epochs=1, n_images=10)
-    .parameters_digest() for s, d in seeds
-]
-started, start = [], threading.Thread.start
-def counted(thread):
-    started.append(thread.name)
-    start(thread)
-threading.Thread.start = counted
-net = ne.init_network([64, 48, 16], ["tanh", "identity"], 42)
-x = np.random.default_rng(43).random((1600, 64))
-for _ in range(200):
-    ne.forward_batch(net, x)
-assert started == ["randmark-forward_0"], started
-threading.Thread.start = start
-assert ne._worker_count(2) == 2
-pid = os.fork()
-if pid == 0:  # a forked child has no helper and forgets the parent's
-    os._exit(0 if ne._helpers == [] else 1)
-assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-with atk.IndependentPool(2) as pool:
-    models = pool.submit([16, 12, 6], *zip(*seeds), 1, 10)
-    assert len(multiprocessing.active_children()) == 2
-    assert [model.parameters_digest() for model in models] == serial
-print("ok")
-"""
-        assert run_pinned(code).strip() == "ok"
+        returned(run_pinned("one_persistent_helper_then_a_forked_pool"))
 
     def test_other_thread_keeps_forward_in_one_block(self):
-        code = TWO_CPUS + SPAN + """
-import threading
-import numpy as np
-from randmark import nnengine as ne
-
-layers, blocks = ne._layers, []
-def spy(net, x, outs):
-    blocks.append((threading.get_ident(), *span(x, batch)))
-    layers(net, x, outs)
-ne._layers = spy
-net = ne.init_network([64, 16], ["tanh"], 47)
-batch = np.random.default_rng(48).random((1600, 64))
-ne.forward_batch(net, batch)
-cuts = ne._block_cuts(1600, 2)
-assert {block[1:] for block in blocks} == set(zip(cuts, cuts[1:])), blocks  # split while no other thread runs
-blocks.clear()
-done = threading.Event()
-other = threading.Thread(target=done.wait)
-other.start()
-ne.forward_batch(net, batch)
-done.set()
-other.join(60)
-assert not other.is_alive()
-assert blocks == [(threading.get_ident(), 0, 1600)], blocks
-print("ok")
-"""
-        assert run_pinned(code).strip() == "ok"
+        returned(run_pinned("other_thread_keeps_forward_in_one_block"))
 
 
 def test_run_pinned_shows_where_a_hung_child_is_stuck():
-    code = "import threading\nthreading.Event().wait()\n"
-    with pytest.raises(AssertionError, match=r"(?s)most recent call first.*in wait"):
-        run_pinned(code, timeout=2)
+    # the check returns and reports, then its thread holds the child at exit:
+    # the check fails with the exit code and the stack dump
+    with pytest.raises(pytest.fail.Exception,
+                       match=r"(?s)the child exited -\d+ after every check reported.*most recent call first.*in wait"):
+        returned(run_pinned("leaves_a_thread_running", timeout=2))
 
 
 def test_run_checks_reports_each_check_undoes_its_patches_and_shows_a_hang():
-    # a check that raises fails with its own traceback, source lines included,
-    # and one that leaves a patch fails; the next check runs unpatched. A hung
-    # check ends the child in run_pinned's stack dump, after the others reported.
-    results = run_checks({
-        "raises": "np.matmul = spy\nraise KeyError('raised here')\n",
-        "passes": "assert np.matmul.__name__ == 'matmul' and products == []\n",
-        "leaks": "ne._worker_count = lambda jobs: 1\n",
-        "unpatched": "assert ne._worker_count.__name__ == '_worker_count'\n",
-        "hangs": "threading.Event().wait()\n",
-    }, timeout=3)
-    assert results["passes"] is None and results["unpatched"] is None, results
-    assert 'File "raises", line 2' in results["raises"], results["raises"]
-    assert "raise KeyError('raised here')" in results["raises"], results["raises"]
-    assert "left randmark.nnengine._worker_count patched" in results["leaks"], results["leaks"]
+    # a check that raises fails with its traceback, which names its line in
+    # pinned_checks.py, and one that leaves a patch fails; the next check runs
+    # unpatched and returns its value. A hung check ends the child in
+    # run_pinned's stack dump, after the others reported.
+    results = run_pinned("raises_after_patching_matmul", "leaves_worker_count_patched",
+                         "finds_both_unpatched", "hangs", timeout=3)
+    assert results["finds_both_unpatched"] == [None, ["matmul", "_worker_count"]], results
+    raised, leaked = results["raises_after_patching_matmul"][0], results["leaves_worker_count_patched"][0]
+    line = Path(pinned_checks.__file__).read_text().splitlines().index('    raise KeyError("raised here")')
+    assert f'pinned_checks.py", line {line + 1}, in raises_after_patching_matmul' in raised, raised
+    assert 'raise KeyError("raised here")' in raised, raised
+    assert "left randmark.nnengine._worker_count patched" in leaked, leaked
     assert re.search(r"(?s)before this check reported.*most recent call first.*in wait",
-                     results["hangs"]), results["hangs"]
+                     results["hangs"][0]), results["hangs"]
+
+
+def test_every_pinned_check_runs():
+    # each check function of pinned_checks is named by a kernel_check, an
+    # entry of FORK_JOIN_CHECKS or a run_pinned call of some test module, so
+    # a check that no test runs any more shows here
+    named = set(FORK_JOIN_CHECKS)
+    for path in Path(__file__).parent.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "run_pinned":
+                    named |= {arg.value for arg in node.args if isinstance(arg, ast.Constant)}
+                elif node.func.id == "kernel_check":
+                    named |= {arg.attr for arg in node.args if isinstance(arg, ast.Attribute)}
+    checks = {
+        name for name, function in inspect.getmembers(pinned_checks, inspect.isfunction)
+        if function.__module__ == pinned_checks.__name__ and not name.startswith("_")
+    }
+    assert checks - named == set()
+    assert named <= checks, named - checks
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
@@ -352,396 +214,36 @@ class TestSplitBackward:
     product, or for a first layer without an input gradient the columns
     from a 32-aligned cut on, to a helper (_fork_join), in a process with
     BLAS pinned and no other thread: each kernel's shared child of the
-    kernel checks, where CHECK_PRELUDE's spy records the products."""
+    kernel checks, where pinned_checks.spy records the products."""
 
-    @kernel_check("""
-worker_count = ne._worker_count
-rng = np.random.default_rng(60)
-helper_products = 0
-# the default encoder, backbone and decoder, a first layer of 200 outputs,
-# whose cut falls at 96 columns, not 100, and one of 40, too few to cut
-for dims in ([288, 256, 256], [256, 192, 64], [64, 128, 32], [40, 200, 8], [32, 40, 8]):
-    for act in ne.ACTIVATIONS:
-        net = ne.init_network(dims, [act, act], 61)
-        for rows in (512, 513, 800, 1600):
-            x, g = rng.random((rows, dims[0])), rng.random((rows, dims[-1]))
-            # backward spends the trace: each backward gets the forward's bytes back
-            _, trace = ne.forward_batch(net, x)
-            kept = [a.copy() for a in trace.activations[1:]]
-            for wrt_input in (True, False):
-                runs = []
-                for count in (worker_count, lambda jobs: 1):
-                    for activation, copy in zip(trace.activations[1:], kept):
-                        activation[...] = copy
-                    trace.spent = False
-                    products.clear()
-                    ne._worker_count, np.matmul = count, spy
-                    grads = ne.backward(net, trace, g, wrt_input)
-                    ne._worker_count, np.matmul = worker_count, matmul
-                    runs.append((grads.flat.tobytes(), grads.wrt_input.tobytes(), list(products)))
-                (flat, inputs, split), (flat_1, inputs_1, serial) = runs
-                case = (dims, act, rows, wrt_input)
-                assert flat == flat_1 and inputs == inputs_1, case
-                assert all(in_caller for in_caller, _ in serial), case
-                helper_products += sum(not in_caller for in_caller, _ in split)
-                # output shapes: weight gradients, then input gradients
-                expected = [(n_in, n_out) for n_in, n_out in zip(dims, dims[1:])]
-                expected += [(rows, n_in) for n_in in dims[int(not wrt_input):-1]]
-                cut = dims[1] // 2 // 32 * 32
-                if not wrt_input and cut:  # the first layer's weight gradient is cut
-                    expected.remove((dims[0], dims[1]))
-                    expected += [(dims[0], cut), (dims[0], dims[1] - cut)]
-                assert sorted(shape for _, shape in split) == sorted(expected), (case, split)
-assert helper_products > 0, "the helper took no product"
-assert len(ne._helpers) == 1
-""")
+    @kernel_check(pinned_checks.backward_split_bytes_equal_serial)
     def test_split_bytes_equal_serial(self, coretype):
         """Split and serial backwards give the same bytes, every product
         where the split puts it."""
 
-    @kernel_check("""
-import time
-
-started = threading.Event()
-def helper_first(fail):
-    def product(a, b, out=None):
-        if threading.get_ident() == caller:
-            if not started.wait(60):  # the helper takes its product before the caller
-                raise AssertionError("the helper took no product")
-        else:
-            started.set()
-            time.sleep(0.05)
-        spy(a, b, out=out)
-        if fail and threading.get_ident() != caller:
-            raise KeyError("helper")
-    return product
-
-net = ne.init_network([64, 48], ["identity"], 62)
-x = np.random.default_rng(63).random((800, 64))
-g = np.ones((800, 48))
-worker_count, ne._worker_count = ne._worker_count, lambda jobs: 1
-_, trace = ne.forward_batch(net, x)
-serial = ne.backward(net, trace, g)
-ne._worker_count = worker_count
-
-into = ne.Gradients.empty(net, 800)
-_, trace = ne.forward_batch(net, x)
-started.clear()
-np.matmul = helper_first(True)
-try:
-    ne.backward(net, trace, g, into=into)
-except KeyError:
-    pass
-else:
-    raise AssertionError("the helper's exception did not reach the caller")
-np.matmul = matmul
-assert into.flat.tobytes() == serial.flat.tobytes()
-inputs = into.scratch[0][: 800 * 64].reshape(800, 64)
-assert inputs.tobytes() == serial.wrt_input.tobytes()
-assert sorted(in_caller for in_caller, _ in products) == [False, True], products
-
-huge_x = np.full((800, 64), 1e306)  # x.T @ g overflows, g @ W.T does not
-net.params[:] = 1e-10
-for silenced in (False, True):
-    _, trace = ne.forward_batch(net, huge_x)
-    products.clear()
-    started.clear()
-    np.matmul = helper_first(False)
-    try:
-        if silenced:
-            with np.errstate(over="ignore"):
-                grads = ne.backward(net, trace, g)
-            assert np.isinf(grads.flat[: 64 * 48]).all()
-        else:
-            ne.backward(net, trace, g)
-            raise AssertionError("an unsilenced overflow did not raise")
-    except RuntimeWarning as exc:
-        assert not silenced and "overflow" in str(exc), exc
-    finally:
-        np.matmul = matmul
-    assert (False, (64, 48)) in products, products
-""")
+    @kernel_check(pinned_checks.backward_helpers_exception_and_callers_errstate)
     def test_helpers_exception_and_callers_errstate(self, coretype):
         """The helper's weight-gradient product raises after it wrote its
         output: the exception reaches the caller after the caller wrote the
         input gradient; an overflow in the helper's product obeys the
         caller's errstate."""
 
-    @kernel_check("""
-import sys, time
-
-net = ne.init_network([256, 192, 64], ["tanh", "identity"], 64)
-x = np.random.default_rng(65).random((800, 256))
-g = np.random.default_rng(66).random((800, 64))
-_, trace = ne.forward_batch(net, x)  # starts the helper if none runs yet
-worker_count, ne._worker_count = ne._worker_count, lambda jobs: 1
-serial = ne.backward(net, trace, g).flat.copy()
-ne._worker_count = worker_count
-helper = ne._helpers[0]
-busy, release = threading.Event(), threading.Event()
-helper.submit(lambda: (busy.set(), release.wait(60)))
-assert busy.wait(60)
-_, trace = ne.forward_batch(net, x)
-np.matmul = spy
-grads = ne.backward(net, trace, g)
-np.matmul = matmul
-queued = []  # work queued behind the busy helper: the caller takes it
-ne._fork_join(1, int, lambda: queued.append(threading.get_ident()))
-release.set()
-ne._quiesce_helpers()  # the helper has reached the cancelled work
-assert queued == [caller], queued
-assert grads.flat.tobytes() == serial.tobytes()
-assert len(products) == 4 and all(in_caller for in_caller, _ in products), products
-
-runs = []
-interval = sys.getswitchinterval()
-sys.setswitchinterval(1e-6)
-try:
-    for i in range(2000):
-        ran = []
-        runs.append(ran)
-        # the caller's own work sleeps every other call: the helper may wake first
-        own = (lambda: time.sleep(1e-4)) if i % 2 else int
-        ne._fork_join(1, own, lambda ran=ran: ran.append(threading.get_ident()))
-        assert len(ran) == 1, ran
-finally:
-    sys.setswitchinterval(interval)
-ne._quiesce_helpers()  # the helper has seen every call
-assert all(len(ran) == 1 for ran in runs)
-takers = {ran[0] for ran in runs}
-assert takers == {caller, helper.submit(threading.get_ident).result()}, takers
-""")
+    @kernel_check(pinned_checks.backward_busy_helper_loses_work_and_each_runs_once)
     def test_busy_helper_loses_work_and_each_runs_once(self, coretype):
         """While the helper runs something else, every product of a
         backward runs in the caller, with the same bytes; each piece of
         work handed to the helper runs once, also when threads switch every
         microsecond."""
 
-# Each check of TestForkJoin, by name; they run in this order in one
-# run_checks child on two CPUs, since none depends on the BLAS kernel.
-# CHECK_PRELUDE gives each its imports and `caller`, the child's thread.
-FORK_JOIN_CHECKS = {
-    "each_work_runs_once_at_1us_switches": """
-import sys, time
-# 0, 1, 3 or 7 helpers on two CPUs, with up to two works more than the
-# helpers take; the caller's work sometimes sleeps, so a helper may wake first
-calls = []
-interval = sys.getswitchinterval()
-sys.setswitchinterval(1e-6)
-try:
-    for i in range(800):
-        spare = (0, 1, 3, 7)[i % 4]
-        ran = [[] for _ in range(spare + 1 + i % 3)]
-        def work(ran, index):
-            if index == 0 and i % 5 == 0:
-                time.sleep(1e-4)
-            ran.append(threading.get_ident())
-        ne._fork_join(spare, *[lambda r=r, k=k: work(r, k) for k, r in enumerate(ran)])
-        assert all(len(r) == 1 for r in ran), (spare, ran)
-        calls.append((spare, ran))
-finally:
-    sys.setswitchinterval(interval)
-ne._quiesce_helpers()  # a work run again after its call returned shows now
-helpers = {helper.submit(threading.get_ident).result() for helper in ne._helpers}
-assert len(helpers) == 7, helpers
-for spare, ran in calls:
-    assert all(len(r) == 1 for r in ran), (spare, ran)
-    threads = [r[0] for r in ran]
-    assert threads[0] == caller and set(threads[spare + 1 :]) <= {caller}, (spare, threads)
-    assert set(threads) <= {caller} | helpers, threads
-    if not spare:
-        assert set(threads) == {caller}, threads
-assert any(set(r[0] for r in ran) - {caller} for _, ran in calls), "no helper took a work"
-""",
-    "first_exception_in_work_order_once_all_are_done": """
-import time
-def run(spare, *fails):
-    # work k raises KeyError(k) if fails[k]; work 0 waits for the helper to
-    # start work 1, so work 1 raises first in time
-    started, done = threading.Event(), []
-    def work(k):
-        if k == 0 and spare:
-            assert started.wait(60), "the helper took no work"
-        elif k == 1:
-            started.set()
-            time.sleep(0.01)
-        done.append(k)
-        if fails[k]:
-            raise KeyError(k)
-    try:
-        ne._fork_join(spare, *[lambda k=k: work(k) for k in range(len(fails))])
-    except KeyError as exc:
-        assert sorted(done) == list(range(len(fails))), done
-        return exc.args[0]
-    assert sorted(done) == list(range(len(fails))), done
 
-assert run(1, False, True) == 1
-assert run(1, True, True) == 0
-assert run(1, False, False, True) == 2
-assert run(1, False, True, True) == 1
-assert run(1, False, False) is None
-assert run(0, False, True, True) == 1
-""",
-    "callers_errstate_holds_in_the_helper": """
-# the child raises RuntimeWarnings as errors, so an overflow that the
-# caller's errstate does not silence raises from the helper's work
-huge, threads = np.full(8, 1e308), []
-for silenced in (False, True):
-    started, out = threading.Event(), []
-    def overflow():
-        started.set()
-        threads.append(threading.get_ident())
-        out.append(huge * 10.0)
-    wait = lambda: started.wait(60)
-    try:
-        if silenced:
-            with np.errstate(over="ignore"):
-                ne._fork_join(1, wait, overflow)
-            assert np.isinf(out[0]).all()
-        else:
-            ne._fork_join(1, wait, overflow)
-            raise AssertionError("an unsilenced overflow did not raise")
-    except RuntimeWarning as exc:
-        assert not silenced and "overflow" in str(exc), exc
-assert len(threads) == 2 and caller not in threads, threads
-""",
-    "busy_helper_loses_unstarted_work": """
-ne._fork_join(1, int, int)  # a helper runs
-busy, release, ran = threading.Event(), threading.Event(), []
-ne._helpers[0].submit(lambda: (busy.set(), release.wait(60)))
-assert busy.wait(60)
-ne._fork_join(1, *[lambda k=k: ran.append((k, threading.get_ident())) for k in range(2)])
-assert ran == [(0, caller), (1, caller)], ran
-release.set()
-ne._quiesce_helpers()  # the helper has reached the cancelled work
-assert len(ran) == 2, ran
-""",
-    "started_work_holds_the_call": """
-import time
-started, callers_done, order = threading.Event(), threading.Event(), []
-def own():
-    assert started.wait(60), "the helper took no work"
-    order.append("caller")
-    callers_done.set()
-def helpers():
-    started.set()
-    callers_done.wait(60)
-    time.sleep(0.1)  # the helper's work outlasts the caller's
-    order.append("helper")
-ne._fork_join(1, own, helpers)
-order.append("returned")
-assert order == ["caller", "helper", "returned"], order
-""",
-    "no_work_runs_after_forward_or_backward_returns": """
-import time
-# the caller waits in each piece of its own until the helper is inside a
-# piece of the same call, which then outlasts the caller's; each piece is
-# recorded with the call it started in, after it is done, so a piece that
-# ends after its call returned shows behind that call's return
-layers, events, call = ne._layers, [], [0]
-in_block, in_product = threading.Event(), threading.Semaphore(0)
-def piece(kind, run, *args, **kwargs):
-    tag = call[0]
-    if threading.get_ident() == caller:
-        started = in_block.wait(60) if kind == "block" else in_product.acquire(timeout=60)
-        assert started, f"the helper took no {kind}"
-    else:
-        (in_block.set if kind == "block" else in_product.release)()
-        time.sleep(0.01)
-    run(*args, **kwargs)
-    events.append((tag, kind))
-def returned():
-    events.append((call[0], "returned"))
-    call[0] += 1
-net = ne.init_network([64, 48, 16], ["tanh", "identity"], 51)
-x, g = np.random.default_rng(52).random((1600, 64)), np.ones((1600, 16))
-try:
-    for _ in range(3):
-        in_block.clear()
-        ne._layers = lambda *args: piece("block", layers, *args)
-        _, trace = ne.forward_batch(net, x)
-        ne._layers = layers
-        returned()
-        np.matmul = lambda a, b, out=None: piece("product", matmul, a, b, out=out)
-        ne.backward(net, trace, g)
-        np.matmul = matmul
-        returned()
-finally:
-    ne._layers, np.matmul = layers, matmul
-ne._quiesce_helpers()
-done = 0
-for tag, kind in events:
-    assert tag == done, events
-    done += kind == "returned"
-assert done == 6 and events[-1][1] == "returned", events
-""",
-    "fork_finds_idle_helpers_and_waits_for_a_busy_one": """
-import os, time
-# after a call whose helper work ran long, a fork copies no running thread;
-# one that a helper is running work of another thread for waits for it
-done = []
-ne._fork_join(1, int, lambda: (time.sleep(0.1), done.append(1)))
-assert done == [1]
-started, finished = threading.Event(), threading.Event()
-def call():
-    started.set()
-    time.sleep(0.1)
-    finished.set()
-ne._helpers[0].submit(call)
-assert started.wait(60)
-pid = os.fork()
-if pid == 0:  # the child has no helper, starts its own, and each work runs once
-    ran = []
-    ne._fork_join(1, *[lambda k=k: ran.append(k) for k in range(2)])
-    os._exit(0 if sorted(ran) == [0, 1] and len(ne._helpers) == 1 else 1)
-assert finished.is_set(), "the fork copied a helper inside a call"
-assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-""",
-    "embed_that_raises_leaves_no_draw_behind": """
-import time
-from randmark.harness import build_trigger_set
-from randmark.synth import gen_synthetic_images
-
-# an optimizer step that raises in the second epoch, once the helper has
-# started the third epoch's slowed noise draw: the embed raises only once
-# that draw is done, and no draw runs after it returned
-draw, optimizer_step, draws = wm._draw_noise, wm.optimizer_step, []
-def slow_draw(*args):
-    draws.append("start")
-    time.sleep(0.05)
-    draw(*args)
-    draws.append("end")
-steps = []
-def failing_step(net, grads, state):
-    steps.append(1)
-    if len(steps) == 4:
-        while draws.count("start") < 3:
-            time.sleep(1e-3)
-        raise KeyError("step")
-    optimizer_step(net, grads, state)
-triggers = build_trigger_set(gen_synthetic_images(64, 16, 11), 8, 0.1, 12)  # 512 rows
-bundle = wm.ModelBundle.create(
-    ne.init_network([16, 12, 6], ["tanh", "identity"], 13), 8, encoder_hidden=(16,),
-    decoder_hidden=(12,), hyper=wm.HyperParams(k_train=8, epochs=5), seed=14,
+# The checks of TestForkJoin, which run in this order in one shared child,
+# since none depends on the BLAS kernel
+FORK_JOIN_CHECKS = (
+    "each_work_runs_once_at_1us_switches", "first_exception_in_work_order_once_all_are_done",
+    "callers_errstate_holds_in_the_helper", "busy_helper_loses_unstarted_work",
+    "started_work_holds_the_call", "no_work_runs_after_forward_or_backward_returns",
+    "fork_finds_idle_helpers_and_waits_for_a_busy_one", "embed_that_raises_leaves_no_draw_behind",
 )
-wm._draw_noise, wm.optimizer_step = slow_draw, failing_step
-try:
-    wm.embed_watermark(bundle, triggers)
-except KeyError:
-    returned = list(draws)
-else:
-    raise AssertionError("the optimizer step's exception did not reach the caller")
-finally:
-    wm._draw_noise, wm.optimizer_step = draw, optimizer_step
-ne._quiesce_helpers()
-assert returned == ["start", "end"] * 3 and draws == returned, (returned, draws)
-""",
-}
-
-
-@functools.cache
-def _fork_join_results() -> dict[str, str | None]:
-    return run_checks(FORK_JOIN_CHECKS)
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
@@ -753,9 +255,7 @@ class TestForkJoin:
 
     @pytest.mark.parametrize("check", FORK_JOIN_CHECKS)
     def test_contract(self, check):
-        failure = _fork_join_results()[check]
-        if failure is not None:
-            pytest.fail(failure, pytrace=False)
+        returned(shared_child(FORK_JOIN_CHECKS), check)
 
 
 class TestBackward:

@@ -140,7 +140,7 @@ class TestArrayStatisticsMatchLoops:
         y[3] = self.N_BITS - x[3]  # anticorrelated row
         y[4] = x[4]  # identical row
         for a, b in ((x, y), (y, x), (x, x)):
-            assert repr(stats.covariance_delta(a, b, 7, 7)) == repr(_loop_cov(a, b))
+            assert repr(stats.covariance_delta(a, b)) == repr(_loop_cov(a, b))
 
     def test_report_equals_loop_formulas(self, mini_run):
         for k_draws in (1, 2, 64, 65):
@@ -268,7 +268,7 @@ class TestCovarianceDelta:
     def test_self_pair_equals_variance(self):
         rng = np.random.default_rng(8)
         distances = _distances(rng.integers(0, 2, (10, 6)), rng.integers(0, 2, 6))
-        assert stats.covariance_delta(distances, distances, 3, 3) == [
+        assert stats.covariance_delta(distances, distances) == [
             pytest.approx(stats.var_distance(distances)[0], abs=1e-12)
         ]
 
@@ -279,7 +279,7 @@ class TestCovarianceDelta:
         y_hard = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
         a = _distances(x_hard, message)
         b = _distances(y_hard, message)
-        assert stats.covariance_delta(a, b, 4, 4) == [pytest.approx(-1.0, abs=1e-12)]
+        assert stats.covariance_delta(a, b) == [pytest.approx(-1.0, abs=1e-12)]
 
     def test_polarization_equals_direct_covariance(self):
         rng = np.random.default_rng(9)
@@ -291,31 +291,25 @@ class TestCovarianceDelta:
             x = a[0].astype(float)
             y = b[0].astype(float)
             direct = ((x - x.mean()) * (y - y.mean())).sum() / (k - 1)
-            assert abs(stats.covariance_delta(a, b, 11, 11)[0] - direct) < 1e-12
+            assert abs(stats.covariance_delta(a, b)[0] - direct) < 1e-12
 
     def test_single_draw_gives_none(self):
         a = np.array([[1], [2]])
-        assert stats.covariance_delta(a, a, 5, 5) == [None, None]
-
-    def test_unpaired_seeds_fatal(self):
-        a = np.zeros((1, 3), dtype=np.int64)
-        with pytest.raises(ValueError, match="paired"):
-            stats.covariance_delta(a, a, 1, 2)
+        assert stats.covariance_delta(a, a) == [None, None]
 
     def test_message_mismatch_fatal(self):
         # the arrays must cover the same triggers (and draws)
         a = np.zeros((3, 4), dtype=np.int64)
         for b in (np.zeros((2, 4), dtype=np.int64), np.zeros((3, 5), dtype=np.int64)):
             with pytest.raises(ValueError, match="same triggers"):
-                stats.covariance_delta(a, b, 1, 1)
+                stats.covariance_delta(a, b)
 
     def test_directional_dependent_positive_independents_near_zero(self, desk_run):
-        seed = desk_run.config.seed + 6
         distances = desk_run.covariance_distances  # the covariance stage's draws
         reference = distances["watermarked"]
-        dep = np.mean(stats.covariance_delta(reference, distances["prune20"], seed, seed))
+        dep = np.mean(stats.covariance_delta(reference, distances["prune20"]))
         indep_means = [
-            np.mean(stats.covariance_delta(reference, distances[name], seed, seed))
+            np.mean(stats.covariance_delta(reference, distances[name]))
             for name in desk_run.independent_ids
         ]
         assert dep > 0.0

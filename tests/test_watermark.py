@@ -20,9 +20,10 @@ from randmark.stats import mean_distance, var_distance
 from randmark.synth import gen_synthetic_images
 
 from conftest import (
-    CORETYPES, MINI, TWO_CPUS, decode_one_trigger, gradient_check, kernel_check, one_trigger, run_pinned,
-    see_cpus, trigger_loss,
+    CORETYPES, MINI, decode_one_trigger, gradient_check, kernel_check, one_trigger, returned,
+    run_pinned, see_cpus, trigger_loss,
 )
+import pinned_checks
 
 
 class TestMessageBits:
@@ -308,29 +309,7 @@ class TestEmbedWatermark:
         out, _ = ne.forward_batch(bundle.watermarked_f, triggers.images)
         assert np.isfinite(out).all()
 
-    @kernel_check("""
-from randmark import attacks as atk
-from randmark.harness import build_trigger_set
-from randmark.synth import gen_synthetic_images
-
-triggers = build_trigger_set(gen_synthetic_images(16, 64, 11), 8, 0.1, 12)
-source = atk.make_independent(
-    [64, 48, 16], seed=13, pretrain_data_seed=14, epochs=30, n_images=120
-)
-hyper = wm.HyperParams(lam=1.0, k_train=4, epochs=5, learning_rate=1e200)
-bundle = wm.ModelBundle.create(
-    source, 8, encoder_hidden=(48,), decoder_hidden=(24,), hyper=hyper, seed=22
-)
-trained = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
-before = [net.parameters_digest() for net in trained]
-try:
-    wm.embed_watermark(bundle, triggers)
-except wm.TrainingDiverged as exc:
-    assert "epoch 1" in str(exc), exc
-else:
-    raise AssertionError("embedding did not diverge")
-assert [net.parameters_digest() for net in trained] == before
-""")
+    @kernel_check(pinned_checks.divergence_raises_under_any_warnings_filter)
     def test_divergence_raises_under_any_warnings_filter(self, coretype):
         """With RuntimeWarnings as errors and no errstate of the caller's,
         the diverging step's overflow (and, on Sandybridge, its invalid
@@ -576,73 +555,13 @@ class TestSerialDecode:
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
     def test_no_thread_outlives_a_verify(self):
-        # a verify decodes in the caller's thread alone, and an IndependentPool
-        # opened after it still finds a worker per CPU, with no thread variable
-        code = TWO_CPUS + """
-import multiprocessing, threading
-from randmark import attacks as atk, nnengine as ne, watermark as wm
-from randmark.harness import build_trigger_set, verify_suspect
-from randmark.synth import gen_synthetic_images
-
-triggers = build_trigger_set(gen_synthetic_images(8, 16, 1), 4, 0.1, 2)
-source = ne.init_network([16, 12, 6], ["tanh", "identity"], 3)
-bundle = wm.ModelBundle.create(source, 4, encoder_hidden=(8,), decoder_hidden=(8,), seed=4)
-threads = set()
-def spy(net, inputs):
-    threads.add(threading.get_ident())
-    return ne.forward_batch(net, inputs)
-wm.forward_batch = spy
-verify_suspect(source, bundle, triggers, 1, 4, 5, "source")
-assert threads == {threading.get_ident()}, threads
-assert ne._worker_count(2) == 2
-with atk.IndependentPool(2) as pool:
-    models = pool.submit([16, 12, 6], [6, 7], [8, 9], 1, 10)
-    assert len(multiprocessing.active_children()) == 2
-    assert len(list(models)) == 2
-print("ok")
-"""
-        assert run_pinned(code, blas_threads=None).strip() == "ok"
+        returned(run_pinned("no_thread_outlives_a_verify", blas_threads=None))
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
 class TestSplitDecode:
     def test_desk_decode_splits_inside_forward_batch_in_the_caller(self):
-        # at desk size the suspect and decoder passes are 1,600 rows each:
-        # forward_batch shares their blocks with its helper, but every
-        # forward_batch call, which a tracer would wrap, is the caller's
-        code = TWO_CPUS + """
-import threading
-from randmark import nnengine as ne, watermark as wm
-from randmark.harness import ExperimentConfig, build_trigger_set, verify_suspect
-from randmark.synth import gen_synthetic_images
-
-config = ExperimentConfig()
-images = gen_synthetic_images(config.trigger_count, config.s, 1)
-triggers = build_trigger_set(images, config.n, config.sigma_scale, 2)
-source = ne.init_network(config.backbone_dims, ["tanh", "identity"], 3)
-bundle = wm.ModelBundle.create(
-    source, config.n, encoder_hidden=config.encoder_hidden,
-    decoder_hidden=config.decoder_hidden, seed=4,
-)
-calls, block_threads = [], set()
-forward, layers = ne.forward_batch, ne._layers
-def spy(net, inputs):
-    calls.append((threading.get_ident(), len(inputs)))
-    return forward(net, inputs)
-def block_spy(*args):
-    block_threads.add(threading.get_ident())
-    layers(*args)
-wm.forward_batch, ne._layers = spy, block_spy
-verify_suspect(source, bundle, triggers, config.tau, config.k_verify, 5, "source")
-rows = config.trigger_count * config.k_verify
-assert {thread for thread, _ in calls} == {threading.get_ident()}, calls
-assert [n for _, n in calls if n >= 512] == [rows, rows], calls
-[helper] = ne._helpers
-assert helper.submit(lambda: threading.current_thread().name).result() == "randmark-forward_0"
-assert block_threads <= {threading.get_ident(), helper.submit(threading.get_ident).result()}
-print("ok")
-"""
-        assert run_pinned(code).strip() == "ok"
+        returned(run_pinned("desk_decode_splits_in_the_caller"))
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
@@ -651,44 +570,7 @@ class TestSplitEmbed:
     products and the next epoch's noise draw on a helper (_fork_join), in a
     process with BLAS pinned and no other thread."""
 
-    @kernel_check("""
-import dataclasses, time
-from randmark.harness import ExperimentConfig, build_trigger_set
-from randmark.synth import gen_synthetic_images
-
-draw, drawn_in = wm._draw_noise, set()
-def slow_draw(*args):
-    drawn_in.add(threading.get_ident())
-    time.sleep(0.005)
-    draw(*args)
-wm._draw_noise = slow_draw
-
-def embed(config, worker_count):
-    ne._worker_count = worker_count
-    images = gen_synthetic_images(config.trigger_count, config.s, 1)
-    triggers = build_trigger_set(images, config.n, config.sigma_scale, 2)
-    source = ne.init_network(config.backbone_dims, ["tanh", "identity"], 3)
-    bundle = wm.ModelBundle.create(
-        source, config.n, encoder_hidden=config.encoder_hidden,
-        decoder_hidden=config.decoder_hidden,
-        hyper=dataclasses.replace(config.hyper(), epochs=10), seed=4,
-    )
-    bundle, log = wm.embed_watermark(bundle, triggers)
-    nets = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
-    return [net.parameters_digest() for net in nets], log.epochs
-
-worker_count = ne._worker_count
-for config in (ExperimentConfig(), ExperimentConfig(
-    s=64, k=32, n=16, backbone_hidden=(96,), encoder_hidden=(80,), decoder_hidden=(48,),
-    trigger_count=96, k_train=6,
-)):
-    drawn_in.clear()
-    split = embed(config, worker_count)
-    assert drawn_in - {threading.get_ident()}, "the helper drew no noise"
-    assert split == embed(config, lambda jobs: 1), config.s
-ne._worker_count = worker_count
-wm._draw_noise = draw
-""")
+    @kernel_check(pinned_checks.embed_bytes_equal_without_helper)
     def test_bytes_equal_without_helper(self, coretype):
         """The desk config (800 rows) and one of 576 rows with other widths;
         each noise draw is slowed, so an epoch that did not wait for it
@@ -696,83 +578,12 @@ wm._draw_noise = draw
 
     @pytest.mark.parametrize("coretype", CORETYPES)
     def test_one_helper_after_embeds_then_a_forked_pool(self, coretype):
-        # an embed, and one that diverges and rolls back, leave only the
-        # helper, idle, counted from a fresh process on the kernel: an
-        # IndependentPool then forks its two workers
-        code = TWO_CPUS + """
-import multiprocessing, threading
-from randmark import attacks as atk, nnengine as ne, watermark as wm
-from randmark.harness import build_trigger_set
-from randmark.synth import gen_synthetic_images
-
-seeds = [(6, 8), (7, 9)]
-serial = [
-    atk.make_independent([16, 12, 6], seed=s, pretrain_data_seed=d, epochs=1, n_images=10)
-    .parameters_digest() for s, d in seeds
-]
-started, start = [], threading.Thread.start
-def counted(thread):
-    started.append(thread.name)
-    start(thread)
-threading.Thread.start = counted
-triggers = build_trigger_set(gen_synthetic_images(64, 16, 11), 8, 0.1, 12)  # 512 rows
-source = ne.init_network([16, 12, 6], ["tanh", "identity"], 13)
-for lr in (2e-3, 1e200):
-    hyper = wm.HyperParams(k_train=8, epochs=5, learning_rate=lr)
-    bundle = wm.ModelBundle.create(
-        source, 8, encoder_hidden=(16,), decoder_hidden=(12,), hyper=hyper, seed=14
-    )
-    nets = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
-    before = [net.parameters_digest() for net in nets]
-    try:
-        wm.embed_watermark(bundle, triggers)
-    except wm.TrainingDiverged as exc:
-        assert lr == 1e200 and "epoch 1" in str(exc), exc
-        assert [net.parameters_digest() for net in nets] == before
-    else:
-        assert lr == 2e-3, "embedding did not diverge"
-assert started == ["randmark-forward_0"], started
-threading.Thread.start = start
-assert len(ne._helpers) == 1
-assert ne._worker_count(2) == 2
-with atk.IndependentPool(2) as pool:
-    models = pool.submit([16, 12, 6], *zip(*seeds), 1, 10)
-    assert len(multiprocessing.active_children()) == 2
-    assert [model.parameters_digest() for model in models] == serial
-print("ok")
-"""
-        assert run_pinned(code, coretype).strip() == "ok"
+        returned(run_pinned("one_helper_after_embeds_then_a_forked_pool", coretype=coretype))
 
     def test_idle_helpers_never_hold_up_exit(self):
-        # the helpers are executor threads, which the interpreter joins at
-        # exit: a child that ran a split forward and an embed, whose helper
-        # is then idle, exits at once after its last statement. A forward in
-        # an atexit callback, after the helpers have stopped, runs serially.
-        code = TWO_CPUS + """
-import atexit, threading, time
-import numpy as np
-from randmark import nnengine as ne, watermark as wm
-from randmark.harness import build_trigger_set
-from randmark.synth import gen_synthetic_images
-
-net = ne.init_network([64, 48, 16], ["tanh", "identity"], 42)
-x = np.random.default_rng(43).random((1600, 64))
-split = ne.forward_batch(net, x)[0].tobytes()
-atexit.register(lambda: print(ne.forward_batch(net, x)[0].tobytes() == split))
-triggers = build_trigger_set(gen_synthetic_images(64, 16, 11), 8, 0.1, 12)  # 512 rows
-source = ne.init_network([16, 12, 6], ["tanh", "identity"], 13)
-bundle = wm.ModelBundle.create(
-    source, 8, encoder_hidden=(16,), decoder_hidden=(12,),
-    hyper=wm.HyperParams(k_train=8, epochs=5), seed=14,
-)
-wm.embed_watermark(bundle, triggers)
-names = [thread.name for thread in threading.enumerate()]
-assert names == ["MainThread", "randmark-forward_0"], names
-print(time.time())
-"""
-        last_statement, at_exit = run_pinned(code).split()
-        assert time.time() - float(last_statement) < 2
-        assert at_exit == "True"
+        results = run_pinned("idle_helpers_never_hold_up_exit")
+        assert time.time() - returned(results, "idle_helpers_never_hold_up_exit") < 2
+        assert returned(results, "at exit") is True
 
 
 class TestPersistence:
@@ -835,6 +646,25 @@ class TestPersistence:
                 mini_run.bundle, name
             ).parameters_digest()
         assert loaded.hyper == mini_run.bundle.hyper
+
+    def test_bundle_with_an_unbounded_encoder_output_refused(self, tmp_path, mini_run):
+        # delta_scale scales the encoder's tanh output: an identity output
+        # layer would leave the perturbation unbounded
+        encoder = ne.init_network([20, 8, 16], ["tanh", "identity"], 2)
+        backbone = ne.init_network([16, 6], ["tanh"], 3)
+        decoder = ne.init_network([6, 4], ["sigmoid"], 4)
+        with pytest.raises(ValueError, match="encoder output layer must be tanh"):
+            wm.ModelBundle(backbone, backbone, encoder, decoder, wm.HyperParams())
+        directory = tmp_path / "bundle"
+        mini_run.bundle.save(directory)
+        source = mini_run.bundle.encoder_e
+        unbounded = ne.init_network(
+            [source.input_dim, *(layer.bias.size for layer in source.layers)],
+            [layer.activation for layer in source.layers[:-1]] + ["identity"], 5,
+        )
+        ne.save_checkpoint(unbounded, directory / "encoder_e.rmk")
+        with pytest.raises(ValueError, match="encoder output layer must be tanh"):
+            wm.ModelBundle.load(directory)
 
     def test_bundle_manifest_keys_cover_every_hyper_param(self):
         # each HyperParams field has exactly one manifest key, so save and load keep it
