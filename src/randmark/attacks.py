@@ -84,7 +84,7 @@ class DownstreamTask:
 
 
 def make_blob_task(
-    s: int, n_classes: int = 4, n_samples: int = 512, seed: int = 0
+    s: int, n_classes: int = 4, n_samples: int = 512, *, seed: int
 ) -> DownstreamTask:
     """Gaussian blobs of standard deviation 0.08 around distinct texture
     centers, one per class."""
@@ -121,7 +121,7 @@ def _fit(net: MlpNetwork, lr: float, n_samples: int, batch: int, epochs: int, rn
 
 
 def finetune_attack(
-    backbone: MlpNetwork, task: DownstreamTask, epochs: int, lr: float, seed: int = 0
+    backbone: MlpNetwork, task: DownstreamTask, epochs: int, lr: float, seed: int
 ) -> MlpNetwork:
     """Fine-tune every backbone layer through a fresh linear head with
     cross-entropy in batches of 64. The backbone and head train as one
@@ -144,13 +144,8 @@ def finetune_attack(
 
 
 def distill_attack(
-    teacher: MlpNetwork,
-    student_hidden: tuple[int, ...],
-    data_seed: int,
-    epochs: int,
-    lr: float = 1e-3,
-    n_inputs: int = 5000,
-    seed: int = 0,
+    teacher: MlpNetwork, student_hidden: tuple[int, ...], data_seed: int, epochs: int, lr: float,
+    n_inputs: int = 5000, *, seed: int,
 ) -> MlpNetwork:
     """Train a fresh random student with the given hidden widths to match the
     teacher's embeddings on synthetic unlabeled inputs with mean squared
@@ -178,7 +173,7 @@ def distill_attack(
 
 
 def make_independent(
-    dims, seed: int, pretrain_data_seed: int, epochs: int = 40, n_images: int = 400
+    dims, seed: int, pretrain_data_seed: int, epochs: int, n_images: int
 ) -> MlpNetwork:
     """Backbone trained from scratch to reconstruct masked pixels through
     its embedding bottleneck; a linear reconstruction head is used during
@@ -213,11 +208,9 @@ def make_independent(
 def _train_independent(job) -> MlpNetwork:
     """Worker job of IndependentPool. Module-level and private, so that a
     worker process unpickles it by name even while a profiler has replaced
-    the public functions with wrappers."""
-    dims, seed, data_seed, epochs, n_images = job
-    return make_independent(
-        dims, seed=seed, pretrain_data_seed=data_seed, epochs=epochs, n_images=n_images
-    )
+    the public functions with wrappers. job is make_independent's arguments:
+    (dims, seed, data seed, epochs, images)."""
+    return make_independent(*job)
 
 
 class IndependentPool:
@@ -303,24 +296,6 @@ class PopulationResult:
     excluded: int = 0
 
 
-def xi_population(
-    pool: IndependentPool, dims, seed: int, m_models: int, epochs: int, n_images: int
-) -> PopulationResult:
-    """The independent (xi) population of a master seed, submitted to the
-    pool: model i trains from seed + i on pretraining data seed
-    seed + i + 10000, for epochs over n_images images. Its models come in
-    seed order as iteration asks for them, and the population keeps no model
-    it has handed out; iterate them while the pool is open."""
-    seeds = range(seed, seed + m_models)
-    data_seeds = [s + 10_000 for s in seeds]
-    rows = [
-        {"index": i, "kind": "independent", "seed": s, "data_seed": d,
-         "pretrain_epochs": epochs, "pretrain_images": n_images}
-        for i, (s, d) in enumerate(zip(seeds, data_seeds))
-    ]
-    return PopulationResult(pool.submit(dims, seeds, data_seeds, epochs, n_images), rows)
-
-
 def _random_omega_spec(rng: np.random.Generator, seed: int) -> AttackSpec:
     """The omega populations' functional-copy mixture: fine-tuning and
     pruning, the perturbations a copy survives with its watermark intact at
@@ -339,7 +314,7 @@ def sample_model_population(
     population), with per-model seeds derived from the master seed plus the
     model index. kind must be "omega": it stays, with m_models after it, only
     for the benchmark tracer, which reads both by position. The independent
-    (xi) population is xi_population's, trained in the caller's pool.
+    (xi) population is harness.submit_xi's, trained in the caller's pool.
 
     Copies come from the randomized attack mixture of _random_omega_spec.
     Those failing the functionality check (relative embedding error beyond
@@ -347,7 +322,7 @@ def sample_model_population(
     a warning.
     """
     if kind != "omega":
-        raise ValueError(f"kind must be 'omega', got {kind!r}: xi_population samples xi")
+        raise ValueError(f"kind must be 'omega', got {kind!r}: harness.submit_xi samples xi")
     if m_models < 1:
         raise ValueError("need at least one model")
     result = PopulationResult(models=[], rows=[])

@@ -159,6 +159,7 @@ def _cmd_embed(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.triggers:
         triggers = load_trigger_set(args.triggers)
+        _check_config_n(config, triggers)  # before the source backbone trains
     else:
         triggers = data_stage(config, out / "triggers.rmts")
     _, log = embed_stage(config, triggers, out)
@@ -209,12 +210,14 @@ def _cmd_population(args) -> int:
 def _cmd_bounds(args) -> int:
     config = _load_config(args)
     out = Path(args.out or "bounds_run")
+    populations = (args.population_omega, args.population_xi)
+    if args.estimates and any(populations):
+        raise ValueError("--estimates and --population-omega/--population-xi exclude each other")
     if args.estimates:
         report = bound_report_from_estimates(config, args.estimates)
-    elif args.population_omega or args.population_xi:
-        if not (args.population_omega and args.population_xi):
-            print("need both --population-omega and --population-xi", file=sys.stderr)
-            return EXIT_USAGE
+    elif any(populations):
+        if not all(populations):
+            raise ValueError("need both --population-omega and --population-xi")
         report = compute_bound_report(
             config,
             *_bundle_and_triggers(args),

@@ -32,7 +32,6 @@ from .attacks import (
     apply_attack,
     make_independent,
     sample_model_population,
-    xi_population,
 )
 from .bounds import BoundReport, build_bound_report
 from .nnengine import MlpNetwork, _blas_core, load_checkpoint, save_checkpoint
@@ -77,7 +76,8 @@ class RunSeeds(NamedTuple):
     independents: int  # independent suspect i gets this + i
     independent_data: int  # and its pretraining images this + i
     omega: int  # master seed of the omega population
-    xi: int  # master seed of the xi population
+    xi: int  # xi model i gets this + i
+    xi_data: int  # and its pretraining images this + i
 
 
 @dataclass
@@ -162,6 +162,7 @@ class ExperimentConfig:
             images=seed + 1, messages=seed + 2, source=seed + 3, source_data=seed + 4,
             bundle=seed + 5, verify=seed + 6, independents=seed + 100,
             independent_data=seed + 200, omega=seed + 1000, xi=seed + 2000,
+            xi_data=seed + 12000,
         )
 
     def hyper(self) -> HyperParams:
@@ -508,19 +509,12 @@ def embed_stage(
     out/embed_log.json. Raises TrainingDiverged if embedding diverges."""
     seeds = config.seeds
     source_f = make_independent(
-        config.backbone_dims,
-        seed=seeds.source,
-        pretrain_data_seed=seeds.source_data,
-        epochs=config.pretrain_epochs,
-        n_images=config.pretrain_images,
+        config.backbone_dims, seed=seeds.source, pretrain_data_seed=seeds.source_data,
+        epochs=config.pretrain_epochs, n_images=config.pretrain_images,
     )
     bundle = ModelBundle.create(
-        source_f,
-        config.n,
-        encoder_hidden=config.encoder_hidden,
-        decoder_hidden=config.decoder_hidden,
-        hyper=config.hyper(),
-        seed=seeds.bundle,
+        source_f, config.n, encoder_hidden=config.encoder_hidden,
+        decoder_hidden=config.decoder_hidden, hyper=config.hyper(), seed=seeds.bundle,
     )
     bundle, log = embed_watermark(bundle, triggers)
     bundle.save(out / "bundle")
@@ -632,11 +626,13 @@ def compute_bound_report(
 
 
 def _check_config_n(config: ExperimentConfig, triggers: TriggerSet) -> None:
-    """ValueError unless config's message length n is the trigger set's: its
-    tau, and the bounds computed at it, are for n-bit messages."""
-    if config.n != triggers.n:
+    """ValueError unless config's message length n and image size s are the
+    trigger set's: its tau, and the bounds computed at it, are for n-bit
+    messages, and its bundle for s-pixel images."""
+    if (config.n, config.s) != (triggers.n, triggers.s):
         raise ValueError(
-            f"config n = {config.n} does not match the trigger set's {triggers.n}-bit messages"
+            f"config n = {config.n}, s = {config.s} does not match the trigger set's "
+            f"{triggers.n}-bit messages of {triggers.s}-pixel images"
         )
 
 
@@ -652,12 +648,22 @@ def _bound_report(config: ExperimentConfig, omega, xi, p_hat: float, q_hat: floa
 
 
 def submit_xi(pool: IndependentPool, dims, config: ExperimentConfig) -> PopulationResult:
-    """Submit a run's xi population (master seed from RunSeeds) of backbones
-    with dimension chain dims to the pool."""
-    return xi_population(
-        pool, dims, config.seeds.xi, config.m_models, config.pretrain_epochs,
-        config.pretrain_images,
-    )
+    """Submit a run's xi population of config.m_models backbones with
+    dimension chain dims to the pool: model i trains from seed
+    RunSeeds.xi + i on pretraining images of seed RunSeeds.xi_data + i, as
+    the config's pretraining says. Its models come in seed order as
+    iteration asks for them, and the population keeps no model it has
+    handed out; iterate them while the pool is open."""
+    seeds = config.seeds
+    epochs, n_images = config.pretrain_epochs, config.pretrain_images
+    model_seeds = [seeds.xi + i for i in range(config.m_models)]
+    data_seeds = [seeds.xi_data + i for i in range(config.m_models)]
+    rows = [
+        {"index": i, "kind": "independent", "seed": seed, "data_seed": data_seed,
+         "pretrain_epochs": epochs, "pretrain_images": n_images}
+        for i, (seed, data_seed) in enumerate(zip(model_seeds, data_seeds))
+    ]
+    return PopulationResult(pool.submit(dims, model_seeds, data_seeds, epochs, n_images), rows)
 
 
 def bounds_stage(

@@ -628,9 +628,7 @@ class OptimizerState:
     scratch: np.ndarray = field(repr=False)
 
     @classmethod
-    def fresh(
-        cls, net: MlpNetwork, lr: float = 1e-3, weight_decay: float = 0.0
-    ) -> "OptimizerState":
+    def fresh(cls, net: MlpNetwork, lr: float, weight_decay: float = 0.0) -> "OptimizerState":
         return cls(
             lr=lr,
             weight_decay=weight_decay,

@@ -167,14 +167,15 @@ def load_trigger_set(path) -> TriggerSet:
 
 @dataclass
 class HyperParams:
-    """Training knobs for watermark embedding."""
+    """Training knobs for watermark embedding; a run takes them from its
+    ExperimentConfig (hyper()), which alone holds their defaults."""
 
-    lam: float = 1.0  # weight of the message term
-    k_train: int = 8  # noise draws per trigger per epoch
-    epochs: int = 200
-    learning_rate: float = 2e-3
-    delta_scale: float = 0.5  # amplitude of the encoder's bounded perturbation
-    weight_decay: float = 0.0
+    lam: float  # weight of the message term
+    k_train: int  # noise draws per trigger per epoch
+    epochs: int
+    learning_rate: float
+    delta_scale: float  # amplitude of the encoder's bounded perturbation
+    weight_decay: float = 0.0  # of the watermarked backbone; no config field sets it
 
     def __post_init__(self):
         # a NaN fails every comparison, so it is rejected with the range
@@ -191,13 +192,13 @@ class HyperParams:
 
 
 # A bundle directory: one <name>.rmk checkpoint per network, and manifest.txt
-# with one key=value line per HyperParams field (manifest key, field), then s,
-# k and n.
+# with one key=value line per HyperParams field (manifest key, field, type),
+# then s, k and n.
 _BUNDLE_NETWORKS = ("frozen_f", "watermarked_f", "encoder_e", "decoder_d")
 _BUNDLE_HYPER_KEYS = (
-    ("lambda", "lam"), ("k_train", "k_train"), ("epochs", "epochs"),
-    ("learning_rate", "learning_rate"), ("delta_scale", "delta_scale"),
-    ("weight_decay", "weight_decay"),
+    ("lambda", "lam", float), ("k_train", "k_train", int), ("epochs", "epochs", int),
+    ("learning_rate", "learning_rate", float), ("delta_scale", "delta_scale", float),
+    ("weight_decay", "weight_decay", float),
 )
 
 
@@ -243,13 +244,8 @@ class ModelBundle:
 
     @classmethod
     def create(
-        cls,
-        source_f: MlpNetwork,
-        n: int,
-        encoder_hidden: tuple[int, ...] = (256,),
-        decoder_hidden: tuple[int, ...] = (128,),
-        hyper: HyperParams | None = None,
-        seed: int = 0,
+        cls, source_f: MlpNetwork, n: int, encoder_hidden: tuple[int, ...],
+        decoder_hidden: tuple[int, ...], hyper: HyperParams, seed: int,
     ) -> "ModelBundle":
         """Build a fresh bundle around an existing backbone. The watermarked
         backbone starts as an exact copy of the reference."""
@@ -266,7 +262,7 @@ class ModelBundle:
             watermarked_f=source_f.copy(),
             encoder_e=encoder,
             decoder_d=decoder,
-            hyper=hyper or HyperParams(),
+            hyper=hyper,
         )
 
     def save(self, directory) -> None:
@@ -274,7 +270,7 @@ class ModelBundle:
         directory.mkdir(parents=True, exist_ok=True)
         for name in _BUNDLE_NETWORKS:
             save_checkpoint(getattr(self, name), directory / f"{name}.rmk")
-        lines = [f"{key}={getattr(self.hyper, name)}" for key, name in _BUNDLE_HYPER_KEYS]
+        lines = [f"{key}={getattr(self.hyper, name)}" for key, name, _ in _BUNDLE_HYPER_KEYS]
         lines += [f"s={self.s}", f"k={self.k}", f"n={self.n}"]
         (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
@@ -287,7 +283,7 @@ class ModelBundle:
         ValueError naming the file and the line or key."""
         directory = Path(directory)
         manifest = directory / "manifest.txt"
-        known = [key for key, _ in _BUNDLE_HYPER_KEYS] + ["s", "k", "n"]
+        known = [key for key, _, _ in _BUNDLE_HYPER_KEYS] + ["s", "k", "n"]
         kv = {}
 
         def number(key: str, cast):
@@ -301,7 +297,6 @@ class ModelBundle:
                 raise ValueError(f"{key}={kv[key]!r} is not a finite {cast.__name__}")
             return value
 
-        defaults = HyperParams()
         try:
             for line in manifest.read_text().splitlines():
                 key, sep, value = (part.strip() for part in line.partition("="))
@@ -313,8 +308,7 @@ class ModelBundle:
                     raise ValueError(f"repeated key {key!r}")
                 kv[key] = value
             hyper = HyperParams(**{
-                name: number(key, type(getattr(defaults, name)))
-                for key, name in _BUNDLE_HYPER_KEYS
+                name: number(key, cast) for key, name, cast in _BUNDLE_HYPER_KEYS
             })
             dims = {key: number(key, int) for key in ("s", "k", "n")}
         except ValueError as exc:
@@ -602,8 +596,11 @@ def decode_triggers(
     raises ValueError, and a suspect whose input/output dimensions do not fit
     the bundle raises VerificationRefused, both before any stego work.
 
-    One straight chain in the caller's thread over the whole stego batch of
-    stego_batch: suspect forward, decoder forward, hard bits, distances.
+    One chain over the whole stego batch of stego_batch: suspect forward,
+    decoder forward, hard bits, distances. Each forward of 512 rows or more
+    (the desk decode's 1,600) shares its 256-row blocks with forward_batch's
+    helpers (_spare), which all join before that forward returns; the rest
+    runs in the caller's thread.
     """
     s, n, n_trig = triggers.s, triggers.n, len(triggers)
     if (s, n) != (bundle.s, bundle.n):

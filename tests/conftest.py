@@ -12,7 +12,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,11 @@ from randmark.nnengine import MlpNetwork, _blas_core, forward_batch
 from randmark.synth import gen_synthetic_images
 
 MINI = dict(s=64, k=16, n=8, n_triggers=16)
+
+
+def desk_hyper(**fields) -> wm.HyperParams:
+    """The default ExperimentConfig's embedding settings, fields replaced."""
+    return replace(ExperimentConfig().hyper(), **fields)
 
 
 def gradient_check(
@@ -106,7 +111,7 @@ def decode_one_trigger(decoder: MlpNetwork, message_bits, k_draws: int):
     s, k, n = 4, decoder.input_dim, decoder.output_dim
     backbone = ne.init_network([s, k], ["identity"], 0)
     bundle = wm.ModelBundle(
-        backbone, backbone, ne.init_network([s + n, s], ["tanh"], 1), decoder, wm.HyperParams()
+        backbone, backbone, ne.init_network([s + n, s], ["tanh"], 1), decoder, desk_hyper()
     )
     triggers = wm.TriggerSet(np.full((1, s), 0.5), [message_bits], [0.1], 0)
     soft, hard, distances = wm.decode_triggers(backbone, bundle, triggers, k_draws, 3)
@@ -292,9 +297,9 @@ def mini_run() -> MiniRun:
     source = atk.make_independent(
         [MINI["s"], 48, MINI["k"]], seed=13, pretrain_data_seed=14, epochs=30, n_images=120
     )
-    hyper = wm.HyperParams(lam=1.0, k_train=6, epochs=150, learning_rate=2e-3)
     bundle = wm.ModelBundle.create(
-        source, MINI["n"], encoder_hidden=(64,), decoder_hidden=(32,), hyper=hyper, seed=15
+        source, MINI["n"], encoder_hidden=(64,), decoder_hidden=(32,),
+        hyper=desk_hyper(k_train=6, epochs=150), seed=15,
     )
     bundle, log = wm.embed_watermark(bundle, triggers)
     return MiniRun(triggers=triggers, source_f=source, bundle=bundle, log=log)

@@ -42,6 +42,12 @@ def _engine():
     return np, nnengine, watermark
 
 
+def _hyper(**fields):
+    """The default ExperimentConfig's embedding settings, fields replaced."""
+    from randmark.harness import ExperimentConfig
+    return dataclasses.replace(ExperimentConfig().hyper(), **fields)
+
+
 def _spy(products):
     """An np.matmul that appends each product's (ran in the thread that made
     the spy, output shape) to products; backward binds it at each call."""
@@ -645,7 +651,7 @@ def embed_that_raises_leaves_no_draw_behind():
     triggers = _triggers(64, 16, 8, 11)  # 512 rows
     bundle = wm.ModelBundle.create(
         ne.init_network([16, 12, 6], ["tanh", "identity"], 13), 8, encoder_hidden=(16,),
-        decoder_hidden=(12,), hyper=wm.HyperParams(k_train=8, epochs=5), seed=14,
+        decoder_hidden=(12,), hyper=_hyper(epochs=5), seed=14,
     )
     wm._draw_noise, wm.optimizer_step = slow_draw, failing_step
     try:
@@ -667,7 +673,7 @@ def divergence_raises_under_any_warnings_filter():
     source = atk.make_independent(
         [64, 48, 16], seed=13, pretrain_data_seed=14, epochs=30, n_images=120
     )
-    hyper = wm.HyperParams(lam=1.0, k_train=4, epochs=5, learning_rate=1e200)
+    hyper = _hyper(k_train=4, epochs=5, learning_rate=1e200)
     bundle = wm.ModelBundle.create(
         source, 8, encoder_hidden=(48,), decoder_hidden=(24,), hyper=hyper, seed=22
     )
@@ -690,7 +696,9 @@ def no_thread_outlives_a_verify():
     from randmark.harness import verify_suspect
     triggers = _triggers(8, 16, 4, 1)
     source = ne.init_network([16, 12, 6], ["tanh", "identity"], 3)
-    bundle = wm.ModelBundle.create(source, 4, encoder_hidden=(8,), decoder_hidden=(8,), seed=4)
+    bundle = wm.ModelBundle.create(
+        source, 4, encoder_hidden=(8,), decoder_hidden=(8,), hyper=_hyper(), seed=4
+    )
     threads = set()
     def forward_spy(net, inputs):
         threads.add(threading.get_ident())
@@ -717,7 +725,7 @@ def desk_decode_splits_in_the_caller():
     source = ne.init_network(config.backbone_dims, ["tanh", "identity"], 3)
     bundle = wm.ModelBundle.create(
         source, config.n, encoder_hidden=config.encoder_hidden,
-        decoder_hidden=config.decoder_hidden, seed=4,
+        decoder_hidden=config.decoder_hidden, hyper=config.hyper(), seed=4,
     )
     calls, block_threads = [], set()
     forward, layers = ne.forward_batch, ne._layers
@@ -782,7 +790,7 @@ def one_helper_after_embeds_then_a_forked_pool():
     triggers = _triggers(64, 16, 8, 11)  # 512 rows
     source = ne.init_network([16, 12, 6], ["tanh", "identity"], 13)
     for lr in (2e-3, 1e200):
-        hyper = wm.HyperParams(k_train=8, epochs=5, learning_rate=lr)
+        hyper = _hyper(epochs=5, learning_rate=lr)
         bundle = wm.ModelBundle.create(
             source, 8, encoder_hidden=(16,), decoder_hidden=(12,), hyper=hyper, seed=14
         )
@@ -818,7 +826,7 @@ def idle_helpers_never_hold_up_exit():
     source = ne.init_network([16, 12, 6], ["tanh", "identity"], 13)
     bundle = wm.ModelBundle.create(
         source, 8, encoder_hidden=(16,), decoder_hidden=(12,),
-        hyper=wm.HyperParams(k_train=8, epochs=5), seed=14,
+        hyper=_hyper(epochs=5), seed=14,
     )
     wm.embed_watermark(bundle, triggers)
     names = [thread.name for thread in threading.enumerate()]

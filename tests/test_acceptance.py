@@ -13,7 +13,7 @@ from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.harness import run_pipeline
 
-from conftest import gradient_check, trigger_loss
+from conftest import desk_hyper, gradient_check, trigger_loss
 from test_harness import micro_config
 
 
@@ -177,7 +177,7 @@ def test_07_gradient_correctness():
         f = ne.init_network([s, 5, k], ["tanh", "identity"], rng)
         bundle = wm.ModelBundle.create(
             f, n_bits, encoder_hidden=(6,), decoder_hidden=(5,),
-            hyper=wm.HyperParams(lam=float(rng.uniform(0.2, 3.0)), k_train=3, epochs=0),
+            hyper=desk_hyper(lam=float(rng.uniform(0.2, 3.0)), k_train=3, epochs=0),
             seed=int(rng.integers(0, 2**31)),
         )
         for layer in bundle.watermarked_f.layers:

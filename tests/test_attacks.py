@@ -15,6 +15,7 @@ import pytest
 from randmark import attacks as atk
 from randmark import nnengine as ne
 from randmark import watermark as wm
+from randmark.harness import ExperimentConfig, submit_xi
 from randmark.synth import gen_synthetic_images
 
 from conftest import MINI, see_cpus, sparsity
@@ -93,7 +94,7 @@ class TestPrune:
 class TestDistill:
     def test_half_width_student_matches_embeddings(self, backbone):
         student = atk.distill_attack(
-            backbone, (24,), data_seed=6, epochs=50, n_inputs=5000, seed=7
+            backbone, (24,), data_seed=6, epochs=50, lr=1e-3, n_inputs=5000, seed=7
         )
         held = gen_synthetic_images(256, MINI["s"], 8)
         assert atk.relative_embedding_error(student, backbone, held) < 0.15
@@ -203,10 +204,15 @@ class TestPopulation:
         assert a.rows == b.rows
 
     def test_xi_population_is_independent_models(self, mini_run):
+        config = ExperimentConfig(seed=72, m_models=2, pretrain_epochs=1, pretrain_images=20)
         with atk.IndependentPool(2) as pool:
-            result = atk.xi_population(pool, mini_run.bundle.backbone_dims, 72, 2, 1, 20)
+            result = submit_xi(pool, mini_run.bundle.backbone_dims, config)
             assert len(list(result.models)) == 2
         assert all(row["kind"] == "independent" for row in result.rows)
+        seeds = config.seeds
+        assert [(row["seed"], row["data_seed"]) for row in result.rows] == [
+            (seeds.xi, seeds.xi_data), (seeds.xi + 1, seeds.xi_data + 1)
+        ]
 
     def test_default_mixture_keeps_watermark_retaining_kinds(self, mini_run):
         result = atk.sample_model_population(mini_run.bundle, "omega", 8, seed=77)
@@ -246,7 +252,7 @@ class TestPopulation:
 
     def test_invalid_kind_rejected(self, mini_run):
         for kind in ("sigma", "xi"):
-            with pytest.raises(ValueError, match="xi_population"):
+            with pytest.raises(ValueError, match="submit_xi"):
                 atk.sample_model_population(mini_run.bundle, kind, 1, seed=76)
 
 
@@ -286,8 +292,9 @@ class TestTrainIndependents:
         # the population holds no model it has handed out: once the consumer
         # drops model i, it is gone before model i + 1 is asked for
         see_cpus(monkeypatch, cpus)
+        config = ExperimentConfig(seed=90, m_models=3, pretrain_epochs=1, pretrain_images=20)
         with atk.IndependentPool(3) as pool:
-            models = iter(atk.xi_population(pool, DIMS, 90, 3, epochs=1, n_images=20).models)
+            models = iter(submit_xi(pool, DIMS, config).models)
             for _ in range(3):
                 taken = weakref.ref(next(models))
                 assert taken() is None

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import re
 import shutil
 import struct
 import threading
@@ -33,7 +34,7 @@ from randmark.harness import (
 from randmark.synth import gen_synthetic_images
 from randmark.watermark import load_trigger_set
 
-from conftest import assert_pinned, kernel_check, one_trigger, see_cpus
+from conftest import MINI, assert_pinned, desk_hyper, kernel_check, one_trigger, see_cpus
 import pinned_checks
 
 
@@ -214,8 +215,8 @@ lr = 0.002
         (ExperimentConfig, dict(lam=float("inf")), "lambda"),
         (ExperimentConfig, dict(delta_scale=float("inf")), "delta_scale"),
         (ExperimentConfig, dict(delta_scale=float("nan")), "delta_scale"),
-        (wm.HyperParams, dict(weight_decay=-1.0), "weight_decay"),
-        (wm.HyperParams, dict(weight_decay=float("nan")), "weight_decay"),
+        (desk_hyper, dict(weight_decay=-1.0), "weight_decay"),
+        (desk_hyper, dict(weight_decay=float("nan")), "weight_decay"),
     ], ids=["pretrain_images-zero", "pretrain_epochs-negative", "learning_rate-negative",
             "learning_rate-nan", "lam-nan", "lam-inf", "delta_scale-inf", "delta_scale-nan",
             "weight_decay-negative", "weight_decay-nan"])
@@ -764,7 +765,8 @@ class TestSharedExtraction:
         assert (dists.shape, dists.dtype) == ((0, len(mini_run.triggers), 8), np.int64)
         with pytest.raises(ValueError, match="omega population is empty"):
             harness.compute_bound_report(
-                micro_config(), mini_run.bundle, mini_run.triggers, iter(()), iter(()), 50
+                micro_config(s=MINI["s"]), mini_run.bundle, mini_run.triggers, iter(()),
+                iter(()), 50,
             )
 
     def test_wrong_dimensions_refused_before_stego_work(self, mini_run, monkeypatch):
@@ -1124,6 +1126,30 @@ class TestCli:
         assert "embedded: epochs=0 (bundle in" in out and "bit_accuracy" not in out, out
         assert json.loads((tmp_path / "run" / "embed_log.json").read_text())["epochs"] == []
         assert (tmp_path / "run" / "bundle" / "manifest.txt").is_file()
+
+    @pytest.mark.parametrize("line, other, named", [
+        ("\nn = 8\n", "\nn = 4\n", ("config n = 4", "8-bit messages")),
+        ("\ns = 16\n", "\ns = 25\n", ("s = 25", "16-pixel images")),
+    ], ids=["n", "s"])
+    def test_embed_rejects_other_trigger_dimensions_before_training(
+        self, micro_run, monkeypatch, tmp_path, capsys, line, other, named
+    ):
+        # a trigger set the config's bundle cannot take is refused before
+        # the source backbone trains, not after
+        _, out, _ = micro_run  # s = 16, n = 8
+        trained = []
+        monkeypatch.setattr(harness, "make_independent", lambda *a, **k: trained.append(1))
+        cfg = tmp_path / "micro.cfg"
+        cfg.write_text(MICRO_CFG.replace(line, other))
+        code = cli.main([
+            "embed", "--config", str(cfg), "--triggers", str(out / "triggers.rmts"),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "randmark embed: error:" in err and "Traceback" not in err
+        assert all(value in err for value in named), err
+        assert trained == []
 
     def test_embed_divergence_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "micro.cfg"
@@ -1570,6 +1596,36 @@ class TestCli:
         assert f"{missing} is required" in err and "Traceback" not in err
         assert not (tmp_path / "bounds_run").exists()
 
+    def test_bounds_with_one_population_exits_1(self, micro_run, tmp_path, capsys):
+        _, out, _ = micro_run
+        code = cli.main([
+            "bounds", "--config", str(_write_micro_cfg(tmp_path / "micro.cfg")),
+            "--bundle", str(out / "bundle"), "--triggers", str(out / "triggers.rmts"),
+            "--population-omega", str(out / "population"), "--out", str(tmp_path / "bounds_run"),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "randmark bounds: error: need both --population-omega and --population-xi" in err
+        assert not (tmp_path / "bounds_run").exists()
+
+    def test_bounds_with_estimates_and_populations_exits_1(self, micro_run, tmp_path, capsys):
+        # neither source of counts is silently dropped for the other
+        _, out, _ = micro_run
+        data = Path(__file__).resolve().parent / "data"
+        cfg = tmp_path / "estimates.cfg"  # the estimates file's ExperimentConfig
+        cfg.write_text("[triggers]\ntrigger_count = 12\n\n[bounds]\nr_bar = 9\nr_under = 4\n")
+        code = cli.main([
+            "bounds", "--config", str(cfg),
+            "--estimates", str(data / "estimates_unordered.json"),
+            "--population-omega", str(out / "population"),
+            "--population-xi", str(out / "population"),
+            "--out", str(tmp_path / "bounds_run"),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "randmark bounds: error: --estimates and --population-omega/--population-xi" in err
+        assert not (tmp_path / "bounds_run").exists()
+
     def test_negative_seed_exits_1_before_work(self, tmp_path, capsys, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("the pipeline started")
@@ -1692,3 +1748,22 @@ class TestCli:
         assert cli.main(["report", "--run", str(run)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert f"{run / name}: {message}" in err and "Traceback" not in err
+
+
+def test_readme_library_sketch_builds_the_pipelines_bundle(tmp_path):
+    # the sketch passes every setting from the config, so at a config other
+    # than the default one it still builds the trigger set and bundle of
+    # embed_stage, which run_pipeline runs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    assert "config = ExperimentConfig()\n" in code
+    config = micro_config(seed=40, pretrain_epochs=3, encoder_hidden=(10,))
+    sketch = {"CONFIG": config}
+    exec(code.replace("config = ExperimentConfig()\n", "config = CONFIG\n"), sketch)
+    triggers = harness.data_stage(config, tmp_path / "triggers.rmts")
+    bundle, _ = harness.embed_stage(config, triggers, tmp_path)
+    assert sketch["triggers"] == triggers
+    for name in ("frozen_f", "watermarked_f", "encoder_e", "decoder_d"):
+        assert getattr(sketch["bundle"], name).parameters_digest() == getattr(
+            bundle, name
+        ).parameters_digest(), name

@@ -177,7 +177,7 @@ def test_run_checks_reports_each_check_undoes_its_patches_and_shows_a_hang():
     # unpatched and returns its value. A hung check ends the child in
     # run_pinned's stack dump, after the others reported.
     results = run_pinned("raises_after_patching_matmul", "leaves_worker_count_patched",
-                         "finds_both_unpatched", "hangs", timeout=3)
+                         "finds_both_unpatched", "hangs", timeout=2)
     assert results["finds_both_unpatched"] == [None, ["matmul", "_worker_count"]], results
     raised, leaked = results["raises_after_patching_matmul"][0], results["leaves_worker_count_patched"][0]
     line = Path(pinned_checks.__file__).read_text().splitlines().index('    raise KeyError("raised here")')
@@ -620,7 +620,7 @@ class TestOptimizer:
     def test_non_finite_gradients_rejected(self):
         net = ne.init_network([2, 2], ["identity"], 14)
         before = net.parameters_digest()
-        state = ne.OptimizerState.fresh(net)
+        state = ne.OptimizerState.fresh(net, lr=1e-3)
         grads = ne.Gradients(_payload([np.full((2, 2), np.nan)], [np.zeros(2)]))
         moments = _moment_bytes(state)
         with pytest.raises(ValueError, match="non-finite"):
@@ -632,7 +632,7 @@ class TestOptimizer:
     def test_bias_list_of_wrong_length_rejected(self):
         net = ne.init_network([3, 2, 2], ["tanh", "identity"], 15)
         before = net.parameters_digest()
-        state = ne.OptimizerState.fresh(net)
+        state = ne.OptimizerState.fresh(net, lr=1e-3)
         moments = _moment_bytes(state)
         # every weight with the first bias only, and the first layer alone
         for grads in (
@@ -670,7 +670,9 @@ class TestOptimizer:
 
     def test_mismatched_state_rejected(self):
         net = ne.init_network([3, 2, 2], ["tanh", "identity"], 17)
-        state = ne.OptimizerState.fresh(ne.init_network([3, 4, 2], ["tanh", "identity"], 17))
+        state = ne.OptimizerState.fresh(
+            ne.init_network([3, 4, 2], ["tanh", "identity"], 17), lr=1e-3
+        )
         before = net.parameters_digest()
         moments = _moment_bytes(state)
         grads = ne.Gradients(np.ones_like(net.params))

@@ -3,7 +3,8 @@ ExperimentConfig and AttackSpec is read as an attribute somewhere in the
 package, so that a setting no code reads fails here instead of being
 accepted and silently ignored. The parameters with defaults of the public
 functions and methods, and the flags of each CLI subcommand, are pinned, so
-that an added or dropped option shows here."""
+that an added or dropped option shows here. A run setting that the config
+declares has no second default in the library: a call without it fails."""
 
 import argparse
 import ast
@@ -16,9 +17,12 @@ from pathlib import Path
 import pytest
 
 import randmark
+from randmark import attacks as atk
 from randmark import cli
 from randmark.attacks import AttackSpec
 from randmark.harness import ExperimentConfig
+from randmark.nnengine import OptimizerState, init_network
+from randmark.watermark import HyperParams, ModelBundle
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "randmark"
 
@@ -26,26 +30,27 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "randmark"
 OPTIONS = {
     "attacks.make_blob_task.n_classes",
     "attacks.make_blob_task.n_samples",
-    "attacks.make_blob_task.seed",
-    "attacks.finetune_attack.seed",
-    "attacks.distill_attack.lr",
     "attacks.distill_attack.n_inputs",
-    "attacks.distill_attack.seed",
-    "attacks.make_independent.epochs",
-    "attacks.make_independent.n_images",
     "cli.main.argv",
     "harness.json_field.name",
     "nnengine.forward_batch.into",
     "nnengine.Gradients.empty.wrt_input",
     "nnengine.backward.wrt_input",
     "nnengine.backward.into",
-    "nnengine.OptimizerState.fresh.lr",
     "nnengine.OptimizerState.fresh.weight_decay",
     "oracles.coverage_simulation.side",
-    "watermark.ModelBundle.create.encoder_hidden",
-    "watermark.ModelBundle.create.decoder_hidden",
-    "watermark.ModelBundle.create.hyper",
-    "watermark.ModelBundle.create.seed",
+}
+
+# The run settings, each given by ExperimentConfig or an AttackSpec, that
+# each library function or class takes with no default of its own.
+RUN_SETTINGS = {
+    "HyperParams": ("lam", "k_train", "epochs", "learning_rate", "delta_scale"),
+    "make_independent": ("epochs", "n_images"),
+    "ModelBundle.create": ("encoder_hidden", "decoder_hidden", "hyper", "seed"),
+    "OptimizerState.fresh": ("lr",),
+    "finetune_attack": ("seed",),
+    "distill_attack": ("lr", "seed"),
+    "make_blob_task": ("seed",),
 }
 
 # Each CLI subcommand's option strings, -h and --help aside.
@@ -113,6 +118,46 @@ def test_option_inventory_pinned():
     }
     assert sorted(found - OPTIONS) == [], "options added: pin them in OPTIONS"
     assert sorted(OPTIONS - found) == [], "options removed: drop them from OPTIONS"
+
+
+def _complete_call(owner: str):
+    """(callable, keyword arguments) of a call of owner that passes every
+    argument, each setting at the default config's value, on a tiny network
+    and no training epoch."""
+    config = ExperimentConfig()
+    net = init_network([4, 3, 2], ["tanh", "identity"], 0)
+    calls = {
+        "HyperParams": (HyperParams, dataclasses.asdict(config.hyper())),
+        "make_independent": (atk.make_independent, dict(
+            dims=[4, 3, 2], seed=0, pretrain_data_seed=1, epochs=0, n_images=1,
+        )),
+        "ModelBundle.create": (ModelBundle.create, dict(
+            source_f=net, n=3, encoder_hidden=config.encoder_hidden,
+            decoder_hidden=config.decoder_hidden, hyper=config.hyper(), seed=0,
+        )),
+        "OptimizerState.fresh": (OptimizerState.fresh, dict(net=net, lr=config.learning_rate)),
+        "finetune_attack": (atk.finetune_attack, dict(
+            backbone=net, task=atk.make_blob_task(4, n_samples=8, seed=0), epochs=0, lr=1e-3,
+            seed=0,
+        )),
+        "distill_attack": (atk.distill_attack, dict(
+            teacher=net, student_hidden=(3,), data_seed=0, epochs=0, lr=1e-3, n_inputs=8, seed=0,
+        )),
+        "make_blob_task": (atk.make_blob_task, dict(s=4, n_samples=8, seed=0)),
+    }
+    return calls[owner]
+
+
+@pytest.mark.parametrize("owner, setting", [
+    pytest.param(owner, setting, id=f"{owner}.{setting}")
+    for owner, settings in RUN_SETTINGS.items() for setting in settings
+])
+def test_run_setting_has_no_library_default(owner, setting):
+    function, arguments = _complete_call(owner)
+    function(**arguments)
+    del arguments[setting]
+    with pytest.raises(TypeError, match=f"'{setting}'"):
+        function(**arguments)
 
 
 def _subcommand_flags(parser, command=""):

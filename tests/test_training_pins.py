@@ -153,7 +153,8 @@ class TestEmbedWatermark:
     def test_bundle_digest(self, backbone, weight_decay, expected):
         triggers = build_trigger_set(gen_synthetic_images(5, 16, 11), 6, 0.1, 12)
         hyper = wm.HyperParams(
-            k_train=3, epochs=12, learning_rate=2e-3, weight_decay=weight_decay
+            lam=1.0, k_train=3, epochs=12, learning_rate=2e-3, delta_scale=0.5,
+            weight_decay=weight_decay,
         )
         bundle = wm.ModelBundle.create(
             backbone, 6, encoder_hidden=(10,), decoder_hidden=(7,), hyper=hyper, seed=13

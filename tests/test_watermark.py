@@ -9,6 +9,7 @@ import struct
 import threading
 import time
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from randmark.stats import mean_distance, var_distance
 from randmark.synth import gen_synthetic_images
 
 from conftest import (
-    CORETYPES, MINI, decode_one_trigger, gradient_check, kernel_check, one_trigger, returned,
-    run_pinned, see_cpus, trigger_loss,
+    CORETYPES, MINI, decode_one_trigger, desk_hyper, gradient_check, kernel_check, one_trigger,
+    returned, run_pinned, see_cpus, trigger_loss,
 )
 import pinned_checks
 
@@ -164,7 +165,7 @@ class TestComputeLoss:
             watermarked_f=f.copy(),
             encoder_e=ne.init_network([s + n, s], ["tanh"], 10),
             decoder_d=decoder,
-            hyper=wm.HyperParams(lam=1.0, k_train=4, epochs=0),
+            hyper=desk_hyper(k_train=4, epochs=0),
         )
         triggers = wm.TriggerSet(np.random.default_rng(11).random((1, s)), [message], [0.05], 0)
         fidelity, message_term, _ = trigger_loss(bundle, triggers, 4, 12)
@@ -179,7 +180,7 @@ class TestComputeLoss:
         def parts_for(lam):
             bundle = wm.ModelBundle.create(
                 f, n, encoder_hidden=(7,), decoder_hidden=(5,),
-                hyper=wm.HyperParams(lam=lam, k_train=4, epochs=0), seed=14,
+                hyper=desk_hyper(lam=lam, k_train=4, epochs=0), seed=14,
             )
             for layer in bundle.watermarked_f.layers:
                 layer.weight += 0.05
@@ -196,7 +197,7 @@ class TestComputeLoss:
         f = ne.init_network([s, 5, k], ["tanh", "identity"], rng)
         bundle = wm.ModelBundle.create(
             f, n, encoder_hidden=(7,), decoder_hidden=(5,),
-            hyper=wm.HyperParams(lam=1.3, k_train=4, epochs=0), seed=17,
+            hyper=desk_hyper(lam=1.3, k_train=4, epochs=0), seed=17,
         )
         for layer in bundle.watermarked_f.layers:
             layer.weight += 0.05 * rng.standard_normal(layer.weight.shape)
@@ -220,7 +221,7 @@ class TestComputeLoss:
 class TestEmbedWatermark:
     def test_lambda_zero_recovers_reference(self, mini_run):
         triggers = mini_run.triggers
-        hyper = wm.HyperParams(lam=0.0, k_train=4, epochs=120, learning_rate=1e-3)
+        hyper = desk_hyper(lam=0.0, k_train=4, epochs=120, learning_rate=1e-3)
         bundle = wm.ModelBundle.create(
             mini_run.source_f, triggers.n, encoder_hidden=(64,), decoder_hidden=(32,),
             hyper=hyper, seed=15,
@@ -280,7 +281,7 @@ class TestEmbedWatermark:
         triggers = mini_run.triggers
         bundle = wm.ModelBundle.create(
             mini_run.source_f, triggers.n, encoder_hidden=(48,), decoder_hidden=(24,),
-            hyper=wm.HyperParams(lam=1.0, k_train=4, epochs=10), seed=21,
+            hyper=desk_hyper(k_train=4, epochs=10), seed=21,
         )
         digest = bundle.frozen_f.parameters_digest()
         wm.embed_watermark(bundle, triggers)
@@ -289,7 +290,7 @@ class TestEmbedWatermark:
     def test_divergence_aborts_with_rollback(self, mini_run):
         triggers = mini_run.triggers
         # one step of this size overflows the squared fidelity norm
-        hyper = wm.HyperParams(lam=1.0, k_train=4, epochs=5, learning_rate=1e200)
+        hyper = desk_hyper(k_train=4, epochs=5, learning_rate=1e200)
         bundle = wm.ModelBundle.create(
             mini_run.source_f, triggers.n, encoder_hidden=(48,), decoder_hidden=(24,),
             hyper=hyper, seed=22,
@@ -341,7 +342,7 @@ class TestEmbedWatermark:
     def test_fidelity_monotone_in_lambda(self, mini_run):
         finals = []
         for lam in (0.1, 1.0, 10.0):
-            hyper = wm.HyperParams(lam=lam, k_train=6, epochs=150, learning_rate=2e-3)
+            hyper = desk_hyper(lam=lam, k_train=6, epochs=150)
             bundle = wm.ModelBundle.create(
                 mini_run.source_f, mini_run.triggers.n, encoder_hidden=(64,),
                 decoder_hidden=(32,), hyper=hyper, seed=15,
@@ -654,7 +655,7 @@ class TestPersistence:
         backbone = ne.init_network([16, 6], ["tanh"], 3)
         decoder = ne.init_network([6, 4], ["sigmoid"], 4)
         with pytest.raises(ValueError, match="encoder output layer must be tanh"):
-            wm.ModelBundle(backbone, backbone, encoder, decoder, wm.HyperParams())
+            wm.ModelBundle(backbone, backbone, encoder, decoder, desk_hyper())
         directory = tmp_path / "bundle"
         mini_run.bundle.save(directory)
         source = mini_run.bundle.encoder_e
@@ -667,10 +668,13 @@ class TestPersistence:
             wm.ModelBundle.load(directory)
 
     def test_bundle_manifest_keys_cover_every_hyper_param(self):
-        # each HyperParams field has exactly one manifest key, so save and load keep it
-        names = [name for _, name in wm._BUNDLE_HYPER_KEYS]
+        # each HyperParams field has exactly one manifest key, read as the
+        # field's type, so save and load keep it
+        types = typing.get_type_hints(wm.HyperParams)
+        names = [name for _, name, _ in wm._BUNDLE_HYPER_KEYS]
         assert sorted(names) == sorted(field.name for field in dataclasses.fields(wm.HyperParams))
-        assert len({key for key, _ in wm._BUNDLE_HYPER_KEYS}) == len(names)
+        assert len({key for key, _, _ in wm._BUNDLE_HYPER_KEYS}) == len(names)
+        assert [cast for _, _, cast in wm._BUNDLE_HYPER_KEYS] == [types[name] for name in names]
 
     def test_bundle_roundtrip_keeps_weight_decay(self, tmp_path, mini_run):
         bundle = dataclasses.replace(
