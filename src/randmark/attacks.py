@@ -5,7 +5,7 @@ magnitude pruning, or embedding distillation into a fresh student.
 Independent models are trained from scratch on a masked-pixel
 reconstruction objective and never see the watermark bundle, the trigger
 set, or any message. Fine-tuning, distillation and independent models train
-in one minibatch AdamW loop, _fit, given each batch's loss gradient.
+in one minibatch Adam loop, _fit, given each batch's loss gradient.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ class AttackSpec:
             raise ValueError("epochs must be non-negative")
         if not 0.0 < self.lr < math.inf:
             raise ValueError("lr must be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
 
 @dataclass
@@ -102,7 +104,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _fit(net: MlpNetwork, lr: float, n_samples: int, batch: int, epochs: int, rng, grad):
-    """Train net in place with AdamW at learning rate lr for epochs passes
+    """Train net in place with Adam at learning rate lr for epochs passes
     over n_samples samples, each in the order of one rng.permutation, in
     batches of batch; return net. grad(idx, trace) runs the forward of the
     samples idx into trace and returns d(loss)/d(output) of those rows.
@@ -178,7 +180,7 @@ def make_independent(
     """Backbone trained from scratch to reconstruct masked pixels through
     its embedding bottleneck; a linear reconstruction head is used during
     training and discarded. The routine sees only its own synthetic data.
-    Each pixel is masked with probability 0.25, and AdamW trains at learning
+    Each pixel is masked with probability 0.25, and Adam trains at learning
     rate 2e-3 in batches of 128 images. A step multiplies its batch into a
     buffer by a keep mask drawn after the epoch's permutation from the same
     generator (pixels lie in [0, 1], so a masked pixel is +0.0).

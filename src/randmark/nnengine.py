@@ -4,7 +4,7 @@ Networks are plain values: each layer has an (in_dim, out_dim) float64
 weight matrix (row-major), a bias vector of length out_dim, and one of
 four scalar activations. A network keeps all of them in one contiguous
 parameter vector in checkpoint payload order (W0, b0, W1, b1, ...), and
-each layer's weight and bias are views into it. Gradients and the AdamW
+each layer's weight and bias are views into it. Gradients and the Adam
 moments share that layout, so an optimizer step, a gradient sum, a finite
 check or a copy is one numpy pass over one vector. Forward and backward
 write into buffers (ForwardTrace.empty, Gradients.empty) that a training
@@ -177,9 +177,7 @@ def init_network(dims, activations, seed_or_rng) -> MlpNetwork:
     dims is the full dimension chain [in, hidden..., out]; activations has
     one entry per layer (len(dims) - 1).
     """
-    rng = np.random.default_rng(seed_or_rng) if not isinstance(
-        seed_or_rng, np.random.Generator
-    ) else seed_or_rng
+    rng = np.random.default_rng(seed_or_rng)  # a Generator is returned as it is
     if len(activations) != len(dims) - 1:
         raise ValueError("need one activation per layer")
     layers = []
@@ -610,28 +608,24 @@ _EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """AdamW state: the learning rate and weight decay, first and second
-    moment accumulators m and v, laid out as the network's params vector,
-    and the step counter. The moments decay at beta1 = 0.9 and
-    beta2 = 0.999, and eps = 1e-8. Weight decay is decoupled and applied to
-    weights only.
+    """Adam state: the learning rate, first and second moment accumulators
+    m and v, laid out as the network's params vector, and the step counter.
+    The moments decay at beta1 = 0.9 and beta2 = 0.999, and eps = 1e-8.
 
     scratch holds two params-sized buffers that optimizer_step works in, so
     a step allocates no parameter-sized array.
     """
 
     lr: float
-    weight_decay: float
     step: int
     m: np.ndarray
     v: np.ndarray
     scratch: np.ndarray = field(repr=False)
 
     @classmethod
-    def fresh(cls, net: MlpNetwork, lr: float, weight_decay: float = 0.0) -> "OptimizerState":
+    def fresh(cls, net: MlpNetwork, lr: float) -> "OptimizerState":
         return cls(
             lr=lr,
-            weight_decay=weight_decay,
             step=0,
             m=np.zeros_like(net.params),
             v=np.zeros_like(net.params),
@@ -640,7 +634,7 @@ class OptimizerState:
 
 
 def optimizer_step(net: MlpNetwork, grads: Gradients, state: OptimizerState) -> None:
-    """One AdamW update, in place on the network and state.
+    """One bias-corrected Adam update, in place on the network and state.
 
     Rejects the step (raises, nothing mutated) if a gradient or moment does
     not match the network or any gradient entry is non-finite. Otherwise
@@ -665,9 +659,6 @@ def optimizer_step(net: MlpNetwork, grads: Gradients, state: OptimizerState) -> 
     state.step += 1
     bc1 = 1.0 - _BETA1**state.step
     bc2 = 1.0 - _BETA2**state.step
-    if state.weight_decay:
-        for layer in net.layers:
-            layer.weight *= 1.0 - state.lr * state.weight_decay
     grad, m, v = grads.flat, state.m, state.v
     num, den = state.scratch
     m *= _BETA1

@@ -175,7 +175,6 @@ class HyperParams:
     epochs: int
     learning_rate: float
     delta_scale: float  # amplitude of the encoder's bounded perturbation
-    weight_decay: float = 0.0  # of the watermarked backbone; no config field sets it
 
     def __post_init__(self):
         # a NaN fails every comparison, so it is rejected with the range
@@ -187,8 +186,6 @@ class HyperParams:
             raise ValueError("delta_scale must be positive and finite")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError("weight_decay must be non-negative and finite")
 
 
 # A bundle directory: one <name>.rmk checkpoint per network, and manifest.txt
@@ -198,7 +195,6 @@ _BUNDLE_NETWORKS = ("frozen_f", "watermarked_f", "encoder_e", "decoder_d")
 _BUNDLE_HYPER_KEYS = (
     ("lambda", "lam", float), ("k_train", "k_train", int), ("epochs", "epochs", int),
     ("learning_rate", "learning_rate", float), ("delta_scale", "delta_scale", float),
-    ("weight_decay", "weight_decay", float),
 )
 
 
@@ -472,13 +468,7 @@ def embed_watermark(bundle: ModelBundle, triggers: TriggerSet) -> tuple[ModelBun
 
     rng = np.random.default_rng(triggers.master_seed)
     trained = (bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
-    states = (
-        OptimizerState.fresh(
-            bundle.watermarked_f, lr=hyper.learning_rate, weight_decay=hyper.weight_decay
-        ),
-        OptimizerState.fresh(bundle.encoder_e, lr=hyper.learning_rate),
-        OptimizerState.fresh(bundle.decoder_d, lr=hyper.learning_rate),
-    )
+    states = [OptimizerState.fresh(net, lr=hyper.learning_rate) for net in trained]
     log = TrainingLog()
     snapshot = [net.params.copy() for net in trained]
     out_ref, _ = forward_batch(bundle.frozen_f, triggers.images)  # frozen: the same every epoch

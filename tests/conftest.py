@@ -22,8 +22,7 @@ from randmark import attacks as atk
 from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.harness import (
-    COVARIANCE_DRAWS, ExperimentConfig, build_trigger_set, population_distances,
-    verify_suspect,
+    ExperimentConfig, attacks_stage, build_trigger_set, data_stage, embed_stage, verify_stage,
 )
 from randmark.nnengine import MlpNetwork, _blas_core, forward_batch
 from randmark.synth import gen_synthetic_images
@@ -312,9 +311,9 @@ class DeskRun:
     bundle: wm.ModelBundle
     log: wm.TrainingLog
     suspects: dict = field(default_factory=dict)
-    reports: dict = field(default_factory=dict)
-    distances: dict = field(default_factory=dict)
-    covariance_distances: dict = field(default_factory=dict)  # the covariance stage's draws
+    reports: dict = field(default_factory=dict)  # each suspect's verification JSON, loaded
+    distances: dict = field(default_factory=dict)  # the first k_verify draws
+    covariance_distances: dict = field(default_factory=dict)  # all COVARIANCE_DRAWS draws
     fidelity_ratio: float = 0.0
     build_seconds: float = 0.0
 
@@ -324,61 +323,38 @@ class DeskRun:
 
 
 @pytest.fixture(scope="session")
-def desk_run() -> DeskRun:
-    """Full separation experiment at the default desk configuration:
-    embed, attack (two prune levels, one fine-tune), ten independent
-    models, verify everything with one shared noise stream, and decode
-    everything again over the covariance stage's COVARIANCE_DRAWS draws.
-    As in run_pipeline, the independents are submitted to an IndependentPool
-    first and train in its workers, bit-identical to serial ones."""
+def desk_run(tmp_path_factory) -> DeskRun:
+    """The default desk configuration with ten independent models, through
+    run_pipeline's own stages into a session directory: data, embed,
+    attacks (the config's two prune levels and its fine-tune, then the
+    independents) and verify, whose one decode per suspect over
+    COVARIANCE_DRAWS draws gives both the verify distances (its first
+    k_verify draws) and the covariance stage's. As in run_pipeline, the
+    independents are submitted to an IndependentPool first and train in its
+    workers, bit-identical to serial ones."""
     t_start = time.perf_counter()
-    config = ExperimentConfig()
-    with atk.IndependentPool(10) as pool:
+    config = replace(ExperimentConfig(), independents=10)
+    seeds, count = config.seeds, config.independents
+    out = tmp_path_factory.mktemp("desk")
+    with atk.IndependentPool(count) as pool:
         independents = pool.submit(
             config.backbone_dims,
-            [config.seed + 100 + i for i in range(10)],
-            [config.seed + 200 + i for i in range(10)],
+            [seeds.independents + i for i in range(count)],
+            [seeds.independent_data + i for i in range(count)],
             config.pretrain_epochs,
             config.pretrain_images,
         )
-        images = gen_synthetic_images(config.trigger_count, config.s, config.seed + 1)
-        triggers = build_trigger_set(images, config.n, config.sigma_scale, config.seed + 2)
-        source = atk.make_independent(
-            config.backbone_dims,
-            seed=config.seed + 3,
-            pretrain_data_seed=config.seed + 4,
-            epochs=config.pretrain_epochs,
-            n_images=config.pretrain_images,
-        )
-        bundle = wm.ModelBundle.create(
-            source,
-            config.n,
-            encoder_hidden=config.encoder_hidden,
-            decoder_hidden=config.decoder_hidden,
-            hyper=config.hyper(),
-            seed=config.seed + 5,
-        )
-        bundle, log = wm.embed_watermark(bundle, triggers)
-        run = DeskRun(config=config, triggers=triggers, bundle=bundle, log=log)
+        triggers = data_stage(config, out / "triggers.rmts")
+        bundle, log = embed_stage(config, triggers, out)
+        suspects = attacks_stage(config, bundle, independents, out / "suspects")
+    distances = verify_stage(config, bundle, triggers, suspects, out)
 
-        suspects = run.suspects
-        suspects["watermarked"] = bundle.watermarked_f
-        suspects["prune20"] = ne.l1_unstructured_prune(bundle.watermarked_f, 0.2)
-        suspects["prune40"] = ne.l1_unstructured_prune(bundle.watermarked_f, 0.4)
-        suspects["finetune3"] = atk.apply_attack(
-            bundle, atk.AttackSpec(kind="finetune", epochs=3, lr=1e-3, seed=config.seed)
-        )
-        for i, net in enumerate(independents):
-            suspects[f"independent{i}"] = net
-
-    verify_seed = config.seed + 6
-    for name, net in suspects.items():
-        run.reports[name], run.distances[name] = verify_suspect(
-            net, bundle, triggers, config.tau, config.k_verify, verify_seed, name
-        )
-    run.covariance_distances = dict(zip(suspects, population_distances(
-        list(suspects.values()), bundle, triggers, COVARIANCE_DRAWS, verify_seed
-    )))
+    run = DeskRun(config=config, triggers=triggers, bundle=bundle, log=log)
+    for (name, _, net), wide in zip(suspects, distances):
+        run.suspects[name] = net
+        run.reports[name] = json.loads((out / "verification" / f"{name}.json").read_text())
+        run.distances[name] = np.ascontiguousarray(wide[:, : config.k_verify])
+        run.covariance_distances[name] = wide
 
     held = gen_synthetic_images(500, config.s, 777_777)
     out_ref, _ = forward_batch(bundle.frozen_f, held)

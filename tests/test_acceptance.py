@@ -206,7 +206,7 @@ def test_07_gradient_correctness():
 
 
 def test_08_end_to_end_separation(desk_run):
-    rates = {name: report.detection_rate for name, report in desk_run.reports.items()}
+    rates = {name: report["detection_rate"] for name, report in desk_run.reports.items()}
     independents = [rates[f"independent{i}"] for i in range(5)]
     ok = (
         rates["watermarked"] >= 0.95

@@ -76,6 +76,12 @@ class TestAttackSpec:
         with pytest.raises(ValueError, match="lr must be positive and finite"):
             atk.AttackSpec(kind=kind, epochs=3, lr=lr)
 
+    @pytest.mark.parametrize("kind", ["finetune", "distill"])
+    def test_seed_must_not_be_negative(self, kind):
+        # refused when built, not later inside numpy's generator
+        with pytest.raises(ValueError, match="seed must not be negative, got -1"):
+            atk.AttackSpec(kind=kind, epochs=1, seed=-1)
+
 
 def _prune(bundle, fraction):
     return atk.apply_attack(bundle, atk.AttackSpec(kind="prune", fraction=fraction))

@@ -1,4 +1,4 @@
-"""Engine tests: forward/backward against finite differences, AdamW
+"""Engine tests: forward/backward against finite differences, Adam
 behavior, global magnitude pruning, and checkpoint format guarantees."""
 
 import ast
@@ -582,7 +582,7 @@ class TestOptimizer:
     def test_zero_gradients_leave_parameters_unchanged(self):
         net = ne.init_network([3, 2], ["identity"], 12)
         before = net.parameters_digest()
-        state = ne.OptimizerState.fresh(net, lr=0.1, weight_decay=0.0)
+        state = ne.OptimizerState.fresh(net, lr=0.1)
         grads = ne.Gradients(np.zeros_like(net.params))
         ne.optimizer_step(net, grads, state)
         assert net.parameters_digest() == before
@@ -645,13 +645,12 @@ class TestOptimizer:
             assert state.step == 0
             assert _moment_bytes(state) == moments
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_matches_rebinding_adamw_byte_for_byte(self, weight_decay):
+    def test_matches_rebinding_adam_byte_for_byte(self):
         rng = np.random.default_rng(16)
         net = ne.init_network([5, 4, 3], ["tanh", "identity"], 16)
         ref_net = net.copy()
-        state = ne.OptimizerState.fresh(net, lr=0.01, weight_decay=weight_decay)
-        ref = _RebindingAdamW(ref_net, lr=0.01, weight_decay=weight_decay)
+        state = ne.OptimizerState.fresh(net, lr=0.01)
+        ref = _RebindingAdam(ref_net, lr=0.01)
         x = rng.standard_normal((8, 5))
         targets = rng.standard_normal((8, 3))
         _, grad = _loss_quadratic(targets)
@@ -687,7 +686,7 @@ class TestOptimizer:
         # buffers: ten steps must not allocate one 256 x 192 weight's worth
         rng = np.random.default_rng(18)
         net = ne.init_network([256, 192, 64], ["tanh", "identity"], 18)
-        state = ne.OptimizerState.fresh(net, lr=1e-3, weight_decay=0.01)
+        state = ne.OptimizerState.fresh(net, lr=1e-3)
         grads = ne.Gradients(rng.standard_normal(net.params.shape))
         ne.optimizer_step(net, grads, state)  # warm up any lazy module state
         was_tracing = tracemalloc.is_tracing()
@@ -780,13 +779,13 @@ def _moment_bytes(state):
     return [state.m.tobytes(), state.v.tobytes()]
 
 
-class _RebindingAdamW:
-    """Reference AdamW with per-layer moments: each moment is rebound to a
-    freshly computed array and each update is built in temporaries, as the
-    expressions read."""
+class _RebindingAdam:
+    """Reference bias-corrected Adam with per-layer moments: each moment is
+    rebound to a freshly computed array and each update is built in
+    temporaries, as the expressions read."""
 
-    def __init__(self, net, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.weight_decay = lr, weight_decay
+    def __init__(self, net, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
         self.m = [[np.zeros_like(l.weight), np.zeros_like(l.bias)] for l in net.layers]
@@ -798,8 +797,6 @@ class _RebindingAdamW:
         bc1 = 1.0 - b1**self.step
         bc2 = 1.0 - b2**self.step
         for i, (layer, layer_grads) in enumerate(zip(net.layers, _per_layer(net, grads.flat))):
-            if self.weight_decay:
-                layer.weight *= 1.0 - self.lr * self.weight_decay
             for j, (param, grad) in enumerate(zip((layer.weight, layer.bias), layer_grads)):
                 self.m[i][j] = b1 * self.m[i][j] + (1.0 - b1) * grad
                 self.v[i][j] = b2 * self.v[i][j] + (1.0 - b2) * grad**2

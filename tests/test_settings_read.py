@@ -2,9 +2,10 @@
 ExperimentConfig and AttackSpec is read as an attribute somewhere in the
 package, so that a setting no code reads fails here instead of being
 accepted and silently ignored. The parameters with defaults of the public
-functions and methods, and the flags of each CLI subcommand, are pinned, so
-that an added or dropped option shows here. A run setting that the config
-declares has no second default in the library: a call without it fails."""
+functions and methods, the defaulted fields of the public dataclasses, and
+the flags of each CLI subcommand, are pinned, so that an added or dropped
+option shows here. A run setting that the config declares has no second
+default in the library: a call without it fails."""
 
 import argparse
 import ast
@@ -26,19 +27,29 @@ from randmark.watermark import HyperParams, ModelBundle
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "randmark"
 
-# module.function.parameter or module.Class.method.parameter
+# module.function.parameter, module.Class.method.parameter or, for a
+# dataclass, module.Class.field
 OPTIONS = {
     "attacks.make_blob_task.n_classes",
     "attacks.make_blob_task.n_samples",
     "attacks.distill_attack.n_inputs",
+    "attacks.PopulationResult.excluded",
+    "bounds.LemmaBounds.minus_reason",
+    "bounds.LemmaBounds.plus_reason",
     "cli.main.argv",
     "harness.json_field.name",
+    "harness.RunManifest.failures",
     "nnengine.forward_batch.into",
+    "nnengine.ForwardTrace.spent",
     "nnengine.Gradients.empty.wrt_input",
+    "nnengine.Gradients.scratch",
+    "nnengine.Gradients.wrt_input",
     "nnengine.backward.wrt_input",
     "nnengine.backward.into",
-    "nnengine.OptimizerState.fresh.weight_decay",
+    "oracles.OracleResult.standard_error",
+    "oracles.OracleResult.trials",
     "oracles.coverage_simulation.side",
+    "watermark.TrainingLog.epochs",
 }
 
 # The run settings, each given by ExperimentConfig or an AttackSpec, that
@@ -92,8 +103,10 @@ def test_every_setting_is_read(settings):
 
 def _public_callables():
     """(qualified name, callable) of every public function of a randmark
-    module and every public method, class- and static methods included, of
-    its public classes."""
+    module, every public method, class- and static methods included, of
+    its public classes, and every public dataclass but the two settings
+    classes that test_every_setting_is_read covers, whose constructor takes
+    its fields."""
     for info in pkgutil.iter_modules(randmark.__path__):
         module = importlib.import_module(f"randmark.{info.name}")
         for name, obj in vars(module).items():
@@ -102,6 +115,8 @@ def _public_callables():
             if inspect.isfunction(obj):
                 yield f"{info.name}.{name}", obj
             elif inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj) and obj not in (ExperimentConfig, AttackSpec):
+                    yield f"{info.name}.{name}", obj
                 for attr, member in vars(obj).items():
                     if not attr.startswith("_") and (
                         inspect.isfunction(member) or isinstance(member, (classmethod, staticmethod))

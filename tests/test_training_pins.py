@@ -117,10 +117,18 @@ class TestAttacks:
 
 
 class TestEmbedWatermark:
-    @pytest.mark.parametrize(
-        "weight_decay, expected",
-        [
-            (0.0, {
+    def test_bundle_digest(self, backbone):
+        triggers = build_trigger_set(gen_synthetic_images(5, 16, 11), 6, 0.1, 12)
+        hyper = wm.HyperParams(lam=1.0, k_train=3, epochs=12, learning_rate=2e-3, delta_scale=0.5)
+        bundle = wm.ModelBundle.create(
+            backbone, 6, encoder_hidden=(10,), decoder_hidden=(7,), hyper=hyper, seed=13
+        )
+        bundle, log = wm.embed_watermark(bundle, triggers)
+        assert _digest(bundle.frozen_f) == _digest(backbone)
+        assert_pinned(
+            (_digest(bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d),
+             log.final()["total"]),
+            {
                 "SkylakeX": (
                     "164f2e6ecc773c1f2d12485db9dc3026ffeea2c7a5792fbd35906cffaeb6b4a5",
                     1.4529028661021686,
@@ -133,36 +141,5 @@ class TestEmbedWatermark:
                     "7d8720d0171e799c87ccf48c214e0c0440301880c0dfa86b82d901ab1859508f",
                     1.4529028661021688,
                 ),
-            }),
-            (0.01, {
-                "SkylakeX": (
-                    "1368177b55e113441269b8abdeef1adf1006056f19b64a261a06dc51b5b5ec29",
-                    1.4529483770241474,
-                ),
-                "Haswell": (
-                    "db365c0308d65f86d079af055bfbec6fdbe4911e8d59554d3947c305b1c1b1f8",
-                    1.4529483770241471,
-                ),
-                "Sandybridge": (
-                    "54205b230f275c8d051188b8f3280e1d493af531f4bf2c45af4e7b5623eb9cdc",
-                    1.4529483770241474,
-                ),
-            }),
-        ],
-    )
-    def test_bundle_digest(self, backbone, weight_decay, expected):
-        triggers = build_trigger_set(gen_synthetic_images(5, 16, 11), 6, 0.1, 12)
-        hyper = wm.HyperParams(
-            lam=1.0, k_train=3, epochs=12, learning_rate=2e-3, delta_scale=0.5,
-            weight_decay=weight_decay,
-        )
-        bundle = wm.ModelBundle.create(
-            backbone, 6, encoder_hidden=(10,), decoder_hidden=(7,), hyper=hyper, seed=13
-        )
-        bundle, log = wm.embed_watermark(bundle, triggers)
-        assert _digest(bundle.frozen_f) == _digest(backbone)
-        assert_pinned(
-            (_digest(bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d),
-             log.final()["total"]),
-            expected,
+            },
         )

@@ -16,7 +16,7 @@ import pytest
 
 from randmark import nnengine as ne
 from randmark import watermark as wm
-from randmark.harness import ExperimentConfig, build_trigger_set
+from randmark.harness import ExperimentConfig, build_trigger_set, verify_suspect
 from randmark.stats import mean_distance, var_distance
 from randmark.synth import gen_synthetic_images
 
@@ -543,16 +543,18 @@ class TestSerialDecode:
         assert soft.shape == (len(triggers), 4, MINI["n"])
 
     def test_desk_distances_are_first_columns_of_k64(self, desk_run):
-        # the draws of trigger i come from one stream, so the verify distances
-        # at K = 16 are the first 16 columns of a K = 64 decode, to the byte
+        # the draws of trigger i come from one stream, so a verify of its own
+        # at K = 16 gives the first 16 columns of the desk's K = 64 decode,
+        # to the byte
         config = desk_run.config
         assert config.k_verify == 16
         for name in ("watermarked", "prune40", "finetune3", "independent0"):
-            wide = self._decode(
-                desk_run.suspects[name], desk_run.bundle, desk_run.triggers, 64, config.seed + 6
-            )[2]
-            narrow = desk_run.distances[name]
-            assert narrow.tobytes() == np.ascontiguousarray(wide[:, :16]).tobytes(), name
+            narrow = verify_suspect(
+                desk_run.suspects[name], desk_run.bundle, desk_run.triggers, config.tau, 16,
+                config.seeds.verify, name,
+            )[1]
+            assert desk_run.covariance_distances[name].shape[1] == 64, name
+            assert narrow.tobytes() == desk_run.distances[name].tobytes(), name
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
     def test_no_thread_outlives_a_verify(self):
@@ -676,10 +678,13 @@ class TestPersistence:
         assert len({key for key, _, _ in wm._BUNDLE_HYPER_KEYS}) == len(names)
         assert [cast for _, _, cast in wm._BUNDLE_HYPER_KEYS] == [types[name] for name in names]
 
-    def test_bundle_roundtrip_keeps_weight_decay(self, tmp_path, mini_run):
-        bundle = dataclasses.replace(
-            mini_run.bundle, hyper=dataclasses.replace(mini_run.bundle.hyper, weight_decay=0.01)
-        )
-        bundle.save(tmp_path / "bundle")
-        assert "weight_decay=0.01\n" in (tmp_path / "bundle" / "manifest.txt").read_text()
-        assert wm.ModelBundle.load(tmp_path / "bundle").hyper == bundle.hyper
+    def test_bundle_with_a_weight_decay_line_refused(self, tmp_path, mini_run):
+        # bundles saved while the optimizer had a weight decay carry a
+        # weight_decay=0.0 line that no HyperParams field reads any more
+        directory = tmp_path / "bundle"
+        mini_run.bundle.save(directory)
+        manifest = directory / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "weight_decay=0.0\n")
+        with pytest.raises(ValueError) as info:
+            wm.ModelBundle.load(directory)
+        assert str(info.value) == f"{manifest}: unknown key 'weight_decay'"
