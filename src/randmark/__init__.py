@@ -34,7 +34,6 @@ from .watermark import (  # noqa: F401
 from .stats import (  # noqa: F401
     VerificationReport,
     covariance_delta,
-    decide,
     detection_rate,
     fpr_binomial,
     mean_distance,

@@ -280,7 +280,6 @@ class BoundReport:
 def build_bound_report(
     omega: tuple,
     xi: tuple,
-    level: float,
     n: int,
     tau: int,
     r_bar: int,
@@ -295,7 +294,8 @@ def build_bound_report(
     rates p_hat (one functional copy) and q_hat (one independent model).
 
     `omega` and `xi` are each population's (matches, trials) per trigger,
-    as (N,) arrays in one trigger order; every limit is taken at `level`."""
+    as (N,) arrays in one trigger order; every limit is taken at alpha / N."""
+    level = alpha / len(omega[0])
     lower_l, _ = collision_estimate(*omega, level)
     _, upper_u = collision_estimate(*xi, level)
     p_omega, p_xi = detection_rate_bounds(lower_l, upper_u, n, tau, r_bar, r_under)

@@ -370,7 +370,7 @@ def main(argv=None) -> int:
     except VerificationRefused as exc:  # a suspect or population model of the wrong shape
         print(f"randmark {args.command}: verification refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (ValueError, OSError, TrainingDiverged) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError, TrainingDiverged) as exc:
         print(f"randmark {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

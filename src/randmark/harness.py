@@ -35,7 +35,7 @@ from .attacks import (
 )
 from .bounds import BoundReport, build_bound_report
 from .nnengine import MlpNetwork, _blas_core, load_checkpoint, save_checkpoint
-from .stats import VerificationReport, covariance_delta, sweep_rows, write_detection_sweep
+from .stats import VerificationReport, covariance_delta, detection_rate, mean_distance, sweep_rows
 from .synth import gen_synthetic_images
 from .watermark import (
     HyperParams,
@@ -267,7 +267,7 @@ def verify_suspect(
         raise ValueError(f"tau must lie in [0, {triggers.n}], got {tau}")
     if k_draws < 1:
         raise ValueError(f"K must be at least 1, got {k_draws}")
-    distances = decode_triggers(suspect, bundle, triggers, k_draws, seed)[2]
+    distances = decode_triggers(suspect, bundle, triggers, k_draws, seed)
     report = VerificationReport.from_batches(suspect_id, distances, triggers.n, tau, seed)
     return report, distances
 
@@ -285,7 +285,7 @@ def population_distances(
     models yields it; no models give a (0, N, K) array."""
     rows = []
     for model in models:
-        rows.append(decode_triggers(model, bundle, triggers, k_draws, seed)[2])
+        rows.append(decode_triggers(model, bundle, triggers, k_draws, seed))
         del model  # hold no model while models yields the next
     return np.array(rows, dtype=np.int64).reshape(-1, len(triggers), k_draws)
 
@@ -573,7 +573,10 @@ def verify_stage(
         report = VerificationReport.from_batches(name, narrow, triggers.n, config.tau, seed)
         (verify_dir / f"{name}.json").write_text(report.to_json())
         rows.extend(sweep_rows(name, kind, report.rho, config.n))
-    write_detection_sweep(out / "sweep.csv", rows)
+    with open(out / "sweep.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["suspect_id", "kind", "tau", "detection_rate"])
+        writer.writerows([name, kind, tau, repr(rate)] for name, kind, tau, rate in rows)
     return distances
 
 
@@ -620,8 +623,7 @@ def compute_bound_report(
             raise ValueError(f"{label} population is empty")
         matches = (n_bits * k_draws) - dists.sum(axis=2)  # (n_models, N)
         counts[label] = (matches.sum(axis=0), len(dists) * n_bits * k_draws)  # pooled
-        rho = dists.mean(axis=2)  # (n_models, N)
-        rates[label] = float((rho[0] <= config.tau).mean())
+        rates[label] = detection_rate(mean_distance(dists[0]), config.tau)
     return _bound_report(config, counts["omega"], counts["xi"], rates["omega"], rates["xi"])
 
 
@@ -638,10 +640,9 @@ def _check_config_n(config: ExperimentConfig, triggers: TriggerSet) -> None:
 
 def _bound_report(config: ExperimentConfig, omega, xi, p_hat: float, q_hat: float) -> BoundReport:
     """build_bound_report of the (N,) per-trigger (matches, trials) counts
-    of each population at config's settings, alpha split over the N
-    triggers."""
+    of each population at config's settings."""
     return build_bound_report(
-        omega, xi, level=config.alpha / len(omega[0]), n=config.n, tau=config.tau,
+        omega, xi, n=config.n, tau=config.tau,
         r_bar=config.r_bar, r_under=config.r_under, alpha=config.alpha, delta=config.delta,
         p_hat=p_hat, q_hat=q_hat,
     )

@@ -42,11 +42,6 @@ def var_distance(distances: np.ndarray) -> list[float | None]:
     return distances.var(axis=1, ddof=1).tolist()
 
 
-def decide(rho: float, tau: int) -> bool:
-    """Watermarked iff rho <= tau (inclusive)."""
-    return rho <= tau
-
-
 def detection_rate(rhos, tau: int) -> float:
     """Fraction of triggers whose rho is at or below tau."""
     values = np.asarray(list(rhos), dtype=np.float64)
@@ -153,7 +148,7 @@ class VerificationReport:
 
     @property
     def decisions(self) -> list[bool]:
-        return [decide(r, self.tau) for r in self.rho]
+        return [r <= self.tau for r in self.rho]
 
     @property
     def detection_rate(self) -> float:
@@ -197,13 +192,3 @@ def sweep_rows(suspect_id: str, kind: str, rhos, n: int) -> list[tuple[str, str,
         (suspect_id, kind, tau, detection_rate(rhos, tau)) for tau in range(n + 1)
     ]
 
-
-def write_detection_sweep(path, rows) -> None:
-    """CSV with header suspect_id,kind,tau,detection_rate."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["suspect_id", "kind", "tau", "detection_rate"])
-        for row in rows:
-            writer.writerow([row[0], row[1], row[2], repr(float(row[3]))])

@@ -576,21 +576,22 @@ def stego_batch(
 
 def decode_triggers(
     suspect: MlpNetwork, bundle: ModelBundle, triggers: TriggerSet, k_draws: int, seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Decode K messages per trigger from a suspect backbone in one pass.
 
     The bundle's encoder and decoder wrap the suspect in place of the
-    watermarked backbone. Returns soft bits (N, K, n), hard bits (N, K, n),
-    where a soft bit of exactly 0.5 reads as 1, and Hamming distances to each
-    trigger's message (N, K). A trigger set whose s or n is not the bundle's
-    raises ValueError, and a suspect whose input/output dimensions do not fit
-    the bundle raises VerificationRefused, both before any stego work.
+    watermarked backbone. Returns the (N, K) Hamming distances between the
+    decoded messages, where a decoder output of exactly 0.5 reads as bit 1,
+    and each trigger's message. A trigger set whose s or n is not the
+    bundle's raises ValueError, and a suspect whose input/output dimensions
+    do not fit the bundle raises VerificationRefused, both before any stego
+    work.
 
     One chain over the whole stego batch of stego_batch: suspect forward,
-    decoder forward, hard bits, distances. Each forward of 512 rows or more
-    (the desk decode's 1,600) shares its 256-row blocks with forward_batch's
-    helpers (_spare), which all join before that forward returns; the rest
-    runs in the caller's thread.
+    decoder forward, distances. Each forward of 512 rows or more (the desk
+    decode's 1,600) shares its 256-row blocks with forward_batch's helpers
+    (_spare), which all join before that forward returns; the rest runs in
+    the caller's thread.
     """
     s, n, n_trig = triggers.s, triggers.n, len(triggers)
     if (s, n) != (bundle.s, bundle.n):
@@ -604,21 +605,16 @@ def decode_triggers(
         )
     stego = stego_batch(bundle.encoder_e, triggers, k_draws, seed, bundle.hyper.delta_scale)
     emb = forward_batch(suspect, stego)[0]
-    soft = forward_batch(bundle.decoder_d, emb)[0].reshape(n_trig, k_draws, n)
-    hard = (soft >= 0.5).astype(np.int8)
-    distances = (hard != triggers.messages[:, None, :]).sum(axis=2, dtype=np.int64)
-    return soft, hard, distances
+    bits = forward_batch(bundle.decoder_d, emb)[0].reshape(n_trig, k_draws, n) >= 0.5
+    return (bits != triggers.messages[:, None, :]).sum(axis=2, dtype=np.int64)
 
 
 def extract_messages(
     suspect: MlpNetwork, bundle: ModelBundle, triggers: TriggerSet, index: int, k_draws: int,
     stream_seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Decode K messages from a suspect backbone for trigger `index` of the
     set, with noise draws from stream_seed (modulo 2**64): decode_triggers'
-    row for it, as soft bits (K, n), hard bits (K, n) and distances (K,)."""
+    (K,) distance row for it."""
     index = range(len(triggers))[index]
-    soft, hard, distances = decode_triggers(
-        suspect, bundle, triggers[index : index + 1], k_draws, stream_seed
-    )
-    return soft[0], hard[0], distances[0]
+    return decode_triggers(suspect, bundle, triggers[index : index + 1], k_draws, stream_seed)[0]

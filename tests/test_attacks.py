@@ -161,9 +161,7 @@ class TestMakeIndependent:
                 DIMS, seed=300 + m, pretrain_data_seed=400 + m, epochs=20, n_images=100
             )
             for i in range(len(mini_run.triggers)):
-                _, _, distances = wm.extract_messages(
-                    g, bundle, mini_run.triggers, i, 16, 500 + i
-                )
+                distances = wm.extract_messages(g, bundle, mini_run.triggers, i, 16, 500 + i)
                 total_bits += distances.size * n
                 matching += int((distances.size * n) - distances.sum())
         rate = matching / total_bits

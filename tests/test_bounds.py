@@ -334,7 +334,7 @@ class TestLemmaBounds:
 class TestBoundReport:
     def test_json_schema(self):
         report = bounds.build_bound_report(
-            (np.full(10, 95), np.full(10, 100)), (np.full(10, 40), 100), level=0.001,
+            (np.full(10, 95), np.full(10, 100)), (np.full(10, 40), 100),
             n=8, tau=2, r_bar=8, r_under=3, alpha=0.01, delta=0.05, p_hat=0.95, q_hat=0.2,
         )
         payload = json.loads(report.to_json())
@@ -342,6 +342,7 @@ class TestBoundReport:
                     "p_omega", "p_xi", "h_minus", "h_plus", "epsilon"):
             assert key in payload
         assert len(payload["l"]) == 10 and len(payload["u"]) == 10
+        # alpha split over the 10 triggers: every limit at 0.001
         assert payload["l"][0] == _limit(95, 100, 0.001, "lower")
         assert payload["u"][0] == _limit(40, 100, 0.001, "upper")
         assert 0.0 <= payload["p_omega"] <= 1.0
@@ -350,7 +351,7 @@ class TestBoundReport:
     def test_populations_over_different_triggers_rejected(self):
         with pytest.raises(ValueError, match="same"):
             bounds.build_bound_report(
-                (np.full(10, 95), 100), (np.full(9, 40), 100), level=0.001,
+                (np.full(10, 95), 100), (np.full(9, 40), 100),
                 n=8, tau=2, r_bar=8, r_under=3, alpha=0.01, delta=0.05, p_hat=0.95, q_hat=0.2,
             )
 

@@ -445,7 +445,8 @@ class TestPipeline:
 
     def test_sweep_covers_all_suspects_and_taus(self, micro_run):
         config, out, _ = micro_run
-        lines = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+        header, *lines = (out / "sweep.csv").read_text().strip().splitlines()
+        assert header == "suspect_id,kind,tau,detection_rate"
         suspects = {line.split(",")[0] for line in lines}
         assert suspects == {"watermarked", "prune20", "independent0"}
         assert len(lines) == len(suspects) * (config.n + 1)
@@ -711,6 +712,12 @@ def _three_suspects(bundle):
     return [bundle.watermarked_f, pruned, independent]
 
 
+def _decoder_outputs(suspect, bundle, stego) -> np.ndarray:
+    """The decoder outputs that decode_triggers thresholds: the suspect, then
+    the bundle's decoder, over a stego batch."""
+    return ne.forward_batch(bundle.decoder_d, ne.forward_batch(suspect, stego)[0])[0]
+
+
 def _no_stego_work(*args, **kwargs):
     raise AssertionError("stego batch built for a request that should be rejected")
 
@@ -720,27 +727,29 @@ class TestSharedExtraction:
     # different BLAS kernel, so bit identity is claimed for K >= 2 only.
     @pytest.mark.parametrize("k_draws", [2, 8])
     def test_batches_equal_single_trigger_extraction(self, mini_run, k_draws):
-        bundle = mini_run.bundle
+        bundle, triggers = mini_run.bundle, mini_run.triggers
+        encoder, delta_scale = bundle.encoder_e, bundle.hyper.delta_scale
         for suspect in _three_suspects(bundle):
-            soft, hard, distances = wm.decode_triggers(
-                suspect, bundle, mini_run.triggers, k_draws, 49
-            )
+            distances = wm.decode_triggers(suspect, bundle, triggers, k_draws, 49)
             _, verified = verify_suspect(
-                suspect, bundle, mini_run.triggers, tau=1, k_draws=k_draws, seed=49,
-                suspect_id="s",
+                suspect, bundle, triggers, tau=1, k_draws=k_draws, seed=49, suspect_id="s",
             )
             assert np.array_equal(verified, distances)
-            for index, message in enumerate(mini_run.triggers.messages):
-                single = wm.extract_messages(
-                    suspect, bundle, mini_run.triggers, index, k_draws,
-                    wm.trigger_stream_seed(49, index),
+            outputs = _decoder_outputs(
+                suspect, bundle, wm.stego_batch(encoder, triggers, k_draws, 49, delta_scale)
+            )
+            for index, message in enumerate(triggers.messages):
+                stream = wm.trigger_stream_seed(49, index)
+                single = wm.stego_batch(
+                    encoder, triggers[index : index + 1], k_draws, stream, delta_scale
                 )
-                assert np.array_equal(soft[index], single[0])
-                assert np.array_equal(hard[index], single[1])
-                assert np.array_equal(distances[index], single[2])
+                rows = outputs[index * k_draws : (index + 1) * k_draws]
+                assert np.array_equal(rows, _decoder_outputs(suspect, bundle, single))
                 assert np.array_equal(
-                    distances[index], (hard[index] != message).sum(axis=1)
+                    distances[index],
+                    wm.extract_messages(suspect, bundle, triggers, index, k_draws, stream),
                 )
+                assert np.array_equal(distances[index], ((rows >= 0.5) != message).sum(axis=1))
 
     @pytest.mark.parametrize("k_draws", [1, 8])
     def test_population_rows_equal_verify_distances(self, mini_run, k_draws):
@@ -765,6 +774,25 @@ class TestSharedExtraction:
                 micro_config(s=MINI["s"]), mini_run.bundle, mini_run.triggers, iter(()),
                 iter(()), 50,
             )
+
+    def test_bound_rates_are_the_verifiers(self, mini_run):
+        # p_hat and q_hat are the detection rates verify_suspect reports for
+        # each population's first model at the bound's seed and K: one rule.
+        # At tau = 2 a heavy prune and an independent model read between 0 and 1
+        bundle, triggers = mini_run.bundle, mini_run.triggers
+        config = micro_config(s=MINI["s"])  # tau = 2, k_verify = 8
+        watermarked, _, independent = _three_suspects(bundle)
+        heavy = atk.apply_attack(bundle, AttackSpec(kind="prune", fraction=0.8))
+        report = harness.compute_bound_report(
+            config, bundle, triggers, [heavy, watermarked], [independent, watermarked], 55
+        )
+        rates = [
+            verify_suspect(model, bundle, triggers, config.tau, config.k_verify, 55, "s")[0]
+            .detection_rate
+            for model in (heavy, independent)
+        ]
+        assert [report.p_hat, report.q_hat] == rates
+        assert all(0.0 < rate < 1.0 for rate in rates)
 
     def test_wrong_dimensions_refused_before_stego_work(self, mini_run, monkeypatch):
         bundle = mini_run.bundle
@@ -1556,6 +1584,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"got {trials} trials" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "--p", "0.5", f"--trials={10**30}", "--level", "0.1"],
+        ["binomial-tail", f"--n={10**23}", "--tau", "5", "--r", "0.5"],
+        # arrays beyond a 47-bit address space: refused before any memory is touched
+        ["lemma-sim", "--probs", "0.9,0.9", "--delta", "0.1", "--r-bar", "1", f"--reps={10**14}"],
+        ["coverage", "--p", "0.5", "--trials", "10", "--level", "0.1", f"--reps={10**14}"],
+    ], ids=["coverage-trials", "binomial-tail-n", "lemma-sim-reps", "coverage-reps"])
+    def test_oracle_argument_too_large_exits_1(self, capsys, argv):
+        code = cli.main(["oracle", *argv])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("randmark oracle: error: ")
         assert "Traceback" not in captured.err
 
     def test_bounds_from_estimates_needs_no_bundle(self, tmp_path, capsys):

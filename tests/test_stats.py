@@ -21,6 +21,13 @@ def _distances(hard_bits, message_bits) -> np.ndarray:
     return (hard != np.asarray(message_bits, dtype=np.int8)[None, :]).sum(axis=1)[None, :]
 
 
+def _report(rho, tau: int) -> stats.VerificationReport:
+    """A report over the given per-trigger rho values at threshold tau."""
+    return stats.VerificationReport(
+        suspect_id="x", n=8, tau=tau, k_draws=4, seed=0, rho=rho, variance=[None] * len(rho)
+    )
+
+
 # The per-trigger formulas the array statistics replaced, kept as reference.
 def _loop_rho(distances):
     return [float(d.mean()) for d in distances]
@@ -47,7 +54,7 @@ def _decoded_distances(decoded_bits, message_bits) -> np.ndarray:
     embedding (zero weights, saturated sigmoid biases)."""
     bias = np.where(np.asarray(decoded_bits) == 1, 40.0, -40.0)
     decoder = ne.MlpNetwork([ne.Layer(np.zeros((2, len(bias))), bias, "sigmoid")])
-    return decode_one_trigger(decoder, message_bits, 3)[2]
+    return decode_one_trigger(decoder, message_bits, 3)
 
 
 class TestHamming:
@@ -154,13 +161,17 @@ class TestArrayStatisticsMatchLoops:
 
 class TestDecision:
     def test_zero_rho_zero_tau(self):
-        assert stats.decide(0.0, 0) is True
+        assert stats.detection_rate([0.0], 0) == 1.0
+        assert _report([0.0], tau=0).decisions == [True]
 
     def test_above_threshold(self):
-        assert stats.decide(5.2, 5) is False
+        assert stats.detection_rate([5.2], 5) == 0.0
+        assert _report([5.2], tau=5).decisions == [False]
 
     def test_boundary_inclusive(self):
-        assert stats.decide(5.0, 5) is True
+        # rho == tau detects
+        assert stats.detection_rate([5.0], 5) == 1.0
+        assert _report([4.0, 5.0, 5.2, 6.0], tau=5).decisions == [True, True, False, False]
 
     def test_detection_rate_all_pass(self):
         assert stats.detection_rate([0.0, 0.0, 0.0], 0) == 1.0
@@ -332,9 +343,3 @@ class TestSweep:
         assert rows[0] == ("model", "watermarked", 0, pytest.approx(1 / 3))
         assert rows[-1] == ("model", "watermarked", 8, 1.0)
 
-    def test_csv_emission(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        stats.write_detection_sweep(path, stats.sweep_rows("m", "k", [1.0], 2))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "suspect_id,kind,tau,detection_rate"
-        assert len(lines) == 4

@@ -133,20 +133,20 @@ class TestDecoder:
         dec = ne.MlpNetwork(
             [ne.Layer(np.zeros((2, 3)), np.array([logit(0.9), logit(0.1), 0.0]), "sigmoid")]
         )
-        soft, hard, _ = decode_one_trigger(dec, [0, 0, 0], 2)
-        assert np.allclose(soft, [0.9, 0.1, 0.5])
-        assert np.array_equal(hard, [[1, 0, 1]] * 2)
+        # the tie reads as 1: no mismatch against [1, 0, 1], one against [1, 0, 0]
+        assert np.array_equal(decode_one_trigger(dec, [1, 0, 1], 2), [0, 0])
+        assert np.array_equal(decode_one_trigger(dec, [1, 0, 0], 2), [1, 1])
 
     def test_zero_decoder_gives_all_ones(self):
         dec = ne.MlpNetwork([ne.Layer(np.zeros((4, 3)), np.zeros(3), "sigmoid")])
-        soft, hard, _ = decode_one_trigger(dec, [0, 0, 0], 2)
-        assert np.all(soft == 0.5)
-        assert np.array_equal(hard, np.ones((2, 3)))
+        # every output is 0.5, so every bit reads 1
+        assert np.array_equal(decode_one_trigger(dec, [1, 1, 1], 2), [0, 0])
+        assert np.array_equal(decode_one_trigger(dec, [0, 0, 0], 2), [3, 3])
 
     def test_trained_bundle_decodes_own_triggers(self, mini_run):
         bundle = mini_run.bundle
         for index in range(len(mini_run.triggers)):
-            _, _, distances = wm.extract_messages(
+            distances = wm.extract_messages(
                 bundle.watermarked_f, bundle, mini_run.triggers, index, 64, 900 + index
             )
             assert (distances == 0).mean() >= 0.95
@@ -356,7 +356,7 @@ class TestExtractMessages:
     def test_watermarked_model_mean_distance_small(self, mini_run):
         bundle = mini_run.bundle
         distances = np.stack([
-            wm.extract_messages(bundle.watermarked_f, bundle, mini_run.triggers, i, 64, 40 + i)[2]
+            wm.extract_messages(bundle.watermarked_f, bundle, mini_run.triggers, i, 64, 40 + i)
             for i in range(len(mini_run.triggers))
         ])
         assert np.mean(mean_distance(distances)) <= 1.0
@@ -369,7 +369,7 @@ class TestExtractMessages:
             [MINI["s"], 48, MINI["k"]], seed=77, pretrain_data_seed=78, epochs=30, n_images=120
         )
         distances = np.stack([
-            wm.extract_messages(g, bundle, mini_run.triggers, i, 64, 40 + i)[2]
+            wm.extract_messages(g, bundle, mini_run.triggers, i, 64, 40 + i)
             for i in range(len(mini_run.triggers))
         ])
         n = mini_run.triggers.n
@@ -385,17 +385,14 @@ class TestExtractMessages:
         rho_wm, rho_fresh = [], []
         for i in range(len(mini_run.triggers)):
             kwargs = dict(triggers=mini_run.triggers, index=i, k_draws=32, stream_seed=50 + i)
-            rho_wm.append(wm.extract_messages(bundle.watermarked_f, bundle, **kwargs)[2].mean())
-            rho_fresh.append(wm.extract_messages(fresh, bundle, **kwargs)[2].mean())
+            rho_wm.append(wm.extract_messages(bundle.watermarked_f, bundle, **kwargs).mean())
+            rho_fresh.append(wm.extract_messages(fresh, bundle, **kwargs).mean())
         assert np.mean(rho_wm) < n / 4
         assert np.mean(rho_fresh) > n / 4
 
     def test_single_draw_has_no_variance(self, mini_run):
         bundle = mini_run.bundle
-        soft, hard, distances = wm.extract_messages(
-            bundle.watermarked_f, bundle, mini_run.triggers, 0, 1, 60
-        )
-        assert soft.shape == hard.shape == (1, MINI["n"])
+        distances = wm.extract_messages(bundle.watermarked_f, bundle, mini_run.triggers, 0, 1, 60)
         assert distances.shape == (1,)
         assert var_distance(distances[None, :]) == [None]
 
@@ -404,8 +401,7 @@ class TestExtractMessages:
         t = mini_run.triggers
         a = wm.extract_messages(bundle.watermarked_f, bundle, t, 2, 16, 71)
         b = wm.extract_messages(bundle.watermarked_f, bundle, t, 2, 16, 71)
-        for array_a, array_b in zip(a, b):
-            assert np.array_equal(array_a, array_b)
+        assert np.array_equal(a, b)
 
     def test_distances_bounded_by_message_length(self, mini_run):
         bundle = mini_run.bundle
@@ -413,9 +409,9 @@ class TestExtractMessages:
         fresh = ne.init_network([MINI["s"], 24, MINI["k"]], ["relu", "identity"], rng)
         triggers = mini_run.triggers
         for i in range(6):
-            _, hard, distances = wm.extract_messages(fresh, bundle, triggers, i, 17, 80 + i)
+            distances = wm.extract_messages(fresh, bundle, triggers, i, 17, 80 + i)
+            assert distances.dtype == np.int64
             assert np.all(distances >= 0) and np.all(distances <= triggers.n)
-            assert np.array_equal(distances, (hard != triggers.messages[i]).sum(axis=1))
 
     def test_architecture_mismatch_refused(self, mini_run):
         bundle = mini_run.bundle
@@ -505,15 +501,14 @@ class TestSerialDecode:
         monkeypatch.setattr(wm, "forward_batch", spy)
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         triggers = mini_run.triggers
-        soft, hard, distances = self._decode(
+        distances = self._decode(
             mini_run.bundle.watermarked_f, mini_run.bundle, triggers, 4, seed=143
         )
         assert callers == {threading.get_ident()}
         # the stego batch's per-trigger encoder passes, then one suspect and
         # one decoder pass over all N * K rows
         assert rows == [4] * len(triggers) + [4 * len(triggers)] * 2
-        assert soft.shape == hard.shape == (len(triggers), 4, MINI["n"])
-        assert np.array_equal(distances, (hard != triggers.messages[:, None, :]).sum(axis=2))
+        assert (distances.shape, distances.dtype) == ((len(triggers), 4), np.int64)
 
     def test_suspect_exception_reaches_caller(self, mini_run, monkeypatch):
         class SuspectFailed(Exception):
@@ -539,8 +534,8 @@ class TestSerialDecode:
         with pytest.raises(RuntimeWarning, match="overflow"):
             self._decode(overflowing, mini_run.bundle, triggers, 4)
         with np.errstate(all="ignore"):
-            soft, _, _ = self._decode(overflowing, mini_run.bundle, triggers, 4)
-        assert soft.shape == (len(triggers), 4, MINI["n"])
+            distances = self._decode(overflowing, mini_run.bundle, triggers, 4)
+        assert distances.shape == (len(triggers), 4)
 
     def test_desk_distances_are_first_columns_of_k64(self, desk_run):
         # the draws of trigger i come from one stream, so a verify of its own
