@@ -2,9 +2,9 @@
 messages into noisy trigger representations, extract them from suspect
 models, and decide ownership with calibrated statistical bounds.
 
-Importing it pins numpy's OpenBLAS to one thread unless OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS sets a count; the package uses every CPU
-itself."""
+Importing it sets numpy's OpenBLAS to the thread count that
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS chooses, or to one
+thread; on one BLAS thread the package uses every CPU itself."""
 
 __version__ = "0.1.0"
 

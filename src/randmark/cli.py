@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 usage error (also a bad input file or a diverged
 training run), 2 verification refused (suspect architecture incompatible),
 3 bound not applicable.
 
-Importing randmark pins numpy's OpenBLAS to one thread unless
-OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS sets a count; it
-then uses every CPU of the affinity mask, while a user's thread count or
-taskset -c 0 runs serially.
+Importing randmark sets numpy's OpenBLAS to the thread count that
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS chooses, whether
+numpy loaded before or after it was set, and to one thread when none does.
+On one BLAS thread, a count of 1 included, it uses every CPU of the affinity
+mask; a larger count or taskset -c 0 runs it serially.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
-from . import oracles
 from .attacks import IndependentPool, apply_attack
 from .harness import (
     JSON_NUMBER,
@@ -100,35 +100,6 @@ def _build_parser() -> _Parser:
         help="JSON file with precomputed per-trigger bit-collision counts "
         "(keys: p_hat, q_hat, omega, xi)",
     )
-
-    p = sub.add_parser("oracle", help="ad-hoc exact/Monte-Carlo checks, JSON lines out")
-    oracle_sub = p.add_subparsers(dest="oracle_kind", required=True)
-    q = oracle_sub.add_parser("binomial-tail")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--tau", type=int, required=True)
-    q.add_argument("--r", type=float, required=True)
-    q = oracle_sub.add_parser("poisson-binomial")
-    q.add_argument("--probs", required=True, help="comma-separated probabilities")
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--tail", choices=["below", "above"], default="below")
-    q = oracle_sub.add_parser("mc-bernoulli")
-    q.add_argument("--probs", required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--trials", type=int, default=100_000)
-    q.add_argument("--seed", type=int, default=0)
-    q = oracle_sub.add_parser("coverage")
-    q.add_argument("--p", type=float, required=True)
-    q.add_argument("--trials", type=int, required=True)
-    q.add_argument("--level", type=float, required=True)
-    q.add_argument("--reps", type=int, default=10_000)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--side", choices=["lower", "upper"], default="lower")
-    q = oracle_sub.add_parser("lemma-sim")
-    q.add_argument("--probs", required=True)
-    q.add_argument("--delta", type=float, required=True)
-    q.add_argument("--r-bar", type=int, required=True)
-    q.add_argument("--reps", type=int, default=10_000)
-    q.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("pipeline", help="run the full embed/attack/verify/bound workflow")
     common(p)
@@ -247,33 +218,6 @@ def _bundle_and_triggers(args):
     return ModelBundle.load(args.bundle), load_trigger_set(args.triggers)
 
 
-def _parse_probs(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _cmd_oracle(args) -> int:
-    if args.oracle_kind == "binomial-tail":
-        result = oracles.exact_binomial_tail(args.n, args.tau, args.r)
-    elif args.oracle_kind == "poisson-binomial":
-        result = oracles.brute_force_poisson_binomial(
-            _parse_probs(args.probs), args.d, args.tail
-        )
-    elif args.oracle_kind == "mc-bernoulli":
-        result = oracles.monte_carlo_bernoulli_sum(
-            _parse_probs(args.probs), args.d, args.trials, args.seed
-        )
-    elif args.oracle_kind == "coverage":
-        result = oracles.coverage_simulation(
-            args.p, args.trials, args.level, args.reps, args.seed, side=args.side
-        )
-    else:
-        result = oracles.lemma_validity_simulation(
-            _parse_probs(args.probs), args.delta, args.r_bar, args.reps, args.seed
-        )
-    print(json.dumps(asdict(result), sort_keys=True))
-    return EXIT_OK
-
-
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
     manifest = run_pipeline(config, args.out or "run")
@@ -361,7 +305,6 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "population": _cmd_population,
         "bounds": _cmd_bounds,
-        "oracle": _cmd_oracle,
         "pipeline": _cmd_pipeline,
         "report": _cmd_report,
     }

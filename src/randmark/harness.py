@@ -141,12 +141,18 @@ class ExperimentConfig:
             raise ValueError("pretrain_images must be positive")
         if self.pretrain_epochs < 0:
             raise ValueError("pretrain_epochs must not be negative")
-        # each attack names a suspect file of its own beside the pipeline's
-        taken = {"watermarked", *(f"independent{i}" for i in range(self.independents))}
+        # each attack names a suspect file of its own beside the pipeline's:
+        # watermarked and independent<i>, i below independents, read from the
+        # name rather than listed, so that a check costs one step per attack
+        taken = set()
         for name, _ in self.attacks:
             if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
                 raise ValueError(f"attack name {name!r} is not a file stem: letters, digits, _, -")
-            if name in taken:
+            index = re.fullmatch(r"independent(0|[1-9][0-9]*)", name)
+            independent = index is not None and (
+                len(index[1]) <= len(str(self.independents)) and int(index[1]) < self.independents
+            )
+            if name in taken or name == "watermarked" or independent:
                 raise ValueError(f"attack name {name!r} is another suspect's name")
             taken.add(name)
         self.hyper()  # range-checks the embedding settings
@@ -436,8 +442,14 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
     Every independent model the run needs, the suspects' and then the xi
     population's, is submitted to one IndependentPool before anything else,
     so that its workers train them while this process runs the stages.
+
+    out_dir must be new or empty: the manifest hashes every file under it as
+    this run's, so a directory that holds anything raises ValueError before
+    any work starts.
     """
     out = Path(out_dir)
+    if out.is_dir() and any(out.iterdir()):
+        raise ValueError(f"output directory {out} is not empty; give a new or empty one")
     out.mkdir(parents=True, exist_ok=True)
     seeds = config.seeds
     dims = config.backbone_dims

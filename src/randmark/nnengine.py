@@ -375,21 +375,31 @@ def _scipy_openblas() -> ctypes.CDLL | None:
             paths = {line.split()[-1] for line in fh if "openblas" in line}
         library = ctypes.CDLL(min(paths, key=lambda path: "numpy" not in path))
         library.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        library.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
     except (OSError, ValueError, AttributeError):
         return None
     return library
 
 
-# pinned to one thread unless the user chose a count, also after a host program
-# loaded numpy: the package spreads its work over the CPUs itself. OpenBLAS
-# reads each of these variables as C's atoi does and takes a count above 0;
-# an empty value, 0 or one that starts with no digit chooses none.
+def _chosen_blas_threads() -> int:
+    """The thread count OpenBLAS takes from the environment when it loads,
+    or 1 where the environment chooses none: the package spreads its work
+    over the CPUs itself. OpenBLAS reads the first of these variables whose
+    value C's atoi reads as a count above 0 (an empty value, 0 or one that
+    starts with no digit chooses none) and caps it at the CPUs of the
+    affinity mask; a number of more than 9 digits is above that cap too."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        count = re.match(r"\s*\+?0*([1-9][0-9]{0,8})", os.environ.get(var, ""))
+        if count:
+            return min(int(count[1]), len(os.sched_getaffinity(0)))
+    return 1
+
+
+# set as OpenBLAS would have set it at load, also after a host program loaded
+# numpy before it set a variable
 _BLAS = _scipy_openblas()
-if _BLAS is not None and not any(
-    re.match(r"\s*\+?0*[1-9]", os.environ.get(var, ""))
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-):
-    _BLAS.scipy_openblas_set_num_threads64_(1)
+if _BLAS is not None:
+    _BLAS.scipy_openblas_set_num_threads64_(_chosen_blas_threads())
 
 
 def _blas_core() -> str:
@@ -410,9 +420,9 @@ def _worker_count(jobs: int) -> int:
     1, which runs everything in the caller. It sizes an IndependentPool's
     worker processes and an engine call's helpers (_spare) alike.
 
-    So a user's BLAS thread count, a one-CPU mask (taskset -c 0), a BLAS
-    other than scipy-openblas, or a running IndependentPool's threads keep
-    the process serial. No thread runs at a fork: the helpers are idle
+    So a user's BLAS thread count above 1, a one-CPU mask (taskset -c 0), a
+    BLAS other than scipy-openblas, or a running IndependentPool's threads
+    keep the process serial. No thread runs at a fork: the helpers are idle
     (_quiesce_helpers), and OpenBLAS stops its own.
     """
     try:

@@ -3,7 +3,8 @@ one desk-scale run shared by the acceptance suite and directional tests, a
 finite-difference gradient checker, weight sparsity, one-trigger views of
 the embedding loss and of decoding, the one runner of the checks in
 pinned_checks.py, each in a fresh process with a given BLAS thread count,
-and the kernel checks, which share one such process per OpenBLAS kernel."""
+and the kernel checks, which share one such process per OpenBLAS kernel,
+started when collection ends so that it runs beside the other tests."""
 
 import functools
 import json
@@ -11,9 +12,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 import pytest
@@ -161,21 +164,61 @@ THREAD_VARIABLES = (
 
 
 # Each child run_pinned started in this pytest run, as [the test it ran for,
-# its wall seconds], which pytest_terminal_summary reports
+# or its kernel, its wall seconds], which pytest_terminal_summary reports
 PINNED: list[list] = []
 
 
-def run_pinned(*names: str, coretype: str | None = None, blas_threads: int | None = 1,
-               env: dict | None = None, args: list | None = None, timeout: float = 300) -> dict:
-    """Run the named functions of pinned_checks.py in order, each with args
-    as its positional arguments, in a fresh Python with RuntimeWarnings
+@dataclass
+class PinnedChild:
+    """A started child of pinned_checks.py: its checks, its process, the
+    files its standard output and error go to, its timeout, and its wall
+    clock start."""
+
+    names: tuple
+    process: subprocess.Popen
+    out: IO
+    err: IO
+    timeout: float
+    started: float = field(default_factory=time.time)
+
+    def results(self, label: str) -> dict:
+        """Wait for the child, charge its start-to-exit seconds to label in
+        PINNED, and return run_pinned's results; past its timeout the child
+        is killed and TimeoutExpired raised."""
+        running = self.process.poll() is None
+        try:
+            self.process.wait(timeout=max(0.0, self.started + self.timeout - time.time()))
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+            raise
+        finally:
+            # a child that exited before this wait ended at its last output: its
+            # last check's report, or the error or stack dump it died with
+            ended = time.time() if running else max(os.fstat(f.fileno()).st_mtime for f in (self.out, self.err))
+            PINNED.append([label, max(ended, self.started) - self.started])
+        stdout, stderr = (_read_and_close(f) for f in (self.out, self.err))
+        code, names = self.process.returncode, self.names
+        died = f"the child exited {code} before this check reported\n{stderr}"
+        reported = {line[0]: line[1:] for line in map(json.loads, stdout.splitlines())}
+        if code != 0 and reported.keys() >= set(names):
+            exited = f"the child exited {code} after every check reported\n{stderr}"
+            reported = {name: [failure or exited, value] for name, (failure, value) in reported.items()}
+        return {name: [died, None] for name in names} | reported
+
+
+def _read_and_close(file: IO) -> str:
+    file.seek(0)
+    with file:
+        return file.read()
+
+
+def start_pinned(*names: str, coretype: str | None = None, blas_threads: int | None = 1,
+                 env: dict | None = None, args: list | None = None, timeout: float = 300) -> PinnedChild:
+    """Start a fresh Python that runs the named functions of pinned_checks.py
+    in order, each with args as its positional arguments, with RuntimeWarnings
     raised as errors as in this suite, and OpenBLAS on the kernels of
-    coretype when given. Return each reported line, by name, as [traceback
-    or None, the JSON value returned]; a named check that reported nothing,
-    because the child died first, gets the child's exit code and standard
-    error, and so does each check that passed in a child that exited
-    nonzero after every named check reported: one that hung at exit or
-    crashed in shutdown.
+    coretype when given.
 
     The child's thread variables are stripped from the environment it would
     inherit; OPENBLAS_NUM_THREADS is set to blas_threads, 1 (pinned) by
@@ -194,18 +237,20 @@ def run_pinned(*names: str, coretype: str | None = None, blas_threads: int | Non
     alarm = max(1, int(timeout * 0.9))
     command = [sys.executable, "-W", "error::RuntimeWarning", Path(__file__).parent / "pinned_checks.py",
                str(alarm), json.dumps(args or []), *names]
-    t0 = time.perf_counter()
-    try:
-        result = subprocess.run(command, capture_output=True, text=True, env=child_env, timeout=timeout)
-    finally:
-        test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0]
-        PINNED.append([test, time.perf_counter() - t0])
-    died = f"the child exited {result.returncode} before this check reported\n{result.stderr}"
-    reported = {line[0]: line[1:] for line in map(json.loads, result.stdout.splitlines())}
-    if result.returncode != 0 and reported.keys() >= set(names):
-        exited = f"the child exited {result.returncode} after every check reported\n{result.stderr}"
-        reported = {name: [failure or exited, value] for name, (failure, value) in reported.items()}
-    return {name: [died, None] for name in names} | reported
+    out, err = tempfile.TemporaryFile("w+"), tempfile.TemporaryFile("w+")
+    process = subprocess.Popen(command, stdout=out, stderr=err, env=child_env)
+    return PinnedChild(names, process, out, err, timeout)
+
+
+def run_pinned(*names: str, **options) -> dict:
+    """Run start_pinned's child to its end. Return each reported line, by
+    name, as [traceback or None, the JSON value returned]; a named check
+    that reported nothing, because the child died first, gets the child's
+    exit code and standard error, and so does each check that passed in a
+    child that exited nonzero after every named check reported: one that
+    hung at exit or crashed in shutdown."""
+    test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0]
+    return start_pinned(*names, **options).results(test)
 
 
 def returned(results: dict[str, list], name: str | None = None):
@@ -244,23 +289,67 @@ def kernel_check(check):
     return decorate
 
 
+# The kernel children of this session, one per kernel that a selected test
+# asks for, in CORETYPES order, each None until it starts: the first starts
+# when collection ends and each next one at the end of a test once the one
+# before it exited, so that one CPU runs them while the other runs tests.
+# Only the main thread starts them: another Python thread would keep the
+# tests' pools and helpers serial (nnengine._worker_count).
+KERNEL_CHILDREN: dict[str, PinnedChild | None] = {}
+
+
+def _start_next_kernel_child():
+    if all(child is None or child.process.poll() is not None for child in KERNEL_CHILDREN.values()):
+        for coretype, child in KERNEL_CHILDREN.items():
+            if child is None:
+                KERNEL_CHILDREN[coretype] = start_pinned(*KERNEL_CHECKS.values(), coretype=coretype)
+                return
+
+
 @functools.cache
 def shared_child(names: tuple, coretype: str | None = None) -> dict:
-    """run_pinned's results for names, from one child in a session."""
-    results = run_pinned(*names, coretype=coretype)
-    if coretype is not None:  # the child serves every test of its kernel
-        PINNED[-1][0] = coretype
-    return results
+    """run_pinned's results for names, from one child in a session; a
+    kernel's child, which runs every kernel check, is started now if it has
+    not started yet."""
+    if coretype is None:
+        return run_pinned(*names)
+    if KERNEL_CHILDREN.get(coretype) is None:
+        KERNEL_CHILDREN[coretype] = start_pinned(*names, coretype=coretype)
+    return KERNEL_CHILDREN[coretype].results(coretype)
+
+
+def pytest_collection_modifyitems(items):
+    # the kernel tests last, in their order, so that their children run beside the others
+    items.sort(key=lambda item: hasattr(getattr(item, "obj", None), "kernel_check"))
 
 
 def pytest_collection_finish(session):
-    # the checks of the selected tests that no true skipif condition skips
-    selected = {
-        getattr(item.obj, "kernel_check", None) for item in session.items
-        if not any(mark.args and mark.args[0] is True for mark in item.iter_markers("skipif"))
-    }
-    for name in [name for name in KERNEL_CHECKS if name not in selected]:
+    # the checks and kernels of the selected tests that no true skipif condition skips
+    selected = [
+        item for item in session.items if getattr(item.obj, "kernel_check", None)
+        and not any(mark.args and mark.args[0] is True for mark in item.iter_markers("skipif"))
+    ]
+    checks = {item.obj.kernel_check for item in selected}
+    for name in [name for name in KERNEL_CHECKS if name not in checks]:
         del KERNEL_CHECKS[name]
+    cores = {item.callspec.params["coretype"] for item in selected}
+    if not session.config.option.collectonly:
+        KERNEL_CHILDREN.update((param.values[0], None) for param in CORETYPES if param.values[0] in cores)
+        _start_next_kernel_child()
+
+
+def pytest_runtest_logfinish():
+    _start_next_kernel_child()
+
+
+def pytest_sessionfinish():
+    # a kernel child that no test waited for, after -x or a keyboard interrupt
+    for child in KERNEL_CHILDREN.values():
+        if child is not None and not child.out.closed:
+            child.process.kill()
+            child.process.wait()
+            child.out.close()
+            child.err.close()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -6,9 +6,8 @@ subset enumeration instead of dynamic programming, and seeded Monte Carlo
 with reported standard errors. Test assertions against Monte Carlo results
 use the nominal value plus at least three standard errors.
 
-Beyond the exact-integer cap, exact_binomial_tail uses scipy.special's
-binomial CDF, imported at that call rather than with this module, so that
-`import randmark` does not pay for scipy.
+The tests import it as `oracles`, as they import pinned_checks: it checks
+the package's bounds and is no part of them.
 """
 
 from __future__ import annotations
@@ -18,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import bdtr
 
-from .bounds import chernoff_gamma, collision_estimate, hoeffding_epsilon, poisson_binomial_cdf
+from randmark.bounds import chernoff_gamma, collision_estimate, hoeffding_epsilon, poisson_binomial_cdf
 
 # Caps keeping the exact routes affordable.
 ENUMERATION_CAP = 20
@@ -52,9 +52,6 @@ def exact_binomial_tail(n: int, tau: int, r: float) -> OracleResult:
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must lie in [0, 1]")
     if n > EXACT_INTEGER_CAP:
-        # imported here, not with the module: scipy.special more than doubles randmark's start-up
-        from scipy.special import bdtr
-
         return OracleResult(value=float(bdtr(tau, n, 1.0 - r)), method="incomplete-beta")
     return OracleResult(value=_integer_tail(n, tau, r), method="exact-integer")
 

@@ -168,6 +168,43 @@ def unread_count_is_pinned():
     return ne._worker_count(2)
 
 
+def blas_threads_around_numpy(counts):
+    # [_blas_threads(), _worker_count(2)] for each count set before numpy
+    # loads, then for it set after, as a host program that imported numpy
+    # first sets it, each in a process forked from this one, which has not
+    # loaded numpy
+    _two_cpus()
+    results = []
+    for count in counts:
+        for before in (True, False):
+            read, write = os.pipe()
+            if os.fork() == 0:
+                try:
+                    if before:
+                        os.environ["OPENBLAS_NUM_THREADS"] = count
+                    import numpy  # noqa: F401
+                    os.environ["OPENBLAS_NUM_THREADS"] = count
+                    from randmark import nnengine as ne
+                    os.write(write, json.dumps([ne._blas_threads(), ne._worker_count(2)]).encode())
+                finally:
+                    os._exit(0)
+            os.close(write)
+            with open(read) as fh:
+                results.append([count, before, json.loads(fh.read() or "null")])
+            os.wait()
+    return results
+
+
+def config_with_10_23_independents():
+    # the address space capped at 2 GB before randmark loads
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    from randmark.harness import ExperimentConfig
+    start = time.perf_counter()
+    ExperimentConfig(independents=10**23)
+    return time.perf_counter() - start
+
+
 def split_bytes_equal_one_block():
     np, ne, wm = _engine()
     caller, layers, blocks = threading.get_ident(), ne._layers, []

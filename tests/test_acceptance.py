@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from randmark import bounds, oracles, stats
+from randmark import bounds, stats
 from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.harness import run_pipeline
 
 from conftest import desk_hyper, gradient_check, trigger_loss
+import oracles
 from test_harness import micro_config
 
 

@@ -14,8 +14,9 @@ import pytest
 import randmark
 from randmark import bounds, harness
 from randmark.harness import ExperimentConfig
-from randmark.oracles import brute_force_poisson_binomial, coverage_simulation
 from randmark.stats import fpr_binomial
+
+import oracles
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,7 +60,7 @@ class TestOneSidedBound:
             _limit(3, 10, 1.0, "upper")
 
     def test_quick_coverage(self):
-        result = coverage_simulation(0.8, 200, 0.05, 20_000, seed=1, side="lower")
+        result = oracles.coverage_simulation(0.8, 200, 0.05, 20_000, seed=1, side="lower")
         assert result.value <= 0.05 + 3 * result.standard_error
 
     def test_equals_beta_quantile(self):
@@ -94,11 +95,13 @@ def test_import_leaves_scipy_stats_unloaded():
 
 @pytest.mark.parametrize("call", [
     "randmark.bounds.collision_estimate([1, 3], 4, 0.01)",
-    "randmark.oracles.exact_binomial_tail(100, 10, 0.9)",
-], ids=["collision-estimate", "binomial-tail-beyond-cap"])
+    # the golden report's ExperimentConfig, as `randmark bounds --estimates` loads it
+    "randmark.harness.bound_report_from_estimates(randmark.harness.ExperimentConfig("
+    f"trigger_count=12, r_bar=9, r_under=4), {str(DATA / 'estimates_unordered.json')!r})",
+], ids=["collision-estimate", "bound-report-from-estimates"])
 def test_first_bound_loads_scipy_special(call):
     code = (
-        "import sys, randmark.oracles; before = 'scipy.special' in sys.modules; "
+        "import sys, randmark.bounds; before = 'scipy.special' in sys.modules; "
         f"{call}; print(before, 'scipy.special' in sys.modules)"
     )
     assert _fresh_interpreter(code) == "False True"
@@ -176,7 +179,7 @@ class TestPoissonBinomial:
             probs = rng.random(n)
             d = int(rng.integers(0, n + 1))
             tail = "below" if rng.random() < 0.5 else "above"
-            exact = brute_force_poisson_binomial(probs, d, tail).value
+            exact = oracles.brute_force_poisson_binomial(probs, d, tail).value
             assert abs(bounds.poisson_binomial_cdf(probs, d, tail) - exact) <= 1e-12
 
     @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.1])

@@ -34,7 +34,8 @@ from randmark.harness import (
 from randmark.synth import gen_synthetic_images
 from randmark.watermark import load_trigger_set
 
-from conftest import MINI, assert_pinned, kernel_check, one_trigger, see_cpus
+from conftest import MINI, assert_pinned, kernel_check, one_trigger, returned, run_pinned, see_cpus
+import oracles
 import pinned_checks
 
 
@@ -302,6 +303,23 @@ lr = 0.002
         # independent<i> is taken only for the i the run has
         assert ExperimentConfig(independents=0, attacks=[("independent0", spec)])
 
+    def test_independent_names_read_from_the_attack_name(self):
+        spec = AttackSpec(kind="prune", fraction=0.2)
+        with pytest.raises(ValueError, match="'independent7' is another suspect's name"):
+            ExperimentConfig(independents=8, attacks=[("independent7", spec)])
+        assert ExperimentConfig(independents=7, attacks=[("independent7", spec)])
+        # independent07 names no suspect file: the pipeline writes independent7
+        assert ExperimentConfig(independents=8, attacks=[("independent07", spec)])
+        # a number of more digits than independents has is larger
+        assert ExperimentConfig(independents=1000, attacks=[("independent" + "9" * 30, spec)])
+        with pytest.raises(ValueError, match="'independent999' is another suspect's name"):
+            ExperimentConfig(independents=1000, attacks=[("independent999", spec)])
+
+    def test_config_with_10_23_independents_returns_at_once(self):
+        # in a child whose address space is capped: a config that listed every
+        # independent's name would fill it, or hang, rather than return
+        assert returned(run_pinned("config_with_10_23_independents", timeout=10)) < 1.0
+
     def test_every_field_in_exactly_one_section(self):
         fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "attacks"]
         keys = [key for section in harness._SECTIONS.values() for key in section]
@@ -512,8 +530,11 @@ class TestPipeline:
         written = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert written["failures"] == manifest.failures
 
-    def test_data_stage_failure_recorded_and_later_stages_skipped(self, tmp_path):
-        (tmp_path / "run" / "triggers.rmts").mkdir(parents=True)
+    def test_data_stage_failure_recorded_and_later_stages_skipped(self, tmp_path, monkeypatch):
+        def full_disk(triggers, path):
+            raise OSError(f"{path}: no space left on device")
+
+        monkeypatch.setattr(harness, "save_trigger_set", full_disk)
         manifest = run_pipeline(micro_config(seed=35), tmp_path / "run")
         assert set(manifest.failures) == {"data"}
         assert set(manifest.stage_seconds) == set()
@@ -892,6 +913,17 @@ def _estimates(p_hat=1.0, matches=60, trials=64) -> dict:
     omega[0] = {"trigger_id": 0, "matches": matches, "trials": trials}
     xi = [{"trigger_id": i, "matches": 33, "trials": 64} for i in range(8)]
     return {"p_hat": p_hat, "q_hat": 0.0, "omega": omega, "xi": xi}
+
+
+def _probs(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+# The two oracles of a Bernoulli sum's lower tail, by kind
+ORACLE_TAILS = {
+    "poisson-binomial": lambda probs, d: oracles.brute_force_poisson_binomial(probs, d, "below"),
+    "mc-bernoulli": lambda probs, d: oracles.monte_carlo_bernoulli_sum(probs, d, 100_000, seed=0),
+}
 
 
 class TestCli:
@@ -1522,84 +1554,59 @@ class TestCli:
             harness.load_population(tmp_path, "xi")
         assert '{"models": [{"file": "a.rmk"}]}' in str(info.value)
 
-    def test_oracle_emits_json(self, capsys):
-        code = cli.main([
-            "oracle", "binomial-tail", "--n", "32", "--tau", "5", "--r", "0.5"
-        ])
-        assert code == cli.EXIT_OK
-        payload = json.loads(capsys.readouterr().out.strip())
-        assert payload["method"] == "exact-integer"
-        assert payload["value"] == pytest.approx(242825 / 2**32, rel=1e-12)
-
+    # The argument checks of the test oracles (tests/oracles.py), each called
+    # with the probabilities as text, as a command line gives them
     @pytest.mark.parametrize("kind", ["poisson-binomial", "mc-bernoulli"])
     @pytest.mark.parametrize("probs", ["nan,0.5", "1.5,0.5", "-0.1,0.5"])
-    def test_oracle_rejects_bad_probabilities(self, capsys, kind, probs):
-        code = cli.main(["oracle", kind, f"--probs={probs}", "--d", "1"])
-        assert code == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "probabilities must lie in [0, 1]" in captured.err
-        assert "Traceback" not in captured.err
+    def test_oracle_rejects_bad_probabilities(self, kind, probs):
+        with pytest.raises(ValueError, match=re.escape("probabilities must lie in [0, 1]")):
+            ORACLE_TAILS[kind](_probs(probs), 1)
 
     @pytest.mark.parametrize("kind", ["poisson-binomial", "mc-bernoulli"])
     @pytest.mark.parametrize("d", ["-3", "3"])
-    def test_oracle_rejects_a_threshold_outside_0_n(self, capsys, kind, d):
+    def test_oracle_rejects_a_threshold_outside_0_n(self, kind, d):
         # the check of bounds.poisson_binomial_cdf, the kernel these oracles check
-        code = cli.main(["oracle", kind, "--probs=0.5,0.5", "--d", d])
-        assert code == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "threshold must lie in [0, N]" in captured.err
-        assert "Traceback" not in captured.err
+        with pytest.raises(ValueError, match=re.escape("threshold must lie in [0, N]")):
+            ORACLE_TAILS[kind](_probs("0.5,0.5"), int(d))
 
     @pytest.mark.parametrize("probs", ["nan,0.9,0.9", "inf,0.9,0.9", "1.5,0.9,0.9", "-0.1,0.9", ","])
-    def test_lemma_sim_rejects_bad_probabilities(self, capsys, probs):
+    def test_lemma_sim_rejects_bad_probabilities(self, probs):
         # checked before r_bar < N * mean(p), which a NaN mean would fail first
-        code = cli.main(
-            ["oracle", "lemma-sim", f"--probs={probs}", "--delta", "0.1", "--r-bar", "1"]
-        )
-        assert code == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "probabilities must lie in [0, 1]" in captured.err
-        assert "Traceback" not in captured.err
+        with pytest.raises(ValueError, match=re.escape("probabilities must lie in [0, 1]")):
+            oracles.lemma_validity_simulation(_probs(probs), 0.1, 1, 10_000, seed=0)
 
-    def test_lemma_sim_rejects_too_few_replications(self, capsys):
-        code = cli.main([
-            "oracle", "lemma-sim", "--probs", "0.9,0.9,0.9", "--delta", "0.1",
-            "--r-bar", "1", "--reps", "0",
-        ])
-        assert code == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "10^3 replications" in captured.err
-        assert "Traceback" not in captured.err
+    def test_lemma_sim_rejects_too_few_replications(self):
+        with pytest.raises(ValueError, match=re.escape("10^3 replications")):
+            oracles.lemma_validity_simulation(_probs("0.9,0.9,0.9"), 0.1, 1, 0, seed=0)
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
-    def test_coverage_rejects_fewer_than_one_trial(self, capsys, trials):
-        code = cli.main([
-            "oracle", "coverage", "--p", "0.5", f"--trials={trials}", "--level", "0.1",
-        ])
-        assert code == cli.EXIT_USAGE
+    def test_coverage_rejects_fewer_than_one_trial(self, trials):
+        with pytest.raises(ValueError, match=f"got {trials} trials"):
+            oracles.coverage_simulation(0.5, int(trials), 0.1, 10_000, seed=0)
+
+    def test_allocation_beyond_memory_exits_1(self, tmp_path, capsys):
+        # 10^14 trigger images of 256 pixels: numpy refuses the array before
+        # any memory is touched, and the command exits 1 with its message
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"[triggers]\ntrigger_count = {10**14}\n")
+        out = tmp_path / "triggers.rmts"
+        assert cli.main(["gen-data", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"got {trials} trials" in captured.err
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("randmark gen-data: error: Unable to allocate ")
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("argv", [
-        ["coverage", "--p", "0.5", f"--trials={10**30}", "--level", "0.1"],
-        ["binomial-tail", f"--n={10**23}", "--tau", "5", "--r", "0.5"],
-        # arrays beyond a 47-bit address space: refused before any memory is touched
-        ["lemma-sim", "--probs", "0.9,0.9", "--delta", "0.1", "--r-bar", "1", f"--reps={10**14}"],
-        ["coverage", "--p", "0.5", "--trials", "10", "--level", "0.1", f"--reps={10**14}"],
-    ], ids=["coverage-trials", "binomial-tail-n", "lemma-sim-reps", "coverage-reps"])
-    def test_oracle_argument_too_large_exits_1(self, capsys, argv):
-        code = cli.main(["oracle", *argv])
-        assert code == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("randmark oracle: error: ")
-        assert "Traceback" not in captured.err
+    def test_pipeline_refuses_a_directory_that_holds_a_file(self, tmp_path, capsys):
+        # a run's manifest hashes every file under its directory as its own
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("an earlier run's\n")
+        assert cli.main(["pipeline", "--config", str(_write_micro_cfg(tmp_path / "micro.cfg")),
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"output directory {out} is not empty" in err and "Traceback" not in err
+        assert [path.name for path in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "an earlier run's\n"
 
     def test_bounds_from_estimates_needs_no_bundle(self, tmp_path, capsys):
         data = Path(__file__).resolve().parent / "data"

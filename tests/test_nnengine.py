@@ -122,6 +122,15 @@ class TestBlasPin:
         # each variable that OpenBLAS reads, set before numpy loads
         returned(run_pinned("users_thread_count_keeps_serial", blas_threads=None, env={variable: "2"}))
 
+    def test_a_count_set_after_numpy_loaded_is_applied(self):
+        # as OpenBLAS applies it when the count is set before numpy loads,
+        # capped at the CPUs; a count of 1 keeps one worker per CPU
+        results = returned(run_pinned("blas_threads_around_numpy", blas_threads=None, args=[["1", "2", "3"]]))
+        assert results == [
+            [count, before, [1, 2] if count == "1" else [2, 1]]
+            for count in ("1", "2", "3") for before in (True, False)
+        ]
+
     def test_a_count_that_openblas_does_not_read_is_pinned(self):
         # OpenBLAS runs one thread per CPU for an empty value, 0 or no number
         env = dict(OPENBLAS_NUM_THREADS="0", GOTO_NUM_THREADS="", OMP_NUM_THREADS="x")

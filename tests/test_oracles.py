@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randmark import oracles
 from randmark.bounds import chernoff_gamma, poisson_binomial_cdf
+
+import oracles
 
 
 class TestExactBinomialTail:
@@ -125,6 +126,11 @@ class TestCoverageSimulation:
         a = oracles.coverage_simulation(0.7, 100, 0.05, 2_000, seed=9)
         b = oracles.coverage_simulation(0.7, 100, 0.05, 2_000, seed=9)
         assert a.value == b.value
+
+    @pytest.mark.parametrize("reps", [0, 999])
+    def test_too_few_replications_rejected(self, reps):
+        with pytest.raises(ValueError, match="10\\^3 replications"):
+            oracles.coverage_simulation(0.5, 10, 0.1, reps, seed=0)
 
 
 class TestLemmaSimulation:

@@ -46,9 +46,6 @@ OPTIONS = {
     "nnengine.Gradients.wrt_input",
     "nnengine.backward.wrt_input",
     "nnengine.backward.into",
-    "oracles.OracleResult.standard_error",
-    "oracles.OracleResult.trials",
-    "oracles.coverage_simulation.side",
     "watermark.TrainingLog.epochs",
 }
 
@@ -75,11 +72,6 @@ FLAGS = {
         "--bundle", "--config", "--estimates", "--out", "--population-omega",
         "--population-xi", "--seed", "--triggers",
     },
-    "oracle binomial-tail": {"--n", "--r", "--tau"},
-    "oracle poisson-binomial": {"--d", "--probs", "--tail"},
-    "oracle mc-bernoulli": {"--d", "--probs", "--seed", "--trials"},
-    "oracle coverage": {"--level", "--p", "--reps", "--seed", "--side", "--trials"},
-    "oracle lemma-sim": {"--delta", "--probs", "--r-bar", "--reps", "--seed"},
     "pipeline": {"--config", "--out", "--seed"},
     "report": {"--run"},
 }
