@@ -16,6 +16,7 @@ import multiprocessing
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .nnengine import (
     init_network,
     l1_unstructured_prune,
     optimizer_step,
+    save_checkpoint,
 )
 from .synth import gen_synthetic_images
 from .watermark import ModelBundle, TrainingDiverged
@@ -41,6 +43,11 @@ ATTACK_KINDS = ("finetune", "prune", "distill")
 # Omega models drifting beyond this relative embedding error are not
 # functional copies any more and are dropped from populations.
 FUNCTIONALITY_LIMIT = 0.5
+
+# An omega population of master seed S measures each copy on held-out images
+# of seed S + HELDOUT_SEED_OFFSET, so copy i's seeds, S + i and the S + i + 1
+# of a fine-tune's blob task, stay below it.
+HELDOUT_SEED_OFFSET = 999
 
 # Training settings of the synthetic tasks, the attacks and make_independent.
 _BLOB_SPREAD = 0.08
@@ -207,17 +214,21 @@ def make_independent(
     return MlpNetwork(net.layers[:-1])
 
 
-def _train_independent(job) -> MlpNetwork:
+def _train_independent(job) -> Path:
     """Worker job of IndependentPool. Module-level and private, so that a
     worker process unpickles it by name even while a profiler has replaced
-    the public functions with wrappers. job is make_independent's arguments:
-    (dims, seed, data seed, epochs, images)."""
-    return make_independent(*job)
+    the public functions with wrappers. job is make_independent's arguments,
+    (dims, seed, data seed, epochs, images), then the path the model is
+    saved to, which it returns: no network goes back to the caller."""
+    *arguments, path = job
+    save_checkpoint(make_independent(*arguments), path)
+    return path
 
 
 class IndependentPool:
     """Trains make_independent models in forked worker processes while the
-    caller goes on with other work, or in-process when there is one worker.
+    caller goes on with other work, or in-process when there is one worker,
+    and saves each model to a checkpoint file where it was trained.
 
     Sized for `jobs` models by nnengine's _worker_count: one worker per CPU
     in the affinity mask when BLAS runs one thread. The workers are forked
@@ -229,7 +240,7 @@ class IndependentPool:
 
     Use it as a context manager: on exit, jobs not yet started are cancelled
     and the workers and the pool's threads are joined (a running job is
-    waited for).
+    waited for, so no worker writes a file after the exit).
     """
 
     def __init__(self, jobs: int):
@@ -239,15 +250,17 @@ class IndependentPool:
             context = multiprocessing.get_context("fork")
             self._executor = ProcessPoolExecutor(workers, mp_context=context)
 
-    def submit(self, dims, seeds, data_seeds, epochs: int, n_images: int) -> Iterator[MlpNetwork]:
-        """The model of each (seed, data seed) pair, in seed order, as
-        iteration asks for it: next() blocks until that model is trained and
-        raises its job's exception, and the iterator keeps no model it has
-        handed out. Every job is submitted in the call; with one worker,
-        next() trains the model."""
+    def submit(
+        self, dims, seeds, data_seeds, epochs: int, n_images: int, paths: Iterable[Path]
+    ) -> Iterator[Path]:
+        """Train the model of each (seed, data seed) pair and save it to the
+        path beside them; yield each path, in seed order, as iteration asks
+        for it: next() blocks until that model is saved and raises its job's
+        exception. Every job is submitted in the call; with one worker,
+        next() trains and saves the model."""
         jobs = [
-            (list(dims), seed, data_seed, epochs, n_images)
-            for seed, data_seed in zip(seeds, data_seeds, strict=True)
+            (list(dims), seed, data_seed, epochs, n_images, path)
+            for seed, data_seed, path in zip(seeds, data_seeds, paths, strict=True)
         ]
         if self._executor is None:
             return map(_train_independent, jobs)
@@ -293,7 +306,7 @@ def apply_attack(bundle: ModelBundle, spec: AttackSpec) -> MlpNetwork:
 
 @dataclass
 class PopulationResult:
-    models: Iterable[MlpNetwork]
+    models: Iterable[Path]  # each delivered model's checkpoint file, in model order
     rows: list[dict]  # manifest, one per model in model order: index, kind, seeds, settings
     excluded: int = 0
 
@@ -310,7 +323,7 @@ def _random_omega_spec(rng: np.random.Generator, seed: int) -> AttackSpec:
 
 
 def sample_model_population(
-    bundle: ModelBundle, kind: str, m_models: int, seed: int
+    bundle: ModelBundle, kind: str, m_models: int, seed: int, *, directory: Path
 ) -> PopulationResult:
     """M functional copies of the watermarked backbone (the omega
     population), with per-model seeds derived from the master seed plus the
@@ -320,15 +333,17 @@ def sample_model_population(
 
     Copies come from the randomized attack mixture of _random_omega_spec.
     Those failing the functionality check (relative embedding error beyond
-    FUNCTIONALITY_LIMIT on 128 held-out synthetic images) are excluded with
-    a warning.
+    FUNCTIONALITY_LIMIT on 128 held-out synthetic images of seed
+    seed + HELDOUT_SEED_OFFSET) are excluded with a warning. Each delivered
+    copy is saved to directory/omegaNNN.rmk, NNN its model index, as it is
+    made, and the result keeps only its path.
     """
     if kind != "omega":
         raise ValueError(f"kind must be 'omega', got {kind!r}: harness.submit_xi samples xi")
     if m_models < 1:
         raise ValueError("need at least one model")
     result = PopulationResult(models=[], rows=[])
-    heldout_inputs = gen_synthetic_images(128, bundle.s, seed + 999)
+    heldout_inputs = gen_synthetic_images(128, bundle.s, seed + HELDOUT_SEED_OFFSET)
     reference, _ = forward_batch(bundle.watermarked_f, heldout_inputs)  # the same for every copy
     mix_rng = np.random.default_rng(seed)
     for index in range(m_models):
@@ -345,7 +360,8 @@ def sample_model_population(
             )
             result.excluded += 1
             continue
-        result.models.append(model)
+        result.models.append(directory / f"omega{index:03d}.rmk")
+        save_checkpoint(model, result.models[-1])
         result.rows.append(
             {
                 "index": index,

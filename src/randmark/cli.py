@@ -34,6 +34,7 @@ from .harness import (
     load_population,
     population_stage,
     run_pipeline,
+    staging_directory,
     submit_xi,
     verify_suspect,
 )
@@ -191,16 +192,16 @@ def _cmd_bounds(args) -> int:
             raise ValueError("need both --population-omega and --population-xi")
         report = compute_bound_report(
             config,
-            *_bundle_and_triggers(args),
+            *_bundle_and_triggers(args, config),
             load_population(args.population_omega, "omega"),
             load_population(args.population_xi, "xi"),
             verify_seed=config.seeds.verify,
         )
     else:
-        bundle, triggers = _bundle_and_triggers(args)
-        with IndependentPool(config.m_models) as pool:
-            xi = submit_xi(pool, bundle.backbone_dims, config)
-            report = bounds_stage(config, bundle, triggers, out / "population", xi)
+        bundle, triggers = _bundle_and_triggers(args, config)
+        with staging_directory(out) as staging, IndependentPool(config.m_models) as pool:
+            xi = submit_xi(pool, bundle.backbone_dims, config, staging)
+            report = bounds_stage(config, bundle, triggers, out / "population", xi, staging)
     out.mkdir(parents=True, exist_ok=True)
     text = report.to_json()
     (out / "bound_report.json").write_text(text)
@@ -209,13 +210,16 @@ def _cmd_bounds(args) -> int:
     return EXIT_BOUND_NA if lemma.h_minus is None or lemma.h_plus is None else EXIT_OK
 
 
-def _bundle_and_triggers(args):
+def _bundle_and_triggers(args, config):
     """The bundle and trigger set that the population and training branches
-    of `bounds` verify with; ValueError naming a missing flag."""
+    of `bounds` verify with; ValueError naming a missing flag, or a trigger
+    set that the config's n and s do not match, before --out is made."""
     for flag, value in (("--bundle", args.bundle), ("--triggers", args.triggers)):
         if value is None:
             raise ValueError(f"{flag} is required unless --estimates is given")
-    return ModelBundle.load(args.bundle), load_trigger_set(args.triggers)
+    triggers = load_trigger_set(args.triggers)
+    _check_config_n(config, triggers)
+    return ModelBundle.load(args.bundle), triggers
 
 
 def _cmd_pipeline(args) -> int:
@@ -255,6 +259,18 @@ def _cmd_report(args) -> int:
     timed = [f"{name}={seconds[name]:.3f}" for name in PIPELINE_STAGES if name in seconds]
     if timed:
         print("  stage seconds: " + " ".join(timed))
+    peak = manifest.get("peak_rss_mb")
+    if peak is None:  # a manifest written before runs recorded it
+        print("  peak RSS: unknown")
+    else:
+        try:
+            process, child = [
+                json_field(peak, key, JSON_NUMBER, f"'peak_rss_mb'[{key!r}]")
+                for key in ("process", "largest_child")
+            ]
+        except ValueError as exc:
+            raise ValueError(f"{run / 'manifest.json'}: {exc}") from None
+        print(f"  peak RSS: process {process:.1f} MB, largest child {child:.1f} MB")
     embed_file = run / "embed_log.json"
     if embed_file.is_file():
         epochs = _json_object(embed_file, {"epochs": list})["epochs"]
@@ -314,7 +330,8 @@ def main(argv=None) -> int:
         print(f"randmark {args.command}: verification refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except (ValueError, OSError, OverflowError, MemoryError, TrainingDiverged) as exc:
-        print(f"randmark {args.command}: error: {exc}", file=sys.stderr)
+        # a bare MemoryError, as Python's allocator raises it, has no message
+        print(f"randmark {args.command}: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

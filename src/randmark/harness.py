@@ -14,10 +14,15 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import resource
+import shutil
+import tempfile
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import NamedTuple
@@ -26,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .attacks import (
+    HELDOUT_SEED_OFFSET,
     AttackSpec,
     IndependentPool,
     PopulationResult,
@@ -63,9 +69,10 @@ def build_trigger_set(images: np.ndarray, n: int, sigma_scale: float, seed: int)
 
 
 class RunSeeds(NamedTuple):
-    """The seeds of a run, each its master seed plus a fixed offset that
-    ExperimentConfig.seeds alone applies, so that the pipeline stages and
-    the CLI commands that redo one of them use the same seeds."""
+    """The seeds of a run, each its master seed plus its offset in
+    _SEED_OFFSETS, which ExperimentConfig.seeds alone applies, so that the
+    pipeline stages and the CLI commands that redo one of them use the same
+    seeds."""
 
     images: int  # trigger images
     messages: int  # trigger messages and noise scales
@@ -78,6 +85,23 @@ class RunSeeds(NamedTuple):
     omega: int  # master seed of the omega population
     xi: int  # xi model i gets this + i
     xi_data: int  # and its pretraining images this + i
+
+
+# Each run seed's offset from the master seed.
+_SEED_OFFSETS = RunSeeds(
+    images=1, messages=2, source=3, source_data=4, bundle=5, verify=6, independents=100,
+    independent_data=200, omega=1000, xi=2000, xi_data=12000,
+)
+# The most models whose seeds stay clear of every other seed of the run:
+# independent i takes independents + i and independent_data + i; omega copy
+# i takes omega + i and omega + i + 1, below its held-out images'
+# omega + HELDOUT_SEED_OFFSET (itself below xi); xi model i takes xi + i and
+# xi_data + i.
+_MAX_INDEPENDENTS = min(
+    _SEED_OFFSETS.independent_data - _SEED_OFFSETS.independents,
+    _SEED_OFFSETS.omega - _SEED_OFFSETS.independent_data,
+)
+_MAX_M_MODELS = min(HELDOUT_SEED_OFFSET - 1, _SEED_OFFSETS.xi_data - _SEED_OFFSETS.xi)
 
 
 @dataclass
@@ -118,6 +142,12 @@ class ExperimentConfig:
         for name in ("s", "k", "n", "trigger_count", "k_train", "k_verify", "m_models"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.m_models > _MAX_M_MODELS:
+            raise ValueError(
+                f"m_models must be at most {_MAX_M_MODELS}, got {self.m_models}: omega copy i "
+                f"takes seeds run + {_SEED_OFFSETS.omega} + i and one above, below its "
+                f"held-out images' run + {_SEED_OFFSETS.omega + HELDOUT_SEED_OFFSET}"
+            )
         if math.isqrt(self.s) ** 2 != self.s:
             raise ValueError(f"s must be a perfect square (square images), got {self.s}")
         if not 0.0 < self.sigma_scale < math.inf:
@@ -135,8 +165,12 @@ class ExperimentConfig:
             raise ValueError("delta must lie in (0, 1]")
         if self.seed < 0:
             raise ValueError("seed must not be negative")
-        if self.independents < 0:
-            raise ValueError("independents must not be negative")
+        if not 0 <= self.independents <= _MAX_INDEPENDENTS:
+            raise ValueError(
+                f"independents must lie in [0, {_MAX_INDEPENDENTS}], got {self.independents}: "
+                f"independent i takes seed run + {_SEED_OFFSETS.independents} + i, below the "
+                f"data seeds at run + {_SEED_OFFSETS.independent_data}"
+            )
         if self.pretrain_images < 1:
             raise ValueError("pretrain_images must be positive")
         if self.pretrain_epochs < 0:
@@ -163,13 +197,7 @@ class ExperimentConfig:
 
     @property
     def seeds(self) -> RunSeeds:
-        seed = self.seed
-        return RunSeeds(
-            images=seed + 1, messages=seed + 2, source=seed + 3, source_data=seed + 4,
-            bundle=seed + 5, verify=seed + 6, independents=seed + 100,
-            independent_data=seed + 200, omega=seed + 1000, xi=seed + 2000,
-            xi_data=seed + 12000,
-        )
+        return RunSeeds(*(self.seed + offset for offset in _SEED_OFFSETS))
 
     def hyper(self) -> HyperParams:
         return HyperParams(
@@ -298,31 +326,49 @@ def population_distances(
 
 @dataclass
 class PopulationWriter:
-    """One population's models, each saved to directory/<label>NNN.rmk as
-    iteration reaches it. <label>_manifest.json, which records the manifest
-    rows (each with its file name) and the excluded count, exists only for a
-    finished population: a stale one is removed before the first model is
-    saved, and the new one is written after the last."""
+    """One population's checkpoints, each moved (os.replace, so on the same
+    file system) to directory/<label>NNN.rmk as iteration reaches it, which
+    then yields that path. The population's models are checkpoint files
+    written before, so nothing here saves a model. <label>_manifest.json,
+    which records the manifest rows (each with its file name) and the
+    excluded count, exists only for a finished population: a stale one is
+    removed before the first checkpoint moves in, and the new one is written
+    after the last."""
 
     directory: Path
     label: str
     population: PopulationResult
 
-    def __iter__(self) -> Iterator[MlpNetwork]:
+    def __iter__(self) -> Iterator[Path]:
         self.directory.mkdir(parents=True, exist_ok=True)
         manifest = self.directory / f"{self.label}_manifest.json"
         manifest.unlink(missing_ok=True)
         rows, files = self.population.rows, []
-        for model in self.population.models:
+        for path in self.population.models:
             files.append(f"{self.label}{len(files):03d}.rmk")
-            save_checkpoint(model, self.directory / files[-1])
-            yield model
+            os.replace(path, self.directory / files[-1])
+            yield self.directory / files[-1]
         if len(files) != len(rows):
             raise ValueError(f"{self.label}: {len(files)} models for {len(rows)} rows")
         rows = [{**row, "file": name} for row, name in zip(rows, files)]
         manifest.write_text(json.dumps(
             {"models": rows, "excluded": self.population.excluded}, indent=2, sort_keys=True
         ))
+
+
+@contextmanager
+def staging_directory(parent: Path) -> Iterator[Path]:
+    """A new directory in parent for the checkpoints of models made before
+    the stage that publishes them reaches them (PopulationWriter and
+    attacks_stage move them out), removed on exit with whatever it still
+    holds, so a failed or cut run leaves none of them behind. Close an
+    IndependentPool that writes into it first."""
+    parent.mkdir(parents=True, exist_ok=True)
+    path = Path(tempfile.mkdtemp(prefix=".staging-", dir=parent))
+    try:
+        yield path
+    finally:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 def load_population(directory, label: str) -> Iterator[MlpNetwork]:
@@ -427,6 +473,7 @@ class RunManifest:
     config: dict
     files: dict[str, str]
     stage_seconds: dict[str, float]
+    peak_rss_mb: dict[str, float]  # _peak_rss_mb: this process's, its largest child's
     failures: dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -441,7 +488,10 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
 
     Every independent model the run needs, the suspects' and then the xi
     population's, is submitted to one IndependentPool before anything else,
-    so that its workers train them while this process runs the stages.
+    so that its workers train them while this process runs the stages. Each
+    is saved to a staging directory in out_dir, from which the stage that
+    reaches it moves it into place; the run removes that directory, with
+    every checkpoint no stage took, before it hashes its files.
 
     out_dir must be new or empty: the manifest hashes every file under it as
     this run's, so a directory that holds anything raises ValueError before
@@ -466,20 +516,25 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
         try:
             result = run()
         except Exception as exc:
-            failures[name] = str(exc)
+            failures[name] = str(exc) or type(exc).__name__
             return None
         stage_seconds[name] = time.perf_counter() - t0
         return result
 
-    with IndependentPool(config.independents + config.m_models) as pool:
+    count = config.independents
+    with (
+        staging_directory(out) as staging,
+        IndependentPool(count + config.m_models) as pool,  # closed before staging goes
+    ):
         independents = pool.submit(
             dims,
-            [seeds.independents + i for i in range(config.independents)],
-            [seeds.independent_data + i for i in range(config.independents)],
+            [seeds.independents + i for i in range(count)],
+            [seeds.independent_data + i for i in range(count)],
             config.pretrain_epochs,
             config.pretrain_images,
+            [staging / f"independent{i}.rmk" for i in range(count)],
         )
-        xi = submit_xi(pool, dims, config)
+        xi = submit_xi(pool, dims, config, staging)
         triggers = stage("data", lambda: data_stage(config, out / "triggers.rmts"))
         bundle = stage("embed", lambda: embed_stage(config, triggers, out)[0], triggers)
         suspects = stage(
@@ -496,7 +551,7 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
         stage(
             "bounds",
             lambda: (out / "bound_report.json").write_text(
-                bounds_stage(config, bundle, triggers, out / "population", xi).to_json()
+                bounds_stage(config, bundle, triggers, out / "population", xi, staging).to_json()
             ),
             suspects,  # a failed attacks stage ends the run, as a failed embed does
         )
@@ -539,19 +594,24 @@ def embed_stage(
 def attacks_stage(
     config: ExperimentConfig,
     bundle: ModelBundle,
-    independents: Iterable[MlpNetwork],
+    independents: Iterable[Path],
     suspect_dir: Path,
 ) -> list[tuple[str, str, MlpNetwork]]:
-    """A run's suspects as (name, kind, network), each saved to
-    suspect_dir/<name>.rmk: the watermarked backbone, each configured attack
-    on it, and the independent models, in the order independents yields
-    them."""
+    """A run's suspects as (name, kind, network), each in
+    suspect_dir/<name>.rmk: the watermarked backbone and each configured
+    attack on it, saved here, then the independent models, whose checkpoint
+    files independents yields in order; each is moved in and loaded. No file
+    is written until every independent model is there."""
     suspects = [("watermarked", "watermarked", bundle.watermarked_f)]
     suspects += [(name, spec.kind, apply_attack(bundle, spec)) for name, spec in config.attacks]
-    suspects += [(f"independent{i}", "independent", net) for i, net in enumerate(independents)]
+    staged = list(independents)
     suspect_dir.mkdir(exist_ok=True)
     for name, _, net in suspects:
         save_checkpoint(net, suspect_dir / f"{name}.rmk")
+    for i, path in enumerate(staged):
+        name = f"independent{i}"
+        os.replace(path, suspect_dir / f"{name}.rmk")
+        suspects.append((name, "independent", load_checkpoint(suspect_dir / f"{name}.rmk")))
     return suspects
 
 
@@ -660,13 +720,15 @@ def _bound_report(config: ExperimentConfig, omega, xi, p_hat: float, q_hat: floa
     )
 
 
-def submit_xi(pool: IndependentPool, dims, config: ExperimentConfig) -> PopulationResult:
+def submit_xi(
+    pool: IndependentPool, dims, config: ExperimentConfig, staging: Path
+) -> PopulationResult:
     """Submit a run's xi population of config.m_models backbones with
     dimension chain dims to the pool: model i trains from seed
     RunSeeds.xi + i on pretraining images of seed RunSeeds.xi_data + i, as
-    the config's pretraining says. Its models come in seed order as
-    iteration asks for them, and the population keeps no model it has
-    handed out; iterate them while the pool is open."""
+    the config's pretraining says, and is saved to staging/xiNNN.rmk. The
+    population yields those paths in seed order, each once its model is
+    saved; iterate them while the pool is open."""
     seeds = config.seeds
     epochs, n_images = config.pretrain_epochs, config.pretrain_images
     model_seeds = [seeds.xi + i for i in range(config.m_models)]
@@ -676,7 +738,10 @@ def submit_xi(pool: IndependentPool, dims, config: ExperimentConfig) -> Populati
          "pretrain_epochs": epochs, "pretrain_images": n_images}
         for i, (seed, data_seed) in enumerate(zip(model_seeds, data_seeds))
     ]
-    return PopulationResult(pool.submit(dims, model_seeds, data_seeds, epochs, n_images), rows)
+    paths = [staging / f"xi{i:03d}.rmk" for i in range(config.m_models)]
+    return PopulationResult(
+        pool.submit(dims, model_seeds, data_seeds, epochs, n_images, paths), rows
+    )
 
 
 def bounds_stage(
@@ -685,34 +750,51 @@ def bounds_stage(
     triggers: TriggerSet,
     population_dir: Path,
     xi: PopulationResult,
+    staging: Path,
 ) -> BoundReport:
-    """Sample the omega population, then decode and save it and each xi
-    model (of submit_xi) as its result arrives, in seed order, into
-    population_dir; return the bound report."""
-    omega = sample_model_population(bundle, "omega", config.m_models, config.seeds.omega)
+    """Sample the omega population into staging, then move each omega and
+    then each xi checkpoint (of submit_xi) into population_dir as its model
+    is ready, in seed order, and load and decode it there, one model at a
+    time; return the bound report."""
+    omega = sample_model_population(
+        bundle, "omega", config.m_models, config.seeds.omega, directory=staging
+    )
     return compute_bound_report(
         config,
         bundle,
         triggers,
-        PopulationWriter(population_dir, "omega", omega),
-        PopulationWriter(population_dir, "xi", xi),
+        map(load_checkpoint, PopulationWriter(population_dir, "omega", omega)),
+        map(load_checkpoint, PopulationWriter(population_dir, "xi", xi)),
         verify_seed=config.seeds.verify,
     )
 
 
 def population_stage(config: ExperimentConfig, bundle: ModelBundle, kind: str, out: Path) -> int:
     """Sample config.m_models models of a run's omega or xi population
-    (master seed from RunSeeds) and save them into out as a bounds stage
-    does: omega in this process, xi in a pool opened for it, each xi model
-    saved and dropped as it arrives. Returns the number of models saved."""
-    if kind == "omega":
-        result = sample_model_population(bundle, "omega", config.m_models, config.seeds.omega)
-        deque(PopulationWriter(out, kind, result), maxlen=0)
-    else:
-        with IndependentPool(config.m_models) as pool:
-            result = submit_xi(pool, bundle.backbone_dims, config)
-            deque(PopulationWriter(out, kind, result), maxlen=0)  # drops each model once saved
+    (master seed from RunSeeds) and move them into out as a bounds stage
+    does: omega in this process, xi in a pool opened for it, each saved by
+    its worker; no model is loaded. Returns the number of models saved."""
+    with staging_directory(out) as staging:
+        if kind == "omega":
+            result = sample_model_population(
+                bundle, "omega", config.m_models, config.seeds.omega, directory=staging
+            )
+            deque(PopulationWriter(out, kind, result), maxlen=0)
+        else:
+            with IndependentPool(config.m_models) as pool:
+                result = submit_xi(pool, bundle.backbone_dims, config, staging)
+                deque(PopulationWriter(out, kind, result), maxlen=0)
     return len(result.rows)
+
+
+def _peak_rss_mb() -> dict[str, float]:
+    """The resident-set high-water marks in MB (ru_maxrss, KiB on Linux) of
+    this process and of the largest child process it has waited for: after
+    a run, the pool's workers, once the pool has closed."""
+    return {
+        "process": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "largest_child": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+    }
 
 
 def _finalize_manifest(
@@ -732,6 +814,7 @@ def _finalize_manifest(
         config=config.snapshot(),
         files=files,
         stage_seconds=stage_seconds,
+        peak_rss_mb=_peak_rss_mb(),
         failures=failures,
     )
     (out / "manifest.json").write_text(manifest.to_json())

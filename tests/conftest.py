@@ -25,7 +25,8 @@ from randmark import attacks as atk
 from randmark import nnengine as ne
 from randmark import watermark as wm
 from randmark.harness import (
-    ExperimentConfig, attacks_stage, build_trigger_set, data_stage, embed_stage, verify_stage,
+    ExperimentConfig, attacks_stage, build_trigger_set, data_stage, embed_stage, staging_directory,
+    verify_stage,
 )
 from randmark.nnengine import MlpNetwork, _blas_core, forward_batch
 from randmark.synth import gen_synthetic_images
@@ -419,18 +420,20 @@ def desk_run(tmp_path_factory) -> DeskRun:
     COVARIANCE_DRAWS draws gives both the verify distances (its first
     k_verify draws) and the covariance stage's. As in run_pipeline, the
     independents are submitted to an IndependentPool first and train in its
-    workers, bit-identical to serial ones."""
+    workers, bit-identical to serial ones, which save them to a staging
+    directory that the attacks stage takes them from."""
     t_start = time.perf_counter()
     config = replace(ExperimentConfig(), independents=10)
     seeds, count = config.seeds, config.independents
     out = tmp_path_factory.mktemp("desk")
-    with atk.IndependentPool(count) as pool:
+    with staging_directory(out) as staging, atk.IndependentPool(count) as pool:
         independents = pool.submit(
             config.backbone_dims,
             [seeds.independents + i for i in range(count)],
             [seeds.independent_data + i for i in range(count)],
             config.pretrain_epochs,
             config.pretrain_images,
+            [staging / f"independent{i}.rmk" for i in range(count)],
         )
         triggers = data_stage(config, out / "triggers.rmts")
         bundle, log = embed_stage(config, triggers, out)

@@ -19,6 +19,7 @@ import multiprocessing
 import os
 import signal
 import sys
+import tempfile
 import threading
 import time
 import traceback
@@ -143,10 +144,13 @@ def numpy_first_then_pin(cases):
     assert tasks() == 2, tasks()
     from randmark import attacks as atk, nnengine as ne
     assert (tasks(), ne._blas_threads(), ne._worker_count(2)) == (2, 1, 2)
-    with atk.IndependentPool(len(cases)) as pool:
-        models = [pool.submit(dims, [5], [6], 3, n_images) for dims, n_images in cases]
+    with tempfile.TemporaryDirectory() as staging, atk.IndependentPool(len(cases)) as pool:
+        paths = [[os.path.join(staging, f"case{index}.rmk")] for index in range(len(cases))]
+        saved = [pool.submit(dims, [5], [6], 3, n_images, path)
+                 for (dims, n_images), path in zip(cases, paths)]
         assert len(multiprocessing.active_children()) == 2
-        return [hashlib.sha256(model.parameters_digest().encode()).hexdigest() for model, in models]
+        models = [ne.load_checkpoint(path) for path, in saved]
+        return [hashlib.sha256(model.parameters_digest().encode()).hexdigest() for model in models]
 
 
 def users_thread_count_keeps_serial():
@@ -201,8 +205,30 @@ def config_with_10_23_independents():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     from randmark.harness import ExperimentConfig
     start = time.perf_counter()
-    ExperimentConfig(independents=10**23)
+    try:
+        ExperimentConfig(independents=10**23)
+    except ValueError as exc:  # refused by its range, never listed or built
+        assert "independents must lie in [0, 100]" in str(exc), exc
+    else:
+        raise AssertionError("a config of 10**23 independents was accepted")
     return time.perf_counter() - start
+
+
+def pipeline_of_10_23_independents(directory):
+    # the address space capped at 2 GB before randmark loads: [exit code,
+    # standard error, whether the run directory was made]
+    import contextlib
+    import io
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    from randmark import cli
+    cfg, out = os.path.join(directory, "huge.cfg"), os.path.join(directory, "run")
+    with open(cfg, "w") as fh:
+        fh.write(f"[run]\nindependents = {10**23}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["pipeline", "--config", cfg, "--out", out])
+    return [code, err.getvalue(), os.path.exists(out)]
 
 
 def split_bytes_equal_one_block():
@@ -280,14 +306,16 @@ def _counted_starts():
 def _forked_pool_check():
     """Train two small models in the caller; return a check that trains them
     again in a forked IndependentPool of two workers, to the same digests."""
-    from randmark import attacks as atk
+    from randmark import attacks as atk, nnengine as ne
     seeds = [(6, 8), (7, 9)]
     serial = [atk.make_independent([16, 12, 6], seed=s, pretrain_data_seed=d, epochs=1, n_images=10)
               .parameters_digest() for s, d in seeds]
     def fork_pool():
-        with atk.IndependentPool(2) as pool:
-            models = pool.submit([16, 12, 6], *zip(*seeds), 1, 10)
+        with tempfile.TemporaryDirectory() as staging, atk.IndependentPool(2) as pool:
+            paths = [os.path.join(staging, f"model{seed}.rmk") for seed, _ in seeds]
+            saved = pool.submit([16, 12, 6], *zip(*seeds), 1, 10, paths)
             assert len(multiprocessing.active_children()) == 2
+            models = [ne.load_checkpoint(path) for path in saved]
             assert [model.parameters_digest() for model in models] == serial
     return fork_pool
 
@@ -745,10 +773,11 @@ def no_thread_outlives_a_verify():
     wm.forward_batch = ne.forward_batch
     assert threads == {threading.get_ident()}, threads
     assert ne._worker_count(2) == 2
-    with atk.IndependentPool(2) as pool:
-        models = pool.submit([16, 12, 6], [6, 7], [8, 9], 1, 10)
+    with tempfile.TemporaryDirectory() as staging, atk.IndependentPool(2) as pool:
+        paths = [os.path.join(staging, name) for name in ("a.rmk", "b.rmk")]
+        saved = pool.submit([16, 12, 6], [6, 7], [8, 9], 1, 10, paths)
         assert len(multiprocessing.active_children()) == 2
-        assert len(list(models)) == 2
+        assert list(saved) == paths
 
 
 def desk_decode_splits_in_the_caller():

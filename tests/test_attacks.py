@@ -5,9 +5,11 @@ import builtins
 import logging
 import os
 import signal
+import tempfile
 import threading
 import weakref
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,57 +192,70 @@ def _fixed_omega_spec(monkeypatch, **spec):
 
 
 class TestPopulation:
-    def test_degenerate_omega_spec_is_exact_copy(self, mini_run, monkeypatch):
+    def test_degenerate_omega_spec_is_exact_copy(self, mini_run, monkeypatch, tmp_path):
         _fixed_omega_spec(monkeypatch, kind="prune", fraction=0.0)
-        result = atk.sample_model_population(mini_run.bundle, "omega", 1, seed=70)
-        assert len(result.models) == 1
+        result = atk.sample_model_population(mini_run.bundle, "omega", 1, seed=70,
+                                             directory=tmp_path)
+        assert result.models == [tmp_path / "omega000.rmk"]
         assert (
-            result.models[0].parameters_digest()
+            ne.load_checkpoint(result.models[0]).parameters_digest()
             == mini_run.bundle.watermarked_f.parameters_digest()
         )
 
-    def test_reproducible_under_master_seed(self, mini_run):
-        a = atk.sample_model_population(mini_run.bundle, "omega", 3, seed=71)
-        b = atk.sample_model_population(mini_run.bundle, "omega", 3, seed=71)
-        assert [m.parameters_digest() for m in a.models] == [
-            m.parameters_digest() for m in b.models
+    def test_reproducible_under_master_seed(self, mini_run, tmp_path):
+        populations = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            populations.append(atk.sample_model_population(
+                mini_run.bundle, "omega", 3, seed=71, directory=tmp_path / name
+            ))
+        a, b = populations
+        assert [ne.load_checkpoint(m).parameters_digest() for m in a.models] == [
+            ne.load_checkpoint(m).parameters_digest() for m in b.models
         ]
         assert a.rows == b.rows
 
-    def test_xi_population_is_independent_models(self, mini_run):
+    def test_xi_population_is_independent_models(self, mini_run, tmp_path):
         config = ExperimentConfig(seed=72, m_models=2, pretrain_epochs=1, pretrain_images=20)
         with atk.IndependentPool(2) as pool:
-            result = submit_xi(pool, mini_run.bundle.backbone_dims, config)
-            assert len(list(result.models)) == 2
+            result = submit_xi(pool, mini_run.bundle.backbone_dims, config, tmp_path)
+            assert list(result.models) == [tmp_path / "xi000.rmk", tmp_path / "xi001.rmk"]
         assert all(row["kind"] == "independent" for row in result.rows)
         seeds = config.seeds
         assert [(row["seed"], row["data_seed"]) for row in result.rows] == [
             (seeds.xi, seeds.xi_data), (seeds.xi + 1, seeds.xi_data + 1)
         ]
 
-    def test_default_mixture_keeps_watermark_retaining_kinds(self, mini_run):
-        result = atk.sample_model_population(mini_run.bundle, "omega", 8, seed=77)
+    def test_default_mixture_keeps_watermark_retaining_kinds(self, mini_run, tmp_path):
+        result = atk.sample_model_population(mini_run.bundle, "omega", 8, seed=77,
+                                             directory=tmp_path)
         kinds = {row["kind"] for row in result.rows}
         assert kinds <= {"finetune", "prune"}
         assert len(kinds) == 2
 
-    def test_functionality_filter_excludes_wrecked_models(self, mini_run, monkeypatch, caplog):
+    def test_functionality_filter_excludes_wrecked_models(
+        self, mini_run, monkeypatch, caplog, tmp_path
+    ):
         # a huge learning rate destroys the embedding function
         _fixed_omega_spec(monkeypatch, kind="finetune", epochs=3, lr=10.0)
         with caplog.at_level(logging.WARNING):
-            result = atk.sample_model_population(mini_run.bundle, "omega", 2, seed=73)
+            result = atk.sample_model_population(mini_run.bundle, "omega", 2, seed=73,
+                                                 directory=tmp_path)
         assert result.excluded == 2
         assert len(result.models) == 0
+        assert list(tmp_path.iterdir()) == []  # an excluded copy is never saved
         assert any("excluded" in rec.message for rec in caplog.records)
 
-    def test_omega_models_stay_functional(self, mini_run):
-        result = atk.sample_model_population(mini_run.bundle, "omega", 6, seed=74)
+    def test_omega_models_stay_functional(self, mini_run, tmp_path):
+        result = atk.sample_model_population(mini_run.bundle, "omega", 6, seed=74,
+                                             directory=tmp_path)
         held = gen_synthetic_images(128, MINI["s"], 75)
-        for model in result.models:
+        for path in result.models:
+            model = ne.load_checkpoint(path)
             err = atk.relative_embedding_error(model, mini_run.bundle.watermarked_f, held)
             assert err < atk.FUNCTIONALITY_LIMIT
 
-    def test_one_reference_forward_per_population(self, mini_run, monkeypatch):
+    def test_one_reference_forward_per_population(self, mini_run, monkeypatch, tmp_path):
         # every copy is measured against the watermarked backbone's embedding
         # of the same held-out images, so that forward runs once
         watermarked, forward, forwards = mini_run.bundle.watermarked_f, atk.forward_batch, []
@@ -250,20 +265,25 @@ class TestPopulation:
             return forward(net, inputs, into)
 
         monkeypatch.setattr(atk, "forward_batch", counted)
-        result = atk.sample_model_population(mini_run.bundle, "omega", 4, seed=78)
+        result = atk.sample_model_population(mini_run.bundle, "omega", 4, seed=78,
+                                             directory=tmp_path)
         assert len(result.models) + result.excluded == 4
         assert sum(forwards) == 1, forwards
 
-    def test_invalid_kind_rejected(self, mini_run):
+    def test_invalid_kind_rejected(self, mini_run, tmp_path):
         for kind in ("sigma", "xi"):
             with pytest.raises(ValueError, match="submit_xi"):
-                atk.sample_model_population(mini_run.bundle, kind, 1, seed=76)
+                atk.sample_model_population(mini_run.bundle, kind, 1, seed=76,
+                                            directory=tmp_path)
 
 
 def _train_in_pool(dims, seeds, data_seeds, epochs, n_images):
-    """Models trained side by side in an IndependentPool of their own."""
-    with atk.IndependentPool(len(seeds)) as pool:
-        return list(pool.submit(dims, seeds, data_seeds, epochs, n_images))
+    """Models trained side by side in an IndependentPool of their own, each
+    loaded from the checkpoint that the process which trained it saved."""
+    with tempfile.TemporaryDirectory() as staging, atk.IndependentPool(len(seeds)) as pool:
+        paths = [Path(staging) / f"model{seed}.rmk" for seed in seeds]
+        saved = pool.submit(dims, seeds, data_seeds, epochs, n_images, paths)
+        return [ne.load_checkpoint(path) for path in saved]
 
 
 class TestTrainIndependents:
@@ -292,17 +312,20 @@ class TestTrainIndependents:
             assert len(in_parent) == trained_in_parent
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
-    def test_population_releases_each_model_once_taken(self, monkeypatch, cpus):
-        # the population holds no model it has handed out: once the consumer
-        # drops model i, it is gone before model i + 1 is asked for
+    def test_population_releases_each_model_once_taken(self, monkeypatch, cpus, tmp_path):
+        # the population hands out checkpoint files and holds no model: once
+        # the consumer drops the model it loaded from file i, it is gone
+        # before file i + 1 is asked for
         see_cpus(monkeypatch, cpus)
         config = ExperimentConfig(seed=90, m_models=3, pretrain_epochs=1, pretrain_images=20)
         with atk.IndependentPool(3) as pool:
-            models = iter(submit_xi(pool, DIMS, config).models)
-            for _ in range(3):
-                taken = weakref.ref(next(models))
+            paths = iter(submit_xi(pool, DIMS, config, tmp_path).models)
+            for index in range(3):
+                path = next(paths)
+                assert path == tmp_path / f"xi{index:03d}.rmk"
+                taken = weakref.ref(ne.load_checkpoint(path))
                 assert taken() is None
-            assert next(models, None) is None
+            assert next(paths, None) is None
 
     def _assert_trains_in_process(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -12,11 +12,15 @@ from pathlib import Path
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def _targets():
+def _tracer():
     spec = importlib.util.spec_from_file_location("randmark_bench_tracer", BENCHMARKS / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return tracer
+
+
+def _targets():
+    return _tracer().TARGETS
 
 
 def _target_function(module_name, attribute):
@@ -119,3 +123,26 @@ def test_every_workload_library_call_resolves():
             raise AssertionError(f"benchmarks/workloads.py calls {name}: {exc}") from None
         calls += 1
     assert calls >= 10
+
+
+def test_population_hook_counts_a_real_omega_population(mini_run, tmp_path):
+    # the traced attacks.omega.* metrics come from _population, which reads
+    # m_models by position and the delivered count as len(result.models):
+    # both must hold for a population that is its checkpoint files
+    from randmark import attacks
+
+    tracer = _tracer().Tracer()
+    m_models = 12
+    with tracer.installed():
+        result = attacks.sample_model_population(
+            mini_run.bundle, "omega", m_models, 81, directory=tmp_path
+        )
+    extras = tracer.extras["attacks.sample_model_population"]
+    assert dict(extras) == {
+        "omega_requested": m_models,
+        "omega_delivered": len(result.rows),
+        "omega_excluded": result.excluded,
+    }
+    assert len(result.rows) + result.excluded == m_models
+    assert result.excluded > 0  # seed 81 excludes a copy, so all three counts differ
+    assert sorted(tmp_path.iterdir()) == sorted(result.models)

@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import re
+import resource
 import shutil
 import struct
 import threading
@@ -282,13 +283,17 @@ lr = 0.002
         ("seed = 3\n", "no section headers"),
         ("[run]\nseed = 1\n[run]\nseed = 2\n", "section 'run' already exists"),
         ("[run]\nseed = -5\n", "seed must not be negative"),
+        ("[run]\nindependents = 101\n", "independents must lie in [0, 100], got 101"),
+        (f"[run]\nindependents = {10**23}\n", "independents must lie in [0, 100]"),
+        ("[bounds]\nm_models = 999\n", "m_models must be at most 998, got 999"),
     ], ids=["unknown-key", "unknown-section", "default-section", "unknown-attack-key",
             "bounds-stage-removed", "unparsable-value", "out-of-range", "attack-without-kind",
             "embed-lr-negative", "pretrain-images-zero", "attack-lr-negative",
             "backbone-width-zero", "backbone-width-negative", "decoder-width-zero",
             "s-not-square", "sigma-scale-negative", "sigma-scale-nan",
             "attack-named-watermarked", "attack-named-independent", "attack-name-escapes",
-            "attack-kind-independent", "no-section-header", "repeated-section", "seed-negative"])
+            "attack-kind-independent", "no-section-header", "repeated-section", "seed-negative",
+            "independents-101", "independents-10-23", "m-models-999"])
     def test_bad_config_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "exp.cfg"
         path.write_text(text)
@@ -311,9 +316,28 @@ lr = 0.002
         # independent07 names no suspect file: the pipeline writes independent7
         assert ExperimentConfig(independents=8, attacks=[("independent07", spec)])
         # a number of more digits than independents has is larger
-        assert ExperimentConfig(independents=1000, attacks=[("independent" + "9" * 30, spec)])
-        with pytest.raises(ValueError, match="'independent999' is another suspect's name"):
-            ExperimentConfig(independents=1000, attacks=[("independent999", spec)])
+        assert ExperimentConfig(independents=100, attacks=[("independent" + "9" * 30, spec)])
+        with pytest.raises(ValueError, match="'independent99' is another suspect's name"):
+            ExperimentConfig(independents=100, attacks=[("independent99", spec)])
+        assert ExperimentConfig(independents=99, attacks=[("independent99", spec)])
+
+    def test_model_seeds_at_the_count_limits_are_all_distinct(self):
+        # the largest counts a config takes still give every model seed,
+        # data seed and held-out seed of a run a value of its own
+        config = ExperimentConfig(independents=100, m_models=998)
+        seeds = config.seeds
+        ranges = (
+            (config.independents, (seeds.independents, seeds.independent_data)),
+            (config.m_models, (seeds.omega, seeds.xi, seeds.xi_data)),
+        )
+        models = [base + i for count, bases in ranges for base in bases for i in range(count)]
+        blob_tasks = [seeds.omega + i + 1 for i in range(config.m_models)]  # a fine-tune's
+        used = [*seeds[:6], seeds.omega + atk.HELDOUT_SEED_OFFSET, *models]
+        assert seeds.omega + atk.HELDOUT_SEED_OFFSET not in blob_tasks
+        assert len(set(used)) == len(used)
+        for overrides in (dict(independents=101), dict(m_models=999)):
+            with pytest.raises(ValueError, match="must"):
+                ExperimentConfig(**overrides)
 
     def test_config_with_10_23_independents_returns_at_once(self):
         # in a child whose address space is capped: a config that listed every
@@ -681,6 +705,69 @@ class TestPopulationTraining:
         assert "xi_manifest.json" in err and "Traceback" not in err
         assert not (tmp_path / "bounds_out").exists()
 
+    def test_parent_never_receives_a_network(self, monkeypatch, tmp_path):
+        # the workers save their models and send back paths, and the omega
+        # copies are saved as they are made: the run loads each population
+        # model when it decodes it, and has dropped every earlier one by then
+        def unpicklable(net):
+            raise AssertionError("a network was pickled")
+
+        config = micro_config(seed=48, independents=2, m_models=3)
+        suspects = 1 + len(config.attacks) + config.independents
+        decoded, decode = [], harness.decode_triggers
+
+        def spy(model, *args):
+            alive = [index for index, ref in enumerate(decoded[suspects:]) if ref() is not None]
+            assert alive == [], f"population models {alive} alive at decode {len(decoded)}"
+            decoded.append(weakref.ref(model))
+            return decode(model, *args)
+
+        monkeypatch.setattr(ne.MlpNetwork, "__reduce__", unpicklable)  # the workers' too
+        monkeypatch.setattr(harness, "decode_triggers", spy)
+        see_cpus(monkeypatch, 2)
+        manifest = run_pipeline(config, tmp_path / "run")
+        assert manifest.failures == {}
+        omega = json.loads((tmp_path / "run" / "population" / "omega_manifest.json").read_text())
+        assert len(decoded) == suspects + len(omega["models"]) + config.m_models
+
+    @pytest.mark.parametrize("failing", ["data", "embed"])
+    def test_failed_run_leaves_no_staged_checkpoint(self, monkeypatch, tmp_path, failing):
+        # the independents and xi models that workers saved before the stage
+        # that takes them failed or was skipped are removed with their
+        # staging directory, before the manifest hashes the run's files
+        config = micro_config(seed=49, independents=2, m_models=3,
+                              learning_rate=1e200 if failing == "embed" else 2e-3)
+
+        def full_disk(triggers, path):
+            raise OSError(f"{path}: no space left on device")
+
+        if failing == "data":
+            monkeypatch.setattr(harness, "save_trigger_set", full_disk)
+        see_cpus(monkeypatch, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            manifest = run_pipeline(config, tmp_path / "run")
+        assert set(manifest.failures) == {failing}
+        left = sorted(str(path.relative_to(tmp_path / "run")) for path in
+                      (tmp_path / "run").rglob("*"))
+        assert left == (["manifest.json"] if failing == "data" else
+                        ["manifest.json", "triggers.rmts"])
+        assert manifest.files == ({} if failing == "data" else
+                                  {"triggers.rmts": manifest.files["triggers.rmts"]})
+
+    def test_manifest_records_peak_rss_outside_files(self, monkeypatch, tmp_path):
+        # the process's and its largest child's high-water marks, the latter
+        # read once the pool's workers have exited
+        see_cpus(monkeypatch, 2)
+        manifest = run_pipeline(micro_config(seed=36, independents=2), tmp_path / "run")
+        assert manifest.failures == {}
+        written = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert written["peak_rss_mb"] == manifest.peak_rss_mb
+        assert set(manifest.peak_rss_mb) == {"process", "largest_child"}
+        for key, who in (("process", resource.RUSAGE_SELF),
+                         ("largest_child", resource.RUSAGE_CHILDREN)):
+            assert 0 < manifest.peak_rss_mb[key] <= resource.getrusage(who).ru_maxrss / 1024
+        assert not any("rss" in name for name in manifest.files)
+
     @pytest.mark.parametrize("failing", ["embed", "attacks", "bounds"])
     def test_failed_run_leaves_no_worker_or_thread(self, monkeypatch, tmp_path, failing):
         learning_rate = 1e200 if failing == "embed" else 2e-3
@@ -1001,18 +1088,24 @@ class TestCli:
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
     def test_population_xi_saves_one_model_at_a_time(self, micro_run, monkeypatch, tmp_path, cpus):
-        # `population --kind xi` streams its models to disk: when one is
-        # saved, no model saved before it is still alive
+        # `population --kind xi` streams its models to disk where they are
+        # trained: when one is saved, no model saved before it in the same
+        # process is still alive (a forked worker checks its own, and a
+        # failed check fails its job), and this process loads none
         _, out, _ = micro_run
         saved = []
-        real_save = harness.save_checkpoint
+        real_save = atk.save_checkpoint
 
         def spy(model, path):
             assert [ref() for ref in saved] == [None] * len(saved), f"alive at {path.name}"
             saved.append(weakref.ref(model))
             real_save(model, path)
 
-        monkeypatch.setattr(harness, "save_checkpoint", spy)
+        def no_load(path):
+            raise AssertionError(f"{path} loaded")
+
+        monkeypatch.setattr(atk, "save_checkpoint", spy)
+        monkeypatch.setattr(harness, "load_checkpoint", no_load)
         see_cpus(monkeypatch, cpus)
         cfg = tmp_path / "micro.cfg"
         cfg.write_text(MICRO_CFG.replace("m_models = 2", "m_models = 3"))
@@ -1021,7 +1114,48 @@ class TestCli:
             "--kind", "xi", "--out", str(tmp_path / "xi"),
         ])
         assert code == cli.EXIT_OK
-        assert len(saved) == 3
+        assert len(saved) == (3 if cpus == 1 else 0)  # saved here, or in the workers
+        assert sorted(path.name for path in (tmp_path / "xi").iterdir()) == [
+            "xi000.rmk", "xi001.rmk", "xi002.rmk", "xi_manifest.json"
+        ]
+
+    def test_model_count_beyond_its_seed_range_exits_1(self, tmp_path, capsys):
+        # refused as the config loads, before a run lists their seeds or
+        # makes its directory
+        for old, new, message in (("independents = 1\n", "independents = 101\n",
+                                   "independents must lie in [0, 100], got 101"),
+                                  ("m_models = 2\n", "m_models = 999\n",
+                                   "m_models must be at most 998, got 999")):
+            cfg = tmp_path / "micro.cfg"
+            cfg.write_text(MICRO_CFG.replace(old, new))
+            code = cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")])
+            assert code == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"randmark pipeline: error: {cfg}: {message}"), err
+            assert "Traceback" not in err
+            assert not (tmp_path / "run").exists()
+
+    def test_pipeline_of_10_23_independents_exits_1_at_once(self, tmp_path):
+        # in a child whose address space is capped, as a run that listed
+        # their seeds would fill it
+        code, err, made = returned(run_pinned(
+            "pipeline_of_10_23_independents", args=[str(tmp_path)], timeout=30
+        ))
+        assert code == cli.EXIT_USAGE and not made
+        assert "randmark pipeline: error: " in err and "independents must lie in [0, 100]" in err
+
+    def test_bare_memory_error_is_named(self, monkeypatch, tmp_path, capsys):
+        # Python's allocator raises MemoryError without a message: a command
+        # and a pipeline stage that fail with one name it
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(harness, "data_stage", out_of_memory)
+        manifest = run_pipeline(micro_config(seed=51), tmp_path / "run")
+        assert manifest.failures == {"data": "MemoryError"}
+        monkeypatch.setattr(cli, "_cmd_pipeline", out_of_memory)
+        assert cli.main(["pipeline"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "randmark pipeline: error: MemoryError\n"
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as info:
@@ -1502,6 +1636,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config n = 32" in err and "8-bit messages" in err and "Traceback" not in err
         assert not (tmp_path / "bounds_out").exists()
+        # the training branch refuses it before it trains or makes --out
+        code = cli.main([
+            "bounds", "--config", str(cfg),
+            "--bundle", str(out / "bundle"), "--triggers", str(out / "triggers.rmts"),
+            "--out", str(tmp_path / "bounds_out"),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert "config n = 32" in capsys.readouterr().err
+        assert not (tmp_path / "bounds_out").exists()
 
     @pytest.mark.parametrize("manifest, message", [
         ("{", "not a population manifest"),
@@ -1537,21 +1680,28 @@ class TestCli:
     def test_cut_rewrite_of_a_population_is_refused(self, tmp_path):
         # a rewrite stopped after 2 of 5 models, into a directory that holds a
         # finished population, must not read as 2 new models and 3 old ones
-        def models(seed, stop=None):
+        staging, population = tmp_path / "staging", tmp_path / "population"
+        staging.mkdir()
+
+        def models(seed, stop=None):  # each model's checkpoint, saved as it is asked for
             for index in range(5):
                 if index == stop:
                     raise RuntimeError("stopped")
-                yield ne.init_network([4, 3], ["identity"], seed + index)
+                path = staging / f"model{seed + index}.rmk"
+                ne.save_checkpoint(ne.init_network([4, 3], ["identity"], seed + index), path)
+                yield path
 
         rows = [{"index": index} for index in range(5)]
-        written = harness.PopulationWriter(tmp_path, "xi", atk.PopulationResult(models(0), rows))
+        written = harness.PopulationWriter(population, "xi", atk.PopulationResult(models(0), rows))
         deque(written, maxlen=0)
-        assert len(list(harness.load_population(tmp_path, "xi"))) == 5
-        cut = harness.PopulationWriter(tmp_path, "xi", atk.PopulationResult(models(10, 2), rows))
+        assert len(list(harness.load_population(population, "xi"))) == 5
+        cut = harness.PopulationWriter(
+            population, "xi", atk.PopulationResult(models(10, 2), rows)
+        )
         with pytest.raises(RuntimeError, match="stopped"):
             deque(cut, maxlen=0)
         with pytest.raises(ValueError, match="no xi_manifest.json") as info:
-            harness.load_population(tmp_path, "xi")
+            harness.load_population(population, "xi")
         assert '{"models": [{"file": "a.rmk"}]}' in str(info.value)
 
     # The argument checks of the test oracles (tests/oracles.py), each called
@@ -1701,6 +1851,7 @@ class TestCli:
             "attacks": 0.25, "bounds": 3.5, "covariance": 0.0004, "data": 0.0123, "embed": 2.0,
             "verify": 1.0,
         }
+        manifest["peak_rss_mb"] = {"largest_child": 37.25, "process": 75.5}
         (run / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
         files = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
         assert cli.main(["report", "--run", str(run)]) == cli.EXIT_OK
@@ -1710,12 +1861,31 @@ class TestCli:
             f"blas_core {manifest['blas_core']})\n"
             "  stage seconds: data=0.012 embed=2.000 attacks=0.250 verify=1.000"
             " covariance=0.000 bounds=3.500\n"
+            "  peak RSS: process 75.5 MB, largest child 37.2 MB\n"
             "  embedding: epochs=80 bit_accuracy=0.789 fidelity=0.0105\n"
             "      independent0: detection_rate=0.375 tau=2 K=8\n"
             "           prune20: detection_rate=0.750 tau=2 K=8\n"
             "       watermarked: detection_rate=0.750 tau=2 K=8\n"
             "  bounds: p_omega=0.867 p_xi=0.734 h_minus=None h_plus=None\n"
         )
+
+    def test_report_of_a_manifest_without_peak_rss(self, micro_run, tmp_path, capsys):
+        # a run written before the manifest recorded its peak RSS reads as
+        # unknown; a malformed record is refused, never printed
+        _, out, _ = micro_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["peak_rss_mb"]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["report", "--run", str(run)]) == cli.EXIT_OK
+        assert "\n  peak RSS: unknown\n" in capsys.readouterr().out
+        manifest["peak_rss_mb"] = {"process": "75 MB", "largest_child": 37.0}
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["report", "--run", str(run)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'peak_rss_mb'['process'] has the wrong type str" in err
+        assert "Traceback" not in err
 
     def test_report_of_a_manifest_without_build_keys(self, micro_run, tmp_path, capsys):
         # a run written before the manifest recorded numpy and the BLAS core

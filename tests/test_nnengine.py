@@ -746,10 +746,15 @@ class TestParameterVector:
             assert not np.shares_memory(other.params, net.params)
             assert other.parameters_digest() == net.parameters_digest()
 
-    def test_models_from_a_two_worker_pool_keep_their_views(self, monkeypatch):
+    def test_models_from_a_two_worker_pool_keep_their_views(self, monkeypatch, tmp_path):
+        # each loaded from the checkpoint its worker saved
         see_cpus(monkeypatch, 2)
+        paths = [tmp_path / "a.rmk", tmp_path / "b.rmk"]
         with atk.IndependentPool(2) as pool:
-            models = list(pool.submit([16, 8, 4], [1, 2], [3, 4], 1, 10))
+            models = [
+                ne.load_checkpoint(path)
+                for path in pool.submit([16, 8, 4], [1, 2], [3, 4], 1, 10, paths)
+            ]
         for model in models:
             _assert_views(model)
 
