@@ -229,15 +229,19 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK if not manifest.failures else EXIT_USAGE
 
 
-def _json_object(path, fields: dict, number_maps: tuple[str, ...] = ()) -> dict:
+def _json_object(
+    path, fields: dict, number_maps: tuple[str, ...] = (), optional_maps: tuple[str, ...] = ()
+) -> dict:
     """The JSON object in path, after checking that it has each key of
     fields with a value of that key's type(s), and that the value of each
-    key in number_maps is an object of numbers (harness.json_field). A file
-    that is not such an object raises ValueError naming it."""
+    key in number_maps, and of each key in optional_maps that it has, is an
+    object of numbers (harness.json_field). A file that is not such an
+    object raises ValueError naming it."""
     try:
         payload = json.loads(path.read_text())
         if not isinstance(payload, dict):
             raise ValueError(f"not a JSON object but {type(payload).__name__}")
+        number_maps = (*number_maps, *(key for key in optional_maps if key in payload))
         for key, kind in {**fields, **dict.fromkeys(number_maps, dict)}.items():
             json_field(payload, key, kind)
         for key in number_maps:
@@ -251,7 +255,8 @@ def _json_object(path, fields: dict, number_maps: tuple[str, ...] = ()) -> dict:
 def _cmd_report(args) -> int:
     run = Path(args.run)
     manifest = _json_object(
-        run / "manifest.json", {"version": str, "failures": dict}, number_maps=("stage_seconds",)
+        run / "manifest.json", {"version": str, "failures": dict}, number_maps=("stage_seconds",),
+        optional_maps=("stage_peak_rss_mb",),  # absent before runs recorded it
     )
     build = [f"{key} {manifest.get(key, 'unknown')}" for key in ("numpy", "blas_core")]
     print(f"run {run} (version {manifest['version']}, {', '.join(build)})")
@@ -259,6 +264,10 @@ def _cmd_report(args) -> int:
     timed = [f"{name}={seconds[name]:.3f}" for name in PIPELINE_STAGES if name in seconds]
     if timed:
         print("  stage seconds: " + " ".join(timed))
+    rss = manifest.get("stage_peak_rss_mb", {})
+    marks = [f"{name}={rss[name]:.1f}" for name in PIPELINE_STAGES if name in rss]
+    if marks:
+        print("  stage peak RSS MB: " + " ".join(marks))
     peak = manifest.get("peak_rss_mb")
     if peak is None:  # a manifest written before runs recorded it
         print("  peak RSS: unknown")

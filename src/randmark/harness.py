@@ -18,6 +18,7 @@ import os
 import re
 import resource
 import shutil
+import sys
 import tempfile
 import time
 from collections import deque
@@ -473,6 +474,7 @@ class RunManifest:
     config: dict
     files: dict[str, str]
     stage_seconds: dict[str, float]
+    stage_peak_rss_mb: dict[str, float]  # this process's high-water mark as each stage returned
     peak_rss_mb: dict[str, float]  # _peak_rss_mb: this process's, its largest child's
     failures: dict[str, str] = field(default_factory=dict)
 
@@ -504,12 +506,14 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
     seeds = config.seeds
     dims = config.backbone_dims
     stage_seconds: dict[str, float] = {}
+    stage_rss: dict[str, float] = {}
     failures: dict[str, str] = {}
 
     def stage(name: str, run: Callable[[], object], *needs):
-        """Run one stage, timed: its result, or None if it raised (the
-        exception recorded in failures) or was skipped because one of
-        needs, the results of earlier stages, is None."""
+        """Run one stage, timed and with the process's peak RSS read as it
+        returns: its result, or None if it raised (the exception recorded in
+        failures) or was skipped because one of needs, the results of
+        earlier stages, is None."""
         if any(need is None for need in needs):
             return None
         t0 = time.perf_counter()
@@ -519,6 +523,7 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
             failures[name] = str(exc) or type(exc).__name__
             return None
         stage_seconds[name] = time.perf_counter() - t0
+        stage_rss[name] = _maxrss_mb(resource.RUSAGE_SELF)
         return result
 
     count = config.independents
@@ -548,14 +553,18 @@ def run_pipeline(config: ExperimentConfig, out_dir) -> RunManifest:
             lambda: covariance_stage(suspects, distances, out / "covariance.csv"),
             distances,
         )
+        # the bounds stage reads neither the suspects nor their distances:
+        # drop them, so that its scipy import and decodes reuse their memory
+        attacked = None if suspects is None else True
+        del suspects, distances
         stage(
             "bounds",
             lambda: (out / "bound_report.json").write_text(
                 bounds_stage(config, bundle, triggers, out / "population", xi, staging).to_json()
             ),
-            suspects,  # a failed attacks stage ends the run, as a failed embed does
+            attacked,  # a failed attacks stage ends the run, as a failed embed does
         )
-    return _finalize_manifest(out, config, stage_seconds, failures)
+    return _finalize_manifest(out, config, stage_seconds, stage_rss, failures)
 
 
 def data_stage(config: ExperimentConfig, path: Path) -> TriggerSet:
@@ -787,13 +796,19 @@ def population_stage(config: ExperimentConfig, bundle: ModelBundle, kind: str, o
     return len(result.rows)
 
 
+def _maxrss_mb(who: int) -> float:
+    """The resident-set high-water mark of getrusage(who) in MB: ru_maxrss
+    counts KiB on Linux but bytes on macOS (getrusage(2))."""
+    return resource.getrusage(who).ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _peak_rss_mb() -> dict[str, float]:
-    """The resident-set high-water marks in MB (ru_maxrss, KiB on Linux) of
-    this process and of the largest child process it has waited for: after
-    a run, the pool's workers, once the pool has closed."""
+    """The resident-set high-water marks in MB of this process and of the
+    largest child process it has waited for: after a run, the pool's
+    workers, once the pool has closed."""
     return {
-        "process": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "largest_child": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+        "process": _maxrss_mb(resource.RUSAGE_SELF),
+        "largest_child": _maxrss_mb(resource.RUSAGE_CHILDREN),
     }
 
 
@@ -801,6 +816,7 @@ def _finalize_manifest(
     out: Path,
     config: ExperimentConfig,
     stage_seconds: dict[str, float],
+    stage_rss: dict[str, float],
     failures: dict[str, str],
 ) -> RunManifest:
     files = {}
@@ -814,6 +830,7 @@ def _finalize_manifest(
         config=config.snapshot(),
         files=files,
         stage_seconds=stage_seconds,
+        stage_peak_rss_mb=stage_rss,
         peak_rss_mb=_peak_rss_mb(),
         failures=failures,
     )

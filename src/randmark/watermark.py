@@ -574,10 +574,39 @@ def stego_batch(
     return _stego_memo[3]
 
 
+# decode_triggers runs its forwards over blocks of at most _DECODE_ROWS stego
+# rows, each cut at a multiple of it (so of 32 rows), and a one-row tail joins
+# the block before it: OpenBLAS's dgemm kernels then sum each row as in one
+# product of all rows, while a one-row product would run another kernel.
+_DECODE_ROWS = 1600
+
+
+def _decode_cuts(rows: int) -> list[int]:
+    """The row offsets 0 < ... < rows that cut a decode into blocks."""
+    cuts = [*range(0, rows, _DECODE_ROWS), rows]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return cuts
+
+
+def _decoded_blocks(suspect: MlpNetwork, decoder: MlpNetwork, stego: np.ndarray):
+    """Yield (start, stop, decoder output) for each block of _decode_cuts
+    over the stego rows: the suspect forward, then the decoder forward, each
+    through one ForwardTrace allocated here for the largest block, so each
+    output is overwritten by the next block's."""
+    cuts = _decode_cuts(len(stego))
+    block = max(stop - start for start, stop in zip(cuts, cuts[1:]))
+    suspect_trace = ForwardTrace.empty(suspect, block)
+    decoder_trace = ForwardTrace.empty(decoder, block)
+    for start, stop in zip(cuts, cuts[1:]):
+        emb = forward_batch(suspect, stego[start:stop], into=suspect_trace)[0]
+        yield start, stop, forward_batch(decoder, emb, into=decoder_trace)[0]
+
+
 def decode_triggers(
     suspect: MlpNetwork, bundle: ModelBundle, triggers: TriggerSet, k_draws: int, seed: int,
 ) -> np.ndarray:
-    """Decode K messages per trigger from a suspect backbone in one pass.
+    """Decode K messages per trigger from a suspect backbone.
 
     The bundle's encoder and decoder wrap the suspect in place of the
     watermarked backbone. Returns the (N, K) Hamming distances between the
@@ -587,11 +616,13 @@ def decode_triggers(
     do not fit the bundle raises VerificationRefused, both before any stego
     work.
 
-    One chain over the whole stego batch of stego_batch: suspect forward,
-    decoder forward, distances. Each forward of 512 rows or more (the desk
-    decode's 1,600) shares its 256-row blocks with forward_batch's helpers
-    (_spare), which all join before that forward returns; the rest runs in
-    the caller's thread.
+    One chain over the stego batch of stego_batch, in blocks of at most
+    1,600 rows (_decoded_blocks): suspect forward, decoder forward, and the
+    block's distances written into the result, so beyond the stego batch the
+    decode's memory does not grow with N * K. Each forward of 512 rows or
+    more (a desk decode's 1,600) shares its 256-row blocks with
+    forward_batch's helpers (_spare), which all join before that forward
+    returns; the rest runs in the caller's thread.
     """
     s, n, n_trig = triggers.s, triggers.n, len(triggers)
     if (s, n) != (bundle.s, bundle.n):
@@ -604,9 +635,11 @@ def decode_triggers(
             f"needs {s} -> {bundle.k}"
         )
     stego = stego_batch(bundle.encoder_e, triggers, k_draws, seed, bundle.hyper.delta_scale)
-    emb = forward_batch(suspect, stego)[0]
-    bits = forward_batch(bundle.decoder_d, emb)[0].reshape(n_trig, k_draws, n) >= 0.5
-    return (bits != triggers.messages[:, None, :]).sum(axis=2, dtype=np.int64)
+    distances = np.empty(n_trig * k_draws, dtype=np.int64)
+    for start, stop, soft in _decoded_blocks(suspect, bundle.decoder_d, stego):
+        messages = triggers.messages[np.arange(start, stop) // k_draws]
+        distances[start:stop] = ((soft >= 0.5) != messages).sum(axis=1, dtype=np.int64)
+    return distances.reshape(n_trig, k_draws)
 
 
 def extract_messages(

@@ -256,6 +256,29 @@ def split_bytes_equal_one_block():
     ne._layers = layers
 
 
+def block_decode_bytes_equal_one_pass():
+    # a decode's suspect-plus-decoder chain in its blocks, each forward
+    # shared with the helper, against one _layers pass of each network over
+    # all rows: four full blocks, a one-row tail joined to the block before
+    # it, and a 16-row tail
+    np, ne, wm = _engine()
+    rng = np.random.default_rng(44)
+    # the weight shapes and activations of the default backbone and decoder
+    suspect = ne.init_network([256, 192, 64], ["tanh", "identity"], 45)
+    decoder = ne.init_network([64, 128, 32], ["tanh", "sigmoid"], 46)
+    assert ne._spare(1600) == 1
+    for rows, cuts in ((6400, [0, 1600, 3200, 4800]), (1601, [0]), (1616, [0, 1600])):
+        stego = rng.random((rows, 256))
+        one = [ne.ForwardTrace.empty(net, rows) for net in (suspect, decoder)]
+        ne._layers(suspect, stego, one[0].buffers)
+        ne._layers(decoder, one[0].buffers[-1], one[1].buffers)
+        starts = []
+        for start, stop, soft in wm._decoded_blocks(suspect, decoder, stego):
+            assert soft.tobytes() == one[1].buffers[-1][start:stop].tobytes(), (rows, start)
+            starts.append(start)
+        assert starts == cuts and stop == rows, (rows, starts)
+
+
 def each_block_runs_once_under_thread_stress():
     # seven helpers on two CPUs, switching threads every microsecond: a block
     # handed out twice or never shows in the block list, and the bytes hold
@@ -765,9 +788,9 @@ def no_thread_outlives_a_verify():
         source, 4, encoder_hidden=(8,), decoder_hidden=(8,), hyper=_hyper(), seed=4
     )
     threads = set()
-    def forward_spy(net, inputs):
+    def forward_spy(net, inputs, into=None):
         threads.add(threading.get_ident())
-        return ne.forward_batch(net, inputs)
+        return ne.forward_batch(net, inputs, into=into)
     wm.forward_batch = forward_spy
     verify_suspect(source, bundle, triggers, 1, 4, 5, "source")
     wm.forward_batch = ne.forward_batch
@@ -795,9 +818,9 @@ def desk_decode_splits_in_the_caller():
     )
     calls, block_threads = [], set()
     forward, layers = ne.forward_batch, ne._layers
-    def forward_spy(net, inputs):
+    def forward_spy(net, inputs, into=None):
         calls.append((threading.get_ident(), len(inputs)))
-        return forward(net, inputs)
+        return forward(net, inputs, into=into)
     def block_spy(*args):
         block_threads.add(threading.get_ident())
         layers(*args)

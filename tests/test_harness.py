@@ -2,6 +2,7 @@
 and determinism, manifest completeness, and CLI exit codes."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -10,7 +11,9 @@ import re
 import resource
 import shutil
 import struct
+import sys
 import threading
+import types
 import weakref
 from collections import deque
 from pathlib import Path
@@ -730,6 +733,29 @@ class TestPopulationTraining:
         omega = json.loads((tmp_path / "run" / "population" / "omega_manifest.json").read_text())
         assert len(decoded) == suspects + len(omega["models"]) + config.m_models
 
+    def test_no_suspect_network_alive_in_the_bounds_stage(self, monkeypatch, tmp_path):
+        # the bounds stage reads neither the suspects nor their distances, so
+        # the run drops them before it: of the networks the run made, gc
+        # finds only the bundle's 4 alive when the stage starts
+        config = micro_config(seed=50, independents=2, m_models=3)
+        before = {id(obj): obj for obj in gc.get_objects() if isinstance(obj, ne.MlpNetwork)}
+        found, bounds = [], harness.bounds_stage
+
+        def spy(config, bundle, *args):
+            gc.collect()
+            made = [obj for obj in gc.get_objects()
+                    if isinstance(obj, ne.MlpNetwork) and id(obj) not in before]
+            nets = (bundle.frozen_f, bundle.watermarked_f, bundle.encoder_e, bundle.decoder_d)
+            found.append((len(made), all(any(obj is net for net in nets) for obj in made)))
+            del made
+            return bounds(config, bundle, *args)
+
+        monkeypatch.setattr(harness, "bounds_stage", spy)
+        see_cpus(monkeypatch, 2)
+        manifest = run_pipeline(config, tmp_path / "run")
+        assert manifest.failures == {}
+        assert found == [(4, True)]
+
     @pytest.mark.parametrize("failing", ["data", "embed"])
     def test_failed_run_leaves_no_staged_checkpoint(self, monkeypatch, tmp_path, failing):
         # the independents and xi models that workers saved before the stage
@@ -767,6 +793,22 @@ class TestPopulationTraining:
                          ("largest_child", resource.RUSAGE_CHILDREN)):
             assert 0 < manifest.peak_rss_mb[key] <= resource.getrusage(who).ru_maxrss / 1024
         assert not any("rss" in name for name in manifest.files)
+        # the process's high-water mark as each stage returned, in stage order
+        assert written["stage_peak_rss_mb"] == manifest.stage_peak_rss_mb
+        marks = [manifest.stage_peak_rss_mb[name] for name in harness.PIPELINE_STAGES]
+        assert 0 < marks[0] and marks == sorted(marks), marks
+        assert marks[-1] <= manifest.peak_rss_mb["process"]
+
+    @pytest.mark.parametrize("platform, unit", [("linux", 2**10), ("darwin", 2**20)])
+    def test_peak_rss_reads_ru_maxrss_in_the_platforms_unit(self, monkeypatch, platform, unit):
+        # getrusage(2): ru_maxrss counts KiB on Linux and bytes on macOS
+        marks = {resource.RUSAGE_SELF: 75.5, resource.RUSAGE_CHILDREN: 37.25}
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(
+            resource, "getrusage", lambda who: types.SimpleNamespace(ru_maxrss=int(marks[who] * unit))
+        )
+        assert harness._peak_rss_mb() == {"process": 75.5, "largest_child": 37.25}
+        assert harness._maxrss_mb(resource.RUSAGE_SELF) == 75.5
 
     @pytest.mark.parametrize("failing", ["embed", "attacks", "bounds"])
     def test_failed_run_leaves_no_worker_or_thread(self, monkeypatch, tmp_path, failing):
@@ -1852,6 +1894,10 @@ class TestCli:
             "verify": 1.0,
         }
         manifest["peak_rss_mb"] = {"largest_child": 37.25, "process": 75.5}
+        manifest["stage_peak_rss_mb"] = {
+            "attacks": 70.0, "bounds": 71.25, "covariance": 70.04, "data": 39.125, "embed": 69.96,
+            "verify": 70.04,
+        }
         (run / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
         files = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
         assert cli.main(["report", "--run", str(run)]) == cli.EXIT_OK
@@ -1861,6 +1907,8 @@ class TestCli:
             f"blas_core {manifest['blas_core']})\n"
             "  stage seconds: data=0.012 embed=2.000 attacks=0.250 verify=1.000"
             " covariance=0.000 bounds=3.500\n"
+            "  stage peak RSS MB: data=39.1 embed=70.0 attacks=70.0 verify=70.0 covariance=70.0"
+            " bounds=71.2\n"
             "  peak RSS: process 75.5 MB, largest child 37.2 MB\n"
             "  embedding: epochs=80 bit_accuracy=0.789 fidelity=0.0105\n"
             "      independent0: detection_rate=0.375 tau=2 K=8\n"
@@ -1876,10 +1924,12 @@ class TestCli:
         run = tmp_path / "run"
         shutil.copytree(out, run)
         manifest = json.loads((out / "manifest.json").read_text())
-        del manifest["peak_rss_mb"]
+        del manifest["peak_rss_mb"], manifest["stage_peak_rss_mb"]
         (run / "manifest.json").write_text(json.dumps(manifest))
         assert cli.main(["report", "--run", str(run)]) == cli.EXIT_OK
-        assert "\n  peak RSS: unknown\n" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "\n  peak RSS: unknown\n" in text
+        assert "stage peak RSS" not in text
         manifest["peak_rss_mb"] = {"process": "75 MB", "largest_child": 37.0}
         (run / "manifest.json").write_text(json.dumps(manifest))
         assert cli.main(["report", "--run", str(run)]) == cli.EXIT_USAGE
@@ -1948,12 +1998,19 @@ class TestCli:
          "'epochs'[-1]['bit_accuracy'] has the wrong type str"),
         ("embed_log.json", '{"epochs": [{"bit_accuracy": 1.0, "fidelity": false}]}',
          "'epochs'[-1]['fidelity'] has the wrong type bool"),
+        ("manifest.json",
+         '{"version": "0", "failures": {}, "stage_seconds": {}, "stage_peak_rss_mb": {"embed": "70"}}',
+         "'stage_peak_rss_mb'['embed'] has the wrong type str"),
+        ("manifest.json",
+         '{"version": "0", "failures": {}, "stage_seconds": {}, "stage_peak_rss_mb": [70.0]}',
+         "'stage_peak_rss_mb' has the wrong type list"),
     ], ids=["manifest-empty", "manifest-list", "manifest-unparsable", "manifest-version-int",
             "manifest-failures-list", "manifest-stage-seconds-str", "verification-missing-key",
             "verification-rate-str", "verification-null", "bounds-missing-key", "bounds-p-null",
             "manifest-stage-seconds-bool", "bounds-p-bool", "embed-log-unparsable",
             "embed-log-empty", "embed-log-epochs-dict", "embed-log-missing-fidelity",
-            "embed-log-accuracy-str", "embed-log-fidelity-bool"])
+            "embed-log-accuracy-str", "embed-log-fidelity-bool", "manifest-stage-rss-str",
+            "manifest-stage-rss-list"])
     def test_report_rejects_malformed_run_file(self, micro_run, tmp_path, capsys, name, text,
                                                message):
         _, out, _ = micro_run

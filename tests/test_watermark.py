@@ -478,8 +478,8 @@ class TestStegoBatch:
 
 
 class TestSerialDecode:
-    """decode_triggers runs one chain over the whole stego batch in the
-    caller's thread."""
+    """decode_triggers runs one chain over the stego batch in the caller's
+    thread."""
 
     @staticmethod
     def _decode(suspect, bundle, triggers, k_draws, seed=140):
@@ -489,10 +489,10 @@ class TestSerialDecode:
         see_cpus(monkeypatch, 4)  # free CPUs are no reason to split the decode
         callers, rows = set(), []
 
-        def spy(net, inputs):
+        def spy(net, inputs, into=None):
             callers.add(threading.get_ident())
             rows.append(inputs.shape[0])
-            return ne.forward_batch(net, inputs)
+            return ne.forward_batch(net, inputs, into=into)
 
         def no_thread(thread):
             raise AssertionError(f"decode_triggers started thread {thread.name}")
@@ -516,10 +516,10 @@ class TestSerialDecode:
 
         suspect = mini_run.bundle.watermarked_f.copy()
 
-        def failing_suspect(net, inputs):
+        def failing_suspect(net, inputs, into=None):
             if net is suspect:
                 raise SuspectFailed("suspect pass failed")
-            return ne.forward_batch(net, inputs)
+            return ne.forward_batch(net, inputs, into=into)
 
         monkeypatch.setattr(wm, "forward_batch", failing_suspect)
         with pytest.raises(SuspectFailed):
@@ -560,6 +560,62 @@ class TestSerialDecode:
 class TestSplitDecode:
     def test_desk_decode_splits_inside_forward_batch_in_the_caller(self):
         returned(run_pinned("desk_decode_splits_in_the_caller"))
+
+
+class TestBlockDecode:
+    """decode_triggers runs its forwards over blocks of at most 1,600 stego
+    rows, through one trace per network, so beyond the stego batch its
+    memory does not grow with N * K."""
+
+    def test_cuts_fall_at_multiples_of_1600_and_join_a_one_row_tail(self):
+        assert wm._decode_cuts(1) == [0, 1]
+        assert wm._decode_cuts(1600) == [0, 1600]
+        assert wm._decode_cuts(1601) == [0, 1601]
+        assert wm._decode_cuts(1616) == [0, 1600, 1616]
+        assert wm._decode_cuts(6400) == [0, 1600, 3200, 4800, 6400]
+        assert wm._decode_cuts(6401) == [0, 1600, 3200, 4800, 6401]
+        for rows in range(2, 10_000, 13):
+            cuts = wm._decode_cuts(rows)
+            sizes = [stop - start for start, stop in zip(cuts, cuts[1:])]
+            assert cuts[0] == 0 and cuts[-1] == rows, rows
+            assert all(cut % 1600 == 0 for cut in cuts[:-1]), rows
+            assert all(size == 1600 for size in sizes[:-1]), rows
+            assert 1 < sizes[-1] <= 1601, rows
+
+    def test_desk_decode_memory_does_not_grow_with_k(self):
+        # with the stego batch built, a K = 64 decode of the desk config's
+        # 100 triggers (6,400 rows) peaks where a K = 16 decode (1,600) does
+        config = ExperimentConfig()
+        triggers = build_trigger_set(
+            gen_synthetic_images(config.trigger_count, config.s, 1), config.n,
+            config.sigma_scale, 2,
+        )
+        dims = config.backbone_dims
+        source = ne.init_network(dims, ["tanh"] * (len(dims) - 2) + ["identity"], 3)
+        bundle = wm.ModelBundle.create(
+            source, config.n, encoder_hidden=config.encoder_hidden,
+            decoder_hidden=config.decoder_hidden, hyper=config.hyper(), seed=4,
+        )
+        peaks = {}
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            for k_draws in (16, 64):
+                wm.decode_triggers(source, bundle, triggers, k_draws, 5)  # builds the stego batch
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                wm.decode_triggers(source, bundle, triggers, k_draws, 5)
+                peaks[k_draws] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peaks[64] <= 1.1 * peaks[16], peaks
+
+    @kernel_check(pinned_checks.block_decode_bytes_equal_one_pass)
+    def test_block_bytes_equal_one_pass(self, coretype):
+        """The suspect-plus-decoder chain over four full blocks, over a
+        one-row tail joined to the block before it, and over a 16-row tail,
+        gives each row the bytes of one pass over all rows."""
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
